@@ -102,6 +102,7 @@ import (
 	"os/exec"
 	"runtime"
 	rtrace "runtime/trace"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -187,6 +188,11 @@ func main() {
 		cfg.Metrics = true
 		if cfg.Samples <= 0 {
 			cfg.Samples = 5
+		}
+		// The archive follows the whole CSR-DU family: csr-du-vi is the
+		// format the autotuner picks on stencils.
+		if !slices.Contains(cfg.Formats, "csr-du-vi") {
+			cfg.Formats = append(cfg.Formats, "csr-du-vi")
 		}
 	}
 

@@ -1,6 +1,8 @@
 package csrdu
 
 import (
+	"encoding/binary"
+
 	"spmv/internal/core"
 	"spmv/internal/varint"
 )
@@ -10,6 +12,13 @@ import (
 // price CSR-DU pays for its smaller stream — is a per-multiplication
 // cost, so batching amortizes it together with the stream bytes: per
 // vector, both fall by 1/k.
+//
+// "Once per unit" is literal: DecodeUnit expands a unit into its column
+// indices, and the panel kernels run their FMA columns off that buffer.
+// The walk over unit headers has the scalar kernel's shape (see
+// (*chunk).SpMV): the first header is peeled, a panel row is stored
+// once when the next row's header arrives, and the rows no unit touches
+// are zeroed where they are skipped, so only rows [lo, hi) are written.
 
 var (
 	_ core.BatchFormat = (*Matrix)(nil)
@@ -42,17 +51,17 @@ func (c *chunk) SpMVBatch(y, x []float64, k int) {
 	case k <= 0:
 		panic(core.Usagef("csrdu: batch with non-positive vector count %d", k))
 	}
-	yr := y[c.lo*k : c.hi*k]
-	for i := range yr {
-		yr[i] = 0
-	}
-	if c.startMark < 0 {
+	if c.startMark < 0 || c.ctlLo >= c.ctlHi {
+		clear(y[c.lo*k : c.hi*k])
 		return
 	}
 	var units int
-	if k == 4 {
+	switch k {
+	case 4:
 		units = c.spmvBatch4(y, x)
-	} else {
+	case 8:
+		units = c.spmvBatch8(y, x)
+	default:
 		units = c.spmvBatchK(y, x, k)
 	}
 	if batchDecodeHook != nil {
@@ -60,288 +69,281 @@ func (c *chunk) SpMVBatch(y, x []float64, k int) {
 	}
 }
 
+// MaxUnit is the largest usize a unit header can carry, and so the
+// capacity a DecodeUnit column buffer needs.
+const MaxUnit = 255
+
+// DecodeUnit expands the body of one unit — everything after the
+// uflags/usize bytes and the optional rjmp — into absolute column
+// indices: cols[0] is xi plus the unit's ujmp, each further entry adds
+// one delta. len(cols) is the unit's usize. It returns the offset just
+// past the unit and the last column, the next unit's starting position
+// when that unit continues the row. The stream must have passed Verify.
+//
+// It is the one decoder of the unit grammar the panel kernels of this
+// package and of csrduvi share; the scalar kernels decode in line.
+//
+//go:noinline
+func DecodeUnit(ctl []byte, pos int, flags byte, xi int, cols []int32) (next, last int) {
+	j, pos := varint.DecodeAt(ctl, pos)
+	xi += int(j)
+	cols[0] = int32(xi)
+	cols = cols[1:]
+	if flags&FlagRLE != 0 {
+		var d uint64
+		d, pos = varint.DecodeAt(ctl, pos)
+		for i := range cols {
+			xi += int(d)
+			cols[i] = int32(xi)
+		}
+		return pos, xi
+	}
+	cls := flags & TypeMask
+	b := ctl[pos : pos+len(cols)<<cls]
+	switch cls {
+	case ClassU8:
+		cols = cols[:len(b)]
+		for i, d := range b {
+			xi += int(d)
+			cols[i] = int32(xi)
+		}
+	case ClassU16:
+		for i := range cols {
+			xi += int(binary.LittleEndian.Uint16(b[2*i:]))
+			cols[i] = int32(xi)
+		}
+	case ClassU32:
+		for i := range cols {
+			xi += int(binary.LittleEndian.Uint32(b[4*i:]))
+			cols[i] = int32(xi)
+		}
+	default:
+		for i := range cols {
+			xi += int(binary.LittleEndian.Uint64(b[8*i:]))
+			cols[i] = int32(xi)
+		}
+	}
+	return pos + len(b), xi
+}
+
+// SkipRows handles a row jump in a panel of width k: it decodes the
+// rjmp varint at pos and zeroes the empty panel rows the jump passes
+// over. yi is the row after the one just stored; the returned row is
+// where the unit that carried the jump lands.
+func SkipRows(y []float64, k, yi int, ctl []byte, pos int) (row, next int) {
+	skip, pos := varint.DecodeAt(ctl, pos)
+	row = yi + int(skip) - 1
+	clear(y[yi*k : row*k])
+	return row, pos
+}
+
 // spmvBatch4 is the k=4 kernel: the four row accumulators stay in
-// registers across the whole unit, flushed once per row like the scalar
-// kernel's sum. Returns the number of units decoded.
+// registers across a unit's FMA loop and are stored once per row.
+// Returns the number of units decoded.
 func (c *chunk) spmvBatch4(y, x []float64) int {
+	const k = 4
 	m := c.m
-	ctl := m.Ctl
-	values := m.Values
-	pos := c.ctlLo
-	vi := c.valLo
-	yi := -1
+	ctl := m.Ctl[:c.ctlHi]
+	values := m.Values[:c.valHi]
+	pos, vi := c.ctlLo, c.valLo
+	var buf [MaxUnit]int32
+
+	yi := m.marks[c.startMark].row
+	clear(y[c.lo*k : yi*k])
+	flags := ctl[pos]
+	size := int(ctl[pos+1])
+	pos += 2
+	if flags&FlagRJMP != 0 {
+		_, pos = varint.DecodeAt(ctl, pos)
+	}
 	xi := 0
 	var s0, s1, s2, s3 float64
-	first := true
-	units := 0
 
-	for pos < c.ctlHi {
-		units++
-		flags := ctl[pos]
-		size := int(ctl[pos+1])
-		pos += 2
-		if flags&FlagNR != 0 {
-			var skip uint64 = 1
-			if flags&FlagRJMP != 0 {
-				skip, pos = varint.DecodeAt(ctl, pos)
-			}
-			if first {
-				// Anchor on the chunk's first row: the encoded row jump
-				// is relative to the previous chunk's last row.
-				yi = m.marks[c.startMark].row
-				first = false
-			} else {
-				yr := y[yi*4:]
-				yr = yr[:4]
-				yr[0] += s0
-				yr[1] += s1
-				yr[2] += s2
-				yr[3] += s3
-				s0, s1, s2, s3 = 0, 0, 0, 0
-				yi += int(skip)
-			}
-			xi = 0
-		}
-		var j uint64
-		j, pos = varint.DecodeAt(ctl, pos)
-		xi += int(j)
-		{
-			v := values[vi]
-			xr := x[xi*4:]
-			xr = xr[:4]
+	for units := 1; ; units++ {
+		cols := buf[:size]
+		pos, xi = DecodeUnit(ctl, pos, flags, xi, cols)
+		vals := values[vi : vi+size]
+		vi += size
+		cols = cols[:len(vals)]
+		for p, v := range vals {
+			xr := x[int(cols[p])*k:]
+			xr = xr[:k]
 			s0 += v * xr[0]
 			s1 += v * xr[1]
 			s2 += v * xr[2]
 			s3 += v * xr[3]
 		}
-		vi++
 
-		n := size - 1
-		if flags&FlagRLE != 0 {
-			var d uint64
-			d, pos = varint.DecodeAt(ctl, pos)
-			delta := int(d)
-			for _, v := range values[vi : vi+n] {
-				xi += delta
-				xr := x[xi*4:]
-				xr = xr[:4]
-				s0 += v * xr[0]
-				s1 += v * xr[1]
-				s2 += v * xr[2]
-				s3 += v * xr[3]
-			}
-			vi += n
-			continue
+		if pos >= len(ctl) {
+			yr := y[yi*k:]
+			yr = yr[:k]
+			yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
+			clear(y[(yi+1)*k : c.hi*k])
+			return units
 		}
-		vals := values[vi : vi+n]
-		vi += n
-		switch flags & TypeMask {
-		case ClassU8:
-			deltas := ctl[pos : pos+n]
-			pos += n
-			deltas = deltas[:len(vals)]
-			for p, v := range vals {
-				xi += int(deltas[p])
-				xr := x[xi*4:]
-				xr = xr[:4]
-				s0 += v * xr[0]
-				s1 += v * xr[1]
-				s2 += v * xr[2]
-				s3 += v * xr[3]
-			}
-		case ClassU16:
-			b := ctl[pos : pos+2*n]
-			pos += 2 * n
-			for p, v := range vals {
-				d := b[2*p:]
-				_ = d[1]
-				xi += int(uint16(d[0]) | uint16(d[1])<<8)
-				xr := x[xi*4:]
-				xr = xr[:4]
-				s0 += v * xr[0]
-				s1 += v * xr[1]
-				s2 += v * xr[2]
-				s3 += v * xr[3]
-			}
-		case ClassU32:
-			b := ctl[pos : pos+4*n]
-			pos += 4 * n
-			for p, v := range vals {
-				d := b[4*p:]
-				_ = d[3]
-				xi += int(uint32(d[0]) | uint32(d[1])<<8 |
-					uint32(d[2])<<16 | uint32(d[3])<<24)
-				xr := x[xi*4:]
-				xr = xr[:4]
-				s0 += v * xr[0]
-				s1 += v * xr[1]
-				s2 += v * xr[2]
-				s3 += v * xr[3]
-			}
-		default:
-			b := ctl[pos : pos+8*n]
-			pos += 8 * n
-			for p, v := range vals {
-				d := b[8*p:]
-				_ = d[7]
-				xi += int(uint64(d[0]) | uint64(d[1])<<8 |
-					uint64(d[2])<<16 | uint64(d[3])<<24 |
-					uint64(d[4])<<32 | uint64(d[5])<<40 |
-					uint64(d[6])<<48 | uint64(d[7])<<56)
-				xr := x[xi*4:]
-				xr = xr[:4]
-				s0 += v * xr[0]
-				s1 += v * xr[1]
-				s2 += v * xr[2]
-				s3 += v * xr[3]
-			}
-		}
-	}
-	if !first {
-		yr := y[yi*4:]
-		yr = yr[:4]
-		yr[0] += s0
-		yr[1] += s1
-		yr[2] += s2
-		yr[3] += s3
-	}
-	return units
-}
-
-// spmvBatchK is the generic-width kernel: one heap-allocated accumulator
-// row of k sums, flushed into the output panel on each row change.
-// Returns the number of units decoded.
-func (c *chunk) spmvBatchK(y, x []float64, k int) int {
-	m := c.m
-	ctl := m.Ctl
-	values := m.Values
-	pos := c.ctlLo
-	vi := c.valLo
-	yi := -1
-	xi := 0
-	acc := make([]float64, k)
-	first := true
-	units := 0
-
-	for pos < c.ctlHi {
-		units++
-		flags := ctl[pos]
-		size := int(ctl[pos+1])
+		flags = ctl[pos]
+		size = int(ctl[pos+1])
 		pos += 2
 		if flags&FlagNR != 0 {
-			var skip uint64 = 1
-			if flags&FlagRJMP != 0 {
-				skip, pos = varint.DecodeAt(ctl, pos)
-			}
-			if first {
-				yi = m.marks[c.startMark].row
-				first = false
-			} else {
-				yr := y[yi*k:]
-				yr = yr[:len(acc)]
-				for cc, s := range acc {
-					yr[cc] += s
-					acc[cc] = 0
-				}
-				yi += int(skip)
-			}
+			yr := y[yi*k:]
+			yr = yr[:k]
+			yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
+			s0, s1, s2, s3 = 0, 0, 0, 0
 			xi = 0
-		}
-		var j uint64
-		j, pos = varint.DecodeAt(ctl, pos)
-		xi += int(j)
-		{
-			v := values[vi]
-			xr := x[xi*k:]
-			xr = xr[:len(acc)]
-			for cc, xv := range xr {
-				acc[cc] += v * xv
+			yi++
+			if flags&FlagRJMP != 0 {
+				yi, pos = SkipRows(y, k, yi, ctl, pos)
 			}
 		}
-		vi++
+	}
+}
 
-		n := size - 1
-		if flags&FlagRLE != 0 {
-			var d uint64
-			d, pos = varint.DecodeAt(ctl, pos)
-			delta := int(d)
-			for _, v := range values[vi : vi+n] {
-				xi += delta
-				xr := x[xi*k:]
-				xr = xr[:len(acc)]
-				for cc, xv := range xr {
-					acc[cc] += v * xv
-				}
-			}
-			vi += n
-			continue
+// spmvBatch8 is the k=8 kernel, spmvBatch4 with eight register
+// accumulators — the widest panel whose sums still fit the register
+// file next to the loop's own state.
+func (c *chunk) spmvBatch8(y, x []float64) int {
+	const k = 8
+	m := c.m
+	ctl := m.Ctl[:c.ctlHi]
+	values := m.Values[:c.valHi]
+	pos, vi := c.ctlLo, c.valLo
+	var buf [MaxUnit]int32
+
+	yi := m.marks[c.startMark].row
+	clear(y[c.lo*k : yi*k])
+	flags := ctl[pos]
+	size := int(ctl[pos+1])
+	pos += 2
+	if flags&FlagRJMP != 0 {
+		_, pos = varint.DecodeAt(ctl, pos)
+	}
+	xi := 0
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+
+	for units := 1; ; units++ {
+		cols := buf[:size]
+		pos, xi = DecodeUnit(ctl, pos, flags, xi, cols)
+		vals := values[vi : vi+size]
+		vi += size
+		cols = cols[:len(vals)]
+		for p, v := range vals {
+			xr := x[int(cols[p])*k:]
+			xr = xr[:k]
+			s0 += v * xr[0]
+			s1 += v * xr[1]
+			s2 += v * xr[2]
+			s3 += v * xr[3]
+			s4 += v * xr[4]
+			s5 += v * xr[5]
+			s6 += v * xr[6]
+			s7 += v * xr[7]
 		}
-		vals := values[vi : vi+n]
-		vi += n
-		switch flags & TypeMask {
-		case ClassU8:
-			deltas := ctl[pos : pos+n]
-			pos += n
-			deltas = deltas[:len(vals)]
-			for p, v := range vals {
-				xi += int(deltas[p])
-				xr := x[xi*k:]
-				xr = xr[:len(acc)]
-				for cc, xv := range xr {
-					acc[cc] += v * xv
-				}
-			}
-		case ClassU16:
-			b := ctl[pos : pos+2*n]
-			pos += 2 * n
-			for p, v := range vals {
-				d := b[2*p:]
-				_ = d[1]
-				xi += int(uint16(d[0]) | uint16(d[1])<<8)
-				xr := x[xi*k:]
-				xr = xr[:len(acc)]
-				for cc, xv := range xr {
-					acc[cc] += v * xv
-				}
-			}
-		case ClassU32:
-			b := ctl[pos : pos+4*n]
-			pos += 4 * n
-			for p, v := range vals {
-				d := b[4*p:]
-				_ = d[3]
-				xi += int(uint32(d[0]) | uint32(d[1])<<8 |
-					uint32(d[2])<<16 | uint32(d[3])<<24)
-				xr := x[xi*k:]
-				xr = xr[:len(acc)]
-				for cc, xv := range xr {
-					acc[cc] += v * xv
-				}
-			}
-		default:
-			b := ctl[pos : pos+8*n]
-			pos += 8 * n
-			for p, v := range vals {
-				d := b[8*p:]
-				_ = d[7]
-				xi += int(uint64(d[0]) | uint64(d[1])<<8 |
-					uint64(d[2])<<16 | uint64(d[3])<<24 |
-					uint64(d[4])<<32 | uint64(d[5])<<40 |
-					uint64(d[6])<<48 | uint64(d[7])<<56)
-				xr := x[xi*k:]
-				xr = xr[:len(acc)]
-				for cc, xv := range xr {
-					acc[cc] += v * xv
-				}
+
+		if pos >= len(ctl) {
+			yr := y[yi*k:]
+			yr = yr[:k]
+			yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
+			yr[4], yr[5], yr[6], yr[7] = s4, s5, s6, s7
+			clear(y[(yi+1)*k : c.hi*k])
+			return units
+		}
+		flags = ctl[pos]
+		size = int(ctl[pos+1])
+		pos += 2
+		if flags&FlagNR != 0 {
+			yr := y[yi*k:]
+			yr = yr[:k]
+			yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
+			yr[4], yr[5], yr[6], yr[7] = s4, s5, s6, s7
+			s0, s1, s2, s3, s4, s5, s6, s7 = 0, 0, 0, 0, 0, 0, 0, 0
+			xi = 0
+			yi++
+			if flags&FlagRJMP != 0 {
+				yi, pos = SkipRows(y, k, yi, ctl, pos)
 			}
 		}
 	}
-	if !first {
-		yr := y[yi*k:]
-		yr = yr[:len(acc)]
-		for cc, s := range acc {
-			yr[cc] += s
+}
+
+// StackPanel is the widest panel whose accumulator row the generic-width
+// kernels (spmvBatchK here, csrduvi's) keep on their stack; wider ones
+// allocate.
+const StackPanel = 16
+
+// spmvBatchK is the generic-width kernel: one accumulator row of k
+// sums, copied into the output panel on each row change. Returns the
+// number of units decoded.
+func (c *chunk) spmvBatchK(y, x []float64, k int) int {
+	m := c.m
+	ctl := m.Ctl[:c.ctlHi]
+	values := m.Values[:c.valHi]
+	pos, vi := c.ctlLo, c.valLo
+	var buf [MaxUnit]int32
+	var accBuf [StackPanel]float64
+	acc := accBuf[:]
+	if k <= StackPanel {
+		acc = acc[:k]
+	} else {
+		acc = make([]float64, k)
+	}
+
+	yi := m.marks[c.startMark].row
+	clear(y[c.lo*k : yi*k])
+	flags := ctl[pos]
+	size := int(ctl[pos+1])
+	pos += 2
+	if flags&FlagRJMP != 0 {
+		_, pos = varint.DecodeAt(ctl, pos)
+	}
+	xi := 0
+
+	for units := 1; ; units++ {
+		cols := buf[:size]
+		pos, xi = DecodeUnit(ctl, pos, flags, xi, cols)
+		vals := values[vi : vi+size]
+		vi += size
+		cols = cols[:len(vals)]
+		// The decoded unit is walked once per block of four columns,
+		// whose sums stay in registers for the walk, then once per
+		// leftover column.
+		c0 := 0
+		for ; c0+4 <= k; c0 += 4 {
+			a := acc[c0 : c0+4 : c0+4]
+			s0, s1, s2, s3 := a[0], a[1], a[2], a[3]
+			for p, v := range vals {
+				xr := x[int(cols[p])*k+c0:]
+				xr = xr[:4]
+				s0 += v * xr[0]
+				s1 += v * xr[1]
+				s2 += v * xr[2]
+				s3 += v * xr[3]
+			}
+			a[0], a[1], a[2], a[3] = s0, s1, s2, s3
+		}
+		for ; c0 < k; c0++ {
+			s := acc[c0]
+			for p, v := range vals {
+				s += v * x[int(cols[p])*k+c0]
+			}
+			acc[c0] = s
+		}
+
+		if pos >= len(ctl) {
+			copy(y[yi*k:(yi+1)*k], acc)
+			clear(y[(yi+1)*k : c.hi*k])
+			return units
+		}
+		flags = ctl[pos]
+		size = int(ctl[pos+1])
+		pos += 2
+		if flags&FlagNR != 0 {
+			copy(y[yi*k:(yi+1)*k], acc)
+			clear(acc)
+			xi = 0
+			yi++
+			if flags&FlagRJMP != 0 {
+				yi, pos = SkipRows(y, k, yi, ctl, pos)
+			}
 		}
 	}
-	return units
 }

@@ -32,7 +32,7 @@ func TestBatchDecodesOncePerUnit(t *testing.T) {
 	if want == 0 {
 		t.Fatal("degenerate test matrix: no units")
 	}
-	for _, k := range []int{2, 4, 8} {
+	for _, k := range []int{2, 3, 4, 8} {
 		total := countBatchDecodes(t)
 		y := make([]float64, m.Rows()*k)
 		x := make([]float64, m.Cols()*k)
@@ -67,5 +67,24 @@ func TestBatchChunksDecodeOncePerUnit(t *testing.T) {
 	}
 	if want := m.Stats().Units; *total != want {
 		t.Errorf("chunks decoded %d units total, want %d", *total, want)
+	}
+}
+
+// TestBatchChunkDoesNotAllocate: a panel kernel call on a chunk runs off
+// its own stack up to the StackPanel width — the executor calls it once
+// per chunk per RunBatch, on the request path.
+func TestBatchChunkDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m, err := FromCOO(matgen.Banded(rng, 300, 20, 7, matgen.Values{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := m.Split(1)[0].(core.BatchChunk)
+	for _, k := range []int{1, 2, 3, 4, 8, StackPanel} {
+		y := make([]float64, m.Rows()*k)
+		x := make([]float64, m.Cols()*k)
+		if n := testing.AllocsPerRun(10, func() { ch.SpMVBatch(y, x, k) }); n != 0 {
+			t.Errorf("k=%d: %v allocations per chunk call, want 0", k, n)
+		}
 	}
 }

@@ -20,6 +20,16 @@
 // single switch per unit and tight branch-free inner loops — the paper's
 // answer to DCSR's per-element decode branches. Units never span rows.
 //
+// Two decoders of the grammar sit under the multiplication kernels. The
+// scalar kernel ((*chunk).SpMV, decode.go) decodes in line — peeled
+// first header, rows stored once, an unrolled ujmp varint, 8-byte loads
+// of u16/u32 deltas — because at one multiply-add per delta the decode
+// is the kernel. The panel kernels (batch.go), here and in csrduvi,
+// share DecodeUnit, which expands one unit into column indices. ForEach
+// is the plain walk the tests hold both against. The kernels keep two
+// invariants: a row's products are summed left to right in stream
+// order, and a chunk writes exactly its own rows.
+//
 // The RLE unit type is the constant-delta extension from the authors'
 // companion paper (CF'08, reference [8]); it is off by default and
 // enabled with Options.RLE.

@@ -1,6 +1,8 @@
 package csrdu
 
 import (
+	"encoding/binary"
+
 	"spmv/internal/core"
 	"spmv/internal/varint"
 )
@@ -23,116 +25,185 @@ var _ core.Tracer = (*chunk)(nil)
 func (c *chunk) RowRange() (int, int) { return c.lo, c.hi }
 func (c *chunk) NNZ() int             { return c.valHi - c.valLo }
 
-// SpMV runs the CSR-DU kernel (paper Fig 3) over the chunk. The row
-// accumulator is kept in a register; per-unit inner loops are free of
-// decode branches — the decode switch executes once per unit.
+// SpMV runs the CSR-DU kernel (paper Fig 3) over the chunk: one decode
+// switch per unit, a branch-free loop per delta class inside it, the row
+// sum in a register. The paper's premise is that this decode is cheap
+// next to the bytes it saves; what keeps it cheap here:
+//
+//   - Header at the bottom. The first unit's header is read before the
+//     loop (its row comes from the chunk's row mark, its rjmp is relative
+//     to a row of another chunk and is skipped); every later header is
+//     read where the previous unit ends, so the loop carries no
+//     first-unit flag and its exit test is the header read's own.
+//   - Rows are stored once. A new-row header stores the finished sum to
+//     y[yi]; the rows a row jump passes over, and the chunk's leading and
+//     trailing empty rows, are zeroed where they are skipped. There is no
+//     zeroing pass over y and no read-modify-write of it.
+//   - ujmp is decoded by an unrolled 1/2/3-byte path (columns below 2^21);
+//     longer varints continue in the general loop.
+//   - u16 and u32 deltas are read four and two at a time through one
+//     8-byte little-endian load while 8 bytes of ctl remain, byte-wise at
+//     the very end of the chunk's stream. A load may run past the unit
+//     into the next header; it never runs past the chunk.
+//   - Nothing is called inside the loop — the row-jump zeroing is a plain
+//     loop for that reason. Go keeps no register across a call, so one
+//     call site, even a cold one, puts every loop-carried value on the
+//     stack on every iteration.
+//
+// Two invariants hold across all of it, and the tests pin both
+// (testmat.CheckBitwise): a row's products are added left to right in
+// stream order, starting from +0, so y is bitwise what accumulating
+// ForEach gives, whatever the kernel, panel width or partition; and the
+// chunk writes every row of [lo, hi) and no other, so disjoint chunks
+// may run concurrently on one y.
+//
+// The stream must have passed Verify (FromCOO's output does by
+// construction): unit sizes are positive and every offset the headers
+// imply lies inside ctl and values.
 func (c *chunk) SpMV(y, x []float64) {
-	for i := c.lo; i < c.hi; i++ {
-		y[i] = 0
-	}
-	if c.startMark < 0 {
+	if c.startMark < 0 || c.ctlLo >= c.ctlHi {
+		clear(y[c.lo:c.hi])
 		return
 	}
 	m := c.m
-	ctl := m.Ctl
-	values := m.Values
-	pos := c.ctlLo
-	vi := c.valLo
-	yi := -1
-	xi := 0
-	sum := 0.0
-	first := true
+	ctl := m.Ctl[:c.ctlHi]
+	values := m.Values[:c.valHi]
+	pos, vi := c.ctlLo, c.valLo
 
-	for pos < c.ctlHi {
-		flags := ctl[pos]
-		size := int(ctl[pos+1])
-		pos += 2
-		if flags&FlagNR != 0 {
-			var skip uint64 = 1
-			if flags&FlagRJMP != 0 {
-				skip, pos = varint.DecodeAt(ctl, pos)
+	yi := m.marks[c.startMark].row
+	clear(y[c.lo:yi])
+	flags := ctl[pos]
+	size := int(ctl[pos+1])
+	pos += 2
+	if flags&FlagRJMP != 0 {
+		_, pos = varint.DecodeAt(ctl, pos)
+	}
+	xi, sum := 0, 0.0
+
+	for {
+		b := ctl[pos]
+		pos++
+		j := int(b)
+		if b >= 0x80 {
+			b = ctl[pos]
+			pos++
+			j = j&0x7f | int(b)<<7
+			if b >= 0x80 {
+				b = ctl[pos]
+				pos++
+				j = j&0x3fff | int(b)<<14
+				if b >= 0x80 {
+					var hi uint64
+					hi, pos = varint.DecodeAt(ctl, pos)
+					j = j&0x1fffff | int(hi)<<21
+				}
 			}
-			if first {
-				// Anchor on the chunk's first row: the encoded row jump
-				// is relative to the previous chunk's last row.
-				yi = m.marks[c.startMark].row
-				first = false
-			} else {
-				y[yi] += sum
-				yi += int(skip)
-			}
-			sum = 0
-			xi = 0
 		}
-		var j uint64
-		j, pos = varint.DecodeAt(ctl, pos)
-		xi += int(j)
+		xi += j
 		sum += values[vi] * x[xi]
 		vi++
 
-		// Subslice the unit's remaining values (and delta bytes) once
-		// so the per-nnz loops index equal-length slices: the bounds
-		// checks inside the loops collapse to the data-dependent
-		// gather x[xi] plus one check per multi-byte delta load.
-		n := size - 1
-		if flags&FlagRLE != 0 {
-			var d uint64
-			d, pos = varint.DecodeAt(ctl, pos)
-			delta := int(d)
-			for _, v := range values[vi : vi+n] {
-				xi += delta
-				sum += v * x[xi]
-			}
+		if n := size - 1; n > 0 {
+			vals := values[vi : vi+n]
 			vi += n
-			continue
+			switch cls := flags & TypeMask; {
+			case flags&FlagRLE != 0:
+				var d uint64
+				d, pos = varint.DecodeAt(ctl, pos)
+				for _, v := range vals {
+					xi += int(d)
+					sum += v * x[xi]
+				}
+			case cls == ClassU8:
+				deltas := ctl[pos : pos+n]
+				pos += n
+				deltas = deltas[:len(vals)]
+				for k, v := range vals {
+					xi += int(deltas[k])
+					sum += v * x[xi]
+				}
+			case cls == ClassU16:
+				for len(vals) >= 4 && pos+8 <= len(ctl) {
+					w := binary.LittleEndian.Uint64(ctl[pos:])
+					pos += 8
+					xi += int(w & 0xffff)
+					sum += vals[0] * x[xi]
+					xi += int(w >> 16 & 0xffff)
+					sum += vals[1] * x[xi]
+					xi += int(w >> 32 & 0xffff)
+					sum += vals[2] * x[xi]
+					xi += int(w >> 48)
+					sum += vals[3] * x[xi]
+					vals = vals[4:]
+				}
+				if len(vals) > 0 {
+					if pos+8 <= len(ctl) {
+						w := binary.LittleEndian.Uint64(ctl[pos:])
+						pos += 2 * len(vals)
+						for _, v := range vals {
+							xi += int(w & 0xffff)
+							w >>= 16
+							sum += v * x[xi]
+						}
+					} else {
+						b := ctl[pos : pos+2*len(vals)]
+						pos += len(b)
+						for k, v := range vals {
+							xi += int(binary.LittleEndian.Uint16(b[2*k:]))
+							sum += v * x[xi]
+						}
+					}
+				}
+			case cls == ClassU32:
+				for len(vals) >= 2 && pos+8 <= len(ctl) {
+					w := binary.LittleEndian.Uint64(ctl[pos:])
+					pos += 8
+					xi += int(w & 0xffffffff)
+					sum += vals[0] * x[xi]
+					xi += int(w >> 32)
+					sum += vals[1] * x[xi]
+					vals = vals[2:]
+				}
+				if len(vals) > 0 {
+					// One delta left: two would have been 8 bytes of ctl.
+					xi += int(binary.LittleEndian.Uint32(ctl[pos:]))
+					pos += 4
+					sum += vals[0] * x[xi]
+				}
+			default:
+				b := ctl[pos : pos+8*n]
+				pos += 8 * n
+				for k, v := range vals {
+					xi += int(binary.LittleEndian.Uint64(b[8*k:]))
+					sum += v * x[xi]
+				}
+			}
+		} else if flags&FlagRLE != 0 {
+			// A one-element RLE unit still carries its delta varint.
+			_, pos = varint.DecodeAt(ctl, pos)
 		}
-		vals := values[vi : vi+n]
-		vi += n
-		switch flags & TypeMask {
-		case ClassU8:
-			deltas := ctl[pos : pos+n]
-			pos += n
-			deltas = deltas[:len(vals)]
-			for k, v := range vals {
-				xi += int(deltas[k])
-				sum += v * x[xi]
-			}
-		case ClassU16:
-			b := ctl[pos : pos+2*n]
-			pos += 2 * n
-			for k, v := range vals {
-				d := b[2*k:]
-				_ = d[1]
-				xi += int(uint16(d[0]) | uint16(d[1])<<8)
-				sum += v * x[xi]
-			}
-		case ClassU32:
-			b := ctl[pos : pos+4*n]
-			pos += 4 * n
-			for k, v := range vals {
-				d := b[4*k:]
-				_ = d[3]
-				xi += int(uint32(d[0]) | uint32(d[1])<<8 |
-					uint32(d[2])<<16 | uint32(d[3])<<24)
-				sum += v * x[xi]
-			}
-		default:
-			b := ctl[pos : pos+8*n]
-			pos += 8 * n
-			for k, v := range vals {
-				d := b[8*k:]
-				_ = d[7]
-				xi += int(uint64(d[0]) | uint64(d[1])<<8 |
-					uint64(d[2])<<16 | uint64(d[3])<<24 |
-					uint64(d[4])<<32 | uint64(d[5])<<40 |
-					uint64(d[6])<<48 | uint64(d[7])<<56)
-				sum += v * x[xi]
+
+		if pos >= len(ctl) {
+			break
+		}
+		flags = ctl[pos]
+		size = int(ctl[pos+1])
+		pos += 2
+		if flags&FlagNR != 0 {
+			y[yi] = sum
+			sum, xi = 0, 0
+			yi++
+			if flags&FlagRJMP != 0 {
+				var skip uint64
+				skip, pos = varint.DecodeAt(ctl, pos)
+				for next := yi + int(skip) - 1; yi < next; yi++ {
+					y[yi] = 0
+				}
 			}
 		}
 	}
-	if !first {
-		y[yi] += sum
-	}
+	y[yi] = sum
+	clear(y[yi+1 : c.hi])
 }
 
 // ForEach decodes the ctl stream and calls fn for every non-zero in

@@ -5,6 +5,7 @@ import (
 
 	"spmv/internal/csr"
 	"spmv/internal/matgen"
+	"spmv/internal/testmat"
 )
 
 // FuzzFromRaw feeds arbitrary ctl streams to the validating
@@ -18,6 +19,10 @@ func FuzzFromRaw(f *testing.F) {
 	rle, _ := FromCOOOpts(matgen.Stencil2D(5), Options{RLE: true, RLEMin: 3})
 	f.Add(rle.Ctl, 25, 25, len(rle.Values))
 	f.Add([]byte{FlagNR | ClassU8, 1, 0}, 1, 1, 1)
+	// Leading empty rows, a padded ujmp, a row jump, a u16 unit whose
+	// deltas end the stream, trailing empty rows.
+	f.Add([]byte{FlagNR | FlagRJMP | ClassU8, 2, 3, 0x81, 0x80, 0x00, 4,
+		FlagNR | FlagRJMP | ClassU16, 3, 2, 5, 0x2c, 0x01, 0x04, 0x01}, 9, 700, 5)
 	f.Add([]byte{}, 3, 3, 0)
 	f.Fuzz(func(t *testing.T, ctl []byte, rows, cols, nvals int) {
 		if rows <= 0 || cols <= 0 || rows > 1000 || cols > 1000 || nvals < 0 || nvals > 10000 {
@@ -67,5 +72,9 @@ func FuzzFromRaw(f *testing.F) {
 				t.Fatalf("row %d: kernel %v, reference %v", i, y[i], yref[i])
 			}
 		}
+		// The scalar kernel and the k=8 panel kernel, whole and on every
+		// chunk of Split(1..4), keep the left-to-right sums and write
+		// their own rows only — on hostile streams too.
+		testmat.CheckBitwise(t, mat, 4, reference(mat), 1, 8)
 	})
 }

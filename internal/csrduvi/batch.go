@@ -7,8 +7,8 @@ import (
 )
 
 // Batched SpMV (SpMM) for CSR-DU-VI: one pass decodes each ctl unit
-// once and loads each val_ind entry once, and the resulting (delta,
-// value) pair feeds k FMA columns. Both decode overheads — the index
+// once and looks each val_ind entry up once, and the resulting columns
+// and values feed k FMA columns. Both decode overheads — the index
 // side's and the value side's — become per-multiplication costs,
 // amortized over the panel.
 
@@ -42,126 +42,103 @@ func (c *chunk) SpMVBatch(y, x []float64, k int) {
 	case k <= 0:
 		panic(core.Usagef("csrduvi: batch with non-positive vector count %d", k))
 	}
-	yr := y[c.lo*k : c.hi*k]
-	for i := range yr {
-		yr[i] = 0
-	}
-	if c.startMark < 0 {
+	if c.startMark < 0 || c.ctlLo >= c.ctlHi {
+		clear(y[c.lo*k : c.hi*k])
 		return
 	}
 	var units int
 	switch {
 	case c.m.VI8 != nil:
-		units = spmvBatchDUVI(c, y, x, k, func(vi int) float64 { return c.m.Unique[c.m.VI8[vi]] })
+		units = spmvBatchDUVI(c, c.m.VI8, y, x, k)
 	case c.m.VI16 != nil:
-		units = spmvBatchDUVI(c, y, x, k, func(vi int) float64 { return c.m.Unique[c.m.VI16[vi]] })
+		units = spmvBatchDUVI(c, c.m.VI16, y, x, k)
 	default:
-		units = spmvBatchDUVI(c, y, x, k, func(vi int) float64 { return c.m.Unique[c.m.VI32[vi]] })
+		units = spmvBatchDUVI(c, c.m.VI32, y, x, k)
 	}
 	if batchDecodeHook != nil {
 		batchDecodeHook(units)
 	}
 }
 
-// spmvBatchDUVI is duviKernel widened to a k-column accumulator row,
-// parameterized on the value source like the scalar kernel. It returns
-// the number of units decoded.
-func spmvBatchDUVI(c *chunk, y, x []float64, k int, val func(int) float64) int {
+// spmvBatchDUVI is csrdu's generic-width panel kernel with one more
+// stage per unit: csrdu.DecodeUnit expands the unit's columns, the
+// unit's values are gathered through the unique table into a buffer,
+// and the FMA columns run off the two buffers. It returns the number of
+// units decoded. The chunk must hold at least one unit.
+func spmvBatchDUVI[I uint8 | uint16 | uint32](c *chunk, ind []I, y, x []float64, k int) int {
 	m := c.m
-	ctl := m.du.Ctl
-	pos := c.ctlLo
-	vi := c.valLo
-	yi := -1
+	ctl := m.du.Ctl[:c.ctlHi]
+	unique := m.Unique
+	ind = ind[:c.valHi]
+	pos, vi := c.ctlLo, c.valLo
+	var colBuf [csrdu.MaxUnit]int32
+	var valBuf [csrdu.MaxUnit]float64
+	var accBuf [csrdu.StackPanel]float64
+	acc := accBuf[:]
+	if k <= csrdu.StackPanel {
+		acc = acc[:k]
+	} else {
+		acc = make([]float64, k)
+	}
+
+	yi := m.marks[c.startMark].Row
+	clear(y[c.lo*k : yi*k])
+	flags := ctl[pos]
+	size := int(ctl[pos+1])
+	pos += 2
+	if flags&csrdu.FlagRJMP != 0 {
+		_, pos = varint.DecodeAt(ctl, pos)
+	}
 	xi := 0
-	acc := make([]float64, k)
-	first := true
-	units := 0
-	for pos < c.ctlHi {
-		units++
-		flags := ctl[pos]
-		size := int(ctl[pos+1])
+
+	for units := 1; ; units++ {
+		cols := colBuf[:size]
+		pos, xi = csrdu.DecodeUnit(ctl, pos, flags, xi, cols)
+		vals := valBuf[:len(cols)]
+		for p, ix := range ind[vi : vi+size] {
+			vals[p] = unique[ix]
+		}
+		vi += size
+		// As in csrdu's spmvBatchK: one walk per block of four columns
+		// with the sums in registers, then one per leftover column.
+		c0 := 0
+		for ; c0+4 <= k; c0 += 4 {
+			a := acc[c0 : c0+4 : c0+4]
+			s0, s1, s2, s3 := a[0], a[1], a[2], a[3]
+			for p, v := range vals {
+				xr := x[int(cols[p])*k+c0:]
+				xr = xr[:4]
+				s0 += v * xr[0]
+				s1 += v * xr[1]
+				s2 += v * xr[2]
+				s3 += v * xr[3]
+			}
+			a[0], a[1], a[2], a[3] = s0, s1, s2, s3
+		}
+		for ; c0 < k; c0++ {
+			s := acc[c0]
+			for p, v := range vals {
+				s += v * x[int(cols[p])*k+c0]
+			}
+			acc[c0] = s
+		}
+
+		if pos >= len(ctl) {
+			copy(y[yi*k:(yi+1)*k], acc)
+			clear(y[(yi+1)*k : c.hi*k])
+			return units
+		}
+		flags = ctl[pos]
+		size = int(ctl[pos+1])
 		pos += 2
 		if flags&csrdu.FlagNR != 0 {
-			var skip uint64 = 1
-			if flags&csrdu.FlagRJMP != 0 {
-				skip, pos = varint.DecodeAt(ctl, pos)
-			}
-			if first {
-				yi = m.marks[c.startMark].Row
-				first = false
-			} else {
-				yr := y[yi*k:]
-				yr = yr[:len(acc)]
-				for cc, s := range acc {
-					yr[cc] += s
-					acc[cc] = 0
-				}
-				yi += int(skip)
-			}
+			copy(y[yi*k:(yi+1)*k], acc)
+			clear(acc)
 			xi = 0
-		}
-		var j uint64
-		j, pos = varint.DecodeAt(ctl, pos)
-		xi += int(j)
-		{
-			v := val(vi)
-			xr := x[xi*k:]
-			xr = xr[:len(acc)]
-			for cc, xv := range xr {
-				acc[cc] += v * xv
+			yi++
+			if flags&csrdu.FlagRJMP != 0 {
+				yi, pos = csrdu.SkipRows(y, k, yi, ctl, pos)
 			}
-		}
-		vi++
-		if flags&csrdu.FlagRLE != 0 {
-			var d uint64
-			d, pos = varint.DecodeAt(ctl, pos)
-			delta := int(d)
-			for p := 1; p < size; p++ {
-				xi += delta
-				v := val(vi)
-				xr := x[xi*k:]
-				xr = xr[:len(acc)]
-				for cc, xv := range xr {
-					acc[cc] += v * xv
-				}
-				vi++
-			}
-			continue
-		}
-		cls := uint(flags & csrdu.TypeMask)
-		for p := 1; p < size; p++ {
-			var d int
-			switch cls {
-			case csrdu.ClassU8:
-				d = int(ctl[pos])
-			case csrdu.ClassU16:
-				d = int(uint16(ctl[pos]) | uint16(ctl[pos+1])<<8)
-			case csrdu.ClassU32:
-				d = int(uint32(ctl[pos]) | uint32(ctl[pos+1])<<8 |
-					uint32(ctl[pos+2])<<16 | uint32(ctl[pos+3])<<24)
-			default:
-				d = int(uint64(ctl[pos]) | uint64(ctl[pos+1])<<8 |
-					uint64(ctl[pos+2])<<16 | uint64(ctl[pos+3])<<24 |
-					uint64(ctl[pos+4])<<32 | uint64(ctl[pos+5])<<40 |
-					uint64(ctl[pos+6])<<48 | uint64(ctl[pos+7])<<56)
-			}
-			pos += 1 << cls
-			xi += d
-			v := val(vi)
-			xr := x[xi*k:]
-			xr = xr[:len(acc)]
-			for cc, xv := range xr {
-				acc[cc] += v * xv
-			}
-			vi++
 		}
 	}
-	if !first {
-		yr := y[yi*k:]
-		yr = yr[:len(acc)]
-		for cc, s := range acc {
-			yr[cc] += s
-		}
-	}
-	return units
 }

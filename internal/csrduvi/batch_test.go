@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"spmv/internal/core"
+	"spmv/internal/csrdu"
 	"spmv/internal/matgen"
 )
 
@@ -21,7 +23,7 @@ func TestBatchDecodesOncePerUnit(t *testing.T) {
 	if want == 0 {
 		t.Fatal("degenerate test matrix: no units")
 	}
-	for _, k := range []int{2, 4, 8} {
+	for _, k := range []int{2, 3, 4, 8} {
 		units := 0
 		batchDecodeHook = func(n int) { units += n }
 		y := make([]float64, m.Rows()*k)
@@ -33,6 +35,24 @@ func TestBatchDecodesOncePerUnit(t *testing.T) {
 		batchDecodeHook = nil
 		if units != want {
 			t.Errorf("k=%d: decoded %d units, want %d (one decode per unit)", k, units, want)
+		}
+	}
+}
+
+// TestBatchChunkDoesNotAllocate: column, value and accumulator buffers
+// of a panel kernel call live on its stack up to the csrdu.StackPanel width.
+func TestBatchChunkDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	m, err := FromCOO(matgen.Banded(rng, 300, 20, 7, matgen.Values{Unique: 50}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := m.Split(1)[0].(core.BatchChunk)
+	for _, k := range []int{1, 3, 8, csrdu.StackPanel} {
+		y := make([]float64, m.Rows()*k)
+		x := make([]float64, m.Cols()*k)
+		if n := testing.AllocsPerRun(10, func() { ch.SpMVBatch(y, x, k) }); n != 0 {
+			t.Errorf("k=%d: %v allocations per chunk call, want 0", k, n)
 		}
 	}
 }

@@ -4,9 +4,15 @@
 // as CSR-DU delta units and the values are indirected through a unique
 // value table as in CSR-VI. The working set shrinks on both the index
 // and the value side, at the cost of both decode overheads.
+//
+// The kernels are csrdu's with the value read through the table: the
+// scalar one is the same unit loop, generic over the val_ind element
+// type; the panel one decodes units with csrdu.DecodeUnit. Both keep
+// csrdu's summation order, so the two formats agree bit for bit.
 package csrduvi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -191,96 +197,167 @@ type chunk struct {
 func (c *chunk) RowRange() (int, int) { return c.lo, c.hi }
 func (c *chunk) NNZ() int             { return c.valHi - c.valLo }
 
-// SpMV runs the CSR-DU decode loop with the value fetch indirected
-// through the unique table. The three index widths get their own loops
-// so the hot path stays monomorphic.
+// SpMV runs the CSR-DU unit loop with the value fetch indirected
+// through the unique table. The three index widths instantiate the one
+// generic kernel, so the hot path stays monomorphic.
 func (c *chunk) SpMV(y, x []float64) {
-	for i := c.lo; i < c.hi; i++ {
-		y[i] = 0
-	}
-	if c.startMark < 0 {
+	if c.startMark < 0 || c.ctlLo >= c.ctlHi {
+		clear(y[c.lo:c.hi])
 		return
 	}
 	switch {
 	case c.m.VI8 != nil:
-		duviKernel(c, y, x, func(vi int) float64 { return c.m.Unique[c.m.VI8[vi]] })
+		spmvDUVI(c, c.m.VI8, y, x)
 	case c.m.VI16 != nil:
-		duviKernel(c, y, x, func(vi int) float64 { return c.m.Unique[c.m.VI16[vi]] })
+		spmvDUVI(c, c.m.VI16, y, x)
 	default:
-		duviKernel(c, y, x, func(vi int) float64 { return c.m.Unique[c.m.VI32[vi]] })
+		spmvDUVI(c, c.m.VI32, y, x)
 	}
 }
 
-// duviKernel is the CSR-DU decode loop parameterized on the value
-// source. val is called once per non-zero with the running value index.
-func duviKernel(c *chunk, y, x []float64, val func(int) float64) {
+// spmvDUVI is csrdu's scalar kernel — see (*chunk).SpMV there for the
+// loop shape and the two invariants it keeps (left-to-right row sums,
+// writes confined to [lo, hi)) — with each value read as unique[ind[k]].
+// The chunk must hold at least one unit.
+func spmvDUVI[I uint8 | uint16 | uint32](c *chunk, ind []I, y, x []float64) {
 	m := c.m
-	ctl := m.du.Ctl
-	pos := c.ctlLo
-	vi := c.valLo
-	yi := -1
-	xi := 0
-	sum := 0.0
-	first := true
-	for pos < c.ctlHi {
-		flags := ctl[pos]
-		size := int(ctl[pos+1])
+	ctl := m.du.Ctl[:c.ctlHi]
+	unique := m.Unique
+	ind = ind[:c.valHi]
+	pos, vi := c.ctlLo, c.valLo
+
+	yi := m.marks[c.startMark].Row
+	clear(y[c.lo:yi])
+	flags := ctl[pos]
+	size := int(ctl[pos+1])
+	pos += 2
+	if flags&csrdu.FlagRJMP != 0 {
+		_, pos = varint.DecodeAt(ctl, pos)
+	}
+	xi, sum := 0, 0.0
+
+	for {
+		b := ctl[pos]
+		pos++
+		j := int(b)
+		if b >= 0x80 {
+			b = ctl[pos]
+			pos++
+			j = j&0x7f | int(b)<<7
+			if b >= 0x80 {
+				b = ctl[pos]
+				pos++
+				j = j&0x3fff | int(b)<<14
+				if b >= 0x80 {
+					var hi uint64
+					hi, pos = varint.DecodeAt(ctl, pos)
+					j = j&0x1fffff | int(hi)<<21
+				}
+			}
+		}
+		xi += j
+		sum += unique[ind[vi]] * x[xi]
+		vi++
+
+		if n := size - 1; n > 0 {
+			vals := ind[vi : vi+n]
+			vi += n
+			switch cls := flags & csrdu.TypeMask; {
+			case flags&csrdu.FlagRLE != 0:
+				var d uint64
+				d, pos = varint.DecodeAt(ctl, pos)
+				for _, v := range vals {
+					xi += int(d)
+					sum += unique[v] * x[xi]
+				}
+			case cls == csrdu.ClassU8:
+				deltas := ctl[pos : pos+n]
+				pos += n
+				deltas = deltas[:len(vals)]
+				for k, v := range vals {
+					xi += int(deltas[k])
+					sum += unique[v] * x[xi]
+				}
+			case cls == csrdu.ClassU16:
+				for len(vals) >= 4 && pos+8 <= len(ctl) {
+					w := binary.LittleEndian.Uint64(ctl[pos:])
+					pos += 8
+					xi += int(w & 0xffff)
+					sum += unique[vals[0]] * x[xi]
+					xi += int(w >> 16 & 0xffff)
+					sum += unique[vals[1]] * x[xi]
+					xi += int(w >> 32 & 0xffff)
+					sum += unique[vals[2]] * x[xi]
+					xi += int(w >> 48)
+					sum += unique[vals[3]] * x[xi]
+					vals = vals[4:]
+				}
+				if len(vals) > 0 {
+					if pos+8 <= len(ctl) {
+						w := binary.LittleEndian.Uint64(ctl[pos:])
+						pos += 2 * len(vals)
+						for _, v := range vals {
+							xi += int(w & 0xffff)
+							w >>= 16
+							sum += unique[v] * x[xi]
+						}
+					} else {
+						b := ctl[pos : pos+2*len(vals)]
+						pos += len(b)
+						for k, v := range vals {
+							xi += int(binary.LittleEndian.Uint16(b[2*k:]))
+							sum += unique[v] * x[xi]
+						}
+					}
+				}
+			case cls == csrdu.ClassU32:
+				for len(vals) >= 2 && pos+8 <= len(ctl) {
+					w := binary.LittleEndian.Uint64(ctl[pos:])
+					pos += 8
+					xi += int(w & 0xffffffff)
+					sum += unique[vals[0]] * x[xi]
+					xi += int(w >> 32)
+					sum += unique[vals[1]] * x[xi]
+					vals = vals[2:]
+				}
+				if len(vals) > 0 {
+					// One delta left: two would have been 8 bytes of ctl.
+					xi += int(binary.LittleEndian.Uint32(ctl[pos:]))
+					pos += 4
+					sum += unique[vals[0]] * x[xi]
+				}
+			default:
+				b := ctl[pos : pos+8*n]
+				pos += 8 * n
+				for k, v := range vals {
+					xi += int(binary.LittleEndian.Uint64(b[8*k:]))
+					sum += unique[v] * x[xi]
+				}
+			}
+		} else if flags&csrdu.FlagRLE != 0 {
+			// A one-element RLE unit still carries its delta varint.
+			_, pos = varint.DecodeAt(ctl, pos)
+		}
+
+		if pos >= len(ctl) {
+			break
+		}
+		flags = ctl[pos]
+		size = int(ctl[pos+1])
 		pos += 2
 		if flags&csrdu.FlagNR != 0 {
-			var skip uint64 = 1
+			y[yi] = sum
+			sum, xi = 0, 0
+			yi++
 			if flags&csrdu.FlagRJMP != 0 {
+				var skip uint64
 				skip, pos = varint.DecodeAt(ctl, pos)
+				for next := yi + int(skip) - 1; yi < next; yi++ {
+					y[yi] = 0
+				}
 			}
-			if first {
-				yi = m.marks[c.startMark].Row
-				first = false
-			} else {
-				y[yi] += sum
-				yi += int(skip)
-			}
-			sum = 0
-			xi = 0
-		}
-		var j uint64
-		j, pos = varint.DecodeAt(ctl, pos)
-		xi += int(j)
-		sum += val(vi) * x[xi]
-		vi++
-		if flags&csrdu.FlagRLE != 0 {
-			var d uint64
-			d, pos = varint.DecodeAt(ctl, pos)
-			delta := int(d)
-			for k := 1; k < size; k++ {
-				xi += delta
-				sum += val(vi) * x[xi]
-				vi++
-			}
-			continue
-		}
-		cls := uint(flags & csrdu.TypeMask)
-		for k := 1; k < size; k++ {
-			var d int
-			switch cls {
-			case csrdu.ClassU8:
-				d = int(ctl[pos])
-			case csrdu.ClassU16:
-				d = int(uint16(ctl[pos]) | uint16(ctl[pos+1])<<8)
-			case csrdu.ClassU32:
-				d = int(uint32(ctl[pos]) | uint32(ctl[pos+1])<<8 |
-					uint32(ctl[pos+2])<<16 | uint32(ctl[pos+3])<<24)
-			default:
-				d = int(uint64(ctl[pos]) | uint64(ctl[pos+1])<<8 |
-					uint64(ctl[pos+2])<<16 | uint64(ctl[pos+3])<<24 |
-					uint64(ctl[pos+4])<<32 | uint64(ctl[pos+5])<<40 |
-					uint64(ctl[pos+6])<<48 | uint64(ctl[pos+7])<<56)
-			}
-			pos += 1 << cls
-			xi += d
-			sum += val(vi) * x[xi]
-			vi++
 		}
 	}
-	if !first {
-		y[yi] += sum
-	}
+	y[yi] = sum
+	clear(y[yi+1 : c.hi])
 }

@@ -144,7 +144,7 @@ func IsHotFunc(name string) bool {
 	switch name {
 	case "SpMV", "SpMVAdd", "SpMVT", "SpMM", "SpMVBatch", "SpMVPartial",
 		"Mul", "MulAdd", "MulTrans",
-		"Dot", "Axpy", "DecodeAt", "dotRange",
+		"Dot", "Axpy", "DecodeAt", "DecodeUnit", "SkipRows", "dotRange",
 		"runChunk", "runColJob", "runBlockJob", "runNNZChunk", "runSymJob":
 		return true
 	}

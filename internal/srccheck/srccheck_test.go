@@ -221,7 +221,8 @@ func TestParseAllowlistErrors(t *testing.T) {
 
 func TestIsHotFunc(t *testing.T) {
 	hot := []string{"SpMV", "SpMVAdd", "SpMVBatch", "Mul", "Dot", "spmvRange",
-		"spmvBatch4", "spmvBatchK", "decodeUnit", "addRange",
+		"spmvBatch4", "spmvBatch8", "spmvBatchK", "spmvDUVI", "spmvBatchDUVI",
+		"decodeUnit", "DecodeUnit", "csrdu.DecodeUnit", "SkipRows", "addRange",
 		"(*Matrix).SpMV", "(*chunk).SpMVBatch",
 		"runChunk", "runColJob", "runBlockJob",
 		"SpMVPartial", "dotRange", "runNNZChunk", "runSymJob",

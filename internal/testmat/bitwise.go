@@ -1,0 +1,237 @@
+package testmat
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"spmv/internal/core"
+	"spmv/internal/varint"
+)
+
+// The CSR-DU family's kernels promise two things the tolerance checks
+// of CheckFormat cannot see: every row's sum is accumulated left to
+// right in stream order (so results are bitwise reproducible across
+// kernels, panel widths and partitions), and a chunk writes exactly the
+// rows [lo, hi) — all of them, since nothing pre-zeroes y, and no
+// others, since chunks run concurrently. CheckBitwise pins both.
+
+// sentinel is a NaN no kernel can produce from finite inputs.
+var sentinel = math.Float64frombits(0x7ff8_dead_beef_0001)
+
+// BatchSplitter is a format with a fused panel kernel and a row
+// partition whose chunks have one too.
+type BatchSplitter interface {
+	core.BatchFormat
+	core.Splitter
+}
+
+// CheckBitwise compares f's SpMV and SpMVBatch (each panel width in
+// ks), run whole and chunk by chunk for every Split(1..maxSplit),
+// bitwise against ref(x, k) — the row-major panel A*X in the summation
+// order f promises — and checks that each chunk left the rows outside
+// its range untouched.
+func CheckBitwise(t *testing.T, f BatchSplitter, maxSplit int, ref func(x []float64, k int) []float64, ks ...int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(f.NNZ())))
+	for _, k := range ks {
+		x := RandVec(rng, f.Cols()*k)
+		want := ref(x, k)
+		check := func(what string, lo, hi int, mul func(y []float64)) {
+			t.Helper()
+			y := make([]float64, f.Rows()*k)
+			for i := range y {
+				y[i] = sentinel
+			}
+			mul(y)
+			for i := range y {
+				exp := sentinel
+				if row := i / k; row >= lo && row < hi {
+					exp = want[i]
+				}
+				if math.Float64bits(y[i]) != math.Float64bits(exp) {
+					t.Fatalf("%s k=%d rows [%d,%d): y[row %d, col %d] = %v (%#x), want %v (%#x)",
+						what, k, lo, hi, i/k, i%k, y[i], math.Float64bits(y[i]), exp, math.Float64bits(exp))
+				}
+			}
+		}
+		if k == 1 {
+			check("SpMV", 0, f.Rows(), func(y []float64) { f.SpMV(y, x) })
+		}
+		check("SpMVBatch", 0, f.Rows(), func(y []float64) { f.SpMVBatch(y, x, k) })
+		for n := 1; n <= maxSplit; n++ {
+			for ci, ch := range f.Split(n) {
+				lo, hi := ch.RowRange()
+				what := fmt.Sprintf("Split(%d) chunk %d", n, ci)
+				if k == 1 {
+					check(what+" SpMV", lo, hi, func(y []float64) { ch.SpMV(y, x) })
+				}
+				check(what+" SpMVBatch", lo, hi, func(y []float64) { ch.(core.BatchChunk).SpMVBatch(y, x, k) })
+			}
+		}
+	}
+}
+
+// DUUnit is one hand-encoded CSR-DU unit: its row, delta class (log2 of
+// the delta width), whether it is an RLE unit, the absolute columns it
+// covers, and how many bytes its ujmp varint is padded to (0: canonical
+// length).
+type DUUnit struct {
+	Row     int
+	Class   byte
+	RLE     bool
+	JumpLen int
+	Cols    []int
+}
+
+// DUStream is a hand-built CSR-DU ctl stream with the shape of the
+// matrix it encodes and the panel widths worth running on it.
+type DUStream struct {
+	Name       string
+	Ctl        []byte
+	NNZ        int
+	Rows, Cols int
+	Widths     []int
+}
+
+// The uflags bits of the CSR-DU ctl grammar, restated here so that the
+// hand-built streams check the decoders against the format and not
+// against the encoder's constants.
+const (
+	duFlagRJMP = 0x20
+	duFlagNR   = 0x40
+	duFlagRLE  = 0x80
+)
+
+// padVarint encodes v in exactly n bytes (n at least the canonical
+// length) using redundant continuation groups, which the decoders
+// accept.
+func padVarint(v uint64, n int) []byte {
+	b := varint.Append(nil, v)
+	for len(b) < n {
+		b[len(b)-1] |= 0x80
+		b = append(b, 0)
+	}
+	return b
+}
+
+// encodeDU encodes units given in row order; later units of a row
+// continue it.
+func encodeDU(units []DUUnit) (ctl []byte, nnz int) {
+	prevRow, prevCol := -1, 0
+	for _, u := range units {
+		flags := u.Class
+		if u.RLE {
+			flags = duFlagRLE
+		}
+		if u.Row != prevRow {
+			flags |= duFlagNR
+			if u.Row-prevRow > 1 {
+				flags |= duFlagRJMP
+			}
+			prevCol = 0
+		}
+		ctl = append(ctl, flags, byte(len(u.Cols)))
+		if flags&duFlagRJMP != 0 {
+			ctl = varint.Append(ctl, uint64(u.Row-prevRow))
+		}
+		ctl = append(ctl, padVarint(uint64(u.Cols[0]-prevCol), u.JumpLen)...)
+		if u.RLE {
+			delta := 0 // a one-element RLE unit still stores a delta
+			if len(u.Cols) > 1 {
+				delta = u.Cols[1] - u.Cols[0]
+			}
+			ctl = varint.Append(ctl, uint64(delta))
+		} else {
+			for p := 1; p < len(u.Cols); p++ {
+				d := uint64(u.Cols[p] - u.Cols[p-1])
+				for b := 0; b < 1<<u.Class; b++ {
+					ctl = append(ctl, byte(d>>(8*b)))
+				}
+			}
+		}
+		nnz += len(u.Cols)
+		prevRow, prevCol = u.Row, u.Cols[len(u.Cols)-1]
+	}
+	return ctl, nnz
+}
+
+// colsFrom returns n columns starting at start, step apart.
+func colsFrom(start, step, n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = start + i*step
+	}
+	return cols
+}
+
+// DUStreams returns ctl streams built by hand to reach what encoded
+// corpus matrices rarely do. Every stream passes the format's Verify.
+func DUStreams() []DUStream {
+	const cols = 70000
+	var out []DUStream
+	add := func(name string, rows, cols int, widths []int, units []DUUnit) {
+		ctl, nnz := encodeDU(units)
+		out = append(out, DUStream{Name: name, Ctl: ctl, NNZ: nnz, Rows: rows, Cols: cols, Widths: widths})
+	}
+
+	// Every class at unit sizes that hit each loop's entry, body and
+	// tail (0, 1, 2, 4, 5, 8, 9 and the maximal 254 deltas), RLE units
+	// of 1, 6 and 255 elements, ujmp varints of 1/2/3 canonical and 4/6
+	// padded bytes, one- and two-byte row jumps, rows built from several
+	// units, and leading, interior and trailing empty rows.
+	var units []DUUnit
+	row := 3 // rows 0-2 stay empty
+	for cls := byte(0); cls <= 3; cls++ {
+		step := []int{3, 260, 3, 3}[cls] // the u32/u64 classes carry small deltas
+		for _, n := range []int{1, 2, 3, 5, 6, 9, 10, 255} {
+			units = append(units, DUUnit{Row: row, Class: cls, Cols: colsFrom(int(cls)*7, step, n)})
+			row++
+		}
+		row += 2 // a two-row gap: RJMP
+	}
+	for i, jl := range []int{1, 2, 3, 4, 6} {
+		start := []int{5, 200, 20000, 9, 11}[i]
+		units = append(units, DUUnit{Row: row, Class: 1, JumpLen: jl, Cols: colsFrom(start, 260, 7)})
+		row++
+	}
+	row += 200 // a two-byte rjmp varint
+	units = append(units,
+		DUUnit{Row: row, RLE: true, Cols: colsFrom(4, 9, 255)},
+		DUUnit{Row: row, RLE: true, Cols: colsFrom(4+255*9, 2, 6)},
+		DUUnit{Row: row, Class: 0, Cols: colsFrom(5000, 1, 255)},
+		DUUnit{Row: row, Class: 1, JumpLen: 4, Cols: colsFrom(6000, 256, 3)},
+		DUUnit{Row: row, Class: 2, Cols: []int{69999}},
+	)
+	row++
+	units = append(units,
+		DUUnit{Row: row, RLE: true, Cols: []int{7}}, // one element: delta stored, unused
+		DUUnit{Row: row, Class: 0, Cols: colsFrom(9, 2, 3)},
+	)
+	row++
+	units = append(units, DUUnit{Row: row, Class: 0, Cols: []int{0}})
+	add("mixed", row+1+4 /* four trailing empty rows */, cols, []int{1, 3, 4, 8}, units)
+
+	// ujmp varints whose fourth byte and beyond carry payload need a
+	// column past 2^21; the panels stay narrow to keep x small.
+	add("wide-jumps", 3, 1<<21+300, []int{1, 3}, []DUUnit{
+		{Row: 0, Class: 0, Cols: colsFrom(1<<21+5, 3, 9)},
+		{Row: 1, Class: 1, JumpLen: 6, Cols: colsFrom(1<<21+50, 1, 4)},
+		{Row: 2, RLE: true, JumpLen: 5, Cols: colsFrom(1<<21, 2, 8)},
+	})
+
+	// A u16 or u32 unit as the stream's last bytes: with d deltas, fewer
+	// than 8 bytes of ctl remain for the first, a later or no wide load,
+	// so each d takes a different mix of the scalar kernels' 8-byte path
+	// and its fallback.
+	for cls := byte(1); cls <= 2; cls++ {
+		for d := 1; d <= []int{9, 5}[cls-1]; d++ {
+			add(fmt.Sprintf("u%d-tail-%d", 8<<cls, d), 4, cols, []int{1, 3, 4, 8}, []DUUnit{
+				{Row: 0, Class: 0, Cols: colsFrom(1, 2, 3)},
+				{Row: 2, Class: cls, Cols: colsFrom(40, 270, d+1)},
+			})
+		}
+	}
+	return out
+}

@@ -26,6 +26,12 @@ echo "== race"
 # rides along for the tree-reduced scatter executor's bitwise test.
 go test -race -count=2 ./internal/parallel/... ./internal/obs/... ./internal/sym/...
 
+echo "== BenchmarkUnitShapes smoke"
+# The CSR-DU decode-cost benchmark (7-nnz u16, 255-nnz u8, 8-nnz u32
+# units, csr alongside, ~150 MB working sets), one iteration each so it
+# cannot rot; measure with -benchtime=10x -count=5.
+go test -run '^$' -bench '^BenchmarkUnitShapes$' -benchtime=1x ./internal/csrdu/
+
 echo "== spmvbench -rhs smoke"
 # Batched multi-vector path end to end: fused kernels + RunBatch +
 # the RHS sweep printer, at a scale that finishes in seconds.
