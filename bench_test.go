@@ -10,8 +10,10 @@ package spmv_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"spmv"
 	"spmv/internal/core"
@@ -250,8 +252,57 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 }
 
 // BenchmarkSolverCG measures end-to-end solver throughput per format:
-// the paper's motivating workload.
+// the paper's motivating workload. The stencil3d-ooc cells run it out
+// of cache (Stencil3D(112): 1.4 M rows, 145 MB of CSR, 11 MB a vector)
+// through the row executor at 1 and GOMAXPROCS threads, a fixed 20
+// iterations each, and report ms/iter and vec-ms/iter — the part of an
+// iteration outside Operator.Mul, which is what CG's fused sweeps on
+// the executor's pool (DESIGN.md §18) shrink.
 func BenchmarkSolverCG(b *testing.B) {
+	b.Run("stencil3d-ooc", func(b *testing.B) {
+		f := mustFmt(spmv.NewCSR(matgen.Stencil3D(112)))
+		rhs := make([]float64, f.Rows())
+		for i := range rhs {
+			rhs[i] = 1 + float64(i%7)
+		}
+		x := make([]float64, f.Rows())
+		threads := []int{1}
+		if p := runtime.GOMAXPROCS(0); p > 1 {
+			threads = append(threads, p)
+		}
+		for _, t := range threads {
+			b.Run(fmt.Sprintf("t%d", t), func(b *testing.B) {
+				e, err := spmv.NewExecutor(f, t)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer e.Close()
+				op := spmv.NewParallelOperator(e, f.Rows())
+				var inMul time.Duration
+				mul := op.Mul
+				op.Mul = func(y, x []float64) error {
+					t0 := time.Now()
+					err := mul(y, x)
+					inMul += time.Since(t0)
+					return err
+				}
+				const iters = 20
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := range x {
+						x[j] = 0
+					}
+					// tol 0 is never met: every solve runs iters iterations.
+					if _, err := spmv.CG(op, rhs, x, 0, iters); err != nil {
+						b.Fatal(err)
+					}
+				}
+				perIter := 1e3 / float64(b.N*iters)
+				b.ReportMetric(b.Elapsed().Seconds()*perIter, "ms/iter")
+				b.ReportMetric((b.Elapsed()-inMul).Seconds()*perIter, "vec-ms/iter")
+			})
+		}
+	})
 	c := matgen.Stencil2D(300)
 	for name, f := range map[string]spmv.Format{
 		"csr":    mustFmt(spmv.NewCSR(c)),

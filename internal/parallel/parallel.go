@@ -73,9 +73,10 @@ type Executor struct {
 
 type job struct {
 	y, x  []float64
-	k     int             // panel width; <= 1 ⇒ scalar SpMV
-	stats []obs.ChunkStat // nil ⇒ workers skip timing entirely
-	ctx   context.Context // non-nil ⇒ wrap the kernel in a trace region
+	k     int                       // panel width; <= 1 ⇒ scalar SpMV
+	stats []obs.ChunkStat           // nil ⇒ workers skip timing entirely
+	ctx   context.Context           // non-nil ⇒ wrap the kernel in a trace region
+	fn    func(worker, workers int) // non-nil ⇒ run fn instead of a chunk kernel (Each)
 }
 
 // NewExecutor partitions f into at most nthreads nnz-balanced row
@@ -176,7 +177,9 @@ func (e *Executor) SetCollector(c obs.Collector) {
 func (e *Executor) worker(i int) {
 	ch := e.chunks[i]
 	for j := range e.start[i] {
-		if j.stats == nil {
+		if j.fn != nil {
+			e.errs[i] = runFunc(j.fn, i, len(e.chunks))
+		} else if j.stats == nil {
 			e.errs[i] = runChunk(ch, j)
 		} else {
 			t0 := time.Now()
@@ -210,6 +213,24 @@ func runChunk(ch core.Chunk, j job) (err error) {
 		ch.SpMV(j.y, j.x)
 	}
 	return nil
+}
+
+// runFunc executes one worker's share of an Each call with the same
+// panic containment as runChunk.
+func runFunc(fn func(worker, workers int), i, n int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = workerError(i, n, r)
+		}
+	}()
+	fn(i, n)
+	return nil
+}
+
+// workerError converts a panic recovered from an Each body into an
+// error naming the worker it ran on.
+func workerError(i, n int, r any) error {
+	return fmt.Errorf("parallel: worker %d of %d: %w", i, n, core.PanicError(r))
 }
 
 // chunkError converts a recovered worker panic into an error naming
@@ -309,6 +330,31 @@ func (e *Executor) run(ctx context.Context, y, x []float64) error {
 		})
 	}
 	return err
+}
+
+// Each runs fn(worker, workers) once on every persistent worker and
+// blocks until all have returned: the pool lent to callers whose dense
+// vector work sits between multiplies (solver.CG's sweeps), so they
+// need no second set of goroutines. It takes the run lock like Run —
+// calls queue behind in-flight multiplies, after Close the error wraps
+// core.ErrUsage — and a panicking fn comes back as an error naming the
+// worker, leaving the executor usable. fn must split its work by the
+// (worker, workers) pair it is handed; no telemetry is recorded, a
+// sweep is not an SpMV.
+func (e *Executor) Each(fn func(worker, workers int)) error {
+	if fn == nil {
+		return core.Usagef("parallel: Each with nil function")
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return errClosed()
+	}
+	for i := range e.errs {
+		e.errs[i] = nil
+	}
+	e.dispatch(job{fn: fn})
+	return errors.Join(e.errs...)
 }
 
 // dispatch hands one job to every worker and blocks until all finish.

@@ -1,10 +1,6 @@
 package solver
 
-import (
-	"fmt"
-
-	"spmv/internal/core"
-)
+import "fmt"
 
 // Preconditioner applies z = M^{-1} r.
 type Preconditioner interface {
@@ -21,56 +17,8 @@ func CGPrec(a Operator, m Preconditioner, b, x []float64, tol float64, maxIter i
 	if m == nil {
 		return Result{}, fmt.Errorf("solver: nil preconditioner")
 	}
-	n := a.N
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-
-	if err := a.Mul(r, x); err != nil {
-		return Result{}, fmt.Errorf("solver: SpMV: %w", err)
-	}
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	m.Apply(z, r)
-	copy(p, z)
-	normB := norm(b)
-	if core.IsZero(normB) {
-		normB = 1
-	}
-	rz := dot(r, z)
-	res := Result{Residual: norm(r) / normB}
-	if res.Residual <= tol {
-		res.Converged = true
-		return res, nil
-	}
-	for k := 0; k < maxIter; k++ {
-		if err := a.Mul(ap, p); err != nil {
-			return res, fmt.Errorf("solver: SpMV: %w", err)
-		}
-		pap := dot(p, ap)
-		if pap <= 0 {
-			return res, fmt.Errorf("solver: CGPrec breakdown: p'Ap = %v", pap)
-		}
-		alpha := rz / pap
-		axpy(alpha, p, x)
-		axpy(-alpha, ap, r)
-		res.Iterations = k + 1
-		res.Residual = norm(r) / normB
-		if res.Residual <= tol {
-			res.Converged = true
-			return res, nil
-		}
-		m.Apply(z, r)
-		rzNew := dot(r, z)
-		beta := rzNew / rz
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-		rz = rzNew
-	}
-	return res, nil
+	apply := func(z, r []float64) error { m.Apply(z, r); return nil }
+	return cg("CGPrec", a, apply, b, x, tol, maxIter)
 }
 
 // RightPreconditioned wraps a as A·M^{-1} for right-preconditioned

@@ -134,9 +134,10 @@ func (idx *funcIndex) at(pos token.Pos) string {
 
 // IsHotFunc reports whether a function name belongs to the hot-kernel
 // set: the SpMV entry points, the row/unit decode loops and the dense
-// vector kernels the solvers hang off. The BCE/escape gate and the
-// hot-path purity rule share this definition. Qualified names
-// ("(*Matrix).SpMV") match on their last segment.
+// vector kernels the solvers hang off (CG's blocked sweeps included).
+// The BCE/escape gate and the hot-path purity rule share this
+// definition. Qualified names ("(*Matrix).SpMV") match on their last
+// segment.
 func IsHotFunc(name string) bool {
 	if i := strings.LastIndex(name, "."); i >= 0 {
 		name = name[i+1:]
@@ -144,7 +145,8 @@ func IsHotFunc(name string) bool {
 	switch name {
 	case "SpMV", "SpMVAdd", "SpMVT", "SpMM", "SpMVBatch", "SpMVPartial",
 		"Mul", "MulAdd", "MulTrans",
-		"Dot", "Axpy", "DecodeAt", "DecodeUnit", "SkipRows", "dotRange",
+		"Dot", "Axpy", "DotBlocks", "AxpyDotBlocks", "axpyDot", "AxpyXpby", "Hadamard",
+		"DecodeAt", "DecodeUnit", "SkipRows", "dotRange",
 		"runChunk", "runColJob", "runBlockJob", "runNNZChunk", "runSymJob":
 		return true
 	}

@@ -226,10 +226,11 @@ func TestIsHotFunc(t *testing.T) {
 		"(*Matrix).SpMV", "(*chunk).SpMVBatch",
 		"runChunk", "runColJob", "runBlockJob",
 		"SpMVPartial", "dotRange", "runNNZChunk", "runSymJob",
+		"vec.DotBlocks", "AxpyDotBlocks", "axpyDot", "AxpyXpby", "Hadamard",
 		"(*Executor).runChunk", "(*BlockExecutor).runBlockJob",
 		"(*nnzChunk).SpMVPartial"}
 	cold := []string{"FromCOO", "Verify", "Name", "String", "Split", "Print",
-		"worker", "colJobError", "traceTask"}
+		"worker", "colJobError", "traceTask", "Each", "runFunc", "SumBlocks"}
 	for _, name := range hot {
 		if !IsHotFunc(name) {
 			t.Errorf("IsHotFunc(%q) = false, want true", name)

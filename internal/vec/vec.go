@@ -8,23 +8,23 @@ import "math"
 
 // Dot returns the inner product of a and b (shorter length governs).
 func Dot(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
+	a, b = a[:n], b[:n]
 	// Unrolled accumulation: four independent partial sums let the FPU
-	// pipeline overlap the adds.
+	// pipeline overlap the adds. Stepping by reslicing rather than by
+	// index leaves the loop free of bounds checks.
 	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+	for len(a) >= 4 && len(b) >= 4 {
+		s0 += a[0] * b[0]
+		s1 += a[1] * b[1]
+		s2 += a[2] * b[2]
+		s3 += a[3] * b[3]
+		a, b = a[4:], b[4:]
 	}
 	s := s0 + s1 + s2 + s3
-	for ; i < n; i++ {
-		s += a[i] * b[i]
+	b = b[:len(a)]
+	for i, v := range a {
+		s += v * b[i]
 	}
 	return s
 }

@@ -23,14 +23,22 @@ echo "== race"
 # executors and the telemetry layer (collectors report from worker
 # goroutines while readers snapshot concurrently). -count=2 defeats
 # the test cache and catches ordering-dependent races. internal/sym
-# rides along for the tree-reduced scatter executor's bitwise test.
-go test -race -count=2 ./internal/parallel/... ./internal/obs/... ./internal/sym/...
+# rides along for the tree-reduced scatter executor's bitwise test;
+# internal/solver and internal/vec for CG's sweeps on the executor's
+# pool (Executor.Each) and their thread-count-independent bits.
+go test -race -count=2 ./internal/parallel/... ./internal/obs/... ./internal/sym/... \
+	./internal/solver/... ./internal/vec/...
 
 echo "== BenchmarkUnitShapes smoke"
 # The CSR-DU decode-cost benchmark (7-nnz u16, 255-nnz u8, 8-nnz u32
 # units, csr alongside, ~150 MB working sets), one iteration each so it
 # cannot rot; measure with -benchtime=10x -count=5.
 go test -run '^$' -bench '^BenchmarkUnitShapes$' -benchtime=1x ./internal/csrdu/
+
+echo "== BenchmarkSolverCG smoke"
+# CG end to end, including the out-of-cache Stencil3D cells (threads 1
+# and GOMAXPROCS) that report ms/iter and vec-ms/iter; one solve each.
+go test -run '^$' -bench '^BenchmarkSolverCG$' -benchtime=1x .
 
 echo "== spmvbench -rhs smoke"
 # Batched multi-vector path end to end: fused kernels + RunBatch +
