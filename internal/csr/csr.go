@@ -93,18 +93,42 @@ func (m *Matrix) SpMVAdd(y, x []float64) {
 	spmvRange(y, x, m.RowPtr, m.ColInd, m.Values, 0, m.rows, true)
 }
 
-func spmvRange(y, x []float64, rowPtr, colInd []int32, values []float64, lo, hi int, add bool) {
-	for i := lo; i < hi; i++ {
-		// Subslice the row once so the inner loop indexes two
-		// equal-length slices: the compiler drops the per-nnz bounds
-		// checks on vals and cols, leaving only the data-dependent
-		// gather x[cols[k]].
-		vals := values[rowPtr[i]:rowPtr[i+1]]
-		cols := colInd[rowPtr[i]:rowPtr[i+1]]
-		cols = cols[:len(vals)]
+// errRowPtr is the trap the row walk panics with when a row pointer
+// runs backwards or past its chunk's non-zeros. It is built once, so
+// the kernel allocates nothing to raise it.
+var errRowPtr = core.Corruptf("csr: row pointer decreases or runs past the non-zeros")
+
+// spmvRange multiplies rows [lo, hi) with one non-zero cursor for the
+// whole range: the range's values and column indices are sliced once,
+// and k advances to each row's end. k < end <= len(vals) lets the
+// compiler drop the per-nnz checks on vals and cols, leaving only the
+// data-dependent gather x[cols[k]]. Each row is summed left to right
+// from +0 and stored once, so only y[lo:hi] is written.
+//
+// The type parameters give csr16 its 16-bit columns and csr32 its
+// float32 values, which float64() widens before the multiply (a no-op
+// for float64); each instantiation compiles to the same loop as a
+// hand-written one.
+func spmvRange[C int32 | uint16, V float64 | float32](y, x []float64, rowPtr []int32, colInd []C, values []V, lo, hi int, add bool) {
+	ends := rowPtr[lo+1 : hi+1]
+	base, top := int(rowPtr[lo]), int(rowPtr[hi])
+	if base < 0 || top < base || top > len(values) || top > len(colInd) {
+		panic(errRowPtr)
+	}
+	vals := values[base:top]
+	cols := colInd[base:top]
+	cols = cols[:len(vals)]
+	y = y[lo:hi]
+	y = y[:len(ends)]
+	k := uint(0)
+	for i, e := range ends {
+		end := uint(int(e) - base)
+		if end < k || end > uint(len(vals)) {
+			panic(errRowPtr)
+		}
 		sum := 0.0
-		for k, v := range vals {
-			sum += v * x[cols[k]]
+		for ; k < end; k++ {
+			sum += float64(vals[k]) * x[cols[k]]
 		}
 		if add {
 			y[i] += sum

@@ -79,23 +79,13 @@ func (m *Matrix16) SizeBytes() int64 {
 }
 
 // SpMV computes y = A*x.
-func (m *Matrix16) SpMV(y, x []float64) { m.spmvRange(y, x, 0, m.rows, false) }
+func (m *Matrix16) SpMV(y, x []float64) {
+	spmvRange(y, x, m.RowPtr, m.ColInd, m.Values, 0, m.rows, false)
+}
 
 // SpMVAdd computes y += A*x.
-func (m *Matrix16) SpMVAdd(y, x []float64) { m.spmvRange(y, x, 0, m.rows, true) }
-
-func (m *Matrix16) spmvRange(y, x []float64, lo, hi int, add bool) {
-	for i := lo; i < hi; i++ {
-		sum := 0.0
-		for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
-			sum += m.Values[j] * x[m.ColInd[j]]
-		}
-		if add {
-			y[i] += sum
-		} else {
-			y[i] = sum
-		}
-	}
+func (m *Matrix16) SpMVAdd(y, x []float64) {
+	spmvRange(y, x, m.RowPtr, m.ColInd, m.Values, 0, m.rows, true)
 }
 
 // Split implements core.Splitter with nnz-balanced row partitioning.
@@ -127,7 +117,9 @@ var _ core.Tracer = (*chunk16)(nil)
 
 func (c *chunk16) RowRange() (int, int) { return c.lo, c.hi }
 func (c *chunk16) NNZ() int             { return int(c.m.RowPtr[c.hi] - c.m.RowPtr[c.lo]) }
-func (c *chunk16) SpMV(y, x []float64)  { c.m.spmvRange(y, x, c.lo, c.hi, false) }
+func (c *chunk16) SpMV(y, x []float64) {
+	spmvRange(y, x, c.m.RowPtr, c.m.ColInd, c.m.Values, c.lo, c.hi, false)
+}
 
 // TraceSpMV implements core.Tracer.
 func (c *chunk16) TraceSpMV(xBase, yBase uint64, emit core.EmitFunc) {

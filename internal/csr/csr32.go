@@ -74,16 +74,8 @@ func (m *Matrix32) SizeBytes() int64 {
 
 // SpMV computes y = A*x; the accumulation runs in double precision, as
 // in the mixed-precision kernels the paper cites.
-func (m *Matrix32) SpMV(y, x []float64) { m.spmvRange(y, x, 0, m.rows) }
-
-func (m *Matrix32) spmvRange(y, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		sum := 0.0
-		for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
-			sum += float64(m.Values[j]) * x[m.ColInd[j]]
-		}
-		y[i] = sum
-	}
+func (m *Matrix32) SpMV(y, x []float64) {
+	spmvRange(y, x, m.RowPtr, m.ColInd, m.Values, 0, m.rows, false)
 }
 
 // Split implements core.Splitter.
@@ -115,7 +107,9 @@ var _ core.Tracer = (*chunk32)(nil)
 
 func (c *chunk32) RowRange() (int, int) { return c.lo, c.hi }
 func (c *chunk32) NNZ() int             { return int(c.m.RowPtr[c.hi] - c.m.RowPtr[c.lo]) }
-func (c *chunk32) SpMV(y, x []float64)  { c.m.spmvRange(y, x, c.lo, c.hi) }
+func (c *chunk32) SpMV(y, x []float64) {
+	spmvRange(y, x, c.m.RowPtr, c.m.ColInd, c.m.Values, c.lo, c.hi, false)
+}
 
 // TraceSpMV implements core.Tracer: like CSR but with a 4-byte value
 // stream.

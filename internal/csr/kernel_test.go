@@ -1,0 +1,22 @@
+package csr
+
+import (
+	"testing"
+
+	"spmv/internal/testmat"
+)
+
+// The row walk sums each row left to right from +0 and writes only its
+// chunk's rows: SpMV, SpMVBatch and every chunk of Split(1..9) must
+// equal the ForEach-order accumulation bit for bit.
+func TestKernelsBitwiseOnCorpus(t *testing.T) {
+	for _, tc := range testmat.Corpus() {
+		t.Run(tc.Name, func(t *testing.T) {
+			m, err := FromCOO(tc.COO)
+			if err != nil {
+				t.Fatal(err)
+			}
+			testmat.CheckBitwise(t, m, 9, testmat.Reference(m), 1, 3, 4, 8)
+		})
+	}
+}

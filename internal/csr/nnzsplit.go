@@ -121,8 +121,8 @@ func (c *nnzChunk) SpMVPartial(y, x, partial []float64) {
 }
 
 // dotRange computes the partial row sum over stored non-zeros [lo, hi):
-// the privatized piece of a split row. Same subslice shape as
-// spmvRange, so the per-nnz bounds checks fold into one.
+// the privatized piece of a split row. Both streams are subsliced once,
+// so the per-nnz bounds checks fold into the x gather.
 func dotRange(x []float64, colInd []int32, values []float64, lo, hi int) float64 {
 	vals := values[lo:hi]
 	cols := colInd[lo:hi]

@@ -6,6 +6,7 @@ import (
 
 	"spmv/internal/core"
 	"spmv/internal/csr"
+	"spmv/internal/csrvi"
 )
 
 // unitShape describes a matrix whose every row encodes to exactly one
@@ -44,10 +45,11 @@ func (s unitShape) coo() *core.COO {
 }
 
 // BenchmarkUnitShapes reports serial ns/nnz of the CSR-DU kernel beside
-// CSR on the three unit shapes. It is the per-shape view of the decode
-// cost: the 255-nnz shape sits at the FP-add latency floor, the short
-// shapes show what a unit header costs. Run with -benchtime=1x in
-// verify.sh so it cannot rot; use -benchtime=10x -count=5 to measure.
+// CSR and CSR-VI on the three unit shapes. It is the per-shape view of
+// the decode cost: the 255-nnz shape sits at the FP-add latency floor,
+// the short shapes show what a unit header or a row costs. Run with
+// -benchtime=1x in verify.sh so it cannot rot; use -benchtime=10x
+// -count=5 to measure.
 func BenchmarkUnitShapes(b *testing.B) {
 	for _, s := range unitShapes {
 		c := s.coo()
@@ -62,12 +64,16 @@ func BenchmarkUnitShapes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		vi, err := csrvi.FromCOO(c)
+		if err != nil {
+			b.Fatal(err)
+		}
 		x := make([]float64, c.Cols())
 		for i := range x {
 			x[i] = 1 + float64(i%3)
 		}
 		y := make([]float64, c.Rows())
-		for _, f := range []core.Format{ref, du} {
+		for _, f := range []core.Format{ref, vi, du} {
 			b.Run(fmt.Sprintf("%s/%s", s.name, f.Name()), func(b *testing.B) {
 				f.SpMV(y, x) // page in both streams
 				b.SetBytes(f.SizeBytes())

@@ -75,6 +75,6 @@ func FuzzFromRaw(f *testing.F) {
 		// The scalar kernel and the k=8 panel kernel, whole and on every
 		// chunk of Split(1..4), keep the left-to-right sums and write
 		// their own rows only — on hostile streams too.
-		testmat.CheckBitwise(t, mat, 4, reference(mat), 1, 8)
+		testmat.CheckBitwise(t, mat, 4, testmat.Reference(mat), 1, 8)
 	})
 }

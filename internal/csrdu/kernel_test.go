@@ -7,20 +7,6 @@ import (
 	"spmv/internal/testmat"
 )
 
-// reference multiplies by accumulating ForEach's (i, j, v) stream left
-// to right into a zeroed panel: the summation order the kernels keep.
-func reference(m *Matrix) func(x []float64, k int) []float64 {
-	return func(x []float64, k int) []float64 {
-		want := make([]float64, m.rows*k)
-		m.ForEach(func(i, j int, v float64) {
-			for c := 0; c < k; c++ {
-				want[i*k+c] += v * x[j*k+c]
-			}
-		})
-		return want
-	}
-}
-
 func TestKernelsBitwiseOnCorpus(t *testing.T) {
 	for _, opts := range []Options{{}, {RLE: true}, {MinSwitch: 1}, {RLE: true, RLEMin: 3, MinSwitch: 2}} {
 		for _, tc := range testmat.Corpus() {
@@ -29,7 +15,7 @@ func TestKernelsBitwiseOnCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				testmat.CheckBitwise(t, m, 9, reference(m), 1, 3, 4, 8)
+				testmat.CheckBitwise(t, m, 9, testmat.Reference(m), 1, 3, 4, 8)
 			})
 		}
 	}
@@ -46,7 +32,7 @@ func TestKernelsBitwiseOnHandBuiltStreams(t *testing.T) {
 			if err != nil {
 				t.Fatalf("hand-built stream rejected: %v", err)
 			}
-			testmat.CheckBitwise(t, m, 9, reference(m), s.Widths...)
+			testmat.CheckBitwise(t, m, 9, testmat.Reference(m), s.Widths...)
 		})
 	}
 }

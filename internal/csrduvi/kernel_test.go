@@ -12,17 +12,10 @@ import (
 )
 
 // The combined format reads the same ctl stream and multiplies the same
-// values as CSR-DU, in the same order: its results must equal CSR-DU's
-// (pinned against ForEach in that package) bit for bit, whole and on
-// every chunk, for every val_ind width.
-
-func duReference(du *csrdu.Matrix) func(x []float64, k int) []float64 {
-	return func(x []float64, k int) []float64 {
-		want := make([]float64, du.Rows()*k)
-		du.SpMVBatch(want, x, k)
-		return want
-	}
-}
+// values as CSR-DU, in the same order: its results must equal the
+// left-to-right accumulation of CSR-DU's ForEach stream (which pins
+// CSR-DU's own kernels) bit for bit, whole and on every chunk, for
+// every val_ind width.
 
 func TestKernelsBitwiseMatchCSRDU(t *testing.T) {
 	cases := testmat.Corpus()
@@ -36,7 +29,7 @@ func TestKernelsBitwiseMatchCSRDU(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				testmat.CheckBitwise(t, m, 9, duReference(m.du), 1, 3, 4, 8)
+				testmat.CheckBitwise(t, m, 9, testmat.Reference(m.du), 1, 3, 4, 8)
 			})
 		}
 	}
@@ -72,7 +65,7 @@ func TestKernelsBitwiseOnHandBuiltStreams(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				testmat.CheckBitwise(t, m, 9, duReference(du), s.Widths...)
+				testmat.CheckBitwise(t, m, 9, testmat.Reference(du), s.Widths...)
 			})
 		}
 	}

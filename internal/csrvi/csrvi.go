@@ -152,45 +152,52 @@ func (m *Matrix) SizeBytes() int64 {
 // access is replaced by vals_unique[val_ind[j]].
 func (m *Matrix) SpMV(y, x []float64) { m.spmvRange(y, x, 0, m.rows) }
 
+// spmvRange dispatches once per call to the walk for the matrix's
+// val_ind width.
 func (m *Matrix) spmvRange(y, x []float64, lo, hi int) {
-	// One loop per index width keeps the inner loop monomorphic. Each
-	// row subslices the value-index and column streams once so the
-	// per-nnz bounds checks collapse to the two data-dependent table
-	// lookups (Unique[id] and x[col]).
 	switch {
 	case m.VI8 != nil:
-		for i := lo; i < hi; i++ {
-			vi := m.VI8[m.RowPtr[i]:m.RowPtr[i+1]]
-			cols := m.ColInd[m.RowPtr[i]:m.RowPtr[i+1]]
-			cols = cols[:len(vi)]
-			sum := 0.0
-			for k, id := range vi {
-				sum += m.Unique[id] * x[cols[k]]
-			}
-			y[i] = sum
-		}
+		spmvVI(y, x, m.RowPtr, m.ColInd, m.VI8, m.Unique, lo, hi)
 	case m.VI16 != nil:
-		for i := lo; i < hi; i++ {
-			vi := m.VI16[m.RowPtr[i]:m.RowPtr[i+1]]
-			cols := m.ColInd[m.RowPtr[i]:m.RowPtr[i+1]]
-			cols = cols[:len(vi)]
-			sum := 0.0
-			for k, id := range vi {
-				sum += m.Unique[id] * x[cols[k]]
-			}
-			y[i] = sum
-		}
+		spmvVI(y, x, m.RowPtr, m.ColInd, m.VI16, m.Unique, lo, hi)
 	default:
-		for i := lo; i < hi; i++ {
-			vi := m.VI32[m.RowPtr[i]:m.RowPtr[i+1]]
-			cols := m.ColInd[m.RowPtr[i]:m.RowPtr[i+1]]
-			cols = cols[:len(vi)]
-			sum := 0.0
-			for k, id := range vi {
-				sum += m.Unique[id] * x[cols[k]]
-			}
-			y[i] = sum
+		spmvVI(y, x, m.RowPtr, m.ColInd, m.VI32, m.Unique, lo, hi)
+	}
+}
+
+// errRowPtr is the trap the row walk panics with when a row pointer
+// runs backwards or past its chunk's non-zeros. It is built once, so
+// the kernel allocates nothing to raise it.
+var errRowPtr = core.Corruptf("csrvi: row pointer decreases or runs past the non-zeros")
+
+// spmvVI multiplies rows [lo, hi) with one non-zero cursor for the
+// whole range, as csr's row walk does: the range's val_ind and column
+// streams are sliced once and k advances to each row's end, so the
+// per-nnz bounds checks are only the two data-dependent lookups,
+// unique[id] and x[col]. Each row is summed left to right from +0 and
+// stored once, so only y[lo:hi] is written.
+func spmvVI[I uint8 | uint16 | uint32](y, x []float64, rowPtr, colInd []int32, valInd []I, unique []float64, lo, hi int) {
+	ends := rowPtr[lo+1 : hi+1]
+	base, top := int(rowPtr[lo]), int(rowPtr[hi])
+	if base < 0 || top < base || top > len(valInd) || top > len(colInd) {
+		panic(errRowPtr)
+	}
+	ids := valInd[base:top]
+	cols := colInd[base:top]
+	cols = cols[:len(ids)]
+	y = y[lo:hi]
+	y = y[:len(ends)]
+	k := uint(0)
+	for i, e := range ends {
+		end := uint(int(e) - base)
+		if end < k || end > uint(len(ids)) {
+			panic(errRowPtr)
 		}
+		sum := 0.0
+		for ; k < end; k++ {
+			sum += unique[ids[k]] * x[cols[k]]
+		}
+		y[i] = sum
 	}
 }
 

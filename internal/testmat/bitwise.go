@@ -10,12 +10,13 @@ import (
 	"spmv/internal/varint"
 )
 
-// The CSR-DU family's kernels promise two things the tolerance checks
-// of CheckFormat cannot see: every row's sum is accumulated left to
-// right in stream order (so results are bitwise reproducible across
-// kernels, panel widths and partitions), and a chunk writes exactly the
-// rows [lo, hi) — all of them, since nothing pre-zeroes y, and no
-// others, since chunks run concurrently. CheckBitwise pins both.
+// The row kernels of CSR, CSR-VI and the CSR-DU family promise two
+// things the tolerance checks of CheckFormat cannot see: every row's
+// sum is accumulated left to right in stream order (so results are
+// bitwise reproducible across kernels, panel widths and partitions),
+// and a chunk writes exactly the rows [lo, hi) — all of them, since
+// nothing pre-zeroes y, and no others, since chunks run concurrently.
+// CheckBitwise pins both.
 
 // sentinel is a NaN no kernel can produce from finite inputs.
 var sentinel = math.Float64frombits(0x7ff8_dead_beef_0001)
@@ -70,6 +71,28 @@ func CheckBitwise(t *testing.T, f BatchSplitter, maxSplit int, ref func(x []floa
 				check(what+" SpMVBatch", lo, hi, func(y []float64) { ch.(core.BatchChunk).SpMVBatch(y, x, k) })
 			}
 		}
+	}
+}
+
+// RowMajor is a matrix that lists its non-zeros row by row, each row in
+// stored order.
+type RowMajor interface {
+	Rows() int
+	ForEach(fn func(i, j int, v float64))
+}
+
+// Reference returns the CheckBitwise reference for m: it multiplies by
+// accumulating ForEach's (i, j, v) stream left to right into a zeroed
+// panel, the summation order the row kernels keep.
+func Reference(m RowMajor) func(x []float64, k int) []float64 {
+	return func(x []float64, k int) []float64 {
+		want := make([]float64, m.Rows()*k)
+		m.ForEach(func(i, j int, v float64) {
+			for c := 0; c < k; c++ {
+				want[i*k+c] += v * x[j*k+c]
+			}
+		})
+		return want
 	}
 }
 
