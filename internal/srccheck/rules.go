@@ -159,13 +159,13 @@ func IsHotFunc(name string) bool {
 }
 
 // IsRequestPathFunc reports whether a function name sits on the
-// server's per-request path: the HTTP handlers, the coalescer's
-// enqueue/take/execute cycle, the registry read path, the executor's
-// dispatch machinery — plus everything IsHotFunc already covers. The
-// allocation gate holds these to their baselined heap-allocation
-// counts: a new escape in a handler shows up as a per-request GC tax
-// long before it shows up in a profile. Qualified names
-// ("(*coalescer).enqueue") match on their last segment.
+// server's per-request path: the HTTP handlers, the multiply wire
+// codec, the coalescer's enqueue/take/execute cycle, the registry read
+// path, the executor's dispatch machinery — plus everything IsHotFunc
+// already covers. The allocation gate holds these to their baselined
+// heap-allocation counts: a new escape in a handler shows up as a
+// per-request GC tax long before it shows up in a profile. Qualified
+// names ("(*coalescer).enqueue") match on their last segment.
 func IsRequestPathFunc(name string) bool {
 	if i := strings.LastIndex(name, "."); i >= 0 {
 		name = name[i+1:]
@@ -179,6 +179,7 @@ func IsRequestPathFunc(name string) bool {
 		"get", "recordWidth",
 		"requestDeadline", "clientID", "acquireClient", "releaseClient",
 		"statusFor", "httpError", "writeVector",
+		"readBody", "parseX", "skipWS", "scanNumber", "skipDigits", "appendY", "appendFloat",
 		"Run", "RunCtx", "RunBatch", "RunBatchCtx",
 		"dispatch", "worker", "drain":
 		return true

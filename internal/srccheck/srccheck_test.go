@@ -219,6 +219,31 @@ func TestParseAllowlistErrors(t *testing.T) {
 	}
 }
 
+// TestIsRequestPathFunc: the server's handlers, its wire codec and the
+// dispatch machinery are request-path; the codec is deliberately not
+// hot, so the kernel purity rules do not apply to it.
+func TestIsRequestPathFunc(t *testing.T) {
+	path := []string{"(*Server).handleMultiply", "(*Server).writeVector",
+		"readBody", "parseX", "skipWS", "scanNumber", "skipDigits", "appendY", "appendFloat",
+		"(*coalescer).enqueue", "(*Executor).RunCtx", "SpMV"}
+	cold := []string{"failMultiply", "ingest", "New", "(bodyError).Error", "badUpload"}
+	for _, name := range path {
+		if !IsRequestPathFunc(name) {
+			t.Errorf("IsRequestPathFunc(%q) = false, want true", name)
+		}
+	}
+	for _, name := range cold {
+		if IsRequestPathFunc(name) {
+			t.Errorf("IsRequestPathFunc(%q) = true, want false", name)
+		}
+	}
+	for _, name := range []string{"readBody", "parseX", "appendY", "appendFloat"} {
+		if IsHotFunc(name) {
+			t.Errorf("IsHotFunc(%q) = true, want false: the codec is request-path, not kernel", name)
+		}
+	}
+}
+
 func TestIsHotFunc(t *testing.T) {
 	hot := []string{"SpMV", "SpMVAdd", "SpMVBatch", "Mul", "Dot", "spmvRange",
 		"spmvBatch4", "spmvBatch8", "spmvBatchK", "spmvDUVI", "spmvBatchDUVI",

@@ -101,6 +101,12 @@ echo "== spmvd selfcheck"
 # the daemon signals itself).
 go run ./cmd/spmvd -selfcheck -quiet
 
+echo "== BenchmarkMultiplyWire smoke"
+# One multiply through the handler stack on a Stencil2D(64) matrix:
+# body read and parse, kernel, response format and write. Reports
+# ns/op and allocs/op; measure with -benchtime=2000x -count=5.
+go test -run '^$' -bench '^BenchmarkMultiplyWire$' -benchtime=1x ./internal/server/
+
 echo "== server soak (race)"
 # The fault-injection soak under the race detector: sustained
 # overload with injected kernel panics, corrupt uploads and client
@@ -120,8 +126,11 @@ echo "== spmvlint"
 go run ./cmd/spmvlint ./...
 
 if [ "$FUZZTIME" != "0" ]; then
-	# Each fuzz target asserts: if the decoder accepts the input, the
-	# matrix verifies clean and its SpMV matches the reference CSR.
+	# Each decoder target asserts: if the decoder accepts the input,
+	# the matrix verifies clean and its SpMV matches the reference CSR.
+	# FuzzMultiplyBody holds the multiply wire codec to encoding/json:
+	# what it accepts decodes bitwise alike, and what it writes is
+	# byte-identical.
 	# Note: the server target's exec counter can look frozen for up to
 	# a minute at a time — that is the fuzz engine minimizing a new
 	# interesting input (default -fuzzminimizetime=60s), not a hang.
@@ -129,7 +138,8 @@ if [ "$FUZZTIME" != "0" ]; then
 		"spmv/internal/csrdu FuzzFromRaw" \
 		"spmv/internal/dcsr FuzzFromRaw" \
 		"spmv/internal/matfile FuzzRead" \
-		"spmv/internal/server FuzzServeUpload"; do
+		"spmv/internal/server FuzzServeUpload" \
+		"spmv/internal/server FuzzMultiplyBody"; do
 		pkg=${target% *}
 		fn=${target#* }
 		echo "== go test -fuzz=$fn -fuzztime=$FUZZTIME $pkg"
