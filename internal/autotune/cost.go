@@ -174,7 +174,7 @@ func PredictBytes(ft Features, s formats.Spec) (bytes int64, exact, feasible boo
 		// Auto-partitioned VBR depends on the discovered partition;
 		// estimate as CSR plus the partition arrays so it only wins
 		// when measured.
-		bytes = (rows+1)*core.IdxSize + nnz*(core.IdxSize+core.ValSize) + (rows+cols)*core.IdxSize / 8
+		bytes = (rows+1)*core.IdxSize + nnz*(core.IdxSize+core.ValSize) + (rows+cols)*core.IdxSize/8
 		exact = false
 	case "sym-csr":
 		if !ft.Symmetric {

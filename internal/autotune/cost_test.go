@@ -83,8 +83,10 @@ func tableShapes() []struct {
 		{
 			// One row holds 40% of the non-zeros: the format barely
 			// matters, the nnz-balanced partition does.
-			name:        "skewed-rows",
-			gen:         func() *core.COO { return matgen.SkewedRows(rand.New(rand.NewSource(22)), 2000, 4, 17, 0.4, matgen.Values{}) },
+			name: "skewed-rows",
+			gen: func() *core.COO {
+				return matgen.SkewedRows(rand.New(rand.NewSource(22)), 2000, 4, 17, 0.4, matgen.Values{})
+			},
 			wantFormats: map[string]bool{"csr-du": true, "csr-du-rle": true, "csr": true, "csr16": true},
 			wantNNZPart: true,
 		},

@@ -141,36 +141,37 @@ func fromCOOSerial(c *core.COO, opts Options) (*Matrix, error) {
 	if c.Len() > math.MaxInt32 {
 		return nil, fmt.Errorf("csrdu: %d non-zeros exceed supported range", c.Len())
 	}
-	m := &Matrix{
-		rows:   c.Rows(),
-		cols:   c.Cols(),
-		opts:   opts.withDefaults(),
-		Values: make([]float64, 0, c.Len()),
-		Ctl:    make([]byte, 0, c.Len()+c.Rows()/4),
+	return encodeBlock(c, 0, c.Len(), -1, opts), nil
+}
+
+// encodeBlock encodes entries [from, to) — whole rows — into a
+// standalone Matrix whose marks carry absolute row numbers. prevRow is
+// the last non-empty row before the block (-1 for the first block), so
+// the block's first row jump matches the serial encoding. The rows'
+// columns are read in place from the finalized COO, so the encoder
+// allocates the output streams and nothing per row or unit.
+func encodeBlock(c *core.COO, from, to, prevRow int, opts Options) *Matrix {
+	ctlCap := to - from + 16
+	if from < to {
+		ctlCap += int(c.I[to-1]-c.I[from]) / 4
 	}
-	enc := encoder{m: m, prevRow: -1}
-	// Walk the finalized COO row by row.
-	n := c.Len()
-	for k := 0; k < n; {
-		i0, _, _ := c.At(k)
-		end := k
-		for end < n {
-			i, _, _ := c.At(end)
-			if i != i0 {
-				break
-			}
+	m := &Matrix{
+		rows: c.Rows(), cols: c.Cols(), opts: opts.withDefaults(),
+		Values: make([]float64, to-from),
+		Ctl:    make([]byte, 0, ctlCap),
+	}
+	copy(m.Values, c.V[from:to])
+	enc := encoder{m: m, prevRow: prevRow}
+	for k := from; k < to; {
+		row := c.I[k]
+		end := k + 1
+		for end < to && c.I[end] == row {
 			end++
 		}
-		cols := make([]int32, 0, end-k)
-		for t := k; t < end; t++ {
-			_, j, v := c.At(t)
-			cols = append(cols, int32(j))
-			m.Values = append(m.Values, v)
-		}
-		enc.encodeRow(i0, cols)
+		enc.encodeRow(int(row), k-from, c.J[k:end])
 		k = end
 	}
-	return m, nil
+	return m
 }
 
 // encoder carries per-matrix encoding state.
@@ -180,11 +181,12 @@ type encoder struct {
 }
 
 // encodeRow emits the units of one non-empty row. cols are the sorted
-// column indices of the row's non-zeros.
-func (e *encoder) encodeRow(row int, cols []int32) {
+// column indices of the row's non-zeros, and val is the offset of its
+// first value in Values.
+func (e *encoder) encodeRow(row, val int, cols []int32) {
 	m := e.m
 	opts := m.opts
-	m.marks = append(m.marks, mark{row: row, ctl: len(m.Ctl), val: len(m.Values) - len(cols)})
+	m.marks = append(m.marks, mark{row: row, ctl: len(m.Ctl), val: val})
 
 	newRow := true
 	prevCol := int32(0) // x_indx resets to 0 on NR
@@ -231,25 +233,17 @@ func (e *encoder) encodeRow(row int, cols []int32) {
 			}
 			t++
 		}
-		deltas := make([]uint64, 0, t-start-1)
-		for k := start + 1; k < t; k++ {
-			deltas = append(deltas, uint64(cols[k]-cols[k-1]))
-		}
-		e.emitNormal(cls, newRow, row, uint64(cols[start]-prevCol), deltas)
+		e.emitUnit(byte(cls), t-start, newRow, row, uint64(cols[start]-prevCol), cols[start:t], 0)
 		prevCol = cols[t-1]
 		newRow = false
 	}
 	e.prevRow = row
 }
 
-// emitNormal writes a delta unit with the given class.
-func (e *encoder) emitNormal(cls int, newRow bool, row int, ujmp uint64, deltas []uint64) {
-	e.emitUnit(byte(cls), len(deltas)+1, newRow, row, ujmp, deltas, 0)
-}
-
-// emitUnit writes one unit's bytes. For RLE units pass FlagRLE in flags
-// and the constant delta in rleDelta; deltas must be nil.
-func (e *encoder) emitUnit(flags byte, size int, newRow bool, row int, ujmp uint64, deltas []uint64, rleDelta uint64) {
+// emitUnit writes one unit's bytes. A normal unit passes its columns
+// in cols and stores the size-1 deltas between them; an RLE unit passes
+// FlagRLE in flags, nil cols and the constant delta in rleDelta.
+func (e *encoder) emitUnit(flags byte, size int, newRow bool, row int, ujmp uint64, cols []int32, rleDelta uint64) {
 	m := e.m
 	var rjmp uint64
 	if newRow {
@@ -271,19 +265,22 @@ func (e *encoder) emitUnit(flags byte, size int, newRow bool, row int, ujmp uint
 	}
 	switch flags & TypeMask {
 	case ClassU8:
-		for _, d := range deltas {
-			m.Ctl = append(m.Ctl, byte(d))
+		for k := 1; k < len(cols); k++ {
+			m.Ctl = append(m.Ctl, byte(cols[k]-cols[k-1]))
 		}
 	case ClassU16:
-		for _, d := range deltas {
+		for k := 1; k < len(cols); k++ {
+			d := cols[k] - cols[k-1]
 			m.Ctl = append(m.Ctl, byte(d), byte(d>>8))
 		}
 	case ClassU32:
-		for _, d := range deltas {
+		for k := 1; k < len(cols); k++ {
+			d := cols[k] - cols[k-1]
 			m.Ctl = append(m.Ctl, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
 		}
 	default:
-		for _, d := range deltas {
+		for k := 1; k < len(cols); k++ {
+			d := uint64(cols[k] - cols[k-1])
 			m.Ctl = append(m.Ctl,
 				byte(d), byte(d>>8), byte(d>>16), byte(d>>24),
 				byte(d>>32), byte(d>>40), byte(d>>48), byte(d>>56))

@@ -43,7 +43,6 @@ func fromCOOParallel(c *core.COO, opts Options) (*Matrix, error) {
 	// Block boundaries at row edges, near-equal nnz.
 	bounds := rowBlockBounds(c, nworkers)
 	parts := make([]*Matrix, len(bounds)-1)
-	errs := make([]error, len(bounds)-1)
 	var wg sync.WaitGroup
 	for w := 0; w+1 < len(bounds); w++ {
 		w := w
@@ -57,15 +56,10 @@ func fromCOOParallel(c *core.COO, opts Options) (*Matrix, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			parts[w], errs[w] = encodeBlock(c, bounds[w], bounds[w+1], prevRow, opts)
+			parts[w] = encodeBlock(c, bounds[w], bounds[w+1], prevRow, opts)
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	// Concatenate: streams are self-delimiting; marks need offsets.
 	out := &Matrix{rows: c.Rows(), cols: c.Cols(), opts: opts.withDefaults()}
 	for _, p := range parts {
@@ -104,37 +98,4 @@ func rowBlockBounds(c *core.COO, nworkers int) []int {
 		}
 	}
 	return append(bounds, n)
-}
-
-// encodeBlock encodes entries [from, to) — whole rows — into a
-// standalone Matrix whose marks carry absolute row numbers. prevRow is
-// the last non-empty row before the block (-1 for the first block), so
-// the block's first row jump matches the serial encoding.
-func encodeBlock(c *core.COO, from, to, prevRow int, opts Options) (*Matrix, error) {
-	m := &Matrix{
-		rows: c.Rows(), cols: c.Cols(), opts: opts.withDefaults(),
-		Values: make([]float64, 0, to-from),
-		Ctl:    make([]byte, 0, (to-from)+16),
-	}
-	enc := encoder{m: m, prevRow: prevRow}
-	for k := from; k < to; {
-		i0, _, _ := c.At(k)
-		end := k
-		for end < to {
-			i, _, _ := c.At(end)
-			if i != i0 {
-				break
-			}
-			end++
-		}
-		cols := make([]int32, 0, end-k)
-		for t := k; t < end; t++ {
-			_, j, v := c.At(t)
-			cols = append(cols, int32(j))
-			m.Values = append(m.Values, v)
-		}
-		enc.encodeRow(i0, cols)
-		k = end
-	}
-	return m, nil
 }

@@ -14,10 +14,10 @@ package csrduvi
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"spmv/internal/core"
 	"spmv/internal/csrdu"
+	"spmv/internal/csrvi"
 	"spmv/internal/partition"
 	"spmv/internal/varint"
 )
@@ -53,33 +53,8 @@ func FromCOOOpts(c *core.COO, opts csrdu.Options) (*Matrix, error) {
 	}
 	m := &Matrix{du: du, marks: du.RowMarks()}
 	// The CSR-DU values stream is in finalized-COO order, which is the
-	// same order FromCOO sees, so indices line up one-to-one.
-	index := make(map[uint64]uint32)
-	ind := make([]uint32, len(du.Values))
-	for k, v := range du.Values {
-		bits := math.Float64bits(v)
-		vi, ok := index[bits]
-		if !ok {
-			vi = uint32(len(m.Unique))
-			index[bits] = vi
-			m.Unique = append(m.Unique, v)
-		}
-		ind[k] = vi
-	}
-	switch uv := len(m.Unique); {
-	case uv <= 1<<8:
-		m.VI8 = make([]uint8, len(ind))
-		for k, v := range ind {
-			m.VI8[k] = uint8(v)
-		}
-	case uv <= 1<<16:
-		m.VI16 = make([]uint16, len(ind))
-		for k, v := range ind {
-			m.VI16[k] = uint16(v)
-		}
-	default:
-		m.VI32 = ind
-	}
+	// same order csrvi.FromCOO sees, so the two formats share one table.
+	m.Unique, m.VI8, m.VI16, m.VI32 = csrvi.IndexValues(du.Values)
 	return m, nil
 }
 

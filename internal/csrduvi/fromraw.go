@@ -5,6 +5,7 @@ import (
 
 	"spmv/internal/core"
 	"spmv/internal/csrdu"
+	"spmv/internal/csrvi"
 )
 
 // FromRaw reconstructs a Matrix from its serialized streams (used by
@@ -44,19 +45,6 @@ func FromRaw(ctl []byte, viWidth int, vi []byte, unique []float64, rows, cols in
 		return nil, err
 	}
 	m := &Matrix{du: du, marks: du.RowMarks(), Unique: unique}
-	switch viWidth {
-	case 1:
-		m.VI8 = make([]uint8, nnz)
-		for k, v := range ind {
-			m.VI8[k] = uint8(v)
-		}
-	case 2:
-		m.VI16 = make([]uint16, nnz)
-		for k, v := range ind {
-			m.VI16[k] = uint16(v)
-		}
-	default:
-		m.VI32 = ind
-	}
+	m.VI8, m.VI16, m.VI32 = csrvi.Narrow(ind, viWidth)
 	return m, nil
 }

@@ -35,6 +35,8 @@ func FuzzServeUpload(f *testing.F) {
 		f.Add(c)
 	}
 	f.Add(faulttest.AllocBombMatfile(faulttest.ValidMatfile(43, 16, "csr")))
+	// A symmetric header on a non-square shape: rejected, not a panic.
+	f.Add([]byte(nonSquareSymmetric))
 	// Row 2 overflows at x = 1: the multiply is a 422 naming y[1].
 	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n3 2 4\n1 1 1\n2 1 1e308\n2 2 1e308\n3 2 1e308\n"))
 

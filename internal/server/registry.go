@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -77,7 +78,9 @@ func (r *registry) get(id string) (*entry, bool) {
 }
 
 // getOrBuild returns the cached entry for key or runs build exactly
-// once across concurrent callers. The bool reports a cache hit.
+// once across concurrent callers. The bool reports a cache hit. A build
+// that fails or panics is not cached: its error goes to every waiting
+// caller, and the next call builds again.
 // Entries evicted while a caller was waiting surface as a miss on the
 // caller's next attempt, never as a half-closed entry.
 func (r *registry) getOrBuild(key string, build func() (*entry, error)) (*entry, bool, error) {
@@ -98,7 +101,7 @@ func (r *registry) getOrBuild(key string, build func() (*entry, error)) (*entry,
 	r.builds[key] = c
 	r.mu.Unlock()
 
-	e, err := build()
+	e, err := buildRecovered(build)
 	c.e, c.err = e, err
 
 	var evicted []*entry
@@ -120,6 +123,18 @@ func (r *registry) getOrBuild(key string, build func() (*entry, error)) (*entry,
 		ev.runner.Close()
 	}
 	return e, false, err
+}
+
+// buildRecovered runs build, turning a panic into an error, so a build
+// that panics still releases its key and wakes the callers waiting on
+// it instead of leaving them blocked on a build that never finishes.
+func buildRecovered(build func() (*entry, error)) (e *entry, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			e, err = nil, fmt.Errorf("server: recovered panic in build: %v", p)
+		}
+	}()
+	return build()
 }
 
 // evictLocked trims least-recently-used entries until the byte budget

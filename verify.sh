@@ -9,6 +9,15 @@ cd "$(dirname "$0")"
 
 FUZZTIME="${FUZZTIME:-30s}"
 
+echo "== gofmt -l ."
+# Any file gofmt would rewrite fails the gate.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "verify.sh: gofmt -l lists files that are not formatted:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -131,6 +140,9 @@ if [ "$FUZZTIME" != "0" ]; then
 	# FuzzMultiplyBody holds the multiply wire codec to encoding/json:
 	# what it accepts decodes bitwise alike, and what it writes is
 	# byte-identical.
+	# FuzzReadStream holds the Matrix Market reader to the
+	# field-splitting parser it replaced: what it accepts, the old
+	# parser accepts with the same entries, bit for bit.
 	# Note: the server target's exec counter can look frozen for up to
 	# a minute at a time — that is the fuzz engine minimizing a new
 	# interesting input (default -fuzzminimizetime=60s), not a hang.
@@ -138,6 +150,7 @@ if [ "$FUZZTIME" != "0" ]; then
 		"spmv/internal/csrdu FuzzFromRaw" \
 		"spmv/internal/dcsr FuzzFromRaw" \
 		"spmv/internal/matfile FuzzRead" \
+		"spmv/internal/mmio FuzzReadStream" \
 		"spmv/internal/server FuzzServeUpload" \
 		"spmv/internal/server FuzzMultiplyBody"; do
 		pkg=${target% *}
