@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // COO is a coordinate-format (triplet) sparse matrix. It is the exchange
@@ -12,7 +12,9 @@ import (
 //
 // A COO is "finalized" when its entries are sorted row-major (row, then
 // column) and contain no duplicate coordinates. Format constructors
-// require a finalized COO; call Finalize after the last Add.
+// require a finalized COO; call Finalize after the last Add. Finalize
+// sums the values of a repeated coordinate in the order they were
+// added, which is the order of a Matrix Market file's lines.
 type COO struct {
 	rows, cols int
 	I, J       []int32
@@ -63,14 +65,19 @@ func (c *COO) At(k int) (i, j int, v float64) {
 }
 
 // Finalize sorts the triplets row-major and folds duplicate coordinates
-// by summing their values. Explicit zeros that result from cancellation
-// are kept: they are stored non-zeros, exactly as in CSR assembly.
+// by summing their values in the order they were added. Explicit zeros
+// that result from cancellation are kept: they are stored non-zeros,
+// exactly as in CSR assembly. The sort is stable and O(Len()); its
+// memory depends on Len() only, never on the dimensions (finalize.go).
 // Finalize is idempotent.
 func (c *COO) Finalize() {
 	if c.finalized {
 		return
 	}
-	sort.Sort((*cooSort)(c))
+	if !slices.IsSorted(c.I) {
+		c.sortRows()
+	}
+	c.sortCols()
 	// Fold duplicates in place.
 	w := 0
 	for k := 0; k < len(c.V); k++ {
@@ -113,10 +120,31 @@ func (c *COO) Clone() *COO {
 func (c *COO) Transpose() *COO {
 	c.mustFinal("Transpose")
 	t := NewCOO(c.cols, c.rows)
-	for k := range c.V {
-		t.Add(int(c.J[k]), int(c.I[k]), c.V[k])
+	n := len(c.V)
+	if c.cols > n {
+		// A count per column would outweigh the entries; Finalize's
+		// memory depends on the entries only.
+		t.I, t.J, t.V = slices.Clone(c.J), slices.Clone(c.I), slices.Clone(c.V)
+		t.Finalize()
+		return t
 	}
-	t.Finalize()
+	// A counting sort by column writes the transpose straight into its
+	// arrays, with no scratch copy. c is in row order, so each column's
+	// entries arrive in row order.
+	next := make([]int, c.cols+1)
+	for _, j := range c.J {
+		next[j+1]++
+	}
+	for j := range c.cols {
+		next[j+1] += next[j]
+	}
+	t.I, t.J, t.V = make([]int32, n), make([]int32, n), make([]float64, n)
+	for k, j := range c.J {
+		p := next[j]
+		next[j]++
+		t.I[p], t.J[p], t.V[p] = j, c.I[k], c.V[k]
+	}
+	t.finalized = true
 	return t
 }
 
@@ -129,12 +157,9 @@ func (c *COO) AddCOO(other *COO) *COO {
 		panic(Usagef("core: AddCOO shape mismatch: %dx%d vs %dx%d", c.rows, c.cols, other.rows, other.cols))
 	}
 	out := NewCOO(c.rows, c.cols)
-	for k := range c.V {
-		out.Add(int(c.I[k]), int(c.J[k]), c.V[k])
-	}
-	for k := range other.V {
-		out.Add(int(other.I[k]), int(other.J[k]), other.V[k])
-	}
+	out.I = slices.Concat(c.I, other.I)
+	out.J = slices.Concat(c.J, other.J)
+	out.V = slices.Concat(c.V, other.V)
 	out.Finalize()
 	return out
 }
@@ -226,20 +251,4 @@ func (c *COO) mustFinal(op string) {
 	if !c.finalized {
 		panic(Usagef("core: COO.%s requires a finalized COO; call Finalize first", op))
 	}
-}
-
-// cooSort sorts a COO row-major by (i, j).
-type cooSort COO
-
-func (s *cooSort) Len() int { return len(s.V) }
-func (s *cooSort) Less(a, b int) bool {
-	if s.I[a] != s.I[b] {
-		return s.I[a] < s.I[b]
-	}
-	return s.J[a] < s.J[b]
-}
-func (s *cooSort) Swap(a, b int) {
-	s.I[a], s.I[b] = s.I[b], s.I[a]
-	s.J[a], s.J[b] = s.J[b], s.J[a]
-	s.V[a], s.V[b] = s.V[b], s.V[a]
 }

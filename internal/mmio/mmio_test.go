@@ -2,7 +2,9 @@ package mmio
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -341,5 +343,55 @@ func TestSymmetricExpansionDuplicateFold(t *testing.T) {
 	}
 	if d.At(2, 2) != 5 {
 		t.Errorf("diagonal = %v, want 5", d.At(2, 2))
+	}
+}
+
+// TestReadColumnMajorEqualsRowMajor: the same entries listed column by
+// column, as column-oriented writers emit them, read to the COO the
+// row-major listing gives.
+func TestReadColumnMajorEqualsRowMajor(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := matgen.RandomUniform(rng, 300, 200, 9, matgen.Values{})
+	var rowMajor, colMajor bytes.Buffer
+	if err := Write(&rowMajor, c); err != nil {
+		t.Fatal(err)
+	}
+	// The transpose's rows are c's columns, in order.
+	ct := c.Transpose()
+	fmt.Fprintf(&colMajor, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n", c.Rows(), c.Cols(), c.Len())
+	for k := range ct.V {
+		fmt.Fprintf(&colMajor, "%d %d %.17g\n", ct.J[k]+1, ct.I[k]+1, ct.V[k])
+	}
+	a, err := Read(&rowMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Read(&colMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Equal(c) || !b.Equal(a) {
+		t.Error("column-major file reads to a different COO than the row-major file")
+	}
+}
+
+// TestReadMemoryIgnoresDimensions: a 90-byte file may declare
+// 2^31-1 rows and columns. Read must cost what its bytes cost: the
+// scanner's 64 KiB line buffer plus less than 64 KiB, never memory
+// that grows with the declared rows.
+func TestReadMemoryIgnoresDimensions(t *testing.T) {
+	in := "%%MatrixMarket matrix coordinate real general\n2147483647 2147483647 3\n2147483647 1 1\n1 2147483647 2\n5 5 3\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := Read(strings.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 128<<10 {
+		t.Errorf("Read allocated %d bytes, want < 128 KiB", d)
+	}
+	if i, _, _ := c.At(0); i != 0 || c.Len() != 3 {
+		t.Errorf("not sorted: first row %d, %d entries", i, c.Len())
 	}
 }

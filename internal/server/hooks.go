@@ -11,9 +11,4 @@ type Hooks struct {
 	// (recovered, counted in Metrics.PanicsRecovered, surfaced as a 500
 	// on the batch's requests while the loop and executor stay healthy).
 	BeforeExecute func(matrixID string, width int) error
-
-	// OnIngest observes every upload body after it is read and before
-	// it is parsed; tests use it to confirm corrupt payloads reached
-	// the parser rather than being filtered earlier.
-	OnIngest func(body []byte)
 }

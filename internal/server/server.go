@@ -34,7 +34,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -365,7 +364,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		s.failUpload(r, w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	body, err := readPieces(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
 	if err != nil {
 		s.metrics.UploadsRejected.Add(1)
 		var mbe *http.MaxBytesError
@@ -378,9 +377,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.UploadsTotal.Add(1)
-	if h := s.cfg.Hooks; h != nil && h.OnIngest != nil {
-		h.OnIngest(body)
-	}
 
 	formatName := r.URL.Query().Get("format")
 	explicit := formatName != ""
@@ -388,14 +384,18 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		formatName = s.cfg.DefaultFormat
 	}
 	keyFormat := formatName
-	if !explicit && bytes.HasPrefix(body, matfileMagic) {
+	if !explicit && body.hasPrefix(matfileMagic) {
 		// A matfile container stores a built format already; it is
 		// admitted as-is, so the cache key ignores the default format.
 		// An explicit format request keeps its own key, so the
 		// stored-vs-requested match is validated on the build path.
 		keyFormat = "asis"
 	}
-	sum := sha256.Sum256(body)
+	sum, err := body.sum()
+	if err != nil {
+		s.failUpload(r, w, http.StatusInternalServerError, err)
+		return
+	}
 	key := hex.EncodeToString(sum[:8]) + "-" + keyFormat
 
 	// Cache fast path: no build slot needed.
@@ -462,12 +462,12 @@ func badUpload(err error) error {
 // ingest parses, verifies and builds one upload into a registry entry.
 // Corrupt bytes fail here with the PR-1 typed sentinels — nothing
 // unverified is ever admitted.
-func (s *Server) ingest(key string, body []byte, formatName string, explicit bool) (*entry, error) {
+func (s *Server) ingest(key string, body pieces, formatName string, explicit bool) (*entry, error) {
 	var f core.Format
 	var tune *autotune.Report
-	if bytes.HasPrefix(body, matfileMagic) {
+	if body.hasPrefix(matfileMagic) {
 		// matfile v2: checksum-verified, alloc-bomb-guarded sized read.
-		m, err := matfile.ReadSized(bytes.NewReader(body), int64(len(body)))
+		m, err := matfile.ReadSized(body.reader(), body.size())
 		if err != nil {
 			return nil, badUpload(err)
 		}
@@ -479,7 +479,7 @@ func (s *Server) ingest(key string, body []byte, formatName string, explicit boo
 		}
 		f = m
 	} else {
-		c, err := mmio.Read(bytes.NewReader(body))
+		c, err := mmio.Read(body.reader())
 		if err != nil {
 			return nil, badUpload(err)
 		}

@@ -44,6 +44,12 @@ echo "== BenchmarkUnitShapes smoke"
 # cannot rot; measure with -benchtime=10x -count=5.
 go test -run '^$' -bench '^BenchmarkUnitShapes$' -benchtime=1x ./internal/csrdu/
 
+echo "== BenchmarkFinalize smoke"
+# COO.Finalize on four orders of arrival (7-point stencil rows with the
+# diagonal first, 1024 random columns per row, one 1.5 M-entry row,
+# column-major), one iteration each; reports ns/nnz.
+go test -run '^$' -bench '^BenchmarkFinalize$' -benchtime=1x ./internal/core/
+
 echo "== BenchmarkSolverCG smoke"
 # CG end to end, including the out-of-cache Stencil3D cells (threads 1
 # and GOMAXPROCS) that report ms/iter and vec-ms/iter; one solve each.
@@ -143,6 +149,8 @@ if [ "$FUZZTIME" != "0" ]; then
 	# FuzzReadStream holds the Matrix Market reader to the
 	# field-splitting parser it replaced: what it accepts, the old
 	# parser accepts with the same entries, bit for bit.
+	# FuzzFinalize holds COO.Finalize to a stable comparison sort on
+	# (row, column) followed by an in-order fold, bit for bit.
 	# Note: the server target's exec counter can look frozen for up to
 	# a minute at a time — that is the fuzz engine minimizing a new
 	# interesting input (default -fuzzminimizetime=60s), not a hang.
@@ -151,6 +159,7 @@ if [ "$FUZZTIME" != "0" ]; then
 		"spmv/internal/dcsr FuzzFromRaw" \
 		"spmv/internal/matfile FuzzRead" \
 		"spmv/internal/mmio FuzzReadStream" \
+		"spmv/internal/core FuzzFinalize" \
 		"spmv/internal/server FuzzServeUpload" \
 		"spmv/internal/server FuzzMultiplyBody"; do
 		pkg=${target% *}
