@@ -109,10 +109,23 @@ func Permute(c *core.COO, perm []int32) (*core.COO, error) {
 		seen[old] = true
 		inv[old] = int32(newIdx)
 	}
+	// A counting sort by new row writes the triplets in row order
+	// straight into exact-size arrays, so Finalize only sorts columns
+	// within rows and needs no scratch copy of the matrix.
+	next := make([]int, n+1)
+	for _, i := range c.I {
+		next[inv[i]+1]++
+	}
+	for r := range n {
+		next[r+1] += next[r]
+	}
 	out := core.NewCOO(n, n)
-	for k := 0; k < c.Len(); k++ {
-		i, j, v := c.At(k)
-		out.Add(int(inv[i]), int(inv[j]), v)
+	out.I, out.J, out.V = make([]int32, c.Len()), make([]int32, c.Len()), make([]float64, c.Len())
+	for k, i := range c.I {
+		r := inv[i]
+		p := next[r]
+		next[r]++
+		out.I[p], out.J[p], out.V[p] = r, inv[c.J[k]], c.V[k]
 	}
 	out.Finalize()
 	return out, nil

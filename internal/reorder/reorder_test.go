@@ -162,3 +162,39 @@ func TestBandwidthAndProfileBasics(t *testing.T) {
 		t.Error("empty matrix bandwidth/profile not 0")
 	}
 }
+
+// TestPermuteMatchesAddAndFinalize: Permute's counting sort gives the
+// COO that adding the relabelled triplets one by one and finalizing
+// gives, bit for bit, on every square corpus matrix.
+func TestPermuteMatchesAddAndFinalize(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range testmat.Corpus() {
+		c := tc.COO
+		n := c.Rows()
+		if n != c.Cols() {
+			continue
+		}
+		perm := make([]int32, n)
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		rng.Shuffle(n, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
+		inv := make([]int, n)
+		for newIdx, old := range perm {
+			inv[old] = newIdx
+		}
+		want := core.NewCOO(n, n)
+		for k := 0; k < c.Len(); k++ {
+			i, j, v := c.At(k)
+			want.Add(inv[i], inv[j], v)
+		}
+		want.Finalize()
+		got, err := Permute(c, perm)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.Name, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: Permute differs from Add + Finalize", tc.Name)
+		}
+	}
+}
