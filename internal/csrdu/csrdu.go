@@ -21,10 +21,11 @@
 // answer to DCSR's per-element decode branches. Units never span rows.
 //
 // Two decoders of the grammar sit under the multiplication kernels. The
-// scalar kernel ((*chunk).SpMV, decode.go) decodes in line — peeled
-// first header, rows stored once, an unrolled ujmp varint, 8-byte loads
-// of u16/u32 deltas — because at one multiply-add per delta the decode
-// is the kernel. The panel kernels (batch.go), here and in csrduvi,
+// scalar kernel ((*chunk).SpMV, decode.go) decodes in line — a
+// dispatcher hands each run of same-class units to that class's loop,
+// which keeps its state in registers, reads an unrolled ujmp varint and
+// loads deltas in blocks — because at one multiply-add per delta the
+// decode is the kernel. The panel kernels (batch.go), here and in csrduvi,
 // share DecodeUnit, which expands one unit into column indices. ForEach
 // is the plain walk the tests hold both against. The kernels keep two
 // invariants: a row's products are summed left to right in stream

@@ -38,6 +38,9 @@ func scanStream(ctl []byte, nvals, rows, cols int) (marks []mark, sawRLE bool, e
 		if size == 0 {
 			return nil, false, core.Corruptf("csrdu: zero-size unit at offset %d", unitStart)
 		}
+		if flags&(FlagNR|FlagRJMP) == FlagRJMP {
+			return nil, false, core.Corruptf("csrdu: row jump without new-row flag at offset %d", unitStart)
+		}
 		if flags&FlagNR != 0 {
 			var skip uint64 = 1
 			if flags&FlagRJMP != 0 {

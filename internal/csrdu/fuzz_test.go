@@ -24,6 +24,7 @@ func FuzzFromRaw(f *testing.F) {
 	f.Add([]byte{FlagNR | FlagRJMP | ClassU8, 2, 3, 0x81, 0x80, 0x00, 4,
 		FlagNR | FlagRJMP | ClassU16, 3, 2, 5, 0x2c, 0x01, 0x04, 0x01}, 9, 700, 5)
 	f.Add([]byte{}, 3, 3, 0)
+	f.Add(rjmpWithoutNR, 2, 16, 6)
 	f.Fuzz(func(t *testing.T, ctl []byte, rows, cols, nvals int) {
 		if rows <= 0 || cols <= 0 || rows > 1000 || cols > 1000 || nvals < 0 || nvals > 10000 {
 			return
@@ -41,6 +42,9 @@ func FuzzFromRaw(f *testing.F) {
 		if verr := mat.Verify(); verr != nil {
 			t.Fatalf("FromRaw accepted but Verify rejects: %v", verr)
 		}
+		// Stats walks the headers on its own: it must not panic, and
+		// its counts must agree with an independent header walk.
+		checkStats(t, mat)
 		// The kernel must run in bounds and the decode walk must
 		// agree with nnz.
 		x := make([]float64, cols)
@@ -77,4 +81,35 @@ func FuzzFromRaw(f *testing.F) {
 		// their own rows only — on hostile streams too.
 		testmat.CheckBitwise(t, mat, 4, testmat.Reference(mat), 1, 8)
 	})
+}
+
+// checkStats compares (*Matrix).Stats with a header walk that reuses
+// DecodeUnit, the panel kernels' unit decoder, to step over each unit.
+func checkStats(t *testing.T, m *Matrix) {
+	t.Helper()
+	var want UnitStats
+	want.CtlBytes = len(m.Ctl)
+	var cols [MaxUnit]int32
+	total := 0
+	for pos := 0; pos < len(m.Ctl); {
+		flags, size := m.Ctl[pos], int(m.Ctl[pos+1])
+		pos += 2
+		if flags&FlagRJMP != 0 {
+			_, pos = SkipRows(nil, 0, 0, m.Ctl, pos)
+		}
+		pos, _ = DecodeUnit(m.Ctl, pos, flags, 0, cols[:size])
+		if flags&FlagRLE != 0 {
+			want.RLEUnits++
+		} else {
+			want.PerClass[flags&TypeMask]++
+		}
+		want.Units++
+		total += size
+	}
+	if want.Units > 0 {
+		want.AvgSize = float64(total) / float64(want.Units)
+	}
+	if got := m.Stats(); got != want {
+		t.Fatalf("Stats = %+v, header walk %+v", got, want)
+	}
 }

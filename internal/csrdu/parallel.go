@@ -7,21 +7,6 @@ import (
 	"spmv/internal/core"
 )
 
-// FromCOOParallel encodes with nworkers concurrent encoders (0 means
-// GOMAXPROCS).
-//
-// Deprecated: set Options.Workers and call FromCOOOpts instead; the
-// worker count is an encoder option, not a separate constructor. This
-// wrapper remains for compatibility and maps nworkers <= 0 to
-// Workers = -1 (GOMAXPROCS).
-func FromCOOParallel(c *core.COO, opts Options, nworkers int) (*Matrix, error) {
-	if nworkers <= 0 {
-		nworkers = -1
-	}
-	opts.Workers = nworkers
-	return FromCOOOpts(c, opts)
-}
-
 // fromCOOParallel is the multi-worker encoder behind Options.Workers.
 // The matrix is cut into row blocks, each encoded independently
 // (CSR-DU units never span rows, so block streams concatenate

@@ -25,7 +25,8 @@ func TestParallelEncodeByteIdentical(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			for _, workers := range []int{2, 3, 8} {
-				par, err := FromCOOParallel(c, opts, workers)
+				opts.Workers = workers
+				par, err := FromCOOOpts(c, opts)
 				if err != nil {
 					t.Fatalf("%s/%d: %v", name, workers, err)
 				}
@@ -67,7 +68,7 @@ func sparseWithGaps(rng *rand.Rand, n int) *core.COO {
 func TestParallelEncodeSpMVCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := sparseWithGaps(rng, 5000)
-	m, err := FromCOOParallel(c, Options{}, 4)
+	m, err := FromCOOOpts(c, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestParallelEncodeSpMVCorrect(t *testing.T) {
 
 func TestParallelEncodeSmallFallsBack(t *testing.T) {
 	c := matgen.Stencil2D(5)
-	m, err := FromCOOParallel(c, Options{}, 8)
+	m, err := FromCOOOpts(c, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func BenchmarkEncodeParallel(b *testing.B) {
 		w := w
 		b.Run(map[int]string{1: "serial", 4: "4-workers"}[w], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := FromCOOParallel(c, Options{}, w); err != nil {
+				if _, err := FromCOOOpts(c, Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -115,3 +115,26 @@ func TestCtlSingleByteFlips(t *testing.T) {
 		}
 	}
 }
+
+// rjmpWithoutNR is a stream whose second unit sets RJMP but not NR: the
+// grammar allows a row jump only on a new-row header, and every decoder
+// reads the rjmp varint only under NR.
+var rjmpWithoutNR = []byte{0x40, 0x02, 0x01, 0x02, 0x21, 0x03, 0x03, 0x01, 0x00, 0x01, 0x00, 0x40, 0x01, 0x00}
+
+func TestVerifyRejectsRowJumpWithoutNewRow(t *testing.T) {
+	_, err := FromRaw(rjmpWithoutNR, make([]float64, 6), 2, 16)
+	if !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("RJMP without NR: got %v, want ErrCorrupt", err)
+	}
+	// The same units with the jump flag cleared are well formed, and
+	// Stats counts them like the header walk does.
+	ctl := append([]byte(nil), rjmpWithoutNR...)
+	ctl[4] &^= FlagRJMP
+	m, err := FromRaw(ctl, make([]float64, 6), 2, 16)
+	if err != nil {
+		t.Fatalf("RJMP cleared: %v", err)
+	}
+	if got, want := m.Stats(), (UnitStats{Units: 3, PerClass: [4]int{2, 1, 0, 0}, AvgSize: 2, CtlBytes: 14}); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+}

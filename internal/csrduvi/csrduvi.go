@@ -190,10 +190,11 @@ func (c *chunk) SpMV(y, x []float64) {
 	}
 }
 
-// spmvDUVI is csrdu's scalar kernel — see (*chunk).SpMV there for the
-// loop shape and the two invariants it keeps (left-to-right row sums,
-// writes confined to [lo, hi)) — with each value read as unique[ind[k]].
-// The chunk must hold at least one unit.
+// spmvDUVI is the single-loop form of csrdu's scalar kernel, from
+// before that kernel's per-class run loops (DESIGN.md §17), with each
+// value read as unique[ind[k]]. It keeps the same peeled first header,
+// rows stored once and two invariants (left-to-right row sums, writes
+// confined to [lo, hi)). The chunk must hold at least one unit.
 func spmvDUVI[I uint8 | uint16 | uint32](c *chunk, ind []I, y, x []float64) {
 	m := c.m
 	ctl := m.du.Ctl[:c.ctlHi]

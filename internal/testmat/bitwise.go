@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spmv/internal/core"
+	"spmv/internal/matgen"
 	"spmv/internal/varint"
 )
 
@@ -243,6 +244,81 @@ func DUStreams() []DUStream {
 		{Row: 1, Class: 1, JumpLen: 6, Cols: colsFrom(1<<21+50, 1, 4)},
 		{Row: 2, RLE: true, JumpLen: 5, Cols: colsFrom(1<<21, 2, 8)},
 	})
+
+	// The scalar kernel hands each run of same-class units to one loop
+	// and leaves it at the first header of another kind, carrying the
+	// row's column position and partial sum across the exit. For every
+	// ordered pair of unit kinds: a row of two units of the first, two
+	// of the second and two of the first again (class changes without
+	// NR, out and back), then a new row of the first kind (a run that
+	// crosses a row), and after a row jump another row of the same
+	// kind (a run that ends at the jump). Unit sizes 3 and 6 reach
+	// every delta block of each class.
+	kinds := []DUUnit{{Class: 0}, {Class: 1}, {Class: 2}, {Class: 3}, {RLE: true}}
+	var pairs []DUUnit
+	row, col := 0, 0
+	unit := func(k DUUnit, n int) {
+		step := []int{3, 300, 3, 5}[k.Class]
+		k.Row, k.Cols = row, colsFrom(col+1, step, n)
+		pairs = append(pairs, k)
+		col = k.Cols[n-1]
+	}
+	for ai, a := range kinds {
+		for bi, b := range kinds {
+			if ai == bi {
+				continue
+			}
+			for i, k := range []DUUnit{a, a, b, b, a, a} {
+				unit(k, []int{3, 6}[i%2])
+			}
+			row, col = row+1, 0
+			unit(a, 6)
+			row, col = row+3, 0
+			unit(a, 3)
+			row, col = row+1, 0
+		}
+	}
+	add("class-pairs", row, cols, []int{1, 4}, pairs)
+
+	// Rows whose last unit changes class, so that wherever a Split puts
+	// a chunk boundary, the unit before it left the previous run: u16
+	// rows ending in a u8 unit, u8 rows ending in a u32 unit, u32 rows
+	// ending in a u16 unit.
+	var edges []DUUnit
+	for r := 0; r < 24; r++ {
+		a, b := []byte{1, 0, 2}[r%3], []byte{0, 2, 1}[r%3]
+		edges = append(edges,
+			DUUnit{Row: r, Class: a, Cols: colsFrom(r, 2, 5)},
+			DUUnit{Row: r, Class: a, Cols: colsFrom(r+20, 3, 2)},
+			DUUnit{Row: r, Class: b, Cols: colsFrom(r+40, 7, 4)})
+	}
+	add("chunk-edge-class-change", 24, cols, []int{1, 3}, edges)
+
+	// Stencil3D(8) with a u16 unit per interior row and, on the two
+	// boundary planes, a u8 unit followed by a u16 unit: the full-size
+	// stencil's u16 runs broken by boundary rows of narrower deltas,
+	// with a class change inside every boundary row.
+	const n = 8
+	st := matgen.Stencil3D(n)
+	var sten []DUUnit
+	for k := 0; k < st.Len(); {
+		r, _, _ := st.At(k)
+		var rc []int
+		for ; k < st.Len(); k++ {
+			i, j, _ := st.At(k)
+			if i != r {
+				break
+			}
+			rc = append(rc, j)
+		}
+		if plane := r / (n * n); plane == 0 || plane == n-1 {
+			h := len(rc) / 2
+			sten = append(sten, DUUnit{Row: r, Class: 0, Cols: rc[:h]}, DUUnit{Row: r, Class: 1, Cols: rc[h:]})
+		} else {
+			sten = append(sten, DUUnit{Row: r, Class: 1, Cols: rc})
+		}
+	}
+	add("stencil3d-8-planes", n*n*n, n*n*n, []int{1, 3}, sten)
 
 	// A u16 or u32 unit as the stream's last bytes: with d deltas, fewer
 	// than 8 bytes of ctl remain for the first, a later or no wide load,

@@ -214,7 +214,11 @@ func NewCSRDUOpts(c *COO, o DUOptions) (*CSRDU, error) {
 // with WithWorkers), which folds the serial/parallel split into one
 // entry point. This wrapper remains for compatibility.
 func NewCSRDUParallel(c *COO, o DUOptions, workers int) (*CSRDU, error) {
-	return csrdu.FromCOOParallel(c, o, workers)
+	o.Workers = workers
+	if workers <= 0 {
+		o.Workers = -1 // GOMAXPROCS
+	}
+	return csrdu.FromCOOOpts(c, o)
 }
 
 // NewCSRVI builds the CSR-VI value-indexed format. Worthwhile when the

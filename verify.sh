@@ -39,9 +39,9 @@ go test -race -count=2 ./internal/parallel/... ./internal/obs/... ./internal/sym
 	./internal/solver/... ./internal/vec/...
 
 echo "== BenchmarkUnitShapes smoke"
-# The CSR-DU decode-cost benchmark (7-nnz u16, 255-nnz u8, 8-nnz u32
-# units, csr alongside, ~150 MB working sets), one iteration each so it
-# cannot rot; measure with -benchtime=10x -count=5.
+# The CSR-DU decode-cost benchmark (7-nnz u16, 5-nnz u8 then 2-nnz u16,
+# 255-nnz u8, 8-nnz u32 units, csr alongside, ~150 MB working sets), one
+# iteration each so it cannot rot; measure with -benchtime=10x -count=5.
 go test -run '^$' -bench '^BenchmarkUnitShapes$' -benchtime=1x ./internal/csrdu/
 
 echo "== BenchmarkFinalize smoke"
