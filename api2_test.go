@@ -2,7 +2,6 @@ package spmv_test
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -10,36 +9,6 @@ import (
 	"spmv/internal/matgen"
 	"spmv/internal/testmat"
 )
-
-func TestClassicFormatsAgree(t *testing.T) {
-	c := matgen.Stencil2D(9)
-	x := testmat.RandVec(rand.New(rand.NewSource(1)), c.Cols())
-	ref, _ := spmv.NewCSR(c)
-	want := make([]float64, c.Rows())
-	ref.SpMV(want, x)
-
-	formats := []spmv.Format{}
-	add := func(f spmv.Format, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		formats = append(formats, f)
-	}
-	add(spmv.NewELL(c))
-	add(spmv.NewJDS(c))
-	add(spmv.NewCDS(c))
-	add(spmv.NewSymCSR(c, 1e-12))
-	for _, f := range formats {
-		got := make([]float64, c.Rows())
-		f.SpMV(got, x)
-		testmat.AssertClose(t, f.Name(), got, want, 1e-10)
-	}
-	// CDS beats everything on a pure stencil (no index data at all).
-	cdsF := formats[2]
-	if cdsF.SizeBytes() >= ref.SizeBytes() {
-		t.Errorf("cds %d >= csr %d on stencil", cdsF.SizeBytes(), ref.SizeBytes())
-	}
-}
 
 func TestAnalyzeAndRecommendPublic(t *testing.T) {
 	c := matgen.Stencil2D(20)
@@ -124,23 +93,6 @@ func TestBiCGSTABPublic(t *testing.T) {
 	res, err := spmv.BiCGSTAB(op, b, x, 1e-9, 5000)
 	if err != nil || !res.Converged {
 		t.Fatalf("bicgstab: %v %+v", err, res)
-	}
-}
-
-func TestValueCompressionPublic(t *testing.T) {
-	vals := []float64{1, 2, 3, 2, 1, 2, 3, 2, 1}
-	comp := spmv.CompressValues(vals)
-	back, err := spmv.DecompressValues(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if back[i] != vals[i] {
-			t.Fatal("lossy")
-		}
-	}
-	if r := spmv.ValueCompressibility(vals); r <= 0 || math.IsNaN(r) {
-		t.Errorf("ratio = %v", r)
 	}
 }
 

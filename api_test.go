@@ -52,7 +52,6 @@ func TestAllConstructorsAgree(t *testing.T) {
 	add(spmv.NewCSRVI(c))
 	add(spmv.NewCSRDUVI(c))
 	add(spmv.NewDCSR(c))
-	add(spmv.NewBCSR(c, 2, 2))
 	add(spmv.NewCSC(c))
 	for _, f := range formats {
 		got := make([]float64, 6)

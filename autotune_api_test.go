@@ -27,10 +27,6 @@ func TestConstructorsDelegateToBuild(t *testing.T) {
 		"csc":       func() (spmv.Format, error) { return spmv.NewCSC(c) },
 		"csr32":     func() (spmv.Format, error) { return spmv.NewCSR32(c) },
 		"ell":       func() (spmv.Format, error) { return spmv.NewELL(c) },
-		"jds":       func() (spmv.Format, error) { return spmv.NewJDS(c) },
-		"cds":       func() (spmv.Format, error) { return spmv.NewCDS(c) },
-		"vbr":       func() (spmv.Format, error) { return spmv.NewVBR(c) },
-		"hybrid":    func() (spmv.Format, error) { return spmv.NewHybrid(c) },
 	}
 	for name, ctor := range viaNew {
 		a, err := ctor()

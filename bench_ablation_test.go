@@ -1,7 +1,6 @@
 // Ablation benchmarks for the systems beyond the paper's headline
 // formats: classic-format comparators (§III-A), reordering synergy,
-// symmetric storage, multi-vector SpMM, mixed precision, and value
-// stream compression.
+// symmetric storage, multi-vector SpMM and mixed precision.
 package spmv_test
 
 import (
@@ -12,18 +11,14 @@ import (
 	"spmv/internal/matgen"
 )
 
-// BenchmarkAblationClassicFormats compares the related-work formats on
-// the matrix class each was designed for: CDS and ELL on a banded
-// stencil, JDS on power-law rows.
+// BenchmarkAblationClassicFormats compares ELLPACK with CSR on the
+// banded stencil it was designed for, plus CSR on power-law rows.
 func BenchmarkAblationClassicFormats(b *testing.B) {
 	benchSetup()
 	stencil := benchMats.stencil
 	b.Run("stencil/csr", func(b *testing.B) { runFormat(b, mustFmt(spmv.NewCSR(stencil)), 1) })
-	b.Run("stencil/cds", func(b *testing.B) { runFormat(b, mustFmt(spmv.NewCDS(stencil)), 1) })
 	b.Run("stencil/ell", func(b *testing.B) { runFormat(b, mustFmt(spmv.NewELL(stencil)), 1) })
-	b.Run("stencil/jds", func(b *testing.B) { runFormat(b, mustFmt(spmv.NewJDS(stencil)), 1) })
 	b.Run("powerlaw/csr", func(b *testing.B) { runFormat(b, mustFmt(spmv.NewCSR(benchMats.powerlaw)), 1) })
-	b.Run("powerlaw/jds", func(b *testing.B) { runFormat(b, mustFmt(spmv.NewJDS(benchMats.powerlaw)), 1) })
 }
 
 // BenchmarkAblationRCM measures CSR-DU before and after reverse
@@ -96,39 +91,6 @@ func BenchmarkAblationMixedPrecision(b *testing.B) {
 	b.Run("csr-8t", func(b *testing.B) { runFormat(b, full, 8) })
 	b.Run("csr32-8t", func(b *testing.B) { runFormat(b, low, 8) })
 }
-
-// BenchmarkFPC measures the value-stream compressor's throughput and
-// reports ratios on redundant vs random values.
-func BenchmarkFPC(b *testing.B) {
-	benchSetup()
-	vals := make([]float64, benchMats.stencil.Len())
-	for k := range vals {
-		_, _, vals[k] = benchMats.stencil.At(k)
-	}
-	b.Run("compress-stencil", func(b *testing.B) {
-		b.SetBytes(int64(8 * len(vals)))
-		for i := 0; i < b.N; i++ {
-			fpcSink = spmv.CompressValues(vals)
-		}
-	})
-	b.Run("decompress-stencil", func(b *testing.B) {
-		comp := spmv.CompressValues(vals)
-		b.SetBytes(int64(8 * len(vals)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out, err := spmv.DecompressValues(comp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fpcLen = len(out)
-		}
-	})
-}
-
-var (
-	fpcSink []byte
-	fpcLen  int
-)
 
 // BenchmarkEncoders measures construction cost: the paper claims O(nnz)
 // encoding with no asymptotic overhead over CSR assembly.

@@ -29,7 +29,7 @@ var benchMats struct {
 	largeQ   *core.COO // same shape, 128 unique values (ttu >> 5)
 	random   *core.COO // scattered, worst case for delta encoding
 	stencil  *core.COO // 5-point Poisson, both schemes shine
-	blocky   *core.COO // dense blocks: BCSR/RLE territory
+	blocky   *core.COO // dense blocks: RLE territory
 	powerlaw *core.COO // skewed row lengths
 }
 
@@ -197,16 +197,6 @@ func BenchmarkAblationCSR16(b *testing.B) {
 	b.Run("csr-1t", func(b *testing.B) { runFormat(b, base, 1) })
 	b.Run("csr16-1t", func(b *testing.B) { runFormat(b, c16, 1) })
 	b.Run("csr-du-1t", func(b *testing.B) { runFormat(b, du, 1) })
-}
-
-// BenchmarkAblationBCSR measures register blocking on and off its
-// target structure.
-func BenchmarkAblationBCSR(b *testing.B) {
-	benchSetup()
-	blocky := mustFmt(spmv.NewBCSR(benchMats.blocky, 4, 4))
-	csrB := mustFmt(spmv.NewCSR(benchMats.blocky))
-	b.Run("blocky/bcsr4x4", func(b *testing.B) { runFormat(b, blocky, 1) })
-	b.Run("blocky/csr", func(b *testing.B) { runFormat(b, csrB, 1) })
 }
 
 // BenchmarkAblationPartitioning compares the three partitioning schemes

@@ -15,7 +15,8 @@ type BuildOption func(*buildConfig)
 type buildConfig struct {
 	name     string
 	explicit bool
-	opts     formats.Options
+	du       DUOptions
+	workers  int
 	auto     bool
 	budget   time.Duration
 	report   *TuneReport
@@ -52,15 +53,17 @@ func WithFormat(name string) BuildOption {
 // split thresholds) to the delta-unit family ("csr-du", "csr-du-rle",
 // "csr-du-vi"). Other formats ignore it.
 func WithDUOptions(o DUOptions) BuildOption {
-	return func(c *buildConfig) { c.opts.DU = o }
+	return func(c *buildConfig) { c.du = o }
 }
 
 // WithWorkers sets the number of concurrent encoder workers for formats
-// with a parallel builder (currently the CSR-DU family): 0 or 1 encodes
-// serially, n > 1 uses n workers, negative means GOMAXPROCS. The
-// encoded stream is byte-identical to the serial encoder's.
+// with a parallel builder (currently the CSR-DU family), overriding
+// DUOptions.Workers whichever option comes first: 1 encodes serially,
+// n > 1 uses n workers, negative means GOMAXPROCS, and 0 keeps
+// DUOptions.Workers. The encoded stream is byte-identical to the
+// serial encoder's.
 func WithWorkers(n int) BuildOption {
-	return func(c *buildConfig) { c.opts.Workers = n }
+	return func(c *buildConfig) { c.workers = n }
 }
 
 // WithAutoFormat lets the autotuner choose the format: structural
@@ -68,9 +71,9 @@ func WithWorkers(n int) BuildOption {
 // is ranked by predicted bytes-per-SpMV under the traffic model
 // (blended with statistically significant measured priors from the
 // host's benchmark archive when one is configured), and the winner is
-// built — "hybrid" with autotuned per-region selection. The analytic
-// decision is deterministic; add WithAutoBudget to let measurement
-// refine it. Retrieve the full decision trace with WithTuneReport.
+// built. The analytic decision is deterministic; add WithAutoBudget to
+// let measurement refine it. Retrieve the full decision trace with
+// WithTuneReport.
 func WithAutoFormat() BuildOption {
 	return func(c *buildConfig) { c.auto = true }
 }
@@ -129,7 +132,10 @@ func Build(c *COO, opts ...BuildOption) (Format, error) {
 		}
 		return autotune.Build(c, rep.Chosen)
 	}
-	return formats.BuildOpts(cfg.name, c, cfg.opts)
+	if cfg.workers != 0 {
+		cfg.du.Workers = cfg.workers
+	}
+	return formats.BuildOpts(cfg.name, c, cfg.du)
 }
 
 // buildAs routes a concrete-typed constructor through the options

@@ -12,7 +12,7 @@ import (
 
 // laplacian2D assembles the 5-point stencil on an n×n grid together
 // with its dense image. Symmetric, banded and uniform-row, so every
-// registered format (including sym-csr, cds and ell) can represent it.
+// registered format (including sym-csr and ell) can represent it.
 func laplacian2D(n int) (*spmv.COO, []float64) {
 	dim := n * n
 	c := spmv.NewCOO(dim, dim)
@@ -167,17 +167,20 @@ func TestBuildOptionsPublic(t *testing.T) {
 		t.Errorf("parallel encode size %d != serial %d", par.SizeBytes(), serial.SizeBytes())
 	}
 
-	// Unknown names are ErrUsage and list every valid name.
-	_, err = spmv.Build(c, spmv.WithFormat("nope"))
-	if err == nil {
-		t.Fatal("unknown format accepted")
-	}
-	if !errors.Is(err, spmv.ErrUsage) {
-		t.Errorf("error %v does not wrap ErrUsage", err)
-	}
-	for _, name := range spmv.FormatNames() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not mention %q", err, name)
+	// Unknown names, including the related-work formats the registry
+	// no longer carries, are ErrUsage and list every valid name.
+	for _, bad := range []string{"nope", "bcsr2x2", "bcsr4x4", "vbr", "jds", "cds", "hybrid"} {
+		_, err = spmv.Build(c, spmv.WithFormat(bad))
+		if err == nil {
+			t.Fatalf("unknown format %q accepted", bad)
+		}
+		if !errors.Is(err, spmv.ErrUsage) {
+			t.Errorf("%s: error %v does not wrap ErrUsage", bad, err)
+		}
+		for _, name := range spmv.FormatNames() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("error %q does not mention %q", err, name)
+			}
 		}
 	}
 }

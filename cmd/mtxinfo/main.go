@@ -183,12 +183,6 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 		a.Bandwidth, a.Diagonals, a.Symmetric, a.AvgRowNNZ, a.MaxRowNNZ)
 	fmt.Printf("  col deltas   u8 %.0f%%  u16 %.0f%%  u32 %.0f%%  (delta==1: %.0f%%)\n",
 		100*a.DeltaFrac[0], 100*a.DeltaFrac[1], 100*a.DeltaFrac[2], 100*a.DeltaEq1)
-	vals := make([]float64, c.Len())
-	for k := range vals {
-		_, _, vals[k] = c.At(k)
-	}
-	fmt.Printf("  fpc ratio    %.2f  (lossless value-stream compressibility)\n",
-		spmv.ValueCompressibility(vals))
 
 	base, err := spmv.NewCSR(c)
 	if err != nil {

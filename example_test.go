@@ -149,12 +149,12 @@ func ExampleNewILU0() {
 
 func ExampleBuildFormat() {
 	c := tridiag(50)
-	for _, name := range []string{"csr", "csr-du", "cds"} {
+	for _, name := range []string{"csr", "csr-du", "csr-vi"} {
 		f, _ := spmv.BuildFormat(name, c)
 		fmt.Printf("%s %d bytes\n", f.Name(), f.SizeBytes())
 	}
 	// Output:
 	// csr 1980 bytes
 	// csr-du 1432 bytes
-	// cds 1212 bytes
+	// csr-vi 960 bytes
 }

@@ -72,28 +72,7 @@ func shuffle(rng *rand.Rand, c *spmv.COO) *spmv.COO {
 }
 
 func build(format string, c *spmv.COO) spmv.Format {
-	var f spmv.Format
-	var err error
-	switch format {
-	case "csr":
-		f, err = spmv.NewCSR(c)
-	case "csr16":
-		f, err = spmv.NewCSR16(c)
-	case "csr-du":
-		f, err = spmv.NewCSRDU(c)
-	case "csr-vi":
-		f, err = spmv.NewCSRVI(c)
-	case "csr-du-vi":
-		f, err = spmv.NewCSRDUVI(c)
-	case "cds":
-		f, err = spmv.NewCDS(c)
-	case "ell":
-		f, err = spmv.NewELL(c)
-	case "sym-csr":
-		f, err = spmv.NewSymCSR(c, 1e-12)
-	default:
-		return nil
-	}
+	f, err := spmv.Build(c, spmv.WithFormat(format))
 	if err != nil {
 		return nil
 	}

@@ -37,7 +37,7 @@ func main() {
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "matrix\tnnz\tttu\tcsr16\tcsr-du\t+rle\tcsr-vi\tdu-vi\tdcsr\tbcsr2x2\tdu units (u8/u16/u32)")
+	fmt.Fprintln(w, "matrix\tnnz\tttu\tcsr16\tcsr-du\t+rle\tcsr-vi\tdu-vi\tdcsr\tdu units (u8/u16/u32)")
 	for _, m := range mats {
 		base, err := spmv.NewCSR(m.c)
 		if err != nil {
@@ -55,7 +55,7 @@ func main() {
 		if m.c.Cols() <= 1<<16 {
 			c16 = pct(spmv.NewCSR16(m.c))
 		}
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d/%d/%d\n",
+		fmt.Fprintf(w, "%s\t%d\t%.0f\t%s\t%s\t%s\t%s\t%s\t%s\t%d/%d/%d\n",
 			m.name, m.c.Len(), matgen.TTU(m.c),
 			c16,
 			pct(du, nil),
@@ -63,7 +63,6 @@ func main() {
 			pct(spmv.NewCSRVI(m.c)),
 			pct(spmv.NewCSRDUVI(m.c)),
 			pct(spmv.NewDCSR(m.c)),
-			pct(spmv.NewBCSR(m.c, 2, 2)),
 			st.PerClass[csrdu.ClassU8], st.PerClass[csrdu.ClassU16], st.PerClass[csrdu.ClassU32],
 		)
 	}

@@ -35,7 +35,7 @@ type Analysis struct {
 	DeltaEq1 float64
 
 	Bandwidth int
-	Diagonals int // distinct non-zero diagonals (CDS feasibility)
+	Diagonals int // distinct non-zero diagonals
 
 	Symmetric bool // pattern-symmetric with equal values
 }
@@ -169,12 +169,6 @@ func (a Analysis) Recommend() []Recommendation {
 		add("csr-vi", viBytes, fmt.Sprintf("ttu %.0f > 5: %d unique values need %d-byte indices", a.TTU, a.Unique, w))
 		add("csr-du-vi", ctl+float64(a.NNZ)*float64(w)+8*float64(a.Unique),
 			"both index and value compression apply")
-	}
-
-	// CDS: only when the diagonal count keeps fill sane.
-	if fill := float64(a.Diagonals) * float64(a.Rows) / float64(a.NNZ); fill <= 4 {
-		add("cds", float64(a.Diagonals)*float64(a.Rows)*8+float64(a.Diagonals)*4,
-			fmt.Sprintf("%d diagonals cover the pattern (fill %.1f)", a.Diagonals, fill))
 	}
 
 	// ELLPACK: only for near-uniform rows.

@@ -74,8 +74,8 @@ func TestAnalyzeEmptyAndRowStats(t *testing.T) {
 func TestRecommendStencilPrefersCombined(t *testing.T) {
 	c := matgen.Stencil2D(40)
 	recs := Analyze(c).Recommend()
-	if recs[0].Format != "csr-du-vi" && recs[0].Format != "cds" {
-		t.Errorf("top recommendation = %+v, want csr-du-vi or cds", recs[0])
+	if recs[0].Format != "csr-du-vi" {
+		t.Errorf("top recommendation = %+v, want csr-du-vi", recs[0])
 	}
 	// All ratios sorted ascending.
 	for i := 1; i < len(recs); i++ {
@@ -103,9 +103,8 @@ func TestRecommendRandomSkipsVIAndCDS(t *testing.T) {
 	c := matgen.RandomUniform(rng, 400, 1<<20, 6, matgen.Values{})
 	recs := Analyze(c).Recommend()
 	for _, r := range recs {
-		// ELL is fine here (uniform rows); value indexing and diagonal
-		// storage are not.
-		if r.Format == "csr-vi" || r.Format == "cds" {
+		// ELL is fine here (uniform rows); value indexing is not.
+		if r.Format == "csr-vi" {
 			t.Errorf("%s recommended for scattered unique-valued matrix", r.Format)
 		}
 	}

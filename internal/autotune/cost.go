@@ -1,7 +1,6 @@
 package autotune
 
 import (
-	"spmv/internal/cds"
 	"spmv/internal/core"
 	"spmv/internal/ell"
 	"spmv/internal/formats"
@@ -19,8 +18,7 @@ type Candidate struct {
 	Exact bool `json:"exact"`
 	// Feasible is false when the format cannot represent the matrix
 	// (csr16 with wide columns, csr32 with lossy values, sym-csr on an
-	// asymmetric matrix, ell/cds past their fill bounds); Reason says
-	// why.
+	// asymmetric matrix, ell past its fill bound); Reason says why.
 	Feasible bool   `json:"feasible"`
 	Reason   string `json:"reason,omitempty"`
 	// PriorGBps and PriorSignificant report the archive prior applied
@@ -51,39 +49,31 @@ type Candidate struct {
 }
 
 // Candidates returns the default candidate list for a matrix with the
-// given features, in a fixed deterministic order. Formats that cannot
-// run under the row-parallel executors (jds) are omitted; formats with
-// hard applicability constraints are included but marked infeasible so
-// the report shows why they were not considered. Scheduler hints are
-// derived from the row-distribution features: heavy skew routes row
-// formats to nnz partitioning with work stealing as the probe
-// alternative.
+// given features, in a fixed deterministic order. Formats with hard
+// applicability constraints are included but marked infeasible so the
+// report shows why they were not considered. Scheduler hints are
+// derived from the row-distribution features: heavy skew routes csr,
+// the one format with non-zero-split chunks, to nnz partitioning, with
+// work stealing as the probe alternative; every other format keeps
+// its own executor.
 func Candidates(ft Features) []Candidate {
 	skewed := ft.RowSkew > 4 || ft.RowCV > 1
-	rowHint := func(s formats.Spec) formats.Spec {
-		if skewed {
-			s.Partition = "nnz"
-			s.Steal = false
-		}
-		return s
+	csr := formats.Spec{Format: "csr"}
+	if skewed {
+		csr.Partition = "nnz"
 	}
 	specs := []formats.Spec{
-		rowHint(formats.Spec{Format: "csr"}),
-		rowHint(formats.Spec{Format: "csr16"}),
+		csr,
+		{Format: "csr16"},
 		{Format: "csr32"},
-		rowHint(formats.Spec{Format: "csr-du"}),
-		rowHint(formats.Spec{Format: "csr-du-rle"}),
-		rowHint(formats.Spec{Format: "csr-vi"}),
-		rowHint(formats.Spec{Format: "csr-du-vi"}),
+		{Format: "csr-du"},
+		{Format: "csr-du-rle"},
+		{Format: "csr-vi"},
+		{Format: "csr-du-vi"},
 		{Format: "dcsr"},
-		{Format: "csc", Partition: "col"},
-		{Format: "bcsr2x2"},
-		{Format: "bcsr4x4"},
+		{Format: "csc"},
 		{Format: "ell"},
-		{Format: "cds"},
-		{Format: "vbr"},
 		{Format: "sym-csr"},
-		{Format: "hybrid"},
 	}
 	// The skewed-row probe alternative: plain csr under the stealing
 	// scheduler, so the probe stage can arbitrate nnz-split vs steal.
@@ -103,7 +93,7 @@ func Candidates(ft Features) []Candidate {
 // PredictBytes predicts the bytes-per-SpMV of building ft's matrix in
 // the given spec: the format's storage bytes (exact closed forms where
 // the registry formats define them, the simulated control stream for
-// the CSR-DU family, conservative estimates for dcsr/vbr) plus the
+// the CSR-DU family, a conservative estimate for dcsr) plus the
 // §II-B vector traffic. The second result reports whether the formula
 // is exact; the last two report feasibility.
 func PredictBytes(ft Features, s formats.Spec) (bytes int64, exact, feasible bool, reason string) {
@@ -152,53 +142,17 @@ func PredictBytes(ft Features, s formats.Spec) (bytes int64, exact, feasible boo
 		exact = false
 	case "csc":
 		bytes = nnz*(core.IdxSize+core.ValSize) + (cols+1)*core.IdxSize
-	case "bcsr2x2":
-		b := int64(ft.Blocks2)
-		bytes = ((rows+1)/2+1)*core.IdxSize + b*core.IdxSize + b*4*core.ValSize
-	case "bcsr4x4":
-		b := int64(ft.Blocks4)
-		bytes = ((rows+3)/4+1)*core.IdxSize + b*core.IdxSize + b*16*core.ValSize
 	case "ell":
 		if nnz > 0 && float64(ft.MaxRowNNZ)*float64(rows) > ell.DefaultMaxFill*float64(nnz) {
 			return 0, true, false, "padding exceeds ELLPACK fill bound"
 		}
 		bytes = rows * int64(ft.MaxRowNNZ) * (core.IdxSize + core.ValSize)
-	case "jds":
-		bytes = nnz*(core.IdxSize+core.ValSize) + int64(ft.MaxRowNNZ+1)*core.IdxSize + rows*core.IdxSize
-	case "cds":
-		if nnz > 0 && float64(ft.Diagonals)*float64(rows) > cds.DefaultMaxFill*float64(nnz) {
-			return 0, true, false, "diagonal fill exceeds CDS bound"
-		}
-		bytes = int64(ft.Diagonals)*rows*core.ValSize + int64(ft.Diagonals)*core.IdxSize
-	case "vbr":
-		// Auto-partitioned VBR depends on the discovered partition;
-		// estimate as CSR plus the partition arrays so it only wins
-		// when measured.
-		bytes = (rows+1)*core.IdxSize + nnz*(core.IdxSize+core.ValSize) + (rows+cols)*core.IdxSize/8
-		exact = false
 	case "sym-csr":
 		if !ft.Symmetric {
 			return 0, true, false, "matrix not numerically symmetric"
 		}
 		off := (nnz - int64(ft.DiagNNZ)) / 2
 		bytes = rows*core.ValSize + off*(core.IdxSize+core.ValSize) + (rows+1)*core.IdxSize
-	case "hybrid":
-		// Per-region selection can at best match the best whole-matrix
-		// choice among its sub-formats (csr, csr-du, cds) on uniform
-		// matrices; predict that floor. Concrete formats precede hybrid
-		// in the candidate order, so ties resolve to them.
-		duvi := ft.DUCtlBytes + nnz*core.ValSize
-		csrB := (rows+1)*core.IdxSize + nnz*(core.IdxSize+core.ValSize)
-		bytes = csrB
-		if duvi < bytes {
-			bytes = duvi
-		}
-		if nnz > 0 && float64(ft.Diagonals)*float64(rows) <= cds.DefaultMaxFill*float64(nnz) {
-			if cdsB := int64(ft.Diagonals)*rows*core.ValSize + int64(ft.Diagonals)*core.IdxSize; cdsB < bytes {
-				bytes = cdsB
-			}
-		}
-		exact = false
 	default:
 		return 0, false, false, "format not modeled"
 	}

@@ -9,14 +9,14 @@ import (
 	"spmv/internal/formats"
 	"spmv/internal/matgen"
 	"spmv/internal/obs"
+	"spmv/internal/parallel"
 )
 
 // exactFormats are the registry formats PredictBytes claims exact
 // formulas for; the test pins each claim against the real builder.
 var exactFormats = []string{
 	"csr", "csr16", "csr32", "csr-du", "csr-du-rle", "csr-vi",
-	"csr-du-vi", "csc", "bcsr2x2", "bcsr4x4", "ell", "jds", "cds",
-	"sym-csr",
+	"csr-du-vi", "csc", "ell", "sym-csr",
 }
 
 // TestPredictBytesExact verifies that every prediction marked Exact
@@ -63,22 +63,19 @@ func tableShapes() []struct {
 	name        string
 	gen         func() *core.COO
 	wantFormats map[string]bool // acceptable chosen formats
-	wantNNZPart bool            // require the nnz/steal scheduling hint
 } {
 	return []struct {
 		name        string
 		gen         func() *core.COO
 		wantFormats map[string]bool
-		wantNNZPart bool
 	}{
 		{
-			// Dense diagonal blocks: BCSR stores them with zero padding
-			// and one index per block — classic BCSR/CDS territory.
-			// Block size 4 keeps the unit-stride runs below the RLE
-			// threshold, so the delta family cannot sneak past BCSR.
+			// Dense diagonal blocks: every intra-row gap is 1, so the
+			// column deltas fit one byte — CSR-DU territory. Block size
+			// 4 keeps the unit-stride runs below the RLE threshold.
 			name:        "dense-blocks",
 			gen:         func() *core.COO { return matgen.BlockDiag(rand.New(rand.NewSource(21)), 96, 4, matgen.Values{}) },
-			wantFormats: map[string]bool{"bcsr4x4": true, "bcsr2x2": true, "cds": true},
+			wantFormats: map[string]bool{"csr-du": true, "csr-du-rle": true},
 		},
 		{
 			// One row holds 40% of the non-zeros: the format barely
@@ -88,7 +85,6 @@ func tableShapes() []struct {
 				return matgen.SkewedRows(rand.New(rand.NewSource(22)), 2000, 4, 17, 0.4, matgen.Values{})
 			},
 			wantFormats: map[string]bool{"csr-du": true, "csr-du-rle": true, "csr": true, "csr16": true},
-			wantNNZPart: true,
 		},
 		{
 			// 30 distinct values: the value stream collapses to a
@@ -114,9 +110,10 @@ func tableShapes() []struct {
 
 // TestPredictedBestShapes is the satellite table test: for each known
 // synthetic shape the analytic ranking must land in the expected
-// format family (and scheduling hint), and — the acceptance criterion
-// — the chosen format's analytic bytes-per-SpMV must be within 5% of
-// the true minimum over everything the registry can build.
+// format family, the chosen spec's scheduler hints must start an
+// executor for the built format, and — the acceptance criterion — the
+// chosen format's analytic bytes-per-SpMV must be within 5% of the
+// true minimum over everything the registry can build.
 func TestPredictedBestShapes(t *testing.T) {
 	for _, tc := range tableShapes() {
 		c := tc.gen()
@@ -127,8 +124,16 @@ func TestPredictedBestShapes(t *testing.T) {
 		if !tc.wantFormats[rep.Chosen.Name()] {
 			t.Errorf("%s: chose %q, want one of %v", tc.name, rep.Chosen.Name(), tc.wantFormats)
 		}
-		if tc.wantNNZPart && rep.Chosen.Partition != "nnz" {
-			t.Errorf("%s: chose partition %q, want nnz scheduling for skewed rows", tc.name, rep.Chosen.Partition)
+		f, err := Build(c, rep.Chosen)
+		if err != nil {
+			t.Fatalf("%s: build %q: %v", tc.name, rep.Chosen.Name(), err)
+		}
+		run, err := parallel.New(f, parallel.ExecOptions{
+			Threads: 2, Partition: rep.Chosen.Partition, Steal: rep.Chosen.Steal})
+		if err != nil {
+			t.Errorf("%s: chosen spec %+v does not start: %v", tc.name, rep.Chosen, err)
+		} else {
+			run.Close()
 		}
 
 		// True minimum bytes-per-SpMV over every buildable registry

@@ -3,11 +3,11 @@
 // and of the direction the paper's authors took after CSR-DU/VI: the
 // best of the registry's formats depends on measurable structure
 // (delta-width histograms, unique-value counts, nnz/row skew, banding,
-// blocking, symmetry), so the tuner extracts those features, ranks
-// every candidate by predicted bytes-per-SpMV under the §II-B traffic
-// model, blends in measured per-host priors from the benchmark archive
-// when they are statistically significant, and optionally short-probes
-// the top candidates within a time budget to let the hardware cast the
+// symmetry), so the tuner extracts those features, ranks every
+// candidate by predicted bytes-per-SpMV under the §II-B traffic model,
+// blends in measured per-host priors from the benchmark archive when
+// they are statistically significant, and optionally short-probes the
+// top candidates within a time budget to let the hardware cast the
 // deciding vote.
 package autotune
 
@@ -66,13 +66,9 @@ type Features struct {
 	SymFrac   float64 `json:"sym_frac"`
 	Symmetric bool    `json:"symmetric"`
 
-	// Diagonal/block structure: entries on the main diagonal, distinct
-	// occupied diagonals (the CDS fill driver), and distinct occupied
-	// 2x2 / 4x4 blocks (the exact BCSR padding drivers).
-	DiagNNZ   int `json:"diag_nnz"`
-	Diagonals int `json:"diagonals"`
-	Blocks2   int `json:"blocks2"`
-	Blocks4   int `json:"blocks4"`
+	// DiagNNZ counts the entries on the main diagonal (sym-csr stores
+	// them apart from the off-diagonal triangle).
+	DiagNNZ int `json:"diag_nnz"`
 
 	// Exact simulated CSR-DU control-stream sizes (default encoder
 	// options, RLE off and on). These make the csr-du family's size
@@ -89,24 +85,13 @@ type Features struct {
 // Extract computes the feature vector of a triplet matrix. The COO is
 // finalized in place if needed. Cost is O(nnz) plus one RCM pass for
 // square matrices.
-func Extract(c *core.COO) Features { return extract(c, false) }
-
-// extractLite computes the structural subset that drives per-region
-// format choice, skipping the whole-matrix-only passes (transpose
-// symmetry, RCM bandwidth) that would make per-block extraction
-// quadratic-ish in practice.
-func extractLite(c *core.COO) Features { return extract(c, true) }
-
-func extract(c *core.COO, lite bool) Features {
+func Extract(c *core.COO) Features {
 	c.Finalize()
 	ft := Features{Rows: c.Rows(), Cols: c.Cols(), NNZ: c.Len(), BandwidthRCM: -1}
 
 	rowNNZ := make([]int64, c.Rows())
 	uniq := make(map[uint64]struct{})
 	uniq32 := make(map[uint32]struct{})
-	blocks2 := make(map[uint64]struct{})
-	blocks4 := make(map[uint64]struct{})
-	diags := make(map[int]struct{})
 	ft.Lossless32 = true
 	bw := 0
 	prevRow := -1
@@ -120,9 +105,6 @@ func extract(c *core.COO, lite bool) Features {
 		if !core.SameBits(v, float64(float32(v))) {
 			ft.Lossless32 = false
 		}
-		blocks2[uint64(i/2)<<32|uint64(j/2)] = struct{}{}
-		blocks4[uint64(i/4)<<32|uint64(j/4)] = struct{}{}
-		diags[j-i] = struct{}{}
 		if i == j {
 			ft.DiagNNZ++
 		}
@@ -142,9 +124,6 @@ func extract(c *core.COO, lite bool) Features {
 	}
 	ft.Unique = len(uniq)
 	ft.Unique32 = len(uniq32)
-	ft.Blocks2 = len(blocks2)
-	ft.Blocks4 = len(blocks4)
-	ft.Diagonals = len(diags)
 	ft.Bandwidth = bw
 	if ft.Unique > 0 {
 		ft.TTU = float64(ft.NNZ) / float64(ft.Unique)
@@ -173,13 +152,11 @@ func extract(c *core.COO, lite bool) Features {
 		}
 	}
 
-	if !lite {
-		ft.SymFrac, ft.Symmetric = symmetry(c)
-		if c.Rows() == c.Cols() && c.Len() > 0 {
-			if perm, err := reorder.RCM(c); err == nil {
-				if pc, err := reorder.Permute(c, perm); err == nil {
-					ft.BandwidthRCM = reorder.Bandwidth(pc)
-				}
+	ft.SymFrac, ft.Symmetric = symmetry(c)
+	if c.Rows() == c.Cols() && c.Len() > 0 {
+		if perm, err := reorder.RCM(c); err == nil {
+			if pc, err := reorder.Permute(c, perm); err == nil {
+				ft.BandwidthRCM = reorder.Bandwidth(pc)
 			}
 		}
 	}

@@ -76,9 +76,6 @@ func TestExtractStructure(t *testing.T) {
 	if ft.DiagNNZ != 4 {
 		t.Errorf("diag nnz = %d, want 4", ft.DiagNNZ)
 	}
-	if ft.Diagonals != 3 {
-		t.Errorf("diagonals = %d, want 3", ft.Diagonals)
-	}
 	if ft.Bandwidth != 1 {
 		t.Errorf("bandwidth = %d, want 1", ft.Bandwidth)
 	}

@@ -130,7 +130,9 @@ func probeOne(c *core.COO, cand *Candidate, iters, threads int, deadline time.Ti
 	if err != nil {
 		return err
 	}
-	run, err := newRunner(f, cand.Spec, threads)
+	run, err := parallel.New(f, parallel.ExecOptions{
+		Threads: threads, Partition: cand.Spec.Partition, Steal: cand.Spec.Steal,
+	})
 	if err != nil {
 		return err
 	}
@@ -163,22 +165,6 @@ func probeOne(c *core.COO, cand *Candidate, iters, threads int, deadline time.Ti
 	cand.ProbeSampleN = len(samples)
 	cand.ProbeBytes = obs.BytesPerSpMV(f)
 	return nil
-}
-
-// newRunner builds the executor a spec's scheduler hints call for,
-// falling back to the default row scheme when the format does not
-// support the hinted partition.
-func newRunner(f core.Format, s formats.Spec, threads int) (parallel.Runner, error) {
-	if s.Name() == "sym-csr" {
-		return parallel.NewSymExecutor(f, threads)
-	}
-	run, err := parallel.New(f, parallel.ExecOptions{
-		Threads: threads, Partition: s.Partition, Steal: s.Steal,
-	})
-	if err != nil && (s.Partition != "" || s.Steal) {
-		run, err = parallel.New(f, parallel.ExecOptions{Threads: threads})
-	}
-	return run, err
 }
 
 // probeRecord summarizes a probed candidate as an archive record.

@@ -173,12 +173,7 @@ func rank(cands []Candidate) {
 	})
 }
 
-// Build constructs the spec's format, routing "hybrid" through the
-// autotuned per-region selector rather than the fixed heuristic the
-// registry uses.
+// Build constructs the spec's format.
 func Build(c *core.COO, s formats.Spec) (core.Format, error) {
-	if s.Name() == "hybrid" {
-		return BuildHybrid(c)
-	}
 	return formats.BuildSpec(c, s)
 }

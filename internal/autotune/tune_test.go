@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"spmv/internal/core"
 	"spmv/internal/formats"
 	"spmv/internal/matgen"
 	"spmv/internal/prof/archive"
@@ -112,66 +111,6 @@ func TestProbeRefinement(t *testing.T) {
 	if len(f.Records) < 2 || !foundCSR {
 		t.Errorf("expected >= 2 probe records including the csr baseline, got %+v", f.Records)
 	}
-}
-
-// TestBuildHybridSelectsPerRegion exercises the autotuned hybrid on a
-// matrix whose halves want different formats: a banded top and a
-// quantized random bottom. The build must verify and multiply exactly
-// like the reference.
-func TestBuildHybridSelectsPerRegion(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	n := 600
-	c := core.NewCOO(n, n)
-	banded := matgen.Banded(rng, n/2, 4, 5, matgen.Values{})
-	for k := 0; k < banded.Len(); k++ {
-		i, j, v := banded.At(k)
-		c.Add(i, j, v)
-	}
-	randPart := matgen.Quantize(
-		matgen.RandomUniform(rng, n/2, n, 7, matgen.Values{}), rng, 12)
-	for k := 0; k < randPart.Len(); k++ {
-		i, j, v := randPart.At(k)
-		c.Add(i+n/2, j, v)
-	}
-	c.Finalize()
-
-	m, err := BuildHybrid(c)
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	if err := core.Verify(m); err != nil {
-		t.Fatalf("verify: %v", err)
-	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i%7) - 3
-	}
-	got := make([]float64, n)
-	m.SpMV(got, x)
-	want := make([]float64, n)
-	c.SpMV(want, x)
-	for i := range want {
-		if !core.SameBits(got[i], want[i]) && !closeEnough(got[i], want[i]) {
-			t.Fatalf("row %d: got %v want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func closeEnough(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	m := a
-	if m < 0 {
-		m = -m
-	}
-	if b > m {
-		m = b
-	} else if -b > m {
-		m = -b
-	}
-	return d <= 1e-9*(1+m)
 }
 
 // TestSymmetricMatrixPicksSymCSR pins the symmetry feature's payoff:

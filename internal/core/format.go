@@ -2,7 +2,7 @@ package core
 
 // Format is a concrete, immutable in-memory sparse matrix representation
 // together with its serial SpMV kernel. All storage schemes in this
-// library (CSR, CSR-DU, CSR-VI, DCSR, BCSR, ...) implement Format.
+// library (CSR, CSR-DU, CSR-VI, DCSR, ...) implement Format.
 type Format interface {
 	// Name identifies the storage scheme, e.g. "csr", "csr-du", "csr-vi".
 	Name() string

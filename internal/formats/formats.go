@@ -7,8 +7,6 @@ package formats
 import (
 	"strings"
 
-	"spmv/internal/bcsr"
-	"spmv/internal/cds"
 	"spmv/internal/core"
 	"spmv/internal/csc"
 	"spmv/internal/csr"
@@ -17,34 +15,8 @@ import (
 	"spmv/internal/csrvi"
 	"spmv/internal/dcsr"
 	"spmv/internal/ell"
-	"spmv/internal/hybrid"
-	"spmv/internal/jds"
 	"spmv/internal/sym"
-	"spmv/internal/vbr"
 )
-
-// Options configure BuildOpts. The zero value reproduces Build's
-// defaults exactly.
-type Options struct {
-	// DU carries encoder options for the CSR-DU family ("csr-du",
-	// "csr-du-rle", "csr-du-vi"). Other formats ignore it. For
-	// "csr-du-rle" the RLE flag is forced on regardless.
-	DU csrdu.Options
-	// Workers is the construction worker count for formats with a
-	// parallel builder (currently the CSR-DU family); it overrides
-	// DU.Workers when non-zero. 0 keeps DU.Workers, 1 forces serial,
-	// negative means GOMAXPROCS.
-	Workers int
-}
-
-// du resolves the CSR-DU encoder options, folding Workers in.
-func (o Options) du() csrdu.Options {
-	opts := o.DU
-	if o.Workers != 0 {
-		opts.Workers = o.Workers
-	}
-	return opts
-}
 
 // Spec is one complete build candidate: the format name, the encoder
 // options it takes, and the scheduler hints that should accompany the
@@ -61,11 +33,10 @@ type Spec struct {
 	// DU carries encoder options for the CSR-DU family; other formats
 	// ignore it.
 	DU csrdu.Options `json:"du,omitempty"`
-	// Workers is the construction worker count (see Options.Workers).
-	Workers int `json:"workers,omitempty"`
-	// Partition is the execution-time work split: "" or "row" for
-	// row-balanced chunks, "nnz" for non-zero-balanced chunks, "col"
-	// for column partitioning (CSC/backward formats).
+	// Partition is the execution-time work split: "" for the format's
+	// own scheme (see parallel.New), "row" for row-balanced chunks,
+	// "nnz" for non-zero-balanced chunks (CSR only), "col" for column
+	// partitioning.
 	Partition string `json:"partition,omitempty"`
 	// Steal enables work stealing between executor workers.
 	Steal bool `json:"steal,omitempty"`
@@ -79,13 +50,10 @@ func (s Spec) Name() string {
 	return s.Format
 }
 
-// options folds the Spec's build-time fields into Options.
-func (s Spec) options() Options { return Options{DU: s.DU, Workers: s.Workers} }
-
 // Build constructs the named format from a triplet matrix with default
 // options.
 func Build(name string, c *core.COO) (core.Format, error) {
-	return BuildOpts(name, c, Options{})
+	return BuildOpts(name, c, csrdu.Options{})
 }
 
 // BuildSpec constructs the Spec's format from a triplet matrix. The
@@ -93,13 +61,15 @@ func Build(name string, c *core.COO) (core.Format, error) {
 // ride along for the caller's executor setup. An unknown format name
 // returns an error wrapping core.ErrUsage that lists the valid names.
 func BuildSpec(c *core.COO, s Spec) (core.Format, error) {
-	return BuildOpts(s.Name(), c, s.options())
+	return BuildOpts(s.Name(), c, s.DU)
 }
 
-// BuildOpts constructs the named format from a triplet matrix. An
-// unknown name returns an error wrapping core.ErrUsage that lists the
-// valid names.
-func BuildOpts(name string, c *core.COO, o Options) (core.Format, error) {
+// BuildOpts constructs the named format from a triplet matrix. du
+// carries the encoder options of the CSR-DU family ("csr-du",
+// "csr-du-rle", "csr-du-vi"); other formats ignore it, and "csr-du-rle"
+// forces its RLE flag on. An unknown name returns an error wrapping
+// core.ErrUsage that lists the valid names.
+func BuildOpts(name string, c *core.COO, du csrdu.Options) (core.Format, error) {
 	switch name {
 	case "csr":
 		return csr.FromCOO(c)
@@ -108,33 +78,20 @@ func BuildOpts(name string, c *core.COO, o Options) (core.Format, error) {
 	case "csr32":
 		return csr.From32(c)
 	case "csr-du":
-		return csrdu.FromCOOOpts(c, o.du())
+		return csrdu.FromCOOOpts(c, du)
 	case "csr-du-rle":
-		opts := o.du()
-		opts.RLE = true
-		return csrdu.FromCOOOpts(c, opts)
+		du.RLE = true
+		return csrdu.FromCOOOpts(c, du)
 	case "csr-vi":
 		return csrvi.FromCOO(c)
 	case "csr-du-vi":
-		return csrduvi.FromCOOOpts(c, o.du())
+		return csrduvi.FromCOOOpts(c, du)
 	case "dcsr":
 		return dcsr.FromCOO(c)
 	case "csc":
 		return csc.FromCOO(c)
-	case "bcsr2x2":
-		return bcsr.FromCOO(c, 2, 2)
-	case "bcsr4x4":
-		return bcsr.FromCOO(c, 4, 4)
 	case "ell":
 		return ell.FromCOO(c)
-	case "jds":
-		return jds.FromCOO(c)
-	case "cds":
-		return cds.FromCOO(c)
-	case "vbr":
-		return vbr.FromCOOAuto(c)
-	case "hybrid":
-		return hybrid.FromCOO(c)
 	case "sym-csr":
 		return sym.FromCOO(c, 1e-12)
 	default:
@@ -148,7 +105,6 @@ func Names() []string {
 	return []string{
 		"csr", "csr16", "csr32",
 		"csr-du", "csr-du-rle", "csr-vi", "csr-du-vi",
-		"dcsr", "csc", "bcsr2x2", "bcsr4x4",
-		"ell", "jds", "cds", "vbr", "sym-csr", "hybrid",
+		"dcsr", "csc", "ell", "sym-csr",
 	}
 }

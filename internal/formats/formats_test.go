@@ -66,11 +66,11 @@ func TestBuildOptsDUOptionsApply(t *testing.T) {
 
 	// MinSwitch=1 produces a different (more fragmented) unit stream
 	// than the default: proof the options reach the encoder.
-	def, err := BuildOpts("csr-du", c, Options{})
+	def, err := BuildOpts("csr-du", c, csrdu.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny, err := BuildOpts("csr-du", c, Options{DU: csrdu.Options{MinSwitch: 1}})
+	tiny, err := BuildOpts("csr-du", c, csrdu.Options{MinSwitch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestBuildOptsDUOptionsApply(t *testing.T) {
 	}
 
 	// csr-du-rle forces RLE on even with zero options.
-	rle, err := BuildOpts("csr-du-rle", c, Options{})
+	rle, err := BuildOpts("csr-du-rle", c, csrdu.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestBuildOptsDUOptionsApply(t *testing.T) {
 
 	// Workers routes through the parallel encoder with byte-identical
 	// output.
-	par, err := BuildOpts("csr-du", c, Options{Workers: 4})
+	par, err := BuildOpts("csr-du", c, csrdu.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

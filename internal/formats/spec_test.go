@@ -13,7 +13,7 @@ import (
 func TestBuildSpecMatchesBuildOpts(t *testing.T) {
 	c := matgen.Stencil2D(20)
 	for _, name := range Names() {
-		a, errA := BuildOpts(name, c, Options{})
+		a, errA := BuildOpts(name, c, csrdu.Options{})
 		b, errB := BuildSpec(c, Spec{Format: name, Partition: "nnz", Steal: false})
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("%s: BuildOpts err=%v BuildSpec err=%v", name, errA, errB)

@@ -374,7 +374,7 @@ func RMAT(rng *rand.Rand, scale int, avgDeg float64, a, b, c float64, vals Value
 
 // BlockDiag returns a matrix of nblocks dense bsize×bsize blocks along
 // the diagonal: unit-stride column deltas, ideal for CSR-DU's u8 and
-// RLE units and for BCSR.
+// RLE units.
 func BlockDiag(rng *rand.Rand, nblocks, bsize int, vals Values) *core.COO {
 	n := nblocks * bsize
 	src := newValueSource(rng, vals)

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"spmv/internal/ell"
 	"spmv/internal/matgen"
 	"spmv/internal/obs"
+	"spmv/internal/sym"
 	"spmv/internal/testmat"
 )
 
@@ -253,5 +255,38 @@ func TestNewExecOptions(t *testing.T) {
 
 	if _, err := New(f, ExecOptions{Partition: "diagonal"}); !errors.Is(err, core.ErrUsage) {
 		t.Errorf("unknown partition: %v, want ErrUsage", err)
+	}
+}
+
+// TestNewStartsTheFormatsOwnExecutor pins New's default: with no
+// Partition, a row-splittable format gets the row executor, sym-csr
+// the tree-reducing SymExecutor and csc the column executor, and each
+// multiplies like the reference.
+func TestNewStartsTheFormatsOwnExecutor(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	c := matgen.Symmetrize(matgen.Banded(rng, 150, 5, 4, matgen.Values{}))
+	x := testmat.RandVec(rng, c.Cols())
+	want := reference(c, x)
+	for _, tc := range []struct {
+		f    core.Format
+		want string
+	}{
+		{mustFormat(csr.FromCOO(c)), "*parallel.Executor"},
+		{mustFormat(sym.FromCOO(c, 1e-12)), "*parallel.SymExecutor"},
+		{mustFormat(csc.FromCOO(c)), "*parallel.ColExecutor"},
+	} {
+		r, err := New(tc.f, ExecOptions{Threads: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.f.Name(), err)
+		}
+		if got := fmt.Sprintf("%T", r); got != tc.want {
+			t.Errorf("%s: New started %s, want %s", tc.f.Name(), got, tc.want)
+		}
+		y := make([]float64, c.Rows())
+		if err := r.Run(y, x); err != nil {
+			t.Fatalf("%s: %v", tc.f.Name(), err)
+		}
+		testmat.AssertClose(t, "New "+tc.f.Name(), y, want, 1e-10)
+		r.Close()
 	}
 }

@@ -55,11 +55,11 @@ type ExecOptions struct {
 	Threads int
 	// Collector, when non-nil, is attached with SetCollector.
 	Collector obs.Collector
-	// Partition selects the execution scheme: "row" (the default, also
-	// selected by ""), "col", or "nnz" (non-zero-granular boundaries
-	// that split long rows; CSR only). Block partitioning needs the
-	// original triplets, not a built format — use NewBlockExecutor
-	// directly.
+	// Partition selects the execution scheme: "" (the format's own
+	// scheme, see New), "row", "col", or "nnz" (non-zero-granular
+	// boundaries that split long rows; CSR only). Block partitioning
+	// needs the original triplets, not a built format — use
+	// NewBlockExecutor directly.
 	Partition string
 	// Steal over-decomposes the row partition and lets idle workers
 	// steal queued chunks (see StealExecutor). Only meaningful with the
@@ -69,7 +69,11 @@ type ExecOptions struct {
 
 // New builds an executor for f according to opts. It is the options
 // counterpart of NewExecutor/NewColExecutor and the construction path
-// the public spmv package exposes.
+// the public spmv package exposes. With no Partition and no Steal it
+// starts the executor f supports: the row executor for a
+// core.Splitter, the tree-reducing SymExecutor for sym-csr's scatter
+// kernel, and the column executor for any other core.ColSplitter
+// (csc).
 func New(f core.Format, opts ExecOptions) (Runner, error) {
 	threads := opts.Threads
 	if threads <= 0 {
@@ -82,9 +86,16 @@ func New(f core.Format, opts ExecOptions) (Runner, error) {
 	if opts.Steal && opts.Partition != "" && opts.Partition != "row" {
 		return nil, core.Usagef("parallel: Steal applies to the row partition, not %q", opts.Partition)
 	}
+	_, rows := f.(core.Splitter)
+	_, cols := f.(core.ColSplitter)
+	colOnly := opts.Partition == "" && !rows && cols
 	switch {
 	case opts.Steal:
 		r, err = NewStealExecutor(f, threads)
+	case colOnly && f.Name() == "sym-csr":
+		r, err = NewSymExecutor(f, threads)
+	case colOnly:
+		r, err = NewColExecutor(f, threads)
 	case opts.Partition == "" || opts.Partition == "row":
 		r, err = NewExecutor(f, threads)
 	case opts.Partition == "col":

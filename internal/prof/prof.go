@@ -4,9 +4,9 @@
 // streams — the §II-B working-set model itemized — and attaches the
 // format-specific structure that drives those sizes: the CSR-DU unit
 // mix and delta-width histograms, the CSR-VI unique-value count and
-// val_ind width, the BCSR fill ratio. Attribution then joins the
-// predicted stream bytes with a measured timing to report which streams
-// dominate the traffic and what bandwidth each effectively moved at.
+// val_ind width. Attribution then joins the predicted stream bytes
+// with a measured timing to report which streams dominate the traffic
+// and what bandwidth each effectively moved at.
 //
 // The invariant the package maintains (and its tests pin) is exact
 // reconciliation with the traffic model: the profiled stream bytes of
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 
-	"spmv/internal/bcsr"
 	"spmv/internal/core"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
@@ -55,17 +54,6 @@ type VIProfile struct {
 	Applicable bool    `json:"applicable"`
 }
 
-// BlockProfile is the blocking structure of BCSR.
-type BlockProfile struct {
-	R int `json:"r"`
-	C int `json:"c"`
-	// Blocks is the stored block count; Fill is stored values (padding
-	// included) per logical non-zero, 1.0 = perfect blocking.
-	Blocks    int     `json:"blocks"`
-	Fill      float64 `json:"fill"`
-	PaddedNNZ int     `json:"padded_nnz"`
-}
-
 // FormatProfile is the structural profile of one built format: the
 // working-set breakdown by stream plus the format-specific structure.
 type FormatProfile struct {
@@ -91,10 +79,9 @@ type FormatProfile struct {
 	Streams []Stream `json:"streams"`
 
 	// DU is present for the CSR-DU family, VI for the value-indirected
-	// formats, Block for BCSR.
-	DU    *csrdu.Profile `json:"du,omitempty"`
-	VI    *VIProfile     `json:"vi,omitempty"`
-	Block *BlockProfile  `json:"block,omitempty"`
+	// formats.
+	DU *csrdu.Profile `json:"du,omitempty"`
+	VI *VIProfile     `json:"vi,omitempty"`
 
 	// Attribution joins the profile with a measured timing; nil until
 	// Attribute fills it.
@@ -172,18 +159,6 @@ func New(f core.Format) *FormatProfile {
 			TTU:          m.TTU(),
 			Applicable:   m.TTU() > csrvi.MinTTU,
 		}
-	case *bcsr.Matrix:
-		p.Streams = []Stream{
-			{Name: "brow_ptr", Bytes: int64(len(m.BRowPtr)) * core.IdxSize},
-			{Name: "bcol_ind", Bytes: int64(len(m.BColInd)) * core.IdxSize},
-			{Name: "values", Bytes: int64(m.PaddedNNZ()) * core.ValSize},
-		}
-		p.Block = &BlockProfile{
-			R: m.R, C: m.C,
-			Blocks:    m.Blocks(),
-			Fill:      m.Fill(),
-			PaddedNNZ: m.PaddedNNZ(),
-		}
 	default:
 		p.Streams = []Stream{{Name: "matrix", Bytes: f.SizeBytes()}}
 	}
@@ -223,10 +198,6 @@ func (p *FormatProfile) Fprint(w io.Writer) error {
 	if v := p.VI; v != nil {
 		pw.f("  csr-vi: %d unique values, %d-byte val_ind, ttu %.1f, applicable %v\n",
 			v.UniqueValues, v.IndexWidth, v.TTU, v.Applicable)
-	}
-	if b := p.Block; b != nil {
-		pw.f("  bcsr: %dx%d blocks, %d stored, fill %.2f, padded nnz %d\n",
-			b.R, b.C, b.Blocks, b.Fill, b.PaddedNNZ)
 	}
 	if a := p.Attribution; a != nil {
 		pw.f("  measured: %.4g s/iter -> %.2f GB/s over %d predicted bytes\n",

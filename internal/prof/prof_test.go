@@ -31,9 +31,9 @@ func TestStreamsReconcileWithTrafficModel(t *testing.T) {
 		c := testCOO(t)
 		f, err := formats.Build(name, c)
 		if err != nil {
-			// Some formats reject unsuitable matrices (cds bounds its
-			// diagonal fill); the reconciliation matters wherever a
-			// format actually builds, and always for the paper's four.
+			// Some formats reject unsuitable matrices (sym-csr needs
+			// symmetry); the reconciliation matters wherever a format
+			// actually builds, and always for the paper's four.
 			if required[name] {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -61,7 +61,7 @@ func TestStreamsReconcileWithTrafficModel(t *testing.T) {
 
 // TestProfileStructuralLegs checks the format-specific sections: the
 // DU histogram totals match the encoder's unit count, VI carries the
-// unique table, BCSR the fill ratio.
+// unique table.
 func TestProfileStructuralLegs(t *testing.T) {
 	c := testCOO(t)
 
@@ -81,8 +81,8 @@ func TestProfileStructuralLegs(t *testing.T) {
 		t.Errorf("DU unit histogram total %d+%d != units %d",
 			classTotal, p.DU.RLEUnits, p.DU.Units)
 	}
-	if p.VI != nil || p.Block != nil {
-		t.Error("csr-du profile has VI/Block sections")
+	if p.VI != nil {
+		t.Error("csr-du profile has a VI section")
 	}
 
 	vif, err := formats.Build("csr-vi", c)
@@ -101,15 +101,6 @@ func TestProfileStructuralLegs(t *testing.T) {
 	p = New(dvf)
 	if p.DU == nil || p.VI == nil {
 		t.Error("csr-du-vi profile missing DU or VI section")
-	}
-
-	bf, err := formats.Build("bcsr2x2", c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p = New(bf)
-	if p.Block == nil || p.Block.R != 2 || p.Block.C != 2 || p.Block.Fill < 1 {
-		t.Errorf("bcsr profile Block section = %+v", p.Block)
 	}
 }
 

@@ -524,12 +524,6 @@ func (s *Server) ingest(key string, body pieces, formatName string, explicit boo
 		execOpts.Steal = tune.Chosen.Steal
 	}
 	runner, err := parallel.New(f, execOpts)
-	if err != nil && tune != nil {
-		// The tuned scheduler hint may not apply to the built format
-		// (e.g. hybrid under nnz partitioning); fall back to the row
-		// executor rather than failing the upload.
-		runner, err = parallel.New(f, parallel.ExecOptions{Threads: s.cfg.Threads, Collector: rec})
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"spmv/internal/core"
 	"spmv/internal/formats"
 	"spmv/internal/matfile"
+	"spmv/internal/matgen"
 	"spmv/internal/mmio"
 	"spmv/internal/server/faulttest"
 )
@@ -320,11 +323,30 @@ func TestMultiplyValidation(t *testing.T) {
 	}
 }
 
+// TestUnknownFormatRejected covers made-up names and the related-work
+// formats the registry no longer carries: each is a 400 naming the
+// valid formats, and nothing is built or registered.
 func TestUnknownFormatRejected(t *testing.T) {
 	s := newTestServer(t, Config{})
-	w := do(s, "POST", "/matrices?format=no-such-format", faulttest.ValidMMIO(8, 30), nil)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("unknown format: status %d, want 400", w.Code)
+	bad := []string{"no-such-format", "bcsr2x2", "bcsr4x4", "vbr", "jds", "cds", "hybrid"}
+	for _, name := range bad {
+		w := do(s, "POST", "/matrices?format="+name, faulttest.ValidMMIO(8, 30), nil)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", name, w.Code)
+		}
+		for _, valid := range formats.Names() {
+			if !strings.Contains(w.Body.String(), valid) {
+				t.Errorf("%s: error %q does not list %q", name, w.Body.String(), valid)
+			}
+		}
+	}
+	m := s.Metrics()
+	if m.Builds.Load() != 0 || m.UploadsRejected.Load() != int64(len(bad)) {
+		t.Errorf("builds %d, rejected %d; want 0 and %d",
+			m.Builds.Load(), m.UploadsRejected.Load(), len(bad))
+	}
+	if w := do(s, "GET", "/matrices", nil, nil); strings.TrimSpace(w.Body.String()) != "[]" {
+		t.Errorf("registry after rejected uploads: %s", w.Body.String())
 	}
 }
 
@@ -501,5 +523,82 @@ func TestPprofEndpoint(t *testing.T) {
 	w := do(s, "GET", "/debug/pprof/", nil, nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("pprof index: status %d", w.Code)
+	}
+}
+
+// float32Exact returns c with every value rounded to float32, so that
+// csr32's single-precision value stream multiplies exactly like the
+// float64 formats.
+func float32Exact(c *core.COO) *core.COO {
+	out := core.NewCOO(c.Rows(), c.Cols())
+	for k := 0; k < c.Len(); k++ {
+		i, j, v := c.At(k)
+		out.Add(i, j, float64(float32(v)))
+	}
+	out.Finalize()
+	return out
+}
+
+// TestEveryRegistryNameServes uploads a symmetric and a skewed matrix
+// under every registry name and format=auto: each upload starts the
+// executor its format supports (sym-csr and csc have no row split) and
+// multiplies like the triplet reference. A format that cannot
+// represent a matrix is refused as a bad upload, never a 500.
+func TestEveryRegistryNameServes(t *testing.T) {
+	cases := []struct {
+		name   string
+		c      *core.COO
+		refuse map[string]bool // names whose builder rejects the matrix
+	}{
+		{name: "symmetric", c: matgen.Symmetrize(matgen.FEMLike(rand.New(rand.NewSource(1)), 2000, 5, matgen.Values{}))},
+		// One row ~8x the mean: past the tuner's skew threshold, inside
+		// ELLPACK's fill bound, symmetric so sym-csr applies too.
+		{name: "skewed", c: matgen.Symmetrize(matgen.SkewedRows(rand.New(rand.NewSource(22)), 2000, 4, 17, 0.0075, matgen.Values{}))},
+		// The heavy-row pathology: 40% of the non-zeros in one row.
+		{
+			name:   "heavy-row",
+			c:      matgen.SkewedRows(rand.New(rand.NewSource(22)), 2000, 4, 17, 0.4, matgen.Values{}),
+			refuse: map[string]bool{"ell": true, "sym-csr": true},
+		},
+	}
+	s := newTestServer(t, Config{})
+	for _, tc := range cases {
+		c := float32Exact(tc.c)
+		var body bytes.Buffer
+		if err := mmio.Write(&body, c); err != nil {
+			t.Fatal(err)
+		}
+		x := testVec(c.Cols())
+		want := make([]float64, c.Rows())
+		c.SpMV(want, x)
+		for _, name := range append(formats.Names(), "auto") {
+			w := do(s, "POST", "/matrices?format="+name, body.Bytes(), nil)
+			if tc.refuse[name] {
+				if w.Code != http.StatusBadRequest {
+					t.Errorf("%s/%s: status %d, want 400: %s", tc.name, name, w.Code, w.Body.String())
+				}
+				continue
+			}
+			if w.Code != http.StatusCreated {
+				t.Errorf("%s/%s: status %d, want 201: %s", tc.name, name, w.Code, w.Body.String())
+				continue
+			}
+			var resp UploadResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%s/%s: upload response: %v", tc.name, name, err)
+			}
+			code, y := multiply(t, s, resp.ID, x, nil)
+			if code != http.StatusOK {
+				t.Errorf("%s/%s (%s): multiply status %d", tc.name, name, resp.Format, code)
+			} else {
+				for i := range want {
+					if math.Abs(y[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+						t.Errorf("%s/%s (%s): y[%d] = %v, want %v", tc.name, name, resp.Format, i, y[i], want[i])
+						break
+					}
+				}
+			}
+			do(s, "DELETE", "/matrices/"+resp.ID, nil, nil)
+		}
 	}
 }

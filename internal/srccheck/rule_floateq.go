@@ -8,9 +8,9 @@ import (
 
 // floatEqRule flags == and != between floating-point operands. Exact
 // float comparison is the business of the value-compression code —
-// CSR-VI's unique-value table and FPC's predictors key on exact bit
-// patterns (the paper is explicit that distinctness is bitwise) — so
-// internal/csrvi and internal/fpc are exempt. Everywhere else an exact
+// CSR-VI's unique-value table keys on exact bit patterns (the paper is
+// explicit that distinctness is bitwise) — so internal/csrvi is
+// exempt. Everywhere else an exact
 // comparison is almost always a latent tolerance bug; compare against
 // an epsilon, use math.Float64bits for intentional bit identity, or
 // math.IsNaN for NaN tests.
@@ -18,12 +18,12 @@ type floatEqRule struct{}
 
 func (floatEqRule) Name() string { return "floateq" }
 func (floatEqRule) Doc() string {
-	return "no float ==/!= comparisons outside the csrvi/fpc quantization code"
+	return "no float ==/!= comparisons outside the csrvi quantization code"
 }
 
 // floatEqExempt lists the module-relative package dirs whose job is
 // exact-value quantization.
-var floatEqExempt = []string{"internal/csrvi", "internal/fpc"}
+var floatEqExempt = []string{"internal/csrvi"}
 
 func (floatEqRule) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
 	for _, exempt := range floatEqExempt {

@@ -390,7 +390,7 @@ func checkTrace(t *testing.T, f core.Format, p core.Placer) {
 	}
 	if f.NNZ() > 0 {
 		// Gather formats emit one x access per stored element; streaming
-		// formats (CDS) legitimately coalesce x to cache lines. Require
+		// formats may legitimately coalesce x to cache lines. Require
 		// only that x is touched at all — exact per-nnz counts are
 		// asserted in the gather formats' own tests.
 		if xGathers == 0 {

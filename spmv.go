@@ -64,14 +64,12 @@
 // naming the failing chunk's row range, so one rotten stream cannot
 // take down the process.
 //
-// The package also provides the related-work comparator formats
-// (CSR16, CSR32, DCSR, BCSR, VBR, ELLPACK, JDS, CDS, symmetric CSR, a
-// per-region hybrid), row/column/block-partitioned parallel executors,
-// CG/PCG/GMRES/BiCGSTAB solvers with ILU(0) preconditioning and
-// mixed-precision refinement, RCM reordering, a structure analyzer with
-// analytic and empirical format advice, Matrix Market and binary
-// container I/O, FPC value-stream compression, synthetic matrix
-// generators, and a deterministic simulator of the paper's 8-core
+// The package also provides the comparator formats (CSR16, CSR32,
+// DCSR, CSC, ELLPACK, symmetric CSR), row/column/block-partitioned
+// parallel executors, CG/PCG/GMRES/BiCGSTAB solvers with ILU(0)
+// preconditioning and mixed-precision refinement, RCM reordering, a
+// structure analyzer with analytic and empirical format advice, Matrix
+// Market and binary container I/O, synthetic matrix generators, and a deterministic simulator of the paper's 8-core
 // Clovertown platform for reproducing its evaluation (see cmd/spmvsim
 // and EXPERIMENTS.md).
 package spmv
@@ -80,8 +78,6 @@ import (
 	"io"
 
 	"spmv/internal/analyze"
-	"spmv/internal/bcsr"
-	"spmv/internal/cds"
 	"spmv/internal/core"
 	"spmv/internal/csc"
 	"spmv/internal/csr"
@@ -91,9 +87,6 @@ import (
 	"spmv/internal/dcsr"
 	"spmv/internal/ell"
 	"spmv/internal/formats"
-	"spmv/internal/fpc"
-	"spmv/internal/hybrid"
-	"spmv/internal/jds"
 	"spmv/internal/matfile"
 	"spmv/internal/mmio"
 	"spmv/internal/obs"
@@ -104,7 +97,6 @@ import (
 	"spmv/internal/server"
 	"spmv/internal/solver"
 	"spmv/internal/sym"
-	"spmv/internal/vbr"
 )
 
 // Core vocabulary, shared by every format.
@@ -141,8 +133,6 @@ type (
 	CSRDUVI = csrduvi.Matrix
 	// DCSR is the Willcock & Lumsdaine comparator format.
 	DCSR = dcsr.Matrix
-	// BCSR is the register-blocked comparator format.
-	BCSR = bcsr.Matrix
 	// CSC is the column-oriented format for column partitioning.
 	CSC = csc.Matrix
 	// CSR32 stores single-precision values (half the value stream);
@@ -150,17 +140,8 @@ type (
 	CSR32 = csr.Matrix32
 	// ELL is the ELLPACK-ITPACK padded format.
 	ELL = ell.Matrix
-	// JDS is the jagged-diagonal format for skewed row lengths.
-	JDS = jds.Matrix
-	// CDS is the compressed-diagonal format for banded matrices.
-	CDS = cds.Matrix
 	// SymCSR stores one triangle of a symmetric matrix.
 	SymCSR = sym.Matrix
-	// VBR is variable-block-row storage with auto-detected blocks.
-	VBR = vbr.Matrix
-	// Hybrid stores each row block in whichever format encodes it
-	// smallest (towards the authors' CSX follow-up work).
-	Hybrid = hybrid.Matrix
 )
 
 // NewCOO returns an empty rows×cols triplet matrix. Assemble with Add,
@@ -171,9 +152,8 @@ func NewCOO(rows, cols int) *COO { return core.NewCOO(rows, cols) }
 // below that takes no parameters beyond the triplets is a one-line
 // delegate onto it, kept (deprecated) for callers that want the
 // concrete type without a type assertion. Constructors exposing knobs
-// the format registry does not (arbitrary BCSR block shapes, ELLPACK
-// fill bounds, symmetry tolerances, explicit VBR partitions) stay
-// first-class.
+// the format registry does not (ELLPACK fill bounds, symmetry
+// tolerances) stay first-class.
 
 // NewCSR builds the baseline CSR format (4-byte indices, 8-byte values).
 //
@@ -240,11 +220,6 @@ func NewCSRDUVI(c *COO) (*CSRDUVI, error) { return buildAs[*CSRDUVI](c, WithForm
 // remains fully supported and returns the concrete *DCSR.
 func NewDCSR(c *COO) (*DCSR, error) { return buildAs[*DCSR](c, WithFormat("dcsr")) }
 
-// NewBCSR builds blocked CSR with r×c register blocks. The registry
-// exposes only the 2×2 and 4×4 shapes ("bcsr2x2", "bcsr4x4"); this
-// constructor accepts any block shape.
-func NewBCSR(c *COO, r, cols int) (*BCSR, error) { return bcsr.FromCOO(c, r, cols) }
-
 // NewCSC builds the compressed sparse column format.
 //
 // Deprecated: use Build with WithFormat("csc"). This constructor
@@ -269,50 +244,14 @@ func NewELL(c *COO) (*ELL, error) { return buildAs[*ELL](c, WithFormat("ell")) }
 // the registry's "ell" entry does not expose.
 func NewELLMaxFill(c *COO, maxFill float64) (*ELL, error) { return ell.FromCOOMaxFill(c, maxFill) }
 
-// NewJDS builds the jagged-diagonal format.
-//
-// Deprecated: use Build with WithFormat("jds"). This constructor
-// remains fully supported and returns the concrete *JDS.
-func NewJDS(c *COO) (*JDS, error) { return buildAs[*JDS](c, WithFormat("jds")) }
-
-// NewCDS builds the compressed-diagonal format; errors when the
-// diagonal count makes the fill unreasonable.
-//
-// Deprecated: use Build with WithFormat("cds"). This constructor
-// remains fully supported and returns the concrete *CDS.
-func NewCDS(c *COO) (*CDS, error) { return buildAs[*CDS](c, WithFormat("cds")) }
-
 // NewSymCSR builds symmetric (one-triangle) storage; the matrix must be
 // numerically symmetric within tol. The registry's "sym-csr" entry
 // fixes tol at its default; this constructor accepts any tolerance.
 func NewSymCSR(c *COO, tol float64) (*SymCSR, error) { return sym.FromCOO(c, tol) }
 
-// NewVBR builds variable-block-row storage with automatically detected
-// row/column groups (consecutive identical sparsity patterns merge).
-//
-// Deprecated: use Build with WithFormat("vbr"), or NewVBRParts for
-// explicit partitions. This constructor remains fully supported and
-// returns the concrete *VBR.
-func NewVBR(c *COO) (*VBR, error) { return buildAs[*VBR](c, WithFormat("vbr")) }
-
-// NewVBRParts builds VBR with explicit row/column group boundaries,
-// which the registry's auto-partitioning "vbr" entry does not expose.
-func NewVBRParts(c *COO, rowPart, colPart []int32) (*VBR, error) {
-	return vbr.FromCOO(c, rowPart, colPart)
-}
-
-// NewHybrid builds the per-row-block format selector: each block of
-// rows is stored in whichever of CSR/CSR-DU/CDS encodes it smallest.
-//
-// Deprecated: use Build with WithFormat("hybrid") — or WithAutoFormat,
-// which extends the per-region choice to the full candidate registry.
-// This constructor remains fully supported and returns the concrete
-// *Hybrid.
-func NewHybrid(c *COO) (*Hybrid, error) { return buildAs[*Hybrid](c, WithFormat("hybrid")) }
-
 // BuildFormat constructs any registered format by name ("csr",
-// "csr-du", "csr-vi", "csr-du-vi", "dcsr", "bcsr2x2", "ell", "jds",
-// "cds", "vbr", "sym-csr", ...); see FormatNames.
+// "csr-du", "csr-vi", "csr-du-vi", "dcsr", "ell", "sym-csr", ...); see
+// FormatNames.
 //
 // Deprecated: use Build with WithFormat(name), which additionally
 // carries encoder options. This function remains fully supported.
@@ -403,12 +342,13 @@ type (
 
 // NewExecutorOpts starts an executor over f under one options struct:
 // Threads (<= 0 means GOMAXPROCS), an optional telemetry Collector,
-// the Partition strategy ("row" or "", "col" for formats that support
-// column splitting, or "nnz" for CSR's nonzero-split chunks that keep
-// threads balanced on skewed matrices), and Steal, which over-
-// decomposes the row partition into a work-stealing chunk queue. An
-// unknown partition, or Steal combined with a non-row partition, is an
-// ErrUsage.
+// the Partition strategy ("" for the executor f supports — row chunks,
+// or the column/symmetric reduction for CSC and sym-csr — "row", "col"
+// for formats that support column splitting, or "nnz" for CSR's
+// nonzero-split chunks that keep threads balanced on skewed matrices),
+// and Steal, which over-decomposes the row partition into a
+// work-stealing chunk queue. An unknown partition, or Steal combined
+// with a non-row partition, is an ErrUsage.
 func NewExecutorOpts(f Format, o ExecOptions) (Runner, error) {
 	return parallel.New(f, o)
 }
@@ -486,7 +426,7 @@ func BytesPerVector(f Format, k int) float64 { return obs.BytesPerVector(f, k) }
 type (
 	// FormatProfile is the structural profile of a built format: its
 	// per-stream byte split of the traffic model plus format-specific
-	// statistics (CSR-DU ctl units, CSR-VI dictionary, BCSR fill).
+	// statistics (CSR-DU ctl units, CSR-VI dictionary).
 	FormatProfile = prof.FormatProfile
 	// Attribution splits a measured bandwidth across a profile's
 	// streams in proportion to their predicted traffic.
@@ -662,19 +602,6 @@ func UnpermuteVec(y []float64, perm []int32) []float64 { return reorder.Unpermut
 
 // Bandwidth returns max |i-j| over the non-zeros.
 func Bandwidth(c *COO) int { return reorder.Bandwidth(c) }
-
-// Value-stream compression (FPC, §III-C ref [23]): storage/transfer
-// side, not an SpMV format.
-
-// CompressValues losslessly compresses a float64 stream (FPC).
-func CompressValues(values []float64) []byte { return fpc.Compress(values) }
-
-// DecompressValues reverses CompressValues.
-func DecompressValues(data []byte) ([]float64, error) { return fpc.Decompress(data) }
-
-// ValueCompressibility returns the FPC compressed/raw ratio of a value
-// stream — a quick probe of value redundancy beyond exact duplicates.
-func ValueCompressibility(values []float64) float64 { return fpc.Ratio(values) }
 
 // PickFastest builds candidate formats (nil means the analytic
 // recommendations), times serial SpMV on each, and returns the fastest

@@ -169,4 +169,8 @@ if [ "$FUZZTIME" != "0" ]; then
 	done
 fi
 
+echo "== structural debt"
+# ROADMAP's size measure: non-test, non-testdata Go source lines.
+echo "non-test .go lines: $(find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+
 echo "verify.sh: all checks passed"
