@@ -13,12 +13,14 @@ import (
 // cost, so batching amortizes it together with the stream bytes: per
 // vector, both fall by 1/k.
 //
-// "Once per unit" is literal: DecodeUnit expands a unit into its column
-// indices, and the panel kernels run their FMA columns off that buffer.
-// The walk over unit headers has the scalar kernel's shape (see
-// (*chunk).SpMV): the first header is peeled, a panel row is stored
-// once when the next row's header arrives, and the rows no unit touches
-// are zeroed where they are skipped, so only rows [lo, hi) are written.
+// "Once per unit" is literal: the k=8 kernel reads each delta once and
+// runs its eight FMA columns off it (spmvRunPanel8); the other widths
+// expand a unit into its column indices with DecodeUnit and run their
+// FMA columns off that buffer. The walk over unit headers has the
+// scalar kernel's shape (see (*chunk).SpMV): the first header is peeled,
+// a panel row is stored once when the next row's header arrives, and
+// the rows no unit touches are zeroed where they are skipped, so only
+// rows [lo, hi) are written.
 
 var (
 	_ core.BatchFormat = (*Matrix)(nil)
@@ -60,7 +62,7 @@ func (c *chunk) SpMVBatch(y, x []float64, k int) {
 	case 4:
 		units = c.spmvBatch4(y, x)
 	case 8:
-		units = c.spmvBatch8(y, x)
+		units = c.spmvPanel8(y, x)
 	default:
 		units = c.spmvBatchK(y, x, k)
 	}
@@ -80,8 +82,9 @@ const MaxUnit = 255
 // past the unit and the last column, the next unit's starting position
 // when that unit continues the row. The stream must have passed Verify.
 //
-// It is the one decoder of the unit grammar the panel kernels of this
-// package and of csrduvi share; the scalar kernels decode in line.
+// It is the unit decoder of the k=4 and generic-width panel kernels, of
+// csrduvi's panel kernel, and of the k=8 dispatcher's RLE and u64
+// units; the scalar kernels and the k=8 run loop decode in line.
 //
 //go:noinline
 func DecodeUnit(ctl []byte, pos int, flags byte, xi int, cols []int32) (next, last int) {
@@ -198,16 +201,19 @@ func (c *chunk) spmvBatch4(y, x []float64) int {
 	}
 }
 
-// spmvBatch8 is the k=8 kernel, spmvBatch4 with eight register
-// accumulators — the widest panel whose sums still fit the register
-// file next to the loop's own state.
-func (c *chunk) spmvBatch8(y, x []float64) int {
+// spmvPanel8 is the k=8 kernel, shaped like the scalar one (see
+// (*chunk).SpMV): it decodes RLE and u64 units (DecodeUnit) and row
+// jumps (SkipRows) itself and hands each run of u8, u16 and u32 units,
+// with the row's sums in s, to spmvRunPanel8. Returns the number of
+// units decoded.
+func (c *chunk) spmvPanel8(y, x []float64) int {
 	const k = 8
 	m := c.m
 	ctl := m.Ctl[:c.ctlHi]
 	values := m.Values[:c.valHi]
 	pos, vi := c.ctlLo, c.valLo
 	var buf [MaxUnit]int32
+	var s [k]float64
 
 	yi := m.marks[c.startMark].row
 	clear(y[c.lo*k : yi*k])
@@ -217,45 +223,40 @@ func (c *chunk) spmvBatch8(y, x []float64) int {
 	if flags&FlagRJMP != 0 {
 		_, pos = varint.DecodeAt(ctl, pos)
 	}
-	xi := 0
-	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	xi, units := 0, 0
+	a := runArgs{ctl: ctl, values: values, x: x, y: y}
 
-	for units := 1; ; units++ {
-		cols := buf[:size]
-		pos, xi = DecodeUnit(ctl, pos, flags, xi, cols)
-		vals := values[vi : vi+size]
-		vi += size
-		cols = cols[:len(vals)]
-		for p, v := range vals {
-			xr := x[int(cols[p])*k:]
-			xr = xr[:k]
-			s0 += v * xr[0]
-			s1 += v * xr[1]
-			s2 += v * xr[2]
-			s3 += v * xr[3]
-			s4 += v * xr[4]
-			s5 += v * xr[5]
-			s6 += v * xr[6]
-			s7 += v * xr[7]
+	for {
+		// pos is at the ujmp of a unit whose header was flags, size.
+		if flags&FlagRLE == 0 && flags&TypeMask != ClassU64 {
+			var n int
+			pos, vi, xi, yi, n = spmvRunPanel8(&a, pos, vi, xi, yi, size, flags, &s)
+			units += n
+		} else {
+			cols := buf[:size]
+			pos, xi = DecodeUnit(ctl, pos, flags, xi, cols)
+			vals := values[vi : vi+size]
+			vi += size
+			cols = cols[:len(vals)]
+			for p, v := range vals {
+				xr := x[int(cols[p])*k:]
+				xr = xr[:k]
+				for c := range s {
+					s[c] += v * xr[c]
+				}
+			}
+			units++
 		}
 
 		if pos >= len(ctl) {
-			yr := y[yi*k:]
-			yr = yr[:k]
-			yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
-			yr[4], yr[5], yr[6], yr[7] = s4, s5, s6, s7
-			clear(y[(yi+1)*k : c.hi*k])
-			return units
+			break
 		}
 		flags = ctl[pos]
 		size = int(ctl[pos+1])
 		pos += 2
 		if flags&FlagNR != 0 {
-			yr := y[yi*k:]
-			yr = yr[:k]
-			yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
-			yr[4], yr[5], yr[6], yr[7] = s4, s5, s6, s7
-			s0, s1, s2, s3, s4, s5, s6, s7 = 0, 0, 0, 0, 0, 0, 0, 0
+			copy(y[yi*k:(yi+1)*k], s[:])
+			s = [k]float64{}
 			xi = 0
 			yi++
 			if flags&FlagRJMP != 0 {
@@ -263,6 +264,92 @@ func (c *chunk) spmvBatch8(y, x []float64) int {
 			}
 		}
 	}
+	copy(y[yi*k:(yi+1)*k], s[:])
+	clear(y[(yi+1)*k : c.hi*k])
+	return units
+}
+
+// spmvRunPanel8 consumes a run of u8, u16 and u32 units of an 8-wide
+// panel, switching on the class once per unit. Like the scalar run
+// loops (see spmvRunU8) it takes pos at the ujmp of a unit whose header
+// was flags and size, with the row's sums so far in s, and has no call
+// inside, so the sums, pos, vi and xi stay in registers across units and
+// rows; it returns the state, the sums in s and the number of units
+// decoded at the first header of an RLE or u64 unit or with a row jump,
+// or at the end of the stream. Each column loop multiplies at its head
+// and reads the next column at its foot: the multiply-adds then share a
+// basic block with the loop's phis, and Go's scheduler pairs each
+// product with its add instead of issuing all eight products first,
+// which needs more registers than SSE has.
+//
+//go:noinline
+func spmvRunPanel8(k *runArgs, pos, vi, xi, yi, size int, flags byte, s *[8]float64) (int, int, int, int, int) {
+	ctl, values, x := k.ctl[:len(k.ctl):len(k.ctl)], k.values[:len(k.values):len(k.values)], k.x
+	s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+	units := 0
+	for {
+		units++
+		var j int
+		j, pos = decodeUjmp(ctl, pos)
+		xi += j
+		end := vi + size
+		w, xr := values[vi], x[8*xi:8*xi+8:8*xi+8]
+		switch flags & TypeMask {
+		case ClassU8:
+			for {
+				s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
+				s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
+				if vi++; vi == end {
+					break
+				}
+				xi += int(ctl[pos])
+				pos++
+				w, xr = values[vi], x[8*xi:8*xi+8:8*xi+8]
+			}
+		case ClassU16:
+			for {
+				s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
+				s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
+				if vi++; vi == end {
+					break
+				}
+				xi += int(binary.LittleEndian.Uint16(ctl[pos : pos+2 : pos+2]))
+				pos += 2
+				w, xr = values[vi], x[8*xi:8*xi+8:8*xi+8]
+			}
+		default: // ClassU32
+			for {
+				s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
+				s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
+				if vi++; vi == end {
+					break
+				}
+				xi += int(binary.LittleEndian.Uint32(ctl[pos : pos+4 : pos+4]))
+				pos += 4
+				w, xr = values[vi], x[8*xi:8*xi+8:8*xi+8]
+			}
+		}
+
+		if pos >= len(ctl) {
+			break
+		}
+		flags = ctl[pos]
+		if flags&(FlagRLE|FlagRJMP) != 0 || flags&TypeMask == ClassU64 {
+			break
+		}
+		size = int(ctl[pos+1])
+		pos += 2
+		if flags&FlagNR != 0 {
+			yr := k.y[8*yi : 8*yi+8 : 8*yi+8]
+			yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
+			yr[4], yr[5], yr[6], yr[7] = s4, s5, s6, s7
+			s0, s1, s2, s3, s4, s5, s6, s7 = 0, 0, 0, 0, 0, 0, 0, 0
+			xi = 0
+			yi++
+		}
+	}
+	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	return pos, vi, xi, yi, units
 }
 
 // StackPanel is the widest panel whose accumulator row the generic-width

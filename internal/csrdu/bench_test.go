@@ -68,10 +68,11 @@ func (s unitShape) units() (units int, perClass [4]int) {
 }
 
 // BenchmarkUnitShapes reports serial ns/nnz of the CSR-DU kernel beside
-// CSR and CSR-VI on the unit shapes. It is the per-shape view of the
-// decode cost: the 255-nnz shape sits at the FP-add latency floor, the
-// short shapes show what a unit header or a row costs, and the mixed
-// shape what leaving one class loop for another costs. Run with
+// CSR and CSR-VI on the unit shapes, and ns/nnz-vec of CSR-DU's and
+// CSR's k=8 panel kernels (cells named .../k8). It is the per-shape view
+// of the decode cost: the 255-nnz shape sits at the FP-add latency
+// floor, the short shapes show what a unit header or a row costs, and
+// the mixed shape what leaving one class loop for another costs. Run with
 // -benchtime=1x in verify.sh so it cannot rot; use -benchtime=10x
 // -count=5 to measure.
 func BenchmarkUnitShapes(b *testing.B) {
@@ -98,6 +99,11 @@ func BenchmarkUnitShapes(b *testing.B) {
 			x[i] = 1 + float64(i%3)
 		}
 		y := make([]float64, c.Rows())
+		xp := make([]float64, len(x)*panelWidth)
+		for i := range xp {
+			xp[i] = x[i/panelWidth] * float64(1+i%panelWidth)
+		}
+		yp := make([]float64, len(y)*panelWidth)
 		for _, f := range []core.Format{ref, vi, du} {
 			b.Run(fmt.Sprintf("%s/%s", s.name, f.Name()), func(b *testing.B) {
 				f.SpMV(y, x) // page in both streams
@@ -108,6 +114,23 @@ func BenchmarkUnitShapes(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(f.NNZ()), "ns/nnz")
 			})
+			if f == vi {
+				continue
+			}
+			bf := f.(core.BatchFormat)
+			b.Run(fmt.Sprintf("%s/%s/k%d", s.name, f.Name(), panelWidth), func(b *testing.B) {
+				bf.SpMVBatch(yp, xp, panelWidth) // page in both panels
+				b.SetBytes(f.SizeBytes())
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bf.SpMVBatch(yp, xp, panelWidth)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(f.NNZ())/panelWidth, "ns/nnz-vec")
+			})
 		}
 	}
 }
+
+// panelWidth is the width of BenchmarkUnitShapes' panel cells: the
+// widest panel kernel, the one spmvd's coalescer fills by default.
+const panelWidth = 8

@@ -25,11 +25,15 @@
 // dispatcher hands each run of same-class units to that class's loop,
 // which keeps its state in registers, reads an unrolled ujmp varint and
 // loads deltas in blocks — because at one multiply-add per delta the
-// decode is the kernel. The panel kernels (batch.go), here and in csrduvi,
-// share DecodeUnit, which expands one unit into column indices. ForEach
-// is the plain walk the tests hold both against. The kernels keep two
-// invariants: a row's products are summed left to right in stream
-// order, and a chunk writes exactly its own rows.
+// decode is the kernel. The k=8 panel kernel (batch.go), the width the
+// server's coalescer fills, decodes in line the same way: a dispatcher
+// hands each run of u8/u16/u32 units to one loop that keeps the eight
+// row sums in registers across units and rows. The other panel kernels,
+// here and in csrduvi, and the k=8 dispatcher for its rare RLE and u64
+// units, share DecodeUnit, which expands one unit into column indices.
+// ForEach is the plain walk the tests hold them all against. The
+// kernels keep two invariants: a row's products are summed left to
+// right in stream order, and a chunk writes exactly its own rows.
 //
 // The RLE unit type is the constant-delta extension from the authors'
 // companion paper (CF'08, reference [8]); it is off by default and

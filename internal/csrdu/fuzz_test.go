@@ -76,15 +76,17 @@ func FuzzFromRaw(f *testing.F) {
 				t.Fatalf("row %d: kernel %v, reference %v", i, y[i], yref[i])
 			}
 		}
-		// The scalar kernel and the k=8 panel kernel, whole and on every
-		// chunk of Split(1..4), keep the left-to-right sums and write
-		// their own rows only — on hostile streams too.
-		testmat.CheckBitwise(t, mat, 4, testmat.Reference(mat), 1, 8)
+		// The scalar kernel and every panel kernel (k=3 takes the
+		// generic width), whole and on every chunk of Split(1..4), keep
+		// the left-to-right sums and write their own rows only — on
+		// hostile streams too.
+		testmat.CheckBitwise(t, mat, 4, testmat.Reference(mat), 1, 3, 4, 8)
 	})
 }
 
 // checkStats compares (*Matrix).Stats with a header walk that reuses
-// DecodeUnit, the panel kernels' unit decoder, to step over each unit.
+// DecodeUnit, the unit decoder of the generic-width panel kernels, to
+// step over each unit.
 func checkStats(t *testing.T, m *Matrix) {
 	t.Helper()
 	var want UnitStats

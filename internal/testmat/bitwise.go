@@ -245,9 +245,10 @@ func DUStreams() []DUStream {
 		{Row: 2, RLE: true, JumpLen: 5, Cols: colsFrom(1<<21, 2, 8)},
 	})
 
-	// The scalar kernel hands each run of same-class units to one loop
-	// and leaves it at the first header of another kind, carrying the
-	// row's column position and partial sum across the exit. For every
+	// The scalar kernel hands each run of same-class units to one loop,
+	// and the k=8 panel kernel each run of u8/u16/u32 units; both leave
+	// the loop at the first header it does not take, carrying the row's
+	// column position and partial sums across the exit. For every
 	// ordered pair of unit kinds: a row of two units of the first, two
 	// of the second and two of the first again (class changes without
 	// NR, out and back), then a new row of the first kind (a run that
@@ -278,7 +279,7 @@ func DUStreams() []DUStream {
 			row, col = row+1, 0
 		}
 	}
-	add("class-pairs", row, cols, []int{1, 4}, pairs)
+	add("class-pairs", row, cols, []int{1, 4, 8}, pairs)
 
 	// Rows whose last unit changes class, so that wherever a Split puts
 	// a chunk boundary, the unit before it left the previous run: u16
@@ -292,7 +293,7 @@ func DUStreams() []DUStream {
 			DUUnit{Row: r, Class: a, Cols: colsFrom(r+20, 3, 2)},
 			DUUnit{Row: r, Class: b, Cols: colsFrom(r+40, 7, 4)})
 	}
-	add("chunk-edge-class-change", 24, cols, []int{1, 3}, edges)
+	add("chunk-edge-class-change", 24, cols, []int{1, 3, 8}, edges)
 
 	// Stencil3D(8) with a u16 unit per interior row and, on the two
 	// boundary planes, a u8 unit followed by a u16 unit: the full-size
@@ -318,7 +319,7 @@ func DUStreams() []DUStream {
 			sten = append(sten, DUUnit{Row: r, Class: 1, Cols: rc})
 		}
 	}
-	add("stencil3d-8-planes", n*n*n, n*n*n, []int{1, 3}, sten)
+	add("stencil3d-8-planes", n*n*n, n*n*n, []int{1, 3, 8}, sten)
 
 	// A u16 or u32 unit as the stream's last bytes: with d deltas, fewer
 	// than 8 bytes of ctl remain for the first, a later or no wide load,
