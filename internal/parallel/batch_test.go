@@ -114,23 +114,40 @@ func TestRunBatchGapRowsZeroed(t *testing.T) {
 }
 
 // TestRunBatchTelemetry: one batched run is one RunStat with
-// Vectors = k on both the fused and fallback paths.
+// Vectors = k on both the fused and fallback paths, and on every
+// executor of the lifecycle harness — the multi-phase schemes run
+// their per-column fallback inside that one RunStat.
 func TestRunBatchTelemetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	c := matgen.Banded(rng, 200, 9, 5, matgen.Values{})
+	type input struct {
+		mk         func() Runner
+		rows, cols int
+	}
+	inputs := map[string]input{}
 	for name, f := range map[string]core.Format{
 		"csr": mustFormat(csr.FromCOO(c)),
 		"ell": mustFormat(ell.FromCOO(c)),
 	} {
-		e, err := NewExecutor(f, 3)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		mk := func() Runner {
+			e, err := NewExecutor(f, 3)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return e
 		}
+		inputs[name] = input{mk, c.Rows(), c.Cols()}
+	}
+	for name, mk := range closeHarness(t) {
+		inputs["harness/"+name] = input{mk, 12 * 12, 12 * 12}
+	}
+	for name, in := range inputs {
+		e := in.mk()
 		rec := &obs.Recorder{}
 		e.SetCollector(rec)
 		const k = 4
-		y := make([]float64, c.Rows()*k)
-		x := testmat.RandVec(rng, c.Cols()*k)
+		y := make([]float64, in.rows*k)
+		x := testmat.RandVec(rng, in.cols*k)
 		if err := e.RunBatch(y, x, k); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -142,7 +159,7 @@ func TestRunBatchTelemetry(t *testing.T) {
 				name, s.Last.Vectors, s.Vectors, k)
 		}
 		// The scalar path reports Vectors = 1.
-		if err := e.Run(y[:c.Rows()], x[:c.Cols()]); err != nil {
+		if err := e.Run(y[:in.rows], x[:in.cols]); err != nil {
 			t.Fatal(err)
 		}
 		if s := rec.Snapshot(); s.Last.Vectors != 1 || s.Vectors != k+1 {

@@ -1,12 +1,7 @@
 package parallel
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	rtrace "runtime/trace"
-	"sync"
-	"time"
 
 	"spmv/internal/core"
 	"spmv/internal/csr"
@@ -22,31 +17,18 @@ import (
 // the x range (like column partitioning) and the y range (like row
 // partitioning) each worker touches — the property the paper notes
 // matters for processors with small local stores.
+//
+// A run is two phases, as for ColExecutor: the multiply (a job with
+// y == nil), then, unless a worker failed, the per-block-row reduction.
+// RunBatch runs the scalar pipeline once per panel column. A worker's
+// Lo/Hi span is its grid block's row range; workers in column 0
+// additionally accumulate their block row's reduction time.
 type BlockExecutor struct {
+	pool
 	gridR, gridC int
 	rowB, colB   []int         // grid boundaries
 	blocks       []*csr.Matrix // gridR*gridC, row-major
 	partial      [][]float64   // one per block
-
-	start []chan blockJob
-	errs  []error
-	wg    sync.WaitGroup
-
-	mu     sync.Mutex // serializes Run/RunBatch/Close; guards closed
-	closed bool
-
-	scratchY, scratchX []float64 // RunBatch per-column scratch
-
-	collector  obs.Collector
-	stats      []obs.ChunkStat // reused telemetry buffer; nil ⇒ collection off
-	traceNames []string        // per-worker runtime/trace region names
-}
-
-type blockJob struct {
-	x     []float64
-	y     []float64       // nil for multiply phase
-	stats []obs.ChunkStat // nil ⇒ workers skip timing entirely
-	ctx   context.Context // non-nil ⇒ wrap the phase in a trace region
 }
 
 // NewBlockExecutor cuts the matrix into a gridR×gridC block grid with
@@ -81,67 +63,23 @@ func NewBlockExecutor(c *core.COO, gridR, gridC int) (*BlockExecutor, error) {
 			}
 			idx := ri*gridC + ci
 			e.blocks[idx] = b
-			e.partial[idx] = make([]float64, maxInt(e.rowB[ri+1]-e.rowB[ri], 1))
+			e.partial[idx] = make([]float64, max(e.rowB[ri+1]-e.rowB[ri], 1))
 		}
 	}
-	e.start = make([]chan blockJob, len(e.blocks))
-	e.errs = make([]error, len(e.blocks))
-	for i := range e.blocks {
-		e.start[i] = make(chan blockJob)
-		go workerLabeled("block", i, func() { e.worker(i) })
-	}
-	return e, nil
-}
-
-// SetCollector attaches (or, with nil, detaches) a telemetry sink.
-// It takes the run lock, so attaching mid-stream is safe. A worker's
-// Lo/Hi span is its grid block's row range; workers in column 0
-// additionally accumulate their block row's reduction time.
-func (e *BlockExecutor) SetCollector(c obs.Collector) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.collector = c
-	if c == nil {
-		e.stats = nil
-		return
-	}
-	e.stats = make([]obs.ChunkStat, len(e.blocks))
+	layout := make([]obs.ChunkStat, len(e.blocks))
 	for i, b := range e.blocks {
-		ri := i / e.gridC
-		e.stats[i] = obs.ChunkStat{Worker: i, Lo: e.rowB[ri], Hi: e.rowB[ri+1], NNZ: b.NNZ()}
+		ri := i / gridC
+		layout[i] = obs.ChunkStat{Worker: i, Lo: e.rowB[ri], Hi: e.rowB[ri+1], NNZ: b.NNZ()}
 	}
-	e.traceNames = traceNames("block", len(e.blocks))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func (e *BlockExecutor) worker(idx int) {
-	for j := range e.start[idx] {
-		if j.stats == nil {
-			e.errs[idx] = e.runBlockJob(idx, j)
-		} else {
-			t0 := time.Now()
-			if j.ctx != nil {
-				rtrace.WithRegion(j.ctx, e.traceNames[idx], func() {
-					e.errs[idx] = e.runBlockJob(idx, j)
-				})
-			} else {
-				e.errs[idx] = e.runBlockJob(idx, j)
-			}
-			j.stats[idx].Busy += time.Since(t0)
-		}
-		e.wg.Done()
-	}
+	e.pool = pool{partition: "block", rows: e.rowB[gridR], cols: e.colB[gridC],
+		layout: layout, body: e.runBlockJob, phases: e.twoPhase}
+	e.start()
+	return e, nil
 }
 
 // runBlockJob executes one phase for one grid block with panic
 // containment; errors name the block's row range.
-func (e *BlockExecutor) runBlockJob(idx int, j blockJob) (err error) {
+func (e *BlockExecutor) runBlockJob(idx int, j job) (err error) {
 	ri := idx / e.gridC
 	ci := idx % e.gridC
 	defer func() {
@@ -173,157 +111,4 @@ func (e *BlockExecutor) runBlockJob(idx int, j blockJob) (err error) {
 		}
 	}
 	return nil
-}
-
-// Threads returns the worker count (gridR*gridC).
-func (e *BlockExecutor) Threads() int { return len(e.blocks) }
-
-// Run computes y = A*x. A failed multiply phase returns before the
-// reduction, leaving y untouched. After Close, Run returns an error
-// wrapping core.ErrUsage. Run, RunBatch and Close serialize on an
-// internal mutex (see Executor).
-func (e *BlockExecutor) Run(y, x []float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.run(nil, y, x)
-}
-
-// RunCtx is Run with a cancellation context, checked before each
-// dispatch phase (see Executor.RunCtx for the preemption contract).
-func (e *BlockExecutor) RunCtx(ctx context.Context, y, x []float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.run(ctx, y, x)
-}
-
-// run is Run without the lock; ctx may be nil.
-func (e *BlockExecutor) run(ctx context.Context, y, x []float64) error {
-	if e.closed {
-		return errClosed()
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	rows := e.rowB[e.gridR]
-	cols := e.colB[e.gridC]
-	if err := core.CheckVectorDims(rows, cols, y, x); err != nil {
-		return fmt.Errorf("parallel: %w", err)
-	}
-	n := len(e.blocks)
-	for i := range e.errs {
-		e.errs[i] = nil
-	}
-	var t0 time.Time
-	var tctx context.Context
-	if e.collector != nil {
-		for i := range e.stats {
-			e.stats[i].Busy = 0
-		}
-		var end func()
-		tctx, end = traceTask("spmv.block.run")
-		defer end()
-		t0 = time.Now()
-	}
-	e.wg.Add(n)
-	for i := range e.start {
-		e.start[i] <- blockJob{x: x, stats: e.stats, ctx: tctx}
-	}
-	e.wg.Wait()
-	if err := errors.Join(e.errs...); err != nil {
-		return err
-	}
-	e.wg.Add(n)
-	for i := range e.start {
-		e.start[i] <- blockJob{x: x, y: y, stats: e.stats, ctx: tctx}
-	}
-	e.wg.Wait()
-	if e.collector != nil {
-		e.collector.RunDone(&obs.RunStat{
-			Partition: "block",
-			Vectors:   1,
-			Wall:      time.Since(t0),
-			Chunks:    append([]obs.ChunkStat(nil), e.stats...),
-		})
-	}
-	// Rows beyond the last grid boundary cannot exist (boundaries cover
-	// all rows), but zero-row grids leave y untouched; guard for safety.
-	return errors.Join(e.errs...)
-}
-
-// RunBatch computes Y = A*X over row-major n×k panels by running the
-// block-partitioned scalar pipeline once per panel column. As with the
-// column executor, the reduction phase shares y across workers, so
-// there is no fused multi-vector path.
-func (e *BlockExecutor) RunBatch(y, x []float64, k int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runBatch(nil, y, x, k)
-}
-
-// RunBatchCtx is RunBatch with a cancellation context, checked before
-// each panel column.
-func (e *BlockExecutor) RunBatchCtx(ctx context.Context, y, x []float64, k int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runBatch(ctx, y, x, k)
-}
-
-// runBatch is RunBatch without the lock; ctx may be nil.
-func (e *BlockExecutor) runBatch(ctx context.Context, y, x []float64, k int) error {
-	if e.closed {
-		return errClosed()
-	}
-	rows := e.rowB[e.gridR]
-	cols := e.colB[e.gridC]
-	if err := core.CheckPanelDims(rows, cols, y, x, k); err != nil {
-		return fmt.Errorf("parallel: %w", err)
-	}
-	if k == 1 {
-		return e.run(ctx, y[:rows], x[:cols])
-	}
-	if e.scratchY == nil {
-		e.scratchY = make([]float64, rows)
-		e.scratchX = make([]float64, cols)
-	}
-	return runBatchColumns(ctx, y, x, k, e.scratchY, e.scratchX,
-		func(yc, xc []float64) error { return e.run(ctx, yc, xc) })
-}
-
-// RunBatchIters performs iters consecutive batched multiplications.
-// It stops at the first failing iteration.
-func (e *BlockExecutor) RunBatchIters(iters int, y, x []float64, k int) error {
-	for n := 0; n < iters; n++ {
-		if err := e.RunBatch(y, x, k); err != nil {
-			return fmt.Errorf("iteration %d: %w", n, err)
-		}
-	}
-	return nil
-}
-
-// RunIters performs iters consecutive SpMV operations. It stops at the
-// first failing iteration.
-func (e *BlockExecutor) RunIters(iters int, y, x []float64) error {
-	for k := 0; k < iters; k++ {
-		if err := e.Run(y, x); err != nil {
-			return fmt.Errorf("iteration %d: %w", k, err)
-		}
-	}
-	return nil
-}
-
-// Close stops the workers. Run and RunIters return an error wrapping
-// core.ErrUsage afterwards. Close is idempotent and safe to call
-// concurrently with itself and with Run/RunBatch.
-func (e *BlockExecutor) Close() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.closed = true
-	for i := range e.start {
-		close(e.start[i])
-	}
 }

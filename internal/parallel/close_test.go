@@ -10,42 +10,48 @@ import (
 	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/matgen"
+	"spmv/internal/sym"
 )
 
 // closeHarness builds one executor of each partition scheme over the
-// same small matrix, so the lifecycle tests cover all three drivers.
+// same small symmetric matrix, so the lifecycle tests cover all six
+// executors: row, steal and nnz over csr, col over csc, sym over
+// sym-csr, and block over the triplets. Keys are RunStat.Partition.
 func closeHarness(t *testing.T) map[string]func() Runner {
 	t.Helper()
 	c := matgen.Stencil2D(12)
+	format := func(f core.Format, err error) core.Format {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("format: %v", err)
+		}
+		return f
+	}
+	runner := func(r Runner, err error) Runner {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("executor: %v", err)
+		}
+		return r
+	}
 	return map[string]func() Runner{
 		"row": func() Runner {
-			f, err := csr.FromCOO(c)
-			if err != nil {
-				t.Fatalf("csr: %v", err)
-			}
-			e, err := NewExecutor(f, 4)
-			if err != nil {
-				t.Fatalf("row: %v", err)
-			}
-			return e
+			return runner(NewExecutor(format(csr.FromCOO(c)), 4))
+		},
+		"steal": func() Runner {
+			return runner(NewStealExecutor(format(csr.FromCOO(c)), 4))
+		},
+		"nnz": func() Runner {
+			return runner(NewNNZExecutor(format(csr.FromCOO(c)), 4))
 		},
 		"col": func() Runner {
-			f, err := csc.FromCOO(c)
-			if err != nil {
-				t.Fatalf("csc: %v", err)
-			}
-			e, err := NewColExecutor(f, 4)
-			if err != nil {
-				t.Fatalf("col: %v", err)
-			}
-			return e
+			return runner(NewColExecutor(format(csc.FromCOO(c)), 4))
+		},
+		"sym": func() Runner {
+			return runner(NewSymExecutor(format(sym.FromCOO(c, 1e-12)), 4))
 		},
 		"block": func() Runner {
-			e, err := NewBlockExecutor(c, 2, 2)
-			if err != nil {
-				t.Fatalf("block: %v", err)
-			}
-			return e
+			return runner(NewBlockExecutor(c, 2, 2))
 		},
 	}
 }
@@ -109,7 +115,7 @@ func TestCloseVsRunRace(t *testing.T) {
 
 // TestRunCtxCanceled checks the context-aware entry points reject an
 // already-canceled context without dispatching, on the scalar and
-// batched paths of all three executors.
+// batched paths of all six executors.
 func TestRunCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

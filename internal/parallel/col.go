@@ -1,12 +1,7 @@
 package parallel
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	rtrace "runtime/trace"
-	"sync"
-	"time"
 
 	"spmv/internal/core"
 	"spmv/internal/obs"
@@ -18,32 +13,18 @@ import (
 // parallel (each worker reduces a row range across all private
 // vectors). This is the paper's "each thread uses its own y array and
 // performs a reducing addition at the end".
+//
+// A run is two phases: the multiply (a job with y == nil), then, unless
+// a worker failed, the reduction, which leaves y untouched on a failed
+// multiply. RunBatch has no fused path: column partitioning reduces
+// into a shared y, so a batch runs the scalar pipeline once per panel
+// column — use the row-partitioned executor for batched work. A
+// worker's reported busy time covers both its multiply and reduction
+// phases; its Lo/Hi span is its column range.
 type ColExecutor struct {
+	pool
 	chunks  []core.ColChunk
-	rows    int
-	cols    int
 	private [][]float64
-
-	start []chan colJob
-	errs  []error
-	wg    sync.WaitGroup
-
-	mu     sync.Mutex // serializes Run/RunBatch/Close; guards closed
-	closed bool
-
-	scratchY, scratchX []float64 // RunBatch per-column scratch
-
-	collector  obs.Collector
-	stats      []obs.ChunkStat // reused telemetry buffer; nil ⇒ collection off
-	traceNames []string        // per-worker runtime/trace region names
-}
-
-type colJob struct {
-	x      []float64
-	y      []float64
-	reduce [2]int          // row range this worker reduces
-	stats  []obs.ChunkStat // nil ⇒ workers skip timing entirely
-	ctx    context.Context // non-nil ⇒ wrap the phase in a trace region
 }
 
 // NewColExecutor partitions f into at most nthreads column chunks.
@@ -55,63 +36,42 @@ func NewColExecutor(f core.Format, nthreads int) (*ColExecutor, error) {
 	if nthreads <= 0 {
 		return nil, fmt.Errorf("parallel: invalid thread count %d", nthreads)
 	}
-	e := &ColExecutor{chunks: s.SplitCols(nthreads), rows: f.Rows(), cols: f.Cols()}
-	e.private = make([][]float64, len(e.chunks))
-	e.start = make([]chan colJob, len(e.chunks))
-	e.errs = make([]error, len(e.chunks))
-	for i := range e.chunks {
-		e.private[i] = make([]float64, e.rows)
-		e.start[i] = make(chan colJob)
-		go workerLabeled("col", i, func() { e.worker(i) })
-	}
+	e := &ColExecutor{chunks: s.SplitCols(nthreads)}
+	e.private = privateVectors(len(e.chunks), f.Rows())
+	e.pool = pool{partition: "col", rows: f.Rows(), cols: f.Cols(),
+		layout: colLayout(e.chunks),
+		body: func(i int, j job) error {
+			return e.runColJob(e.chunks[i], e.private[i], j)
+		},
+		phases: e.twoPhase}
+	e.start()
 	return e, nil
 }
 
-// SetCollector attaches (or, with nil, detaches) a telemetry sink.
-// It takes the run lock, so attaching mid-stream is safe. A worker's
-// reported busy time covers both its multiply and reduction phases;
-// its Lo/Hi span is its column range.
-func (e *ColExecutor) SetCollector(c obs.Collector) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.collector = c
-	if c == nil {
-		e.stats = nil
-		return
+// privateVectors allocates one private full-length y per worker.
+func privateVectors(n, rows int) [][]float64 {
+	private := make([][]float64, n)
+	for i := range private {
+		private[i] = make([]float64, rows)
 	}
-	e.stats = make([]obs.ChunkStat, len(e.chunks))
-	for i, ch := range e.chunks {
-		lo, hi := ch.ColRange()
-		e.stats[i] = obs.ChunkStat{Worker: i, Lo: lo, Hi: hi, NNZ: ch.NNZ()}
-	}
-	e.traceNames = traceNames("col", len(e.chunks))
+	return private
 }
 
-func (e *ColExecutor) worker(i int) {
-	ch := e.chunks[i]
-	mine := e.private[i]
-	for j := range e.start[i] {
-		if j.stats == nil {
-			e.errs[i] = e.runColJob(ch, mine, j)
-		} else {
-			t0 := time.Now()
-			if j.ctx != nil {
-				rtrace.WithRegion(j.ctx, e.traceNames[i], func() {
-					e.errs[i] = e.runColJob(ch, mine, j)
-				})
-			} else {
-				e.errs[i] = e.runColJob(ch, mine, j)
-			}
-			j.stats[i].Busy += time.Since(t0)
-		}
-		e.wg.Done()
+// colLayout is the per-worker stats layout of the column-chunked
+// schemes (col, sym): each chunk's column range and non-zeros.
+func colLayout(chunks []core.ColChunk) []obs.ChunkStat {
+	layout := make([]obs.ChunkStat, len(chunks))
+	for i, ch := range chunks {
+		lo, hi := ch.ColRange()
+		layout[i] = obs.ChunkStat{Worker: i, Lo: lo, Hi: hi, NNZ: ch.NNZ()}
 	}
+	return layout
 }
 
 // runColJob executes one phase of a column-partitioned run with panic
 // containment. Multiply-phase errors are tagged with the chunk's
 // column range, reduce-phase errors with the reduced row range.
-func (e *ColExecutor) runColJob(ch core.ColChunk, mine []float64, j colJob) (err error) {
+func (e *ColExecutor) runColJob(ch core.ColChunk, mine []float64, j job) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = colJobError(ch, j, r)
@@ -141,161 +101,10 @@ func (e *ColExecutor) runColJob(ch core.ColChunk, mine []float64, j colJob) (err
 // multiply-phase errors name the chunk's column range, reduce-phase
 // errors the reduced row range. Kept out of runColJob so the hot
 // function stays free of formatting calls.
-func colJobError(ch core.ColChunk, j colJob, r any) error {
+func colJobError(ch core.ColChunk, j job, r any) error {
 	if j.y == nil {
 		lo, hi := ch.ColRange()
 		return fmt.Errorf("parallel: chunk cols [%d,%d): %w", lo, hi, core.PanicError(r))
 	}
 	return fmt.Errorf("parallel: reduce rows [%d,%d): %w", j.reduce[0], j.reduce[1], core.PanicError(r))
-}
-
-// Threads returns the number of workers.
-func (e *ColExecutor) Threads() int { return len(e.chunks) }
-
-// Run computes y = A*x: a multiply phase over column chunks, a barrier,
-// then a parallel reduction over row ranges. A failed multiply phase
-// returns before the reduction, leaving y untouched. After Close, Run
-// returns an error wrapping core.ErrUsage. Run, RunBatch and Close
-// serialize on an internal mutex (see Executor).
-func (e *ColExecutor) Run(y, x []float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.run(nil, y, x)
-}
-
-// RunCtx is Run with a cancellation context, checked before each
-// dispatch phase (see Executor.RunCtx for the preemption contract).
-func (e *ColExecutor) RunCtx(ctx context.Context, y, x []float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.run(ctx, y, x)
-}
-
-// run is Run without the lock; ctx may be nil.
-func (e *ColExecutor) run(ctx context.Context, y, x []float64) error {
-	if e.closed {
-		return errClosed()
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if err := core.CheckVectorDims(e.rows, e.cols, y, x); err != nil {
-		return fmt.Errorf("parallel: %w", err)
-	}
-	n := len(e.chunks)
-	for i := range e.errs {
-		e.errs[i] = nil
-	}
-	var t0 time.Time
-	var tctx context.Context
-	if e.collector != nil {
-		for i := range e.stats {
-			e.stats[i].Busy = 0
-		}
-		var end func()
-		tctx, end = traceTask("spmv.col.run")
-		defer end()
-		t0 = time.Now()
-	}
-	e.wg.Add(n)
-	for i := range e.start {
-		e.start[i] <- colJob{x: x, stats: e.stats, ctx: tctx}
-	}
-	e.wg.Wait()
-	if err := errors.Join(e.errs...); err != nil {
-		return err
-	}
-	e.wg.Add(n)
-	for i := range e.start {
-		lo := i * e.rows / n
-		hi := (i + 1) * e.rows / n
-		e.start[i] <- colJob{y: y, reduce: [2]int{lo, hi}, stats: e.stats, ctx: tctx}
-	}
-	e.wg.Wait()
-	if e.collector != nil {
-		e.collector.RunDone(&obs.RunStat{
-			Partition: "col",
-			Vectors:   1,
-			Wall:      time.Since(t0),
-			Chunks:    append([]obs.ChunkStat(nil), e.stats...),
-		})
-	}
-	return errors.Join(e.errs...)
-}
-
-// RunBatch computes Y = A*X over row-major n×k panels by running the
-// column-partitioned scalar pipeline once per panel column. Column
-// partitioning reduces into a shared y, so there is no fused multi-
-// vector path; RunBatch exists for Runner parity and correctness, not
-// amortization — use the row-partitioned executor for batched work.
-func (e *ColExecutor) RunBatch(y, x []float64, k int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runBatch(nil, y, x, k)
-}
-
-// RunBatchCtx is RunBatch with a cancellation context, checked before
-// each panel column.
-func (e *ColExecutor) RunBatchCtx(ctx context.Context, y, x []float64, k int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runBatch(ctx, y, x, k)
-}
-
-// runBatch is RunBatch without the lock; ctx may be nil.
-func (e *ColExecutor) runBatch(ctx context.Context, y, x []float64, k int) error {
-	if e.closed {
-		return errClosed()
-	}
-	if err := core.CheckPanelDims(e.rows, e.cols, y, x, k); err != nil {
-		return fmt.Errorf("parallel: %w", err)
-	}
-	if k == 1 {
-		return e.run(ctx, y[:e.rows], x[:e.cols])
-	}
-	if e.scratchY == nil {
-		e.scratchY = make([]float64, e.rows)
-		e.scratchX = make([]float64, e.cols)
-	}
-	return runBatchColumns(ctx, y, x, k, e.scratchY, e.scratchX,
-		func(yc, xc []float64) error { return e.run(ctx, yc, xc) })
-}
-
-// RunBatchIters performs iters consecutive batched multiplications.
-// It stops at the first failing iteration.
-func (e *ColExecutor) RunBatchIters(iters int, y, x []float64, k int) error {
-	for n := 0; n < iters; n++ {
-		if err := e.RunBatch(y, x, k); err != nil {
-			return fmt.Errorf("iteration %d: %w", n, err)
-		}
-	}
-	return nil
-}
-
-// RunIters performs iters consecutive SpMV operations. It stops at the
-// first failing iteration.
-func (e *ColExecutor) RunIters(iters int, y, x []float64) error {
-	for k := 0; k < iters; k++ {
-		if err := e.Run(y, x); err != nil {
-			return fmt.Errorf("iteration %d: %w", k, err)
-		}
-	}
-	return nil
-}
-
-// Close stops the workers. Run and RunIters return an error wrapping
-// core.ErrUsage afterwards. Close is idempotent and safe to call
-// concurrently with itself and with Run/RunBatch.
-func (e *ColExecutor) Close() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.closed = true
-	for i := range e.start {
-		close(e.start[i])
-	}
 }

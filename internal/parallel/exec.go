@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 
 	"spmv/internal/core"
@@ -112,30 +111,4 @@ func New(f core.Format, opts ExecOptions) (Runner, error) {
 		r.SetCollector(opts.Collector)
 	}
 	return r, nil
-}
-
-// runBatchColumns is the executor-level batch fallback shared by the
-// reducing executors: gather each panel column into contiguous scratch
-// vectors, run the scalar executor, scatter the result column back.
-// The scalar path's own telemetry fires once per column, each an
-// honest single-vector run. A non-nil ctx is checked before each
-// column, so a canceled batch stops between columns.
-func runBatchColumns(ctx context.Context, y, x []float64, k int, yc, xc []float64, run func(y, x []float64) error) error {
-	for c := 0; c < k; c++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("batch column %d: %w", c, err)
-			}
-		}
-		for j := range xc {
-			xc[j] = x[j*k+c]
-		}
-		if err := run(yc, xc); err != nil {
-			return fmt.Errorf("batch column %d: %w", c, err)
-		}
-		for i, v := range yc {
-			y[i*k+c] = v
-		}
-	}
-	return nil
 }

@@ -7,8 +7,11 @@ import (
 
 	"spmv/internal/core"
 	"spmv/internal/csc"
+	"spmv/internal/csr"
 	"spmv/internal/dcsr"
 	"spmv/internal/matgen"
+	"spmv/internal/obs"
+	"spmv/internal/sym"
 )
 
 // corruptDCSR builds a dcsr matrix whose command stream is corrupted
@@ -128,5 +131,75 @@ func TestBlockExecutorRejectsShortVectors(t *testing.T) {
 	}
 	if err := e.Run(y, x); err != nil {
 		t.Fatalf("full-length vectors rejected: %v", err)
+	}
+}
+
+// TestFailedRunReportsOneRunStat injects a kernel panic into each of
+// the six executors — an out-of-range index planted in the matrix each
+// one multiplies — and checks that a failed Run and a failed RunBatch
+// each reach the collector as exactly one RunStat with Err set and the
+// executor's Partition. The col, sym and block executors used to
+// return on a failed multiply phase before reporting, so their failed
+// runs left no RunStat at all.
+func TestFailedRunReportsOneRunStat(t *testing.T) {
+	c := matgen.Stencil2D(12)
+	const bad = 1 << 30
+	csrBad := func() *csr.Matrix {
+		m := mustFormat(csr.FromCOO(c)).(*csr.Matrix)
+		m.ColInd[len(m.ColInd)/2] = bad
+		return m
+	}
+	runners := map[string]func() (Runner, error){
+		"row":   func() (Runner, error) { return NewExecutor(csrBad(), 3) },
+		"steal": func() (Runner, error) { return NewStealExecutor(csrBad(), 3) },
+		"nnz":   func() (Runner, error) { return NewNNZExecutor(csrBad(), 3) },
+		"col": func() (Runner, error) {
+			m := mustFormat(csc.FromCOO(c)).(*csc.Matrix)
+			m.RowInd[len(m.RowInd)/2] = bad
+			return NewColExecutor(m, 3)
+		},
+		"sym": func() (Runner, error) {
+			m := mustFormat(sym.FromCOO(c, 1e-12)).(*sym.Matrix)
+			m.ColInd[len(m.ColInd)/2] = bad
+			return NewSymExecutor(m, 3)
+		},
+		"block": func() (Runner, error) {
+			e, err := NewBlockExecutor(c, 2, 2)
+			if err == nil {
+				e.blocks[0].ColInd[0] = bad
+			}
+			return e, err
+		},
+	}
+	for partition, mk := range runners {
+		t.Run(partition, func(t *testing.T) {
+			e, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			rec := obs.NewRecorder()
+			e.SetCollector(rec)
+			const k = 3
+			n := c.Rows()
+			y := make([]float64, n*k)
+			x := make([]float64, n*k)
+			if err := e.Run(y[:n], x[:n]); err == nil {
+				t.Fatal("Run with a planted panic succeeded")
+			}
+			s := rec.Snapshot()
+			if s.Runs != 1 || s.Last.Err == "" || s.Last.Partition != partition || s.Last.Vectors != 1 {
+				t.Fatalf("after failed Run: runs = %d, last = {Partition %q, Vectors %d, Err %q}, want 1 run of %q with Err set",
+					s.Runs, s.Last.Partition, s.Last.Vectors, s.Last.Err, partition)
+			}
+			if err := e.RunBatch(y, x, k); err == nil {
+				t.Fatal("RunBatch with a planted panic succeeded")
+			}
+			s = rec.Snapshot()
+			if s.Runs != 2 || s.Last.Err == "" || s.Last.Partition != partition || s.Last.Vectors != k {
+				t.Fatalf("after failed RunBatch: runs = %d, last = {Partition %q, Vectors %d, Err %q}, want 2 runs, the last of %q with Err set and Vectors %d",
+					s.Runs, s.Last.Partition, s.Last.Vectors, s.Last.Err, partition, k)
+			}
+		})
 	}
 }

@@ -1,15 +1,9 @@
 package parallel
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	rtrace "runtime/trace"
-	"sync"
-	"time"
 
 	"spmv/internal/core"
-	"spmv/internal/obs"
 )
 
 // NNZExecutor runs non-zero-partitioned multithreaded SpMV: chunk
@@ -24,29 +18,17 @@ import (
 // partitioning. The at-most-two boundary rows a chunk shares with its
 // neighbours are privatized: each worker stores its piece of a shared
 // row into its own partial slots (no atomics, no false sharing on y),
-// and Run finishes with an O(parts) serial fix-up pass summing the
-// pieces into y. Lifecycle, locking, panic containment and telemetry
-// follow Executor.
+// and each run finishes with an O(parts) serial fix-up pass summing
+// the pieces into y. Lifecycle, locking, panic containment and
+// telemetry are the shared pool's. RunBatch has no fused path: the
+// fix-up needs a reduction per vector, so a batch runs the scalar
+// pipeline once per panel column — use the row-partitioned executor
+// for batched work on balanced matrices.
 type NNZExecutor struct {
+	pool
 	chunks []core.NNZChunk
-	rows   int
-	cols   int
-	gaps   [][2]int  // rows covered by no chunk (zeroed per run)
 	parts  []float64 // 2 partial slots per chunk, indexed 2*worker
 	fixups []fixup   // one per split row, in row order
-
-	start []chan job
-	errs  []error
-	wg    sync.WaitGroup
-
-	mu     sync.Mutex // serializes Run/RunBatch/Close; guards closed
-	closed bool
-
-	scratchY, scratchX []float64 // RunBatch per-column scratch
-
-	collector  obs.Collector
-	stats      []obs.ChunkStat
-	traceNames []string
 }
 
 // fixup is the reduction recipe for one split row: y[row] is the sum
@@ -68,7 +50,7 @@ func NewNNZExecutor(f core.Format, nthreads int) (*NNZExecutor, error) {
 	if nthreads <= 0 {
 		return nil, fmt.Errorf("parallel: invalid thread count %d", nthreads)
 	}
-	e := &NNZExecutor{chunks: s.SplitNNZ(nthreads), rows: f.Rows(), cols: f.Cols()}
+	e := &NNZExecutor{chunks: s.SplitNNZ(nthreads)}
 	e.parts = make([]float64, 2*len(e.chunks))
 
 	// Collect the split rows and their contributing partial slots. A
@@ -85,22 +67,6 @@ func NewNNZExecutor(f core.Format, nthreads int) (*NNZExecutor, error) {
 		}
 	}
 
-	// Rows covered by no chunk hold no non-zeros; Run zeroes them.
-	// Neighbouring chunks may share a boundary row, so ranges overlap.
-	next := 0
-	for _, ch := range e.chunks {
-		lo, hi := ch.RowRange()
-		if lo > next {
-			e.gaps = append(e.gaps, [2]int{next, lo})
-		}
-		if hi > next {
-			next = hi
-		}
-	}
-	if next < e.rows {
-		e.gaps = append(e.gaps, [2]int{next, e.rows})
-	}
-
 	// Deterministic fix-up order: ascending row, slots in chunk order
 	// (map iteration order must not leak into float summation order).
 	for i, ch := range e.chunks {
@@ -112,54 +78,32 @@ func NewNNZExecutor(f core.Format, nthreads int) (*NNZExecutor, error) {
 		}
 	}
 
-	e.start = make([]chan job, len(e.chunks))
-	e.errs = make([]error, len(e.chunks))
-	for i := range e.chunks {
-		e.start[i] = make(chan job)
-		go workerLabeled("nnz", i, func() { e.worker(i) })
-	}
+	// Rows covered by no chunk hold no non-zeros; the pool zeroes them.
+	e.pool = pool{partition: "nnz", rows: f.Rows(), cols: f.Cols(),
+		gaps: rowGaps(e.chunks, f.Rows()), layout: rowLayout(e.chunks),
+		body: func(i int, j job) error {
+			return runNNZChunk(e.chunks[i], e.parts[2*i:2*i+2], j)
+		},
+		phases: e.runPhases}
+	e.start()
 	return e, nil
 }
 
-// SetCollector attaches (or, with nil, detaches) a telemetry sink.
-// Lo/Hi report the chunk's touched row range; boundary rows shared
-// with a neighbour appear in both chunks' spans.
-func (e *NNZExecutor) SetCollector(c obs.Collector) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.collector = c
-	if c == nil {
-		e.stats = nil
-		e.traceNames = nil
-		return
-	}
-	e.stats = make([]obs.ChunkStat, len(e.chunks))
-	for i, ch := range e.chunks {
-		lo, hi := ch.RowRange()
-		e.stats[i] = obs.ChunkStat{Worker: i, Lo: lo, Hi: hi, NNZ: ch.NNZ()}
-	}
-	e.traceNames = traceNames("nnz", len(e.chunks))
-}
-
-func (e *NNZExecutor) worker(i int) {
-	ch := e.chunks[i]
-	partial := e.parts[2*i : 2*i+2]
-	for j := range e.start[i] {
-		if j.stats == nil {
-			e.errs[i] = runNNZChunk(ch, partial, j)
-		} else {
-			t0 := time.Now()
-			if j.ctx != nil {
-				rtrace.WithRegion(j.ctx, e.traceNames[i], func() {
-					e.errs[i] = runNNZChunk(ch, partial, j)
-				})
-			} else {
-				e.errs[i] = runNNZChunk(ch, partial, j)
-			}
-			j.stats[i].Busy += time.Since(t0)
+// runPhases is one dispatch followed by the fix-up pass: every split
+// row is the sum of its privatized pieces. No chunk writes y for split
+// rows, so this is a plain overwrite; slots are summed left to right in
+// chunk order, keeping results deterministic for a fixed chunk count.
+func (e *NNZExecutor) runPhases(j job) error {
+	e.dispatch(&j)
+	for i := range e.fixups {
+		f := &e.fixups[i]
+		sum := 0.0
+		for _, s := range f.slots {
+			sum += e.parts[s]
 		}
-		e.wg.Done()
+		j.y[f.row] = sum
 	}
+	return e.joinErrs()
 }
 
 // runNNZChunk executes one chunk's partial kernel with panic
@@ -173,162 +117,4 @@ func runNNZChunk(ch core.NNZChunk, partial []float64, j job) (err error) {
 	}()
 	ch.SpMVPartial(j.y, j.x, partial)
 	return nil
-}
-
-// Threads returns the number of workers.
-func (e *NNZExecutor) Threads() int { return len(e.chunks) }
-
-// Run computes y = A*x. Error semantics match Executor.Run.
-func (e *NNZExecutor) Run(y, x []float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.run(nil, y, x)
-}
-
-// RunCtx is Run with a cancellation context (see Executor.RunCtx for
-// the preemption contract).
-func (e *NNZExecutor) RunCtx(ctx context.Context, y, x []float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.run(ctx, y, x)
-}
-
-// run is Run without the lock; ctx may be nil.
-func (e *NNZExecutor) run(ctx context.Context, y, x []float64) error {
-	if e.closed {
-		return errClosed()
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if err := core.CheckVectorDims(e.rows, e.cols, y, x); err != nil {
-		return fmt.Errorf("parallel: %w", err)
-	}
-	for _, g := range e.gaps {
-		for i := g[0]; i < g[1]; i++ {
-			y[i] = 0
-		}
-	}
-	for i := range e.errs {
-		e.errs[i] = nil
-	}
-	var t0 time.Time
-	var tctx context.Context
-	if e.collector != nil {
-		for i := range e.stats {
-			e.stats[i].Busy = 0
-		}
-		var end func()
-		tctx, end = traceTask("spmv.nnz.run")
-		defer end()
-		t0 = time.Now()
-	}
-	e.dispatch(job{y: y, x: x, stats: e.stats, ctx: tctx})
-	// Fix-up pass: every split row is the sum of its privatized pieces.
-	// No chunk writes y for split rows, so this is a plain overwrite;
-	// slots are summed left to right in chunk order, keeping results
-	// deterministic for a fixed chunk count.
-	for i := range e.fixups {
-		f := &e.fixups[i]
-		sum := 0.0
-		for _, s := range f.slots {
-			sum += e.parts[s]
-		}
-		y[f.row] = sum
-	}
-	err := errors.Join(e.errs...)
-	if e.collector != nil {
-		e.collector.RunDone(&obs.RunStat{
-			Partition: "nnz",
-			Vectors:   1,
-			Wall:      time.Since(t0),
-			Err:       errString(err),
-			Chunks:    append([]obs.ChunkStat(nil), e.stats...),
-		})
-	}
-	return err
-}
-
-// dispatch hands one job to every worker and blocks until all finish.
-func (e *NNZExecutor) dispatch(j job) {
-	e.wg.Add(len(e.chunks))
-	for i := range e.start {
-		e.start[i] <- j
-	}
-	e.wg.Wait()
-}
-
-// RunBatch computes Y = A*X over row-major n×k panels by running the
-// nnz-partitioned scalar pipeline once per panel column: the partial
-// fix-up needs a reduction per vector, so there is no fused
-// multi-vector path — use the row-partitioned executor for batched
-// work on balanced matrices.
-func (e *NNZExecutor) RunBatch(y, x []float64, k int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runBatch(nil, y, x, k)
-}
-
-// RunBatchCtx is RunBatch with a cancellation context, checked before
-// each panel column.
-func (e *NNZExecutor) RunBatchCtx(ctx context.Context, y, x []float64, k int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runBatch(ctx, y, x, k)
-}
-
-// runBatch is RunBatch without the lock; ctx may be nil.
-func (e *NNZExecutor) runBatch(ctx context.Context, y, x []float64, k int) error {
-	if e.closed {
-		return errClosed()
-	}
-	if err := core.CheckPanelDims(e.rows, e.cols, y, x, k); err != nil {
-		return fmt.Errorf("parallel: %w", err)
-	}
-	if k == 1 {
-		return e.run(ctx, y[:e.rows], x[:e.cols])
-	}
-	if e.scratchY == nil {
-		e.scratchY = make([]float64, e.rows)
-		e.scratchX = make([]float64, e.cols)
-	}
-	return runBatchColumns(ctx, y, x, k, e.scratchY, e.scratchX,
-		func(yc, xc []float64) error { return e.run(ctx, yc, xc) })
-}
-
-// RunBatchIters performs iters consecutive batched multiplications.
-// It stops at the first failing iteration.
-func (e *NNZExecutor) RunBatchIters(iters int, y, x []float64, k int) error {
-	for n := 0; n < iters; n++ {
-		if err := e.RunBatch(y, x, k); err != nil {
-			return fmt.Errorf("iteration %d: %w", n, err)
-		}
-	}
-	return nil
-}
-
-// RunIters performs iters consecutive SpMV operations. It stops at the
-// first failing iteration.
-func (e *NNZExecutor) RunIters(iters int, y, x []float64) error {
-	for k := 0; k < iters; k++ {
-		if err := e.Run(y, x); err != nil {
-			return fmt.Errorf("iteration %d: %w", k, err)
-		}
-	}
-	return nil
-}
-
-// Close stops the workers (idempotent; see Executor.Close).
-func (e *NNZExecutor) Close() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.closed = true
-	for i := range e.start {
-		close(e.start[i])
-	}
 }

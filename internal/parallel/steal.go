@@ -1,13 +1,9 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	rtrace "runtime/trace"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"spmv/internal/core"
 	"spmv/internal/obs"
@@ -35,27 +31,11 @@ const stealFactor = 4
 // increment per chunk; on skewed or noisy-neighbour runs the tail
 // chunks migrate to idle workers instead of stretching the barrier.
 type StealExecutor struct {
-	chunks []core.Chunk
-	rows   int
-	cols   int
-	gaps   [][2]int // row ranges covered by no chunk (zeroed per run)
-	batch  bool     // every chunk implements core.BatchChunk
-
+	pool
+	chunks  []core.Chunk
 	queues  [][]int       // static chunk-index blocks, one per worker
 	cursors []stealCursor // per-queue claim cursor, reset each run
-
-	start []chan job
-	errs  []error // per-chunk error slot for the current run
-	wg    sync.WaitGroup
-
-	mu     sync.Mutex // serializes Run/RunBatch/Close; guards closed
-	closed bool
-
-	scratchY, scratchX []float64 // RunBatch per-column scratch
-
-	collector  obs.Collector
-	stats      []obs.ChunkStat // one per worker; NNZ/Steals are per-run
-	traceNames []string
+	errs    []error       // per-chunk error slot for the current run
 }
 
 // stealCursor is a queue cursor padded to a cache line: cursors are
@@ -68,7 +48,9 @@ type stealCursor struct {
 
 // NewStealExecutor builds a work-stealing row executor with nthreads
 // workers over stealFactor×nthreads chunks. Formats must support row
-// partitioning, as for NewExecutor.
+// partitioning, as for NewExecutor. Chunk stats are per worker; Lo/Hi
+// are zero because a stealing worker's rows are not contiguous — NNZ
+// and Steals are filled per run with what the worker actually executed.
 func NewStealExecutor(f core.Format, nthreads int) (*StealExecutor, error) {
 	s, ok := f.(core.Splitter)
 	if !ok {
@@ -77,33 +59,8 @@ func NewStealExecutor(f core.Format, nthreads int) (*StealExecutor, error) {
 	if nthreads <= 0 {
 		return nil, fmt.Errorf("parallel: invalid thread count %d", nthreads)
 	}
-	e := &StealExecutor{chunks: s.Split(stealFactor * nthreads), rows: f.Rows(), cols: f.Cols()}
-	next := 0
-	for _, ch := range e.chunks {
-		lo, hi := ch.RowRange()
-		if lo > next {
-			e.gaps = append(e.gaps, [2]int{next, lo})
-		}
-		next = hi
-	}
-	if next < e.rows {
-		e.gaps = append(e.gaps, [2]int{next, e.rows})
-	}
-	e.batch = true
-	for _, ch := range e.chunks {
-		if _, ok := ch.(core.BatchChunk); !ok {
-			e.batch = false
-			break
-		}
-	}
-
-	nworkers := nthreads
-	if nworkers > len(e.chunks) {
-		nworkers = len(e.chunks)
-	}
-	if nworkers < 1 {
-		nworkers = 1
-	}
+	e := &StealExecutor{chunks: s.Split(stealFactor * nthreads)}
+	nworkers := max(min(nthreads, len(e.chunks)), 1)
 	qb := partition.Even(len(e.chunks), nworkers)
 	e.queues = make([][]int, nworkers)
 	for w := 0; w < nworkers; w++ {
@@ -115,49 +72,29 @@ func NewStealExecutor(f core.Format, nthreads int) (*StealExecutor, error) {
 	}
 	e.cursors = make([]stealCursor, nworkers)
 	e.errs = make([]error, len(e.chunks))
-	e.start = make([]chan job, nworkers)
-	for w := 0; w < nworkers; w++ {
-		e.start[w] = make(chan job)
-		go workerLabeled("steal", w, func() { e.worker(w) })
+	layout := make([]obs.ChunkStat, nworkers)
+	for w := range layout {
+		layout[w] = obs.ChunkStat{Worker: w}
 	}
+	e.pool = pool{partition: "steal", rows: f.Rows(), cols: f.Cols(),
+		gaps: rowGaps(e.chunks, f.Rows()), fused: fusable(e.chunks), layout: layout,
+		body:   func(w int, j job) error { e.drain(w, j); return nil },
+		phases: e.runPhases}
+	e.start()
 	return e, nil
 }
 
-// SetCollector attaches (or, with nil, detaches) a telemetry sink.
-// Chunk stats are per worker; Lo/Hi are zero because a stealing
-// worker's rows are not contiguous — NNZ and Steals are filled per run
-// with what the worker actually executed.
-func (e *StealExecutor) SetCollector(c obs.Collector) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.collector = c
-	if c == nil {
-		e.stats = nil
-		e.traceNames = nil
-		return
+// runPhases resets the claim cursors and per-chunk error slots, hands the
+// job to every worker, and returns once the queues are drained.
+// Workers are quiescent between dispatches, so the resets need no
+// synchronization beyond the channel sends that publish them.
+func (e *StealExecutor) runPhases(j job) error {
+	for w := range e.cursors {
+		e.cursors[w].n.Store(0)
 	}
-	e.stats = make([]obs.ChunkStat, len(e.queues))
-	for w := range e.stats {
-		e.stats[w] = obs.ChunkStat{Worker: w}
-	}
-	e.traceNames = traceNames("steal", len(e.queues))
-}
-
-func (e *StealExecutor) worker(w int) {
-	for j := range e.start[w] {
-		if j.stats == nil {
-			e.drain(w, j)
-		} else {
-			t0 := time.Now()
-			if j.ctx != nil {
-				rtrace.WithRegion(j.ctx, e.traceNames[w], func() { e.drain(w, j) })
-			} else {
-				e.drain(w, j)
-			}
-			j.stats[w].Busy += time.Since(t0)
-		}
-		e.wg.Done()
-	}
+	clear(e.errs)
+	e.dispatch(&j)
+	return errors.Join(e.errs...)
 }
 
 // drain executes worker w's share of one run: first its own queue, then
@@ -199,200 +136,5 @@ func (e *StealExecutor) drain(w int, j job) {
 				j.stats[w].Steals++
 			}
 		}
-	}
-}
-
-// Threads returns the number of workers.
-func (e *StealExecutor) Threads() int { return len(e.queues) }
-
-// Run computes y = A*x. Error semantics match Executor.Run.
-func (e *StealExecutor) Run(y, x []float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.run(nil, y, x)
-}
-
-// RunCtx is Run with a cancellation context (see Executor.RunCtx).
-func (e *StealExecutor) RunCtx(ctx context.Context, y, x []float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.run(ctx, y, x)
-}
-
-// run is Run without the lock; ctx may be nil.
-func (e *StealExecutor) run(ctx context.Context, y, x []float64) error {
-	if e.closed {
-		return errClosed()
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if err := core.CheckVectorDims(e.rows, e.cols, y, x); err != nil {
-		return fmt.Errorf("parallel: %w", err)
-	}
-	for _, g := range e.gaps {
-		for i := g[0]; i < g[1]; i++ {
-			y[i] = 0
-		}
-	}
-	var t0 time.Time
-	var tctx context.Context
-	if e.collector != nil {
-		for w := range e.stats {
-			e.stats[w].Busy, e.stats[w].NNZ, e.stats[w].Steals = 0, 0, 0
-		}
-		var end func()
-		tctx, end = traceTask("spmv.steal.run")
-		defer end()
-		t0 = time.Now()
-	}
-	e.dispatch(job{y: y, x: x, stats: e.stats, ctx: tctx})
-	err := errors.Join(e.errs...)
-	if e.collector != nil {
-		steals := 0
-		for w := range e.stats {
-			steals += e.stats[w].Steals
-		}
-		e.collector.RunDone(&obs.RunStat{
-			Partition: "steal",
-			Vectors:   1,
-			Wall:      time.Since(t0),
-			Steals:    steals,
-			Err:       errString(err),
-			Chunks:    append([]obs.ChunkStat(nil), e.stats...),
-		})
-	}
-	return err
-}
-
-// dispatch resets the claim cursors and per-chunk error slots, hands
-// the job to every worker, and blocks until the queues are drained.
-// Workers are quiescent between runs (wg.Wait below, callers hold the
-// run lock), so the resets need no synchronization beyond the channel
-// sends that publish them.
-func (e *StealExecutor) dispatch(j job) {
-	for w := range e.cursors {
-		e.cursors[w].n.Store(0)
-	}
-	for i := range e.errs {
-		e.errs[i] = nil
-	}
-	e.wg.Add(len(e.start))
-	for w := range e.start {
-		e.start[w] <- j
-	}
-	e.wg.Wait()
-}
-
-// RunBatch computes Y = A*X over row-major n×k panels; chunks with a
-// fused batch kernel traverse the matrix once for all k vectors, other
-// formats fall back to per-column scalar runs (see Executor.RunBatch).
-func (e *StealExecutor) RunBatch(y, x []float64, k int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runBatch(nil, y, x, k)
-}
-
-// RunBatchCtx is RunBatch with a cancellation context.
-func (e *StealExecutor) RunBatchCtx(ctx context.Context, y, x []float64, k int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runBatch(ctx, y, x, k)
-}
-
-// runBatch is RunBatch without the lock; ctx may be nil.
-func (e *StealExecutor) runBatch(ctx context.Context, y, x []float64, k int) error {
-	if e.closed {
-		return errClosed()
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if err := core.CheckPanelDims(e.rows, e.cols, y, x, k); err != nil {
-		return fmt.Errorf("parallel: %w", err)
-	}
-	if k == 1 {
-		return e.run(ctx, y[:e.rows], x[:e.cols])
-	}
-	if !e.batch {
-		if e.scratchY == nil {
-			e.scratchY = make([]float64, e.rows)
-			e.scratchX = make([]float64, e.cols)
-		}
-		return runBatchColumns(ctx, y, x, k, e.scratchY, e.scratchX,
-			func(yc, xc []float64) error { return e.run(ctx, yc, xc) })
-	}
-	for _, g := range e.gaps {
-		yr := y[g[0]*k : g[1]*k]
-		for i := range yr {
-			yr[i] = 0
-		}
-	}
-	var t0 time.Time
-	var tctx context.Context
-	if e.collector != nil {
-		for w := range e.stats {
-			e.stats[w].Busy, e.stats[w].NNZ, e.stats[w].Steals = 0, 0, 0
-		}
-		var end func()
-		tctx, end = traceTask("spmv.steal.batch")
-		defer end()
-		t0 = time.Now()
-	}
-	e.dispatch(job{y: y, x: x, k: k, stats: e.stats, ctx: tctx})
-	err := errors.Join(e.errs...)
-	if e.collector != nil {
-		steals := 0
-		for w := range e.stats {
-			steals += e.stats[w].Steals
-		}
-		e.collector.RunDone(&obs.RunStat{
-			Partition: "steal",
-			Vectors:   k,
-			Wall:      time.Since(t0),
-			Steals:    steals,
-			Err:       errString(err),
-			Chunks:    append([]obs.ChunkStat(nil), e.stats...),
-		})
-	}
-	return err
-}
-
-// RunBatchIters performs iters consecutive batched multiplications.
-// It stops at the first failing iteration.
-func (e *StealExecutor) RunBatchIters(iters int, y, x []float64, k int) error {
-	for n := 0; n < iters; n++ {
-		if err := e.RunBatch(y, x, k); err != nil {
-			return fmt.Errorf("iteration %d: %w", n, err)
-		}
-	}
-	return nil
-}
-
-// RunIters performs iters consecutive SpMV operations. It stops at the
-// first failing iteration.
-func (e *StealExecutor) RunIters(iters int, y, x []float64) error {
-	for k := 0; k < iters; k++ {
-		if err := e.Run(y, x); err != nil {
-			return fmt.Errorf("iteration %d: %w", k, err)
-		}
-	}
-	return nil
-}
-
-// Close stops the workers (idempotent; see Executor.Close).
-func (e *StealExecutor) Close() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.closed = true
-	for w := range e.start {
-		close(e.start[w])
 	}
 }

@@ -1,15 +1,9 @@
 package parallel
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	rtrace "runtime/trace"
-	"sync"
-	"time"
 
 	"spmv/internal/core"
-	"spmv/internal/obs"
 )
 
 // SymExecutor parallelizes scatter-kernel formats — built for the
@@ -31,33 +25,16 @@ import (
 // arrival. The flat ColExecutor reduction sweeps all P private vectors
 // in one pass (P-1 adds deep); the tree does the same adds in log2(P)
 // passes of depth 1, trading barriers for cache-sized streams.
+//
+// A failed multiply phase returns before any reduction, leaving y
+// untouched. RunBatch has no fused path: the reduction needs a pass per
+// vector, so a batch runs the scalar pipeline once per panel column. A
+// worker's busy time covers its multiply phase plus its slices of
+// every reduction round.
 type SymExecutor struct {
+	pool
 	chunks  []core.ColChunk
-	rows    int
-	cols    int
 	private [][]float64
-
-	start []chan symJob
-	errs  []error
-	wg    sync.WaitGroup
-
-	mu     sync.Mutex // serializes Run/RunBatch/Close; guards closed
-	closed bool
-
-	scratchY, scratchX []float64 // RunBatch per-column scratch
-
-	collector  obs.Collector
-	stats      []obs.ChunkStat
-	traceNames []string
-}
-
-type symJob struct {
-	x      []float64 // multiply phase when y == nil and stride == 0
-	y      []float64 // non-nil ⇒ final reduction round, writing y
-	stride int       // reduction round stride; 0 with y ⇒ plain copy
-	reduce [2]int    // row range this worker reduces
-	stats  []obs.ChunkStat
-	ctx    context.Context
 }
 
 // NewSymExecutor partitions f into at most nthreads scatter chunks
@@ -71,64 +48,47 @@ func NewSymExecutor(f core.Format, nthreads int) (*SymExecutor, error) {
 	if nthreads <= 0 {
 		return nil, fmt.Errorf("parallel: invalid thread count %d", nthreads)
 	}
-	e := &SymExecutor{chunks: s.SplitCols(nthreads), rows: f.Rows(), cols: f.Cols()}
-	e.private = make([][]float64, len(e.chunks))
-	e.start = make([]chan symJob, len(e.chunks))
-	e.errs = make([]error, len(e.chunks))
-	for i := range e.chunks {
-		e.private[i] = make([]float64, e.rows)
-		e.start[i] = make(chan symJob)
-		go workerLabeled("sym", i, func() { e.worker(i) })
-	}
+	e := &SymExecutor{chunks: s.SplitCols(nthreads)}
+	e.private = privateVectors(len(e.chunks), f.Rows())
+	e.pool = pool{partition: "sym", rows: f.Rows(), cols: f.Cols(),
+		layout: colLayout(e.chunks),
+		body: func(i int, j job) error {
+			return e.runSymJob(e.chunks[i], e.private[i], j)
+		},
+		phases: e.runPhases}
+	e.start()
 	return e, nil
 }
 
-// SetCollector attaches (or, with nil, detaches) a telemetry sink. A
-// worker's busy time covers its multiply phase plus its slices of
-// every reduction round.
-func (e *SymExecutor) SetCollector(c obs.Collector) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.collector = c
-	if c == nil {
-		e.stats = nil
-		e.traceNames = nil
-		return
+// runPhases is the scatter phase into the private vectors (y cleared,
+// stride 0), then — only if it succeeded — ceil(log2(P)) row-sliced
+// tree-reduction rounds, the last of which writes y.
+func (e *SymExecutor) runPhases(j job) error {
+	y := j.y
+	j.y = nil
+	e.dispatch(&j)
+	if err := e.joinErrs(); err != nil {
+		return err
 	}
-	e.stats = make([]obs.ChunkStat, len(e.chunks))
-	for i, ch := range e.chunks {
-		lo, hi := ch.ColRange()
-		e.stats[i] = obs.ChunkStat{Worker: i, Lo: lo, Hi: hi, NNZ: ch.NNZ()}
+	p := len(e.private)
+	s := 1
+	for ; 2*s < p; s *= 2 {
+		j.stride = s
+		e.dispatch(&j)
 	}
-	e.traceNames = traceNames("sym", len(e.chunks))
-}
-
-func (e *SymExecutor) worker(i int) {
-	ch := e.chunks[i]
-	mine := e.private[i]
-	for j := range e.start[i] {
-		if j.stats == nil {
-			e.errs[i] = e.runSymJob(ch, mine, j)
-		} else {
-			t0 := time.Now()
-			if j.ctx != nil {
-				rtrace.WithRegion(j.ctx, e.traceNames[i], func() {
-					e.errs[i] = e.runSymJob(ch, mine, j)
-				})
-			} else {
-				e.errs[i] = e.runSymJob(ch, mine, j)
-			}
-			j.stats[i].Busy += time.Since(t0)
-		}
-		e.wg.Done()
+	if p == 1 {
+		s = 0 // single private vector: the final "round" is a copy
 	}
+	j.y, j.stride = y, s
+	e.dispatch(&j)
+	return e.joinErrs()
 }
 
 // runSymJob executes one phase of a tree-reduced run with panic
 // containment: the multiply phase scatters into the worker's private
 // vector; a reduction round adds this worker's row slice of every
 // active pair of private vectors (the final round writes y instead).
-func (e *SymExecutor) runSymJob(ch core.ColChunk, mine []float64, j symJob) (err error) {
+func (e *SymExecutor) runSymJob(ch core.ColChunk, mine []float64, j job) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = symJobError(ch, j, r)
@@ -168,168 +128,11 @@ func (e *SymExecutor) runSymJob(ch core.ColChunk, mine []float64, j symJob) (err
 // symJobError converts a recovered phase panic into an error naming
 // the phase; kept out of runSymJob so the hot function stays free of
 // formatting calls.
-func symJobError(ch core.ColChunk, j symJob, r any) error {
+func symJobError(ch core.ColChunk, j job, r any) error {
 	if j.y == nil && j.stride == 0 {
 		lo, hi := ch.ColRange()
 		return fmt.Errorf("parallel: sym chunk rows [%d,%d): %w", lo, hi, core.PanicError(r))
 	}
 	return fmt.Errorf("parallel: sym reduce stride %d rows [%d,%d): %w",
 		j.stride, j.reduce[0], j.reduce[1], core.PanicError(r))
-}
-
-// Threads returns the number of workers.
-func (e *SymExecutor) Threads() int { return len(e.chunks) }
-
-// Run computes y = A*x: one scatter phase into private vectors, then
-// ceil(log2(P)) row-sliced tree-reduction rounds, the last of which
-// writes y. A failed multiply phase returns before any reduction,
-// leaving y untouched. Error and lifecycle semantics match Executor.
-func (e *SymExecutor) Run(y, x []float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.run(nil, y, x)
-}
-
-// RunCtx is Run with a cancellation context, checked before each
-// dispatch phase (see Executor.RunCtx for the preemption contract).
-func (e *SymExecutor) RunCtx(ctx context.Context, y, x []float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.run(ctx, y, x)
-}
-
-// run is Run without the lock; ctx may be nil.
-func (e *SymExecutor) run(ctx context.Context, y, x []float64) error {
-	if e.closed {
-		return errClosed()
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if err := core.CheckVectorDims(e.rows, e.cols, y, x); err != nil {
-		return fmt.Errorf("parallel: %w", err)
-	}
-	for i := range e.errs {
-		e.errs[i] = nil
-	}
-	var t0 time.Time
-	var tctx context.Context
-	if e.collector != nil {
-		for i := range e.stats {
-			e.stats[i].Busy = 0
-		}
-		var end func()
-		tctx, end = traceTask("spmv.sym.run")
-		defer end()
-		t0 = time.Now()
-	}
-	e.dispatch(symJob{x: x, stats: e.stats, ctx: tctx})
-	if err := errors.Join(e.errs...); err != nil {
-		return err
-	}
-	p := len(e.private)
-	s := 1
-	for ; 2*s < p; s *= 2 {
-		e.dispatch(symJob{stride: s, stats: e.stats, ctx: tctx})
-	}
-	if p == 1 {
-		s = 0 // single private vector: the final "round" is a copy
-	}
-	e.dispatch(symJob{y: y, stride: s, stats: e.stats, ctx: tctx})
-	err := errors.Join(e.errs...)
-	if e.collector != nil {
-		e.collector.RunDone(&obs.RunStat{
-			Partition: "sym",
-			Vectors:   1,
-			Wall:      time.Since(t0),
-			Err:       errString(err),
-			Chunks:    append([]obs.ChunkStat(nil), e.stats...),
-		})
-	}
-	return err
-}
-
-// dispatch hands one phase to every worker, row-slicing the reduction
-// range, and blocks until the phase completes.
-func (e *SymExecutor) dispatch(j symJob) {
-	n := len(e.start)
-	e.wg.Add(n)
-	for i := range e.start {
-		j.reduce = [2]int{i * e.rows / n, (i + 1) * e.rows / n}
-		e.start[i] <- j
-	}
-	e.wg.Wait()
-}
-
-// RunBatch computes Y = A*X over row-major n×k panels by running the
-// tree-reduced scalar pipeline once per panel column; the reduction
-// needs a pass per vector, so there is no fused multi-vector path.
-func (e *SymExecutor) RunBatch(y, x []float64, k int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runBatch(nil, y, x, k)
-}
-
-// RunBatchCtx is RunBatch with a cancellation context, checked before
-// each panel column.
-func (e *SymExecutor) RunBatchCtx(ctx context.Context, y, x []float64, k int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runBatch(ctx, y, x, k)
-}
-
-// runBatch is RunBatch without the lock; ctx may be nil.
-func (e *SymExecutor) runBatch(ctx context.Context, y, x []float64, k int) error {
-	if e.closed {
-		return errClosed()
-	}
-	if err := core.CheckPanelDims(e.rows, e.cols, y, x, k); err != nil {
-		return fmt.Errorf("parallel: %w", err)
-	}
-	if k == 1 {
-		return e.run(ctx, y[:e.rows], x[:e.cols])
-	}
-	if e.scratchY == nil {
-		e.scratchY = make([]float64, e.rows)
-		e.scratchX = make([]float64, e.cols)
-	}
-	return runBatchColumns(ctx, y, x, k, e.scratchY, e.scratchX,
-		func(yc, xc []float64) error { return e.run(ctx, yc, xc) })
-}
-
-// RunBatchIters performs iters consecutive batched multiplications.
-// It stops at the first failing iteration.
-func (e *SymExecutor) RunBatchIters(iters int, y, x []float64, k int) error {
-	for n := 0; n < iters; n++ {
-		if err := e.RunBatch(y, x, k); err != nil {
-			return fmt.Errorf("iteration %d: %w", n, err)
-		}
-	}
-	return nil
-}
-
-// RunIters performs iters consecutive SpMV operations. It stops at the
-// first failing iteration.
-func (e *SymExecutor) RunIters(iters int, y, x []float64) error {
-	for k := 0; k < iters; k++ {
-		if err := e.Run(y, x); err != nil {
-			return fmt.Errorf("iteration %d: %w", k, err)
-		}
-	}
-	return nil
-}
-
-// Close stops the workers (idempotent; see Executor.Close).
-func (e *SymExecutor) Close() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.closed = true
-	for i := range e.start {
-		close(e.start[i])
-	}
 }

@@ -37,9 +37,7 @@ func KernelPackages() []string {
 		"internal/csrvi",
 		"internal/csrduvi",
 		"internal/dcsr",
-		"internal/bcsr",
 		"internal/ell",
-		"internal/jds",
 		"internal/parallel",
 		"internal/vec",
 	}

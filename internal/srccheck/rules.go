@@ -147,7 +147,8 @@ func IsHotFunc(name string) bool {
 		"Mul", "MulAdd", "MulTrans",
 		"Dot", "Axpy", "DotBlocks", "AxpyDotBlocks", "axpyDot", "AxpyXpby", "Hadamard",
 		"DecodeAt", "DecodeUnit", "SkipRows", "dotRange",
-		"runChunk", "runColJob", "runBlockJob", "runNNZChunk", "runSymJob":
+		"runChunk", "runColJob", "runBlockJob", "runNNZChunk", "runSymJob",
+		"zeroRows":
 		return true
 	}
 	for _, prefix := range []string{"spmv", "decode", "addRange"} {
@@ -161,7 +162,7 @@ func IsHotFunc(name string) bool {
 // IsRequestPathFunc reports whether a function name sits on the
 // server's per-request path: the HTTP handlers, the multiply wire
 // codec, the coalescer's enqueue/take/execute cycle, the registry read
-// path, the executor's dispatch machinery — plus everything IsHotFunc
+// path, the executor pool's per-run machinery — plus everything IsHotFunc
 // already covers. The allocation gate holds these to their baselined
 // heap-allocation counts: a new escape in a handler shows up as a
 // per-request GC tax long before it shows up in a profile. Qualified
@@ -181,7 +182,7 @@ func IsRequestPathFunc(name string) bool {
 		"statusFor", "httpError", "writeVector",
 		"readBody", "parseX", "skipWS", "scanNumber", "skipDigits", "appendY", "appendFloat",
 		"Run", "RunCtx", "RunBatch", "RunBatchCtx",
-		"dispatch", "worker", "drain":
+		"dispatch", "worker", "drain", "ready", "multiply", "once", "twoPhase":
 		return true
 	}
 	return strings.HasPrefix(name, "handle")

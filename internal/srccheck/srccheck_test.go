@@ -225,7 +225,9 @@ func TestParseAllowlistErrors(t *testing.T) {
 func TestIsRequestPathFunc(t *testing.T) {
 	path := []string{"(*Server).handleMultiply", "(*Server).writeVector",
 		"readBody", "parseX", "skipWS", "scanNumber", "skipDigits", "appendY", "appendFloat",
-		"(*coalescer).enqueue", "(*Executor).RunCtx", "SpMV"}
+		"(*coalescer).enqueue", "(*Executor).RunCtx", "SpMV",
+		"(*pool).ready", "(*pool).multiply", "(*pool).once", "(*pool).twoPhase",
+		"(*pool).dispatch", "(*pool).worker", "zeroRows"}
 	cold := []string{"failMultiply", "ingest", "New", "(bodyError).Error", "badUpload"}
 	for _, name := range path {
 		if !IsRequestPathFunc(name) {
@@ -253,7 +255,7 @@ func TestIsHotFunc(t *testing.T) {
 		"SpMVPartial", "dotRange", "runNNZChunk", "runSymJob",
 		"vec.DotBlocks", "AxpyDotBlocks", "axpyDot", "AxpyXpby", "Hadamard",
 		"(*Executor).runChunk", "(*BlockExecutor).runBlockJob",
-		"(*nnzChunk).SpMVPartial"}
+		"(*nnzChunk).SpMVPartial", "zeroRows"}
 	cold := []string{"FromCOO", "Verify", "Name", "String", "Split", "Print",
 		"worker", "colJobError", "traceTask", "Each", "runFunc", "SumBlocks"}
 	for _, name := range hot {

@@ -28,9 +28,12 @@ echo "== go test -race ./..."
 go test -race ./...
 
 echo "== race"
-# Second pass over the concurrency-heavy packages: persistent-worker
-# executors and the telemetry layer (collectors report from worker
-# goroutines while readers snapshot concurrently). -count=2 defeats
+# Second pass over the concurrency-heavy packages: the executors' one
+# shared worker pool (start channels, barrier, run lock, Close and the
+# telemetry of failed runs, driven on all six executors by the
+# closeHarness and failed-run tests) and the telemetry layer
+# (collectors report from worker goroutines while readers snapshot
+# concurrently). -count=2 defeats
 # the test cache and catches ordering-dependent races. internal/sym
 # rides along for the tree-reduced scatter executor's bitwise test;
 # internal/solver and internal/vec for CG's sweeps on the executor's
