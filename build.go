@@ -50,8 +50,8 @@ func WithFormat(name string) BuildOption {
 }
 
 // WithDUOptions passes explicit CSR-DU encoder options (RLE units, unit
-// split thresholds) to the delta-unit family ("csr-du", "csr-du-rle",
-// "csr-du-vi"). Other formats ignore it.
+// split thresholds) to the delta-unit family ("csr-du", "csr-du-vi").
+// Other formats ignore it.
 func WithDUOptions(o DUOptions) BuildOption {
 	return func(c *buildConfig) { c.du = o }
 }

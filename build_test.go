@@ -169,7 +169,7 @@ func TestBuildOptionsPublic(t *testing.T) {
 
 	// Unknown names, including the related-work formats the registry
 	// no longer carries, are ErrUsage and list every valid name.
-	for _, bad := range []string{"nope", "bcsr2x2", "bcsr4x4", "vbr", "jds", "cds", "hybrid"} {
+	for _, bad := range []string{"nope", "bcsr2x2", "bcsr4x4", "vbr", "jds", "cds", "hybrid", "csr-du-rle"} {
 		_, err = spmv.Build(c, spmv.WithFormat(bad))
 		if err == nil {
 			t.Fatalf("unknown format %q accepted", bad)

@@ -67,7 +67,6 @@ func Candidates(ft Features) []Candidate {
 		{Format: "csr16"},
 		{Format: "csr32"},
 		{Format: "csr-du"},
-		{Format: "csr-du-rle"},
 		{Format: "csr-vi"},
 		{Format: "csr-du-vi"},
 		{Format: "dcsr"},
@@ -125,8 +124,6 @@ func PredictBytes(ft Features, s formats.Spec) (bytes int64, exact, feasible boo
 		bytes = (rows+1)*core.IdxSize + nnz*(core.IdxSize+4)
 	case "csr-du":
 		bytes = ft.DUCtlBytes + nnz*core.ValSize
-	case "csr-du-rle":
-		bytes = ft.DUCtlBytesRLE + nnz*core.ValSize
 	case "csr-vi":
 		w := viW(ft.Unique)
 		bytes = (rows+1)*core.IdxSize + nnz*core.IdxSize + nnz*w + int64(ft.Unique)*core.ValSize

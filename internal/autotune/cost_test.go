@@ -15,7 +15,7 @@ import (
 // exactFormats are the registry formats PredictBytes claims exact
 // formulas for; the test pins each claim against the real builder.
 var exactFormats = []string{
-	"csr", "csr16", "csr32", "csr-du", "csr-du-rle", "csr-vi",
+	"csr", "csr16", "csr32", "csr-du", "csr-vi",
 	"csr-du-vi", "csc", "ell", "sym-csr",
 }
 
@@ -75,7 +75,7 @@ func tableShapes() []struct {
 			// 4 keeps the unit-stride runs below the RLE threshold.
 			name:        "dense-blocks",
 			gen:         func() *core.COO { return matgen.BlockDiag(rand.New(rand.NewSource(21)), 96, 4, matgen.Values{}) },
-			wantFormats: map[string]bool{"csr-du": true, "csr-du-rle": true},
+			wantFormats: map[string]bool{"csr-du": true},
 		},
 		{
 			// One row holds 40% of the non-zeros: the format barely
@@ -84,7 +84,7 @@ func tableShapes() []struct {
 			gen: func() *core.COO {
 				return matgen.SkewedRows(rand.New(rand.NewSource(22)), 2000, 4, 17, 0.4, matgen.Values{})
 			},
-			wantFormats: map[string]bool{"csr-du": true, "csr-du-rle": true, "csr": true, "csr16": true},
+			wantFormats: map[string]bool{"csr-du": true, "csr": true, "csr16": true},
 		},
 		{
 			// 30 distinct values: the value stream collapses to a
@@ -103,7 +103,7 @@ func tableShapes() []struct {
 			gen: func() *core.COO {
 				return matgen.RandomUniform(rand.New(rand.NewSource(25)), 1500, 1<<17, 8, matgen.Values{})
 			},
-			wantFormats: map[string]bool{"csr-du": true, "csr-du-rle": true},
+			wantFormats: map[string]bool{"csr-du": true},
 		},
 	}
 }

@@ -70,11 +70,10 @@ type Features struct {
 	// them apart from the off-diagonal triangle).
 	DiagNNZ int `json:"diag_nnz"`
 
-	// Exact simulated CSR-DU control-stream sizes (default encoder
-	// options, RLE off and on). These make the csr-du family's size
-	// predictions exact rather than modeled.
-	DUCtlBytes    int64 `json:"du_ctl_bytes"`
-	DUCtlBytesRLE int64 `json:"du_ctl_bytes_rle"`
+	// Exact simulated CSR-DU control-stream size (default encoder
+	// options). It makes the csr-du family's size predictions exact
+	// rather than modeled.
+	DUCtlBytes int64 `json:"du_ctl_bytes"`
 
 	// Approx marks features recovered from an already-built format
 	// (ExtractFormat) where the triplet data was not available; only
@@ -162,7 +161,6 @@ func Extract(c *core.COO) Features {
 	}
 
 	ft.DUCtlBytes = simulateDUCtl(c, csrdu.Options{})
-	ft.DUCtlBytesRLE = simulateDUCtl(c, csrdu.Options{RLE: true})
 	return ft
 }
 

@@ -42,7 +42,7 @@ func TestSimulateDUCtlMatchesEncoder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: csrdu rle build: %v", name, err)
 		}
-		if got, want := ft.DUCtlBytesRLE, int64(len(rle.Ctl)); got != want {
+		if got, want := simulateDUCtl(c, csrdu.Options{RLE: true}), int64(len(rle.Ctl)); got != want {
 			t.Errorf("%s: simulated rle ctl %d bytes, encoder produced %d", name, got, want)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"spmv/internal/core"
+	"spmv/internal/csrdu"
 	"spmv/internal/formats"
 	"spmv/internal/matgen"
 	"spmv/internal/memsim"
@@ -169,7 +170,12 @@ func (r *MatrixRuns) RelSpeedup(format string, threads int) float64 {
 }
 
 // buildFormat constructs a named format from a COO via the registry.
+// "csr-du-rle", the name a csr-du matrix with RLE units carries, is not
+// a registry name; it builds csr-du with Options.RLE.
 func buildFormat(name string, c *core.COO) (core.Format, error) {
+	if name == "csr-du-rle" {
+		return formats.BuildOpts("csr-du", c, csrdu.Options{RLE: true})
+	}
 	return formats.Build(name, c)
 }
 

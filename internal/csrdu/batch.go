@@ -17,7 +17,7 @@ import (
 // runs its eight FMA columns off it (spmvRunPanel8); the other widths
 // expand a unit into its column indices with DecodeUnit and run their
 // FMA columns off that buffer. The walk over unit headers has the
-// scalar kernel's shape (see (*chunk).SpMV): the first header is peeled,
+// scalar kernel's shape (see spmvScalar): the first header is peeled,
 // a panel row is stored once when the next row's header arrives, and
 // the rows no unit touches are zeroed where they are skipped, so only
 // rows [lo, hi) are written.
@@ -36,21 +36,13 @@ var batchDecodeHook func(units int)
 
 // SpMVBatch implements core.BatchFormat. len(x) >= Cols()*k,
 // len(y) >= Rows()*k; k = 1 is bitwise identical to SpMV.
-func (m *Matrix) SpMVBatch(y, x []float64, k int) {
-	(&chunk{m: m, lo: 0, hi: m.rows, ctlLo: 0, ctlHi: len(m.Ctl),
-		valLo: 0, valHi: len(m.Values), startMark: 0}).SpMVBatch(y, x, k)
-}
+func (m *Matrix) SpMVBatch(y, x []float64, k int) { m.whole().SpMVBatch(y, x, k) }
 
 // SpMVBatch implements core.BatchChunk: only panel rows [lo, hi) are
-// written, so disjoint chunks may run concurrently.
+// written, so disjoint chunks may run concurrently. It picks the
+// instantiation of the value codec, once per call.
 func (c *chunk) SpMVBatch(y, x []float64, k int) {
-	switch {
-	case k == 1:
-		// The panel degenerates to the vector; the scalar kernel's
-		// operation order is the bitwise-k=1 contract.
-		c.SpMV(y, x)
-		return
-	case k <= 0:
+	if k <= 0 {
 		panic(core.Usagef("csrdu: batch with non-positive vector count %d", k))
 	}
 	if c.startMark < 0 || c.ctlLo >= c.ctlHi {
@@ -58,17 +50,37 @@ func (c *chunk) SpMVBatch(y, x []float64, k int) {
 		return
 	}
 	var units int
-	switch k {
-	case 4:
-		units = c.spmvBatch4(y, x)
-	case 8:
-		units = c.spmvPanel8(y, x)
+	switch m := c.m; {
+	case m.VI8 != nil:
+		units = multiply(c, m.VI8, y, x, k)
+	case m.VI16 != nil:
+		units = multiply(c, m.VI16, y, x, k)
+	case m.VI32 != nil:
+		units = multiply(c, m.VI32, y, x, k)
 	default:
-		units = c.spmvBatchK(y, x, k)
+		units = multiply(c, m.Values, y, x, k)
 	}
-	if batchDecodeHook != nil {
+	if k > 1 && batchDecodeHook != nil {
 		batchDecodeHook(units)
 	}
+}
+
+// multiply runs the kernel for panel width k over a chunk that holds at
+// least one unit. k = 1 is the scalar kernel, whose operation order is
+// the bitwise-k=1 contract of the panels. Returns the number of units a
+// panel kernel decoded.
+func multiply[V Value](c *chunk, values []V, y, x []float64, k int) int {
+	a := runArgs[V]{ctl: c.m.Ctl[:c.ctlHi], values: values[:c.valHi], unique: c.m.Unique, x: x, y: y}
+	switch k {
+	case 1:
+		spmvScalar(c, &a)
+		return 0
+	case 4:
+		return spmvBatch4(c, &a)
+	case 8:
+		return spmvPanel8(c, &a)
+	}
+	return spmvBatchK(c, &a, k)
 }
 
 // MaxUnit is the largest usize a unit header can carry, and so the
@@ -82,9 +94,9 @@ const MaxUnit = 255
 // past the unit and the last column, the next unit's starting position
 // when that unit continues the row. The stream must have passed Verify.
 //
-// It is the unit decoder of the k=4 and generic-width panel kernels, of
-// csrduvi's panel kernel, and of the k=8 dispatcher's RLE and u64
-// units; the scalar kernels and the k=8 run loop decode in line.
+// It is the unit decoder of the k=4 and generic-width panel kernels
+// and of the k=8 dispatcher's RLE and u64 units; the scalar kernel and
+// the k=8 run loop decode in line.
 //
 //go:noinline
 func DecodeUnit(ctl []byte, pos int, flags byte, xi int, cols []int32) (next, last int) {
@@ -143,15 +155,14 @@ func SkipRows(y []float64, k, yi int, ctl []byte, pos int) (row, next int) {
 // spmvBatch4 is the k=4 kernel: the four row accumulators stay in
 // registers across a unit's FMA loop and are stored once per row.
 // Returns the number of units decoded.
-func (c *chunk) spmvBatch4(y, x []float64) int {
+func spmvBatch4[V Value](c *chunk, a *runArgs[V]) int {
 	const k = 4
-	m := c.m
-	ctl := m.Ctl[:c.ctlHi]
-	values := m.Values[:c.valHi]
+	ctl, values, unique, x := a.streams()
+	y := a.y
 	pos, vi := c.ctlLo, c.valLo
 	var buf [MaxUnit]int32
 
-	yi := m.marks[c.startMark].row
+	yi := c.m.marks[c.startMark].row
 	clear(y[c.lo*k : yi*k])
 	flags := ctl[pos]
 	size := int(ctl[pos+1])
@@ -168,7 +179,8 @@ func (c *chunk) spmvBatch4(y, x []float64) int {
 		vals := values[vi : vi+size]
 		vi += size
 		cols = cols[:len(vals)]
-		for p, v := range vals {
+		for p, iv := range vals {
+			v := load(iv, unique)
 			xr := x[int(cols[p])*k:]
 			xr = xr[:k]
 			s0 += v * xr[0]
@@ -202,21 +214,20 @@ func (c *chunk) spmvBatch4(y, x []float64) int {
 }
 
 // spmvPanel8 is the k=8 kernel, shaped like the scalar one (see
-// (*chunk).SpMV): it decodes RLE and u64 units (DecodeUnit) and row
+// spmvScalar): it decodes RLE and u64 units (DecodeUnit) and row
 // jumps (SkipRows) itself and hands each run of u8, u16 and u32 units,
 // with the row's sums in s, to spmvRunPanel8. Returns the number of
 // units decoded.
-func (c *chunk) spmvPanel8(y, x []float64) int {
+func spmvPanel8[V Value](c *chunk, a *runArgs[V]) int {
 	const k = 8
-	m := c.m
-	ctl := m.Ctl[:c.ctlHi]
-	values := m.Values[:c.valHi]
+	ctl, values, unique, x := a.streams()
+	y := a.y
 	pos, vi := c.ctlLo, c.valLo
 	var buf [MaxUnit]int32
 	var s [k]float64
 
-	yi := m.marks[c.startMark].row
-	clear(y[c.lo*k : yi*k])
+	a.yi = c.m.marks[c.startMark].row
+	clear(y[c.lo*k : a.yi*k])
 	flags := ctl[pos]
 	size := int(ctl[pos+1])
 	pos += 2
@@ -224,13 +235,12 @@ func (c *chunk) spmvPanel8(y, x []float64) int {
 		_, pos = varint.DecodeAt(ctl, pos)
 	}
 	xi, units := 0, 0
-	a := runArgs{ctl: ctl, values: values, x: x, y: y}
 
 	for {
 		// pos is at the ujmp of a unit whose header was flags, size.
 		if flags&FlagRLE == 0 && flags&TypeMask != ClassU64 {
 			var n int
-			pos, vi, xi, yi, n = spmvRunPanel8(&a, pos, vi, xi, yi, size, flags, &s)
+			pos, vi, xi, n = spmvRunPanel8(a, pos, vi, xi, size, flags, &s)
 			units += n
 		} else {
 			cols := buf[:size]
@@ -238,7 +248,8 @@ func (c *chunk) spmvPanel8(y, x []float64) int {
 			vals := values[vi : vi+size]
 			vi += size
 			cols = cols[:len(vals)]
-			for p, v := range vals {
+			for p, iv := range vals {
+				v := load(iv, unique)
 				xr := x[int(cols[p])*k:]
 				xr = xr[:k]
 				for c := range s {
@@ -255,17 +266,17 @@ func (c *chunk) spmvPanel8(y, x []float64) int {
 		size = int(ctl[pos+1])
 		pos += 2
 		if flags&FlagNR != 0 {
-			copy(y[yi*k:(yi+1)*k], s[:])
+			copy(y[a.yi*k:(a.yi+1)*k], s[:])
 			s = [k]float64{}
 			xi = 0
-			yi++
+			a.yi++
 			if flags&FlagRJMP != 0 {
-				yi, pos = SkipRows(y, k, yi, ctl, pos)
+				a.yi, pos = SkipRows(y, k, a.yi, ctl, pos)
 			}
 		}
 	}
-	copy(y[yi*k:(yi+1)*k], s[:])
-	clear(y[(yi+1)*k : c.hi*k])
+	copy(y[a.yi*k:(a.yi+1)*k], s[:])
+	clear(y[(a.yi+1)*k : c.hi*k])
 	return units
 }
 
@@ -283,8 +294,8 @@ func (c *chunk) spmvPanel8(y, x []float64) int {
 // which needs more registers than SSE has.
 //
 //go:noinline
-func spmvRunPanel8(k *runArgs, pos, vi, xi, yi, size int, flags byte, s *[8]float64) (int, int, int, int, int) {
-	ctl, values, x := k.ctl[:len(k.ctl):len(k.ctl)], k.values[:len(k.values):len(k.values)], k.x
+func spmvRunPanel8[V Value](k *runArgs[V], pos, vi, xi, size int, flags byte, s *[8]float64) (int, int, int, int) {
+	ctl, values, unique, x := k.streams()
 	s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
 	units := 0
 	for {
@@ -293,7 +304,7 @@ func spmvRunPanel8(k *runArgs, pos, vi, xi, yi, size int, flags byte, s *[8]floa
 		j, pos = decodeUjmp(ctl, pos)
 		xi += j
 		end := vi + size
-		w, xr := values[vi], x[8*xi:8*xi+8:8*xi+8]
+		w, xr := load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
 		switch flags & TypeMask {
 		case ClassU8:
 			for {
@@ -304,7 +315,7 @@ func spmvRunPanel8(k *runArgs, pos, vi, xi, yi, size int, flags byte, s *[8]floa
 				}
 				xi += int(ctl[pos])
 				pos++
-				w, xr = values[vi], x[8*xi:8*xi+8:8*xi+8]
+				w, xr = load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
 			}
 		case ClassU16:
 			for {
@@ -315,7 +326,7 @@ func spmvRunPanel8(k *runArgs, pos, vi, xi, yi, size int, flags byte, s *[8]floa
 				}
 				xi += int(binary.LittleEndian.Uint16(ctl[pos : pos+2 : pos+2]))
 				pos += 2
-				w, xr = values[vi], x[8*xi:8*xi+8:8*xi+8]
+				w, xr = load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
 			}
 		default: // ClassU32
 			for {
@@ -326,7 +337,7 @@ func spmvRunPanel8(k *runArgs, pos, vi, xi, yi, size int, flags byte, s *[8]floa
 				}
 				xi += int(binary.LittleEndian.Uint32(ctl[pos : pos+4 : pos+4]))
 				pos += 4
-				w, xr = values[vi], x[8*xi:8*xi+8:8*xi+8]
+				w, xr = load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
 			}
 		}
 
@@ -340,30 +351,28 @@ func spmvRunPanel8(k *runArgs, pos, vi, xi, yi, size int, flags byte, s *[8]floa
 		size = int(ctl[pos+1])
 		pos += 2
 		if flags&FlagNR != 0 {
-			yr := k.y[8*yi : 8*yi+8 : 8*yi+8]
+			yr := k.y[8*k.yi : 8*k.yi+8 : 8*k.yi+8]
 			yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
 			yr[4], yr[5], yr[6], yr[7] = s4, s5, s6, s7
 			s0, s1, s2, s3, s4, s5, s6, s7 = 0, 0, 0, 0, 0, 0, 0, 0
 			xi = 0
-			yi++
+			k.yi++
 		}
 	}
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s0, s1, s2, s3, s4, s5, s6, s7
-	return pos, vi, xi, yi, units
+	return pos, vi, xi, units
 }
 
 // StackPanel is the widest panel whose accumulator row the generic-width
-// kernels (spmvBatchK here, csrduvi's) keep on their stack; wider ones
-// allocate.
+// kernel (spmvBatchK) keeps on its stack; wider ones allocate.
 const StackPanel = 16
 
 // spmvBatchK is the generic-width kernel: one accumulator row of k
 // sums, copied into the output panel on each row change. Returns the
 // number of units decoded.
-func (c *chunk) spmvBatchK(y, x []float64, k int) int {
-	m := c.m
-	ctl := m.Ctl[:c.ctlHi]
-	values := m.Values[:c.valHi]
+func spmvBatchK[V Value](c *chunk, a *runArgs[V], k int) int {
+	ctl, values, unique, x := a.streams()
+	y := a.y
 	pos, vi := c.ctlLo, c.valLo
 	var buf [MaxUnit]int32
 	var accBuf [StackPanel]float64
@@ -374,7 +383,7 @@ func (c *chunk) spmvBatchK(y, x []float64, k int) int {
 		acc = make([]float64, k)
 	}
 
-	yi := m.marks[c.startMark].row
+	yi := c.m.marks[c.startMark].row
 	clear(y[c.lo*k : yi*k])
 	flags := ctl[pos]
 	size := int(ctl[pos+1])
@@ -397,7 +406,8 @@ func (c *chunk) spmvBatchK(y, x []float64, k int) int {
 		for ; c0+4 <= k; c0 += 4 {
 			a := acc[c0 : c0+4 : c0+4]
 			s0, s1, s2, s3 := a[0], a[1], a[2], a[3]
-			for p, v := range vals {
+			for p, iv := range vals {
+				v := load(iv, unique)
 				xr := x[int(cols[p])*k+c0:]
 				xr = xr[:4]
 				s0 += v * xr[0]
@@ -410,7 +420,7 @@ func (c *chunk) spmvBatchK(y, x []float64, k int) int {
 		for ; c0 < k; c0++ {
 			s := acc[c0]
 			for p, v := range vals {
-				s += v * x[int(cols[p])*k+c0]
+				s += load(v, unique) * x[int(cols[p])*k+c0]
 			}
 			acc[c0] = s
 		}

@@ -21,28 +21,37 @@ func countBatchDecodes(t *testing.T) *int {
 // TestBatchDecodesOncePerUnit is the amortization guarantee behind the
 // batched kernel: a k-column multiplication decodes the ctl stream
 // exactly once — the unit count equals Stats().Units, independent of k.
+// The dictionary codec inherits it, with the val_ind load fused into
+// the same pass.
 func TestBatchDecodesOncePerUnit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := matgen.Banded(rng, 800, 30, 9, matgen.Values{})
-	m, err := FromCOOOpts(c, Options{RLE: true})
+	rle, err := FromCOOOpts(matgen.Banded(rng, 800, 30, 9, matgen.Values{}), Options{RLE: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.Stats().Units
-	if want == 0 {
-		t.Fatal("degenerate test matrix: no units")
+	vi, err := FromCOOVI(matgen.Banded(rand.New(rand.NewSource(11)), 700, 25, 8, matgen.Values{Unique: 100}), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, k := range []int{2, 3, 4, 8} {
-		total := countBatchDecodes(t)
-		y := make([]float64, m.Rows()*k)
-		x := make([]float64, m.Cols()*k)
-		for i := range x {
-			x[i] = rng.Float64()
-		}
-		m.SpMVBatch(y, x, k)
-		if *total != want {
-			t.Errorf("k=%d: decoded %d units, want %d (one decode per unit)", k, *total, want)
-		}
+	for _, m := range []*Matrix{rle, vi} {
+		t.Run(m.Name(), func(t *testing.T) {
+			want := m.Stats().Units
+			if want == 0 {
+				t.Fatal("degenerate test matrix: no units")
+			}
+			for _, k := range []int{2, 3, 4, 8} {
+				total := countBatchDecodes(t)
+				y := make([]float64, m.Rows()*k)
+				x := make([]float64, m.Cols()*k)
+				for i := range x {
+					x[i] = rng.Float64()
+				}
+				m.SpMVBatch(y, x, k)
+				if *total != want {
+					t.Errorf("k=%d: decoded %d units, want %d (one decode per unit)", k, *total, want)
+				}
+			}
+		})
 	}
 }
 

@@ -67,9 +67,10 @@ func (s unitShape) units() (units int, perClass [4]int) {
 	return units, perClass
 }
 
-// BenchmarkUnitShapes reports serial ns/nnz of the CSR-DU kernel beside
-// CSR and CSR-VI on the unit shapes, and ns/nnz-vec of CSR-DU's and
-// CSR's k=8 panel kernels (cells named .../k8). It is the per-shape view
+// BenchmarkUnitShapes reports serial ns/nnz of the CSR-DU kernel under
+// both value codecs (csr-du, csr-du-vi) beside CSR and CSR-VI on the
+// unit shapes, and ns/nnz-vec of the k=8 panel kernels of all but
+// CSR-VI (cells named .../k8). It is the per-shape view
 // of the decode cost: the 255-nnz shape sits at the FP-add latency
 // floor, the short shapes show what a unit header or a row costs, and
 // the mixed shape what leaving one class loop for another costs. Run with
@@ -94,6 +95,10 @@ func BenchmarkUnitShapes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		duvi, err := FromCOOVI(c, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		x := make([]float64, c.Cols())
 		for i := range x {
 			x[i] = 1 + float64(i%3)
@@ -104,7 +109,7 @@ func BenchmarkUnitShapes(b *testing.B) {
 			xp[i] = x[i/panelWidth] * float64(1+i%panelWidth)
 		}
 		yp := make([]float64, len(y)*panelWidth)
-		for _, f := range []core.Format{ref, vi, du} {
+		for _, f := range []core.Format{ref, vi, du, duvi} {
 			b.Run(fmt.Sprintf("%s/%s", s.name, f.Name()), func(b *testing.B) {
 				f.SpMV(y, x) // page in both streams
 				b.SetBytes(f.SizeBytes())

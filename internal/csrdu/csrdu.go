@@ -20,24 +20,33 @@
 // single switch per unit and tight branch-free inner loops — the paper's
 // answer to DCSR's per-element decode branches. Units never span rows.
 //
-// Two decoders of the grammar sit under the multiplication kernels. The
-// scalar kernel ((*chunk).SpMV, decode.go) decodes in line — a
-// dispatcher hands each run of same-class units to that class's loop,
-// which keeps its state in registers, reads an unrolled ujmp varint and
-// loads deltas in blocks — because at one multiply-add per delta the
-// decode is the kernel. The k=8 panel kernel (batch.go), the width the
-// server's coalescer fills, decodes in line the same way: a dispatcher
-// hands each run of u8/u16/u32 units to one loop that keeps the eight
-// row sums in registers across units and rows. The other panel kernels,
-// here and in csrduvi, and the k=8 dispatcher for its rare RLE and u64
-// units, share DecodeUnit, which expands one unit into column indices.
-// ForEach is the plain walk the tests hold them all against. The
-// kernels keep two invariants: a row's products are summed left to
-// right in stream order, and a chunk writes exactly its own rows.
+// The values ride beside ctl in one of two codecs. The plain codec
+// stores one float64 per non-zero (Values). The dictionary codec is
+// the paper's §V value indexing on top of §IV's units — CSR-DU-VI, the
+// combination the authors' companion paper explores (CF'08, reference
+// [8]): Unique holds each distinct value once and one of VI8/VI16/VI32
+// holds, per non-zero, the index of its value in the narrowest width
+// that addresses Unique. FromCOOVI builds it; its Name is "csr-du-vi".
 //
-// The RLE unit type is the constant-delta extension from the authors'
-// companion paper (CF'08, reference [8]); it is off by default and
-// enabled with Options.RLE.
+// Two decoders of the grammar sit under the multiplication kernels,
+// and every kernel is generic over the value stream's element type
+// (Value), so one source serves both codecs. The scalar kernel
+// (spmvScalar, decode.go) decodes in line — a dispatcher hands each
+// run of same-class units to that class's loop, which keeps its state
+// in registers, reads an unrolled ujmp varint and loads deltas in
+// blocks — because at one multiply-add per delta the decode is the
+// kernel. The k=8 panel kernel (batch.go), the width the server's
+// coalescer fills, decodes in line the same way: a dispatcher hands
+// each run of u8/u16/u32 units to one loop that keeps the eight row
+// sums in registers across units and rows. The other panel kernels,
+// and the k=8 dispatcher for its rare RLE and u64 units, share
+// DecodeUnit, which expands one unit into column indices. ForEach is
+// the plain walk the tests hold them all against. The kernels keep two
+// invariants: a row's products are summed left to right in stream
+// order, and a chunk writes exactly its own rows.
+//
+// The RLE unit type is the constant-delta extension from the same
+// companion paper; it is off by default and enabled with Options.RLE.
 package csrdu
 
 import (
@@ -45,6 +54,7 @@ import (
 	"math"
 
 	"spmv/internal/core"
+	"spmv/internal/csrvi"
 	"spmv/internal/partition"
 	"spmv/internal/varint"
 )
@@ -97,11 +107,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Matrix is a sparse matrix in CSR-DU form.
+// Matrix is a sparse matrix in CSR-DU form. Under the plain codec
+// Values holds the non-zeros; under the dictionary codec Values is nil,
+// Unique holds the distinct values and exactly one of VI8/VI16/VI32
+// holds an index into Unique per non-zero.
 type Matrix struct {
 	rows, cols int
 	Ctl        []byte
 	Values     []float64
+	Unique     []float64
+	VI8        []uint8
+	VI16       []uint16
+	VI32       []uint32
 	opts       Options
 
 	// marks locate the first unit of every non-empty row; they exist
@@ -110,7 +127,7 @@ type Matrix struct {
 	// the paper describes).
 	marks []mark
 
-	ctlBase, valBase uint64
+	ctlBase, valBase, uniqBase uint64
 }
 
 type mark struct {
@@ -138,6 +155,20 @@ func FromCOOOpts(c *core.COO, opts Options) (*Matrix, error) {
 		return fromCOOParallel(c, opts)
 	}
 	return fromCOOSerial(c, opts)
+}
+
+// FromCOOVI encodes a triplet matrix into CSR-DU with the dictionary
+// codec (CSR-DU-VI): the ctl stream FromCOOOpts writes, with the values
+// indexed through csrvi.IndexValues, the table CSR-VI builds from the
+// same finalized order.
+func FromCOOVI(c *core.COO, opts Options) (*Matrix, error) {
+	m, err := FromCOOOpts(c, opts)
+	if err != nil {
+		return nil, err
+	}
+	m.Unique, m.VI8, m.VI16, m.VI32 = csrvi.IndexValues(m.Values)
+	m.Values = nil
+	return m, nil
 }
 
 // fromCOOSerial is the single-threaded encoder.
@@ -307,27 +338,11 @@ func deltaClass(d uint64) int {
 	}
 }
 
-// RowMark locates the first unit of a non-empty row within the ctl and
-// values streams. The marks are exposed so that derived formats (the
-// combined CSR-DU-VI) can partition and anchor their own decoders on
-// the same stream.
-type RowMark struct {
-	Row int // matrix row
-	Ctl int // offset of the row's first unit in Ctl
-	Val int // offset of the row's first value in Values
-}
-
-// RowMarks returns one mark per non-empty row, in row order.
-func (m *Matrix) RowMarks() []RowMark {
-	out := make([]RowMark, len(m.marks))
-	for i, mk := range m.marks {
-		out[i] = RowMark{Row: mk.row, Ctl: mk.ctl, Val: mk.val}
-	}
-	return out
-}
-
 // Name implements core.Format.
 func (m *Matrix) Name() string {
+	if m.IndexWidth() != 0 {
+		return "csr-du-vi"
+	}
 	if m.opts.RLE {
 		return "csr-du-rle"
 	}
@@ -340,18 +355,52 @@ func (m *Matrix) Rows() int { return m.rows }
 // Cols implements core.Format.
 func (m *Matrix) Cols() int { return m.cols }
 
-// NNZ implements core.Format.
-func (m *Matrix) NNZ() int { return len(m.Values) }
+// NNZ implements core.Format: the length of the one non-empty value
+// stream.
+func (m *Matrix) NNZ() int { return len(m.Values) + len(m.VI8) + len(m.VI16) + len(m.VI32) }
 
-// SizeBytes implements core.Format: the ctl stream plus the values.
+// SizeBytes implements core.Format: the ctl stream plus the values, or
+// plus val_ind and the unique table under the dictionary codec.
 func (m *Matrix) SizeBytes() int64 {
-	return int64(len(m.Ctl)) + int64(len(m.Values))*core.ValSize
+	return int64(len(m.Ctl)) + int64(len(m.Values)+len(m.Unique))*core.ValSize + m.ValIndBytes()
+}
+
+// IndexWidth returns the val_ind element width in bytes (1, 2 or 4)
+// under the dictionary codec, and 0 under the plain codec.
+func (m *Matrix) IndexWidth() int {
+	switch {
+	case m.VI8 != nil:
+		return 1
+	case m.VI16 != nil:
+		return 2
+	case m.VI32 != nil:
+		return 4
+	}
+	return 0
+}
+
+// ValIndBytes returns the size of the val_ind stream: one IndexWidth
+// entry per non-zero, none under the plain codec.
+func (m *Matrix) ValIndBytes() int64 {
+	return int64(len(m.VI8) + 2*len(m.VI16) + 4*len(m.VI32))
+}
+
+// TTU returns the total-to-unique values ratio of the dictionary codec
+// (0 without a unique table).
+func (m *Matrix) TTU() float64 {
+	if len(m.Unique) == 0 {
+		return 0
+	}
+	return float64(m.NNZ()) / float64(len(m.Unique))
 }
 
 // SpMV computes y = A*x.
-func (m *Matrix) SpMV(y, x []float64) {
-	(&chunk{m: m, lo: 0, hi: m.rows, ctlLo: 0, ctlHi: len(m.Ctl),
-		valLo: 0, valHi: len(m.Values), startMark: 0}).SpMV(y, x)
+func (m *Matrix) SpMV(y, x []float64) { m.whole().SpMV(y, x) }
+
+// whole returns the one chunk that spans the matrix.
+func (m *Matrix) whole() *chunk {
+	return &chunk{m: m, lo: 0, hi: m.rows, ctlLo: 0, ctlHi: len(m.Ctl),
+		valLo: 0, valHi: m.NNZ(), startMark: 0}
 }
 
 // Split implements core.Splitter: nnz-balanced partitioning at row
@@ -370,7 +419,7 @@ func (m *Matrix) Split(n int) []core.Chunk {
 	for i, mk := range m.marks {
 		prefix[i] = int64(mk.val)
 	}
-	prefix[len(m.marks)] = int64(len(m.Values))
+	prefix[len(m.marks)] = int64(m.NNZ())
 	bounds := partition.SplitPrefix(prefix, n)
 	var chunks []core.Chunk
 	for i := 0; i+1 < len(bounds); i++ {
@@ -389,7 +438,7 @@ func (m *Matrix) Split(n int) []core.Chunk {
 		} else {
 			ch.hi = m.rows
 			ch.ctlHi = len(m.Ctl)
-			ch.valHi = len(m.Values)
+			ch.valHi = m.NNZ()
 		}
 		if len(chunks) == 0 {
 			ch.lo = 0 // cover leading empty rows

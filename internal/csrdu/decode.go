@@ -25,12 +25,37 @@ var _ core.Tracer = (*chunk)(nil)
 func (c *chunk) RowRange() (int, int) { return c.lo, c.hi }
 func (c *chunk) NNZ() int             { return c.valHi - c.valLo }
 
-// SpMV runs the CSR-DU kernel (paper Fig 3) over the chunk. The paper's
-// premise is that the decode is cheap next to the bytes it saves; what
-// keeps it cheap here:
+// SpMV runs the CSR-DU kernel (paper Fig 3) over the chunk: the one-
+// vector case of SpMVBatch, which picks the value codec's instantiation
+// of spmvScalar.
+func (c *chunk) SpMV(y, x []float64) { c.SpMVBatch(y, x, 1) }
+
+// Value is the element type of a value stream: float64 under the plain
+// codec, the val_ind width under the dictionary codec. Every kernel is
+// instantiated once per Value.
+type Value interface {
+	float64 | uint8 | uint16 | uint32
+}
+
+// load returns the value v codes for: v itself under the plain codec,
+// unique[v] under the dictionary codec. V(1)/V(2) is 0.5 for float64
+// and 0 for the index types, a constant in each instantiation, so the
+// test folds and the plain instantiation of a kernel compiles to the
+// loop it would be without the dictionary. (A method on a value-source
+// type costs an indirect call per non-zero; a type switch keeps both
+// branches.)
+func load[V Value](v V, unique []float64) float64 {
+	if V(1)/V(2) != 0 {
+		return float64(v)
+	}
+	return unique[int(v)]
+}
+
+// spmvScalar is the one-vector kernel. The paper's premise is that the
+// decode is cheap next to the bytes it saves; what keeps it cheap here:
 //
-//   - Per-class run loops. SpMV is a dispatcher: it reads a header and
-//     hands a u8, u16 or u32 unit to that class's leaf loop
+//   - Per-class run loops. spmvScalar is a dispatcher: it reads a
+//     header and hands a u8, u16 or u32 unit to that class's leaf loop
 //     (spmvRunU8/16/32), which then consumes every following unit of
 //     the same class, across row boundaries, until a header of another
 //     kind. The dispatcher itself decodes only the rare kinds: RLE and
@@ -63,20 +88,16 @@ func (c *chunk) NNZ() int             { return c.valHi - c.valLo }
 // may run concurrently on one y.
 //
 // The stream must have passed Verify (FromCOO's output does by
-// construction): unit sizes are positive and every offset the headers
-// imply lies inside ctl and values.
-func (c *chunk) SpMV(y, x []float64) {
-	if c.startMark < 0 || c.ctlLo >= c.ctlHi {
-		clear(y[c.lo:c.hi])
-		return
-	}
-	m := c.m
-	ctl := m.Ctl[:c.ctlHi]
-	values := m.Values[:c.valHi]
+// construction): unit sizes are positive, every offset the headers
+// imply lies inside ctl and values, and every val_ind entry inside
+// Unique. The chunk must hold at least one unit.
+func spmvScalar[V Value](c *chunk, k *runArgs[V]) {
+	ctl, values, unique, x := k.streams()
+	y := k.y
 	pos, vi := c.ctlLo, c.valLo
 
-	yi := m.marks[c.startMark].row
-	clear(y[c.lo:yi])
+	k.yi = c.m.marks[c.startMark].row
+	clear(y[c.lo:k.yi])
 	flags := ctl[pos]
 	size := int(ctl[pos+1])
 	pos += 2
@@ -84,7 +105,6 @@ func (c *chunk) SpMV(y, x []float64) {
 		_, pos = varint.DecodeAt(ctl, pos)
 	}
 	xi, sum := 0, 0.0
-	k := runArgs{ctl: ctl, values: values, x: x, y: y}
 
 	for {
 		// pos is at the ujmp of a unit whose header was flags, size.
@@ -94,28 +114,28 @@ func (c *chunk) SpMV(y, x []float64) {
 			j, pos = varint.DecodeAt(ctl, pos)
 			d, pos = varint.DecodeAt(ctl, pos)
 			xi += int(j)
-			sum += values[vi] * x[xi]
+			sum += load(values[vi], unique) * x[xi]
 			for _, v := range values[vi+1 : vi+size] {
 				xi += int(d)
-				sum += v * x[xi]
+				sum += load(v, unique) * x[xi]
 			}
 			vi += size
 		case cls == ClassU8:
-			pos, vi, xi, yi, sum = spmvRunU8(&k, pos, vi, xi, yi, size, sum)
+			pos, vi, xi, sum = spmvRunU8(k, pos, vi, xi, size, sum)
 		case cls == ClassU16:
-			pos, vi, xi, yi, sum = spmvRunU16(&k, pos, vi, xi, yi, size, sum)
+			pos, vi, xi, sum = spmvRunU16(k, pos, vi, xi, size, sum)
 		case cls == ClassU32:
-			pos, vi, xi, yi, sum = spmvRunU32(&k, pos, vi, xi, yi, size, sum)
+			pos, vi, xi, sum = spmvRunU32(k, pos, vi, xi, size, sum)
 		default:
 			var j uint64
 			j, pos = varint.DecodeAt(ctl, pos)
 			xi += int(j)
-			sum += values[vi] * x[xi]
+			sum += load(values[vi], unique) * x[xi]
 			b := ctl[pos : pos+8*(size-1)]
 			pos += len(b)
-			for k, v := range values[vi+1 : vi+size] {
-				xi += int(binary.LittleEndian.Uint64(b[8*k:]))
-				sum += v * x[xi]
+			for i, v := range values[vi+1 : vi+size] {
+				xi += int(binary.LittleEndian.Uint64(b[8*i:]))
+				sum += load(v, unique) * x[xi]
 			}
 			vi += size
 		}
@@ -127,16 +147,16 @@ func (c *chunk) SpMV(y, x []float64) {
 		size = int(ctl[pos+1])
 		pos += 2
 		if flags&FlagNR != 0 {
-			y[yi] = sum
+			y[k.yi] = sum
 			sum, xi = 0, 0
-			yi++
+			k.yi++
 			if flags&FlagRJMP != 0 {
-				yi, pos = SkipRows(y, 1, yi, ctl, pos)
+				k.yi, pos = SkipRows(y, 1, k.yi, ctl, pos)
 			}
 		}
 	}
-	y[yi] = sum
-	clear(y[yi+1 : c.hi])
+	y[k.yi] = sum
+	clear(y[k.yi+1 : c.hi])
 }
 
 // The run loops. Each takes the dispatcher's state with pos at the ujmp
@@ -156,40 +176,54 @@ func (c *chunk) SpMV(y, x []float64) {
 // 3-index slice whose length and capacity are its own, so its elements
 // need no further check. What a loop carries — pos, vi, xi, the sum,
 // and the bases and lengths of ctl, values and x — fits the register
-// file; yi and the runArgs pointer wait on the stack, touched once a
-// row.
+// file; the runArgs pointer waits on the stack and yi behind it,
+// touched once a row. The dictionary codec's instantiations carry
+// Unique as well.
 
-// runArgs are the streams a run loop reads and the y it writes, passed
-// by reference so that entering a loop moves only the scalar state.
-type runArgs struct {
-	ctl       []byte
-	values, x []float64
-	y         []float64
+// runArgs are the streams a kernel reads, the y it writes and the row
+// yi it is on, passed by reference so that entering a run loop moves
+// only the scalar state that changes per non-zero.
+type runArgs[V Value] struct {
+	ctl    []byte
+	values []V
+	unique []float64
+	x, y   []float64
+	yi     int
+}
+
+// streams returns the streams a kernel reads, ctl and values with their
+// capacities cut to their lengths. Every kernel calls it first, and so
+// it must stay a generic call: the compiler checks the kernel's type
+// dictionary for nil at the first one, and that check dominates, and
+// drops, the ones each inlined load would repeat in the loops, which
+// would otherwise keep the dictionary in a register.
+func (k *runArgs[V]) streams() (ctl []byte, values []V, unique, x []float64) {
+	return k.ctl[:len(k.ctl):len(k.ctl)], k.values[:len(k.values):len(k.values)], k.unique, k.x
 }
 
 // spmvRunU8 consumes a run of u8 units.
 //
 //go:noinline
-func spmvRunU8(k *runArgs, pos, vi, xi, yi, size int, sum float64) (int, int, int, int, float64) {
-	ctl, values, x := k.ctl[:len(k.ctl):len(k.ctl)], k.values[:len(k.values):len(k.values)], k.x
+func spmvRunU8[V Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int, int, int, float64) {
+	ctl, values, unique, x := k.streams()
 	for {
 		var j int
 		j, pos = decodeUjmp(ctl, pos)
 		xi += j
-		sum += values[vi] * x[xi]
+		sum += load(values[vi], unique) * x[xi]
 		vi++
 		n := size - 1
 		for ; n >= 4; n -= 4 {
 			w := binary.LittleEndian.Uint32(ctl[pos : pos+4 : pos+4])
 			v := values[vi : vi+4 : vi+4]
 			xi += int(w & 0xff)
-			sum += v[0] * x[xi]
+			sum += load(v[0], unique) * x[xi]
 			xi += int(w >> 8 & 0xff)
-			sum += v[1] * x[xi]
+			sum += load(v[1], unique) * x[xi]
 			xi += int(w >> 16 & 0xff)
-			sum += v[2] * x[xi]
+			sum += load(v[2], unique) * x[xi]
 			xi += int(w >> 24)
-			sum += v[3] * x[xi]
+			sum += load(v[3], unique) * x[xi]
 			pos += 4
 			vi += 4
 		}
@@ -197,32 +231,32 @@ func spmvRunU8(k *runArgs, pos, vi, xi, yi, size int, sum float64) (int, int, in
 			w := binary.LittleEndian.Uint16(ctl[pos : pos+2 : pos+2])
 			v := values[vi : vi+2 : vi+2]
 			xi += int(w & 0xff)
-			sum += v[0] * x[xi]
+			sum += load(v[0], unique) * x[xi]
 			xi += int(w >> 8)
-			sum += v[1] * x[xi]
+			sum += load(v[1], unique) * x[xi]
 			pos += 2
 			vi += 2
 		}
 		if n&1 != 0 {
 			xi += int(ctl[pos])
-			sum += values[vi] * x[xi]
+			sum += load(values[vi], unique) * x[xi]
 			pos++
 			vi++
 		}
 
 		if pos >= len(ctl) {
-			return pos, vi, xi, yi, sum
+			return pos, vi, xi, sum
 		}
 		flags := ctl[pos]
 		if flags&^FlagNR != ClassU8 {
-			return pos, vi, xi, yi, sum
+			return pos, vi, xi, sum
 		}
 		size = int(ctl[pos+1])
 		pos += 2
 		if flags != ClassU8 {
-			k.y[yi] = sum
+			k.y[k.yi] = sum
 			sum, xi = 0, 0
-			yi++
+			k.yi++
 		}
 	}
 }
@@ -230,26 +264,26 @@ func spmvRunU8(k *runArgs, pos, vi, xi, yi, size int, sum float64) (int, int, in
 // spmvRunU16 consumes a run of u16 units.
 //
 //go:noinline
-func spmvRunU16(k *runArgs, pos, vi, xi, yi, size int, sum float64) (int, int, int, int, float64) {
-	ctl, values, x := k.ctl[:len(k.ctl):len(k.ctl)], k.values[:len(k.values):len(k.values)], k.x
+func spmvRunU16[V Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int, int, int, float64) {
+	ctl, values, unique, x := k.streams()
 	for {
 		var j int
 		j, pos = decodeUjmp(ctl, pos)
 		xi += j
-		sum += values[vi] * x[xi]
+		sum += load(values[vi], unique) * x[xi]
 		vi++
 		n := size - 1
 		for ; n >= 4; n -= 4 {
 			w := binary.LittleEndian.Uint64(ctl[pos : pos+8 : pos+8])
 			v := values[vi : vi+4 : vi+4]
 			xi += int(w & 0xffff)
-			sum += v[0] * x[xi]
+			sum += load(v[0], unique) * x[xi]
 			xi += int(w >> 16 & 0xffff)
-			sum += v[1] * x[xi]
+			sum += load(v[1], unique) * x[xi]
 			xi += int(w >> 32 & 0xffff)
-			sum += v[2] * x[xi]
+			sum += load(v[2], unique) * x[xi]
 			xi += int(w >> 48)
-			sum += v[3] * x[xi]
+			sum += load(v[3], unique) * x[xi]
 			pos += 8
 			vi += 4
 		}
@@ -257,32 +291,32 @@ func spmvRunU16(k *runArgs, pos, vi, xi, yi, size int, sum float64) (int, int, i
 			w := binary.LittleEndian.Uint32(ctl[pos : pos+4 : pos+4])
 			v := values[vi : vi+2 : vi+2]
 			xi += int(w & 0xffff)
-			sum += v[0] * x[xi]
+			sum += load(v[0], unique) * x[xi]
 			xi += int(w >> 16)
-			sum += v[1] * x[xi]
+			sum += load(v[1], unique) * x[xi]
 			pos += 4
 			vi += 2
 		}
 		if n&1 != 0 {
 			xi += int(binary.LittleEndian.Uint16(ctl[pos : pos+2 : pos+2]))
-			sum += values[vi] * x[xi]
+			sum += load(values[vi], unique) * x[xi]
 			pos += 2
 			vi++
 		}
 
 		if pos >= len(ctl) {
-			return pos, vi, xi, yi, sum
+			return pos, vi, xi, sum
 		}
 		flags := ctl[pos]
 		if flags&^FlagNR != ClassU16 {
-			return pos, vi, xi, yi, sum
+			return pos, vi, xi, sum
 		}
 		size = int(ctl[pos+1])
 		pos += 2
 		if flags != ClassU16 {
-			k.y[yi] = sum
+			k.y[k.yi] = sum
 			sum, xi = 0, 0
-			yi++
+			k.yi++
 		}
 	}
 }
@@ -290,45 +324,45 @@ func spmvRunU16(k *runArgs, pos, vi, xi, yi, size int, sum float64) (int, int, i
 // spmvRunU32 consumes a run of u32 units.
 //
 //go:noinline
-func spmvRunU32(k *runArgs, pos, vi, xi, yi, size int, sum float64) (int, int, int, int, float64) {
-	ctl, values, x := k.ctl[:len(k.ctl):len(k.ctl)], k.values[:len(k.values):len(k.values)], k.x
+func spmvRunU32[V Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int, int, int, float64) {
+	ctl, values, unique, x := k.streams()
 	for {
 		var j int
 		j, pos = decodeUjmp(ctl, pos)
 		xi += j
-		sum += values[vi] * x[xi]
+		sum += load(values[vi], unique) * x[xi]
 		vi++
 		n := size - 1
 		for ; n >= 2; n -= 2 {
 			w := binary.LittleEndian.Uint64(ctl[pos : pos+8 : pos+8])
 			v := values[vi : vi+2 : vi+2]
 			xi += int(w & 0xffffffff)
-			sum += v[0] * x[xi]
+			sum += load(v[0], unique) * x[xi]
 			xi += int(w >> 32)
-			sum += v[1] * x[xi]
+			sum += load(v[1], unique) * x[xi]
 			pos += 8
 			vi += 2
 		}
 		if n != 0 {
 			xi += int(binary.LittleEndian.Uint32(ctl[pos : pos+4 : pos+4]))
-			sum += values[vi] * x[xi]
+			sum += load(values[vi], unique) * x[xi]
 			pos += 4
 			vi++
 		}
 
 		if pos >= len(ctl) {
-			return pos, vi, xi, yi, sum
+			return pos, vi, xi, sum
 		}
 		flags := ctl[pos]
 		if flags&^FlagNR != ClassU32 {
-			return pos, vi, xi, yi, sum
+			return pos, vi, xi, sum
 		}
 		size = int(ctl[pos+1])
 		pos += 2
 		if flags != ClassU32 {
-			k.y[yi] = sum
+			k.y[k.yi] = sum
 			sum, xi = 0, 0
-			yi++
+			k.yi++
 		}
 	}
 }
@@ -382,14 +416,14 @@ func (m *Matrix) ForEach(fn func(i, j int, v float64)) {
 		var j uint64
 		j, pos = varint.DecodeAt(ctl, pos)
 		xi += int(j)
-		fn(yi, xi, m.Values[vi])
+		fn(yi, xi, m.value(vi))
 		vi++
 		if flags&FlagRLE != 0 {
 			var d uint64
 			d, pos = varint.DecodeAt(ctl, pos)
 			for k := 1; k < size; k++ {
 				xi += int(d)
-				fn(yi, xi, m.Values[vi])
+				fn(yi, xi, m.value(vi))
 				vi++
 			}
 			continue
@@ -413,10 +447,29 @@ func (m *Matrix) ForEach(fn func(i, j int, v float64)) {
 			}
 			pos += 1 << cls
 			xi += int(d)
-			fn(yi, xi, m.Values[vi])
+			fn(yi, xi, m.value(vi))
 			vi++
 		}
 	}
+}
+
+// value returns the k-th value in stream order, under either codec.
+func (m *Matrix) value(k int) float64 {
+	if m.IndexWidth() == 0 {
+		return m.Values[k]
+	}
+	return m.Unique[m.index(k)]
+}
+
+// index returns the k-th val_ind entry of the dictionary codec.
+func (m *Matrix) index(k int) uint64 {
+	switch {
+	case m.VI8 != nil:
+		return uint64(m.VI8[k])
+	case m.VI16 != nil:
+		return uint64(m.VI16[k])
+	}
+	return uint64(m.VI32[k])
 }
 
 // Triplets decodes the matrix back to finalized COO form: the inverse

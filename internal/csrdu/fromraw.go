@@ -1,7 +1,10 @@
 package csrdu
 
 import (
+	"encoding/binary"
+
 	"spmv/internal/core"
+	"spmv/internal/csrvi"
 	"spmv/internal/varint"
 )
 
@@ -137,14 +140,59 @@ func scanStream(ctl []byte, nvals, rows, cols int) (marks []mark, sawRLE bool, e
 // and to rebuild the row marks that partitioning needs. Unlike the hot
 // SpMV decoder, this scan trusts nothing about the input.
 func FromRaw(ctl []byte, values []float64, rows, cols int) (*Matrix, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, core.Shapef("csrdu: invalid dimensions %dx%d", rows, cols)
-	}
-	marks, sawRLE, err := scanStream(ctl, len(values), rows, cols)
+	m, err := fromRaw(ctl, len(values), rows, cols)
 	if err != nil {
 		return nil, err
 	}
-	m := &Matrix{rows: rows, cols: cols, Ctl: ctl, Values: values, opts: Options{}.withDefaults()}
+	m.Values = values
+	return m, nil
+}
+
+// FromRawVI is FromRaw for the dictionary codec: the ctl stream, the
+// packed little-endian val_ind array with its element width, and the
+// unique table. Besides FromRaw's scan, every value index is checked
+// against the table before a kernel can touch it.
+func FromRawVI(ctl []byte, width int, vi []byte, unique []float64, rows, cols int) (*Matrix, error) {
+	if width != 1 && width != 2 && width != 4 {
+		return nil, core.Corruptf("csrdu: invalid val_ind width %d", width)
+	}
+	if len(vi)%width != 0 {
+		return nil, core.Shapef("csrdu: val_ind size %d not a multiple of width %d", len(vi), width)
+	}
+	ids := make([]uint32, len(vi)/width)
+	for k := range ids {
+		switch width {
+		case 1:
+			ids[k] = uint32(vi[k])
+		case 2:
+			ids[k] = uint32(binary.LittleEndian.Uint16(vi[2*k:]))
+		default:
+			ids[k] = binary.LittleEndian.Uint32(vi[4*k:])
+		}
+	}
+	m, err := fromRaw(ctl, len(ids), rows, cols)
+	if err != nil {
+		return nil, err
+	}
+	m.Unique = unique
+	m.VI8, m.VI16, m.VI32 = csrvi.Narrow(ids, width)
+	if err := m.checkIndices(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// fromRaw scans ctl for a matrix of nvals values and returns it with
+// its row marks and no value stream.
+func fromRaw(ctl []byte, nvals, rows, cols int) (*Matrix, error) {
+	if rows <= 0 || cols <= 0 {
+		return nil, core.Shapef("csrdu: invalid dimensions %dx%d", rows, cols)
+	}
+	marks, sawRLE, err := scanStream(ctl, nvals, rows, cols)
+	if err != nil {
+		return nil, err
+	}
+	m := &Matrix{rows: rows, cols: cols, Ctl: ctl, opts: Options{}.withDefaults()}
 	m.marks = marks
 	m.opts.RLE = sawRLE
 	return m, nil
@@ -152,8 +200,9 @@ func FromRaw(ctl []byte, values []float64, rows, cols int) (*Matrix, error) {
 
 // Verify implements core.Verifier: the full untrusting scan of the ctl
 // stream (the kernel's preconditions exactly — if Verify passes, SpMV
-// cannot read out of bounds), plus a consistency check of the row marks
-// the partitioner uses against the stream's actual row starts.
+// cannot read out of bounds), a consistency check of the row marks
+// the partitioner uses against the stream's actual row starts, and
+// under the dictionary codec the value indices against Unique.
 func (m *Matrix) Verify() error {
 	if m.rows < 0 || m.cols < 0 {
 		return core.Shapef("csrdu: negative dimensions %dx%d", m.rows, m.cols)
@@ -161,7 +210,10 @@ func (m *Matrix) Verify() error {
 	if len(m.Ctl) > 0 && (m.rows == 0 || m.cols == 0) {
 		return core.Shapef("csrdu: non-empty stream for %dx%d matrix", m.rows, m.cols)
 	}
-	marks, _, err := scanStream(m.Ctl, len(m.Values), m.rows, m.cols)
+	if err := m.checkIndices(); err != nil {
+		return err
+	}
+	marks, _, err := scanStream(m.Ctl, m.NNZ(), m.rows, m.cols)
 	if err != nil {
 		return err
 	}
@@ -171,6 +223,38 @@ func (m *Matrix) Verify() error {
 	for i := range marks {
 		if marks[i] != m.marks[i] {
 			return core.Corruptf("csrdu: row mark %d (%+v) disagrees with stream (%+v)", i, m.marks[i], marks[i])
+		}
+	}
+	return nil
+}
+
+// checkIndices checks the value codec: at most one value stream, and
+// under the dictionary codec every index inside Unique.
+func (m *Matrix) checkIndices() error {
+	streams := 0
+	for _, present := range []bool{m.Values != nil, m.VI8 != nil, m.VI16 != nil, m.VI32 != nil} {
+		if present {
+			streams++
+		}
+	}
+	if streams > 1 {
+		return core.Corruptf("csrdu: %d value streams present, want one", streams)
+	}
+	switch {
+	case m.VI8 != nil:
+		return indicesInRange(m.VI8, len(m.Unique))
+	case m.VI16 != nil:
+		return indicesInRange(m.VI16, len(m.Unique))
+	case m.VI32 != nil:
+		return indicesInRange(m.VI32, len(m.Unique))
+	}
+	return nil
+}
+
+func indicesInRange[I uint8 | uint16 | uint32](ind []I, unique int) error {
+	for k, v := range ind {
+		if int(v) >= unique {
+			return core.Corruptf("csrdu: value index %d at position %d outside %d unique values", v, k, unique)
 		}
 	}
 	return nil

@@ -1,8 +1,12 @@
 package csrdu
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 
+	"spmv/internal/core"
 	"spmv/internal/csr"
 	"spmv/internal/matgen"
 	"spmv/internal/testmat"
@@ -11,7 +15,8 @@ import (
 // FuzzFromRaw feeds arbitrary ctl streams to the validating
 // deserializer: it must reject or accept without panicking, and for
 // anything it accepts the kernel must stay in bounds and agree with a
-// reference CSR built from the decoded triplets.
+// reference CSR built from the decoded triplets. Each accepted stream
+// is run again under the dictionary codec (checkDictionaryCodec).
 func FuzzFromRaw(f *testing.F) {
 	// Seed with real streams.
 	m, _ := FromCOO(matgen.Stencil2D(5))
@@ -81,7 +86,78 @@ func FuzzFromRaw(f *testing.F) {
 		// the left-to-right sums and write their own rows only — on
 		// hostile streams too.
 		testmat.CheckBitwise(t, mat, 4, testmat.Reference(mat), 1, 3, 4, 8)
+		checkDictionaryCodec(t, ctl, rows, cols, nvals)
 	})
+}
+
+// checkDictionaryCodec runs an accepted ctl stream under the dictionary
+// codec at val_ind widths 1, 2 and 4, with indices cycling through a
+// table a third the stream's length: FromRawVI must accept it, and its
+// scalar and panel kernels, whole and on every chunk, must give the
+// plain codec's bits for the same values. A table one entry short,
+// which the last index then points past, must be rejected by FromRawVI
+// and by Verify.
+func checkDictionaryCodec(t *testing.T, ctl []byte, rows, cols, nvals int) {
+	t.Helper()
+	for _, width := range []int{1, 2, 4} {
+		unique := make([]float64, min(nvals/3+1, 256<<(8*(width-1))))
+		for u := range unique {
+			unique[u] = 0.5 + float64(u)
+		}
+		vi := make([]byte, nvals*width)
+		values := make([]float64, nvals)
+		for k := range values {
+			u := k % len(unique)
+			values[k] = unique[u]
+			switch width {
+			case 1:
+				vi[k] = byte(u)
+			case 2:
+				binary.LittleEndian.PutUint16(vi[2*k:], uint16(u))
+			default:
+				binary.LittleEndian.PutUint32(vi[4*k:], uint32(u))
+			}
+		}
+		plain, err := FromRaw(ctl, values, rows, cols)
+		if err != nil {
+			t.Fatalf("plain codec rejects an accepted stream: %v", err)
+		}
+		dict, err := FromRawVI(ctl, width, vi, unique, rows, cols)
+		if err != nil {
+			t.Fatalf("width %d: dictionary codec rejects an accepted stream: %v", width, err)
+		}
+		if err := dict.Verify(); err != nil {
+			t.Fatalf("width %d: FromRawVI accepted but Verify rejects: %v", width, err)
+		}
+		testmat.CheckBitwise(t, dict, 4, testmat.Reference(plain), 1, 3, 4, 8)
+		for _, k := range []int{1, 8} {
+			x := make([]float64, cols*k)
+			for i := range x {
+				x[i] = float64(i%7) - 2.5
+			}
+			want := make([]float64, rows*k)
+			got := make([]float64, rows*k)
+			plain.SpMVBatch(want, x, k)
+			dict.SpMVBatch(got, x, k)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("width %d, k=%d, element %d: dictionary codec %v, plain codec %v", width, k, i, got[i], want[i])
+				}
+			}
+		}
+		if nvals == 0 {
+			continue
+		}
+		short := unique[:len(unique)-1]
+		if _, err := FromRawVI(ctl, width, vi, short, rows, cols); !errors.Is(err, core.ErrCorrupt) {
+			t.Fatalf("width %d: index past the unique table: FromRawVI returned %v, want ErrCorrupt", width, err)
+		}
+		bad := *dict
+		bad.Unique = short
+		if err := bad.Verify(); !errors.Is(err, core.ErrCorrupt) {
+			t.Fatalf("width %d: index past the unique table: Verify returned %v, want ErrCorrupt", width, err)
+		}
+	}
 }
 
 // checkStats compares (*Matrix).Stats with a header walk that reuses

@@ -12,20 +12,27 @@ import (
 // The per-element cost matches CSR's: the paper's point is that unit
 // decoding adds only one branch per unit, so the per-element delta add
 // disappears into the same multiply-accumulate slot.
+// The dictionary codec adds the table lookup to every element.
 const (
-	duCompPerNNZ  = 3
-	duCompPerUnit = 8
+	duCompPerNNZ   = 3
+	duviCompPerNNZ = 5
+	duCompPerUnit  = 8
 )
 
-// Place implements core.Placer.
+// Place implements core.Placer: ctl, the value stream (values or
+// val_ind) and, under the dictionary codec, the unique table.
 func (m *Matrix) Place(a *core.Arena) {
 	m.ctlBase = a.Alloc(int64(len(m.Ctl)))
-	m.valBase = a.Alloc(int64(len(m.Values)) * 8)
+	m.valBase = a.Alloc(int64(len(m.Values))*8 + m.ValIndBytes())
+	if m.IndexWidth() != 0 {
+		m.uniqBase = a.Alloc(int64(len(m.Unique)) * 8)
+	}
 }
 
 // TraceSpMV implements core.Tracer: it replays the kernel's memory
-// stream — the ctl bytes and values are sequential (coalesced to lines),
-// the x gathers are per non-zero, y stores once per row.
+// stream — the ctl bytes and the value stream are sequential (coalesced
+// to lines), the x gathers and unique-table lookups are per non-zero,
+// y stores once per row.
 func (c *chunk) TraceSpMV(xBase, yBase uint64, emit core.EmitFunc) {
 	m := c.m
 	if m.ctlBase == 0 && len(m.Ctl) > 0 {
@@ -44,9 +51,17 @@ func (c *chunk) TraceSpMV(xBase, yBase uint64, emit core.EmitFunc) {
 	yi := -1
 	xi := 0
 	first := true
+	w, comp := int64(8), uint16(duCompPerNNZ)
+	iw := m.IndexWidth()
+	if iw != 0 {
+		w, comp = int64(iw), duviCompPerNNZ
+	}
 	touchX := func() {
-		vs.Touch(emit, int64(vi)*8, 8, false, 0)
-		emit(core.Access{Addr: xBase + uint64(xi)*8, Size: 8, Comp: duCompPerNNZ})
+		vs.Touch(emit, int64(vi)*w, int(w), false, 0)
+		if iw != 0 {
+			emit(core.Access{Addr: m.uniqBase + m.index(vi)*8, Size: 8})
+		}
+		emit(core.Access{Addr: xBase + uint64(xi)*8, Size: 8, Comp: comp})
 		vi++
 	}
 	for pos < c.ctlHi {

@@ -49,6 +49,35 @@ func TestVerifyClean(t *testing.T) {
 	}
 }
 
+// TestDictionaryCodecHoldsNoValueStream: a dictionary-codec matrix,
+// encoded or read back from its streams, keeps val_ind, the unique
+// table and one set of row marks, and no float64 per non-zero, so
+// SizeBytes (the unit of spmvd's memory budget) is what it holds.
+func TestDictionaryCodecHoldsNoValueStream(t *testing.T) {
+	enc, err := FromCOOVI(matgen.Stencil2D(20), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := FromRawVI(enc.Ctl, 1, enc.VI8, enc.Unique, enc.Rows(), enc.Cols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Matrix{"FromCOOVI": enc, "FromRawVI": raw} {
+		if m.Values != nil || m.VI16 != nil || m.VI32 != nil {
+			t.Errorf("%s: holds %d values, %d and %d wide indices beside val_ind", name, len(m.Values), len(m.VI16), len(m.VI32))
+		}
+		if m.Name() != "csr-du-vi" || m.IndexWidth() != 1 || len(m.VI8) != m.NNZ() {
+			t.Errorf("%s: name %q, width %d, %d indices for %d non-zeros", name, m.Name(), m.IndexWidth(), len(m.VI8), m.NNZ())
+		}
+		if want := int64(len(m.Ctl)+len(m.VI8)) + int64(len(m.Unique))*core.ValSize; m.SizeBytes() != want {
+			t.Errorf("%s: SizeBytes %d, holds %d", name, m.SizeBytes(), want)
+		}
+		if len(m.marks) != len(enc.marks) {
+			t.Errorf("%s: %d row marks, want %d", name, len(m.marks), len(enc.marks))
+		}
+	}
+}
+
 func TestVerifyDetectsMarkTamper(t *testing.T) {
 	m, _ := FromCOO(matgen.Stencil2D(5))
 	m.marks[1].val++

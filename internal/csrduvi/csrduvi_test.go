@@ -1,4 +1,9 @@
-package csrduvi
+// Package csrduvi_test holds the tests of CSR-DU-VI, the combination of
+// both of the paper's compression schemes: csrdu's delta units on the
+// index side and csrvi's value table on the value side. The format is a
+// csrdu.Matrix under the dictionary codec (csrdu.FromCOOVI); these
+// tests build it through that exported API only.
+package csrduvi_test
 
 import (
 	"math/rand"
@@ -11,13 +16,15 @@ import (
 	"spmv/internal/testmat"
 )
 
+func fromCOO(c *core.COO) (*csrdu.Matrix, error) { return csrdu.FromCOOVI(c, csrdu.Options{}) }
+
 func TestConformance(t *testing.T) {
-	testmat.CheckFormat(t, func(c *core.COO) (core.Format, error) { return FromCOO(c) })
+	testmat.CheckFormat(t, func(c *core.COO) (core.Format, error) { return fromCOO(c) })
 }
 
 func TestConformanceRLE(t *testing.T) {
 	testmat.CheckFormat(t, func(c *core.COO) (core.Format, error) {
-		return FromCOOOpts(c, csrdu.Options{RLE: true})
+		return csrdu.FromCOOVI(c, csrdu.Options{RLE: true})
 	})
 }
 
@@ -26,7 +33,7 @@ func TestSmallerThanBothParentsOnStencil(t *testing.T) {
 	// both CSR-DU (which keeps 8-byte values) and CSR-VI (which keeps
 	// 4-byte col_ind).
 	c := matgen.Stencil2D(48)
-	duvi, err := FromCOO(c)
+	duvi, err := fromCOO(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +55,7 @@ func TestSmallerThanBothParentsOnStencil(t *testing.T) {
 func TestMatchesParentsNumerically(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := matgen.FEMLike(rng, 350, 6, matgen.Values{Unique: 40})
-	duvi, _ := FromCOO(c)
+	duvi, _ := fromCOO(c)
 	du, _ := csrdu.FromCOO(c)
 	x := testmat.RandVec(rng, c.Cols())
 	y1 := make([]float64, c.Rows())
@@ -60,7 +67,7 @@ func TestMatchesParentsNumerically(t *testing.T) {
 
 func TestTTUAndWidth(t *testing.T) {
 	c := matgen.Stencil2D(20)
-	m, _ := FromCOO(c)
+	m, _ := fromCOO(c)
 	if len(m.Unique) != 2 {
 		t.Fatalf("unique = %d, want 2", len(m.Unique))
 	}
@@ -78,7 +85,7 @@ func TestTTUAndWidth(t *testing.T) {
 func TestEmptyMatrix(t *testing.T) {
 	c := core.NewCOO(4, 4)
 	c.Finalize()
-	m, _ := FromCOO(c)
+	m, _ := fromCOO(c)
 	if m.TTU() != 0 {
 		t.Errorf("TTU = %v", m.TTU())
 	}
@@ -92,7 +99,7 @@ func TestEmptyMatrix(t *testing.T) {
 }
 
 func BenchmarkSpMVStencilDUVI(b *testing.B) {
-	m, _ := FromCOO(matgen.Stencil2D(128))
+	m, _ := fromCOO(matgen.Stencil2D(128))
 	x := make([]float64, m.Cols())
 	y := make([]float64, m.Rows())
 	for i := range x {

@@ -1,4 +1,4 @@
-package csrduvi
+package csrduvi_test
 
 import (
 	"encoding/binary"
@@ -25,11 +25,15 @@ func TestKernelsBitwiseMatchCSRDU(t *testing.T) {
 	for _, opts := range []csrdu.Options{{}, {RLE: true, RLEMin: 3, MinSwitch: 2}} {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s/%+v", tc.Name, opts), func(t *testing.T) {
-				m, err := FromCOOOpts(tc.COO, opts)
+				m, err := csrdu.FromCOOVI(tc.COO, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				testmat.CheckBitwise(t, m, 9, testmat.Reference(m.du), 1, 3, 4, 8)
+				du, err := csrdu.FromCOOOpts(tc.COO, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				testmat.CheckBitwise(t, m, 9, testmat.Reference(du), 1, 3, 4, 8)
 			})
 		}
 	}
@@ -57,7 +61,7 @@ func TestKernelsBitwiseOnHandBuiltStreams(t *testing.T) {
 						binary.LittleEndian.PutUint32(vi[4*k:], uint32(ix))
 					}
 				}
-				m, err := FromRaw(s.Ctl, width, vi, unique, s.Rows, s.Cols)
+				m, err := csrdu.FromRawVI(s.Ctl, width, vi, unique, s.Rows, s.Cols)
 				if err != nil {
 					t.Fatalf("hand-built stream rejected: %v", err)
 				}

@@ -1,15 +1,16 @@
-package csrduvi
+package csrduvi_test
 
 import (
 	"errors"
 	"testing"
 
 	"spmv/internal/core"
+	"spmv/internal/csrdu"
 	"spmv/internal/matgen"
 )
 
 func TestVerifyClean(t *testing.T) {
-	m, err := FromCOO(matgen.Stencil2D(5))
+	m, err := fromCOO(matgen.Stencil2D(5))
 	if err != nil {
 		t.Fatalf("FromCOO: %v", err)
 	}
@@ -19,9 +20,9 @@ func TestVerifyClean(t *testing.T) {
 }
 
 func TestVerifyDetectsCorruption(t *testing.T) {
-	build := func(t *testing.T) *Matrix {
+	build := func(t *testing.T) *csrdu.Matrix {
 		t.Helper()
-		m, err := FromCOO(matgen.Stencil2D(5))
+		m, err := fromCOO(matgen.Stencil2D(5))
 		if err != nil {
 			t.Fatalf("FromCOO: %v", err)
 		}
@@ -43,7 +44,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	})
 	t.Run("corrupt index stream", func(t *testing.T) {
 		m := build(t)
-		m.du.Ctl = m.du.Ctl[:len(m.du.Ctl)-1]
+		m.Ctl = m.Ctl[:len(m.Ctl)-1]
 		if err := m.Verify(); err == nil {
 			t.Fatal("truncated ctl stream passed Verify")
 		}

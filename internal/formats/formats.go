@@ -11,7 +11,6 @@ import (
 	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrduvi"
 	"spmv/internal/csrvi"
 	"spmv/internal/dcsr"
 	"spmv/internal/ell"
@@ -66,8 +65,8 @@ func BuildSpec(c *core.COO, s Spec) (core.Format, error) {
 
 // BuildOpts constructs the named format from a triplet matrix. du
 // carries the encoder options of the CSR-DU family ("csr-du",
-// "csr-du-rle", "csr-du-vi"); other formats ignore it, and "csr-du-rle"
-// forces its RLE flag on. An unknown name returns an error wrapping
+// "csr-du-vi"; du.RLE builds the matrix csr-du names "csr-du-rle");
+// other formats ignore it. An unknown name returns an error wrapping
 // core.ErrUsage that lists the valid names.
 func BuildOpts(name string, c *core.COO, du csrdu.Options) (core.Format, error) {
 	switch name {
@@ -79,13 +78,10 @@ func BuildOpts(name string, c *core.COO, du csrdu.Options) (core.Format, error) 
 		return csr.From32(c)
 	case "csr-du":
 		return csrdu.FromCOOOpts(c, du)
-	case "csr-du-rle":
-		du.RLE = true
-		return csrdu.FromCOOOpts(c, du)
 	case "csr-vi":
 		return csrvi.FromCOO(c)
 	case "csr-du-vi":
-		return csrduvi.FromCOOOpts(c, du)
+		return csrdu.FromCOOVI(c, du)
 	case "dcsr":
 		return dcsr.FromCOO(c)
 	case "csc":
@@ -104,7 +100,7 @@ func BuildOpts(name string, c *core.COO, du csrdu.Options) (core.Format, error) 
 func Names() []string {
 	return []string{
 		"csr", "csr16", "csr32",
-		"csr-du", "csr-du-rle", "csr-vi", "csr-du-vi",
+		"csr-du", "csr-vi", "csr-du-vi",
 		"dcsr", "csc", "ell", "sym-csr",
 	}
 }

@@ -79,13 +79,17 @@ func TestBuildOptsDUOptionsApply(t *testing.T) {
 			tiny.(*csrdu.Matrix).Stats().Units, def.(*csrdu.Matrix).Stats().Units)
 	}
 
-	// csr-du-rle forces RLE on even with zero options.
-	rle, err := BuildOpts("csr-du-rle", c, csrdu.Options{})
+	// RLE is an option of csr-du, not a registry name; the matrix it
+	// builds keeps the name its matfiles are tagged with.
+	rle, err := BuildOpts("csr-du", c, csrdu.Options{RLE: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rle.(*csrdu.Matrix).Stats().Units == 0 {
-		t.Error("csr-du-rle built an empty stream")
+	if rle.(*csrdu.Matrix).Stats().Units == 0 || rle.Name() != "csr-du-rle" {
+		t.Errorf("RLE build: %d units, name %q", rle.(*csrdu.Matrix).Stats().Units, rle.Name())
+	}
+	if _, err := BuildOpts("csr-du-rle", c, csrdu.Options{}); !errors.Is(err, core.ErrUsage) {
+		t.Errorf("removed name csr-du-rle: got %v, want ErrUsage", err)
 	}
 
 	// Workers routes through the parallel encoder with byte-identical

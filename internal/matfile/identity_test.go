@@ -11,7 +11,6 @@ import (
 
 	"spmv/internal/core"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrduvi"
 	"spmv/internal/csrvi"
 	"spmv/internal/matgen"
 	"spmv/internal/mmio"
@@ -109,7 +108,7 @@ func encodedDigest(t *testing.T, c *core.COO) string {
 	}
 	put(rle.Ctl)
 
-	duvi, err := csrduvi.FromCOO(c.Clone())
+	duvi, err := csrdu.FromCOOVI(c.Clone(), csrdu.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

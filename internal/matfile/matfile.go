@@ -41,7 +41,6 @@ import (
 	"spmv/internal/core"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrduvi"
 	"spmv/internal/csrvi"
 	"spmv/internal/dcsr"
 )
@@ -86,14 +85,16 @@ func Write(w io.Writer, f core.Format) error {
 	case *csr.Matrix16:
 		err = writeSections(bw, int32Bytes(m.RowPtr), uint16Bytes(m.ColInd), floatBytes(m.Values))
 	case *csrdu.Matrix:
-		err = writeSections(bw, m.Ctl, floatBytes(m.Values))
+		if m.IndexWidth() != 0 {
+			err = writeSections(bw, m.Ctl,
+				[]byte{byte(m.IndexWidth())}, viBytes(m.VI8, m.VI16, m.VI32), floatBytes(m.Unique))
+		} else {
+			err = writeSections(bw, m.Ctl, floatBytes(m.Values))
+		}
 	case *dcsr.Matrix:
 		err = writeSections(bw, m.Cmds, floatBytes(m.Values))
 	case *csrvi.Matrix:
 		err = writeSections(bw, int32Bytes(m.RowPtr), int32Bytes(m.ColInd),
-			[]byte{byte(m.IndexWidth())}, viBytes(m.VI8, m.VI16, m.VI32), floatBytes(m.Unique))
-	case *csrduvi.Matrix:
-		err = writeSections(bw, m.Ctl(),
 			[]byte{byte(m.IndexWidth())}, viBytes(m.VI8, m.VI16, m.VI32), floatBytes(m.Unique))
 	default:
 		return fmt.Errorf("matfile: unsupported format %q", name)
@@ -293,7 +294,7 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		if int64(len(vi)) != nnz*int64(width) {
 			return nil, core.Shapef("matfile: val_ind size %d inconsistent with header nnz %d", len(vi), nnz)
 		}
-		return csrduvi.FromRaw(ctl, width, vi, uniq, int(rows), int(cols))
+		return csrdu.FromRawVI(ctl, width, vi, uniq, int(rows), int(cols))
 	default:
 		return nil, fmt.Errorf("matfile: unsupported format %q", name)
 	}

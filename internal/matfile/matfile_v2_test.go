@@ -10,7 +10,6 @@ import (
 	"spmv/internal/core"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrduvi"
 	"spmv/internal/csrvi"
 	"spmv/internal/dcsr"
 	"spmv/internal/matgen"
@@ -48,7 +47,7 @@ func TestRoundTripCSRDUVI(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, o := range []csrdu.Options{{}, {RLE: true}} {
 		c := matgen.BlockDiag(rng, 15, 8, matgen.Values{Unique: 9})
-		m, err := csrduvi.FromCOOOpts(c, o)
+		m, err := csrdu.FromCOOVI(c, o)
 		if err != nil {
 			t.Fatalf("FromCOOOpts: %v", err)
 		}
@@ -57,7 +56,7 @@ func TestRoundTripCSRDUVI(t *testing.T) {
 			t.Errorf("Name = %q", back.Name())
 		}
 		checkEqual(t, m, back, c.Cols())
-		vi := back.(*csrduvi.Matrix)
+		vi := back.(*csrdu.Matrix)
 		if vi.IndexWidth() != m.IndexWidth() {
 			t.Errorf("width %d -> %d", m.IndexWidth(), vi.IndexWidth())
 		}
@@ -158,7 +157,7 @@ func corruptionFixtures(t *testing.T) map[string]core.Format {
 	add("dcsr", dc, err)
 	vi, err := csrvi.FromCOO(c)
 	add("csr-vi", vi, err)
-	duvi, err := csrduvi.FromCOO(c)
+	duvi, err := csrdu.FromCOOVI(c, csrdu.Options{})
 	add("csr-du-vi", duvi, err)
 	return out
 }
@@ -223,7 +222,7 @@ func FuzzRead(f *testing.F) {
 		func() (core.Format, error) { return csrdu.FromCOO(c) },
 		func() (core.Format, error) { return dcsr.FromCOO(c) },
 		func() (core.Format, error) { return csrvi.FromCOO(c) },
-		func() (core.Format, error) { return csrduvi.FromCOO(c) },
+		func() (core.Format, error) { return csrdu.FromCOOVI(c, csrdu.Options{}) },
 	} {
 		m, err := build()
 		if err != nil {

@@ -10,7 +10,6 @@ import (
 	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrduvi"
 	"spmv/internal/csrvi"
 	"spmv/internal/ell"
 	"spmv/internal/matgen"
@@ -49,7 +48,7 @@ func TestRunBatchMatchesReference(t *testing.T) {
 		"csr":       func() (core.Format, error) { return csr.FromCOO(c) },
 		"csr-du":    func() (core.Format, error) { return csrdu.FromCOO(c) },
 		"csr-vi":    func() (core.Format, error) { return csrvi.FromCOO(c) },
-		"csr-du-vi": func() (core.Format, error) { return csrduvi.FromCOO(c) },
+		"csr-du-vi": func() (core.Format, error) { return csrdu.FromCOOVI(c, csrdu.Options{}) },
 		"ell":       func() (core.Format, error) { return ell.FromCOO(c) }, // fallback path
 	}
 	for name, build := range builders {

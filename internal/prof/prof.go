@@ -22,7 +22,6 @@ import (
 	"spmv/internal/core"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrduvi"
 	"spmv/internal/csrvi"
 	"spmv/internal/obs"
 )
@@ -128,11 +127,23 @@ func New(f core.Format) *FormatProfile {
 			{Name: "values", Bytes: int64(len(m.Values)) * 4},
 		}
 	case *csrdu.Matrix:
-		p.Streams = []Stream{
-			{Name: "ctl", Bytes: int64(len(m.Ctl))},
-			{Name: "values", Bytes: int64(len(m.Values)) * core.ValSize},
-		}
 		p.DU = m.Profile(DefaultRegions)
+		ctl := Stream{Name: "ctl", Bytes: int64(len(m.Ctl))}
+		if m.IndexWidth() == 0 {
+			p.Streams = []Stream{ctl, {Name: "values", Bytes: int64(len(m.Values)) * core.ValSize}}
+			break
+		}
+		p.Streams = []Stream{
+			ctl,
+			{Name: "val_ind", Bytes: m.ValIndBytes()},
+			{Name: "vals_unique", Bytes: int64(len(m.Unique)) * core.ValSize},
+		}
+		p.VI = &VIProfile{
+			UniqueValues: len(m.Unique),
+			IndexWidth:   m.IndexWidth(),
+			TTU:          m.TTU(),
+			Applicable:   m.TTU() > csrvi.MinTTU,
+		}
 	case *csrvi.Matrix:
 		p.Streams = []Stream{
 			{Name: "row_ptr", Bytes: int64(len(m.RowPtr)) * core.IdxSize},
@@ -145,19 +156,6 @@ func New(f core.Format) *FormatProfile {
 			IndexWidth:   m.IndexWidth(),
 			TTU:          m.TTU(),
 			Applicable:   m.Applicable(),
-		}
-	case *csrduvi.Matrix:
-		p.Streams = []Stream{
-			{Name: "ctl", Bytes: int64(m.CtlBytes())},
-			{Name: "val_ind", Bytes: m.ValIndBytes()},
-			{Name: "vals_unique", Bytes: int64(len(m.Unique)) * core.ValSize},
-		}
-		p.DU = m.Profile(DefaultRegions)
-		p.VI = &VIProfile{
-			UniqueValues: len(m.Unique),
-			IndexWidth:   m.IndexWidth(),
-			TTU:          m.TTU(),
-			Applicable:   m.TTU() > csrvi.MinTTU,
 		}
 	default:
 		p.Streams = []Stream{{Name: "matrix", Bytes: f.SizeBytes()}}

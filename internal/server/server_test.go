@@ -328,7 +328,7 @@ func TestMultiplyValidation(t *testing.T) {
 // valid formats, and nothing is built or registered.
 func TestUnknownFormatRejected(t *testing.T) {
 	s := newTestServer(t, Config{})
-	bad := []string{"no-such-format", "bcsr2x2", "bcsr4x4", "vbr", "jds", "cds", "hybrid"}
+	bad := []string{"no-such-format", "bcsr2x2", "bcsr4x4", "vbr", "jds", "cds", "hybrid", "csr-du-rle"}
 	for _, name := range bad {
 		w := do(s, "POST", "/matrices?format="+name, faulttest.ValidMMIO(8, 30), nil)
 		if w.Code != http.StatusBadRequest {

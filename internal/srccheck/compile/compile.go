@@ -35,7 +35,6 @@ func KernelPackages() []string {
 		"internal/csr",
 		"internal/csrdu",
 		"internal/csrvi",
-		"internal/csrduvi",
 		"internal/dcsr",
 		"internal/ell",
 		"internal/parallel",

@@ -82,7 +82,6 @@ import (
 	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrduvi"
 	"spmv/internal/csrvi"
 	"spmv/internal/dcsr"
 	"spmv/internal/ell"
@@ -129,8 +128,9 @@ type (
 	DUOptions = csrdu.Options
 	// CSRVI is the paper's value-indexed matrix.
 	CSRVI = csrvi.Matrix
-	// CSRDUVI combines CSR-DU index compression with CSR-VI values.
-	CSRDUVI = csrduvi.Matrix
+	// CSRDUVI combines CSR-DU index compression with CSR-VI values: a
+	// CSRDU under the dictionary value codec.
+	CSRDUVI = csrdu.Matrix
 	// DCSR is the Willcock & Lumsdaine comparator format.
 	DCSR = dcsr.Matrix
 	// CSC is the column-oriented format for column partitioning.

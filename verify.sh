@@ -44,7 +44,8 @@ go test -race -count=2 ./internal/parallel/... ./internal/obs/... ./internal/sym
 echo "== BenchmarkUnitShapes smoke"
 # The CSR-DU decode-cost benchmark (7-nnz u16, 5-nnz u8 then 2-nnz u16,
 # 255-nnz u8, 8-nnz u32 units, csr alongside, ~150 MB working sets):
-# serial ns/nnz, and ns/nnz-vec of the csr and csr-du k=8 panel kernels.
+# serial ns/nnz, and ns/nnz-vec of the csr, csr-du and csr-du-vi k=8
+# panel kernels.
 # One iteration each so it cannot rot; measure with -benchtime=10x -count=5.
 go test -run '^$' -bench '^BenchmarkUnitShapes$' -benchtime=1x ./internal/csrdu/
 
