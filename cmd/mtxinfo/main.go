@@ -223,6 +223,10 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 			st.Units, st.AvgSize,
 			st.PerClass[csrdu.ClassU8], st.PerClass[csrdu.ClassU16],
 			st.PerClass[csrdu.ClassU32], st.PerClass[csrdu.ClassU64])
+		if nonEmpty := a.Rows - a.EmptyRows; nonEmpty > 0 {
+			fmt.Printf("  csr-du REP units %d cover %d rows: %.1f%% of rows on the fixed-offset path\n",
+				st.RepUnits, st.RepRows, 100*float64(st.RepRows)/float64(nonEmpty))
+		}
 	}
 	fmt.Println("  recommended formats (predicted size vs CSR):")
 	for i, r := range a.Recommend() {

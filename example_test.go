@@ -31,9 +31,13 @@ func ExampleNewCSRDU() {
 		m.Name(), m.NNZ(), 100*spmv.CompressionRatio(m))
 	st := m.Stats()
 	fmt.Printf("units: %d, all one-byte deltas: %v\n", st.Units, st.PerClass[0] == st.Units)
+	// Every interior row repeats the row above one column right: REP
+	// units carry them with no index bytes of their own.
+	fmt.Printf("rows in %d REP units: %d\n", st.RepUnits, st.RepRows)
 	// Output:
-	// csr-du: 2998 nnz, 75% of CSR
-	// units: 1000, all one-byte deltas: true
+	// csr-du: 2998 nnz, 60% of CSR
+	// units: 6, all one-byte deltas: true
+	// rows in 4 REP units: 998
 }
 
 func ExampleNewCSRVI() {
@@ -95,7 +99,7 @@ func ExampleAnalyze() {
 	fmt.Printf("advisor: %s (predicted %.0f%% of CSR)\n", top.Format, 100*top.Ratio)
 	// Output:
 	// symmetric=true diagonals=3 ttu>5=true
-	// advisor: csr-du-vi (predicted 25% of CSR)
+	// advisor: csr-du-vi (predicted 8% of CSR)
 }
 
 func ExampleReadMatrixMarket() {
@@ -155,6 +159,6 @@ func ExampleBuildFormat() {
 	}
 	// Output:
 	// csr 1980 bytes
-	// csr-du 1432 bytes
+	// csr-du 1198 bytes
 	// csr-vi 960 bytes
 }

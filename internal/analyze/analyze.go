@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"spmv/internal/core"
+	"spmv/internal/csrdu"
 )
 
 // Analysis summarizes the format-relevant structure of a matrix.
@@ -33,6 +34,12 @@ type Analysis struct {
 	// UnitDeltaEq1 is the fraction of deltas equal to 1 (RLE/dense-run
 	// potential).
 	DeltaEq1 float64
+
+	// RepRows counts the rows that repeat the row above them shifted
+	// one column right, and RepNNZ their non-zeros: CSR-DU stores such
+	// rows in REP units, with no index bytes of their own.
+	RepRows int
+	RepNNZ  int
 
 	Bandwidth int
 	Diagonals int // distinct non-zero diagonals
@@ -92,6 +99,17 @@ func Analyze(c *core.COO) Analysis {
 			}
 		}
 		prevRow, prevCol = i, j
+	}
+	for k, prev := 0, -1; k < c.Len(); {
+		start := k
+		for k < c.Len() && c.I[k] == c.I[start] {
+			k++
+		}
+		if prev >= 0 && csrdu.RepeatsPrev(c, prev, start, c.Len()) {
+			a.RepRows++
+			a.RepNNZ += k - start
+		}
+		prev = start
 	}
 	a.Unique = len(unique)
 	if a.NNZ > 0 {
@@ -155,10 +173,11 @@ func (a Analysis) Recommend() []Recommendation {
 		add("csr16", base-2*float64(a.NNZ), "column count fits 16-bit indices")
 	}
 
-	// CSR-DU: ctl ≈ per-delta width + ~4 bytes/row of headers+jump.
+	// CSR-DU: ctl ≈ per-delta width + ~4 bytes/row of headers+jump,
+	// none of either for the rows a REP unit repeats.
 	duIdx := a.DeltaFrac[0]*1 + a.DeltaFrac[1]*2 + a.DeltaFrac[2]*4 + a.DeltaFrac[3]*8
-	nonEmpty := float64(a.Rows - a.EmptyRows)
-	ctl := duIdx*float64(a.NNZ) + 4*nonEmpty
+	nonEmpty := float64(a.Rows - a.EmptyRows - a.RepRows)
+	ctl := duIdx*float64(a.NNZ-a.RepNNZ) + 4*nonEmpty
 	add("csr-du", ctl+8*float64(a.NNZ), fmt.Sprintf("%.0f%% of column deltas fit one byte", 100*a.DeltaFrac[0]))
 
 	// CSR-VI: only when the paper's ttu criterion holds.

@@ -213,10 +213,11 @@ func diagCount(c *core.COO) int {
 
 // simulateDUCtl replays the CSR-DU encoder's unit-splitting rules over
 // the finalized COO counting control bytes only — no value or ctl
-// allocation. The walk mirrors csrdu.encodeRow exactly (greedy class
+// allocation. The walk mirrors csrdu.encodeBlock exactly (greedy class
 // extension with MinSwitch widening, the 255-element unit cap, RLE run
-// detection, NR/RJMP headers, varint jumps); features_test pins it
-// byte-for-byte against the real encoder.
+// detection, NR/RJMP headers, varint jumps, and the greedy REP run of
+// rows that repeat a one-unit row, which costs one count byte);
+// features_test pins it byte-for-byte against the real encoder.
 func simulateDUCtl(c *core.COO, opts csrdu.Options) int64 {
 	if opts.RLEMin == 0 {
 		opts.RLEMin = 6
@@ -225,29 +226,36 @@ func simulateDUCtl(c *core.COO, opts csrdu.Options) int64 {
 		opts.MinSwitch = 4
 	}
 	var total int64
-	cols := make([]int32, 0, 64)
 	prevRow := -1
 	n := c.Len()
 	for k := 0; k < n; {
-		i0, _, _ := c.At(k)
-		cols = cols[:0]
-		for k < n {
-			i, j, _ := c.At(k)
-			if i != i0 {
-				break
-			}
-			cols = append(cols, int32(j))
+		row, start := int(c.I[k]), k
+		for k < n && int(c.I[k]) == row {
 			k++
 		}
-		total += simulateRow(i0, prevRow, cols, opts)
-		prevRow = i0
+		bytes, single := simulateRow(row, prevRow, c.J[start:k], opts)
+		total += bytes
+		prevRow = row
+		if !single {
+			continue
+		}
+		r, size := 0, k-start
+		for r < csrdu.MaxRep && k < n && csrdu.RepeatsPrev(c, start+r*size, k, n) {
+			k += size
+			r++
+		}
+		if r > 0 {
+			total++
+			prevRow += r
+		}
 	}
 	return total
 }
 
-// simulateRow counts the ctl bytes one row's units would occupy.
-func simulateRow(row, prevRow int, cols []int32, opts csrdu.Options) int64 {
-	var bytes int64
+// simulateRow counts the ctl bytes one row's units would occupy, and
+// reports whether the row is one non-RLE unit, which can carry a REP
+// run.
+func simulateRow(row, prevRow int, cols []int32, opts csrdu.Options) (bytes int64, single bool) {
 	newRow := true
 	prevCol := int32(0)
 	unitHeader := func(ujmp uint64) {
@@ -271,6 +279,7 @@ func simulateRow(row, prevRow int, cols []int32, opts csrdu.Options) int64 {
 				prevCol = cols[t+run-1]
 				t += run
 				newRow = false
+				single = false
 				continue
 			}
 		}
@@ -299,10 +308,11 @@ func simulateRow(row, prevRow int, cols []int32, opts csrdu.Options) int64 {
 		}
 		unitHeader(uint64(cols[start] - prevCol))
 		bytes += int64(t-start-1) * int64(1<<cls)
+		single = newRow
 		prevCol = cols[t-1]
 		newRow = false
 	}
-	return bytes
+	return bytes, single
 }
 
 // deltaClass mirrors csrdu's width classing: the narrowest class

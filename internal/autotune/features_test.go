@@ -28,8 +28,12 @@ func shapes() map[string]*core.COO {
 // simulation byte-for-byte against the real CSR-DU encoder, RLE off
 // and on. Any drift between the two makes the csr-du cost predictions
 // silently wrong, so this is the load-bearing test of the extractor.
+// Stencil3D(20)'s interior rows repeat the row above, so the encoder
+// writes REP units there and the simulation must count them.
 func TestSimulateDUCtlMatchesEncoder(t *testing.T) {
-	for name, c := range shapes() {
+	cases := shapes()
+	cases["stencil3d"] = matgen.Stencil3D(20)
+	for name, c := range cases {
 		ft := Extract(c)
 		plain, err := csrdu.FromCOOOpts(c, csrdu.Options{})
 		if err != nil {

@@ -141,6 +141,14 @@ func DecodeUnit(ctl []byte, pos int, flags byte, xi int, cols []int32) (next, la
 	return pos + len(b), xi
 }
 
+// shiftCols moves a decoded REP unit's columns to the next row of its
+// run: one column right.
+func shiftCols(cols []int32) {
+	for i := range cols {
+		cols[i]++
+	}
+}
+
 // SkipRows handles a row jump in a panel of width k: it decodes the
 // rjmp varint at pos and zeroes the empty panel rows the jump passes
 // over. yi is the row after the one just stored; the returned row is
@@ -176,17 +184,34 @@ func spmvBatch4[V Value](c *chunk, a *runArgs[V]) int {
 	for units := 1; ; units++ {
 		cols := buf[:size]
 		pos, xi = DecodeUnit(ctl, pos, flags, xi, cols)
-		vals := values[vi : vi+size]
-		vi += size
-		cols = cols[:len(vals)]
-		for p, iv := range vals {
-			v := load(iv, unique)
-			xr := x[int(cols[p])*k:]
-			xr = xr[:k]
-			s0 += v * xr[0]
-			s1 += v * xr[1]
-			s2 += v * xr[2]
-			s3 += v * xr[3]
+		rep := 0
+		if flags&FlagREP != 0 {
+			rep, pos = int(ctl[pos]), pos+1
+		}
+		for {
+			vals := values[vi : vi+size]
+			vi += size
+			cols = cols[:len(vals)]
+			for p, iv := range vals {
+				v := load(iv, unique)
+				xr := x[int(cols[p])*k:]
+				xr = xr[:k]
+				s0 += v * xr[0]
+				s1 += v * xr[1]
+				s2 += v * xr[2]
+				s3 += v * xr[3]
+			}
+			if rep == 0 {
+				break
+			}
+			// A repeated row: store this one, shift the columns.
+			yr := y[yi*k:]
+			yr = yr[:k]
+			yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
+			s0, s1, s2, s3 = 0, 0, 0, 0
+			yi++
+			shiftCols(cols)
+			rep--
 		}
 
 		if pos >= len(ctl) {
@@ -238,7 +263,10 @@ func spmvPanel8[V Value](c *chunk, a *runArgs[V]) int {
 
 	for {
 		// pos is at the ujmp of a unit whose header was flags, size.
-		if flags&FlagRLE == 0 && flags&TypeMask != ClassU64 {
+		if flags&FlagREP != 0 {
+			pos, vi = spmvRunRepPanel8(a, pos, vi, size, flags, &buf, &s)
+			units++
+		} else if flags&FlagRLE == 0 && flags&TypeMask != ClassU64 {
 			var n int
 			pos, vi, xi, n = spmvRunPanel8(a, pos, vi, xi, size, flags, &s)
 			units += n
@@ -345,7 +373,7 @@ func spmvRunPanel8[V Value](k *runArgs[V], pos, vi, xi, size int, flags byte, s 
 			break
 		}
 		flags = ctl[pos]
-		if flags&(FlagRLE|FlagRJMP) != 0 || flags&TypeMask == ClassU64 {
+		if flags&(FlagRLE|FlagRJMP|FlagREP) != 0 || flags&TypeMask == ClassU64 {
 			break
 		}
 		size = int(ctl[pos+1])
@@ -361,6 +389,96 @@ func spmvRunPanel8[V Value](k *runArgs[V], pos, vi, xi, size int, flags byte, s 
 	}
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	return pos, vi, xi, units
+}
+
+// spmvRunRepPanel8 is spmvRunRep for an 8-wide panel: it decodes the
+// REP unit at pos once into offsets from its first column (into buf),
+// then runs the run's rows with the eight sums in registers, row t
+// reading the x panel rows at first+t+offset. It stores every row of
+// the run but the last, whose sums it leaves in s with a.yi on that
+// row, and returns pos past the count byte and vi past the run's
+// values. As in spmvRunRep the run's values, x window and y rows are
+// sliced once, and a row of up to eight columns is straight-line code
+// that reads its offsets from buf at constant indices: a loop over the
+// columns kept its counter on the stack, stored and reloaded every
+// column. Longer rows loop over buf.
+//
+//go:noinline
+func spmvRunRepPanel8[V Value](a *runArgs[V], pos, vi, size int, flags byte, buf *[MaxUnit]int32, s *[8]float64) (int, int) {
+	ctl, values, unique, x := a.streams()
+	xi, off, pos := repOffsets(ctl, pos, flags, buf[:size])
+	rows := int(ctl[pos])
+	pos++
+	n := (rows + 1) * size
+	vals := values[vi : vi+n : vi+n]
+	vi += n
+	xw := x[8*xi : 8*(xi+rows+1+int(off[len(off)-1]))]
+	yw := a.y[8*a.yi : 8*(a.yi+rows)]
+	a.yi += rows
+	for t := 0; ; t++ {
+		v := vals[t*size : t*size+size]
+		v = v[:len(off)]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		w, xr := load(v[0], unique), xw[8*t:8*t+8:8*t+8]
+		s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
+		s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
+		if len(v) > 8 {
+			for j := 1; j < len(v); j++ {
+				p := 8 * (t + int(off[j]))
+				w, xr = load(v[j], unique), xw[p:p+8:p+8]
+				s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
+				s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
+			}
+		} else if len(v) > 1 {
+			p := 8 * (t + int(buf[1]))
+			w, xr = load(v[1], unique), xw[p:p+8:p+8]
+			s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
+			s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
+			if len(v) > 2 {
+				p := 8 * (t + int(buf[2]))
+				w, xr = load(v[2], unique), xw[p:p+8:p+8]
+				s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
+				s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
+				if len(v) > 3 {
+					p := 8 * (t + int(buf[3]))
+					w, xr = load(v[3], unique), xw[p:p+8:p+8]
+					s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
+					s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
+					if len(v) > 4 {
+						p := 8 * (t + int(buf[4]))
+						w, xr = load(v[4], unique), xw[p:p+8:p+8]
+						s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
+						s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
+						if len(v) > 5 {
+							p := 8 * (t + int(buf[5]))
+							w, xr = load(v[5], unique), xw[p:p+8:p+8]
+							s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
+							s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
+							if len(v) > 6 {
+								p := 8 * (t + int(buf[6]))
+								w, xr = load(v[6], unique), xw[p:p+8:p+8]
+								s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
+								s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
+								if len(v) > 7 {
+									p := 8 * (t + int(buf[7]))
+									w, xr = load(v[7], unique), xw[p:p+8:p+8]
+									s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
+									s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if t == rows {
+			s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s0, s1, s2, s3, s4, s5, s6, s7
+			return pos, vi
+		}
+		yr := yw[8*t : 8*t+8 : 8*t+8]
+		yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
+		yr[4], yr[5], yr[6], yr[7] = s4, s5, s6, s7
+	}
 }
 
 // StackPanel is the widest panel whose accumulator row the generic-width
@@ -396,33 +514,48 @@ func spmvBatchK[V Value](c *chunk, a *runArgs[V], k int) int {
 	for units := 1; ; units++ {
 		cols := buf[:size]
 		pos, xi = DecodeUnit(ctl, pos, flags, xi, cols)
-		vals := values[vi : vi+size]
-		vi += size
-		cols = cols[:len(vals)]
-		// The decoded unit is walked once per block of four columns,
-		// whose sums stay in registers for the walk, then once per
-		// leftover column.
-		c0 := 0
-		for ; c0+4 <= k; c0 += 4 {
-			a := acc[c0 : c0+4 : c0+4]
-			s0, s1, s2, s3 := a[0], a[1], a[2], a[3]
-			for p, iv := range vals {
-				v := load(iv, unique)
-				xr := x[int(cols[p])*k+c0:]
-				xr = xr[:4]
-				s0 += v * xr[0]
-				s1 += v * xr[1]
-				s2 += v * xr[2]
-				s3 += v * xr[3]
-			}
-			a[0], a[1], a[2], a[3] = s0, s1, s2, s3
+		rep := 0
+		if flags&FlagREP != 0 {
+			rep, pos = int(ctl[pos]), pos+1
 		}
-		for ; c0 < k; c0++ {
-			s := acc[c0]
-			for p, v := range vals {
-				s += load(v, unique) * x[int(cols[p])*k+c0]
+		for {
+			vals := values[vi : vi+size]
+			vi += size
+			cols = cols[:len(vals)]
+			// The decoded unit is walked once per block of four
+			// columns, whose sums stay in registers for the walk, then
+			// once per leftover column.
+			c0 := 0
+			for ; c0+4 <= k; c0 += 4 {
+				a := acc[c0 : c0+4 : c0+4]
+				s0, s1, s2, s3 := a[0], a[1], a[2], a[3]
+				for p, iv := range vals {
+					v := load(iv, unique)
+					xr := x[int(cols[p])*k+c0:]
+					xr = xr[:4]
+					s0 += v * xr[0]
+					s1 += v * xr[1]
+					s2 += v * xr[2]
+					s3 += v * xr[3]
+				}
+				a[0], a[1], a[2], a[3] = s0, s1, s2, s3
 			}
-			acc[c0] = s
+			for ; c0 < k; c0++ {
+				s := acc[c0]
+				for p, v := range vals {
+					s += load(v, unique) * x[int(cols[p])*k+c0]
+				}
+				acc[c0] = s
+			}
+			if rep == 0 {
+				break
+			}
+			// A repeated row: store this one, shift the columns.
+			copy(y[yi*k:(yi+1)*k], acc)
+			clear(acc)
+			yi++
+			shiftCols(cols)
+			rep--
 		}
 
 		if pos >= len(ctl) {

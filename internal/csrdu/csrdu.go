@@ -8,17 +8,30 @@
 // integers that fits every delta in the unit. Each unit contributes to
 // ctl:
 //
-//	uflags  1 byte   delta width (bits 0-1), NR new-row flag (bit 6),
-//	                 RJMP multi-row jump flag (bit 5), RLE flag (bit 7)
+//	uflags  1 byte   delta width (bits 0-1), REP repeat flag (bit 4),
+//	                 RJMP multi-row jump flag (bit 5), NR new-row flag
+//	                 (bit 6), RLE flag (bit 7); bits 2-3 are reserved
+//	                 and must be zero
 //	usize   1 byte   number of non-zeros in the unit (1..255)
 //	[rjmp]  varint   rows skipped, present only when RJMP is set
 //	ujmp    varint   column distance from the previous position
 //	ucis    usize-1 fixed-width deltas (absent for RLE units, which
 //	                 instead store one varint: the constant delta)
+//	[rep]   1 byte   rows repeated (1..255), present only when REP is set
 //
 // Because the width is fixed per unit, the SpMV kernel decodes with a
 // single switch per unit and tight branch-free inner loops — the paper's
-// answer to DCSR's per-element decode branches. Units never span rows.
+// answer to DCSR's per-element decode branches. Units never span rows,
+// with one exception: a REP unit. It is a row's only unit (NR set, not
+// RLE), and its count byte r says that the next r rows, which have no
+// headers of their own, each hold this row's columns shifted right by
+// their row distance from it — the repeated substructure the authors'
+// CSX follow-up encodes, here the interior rows of a stencil, whose r
+// rows then cost no index bytes and no decode. Their values follow the
+// unit's in row order, (r+1)*usize in all. The encoder emits REP for
+// the greedy longest run of exact repeats and always; a matrix with no
+// repeating row encodes as it would without it. Row marks fall on unit
+// headers only, so a partition never cuts a run.
 //
 // The values ride beside ctl in one of two codecs. The plain codec
 // stores one float64 per non-zero (Values). The dictionary codec is
@@ -38,12 +51,15 @@
 // kernel. The k=8 panel kernel (batch.go), the width the server's
 // coalescer fills, decodes in line the same way: a dispatcher hands
 // each run of u8/u16/u32 units to one loop that keeps the eight row
-// sums in registers across units and rows. The other panel kernels,
-// and the k=8 dispatcher for its rare RLE and u64 units, share
-// DecodeUnit, which expands one unit into column indices. ForEach is
-// the plain walk the tests hold them all against. The kernels keep two
-// invariants: a row's products are summed left to right in stream
-// order, and a chunk writes exactly its own rows.
+// sums in registers across units and rows. Both dispatchers hand a REP
+// unit to a fixed-offset loop (spmvRunRep, spmvRunRepPanel8) that
+// decodes its columns once and then reads only values and x for each
+// of its rows. The other panel kernels, and the k=8 dispatcher for its
+// rare RLE and u64 units, share DecodeUnit, which expands one unit
+// into column indices (shifted one column a row through a REP run).
+// ForEach is the plain walk the tests hold them all against. The
+// kernels keep two invariants: a row's products are summed left to
+// right in stream order, and a chunk writes exactly its own rows.
 //
 // The RLE unit type is the constant-delta extension from the same
 // companion paper; it is off by default and enabled with Options.RLE.
@@ -62,6 +78,8 @@ import (
 // uflags bits.
 const (
 	TypeMask = 0x03 // bits 0-1: log2 of delta width in bytes
+	flagsRes = 0x0c // bits 2-3: reserved, zero in every valid stream
+	FlagREP  = 0x10 // a row-count byte follows ucis (NR set, RLE clear)
 	FlagRJMP = 0x20 // a varint row jump follows usize (NR must be set)
 	FlagNR   = 0x40 // unit starts a new row
 	FlagRLE  = 0x80 // constant-delta unit: one varint delta, no ucis
@@ -74,6 +92,9 @@ const (
 	ClassU32
 	ClassU64
 )
+
+// MaxRep is the largest row count a REP unit's count byte carries.
+const MaxRep = 255
 
 // Options control the encoder.
 type Options struct {
@@ -204,10 +225,46 @@ func encodeBlock(c *core.COO, from, to, prevRow int, opts Options) *Matrix {
 		for end < to && c.I[end] == row {
 			end++
 		}
-		enc.encodeRow(int(row), k-from, c.J[k:end])
+		header := len(m.Ctl)
+		single := enc.encodeRow(int(row), k-from, c.J[k:end])
+		start := k
 		k = end
+		if !single {
+			continue
+		}
+		// A row that is one non-RLE unit becomes a REP unit when the
+		// rows after it repeat it, each shifted one column further:
+		// the greedy longest run, at most MaxRep rows.
+		r := 0
+		for r < MaxRep && k < to && RepeatsPrev(c, start+r*(end-start), k, to) {
+			k += end - start
+			r++
+		}
+		if r > 0 {
+			m.Ctl[header] |= FlagREP
+			m.Ctl = append(m.Ctl, byte(r))
+			enc.prevRow += r
+		}
 	}
 	return m
+}
+
+// RepeatsPrev reports whether the row of a finalized COO whose entries
+// start at k, among entries that end at to, repeats the row before it,
+// whose entries start at p: it is the next row, holds as many entries
+// and each of its columns is one past the previous row's. The encoder
+// writes a run of such rows after a one-unit row as one REP unit.
+func RepeatsPrev(c *core.COO, p, k, to int) bool {
+	n := k - p
+	if k+n > to || c.I[k] != c.I[p]+1 || c.I[k+n-1] != c.I[k] || (k+n < to && c.I[k+n] == c.I[k]) {
+		return false
+	}
+	for t := 0; t < n; t++ {
+		if c.J[k+t] != c.J[p+t]+1 {
+			return false
+		}
+	}
+	return true
 }
 
 // encoder carries per-matrix encoding state.
@@ -218,8 +275,9 @@ type encoder struct {
 
 // encodeRow emits the units of one non-empty row. cols are the sorted
 // column indices of the row's non-zeros, and val is the offset of its
-// first value in Values.
-func (e *encoder) encodeRow(row, val int, cols []int32) {
+// first value in Values. It reports whether the row is one non-RLE
+// unit, the rows a REP unit can carry.
+func (e *encoder) encodeRow(row, val int, cols []int32) (single bool) {
 	m := e.m
 	opts := m.opts
 	m.marks = append(m.marks, mark{row: row, ctl: len(m.Ctl), val: val})
@@ -241,6 +299,7 @@ func (e *encoder) encodeRow(row, val int, cols []int32) {
 				prevCol = cols[t+run-1]
 				t += run
 				newRow = false
+				single = false
 				continue
 			}
 		}
@@ -270,10 +329,12 @@ func (e *encoder) encodeRow(row, val int, cols []int32) {
 			t++
 		}
 		e.emitUnit(byte(cls), t-start, newRow, row, uint64(cols[start]-prevCol), cols[start:t], 0)
+		single = newRow
 		prevCol = cols[t-1]
 		newRow = false
 	}
 	e.prevRow = row
+	return single
 }
 
 // emitUnit writes one unit's bytes. A normal unit passes its columns

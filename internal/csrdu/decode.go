@@ -95,6 +95,7 @@ func spmvScalar[V Value](c *chunk, k *runArgs[V]) {
 	ctl, values, unique, x := k.streams()
 	y := k.y
 	pos, vi := c.ctlLo, c.valLo
+	var buf [MaxUnit]int32
 
 	k.yi = c.m.marks[c.startMark].row
 	clear(y[c.lo:k.yi])
@@ -109,6 +110,8 @@ func spmvScalar[V Value](c *chunk, k *runArgs[V]) {
 	for {
 		// pos is at the ujmp of a unit whose header was flags, size.
 		switch cls := flags & TypeMask; {
+		case flags&FlagREP != 0:
+			pos, vi, sum = spmvRunRep(k, pos, vi, size, flags, &buf)
 		case flags&FlagRLE != 0:
 			var j, d uint64
 			j, pos = varint.DecodeAt(ctl, pos)
@@ -367,6 +370,132 @@ func spmvRunU32[V Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int
 	}
 }
 
+// spmvRunRep runs one REP unit: pos is at its ujmp, and the unit
+// starts its row, so the column position and the sum are both 0. It
+// decodes the unit's columns once, as offsets from the first
+// (repOffsets, into buf), then multiplies the run's rows, row t reading
+// x[first+t+offset] beside its values: no ctl byte is read per row.
+// Each row's products are added left to right from +0. It stores every
+// row of the run but the last and returns pos past the count byte, vi
+// past the run's values and the last row's sum, with k.yi on that row,
+// which is where the dispatcher's state would be at the end of a unit.
+//
+// The run's values, the x window its rows read and the y rows it
+// stores are each sliced once, so a row carries only its index t.
+// Rows of up to eight columns go four at a time through straight-line
+// code that reads each offset from buf at a constant index once for
+// all four. The four sums are independent chains, so the FP adds and
+// the loads of one row issue in the latency of the others'; a loop
+// over the offsets would carry a counter and a bound beside the rows'
+// state, more than the register file holds, and the spilled counter
+// chains every column through memory. Longer rows, and the last one to
+// four rows of a run, loop over buf one row at a time.
+//
+//go:noinline
+func spmvRunRep[V Value](k *runArgs[V], pos, vi, size int, flags byte, buf *[MaxUnit]int32) (int, int, float64) {
+	ctl, values, unique, x := k.streams()
+	xi, off, pos := repOffsets(ctl, pos, flags, buf[:size])
+	rows := int(ctl[pos])
+	pos++
+	n := (rows + 1) * size
+	vals := values[vi : vi+n : vi+n]
+	vi += n
+	xw := x[xi : xi+rows+1+int(off[len(off)-1])]
+	ys := k.y[k.yi : k.yi+rows]
+	k.yi += rows
+	t := 0
+	if size <= 8 {
+		for ; t+3 < rows; t += 4 {
+			va := vals[t*size : t*size+size]
+			vb := vals[t*size+size : t*size+2*size]
+			vc := vals[t*size+2*size : t*size+3*size]
+			vd := vals[t*size+3*size : t*size+4*size]
+			vb, vc, vd = vb[:len(va)], vc[:len(va)], vd[:len(va)]
+			xr := xw[t:]
+			a, b, c, d := 0.0, 0.0, 0.0, 0.0
+			a += load(va[0], unique) * xr[0]
+			b += load(vb[0], unique) * xr[1]
+			c += load(vc[0], unique) * xr[2]
+			d += load(vd[0], unique) * xr[3]
+			if len(va) > 1 {
+				o := int(buf[1])
+				a += load(va[1], unique) * xr[o]
+				b += load(vb[1], unique) * xr[o+1]
+				c += load(vc[1], unique) * xr[o+2]
+				d += load(vd[1], unique) * xr[o+3]
+				if len(va) > 2 {
+					o := int(buf[2])
+					a += load(va[2], unique) * xr[o]
+					b += load(vb[2], unique) * xr[o+1]
+					c += load(vc[2], unique) * xr[o+2]
+					d += load(vd[2], unique) * xr[o+3]
+					if len(va) > 3 {
+						o := int(buf[3])
+						a += load(va[3], unique) * xr[o]
+						b += load(vb[3], unique) * xr[o+1]
+						c += load(vc[3], unique) * xr[o+2]
+						d += load(vd[3], unique) * xr[o+3]
+						if len(va) > 4 {
+							o := int(buf[4])
+							a += load(va[4], unique) * xr[o]
+							b += load(vb[4], unique) * xr[o+1]
+							c += load(vc[4], unique) * xr[o+2]
+							d += load(vd[4], unique) * xr[o+3]
+							if len(va) > 5 {
+								o := int(buf[5])
+								a += load(va[5], unique) * xr[o]
+								b += load(vb[5], unique) * xr[o+1]
+								c += load(vc[5], unique) * xr[o+2]
+								d += load(vd[5], unique) * xr[o+3]
+								if len(va) > 6 {
+									o := int(buf[6])
+									a += load(va[6], unique) * xr[o]
+									b += load(vb[6], unique) * xr[o+1]
+									c += load(vc[6], unique) * xr[o+2]
+									d += load(vd[6], unique) * xr[o+3]
+									if len(va) > 7 {
+										o := int(buf[7])
+										a += load(va[7], unique) * xr[o]
+										b += load(vb[7], unique) * xr[o+1]
+										c += load(vc[7], unique) * xr[o+2]
+										d += load(vd[7], unique) * xr[o+3]
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+			ys[t], ys[t+1], ys[t+2], ys[t+3] = a, b, c, d
+		}
+	}
+	for ; ; t++ {
+		v := vals[t*size : t*size+size]
+		v = v[:len(off)]
+		sum := 0.0
+		for j, o := range off {
+			sum += load(v[j], unique) * xw[t+int(o)]
+		}
+		if t == rows {
+			return pos, vi, sum
+		}
+		ys[t] = sum
+	}
+}
+
+// repOffsets decodes the REP unit whose ujmp is at ctl[pos] into off
+// (DecodeUnit), as offsets from its first column, and returns that
+// column, the offsets and pos past the unit's deltas, at its count
+// byte.
+func repOffsets(ctl []byte, pos int, flags byte, off []int32) (first int, _ []int32, next int) {
+	next, _ = DecodeUnit(ctl, pos, flags, 0, off)
+	first = int(off[0])
+	for i := range off {
+		off[i] -= int32(first)
+	}
+	return first, off, next
+}
+
 // decodeUjmp decodes the ujmp varint at ctl[pos]: unrolled for the 1-,
 // 2- and 3-byte encodings (columns below 2^21), a loop for longer ones,
 // padded encodings included. It is small enough to inline, so the run
@@ -401,6 +530,7 @@ func (m *Matrix) ForEach(fn func(i, j int, v float64)) {
 	vi := 0
 	yi := -1
 	xi := 0
+	var cols []int // a REP unit's columns
 	for pos < len(ctl) {
 		flags := ctl[pos]
 		size := int(ctl[pos+1])
@@ -416,6 +546,28 @@ func (m *Matrix) ForEach(fn func(i, j int, v float64)) {
 		var j uint64
 		j, pos = varint.DecodeAt(ctl, pos)
 		xi += int(j)
+		if flags&FlagREP != 0 {
+			// Decode the unit's columns, then emit them for its row
+			// and each repeated row, shifted by the row distance.
+			cols = append(cols[:0], xi)
+			cls := uint(flags & TypeMask)
+			for k := 1; k < size; k++ {
+				xi += int(leUint(ctl[pos:], cls))
+				pos += 1 << cls
+				cols = append(cols, xi)
+			}
+			rep := int(ctl[pos])
+			pos++
+			for t := 0; t <= rep; t++ {
+				for _, j := range cols {
+					fn(yi, j+t, m.value(vi))
+					vi++
+				}
+				yi++
+			}
+			yi--
+			continue
+		}
 		fn(yi, xi, m.value(vi))
 		vi++
 		if flags&FlagRLE != 0 {
@@ -430,27 +582,23 @@ func (m *Matrix) ForEach(fn func(i, j int, v float64)) {
 		}
 		cls := uint(flags & TypeMask)
 		for k := 1; k < size; k++ {
-			var d uint64
-			switch cls {
-			case ClassU8:
-				d = uint64(ctl[pos])
-			case ClassU16:
-				d = uint64(ctl[pos]) | uint64(ctl[pos+1])<<8
-			case ClassU32:
-				d = uint64(ctl[pos]) | uint64(ctl[pos+1])<<8 |
-					uint64(ctl[pos+2])<<16 | uint64(ctl[pos+3])<<24
-			default:
-				d = uint64(ctl[pos]) | uint64(ctl[pos+1])<<8 |
-					uint64(ctl[pos+2])<<16 | uint64(ctl[pos+3])<<24 |
-					uint64(ctl[pos+4])<<32 | uint64(ctl[pos+5])<<40 |
-					uint64(ctl[pos+6])<<48 | uint64(ctl[pos+7])<<56
-			}
+			xi += int(leUint(ctl[pos:], cls))
 			pos += 1 << cls
-			xi += int(d)
 			fn(yi, xi, m.value(vi))
 			vi++
 		}
 	}
+}
+
+// leUint reads the little-endian delta of width class cls at the start
+// of b, which must hold it: the byte-by-byte read of the walks that are
+// not kernels (ForEach, the stream scan, TraceSpMV).
+func leUint(b []byte, cls uint) uint64 {
+	var d uint64
+	for i := 1<<cls - 1; i >= 0; i-- {
+		d = d<<8 | uint64(b[i])
+	}
+	return d
 }
 
 // value returns the k-th value in stream order, under either codec.
@@ -485,10 +633,17 @@ func (m *Matrix) Triplets() *core.COO {
 // units of each delta class and how many RLE units, plus the average
 // unit size. The paper's performance argument rests on units being
 // large (few decode branches) and narrow (few index bytes).
+//
+// RepUnits counts the REP units among them and RepRows the rows those
+// units cover, each unit's own row and the r it repeats: the rows the
+// fixed-offset loops multiply, all but RepUnits of them without a
+// header or a delta of their own.
 type UnitStats struct {
 	Units    int
 	PerClass [4]int // indexed by ClassU8..ClassU64 (RLE units excluded)
 	RLEUnits int
+	RepUnits int
+	RepRows  int
 	AvgSize  float64
 	CtlBytes int
 }
@@ -514,6 +669,11 @@ func (m *Matrix) Stats() UnitStats {
 			cls := int(flags & TypeMask)
 			s.PerClass[cls]++
 			pos += (size - 1) << cls
+		}
+		if flags&FlagREP != 0 {
+			s.RepUnits++
+			s.RepRows += int(m.Ctl[pos]) + 1
+			pos++
 		}
 		s.Units++
 		total += size

@@ -19,6 +19,7 @@ func scanStream(ctl []byte, nvals, rows, cols int) (marks []mark, sawRLE bool, e
 	vi := 0
 	yi := -1
 	xi := 0
+	afterRep := false
 	readVarint := func() (uint64, error) {
 		v, n := varint.Decode(ctl[pos:])
 		if n == 0 {
@@ -41,9 +42,19 @@ func scanStream(ctl []byte, nvals, rows, cols int) (marks []mark, sawRLE bool, e
 		if size == 0 {
 			return nil, false, core.Corruptf("csrdu: zero-size unit at offset %d", unitStart)
 		}
+		if flags&flagsRes != 0 {
+			return nil, false, core.Corruptf("csrdu: reserved uflags bits %#x at offset %d", flags&flagsRes, unitStart)
+		}
 		if flags&(FlagNR|FlagRJMP) == FlagRJMP {
 			return nil, false, core.Corruptf("csrdu: row jump without new-row flag at offset %d", unitStart)
 		}
+		if afterRep && flags&FlagNR == 0 {
+			return nil, false, core.Corruptf("csrdu: unit at offset %d continues a REP unit's row", unitStart)
+		}
+		if flags&FlagREP != 0 && flags&(FlagNR|FlagRLE) != FlagNR {
+			return nil, false, core.Corruptf("csrdu: REP flag on a unit that does not start its row or is RLE at offset %d", unitStart)
+		}
+		afterRep = flags&FlagREP != 0
 		if flags&FlagNR != 0 {
 			var skip uint64 = 1
 			if flags&FlagRJMP != 0 {
@@ -98,21 +109,7 @@ func scanStream(ctl []byte, nvals, rows, cols int) (marks []mark, sawRLE bool, e
 				return nil, false, core.Truncatedf("csrdu: ucis at offset %d", pos)
 			}
 			for k := 1; k < size; k++ {
-				var d uint64
-				switch cls {
-				case ClassU8:
-					d = uint64(ctl[pos])
-				case ClassU16:
-					d = uint64(ctl[pos]) | uint64(ctl[pos+1])<<8
-				case ClassU32:
-					d = uint64(ctl[pos]) | uint64(ctl[pos+1])<<8 |
-						uint64(ctl[pos+2])<<16 | uint64(ctl[pos+3])<<24
-				default:
-					d = uint64(ctl[pos]) | uint64(ctl[pos+1])<<8 |
-						uint64(ctl[pos+2])<<16 | uint64(ctl[pos+3])<<24 |
-						uint64(ctl[pos+4])<<32 | uint64(ctl[pos+5])<<40 |
-						uint64(ctl[pos+6])<<48 | uint64(ctl[pos+7])<<56
-				}
+				d := leUint(ctl[pos:], cls)
 				pos += 1 << cls
 				if d > uint64(cols) {
 					return nil, false, core.Corruptf("csrdu: delta %d exceeds %d cols at offset %d", d, cols, unitStart)
@@ -125,6 +122,25 @@ func scanStream(ctl []byte, nvals, rows, cols int) (marks []mark, sawRLE bool, e
 		}
 		if xi < 0 || xi >= cols {
 			return nil, false, core.Corruptf("csrdu: column position %d out of range (%d cols) at offset %d", xi, cols, unitStart)
+		}
+		if flags&FlagREP != 0 {
+			// The run's last row holds the unit's columns shifted by
+			// r: its last column, its row and its values must fit.
+			if pos >= len(ctl) || ctl[pos] == 0 {
+				return nil, false, core.Corruptf("csrdu: REP unit at offset %d without a non-zero row count", unitStart)
+			}
+			r := int(ctl[pos])
+			pos++
+			if xi+r >= cols {
+				return nil, false, core.Corruptf("csrdu: REP unit at offset %d shifts column %d past %d cols", unitStart, xi+r, cols)
+			}
+			if yi+r >= rows {
+				return nil, false, core.Corruptf("csrdu: REP unit at offset %d repeats past row %d (%d rows)", unitStart, yi+r, rows)
+			}
+			if vi += r * size; vi > nvals {
+				return nil, false, core.Corruptf("csrdu: REP unit at %d overruns %d values", unitStart, nvals)
+			}
+			yi += r
 		}
 	}
 	if vi != nvals {

@@ -30,6 +30,14 @@ func FuzzFromRaw(f *testing.F) {
 		FlagNR | FlagRJMP | ClassU16, 3, 2, 5, 0x2c, 0x01, 0x04, 0x01}, 9, 700, 5)
 	f.Add([]byte{}, 3, 3, 0)
 	f.Add(rjmpWithoutNR, 2, 16, 6)
+	// The hand-built REP streams, and an encoded stencil with REP runs.
+	for _, s := range testmat.DUStreams() {
+		if s.Name == "rep" || s.Name == "rep-only" {
+			f.Add(s.Ctl, s.Rows, s.Cols, s.NNZ)
+		}
+	}
+	rep, _ := FromCOO(matgen.Stencil3D(6))
+	f.Add(rep.Ctl, 216, 216, len(rep.Values))
 	f.Fuzz(func(t *testing.T, ctl []byte, rows, cols, nvals int) {
 		if rows <= 0 || cols <= 0 || rows > 1000 || cols > 1000 || nvals < 0 || nvals > 10000 {
 			return
@@ -180,6 +188,11 @@ func checkStats(t *testing.T, m *Matrix) {
 			want.RLEUnits++
 		} else {
 			want.PerClass[flags&TypeMask]++
+		}
+		if flags&FlagREP != 0 {
+			want.RepUnits++
+			want.RepRows += int(m.Ctl[pos]) + 1
+			pos++
 		}
 		want.Units++
 		total += size

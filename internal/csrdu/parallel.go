@@ -60,7 +60,9 @@ func fromCOOParallel(c *core.COO, opts Options) (*Matrix, error) {
 }
 
 // rowBlockBounds returns entry indices of block starts, aligned to row
-// boundaries.
+// boundaries. A block starts at a row that does not repeat the row
+// before it, so no block starts inside a run the serial encoder writes
+// as one REP unit.
 func rowBlockBounds(c *core.COO, nworkers int) []int {
 	n := c.Len()
 	bounds := []int{0}
@@ -69,14 +71,18 @@ func rowBlockBounds(c *core.COO, nworkers int) []int {
 		if k <= bounds[len(bounds)-1] {
 			continue
 		}
-		// Advance to the next row boundary.
-		row, _, _ := c.At(k)
-		for k < n {
-			r, _, _ := c.At(k)
-			if r != row {
+		// Advance to the next row boundary, and on past repeated rows.
+		p := k // the start of k's row
+		for p > 0 && c.I[p-1] == c.I[k] {
+			p--
+		}
+		for {
+			for k = p; k < n && c.I[k] == c.I[p]; k++ {
+			}
+			if k == n || !RepeatsPrev(c, p, k, n) {
 				break
 			}
-			k++
+			p = k
 		}
 		if k > bounds[len(bounds)-1] && k < n {
 			bounds = append(bounds, k)

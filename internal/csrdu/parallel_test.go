@@ -17,6 +17,8 @@ func TestParallelEncodeByteIdentical(t *testing.T) {
 		"powerlaw":   matgen.PowerLaw(rng, 20000, 6, 0.8, matgen.Values{}),
 		"empty-rows": sparseWithGaps(rng, 20000),
 		"stencil":    matgen.Stencil2D(150),
+		"stencil3d":  matgen.Stencil3D(40),
+		"toeplitz":   toeplitz(30000),
 	}
 	for name, c := range mats {
 		for _, opts := range []Options{{}, {RLE: true}} {
@@ -50,6 +52,20 @@ func TestParallelEncodeByteIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// toeplitz returns an n-row band whose every row repeats the row above
+// one column right: the serial encoder writes it as REP units of 256
+// rows, and no parallel block may start inside one.
+func toeplitz(n int) *core.COO {
+	c := core.NewCOO(n, n+4)
+	for i := 0; i < n; i++ {
+		for d := 0; d < 5; d++ {
+			c.Add(i, i+d, float64(i%7+d))
+		}
+	}
+	c.Finalize()
+	return c
 }
 
 // sparseWithGaps leaves multi-row gaps so block seams land next to

@@ -22,12 +22,20 @@ type Profile struct {
 	RLEUnits  int `json:"rle_units"`
 	NRUnits   int `json:"nr_units"`
 	RJMPUnits int `json:"rjmp_units"`
+	// RepUnits counts the REP units and RepRows the rows they cover
+	// (each unit's own row and the rows it repeats, which have no ctl
+	// bytes of their own); Rows is the count of non-empty rows, so
+	// RepRows/Rows is the share of rows on the fixed-offset path.
+	RepUnits int `json:"rep_units"`
+	RepRows  int `json:"rep_rows"`
+	Rows     int `json:"rows"`
 	// AvgUnitSize is the mean non-zeros per unit; large units mean few
 	// decode branches per non-zero.
 	AvgUnitSize float64 `json:"avg_unit_size"`
 	// CtlBytes = HeaderBytes + JumpBytes + DeltaBytes: the ctl stream
-	// partitioned into the 2-byte unit headers, the rjmp/ujmp/RLE-delta
-	// varints, and the fixed-width delta payloads.
+	// partitioned into the 2-byte unit headers with the REP count
+	// bytes, the rjmp/ujmp/RLE-delta varints, and the fixed-width delta
+	// payloads.
 	CtlBytes    int `json:"ctl_bytes"`
 	HeaderBytes int `json:"header_bytes"`
 	JumpBytes   int `json:"jump_bytes"`
@@ -45,7 +53,8 @@ type Profile struct {
 	RLERunHist []int `json:"rle_run_hist"`
 	// Regions splits the rows into equal bands and reports the unit mix
 	// per band, exposing structure drift down the matrix (a banded head
-	// and a scattered tail profile differently).
+	// and a scattered tail profile differently). A REP unit counts in
+	// the band of its first row, with all the non-zeros of its run.
 	Regions []RegionProfile `json:"regions,omitempty"`
 }
 
@@ -67,7 +76,7 @@ func sizeBucket(n int) int {
 // Profile walks the ctl stream and returns the structural profile,
 // splitting rows into nregions equal bands (0 disables the per-region
 // breakdown). The totals agree with Stats(): same Units, PerClass,
-// RLEUnits and CtlBytes.
+// RLEUnits, RepUnits, RepRows and CtlBytes.
 func (m *Matrix) Profile(nregions int) *Profile {
 	p := &Profile{
 		CtlBytes:      len(m.Ctl),
@@ -132,8 +141,22 @@ func (m *Matrix) Profile(nregions int) *Profile {
 				reg.PerClass[cls]++
 			}
 		}
+		nnz := size
+		if flags&FlagREP != 0 {
+			r := int(ctl[pos])
+			pos++
+			p.HeaderBytes++
+			p.RepUnits++
+			p.RepRows += r + 1
+			p.Rows += r
+			nnz += r * size
+			yi += r
+		}
+		if flags&FlagNR != 0 {
+			p.Rows++
+		}
 		if reg != nil {
-			reg.NNZ += size
+			reg.NNZ += nnz
 		}
 		p.USizeHist[sizeBucket(size)]++
 		p.Units++

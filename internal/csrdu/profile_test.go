@@ -72,6 +72,14 @@ func TestProfileAgreesWithStats(t *testing.T) {
 		if p.AvgUnitSize != s.AvgSize {
 			t.Errorf("%s: Profile AvgUnitSize %v != Stats %v", name, p.AvgUnitSize, s.AvgSize)
 		}
+		if p.RepUnits != s.RepUnits || p.RepRows != s.RepRows {
+			t.Errorf("%s: Profile REP units/rows %d/%d != Stats %d/%d", name, p.RepUnits, p.RepRows, s.RepUnits, s.RepRows)
+		}
+		rows := map[int]bool{}
+		m.ForEach(func(i, _ int, _ float64) { rows[i] = true })
+		if p.Rows != len(rows) {
+			t.Errorf("%s: Profile Rows %d, %d non-empty rows", name, p.Rows, len(rows))
+		}
 	}
 }
 

@@ -51,6 +51,7 @@ func (c *chunk) TraceSpMV(xBase, yBase uint64, emit core.EmitFunc) {
 	yi := -1
 	xi := 0
 	first := true
+	var cols []int // the columns of the unit being traced
 	w, comp := int64(8), uint16(duCompPerNNZ)
 	iw := m.IndexWidth()
 	if iw != 0 {
@@ -87,35 +88,40 @@ func (c *chunk) TraceSpMV(xBase, yBase uint64, emit core.EmitFunc) {
 		j, pos = varint.DecodeAt(ctl, pos)
 		xi += int(j)
 		cs.Touch(emit, int64(unitStart), 1, false, duCompPerUnit)
-		touchX()
 		if flags&FlagRLE != 0 {
+			touchX()
 			var d uint64
 			d, pos = varint.DecodeAt(ctl, pos)
 			for k := 1; k < size; k++ {
 				xi += int(d)
 				touchX()
 			}
-		} else {
-			cls := uint(flags & TypeMask)
-			for k := 1; k < size; k++ {
-				var d int
-				switch cls {
-				case ClassU8:
-					d = int(ctl[pos])
-				case ClassU16:
-					d = int(uint16(ctl[pos]) | uint16(ctl[pos+1])<<8)
-				case ClassU32:
-					d = int(uint32(ctl[pos]) | uint32(ctl[pos+1])<<8 |
-						uint32(ctl[pos+2])<<16 | uint32(ctl[pos+3])<<24)
-				default:
-					d = int(uint64(ctl[pos]) | uint64(ctl[pos+1])<<8 |
-						uint64(ctl[pos+2])<<16 | uint64(ctl[pos+3])<<24 |
-						uint64(ctl[pos+4])<<32 | uint64(ctl[pos+5])<<40 |
-						uint64(ctl[pos+6])<<48 | uint64(ctl[pos+7])<<56)
-				}
-				cs.Touch(emit, int64(pos), 1<<cls, false, 0)
-				pos += 1 << cls
-				xi += d
+			continue
+		}
+		cls := uint(flags & TypeMask)
+		cols = append(cols[:0], xi)
+		touchX()
+		for k := 1; k < size; k++ {
+			cs.Touch(emit, int64(pos), 1<<cls, false, 0)
+			xi += int(leUint(ctl[pos:], cls))
+			pos += 1 << cls
+			cols = append(cols, xi)
+			touchX()
+		}
+		if flags&FlagREP == 0 {
+			continue
+		}
+		// A REP unit's repeated rows read no ctl past its count byte:
+		// each is its values, its x gathers at the shifted columns and
+		// its y store.
+		cs.Touch(emit, int64(pos), 1, false, 0)
+		rep := int(ctl[pos])
+		pos++
+		for t := 1; t <= rep; t++ {
+			yw.Touch(emit, int64(yi)*8, 8, true, 0)
+			yi++
+			for _, j := range cols {
+				xi = j + t
 				touchX()
 			}
 		}

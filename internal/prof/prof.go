@@ -192,6 +192,8 @@ func (p *FormatProfile) Fprint(w io.Writer) error {
 		if d.RLEUnits > 0 {
 			pw.f("  rle runs %s\n", histLine(d.RLERunHist, histPow2Label))
 		}
+		pw.f("  rep: %d units cover %d of %d rows (%.1f%% on the fixed-offset path)\n",
+			d.RepUnits, d.RepRows, d.Rows, pct(int64(d.RepRows), int64(d.Rows)))
 	}
 	if v := p.VI; v != nil {
 		pw.f("  csr-vi: %d unique values, %d-byte val_ind, ttu %.1f, applicable %v\n",

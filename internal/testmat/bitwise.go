@@ -100,13 +100,16 @@ func Reference(m RowMajor) func(x []float64, k int) []float64 {
 // DUUnit is one hand-encoded CSR-DU unit: its row, delta class (log2 of
 // the delta width), whether it is an RLE unit, the absolute columns it
 // covers, and how many bytes its ujmp varint is padded to (0: canonical
-// length).
+// length). Rep > 0 makes it a REP unit: the next Rep rows repeat Cols,
+// each shifted one column further right, and the next unit starts the
+// row after them.
 type DUUnit struct {
 	Row     int
 	Class   byte
 	RLE     bool
 	JumpLen int
 	Cols    []int
+	Rep     int
 }
 
 // DUStream is a hand-built CSR-DU ctl stream with the shape of the
@@ -123,6 +126,7 @@ type DUStream struct {
 // hand-built streams check the decoders against the format and not
 // against the encoder's constants.
 const (
+	duFlagREP  = 0x10
 	duFlagRJMP = 0x20
 	duFlagNR   = 0x40
 	duFlagRLE  = 0x80
@@ -148,6 +152,9 @@ func encodeDU(units []DUUnit) (ctl []byte, nnz int) {
 		flags := u.Class
 		if u.RLE {
 			flags = duFlagRLE
+		}
+		if u.Rep > 0 {
+			flags |= duFlagREP
 		}
 		if u.Row != prevRow {
 			flags |= duFlagNR
@@ -175,8 +182,11 @@ func encodeDU(units []DUUnit) (ctl []byte, nnz int) {
 				}
 			}
 		}
-		nnz += len(u.Cols)
-		prevRow, prevCol = u.Row, u.Cols[len(u.Cols)-1]
+		if u.Rep > 0 {
+			ctl = append(ctl, byte(u.Rep))
+		}
+		nnz += len(u.Cols) * (u.Rep + 1)
+		prevRow, prevCol = u.Row+u.Rep, u.Cols[len(u.Cols)-1]
 	}
 	return ctl, nnz
 }
@@ -320,6 +330,37 @@ func DUStreams() []DUStream {
 		}
 	}
 	add("stencil3d-8-planes", n*n*n, n*n*n, []int{1, 3, 8}, sten)
+
+	// REP units: one row repeated once and 255 times, two REP units
+	// back to back, REP units that carry a row jump and one right after
+	// a row that does, a REP unit of each
+	// class the fixed-offset loops read (u8, u16, u32 deltas) and of 255
+	// columns, and one whose last row ends on the last column. Split
+	// puts a chunk boundary right after a run wherever it cuts the
+	// stream at the unit that follows it.
+	add("rep", 1000, 1000, []int{1, 3, 4, 8}, []DUUnit{
+		{Row: 0, Class: 0, Cols: colsFrom(3, 2, 4), Rep: 1},
+		{Row: 2, Class: 1, Cols: colsFrom(10, 120, 7), Rep: 255},
+		{Row: 258, Class: 0, Cols: colsFrom(1, 1, 3), Rep: 9},
+		{Row: 270, Class: 0, Cols: colsFrom(20, 5, 2)},         // a row jump
+		{Row: 271, Class: 0, Cols: colsFrom(40, 3, 6), Rep: 3}, // right after it
+		{Row: 276, Class: 2, Cols: colsFrom(7, 300, 3), Rep: 6},
+		{Row: 283, Class: 0, Cols: colsFrom(2, 3, 255), Rep: 2},
+		{Row: 286, Class: 1, Cols: colsFrom(0, 100, 9), Rep: 40},
+		{Row: 327, Class: 0, Cols: []int{5}},
+		{Row: 330, Class: 0, Cols: []int{4}, Rep: 200},
+		{Row: 531, Class: 0, Cols: colsFrom(11, 1, 8), Rep: 1},
+		{Row: 900, Class: 0, Cols: colsFrom(898, 10, 10), Rep: 11}, // last row ends on column 999
+	})
+	// A stream of nothing but REP units, so that every chunk of every
+	// Split starts on one and every boundary follows a run.
+	var reps []DUUnit
+	for r, i := 0, 0; r < 600; i++ {
+		n := 1 + i%9
+		reps = append(reps, DUUnit{Row: r, Class: byte(i % 3), Cols: colsFrom(i, 3+i%4, n), Rep: 1 + i*37%60})
+		r += 2 + i*37%60
+	}
+	add("rep-only", 700, 1000, []int{1, 3, 4, 8}, reps)
 
 	// A u16 or u32 unit as the stream's last bytes: with d deltas, fewer
 	// than 8 bytes of ctl remain for the first, a later or no wide load,

@@ -42,8 +42,9 @@ go test -race -count=2 ./internal/parallel/... ./internal/obs/... ./internal/sym
 	./internal/solver/... ./internal/vec/...
 
 echo "== BenchmarkUnitShapes smoke"
-# The CSR-DU decode-cost benchmark (7-nnz u16, 5-nnz u8 then 2-nnz u16,
-# 255-nnz u8, 8-nnz u32 units, csr alongside, ~150 MB working sets):
+# The CSR-DU decode-cost benchmark (7-nnz u16, the same rows repeated
+# one column right as REP units, 5-nnz u8 then 2-nnz u16, 255-nnz u8,
+# 8-nnz u32 units, csr alongside, ~150 MB working sets):
 # serial ns/nnz, and ns/nnz-vec of the csr, csr-du and csr-du-vi k=8
 # panel kernels.
 # One iteration each so it cannot rot; measure with -benchtime=10x -count=5.
