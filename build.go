@@ -36,8 +36,8 @@ type (
 	// TuneFeatures is the structural feature vector driving selection.
 	TuneFeatures = autotune.Features
 	// FormatSpec names a format with its encoder options and scheduler
-	// hints — the unit of candidate ranking. Pass Chosen.Partition and
-	// Chosen.Steal to ExecOptions to run the matrix as tuned.
+	// hints — the unit of candidate ranking. Pass Chosen.Partition to
+	// ExecOptions to run the matrix as tuned.
 	FormatSpec = formats.Spec
 )
 
@@ -109,7 +109,7 @@ func WithTuneReport(r *TuneReport) BuildOption {
 //	var rep spmv.TuneReport
 //	m, err := spmv.Build(c, spmv.WithAutoFormat(), spmv.WithTuneReport(&rep))
 //	e, err := spmv.NewExecutorOpts(m, spmv.ExecOptions{
-//		Partition: rep.Chosen.Partition, Steal: rep.Chosen.Steal})
+//		Partition: rep.Chosen.Partition})
 //
 // Every NewXxx constructor remains supported and returns its concrete
 // type; Build returns the Format interface, which is what the

@@ -14,7 +14,7 @@
 //	          [-trace out.trace] [-timeline out.json]
 //	          [-archive FILE|DIR] [-compare OLD.json]
 //	          [-samples 5] [-slowdown 0.10]
-//	          [-partition row|col|nnz] [-steal]
+//	          [-partition row|col|nnz]
 //	          [-roofprobe] [-probe-ms 0] [-roofline] [-roofdir benchdata]
 //
 // With -auto the experiments are replaced by the autotuner: each suite
@@ -44,10 +44,7 @@
 //
 // With -partition nnz chunk boundaries are placed every nnz/threads
 // stored elements, splitting long rows across workers (CSR only;
-// other formats fall back to row partitioning). With -steal the row
-// executor over-decomposes into ~4x threads chunks and lets idle
-// workers steal queued chunks; per-run steal counts appear in the
-// -metrics report.
+// other formats fall back to row partitioning).
 //
 // With -rhs the tables are replaced by the multi-RHS sweep: batched
 // SpMV (RunBatch) over row-major n×k panels at each listed k, per
@@ -158,7 +155,6 @@ func main() {
 	samples := flag.Int("samples", 0, "repeated measurements per cell (default 5 with -archive/-compare)")
 	slowdown := flag.Float64("slowdown", 0.10, "fractional slowdown -compare treats as a regression")
 	partitionFlag := flag.String("partition", "", "execution scheme: row (default), col, or nnz (non-zero-split boundaries; CSR only, other formats fall back to row)")
-	steal := flag.Bool("steal", false, "use the work-stealing row executor (over-decomposed chunk queues)")
 	auto := flag.Bool("auto", false, "autotune the -matrix suite matrices (comma-separated) and emit the TuneReport decision traces as JSON")
 	autoBudget := flag.Duration("autobudget", 0, "with -auto, wall-clock budget for measured probe refinement (0 = analytic only)")
 	roofProbe := flag.Bool("roofprobe", false, "measure the host's STREAM bandwidth and write ROOF_<host>.json into -roofdir instead of running experiments")
@@ -175,11 +171,6 @@ func main() {
 	cfg.Metrics = *metrics
 	cfg.Samples = *samples
 	cfg.Partition = *partitionFlag
-	cfg.Steal = *steal
-	if *steal && *partitionFlag != "" && *partitionFlag != "row" {
-		fmt.Fprintf(os.Stderr, "spmvbench: -steal applies to the row partition, not %q\n", *partitionFlag)
-		os.Exit(2)
-	}
 
 	// Archive and compare modes need per-cell traffic metrics and, for a
 	// meaningful significance test, repeated samples.

@@ -53,9 +53,8 @@ type Candidate struct {
 // applicability constraints are included but marked infeasible so the
 // report shows why they were not considered. Scheduler hints are
 // derived from the row-distribution features: heavy skew routes csr,
-// the one format with non-zero-split chunks, to nnz partitioning, with
-// work stealing as the probe alternative; every other format keeps
-// its own executor.
+// the one format with non-zero-split chunks, to nnz partitioning; every
+// other format keeps its own executor.
 func Candidates(ft Features) []Candidate {
 	skewed := ft.RowSkew > 4 || ft.RowCV > 1
 	csr := formats.Spec{Format: "csr"}
@@ -73,11 +72,6 @@ func Candidates(ft Features) []Candidate {
 		{Format: "csc"},
 		{Format: "ell"},
 		{Format: "sym-csr"},
-	}
-	// The skewed-row probe alternative: plain csr under the stealing
-	// scheduler, so the probe stage can arbitrate nnz-split vs steal.
-	if skewed {
-		specs = append(specs, formats.Spec{Format: "csr", Steal: true})
 	}
 	out := make([]Candidate, 0, len(specs))
 	for _, s := range specs {

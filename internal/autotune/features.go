@@ -32,7 +32,7 @@ type Features struct {
 	// Row distribution: non-empty row count, extreme/mean nnz per row,
 	// the coefficient of variation across all rows, and the skew ratio
 	// max/mean. High skew is what makes static row partitions collapse
-	// and nnz splitting or work stealing win.
+	// and nnz splitting win.
 	NonEmptyRows int     `json:"non_empty_rows"`
 	MaxRowNNZ    int     `json:"max_row_nnz"`
 	AvgRowNNZ    float64 `json:"avg_row_nnz"`

@@ -86,7 +86,7 @@ func probe(c *core.COO, rep *Report, opts Options) error {
 
 // isPlainCSR reports whether the spec is unhinted baseline CSR.
 func isPlainCSR(s formats.Spec) bool {
-	return s.Name() == "csr" && s.Partition == "" && !s.Steal
+	return s.Name() == "csr" && s.Partition == ""
 }
 
 // baselineIndex locates — appending if absent — the plain-CSR baseline
@@ -131,7 +131,7 @@ func probeOne(c *core.COO, cand *Candidate, iters, threads int, deadline time.Ti
 		return err
 	}
 	run, err := parallel.New(f, parallel.ExecOptions{
-		Threads: threads, Partition: cand.Spec.Partition, Steal: cand.Spec.Steal,
+		Threads: threads, Partition: cand.Spec.Partition,
 	})
 	if err != nil {
 		return err

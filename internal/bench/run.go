@@ -70,9 +70,6 @@ type Config struct {
 	// requested scheme (nnz is CSR-only) fall back to row partitioning
 	// so mixed-format sweeps still complete.
 	Partition string
-	// Steal enables the work-stealing row executor in native mode
-	// (parallel.ExecOptions.Steal).
-	Steal bool
 	// Roofline, if non-nil, anchors every measured cell's bandwidth to
 	// the host's roofline: RunMetrics gains CeilingGBps and PctRoofline
 	// (GBps / ceiling at the cell's thread count), and report tables can
@@ -358,7 +355,7 @@ const warmUpIters = 3
 // SpMV" averages incomparable at small WarmIters. rec, when non-nil,
 // observes only the measured iterations, not the warm-up.
 func measureNative(cfg Config, f core.Format, threads int, rec *obs.Recorder) (float64, error) {
-	opts := parallel.ExecOptions{Threads: threads, Partition: cfg.Partition, Steal: cfg.Steal}
+	opts := parallel.ExecOptions{Threads: threads, Partition: cfg.Partition}
 	if opts.Partition == "nnz" {
 		if _, ok := f.(core.NNZSplitter); !ok {
 			opts.Partition = "" // no nnz splitting for this format: row

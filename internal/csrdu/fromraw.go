@@ -10,11 +10,11 @@ import (
 
 // scanStream walks a ctl stream trusting nothing: every unit header,
 // varint, fixed-width delta block and row/column position is bounds-
-// checked. It returns the row marks the partitioner needs and whether
-// any RLE unit was seen. nvals is the expected element count; the scan
-// fails unless the stream decodes to exactly that many elements.
+// checked. It returns the row marks the partitioner needs. nvals is
+// the expected element count; the scan fails unless the stream decodes
+// to exactly that many elements.
 // Errors wrap core.ErrCorrupt / core.ErrTruncated / core.ErrShape.
-func scanStream(ctl []byte, nvals, rows, cols int) (marks []mark, sawRLE bool, err error) {
+func scanStream(ctl []byte, nvals, rows, cols int) (marks []mark, err error) {
 	pos := 0
 	vi := 0
 	yi := -1
@@ -33,120 +33,119 @@ func scanStream(ctl []byte, nvals, rows, cols int) (marks []mark, sawRLE bool, e
 	}
 	for pos < len(ctl) {
 		if pos+2 > len(ctl) {
-			return nil, false, core.Truncatedf("csrdu: unit header at offset %d", pos)
+			return nil, core.Truncatedf("csrdu: unit header at offset %d", pos)
 		}
 		flags := ctl[pos]
 		size := int(ctl[pos+1])
 		unitStart := pos
 		pos += 2
 		if size == 0 {
-			return nil, false, core.Corruptf("csrdu: zero-size unit at offset %d", unitStart)
+			return nil, core.Corruptf("csrdu: zero-size unit at offset %d", unitStart)
 		}
 		if flags&flagsRes != 0 {
-			return nil, false, core.Corruptf("csrdu: reserved uflags bits %#x at offset %d", flags&flagsRes, unitStart)
+			return nil, core.Corruptf("csrdu: reserved uflags bits %#x at offset %d", flags&flagsRes, unitStart)
 		}
 		if flags&(FlagNR|FlagRJMP) == FlagRJMP {
-			return nil, false, core.Corruptf("csrdu: row jump without new-row flag at offset %d", unitStart)
+			return nil, core.Corruptf("csrdu: row jump without new-row flag at offset %d", unitStart)
 		}
 		if afterRep && flags&FlagNR == 0 {
-			return nil, false, core.Corruptf("csrdu: unit at offset %d continues a REP unit's row", unitStart)
+			return nil, core.Corruptf("csrdu: unit at offset %d continues a REP unit's row", unitStart)
 		}
 		if flags&FlagREP != 0 && flags&(FlagNR|FlagRLE) != FlagNR {
-			return nil, false, core.Corruptf("csrdu: REP flag on a unit that does not start its row or is RLE at offset %d", unitStart)
+			return nil, core.Corruptf("csrdu: REP flag on a unit that does not start its row or is RLE at offset %d", unitStart)
 		}
 		afterRep = flags&FlagREP != 0
 		if flags&FlagNR != 0 {
 			var skip uint64 = 1
 			if flags&FlagRJMP != 0 {
 				if skip, err = readVarint(); err != nil {
-					return nil, false, err
+					return nil, err
 				}
 				if skip == 0 {
-					return nil, false, core.Corruptf("csrdu: zero row jump at offset %d", unitStart)
+					return nil, core.Corruptf("csrdu: zero row jump at offset %d", unitStart)
 				}
 			}
 			if skip > uint64(rows) {
-				return nil, false, core.Corruptf("csrdu: row jump %d exceeds %d rows at offset %d", skip, rows, unitStart)
+				return nil, core.Corruptf("csrdu: row jump %d exceeds %d rows at offset %d", skip, rows, unitStart)
 			}
 			yi += int(skip)
 			if yi >= rows {
-				return nil, false, core.Corruptf("csrdu: row %d out of range (%d rows)", yi, rows)
+				return nil, core.Corruptf("csrdu: row %d out of range (%d rows)", yi, rows)
 			}
 			xi = 0
 			marks = append(marks, mark{row: yi, ctl: unitStart, val: vi})
 		} else if yi < 0 {
-			return nil, false, core.Corruptf("csrdu: first unit lacks NR flag")
+			return nil, core.Corruptf("csrdu: first unit lacks NR flag")
 		}
 		j, err := readVarint()
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if j > uint64(cols) {
-			return nil, false, core.Corruptf("csrdu: column jump %d exceeds %d cols at offset %d", j, cols, unitStart)
+			return nil, core.Corruptf("csrdu: column jump %d exceeds %d cols at offset %d", j, cols, unitStart)
 		}
 		xi += int(j)
 		vi += size
 		if vi > nvals {
-			return nil, false, core.Shapef("csrdu: unit at %d overruns %d values", unitStart, nvals)
+			return nil, core.Shapef("csrdu: unit at %d overruns %d values", unitStart, nvals)
 		}
 		if flags&FlagRLE != 0 {
-			sawRLE = true
 			d, err := readVarint()
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			if d > uint64(cols) {
-				return nil, false, core.Corruptf("csrdu: RLE delta %d exceeds %d cols at offset %d", d, cols, unitStart)
+				return nil, core.Corruptf("csrdu: RLE delta %d exceeds %d cols at offset %d", d, cols, unitStart)
 			}
 			xi += int(d) * (size - 1)
 			if xi < 0 || xi >= cols {
-				return nil, false, core.Corruptf("csrdu: column position %d out of range (%d cols) at offset %d", xi, cols, unitStart)
+				return nil, core.Corruptf("csrdu: column position %d out of range (%d cols) at offset %d", xi, cols, unitStart)
 			}
 		} else {
 			cls := uint(flags & TypeMask)
 			need := (size - 1) << cls
 			if pos+need > len(ctl) {
-				return nil, false, core.Truncatedf("csrdu: ucis at offset %d", pos)
+				return nil, core.Truncatedf("csrdu: ucis at offset %d", pos)
 			}
 			for k := 1; k < size; k++ {
 				d := leUint(ctl[pos:], cls)
 				pos += 1 << cls
 				if d > uint64(cols) {
-					return nil, false, core.Corruptf("csrdu: delta %d exceeds %d cols at offset %d", d, cols, unitStart)
+					return nil, core.Corruptf("csrdu: delta %d exceeds %d cols at offset %d", d, cols, unitStart)
 				}
 				xi += int(d)
 				if xi >= cols {
-					return nil, false, core.Corruptf("csrdu: column position %d out of range (%d cols) at offset %d", xi, cols, unitStart)
+					return nil, core.Corruptf("csrdu: column position %d out of range (%d cols) at offset %d", xi, cols, unitStart)
 				}
 			}
 		}
 		if xi < 0 || xi >= cols {
-			return nil, false, core.Corruptf("csrdu: column position %d out of range (%d cols) at offset %d", xi, cols, unitStart)
+			return nil, core.Corruptf("csrdu: column position %d out of range (%d cols) at offset %d", xi, cols, unitStart)
 		}
 		if flags&FlagREP != 0 {
 			// The run's last row holds the unit's columns shifted by
 			// r: its last column, its row and its values must fit.
 			if pos >= len(ctl) || ctl[pos] == 0 {
-				return nil, false, core.Corruptf("csrdu: REP unit at offset %d without a non-zero row count", unitStart)
+				return nil, core.Corruptf("csrdu: REP unit at offset %d without a non-zero row count", unitStart)
 			}
 			r := int(ctl[pos])
 			pos++
 			if xi+r >= cols {
-				return nil, false, core.Corruptf("csrdu: REP unit at offset %d shifts column %d past %d cols", unitStart, xi+r, cols)
+				return nil, core.Corruptf("csrdu: REP unit at offset %d shifts column %d past %d cols", unitStart, xi+r, cols)
 			}
 			if yi+r >= rows {
-				return nil, false, core.Corruptf("csrdu: REP unit at offset %d repeats past row %d (%d rows)", unitStart, yi+r, rows)
+				return nil, core.Corruptf("csrdu: REP unit at offset %d repeats past row %d (%d rows)", unitStart, yi+r, rows)
 			}
 			if vi += r * size; vi > nvals {
-				return nil, false, core.Corruptf("csrdu: REP unit at %d overruns %d values", unitStart, nvals)
+				return nil, core.Corruptf("csrdu: REP unit at %d overruns %d values", unitStart, nvals)
 			}
 			yi += r
 		}
 	}
 	if vi != nvals {
-		return nil, false, core.Shapef("csrdu: stream encodes %d elements, %d values given", vi, nvals)
+		return nil, core.Shapef("csrdu: stream encodes %d elements, %d values given", vi, nvals)
 	}
-	return marks, sawRLE, nil
+	return marks, nil
 }
 
 // FromRaw reconstructs a Matrix from a serialized ctl stream and values
@@ -154,13 +153,17 @@ func scanStream(ctl []byte, nvals, rows, cols int) (marks []mark, sawRLE bool, e
 // container). The stream is scanned once to validate its structure —
 // bounds of every row and column position, value-count consistency —
 // and to rebuild the row marks that partitioning needs. Unlike the hot
-// SpMV decoder, this scan trusts nothing about the input.
-func FromRaw(ctl []byte, values []float64, rows, cols int) (*Matrix, error) {
+// SpMV decoder, this scan trusts nothing about the input. rle records
+// whether the stream was encoded with Options.RLE (the container's
+// csr-du-rle tag), which Name reports; a stream need not hold an RLE
+// unit to be one, since rows shorter than RLEMin never get one.
+func FromRaw(ctl []byte, values []float64, rows, cols int, rle bool) (*Matrix, error) {
 	m, err := fromRaw(ctl, len(values), rows, cols)
 	if err != nil {
 		return nil, err
 	}
 	m.Values = values
+	m.opts.RLE = rle
 	return m, nil
 }
 
@@ -204,13 +207,12 @@ func fromRaw(ctl []byte, nvals, rows, cols int) (*Matrix, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, core.Shapef("csrdu: invalid dimensions %dx%d", rows, cols)
 	}
-	marks, sawRLE, err := scanStream(ctl, nvals, rows, cols)
+	marks, err := scanStream(ctl, nvals, rows, cols)
 	if err != nil {
 		return nil, err
 	}
 	m := &Matrix{rows: rows, cols: cols, Ctl: ctl, opts: Options{}.withDefaults()}
 	m.marks = marks
-	m.opts.RLE = sawRLE
 	return m, nil
 }
 
@@ -229,7 +231,7 @@ func (m *Matrix) Verify() error {
 	if err := m.checkIndices(); err != nil {
 		return err
 	}
-	marks, _, err := scanStream(m.Ctl, m.NNZ(), m.rows, m.cols)
+	marks, err := scanStream(m.Ctl, m.NNZ(), m.rows, m.cols)
 	if err != nil {
 		return err
 	}

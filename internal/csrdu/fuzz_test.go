@@ -46,7 +46,7 @@ func FuzzFromRaw(f *testing.F) {
 		for i := range values {
 			values[i] = float64(i + 1)
 		}
-		mat, err := FromRaw(ctl, values, rows, cols)
+		mat, err := FromRaw(ctl, values, rows, cols, false)
 		if err != nil {
 			return
 		}
@@ -126,7 +126,7 @@ func checkDictionaryCodec(t *testing.T, ctl []byte, rows, cols, nvals int) {
 				binary.LittleEndian.PutUint32(vi[4*k:], uint32(u))
 			}
 		}
-		plain, err := FromRaw(ctl, values, rows, cols)
+		plain, err := FromRaw(ctl, values, rows, cols, false)
 		if err != nil {
 			t.Fatalf("plain codec rejects an accepted stream: %v", err)
 		}

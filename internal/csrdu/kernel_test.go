@@ -28,7 +28,7 @@ func TestKernelsBitwiseOnHandBuiltStreams(t *testing.T) {
 			for i := range values {
 				values[i] = 0.25 + float64(i%97)/7
 			}
-			m, err := FromRaw(s.Ctl, values, s.Rows, s.Cols)
+			m, err := FromRaw(s.Ctl, values, s.Rows, s.Cols, false)
 			if err != nil {
 				t.Fatalf("hand-built stream rejected: %v", err)
 			}

@@ -36,7 +36,7 @@ func TestMalformedFlagsRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := FromRaw(tc.ctl, make([]float64, tc.nvals), tc.rows, tc.cols); !errors.Is(err, core.ErrCorrupt) {
+			if _, err := FromRaw(tc.ctl, make([]float64, tc.nvals), tc.rows, tc.cols, false); !errors.Is(err, core.ErrCorrupt) {
 				t.Errorf("FromRaw: got %v, want ErrCorrupt", err)
 			}
 			m := &Matrix{rows: tc.rows, cols: tc.cols, Ctl: tc.ctl, Values: make([]float64, tc.nvals)}
@@ -47,7 +47,7 @@ func TestMalformedFlagsRejected(t *testing.T) {
 	}
 	// The well-formed REP unit the cases break: rows 0-2 of a 3x4
 	// matrix hold columns {0, 1}, {1, 2} and {2, 3}.
-	m, err := FromRaw([]byte{FlagNR | FlagREP | u8, 2, 0, 1, 2}, make([]float64, 6), 3, 4)
+	m, err := FromRaw([]byte{FlagNR | FlagREP | u8, 2, 0, 1, 2}, make([]float64, 6), 3, 4, false)
 	if err != nil {
 		t.Fatalf("well-formed REP unit rejected: %v", err)
 	}

@@ -118,7 +118,7 @@ func TestCtlSingleByteFlips(t *testing.T) {
 			ctl := make([]byte, len(orig.Ctl))
 			copy(ctl, orig.Ctl)
 			ctl[pos] ^= bit
-			m, err := FromRaw(ctl, orig.Values, rows, cols)
+			m, err := FromRaw(ctl, orig.Values, rows, cols, false)
 			if err != nil {
 				if !errors.Is(err, core.ErrCorrupt) && !errors.Is(err, core.ErrTruncated) && !errors.Is(err, core.ErrShape) {
 					t.Fatalf("flip byte %d bit %#x: error %v does not wrap a core sentinel", pos, bit, err)
@@ -151,7 +151,7 @@ func TestCtlSingleByteFlips(t *testing.T) {
 var rjmpWithoutNR = []byte{0x40, 0x02, 0x01, 0x02, 0x21, 0x03, 0x03, 0x01, 0x00, 0x01, 0x00, 0x40, 0x01, 0x00}
 
 func TestVerifyRejectsRowJumpWithoutNewRow(t *testing.T) {
-	_, err := FromRaw(rjmpWithoutNR, make([]float64, 6), 2, 16)
+	_, err := FromRaw(rjmpWithoutNR, make([]float64, 6), 2, 16, false)
 	if !errors.Is(err, core.ErrCorrupt) {
 		t.Fatalf("RJMP without NR: got %v, want ErrCorrupt", err)
 	}
@@ -159,7 +159,7 @@ func TestVerifyRejectsRowJumpWithoutNewRow(t *testing.T) {
 	// Stats counts them like the header walk does.
 	ctl := append([]byte(nil), rjmpWithoutNR...)
 	ctl[4] &^= FlagRJMP
-	m, err := FromRaw(ctl, make([]float64, 6), 2, 16)
+	m, err := FromRaw(ctl, make([]float64, 6), 2, 16, false)
 	if err != nil {
 		t.Fatalf("RJMP cleared: %v", err)
 	}

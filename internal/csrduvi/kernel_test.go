@@ -65,7 +65,7 @@ func TestKernelsBitwiseOnHandBuiltStreams(t *testing.T) {
 				if err != nil {
 					t.Fatalf("hand-built stream rejected: %v", err)
 				}
-				du, err := csrdu.FromRaw(s.Ctl, values, s.Rows, s.Cols)
+				du, err := csrdu.FromRaw(s.Ctl, values, s.Rows, s.Cols, false)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -21,7 +21,7 @@ import (
 // options it takes, and the scheduler hints that should accompany the
 // built format at execution time. The autotuner ranks Specs, the bench
 // harness measures them and the server records them — one struct
-// instead of three call sites re-plumbing (name, DU, partition/steal)
+// instead of three call sites re-plumbing (name, DU, partition)
 // separately. The scheduler fields are carried as plain data: this
 // package does not depend on the executor, callers map them onto
 // parallel.ExecOptions themselves.
@@ -37,7 +37,9 @@ type Spec struct {
 	// "nnz" for non-zero-balanced chunks (CSR only), "col" for column
 	// partitioning.
 	Partition string `json:"partition,omitempty"`
-	// Steal enables work stealing between executor workers.
+	// Steal maps onto parallel.ExecOptions.Steal.
+	//
+	// Deprecated: the row executor self-schedules; nothing sets Steal.
 	Steal bool `json:"steal,omitempty"`
 }
 
@@ -56,7 +58,7 @@ func Build(name string, c *core.COO) (core.Format, error) {
 }
 
 // BuildSpec constructs the Spec's format from a triplet matrix. The
-// scheduler hints (Partition, Steal) do not affect construction; they
+// scheduler hint (Partition) does not affect construction; they
 // ride along for the caller's executor setup. An unknown format name
 // returns an error wrapping core.ErrUsage that lists the valid names.
 func BuildSpec(c *core.COO, s Spec) (core.Format, error) {

@@ -249,8 +249,10 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		if int64(len(values)) != nnz {
 			return nil, core.Shapef("matfile: value count %d != header nnz %d", len(values), nnz)
 		}
-		// RLE is recorded in the stream itself; FromRaw detects RLE units.
-		return csrdu.FromRaw(ctl, values, int(rows), int(cols))
+		// The tag, not the stream, says whether the encoder ran with RLE:
+		// a csr-du-rle matrix whose rows are all shorter than RLEMin
+		// holds no RLE unit.
+		return csrdu.FromRaw(ctl, values, int(rows), int(cols), name == "csr-du-rle")
 	case "dcsr":
 		cmds, err := sr.section(maxSection, withCRC)
 		if err != nil {

@@ -70,6 +70,40 @@ func TestRoundTripCSRDU(t *testing.T) {
 	}
 }
 
+// TestCSRDUTagRoundTrips writes, reads and writes again a csr-du and a
+// csr-du-rle matrix whose stream holds no RLE unit (Stencil2D(64)'s
+// 5-nnz rows are under RLEMin): the second write must be the first
+// byte for byte, so the tag survives a load.
+func TestCSRDUTagRoundTrips(t *testing.T) {
+	c := matgen.Stencil2D(64)
+	for _, o := range []csrdu.Options{{}, {RLE: true}} {
+		m, err := csrdu.FromCOOOpts(c, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Stats().RLEUnits != 0 {
+			t.Fatalf("%s: %d RLE units, want none", m.Name(), m.Stats().RLEUnits)
+		}
+		var first, second bytes.Buffer
+		if err := Write(&first, m); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Name() != m.Name() {
+			t.Errorf("%s read back as %s", m.Name(), back.Name())
+		}
+		if err := Write(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("%s: rewrite differs from the file it was read from", m.Name())
+		}
+	}
+}
+
 func TestRoundTripCSRVI(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, unique := range []int{5, 300} {
@@ -150,27 +184,27 @@ func TestFromRawValidation(t *testing.T) {
 	c := matgen.Stencil2D(6)
 	m, _ := csrdu.FromCOO(c)
 	// Valid raw reconstruction.
-	back, err := csrdu.FromRaw(m.Ctl, m.Values, m.Rows(), m.Cols())
+	back, err := csrdu.FromRaw(m.Ctl, m.Values, m.Rows(), m.Cols(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkEqual(t, m, back, m.Cols())
 	// Wrong value count.
-	if _, err := csrdu.FromRaw(m.Ctl, m.Values[:len(m.Values)-1], m.Rows(), m.Cols()); err == nil {
+	if _, err := csrdu.FromRaw(m.Ctl, m.Values[:len(m.Values)-1], m.Rows(), m.Cols(), false); err == nil {
 		t.Error("short values accepted")
 	}
 	// Wrong dimensions.
-	if _, err := csrdu.FromRaw(m.Ctl, m.Values, 2, 2); err == nil {
+	if _, err := csrdu.FromRaw(m.Ctl, m.Values, 2, 2, false); err == nil {
 		t.Error("out-of-range rows accepted")
 	}
 	// Truncated stream.
-	if _, err := csrdu.FromRaw(m.Ctl[:len(m.Ctl)-1], m.Values, m.Rows(), m.Cols()); err == nil {
+	if _, err := csrdu.FromRaw(m.Ctl[:len(m.Ctl)-1], m.Values, m.Rows(), m.Cols(), false); err == nil {
 		t.Error("truncated ctl accepted")
 	}
 	// Missing NR on first unit.
 	bad := append([]byte(nil), m.Ctl...)
 	bad[0] &^= 0x40
-	if _, err := csrdu.FromRaw(bad, m.Values, m.Rows(), m.Cols()); err == nil {
+	if _, err := csrdu.FromRaw(bad, m.Values, m.Rows(), m.Cols(), false); err == nil {
 		t.Error("NR-less first unit accepted")
 	}
 }

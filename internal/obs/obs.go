@@ -32,8 +32,9 @@ type ChunkStat struct {
 	// Worker is the worker index within the executor, [0, Threads).
 	Worker int `json:"worker"`
 	// Lo and Hi are the half-open index range the worker owned: rows
-	// for the row- and block-partitioned executors, columns for the
-	// column-partitioned one.
+	// for the nnz- and block-partitioned executors, columns for the
+	// column-partitioned one. Zero under the self-scheduled row
+	// executor, whose workers' rows are not contiguous.
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
 	// NNZ is the worker's non-zero count — its static load-balance
@@ -43,16 +44,15 @@ type ChunkStat struct {
 	// Run: the kernel for row partitioning, kernel plus reduction for
 	// the column- and block-partitioned executors.
 	Busy time.Duration `json:"busy_ns"`
-	// Steals is the number of chunks this worker executed that were
-	// originally assigned to another worker's queue. Always zero
-	// outside the work-stealing executor.
-	Steals int `json:"steals,omitempty"`
+	// Units is the number of self-scheduled row units the worker ran;
+	// NNZ is then their non-zeros. Zero outside the row executor.
+	Units int `json:"units,omitempty"`
 }
 
 // RunStat is the telemetry of one Executor.Run or RunBatch call.
 type RunStat struct {
 	// Partition names the execution scheme: "row", "col", "block",
-	// "nnz", "steal" or "sym".
+	// "nnz" or "sym".
 	Partition string `json:"partition"`
 	// Vectors is the number of right-hand-side vectors the run computed:
 	// 1 for Run, the panel width k for RunBatch. Bandwidth accounting
@@ -62,9 +62,6 @@ type RunStat struct {
 	// Wall is the caller-observed duration of the whole Run, including
 	// dispatch and barriers.
 	Wall time.Duration `json:"wall_ns"`
-	// Steals is the total number of stolen chunk executions across
-	// workers (see ChunkStat.Steals). Zero for static schedules.
-	Steals int `json:"steals,omitempty"`
 	// Err records the run's error, if any, so sinks that archive
 	// RunStats retain failed runs distinguishably. Empty on success.
 	Err string `json:"err,omitempty"`

@@ -43,7 +43,7 @@ func (r *Recorder) RunDone(s *RunStat) {
 		r.maxTimeIm = im
 	}
 	r.last = RunStat{Partition: s.Partition, Vectors: s.Vectors, Wall: s.Wall,
-		Steals: s.Steals, Err: s.Err,
+		Err:    s.Err,
 		Chunks: append([]ChunkStat(nil), s.Chunks...)}
 }
 
@@ -77,7 +77,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		Runs: r.runs, Vectors: r.vectors, Wall: r.wall, Busy: r.busy,
 		MaxTimeImbalance: r.maxTimeIm,
 		Last: RunStat{Partition: r.last.Partition, Vectors: r.last.Vectors,
-			Wall: r.last.Wall, Steals: r.last.Steals, Err: r.last.Err,
+			Wall: r.last.Wall, Err: r.last.Err,
 			Chunks: append([]ChunkStat(nil), r.last.Chunks...)},
 	}
 	if r.runs > 0 {

@@ -14,9 +14,11 @@ import (
 )
 
 // closeHarness builds one executor of each partition scheme over the
-// same small symmetric matrix, so the lifecycle tests cover all six
-// executors: row, steal and nnz over csr, col over csc, sym over
-// sym-csr, and block over the triplets. Keys are RunStat.Partition.
+// same small symmetric matrix, so the lifecycle tests cover all five
+// executors: row and nnz over csr, col over csc, sym over sym-csr, and
+// block over the triplets. "row-units" is the row executor cut into
+// units of 16 non-zeros, so several workers claim many units. Keys are
+// RunStat.Partition, bar the "-units" suffix.
 func closeHarness(t *testing.T) map[string]func() Runner {
 	t.Helper()
 	c := matgen.Stencil2D(12)
@@ -38,8 +40,8 @@ func closeHarness(t *testing.T) map[string]func() Runner {
 		"row": func() Runner {
 			return runner(NewExecutor(format(csr.FromCOO(c)), 4))
 		},
-		"steal": func() Runner {
-			return runner(NewStealExecutor(format(csr.FromCOO(c)), 4))
+		"row-units": func() Runner {
+			return runner(newExecutor(format(csr.FromCOO(c)), 4, 16))
 		},
 		"nnz": func() Runner {
 			return runner(NewNNZExecutor(format(csr.FromCOO(c)), 4))
@@ -115,7 +117,7 @@ func TestCloseVsRunRace(t *testing.T) {
 
 // TestRunCtxCanceled checks the context-aware entry points reject an
 // already-canceled context without dispatching, on the scalar and
-// batched paths of all six executors.
+// batched paths of all five executors.
 func TestRunCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

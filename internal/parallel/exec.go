@@ -44,7 +44,6 @@ var (
 	_ Runner = (*ColExecutor)(nil)
 	_ Runner = (*BlockExecutor)(nil)
 	_ Runner = (*NNZExecutor)(nil)
-	_ Runner = (*StealExecutor)(nil)
 	_ Runner = (*SymExecutor)(nil)
 )
 
@@ -60,9 +59,12 @@ type ExecOptions struct {
 	// needs the original triplets, not a built format — use
 	// NewBlockExecutor directly.
 	Partition string
-	// Steal over-decomposes the row partition and lets idle workers
-	// steal queued chunks (see StealExecutor). Only meaningful with the
-	// row scheme; combining it with another Partition is a usage error.
+	// Steal selects the row scheme, which already balances load by
+	// self-scheduling its units; combining it with another Partition is
+	// a usage error.
+	//
+	// Deprecated: the work-stealing executor it selected is gone; leave
+	// Steal unset.
 	Steal bool
 }
 
@@ -90,7 +92,7 @@ func New(f core.Format, opts ExecOptions) (Runner, error) {
 	colOnly := opts.Partition == "" && !rows && cols
 	switch {
 	case opts.Steal:
-		r, err = NewStealExecutor(f, threads)
+		r, err = NewExecutor(f, threads)
 	case colOnly && f.Name() == "sym-csr":
 		r, err = NewSymExecutor(f, threads)
 	case colOnly:

@@ -135,7 +135,8 @@ func TestBlockExecutorRejectsShortVectors(t *testing.T) {
 }
 
 // TestFailedRunReportsOneRunStat injects a kernel panic into each of
-// the six executors — an out-of-range index planted in the matrix each
+// the five executors (the row executor twice: as New builds it, and cut
+// into units of 16 non-zeros) — an out-of-range index planted in the matrix each
 // one multiplies — and checks that a failed Run and a failed RunBatch
 // each reach the collector as exactly one RunStat with Err set and the
 // executor's Partition. The col, sym and block executors used to
@@ -150,9 +151,9 @@ func TestFailedRunReportsOneRunStat(t *testing.T) {
 		return m
 	}
 	runners := map[string]func() (Runner, error){
-		"row":   func() (Runner, error) { return NewExecutor(csrBad(), 3) },
-		"steal": func() (Runner, error) { return NewStealExecutor(csrBad(), 3) },
-		"nnz":   func() (Runner, error) { return NewNNZExecutor(csrBad(), 3) },
+		"row":       func() (Runner, error) { return NewExecutor(csrBad(), 3) },
+		"row-units": func() (Runner, error) { return newExecutor(csrBad(), 3, 16) },
+		"nnz":       func() (Runner, error) { return NewNNZExecutor(csrBad(), 3) },
 		"col": func() (Runner, error) {
 			m := mustFormat(csc.FromCOO(c)).(*csc.Matrix)
 			m.RowInd[len(m.RowInd)/2] = bad
@@ -171,8 +172,9 @@ func TestFailedRunReportsOneRunStat(t *testing.T) {
 			return e, err
 		},
 	}
-	for partition, mk := range runners {
-		t.Run(partition, func(t *testing.T) {
+	for name, mk := range runners {
+		partition := strings.TrimSuffix(name, "-units")
+		t.Run(name, func(t *testing.T) {
 			e, err := mk()
 			if err != nil {
 				t.Fatal(err)

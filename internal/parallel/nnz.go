@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spmv/internal/core"
+	"spmv/internal/obs"
 )
 
 // NNZExecutor runs non-zero-partitioned multithreaded SpMV: chunk
@@ -87,6 +88,17 @@ func NewNNZExecutor(f core.Format, nthreads int) (*NNZExecutor, error) {
 		phases: e.runPhases}
 	e.start()
 	return e, nil
+}
+
+// rowLayout is the per-worker stats layout of the nnz scheme, one
+// worker per chunk: each chunk's row range and non-zeros.
+func rowLayout(chunks []core.NNZChunk) []obs.ChunkStat {
+	layout := make([]obs.ChunkStat, len(chunks))
+	for i, ch := range chunks {
+		lo, hi := ch.RowRange()
+		layout[i] = obs.ChunkStat{Worker: i, Lo: lo, Hi: hi, NNZ: ch.NNZ()}
+	}
+	return layout
 }
 
 // runPhases is one dispatch followed by the fix-up pass: every split

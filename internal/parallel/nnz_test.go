@@ -250,10 +250,10 @@ func TestNNZExecutorClosed(t *testing.T) {
 	}
 }
 
-// BenchmarkSchedulersSkewed compares the three row-oriented schedulers
+// BenchmarkSchedulersSkewed compares the two row-oriented schedulers
 // on a matrix whose heaviest row holds 30% of the non-zeros — the
-// workload where row-granular splitting hits imbalance 2.4 at 8
-// threads while nonzero splitting stays at 1.0 (pinned by
+// workload where a static row split hits imbalance 2.4 at 8 threads
+// while nonzero splitting stays at 1.0 (pinned by
 // TestNNZSplitBeatsRowSplitOnSkew). Wall-clock differences only
 // appear with >= 8 hardware threads; on fewer cores the OS
 // multiplexes the workers and static imbalance costs nothing.
@@ -272,7 +272,6 @@ func BenchmarkSchedulersSkewed(b *testing.B) {
 	}{
 		{"row8", ExecOptions{Threads: 8}},
 		{"nnz8", ExecOptions{Threads: 8, Partition: "nnz"}},
-		{"steal8", ExecOptions{Threads: 8, Steal: true}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			e, err := New(f, bc.opts)

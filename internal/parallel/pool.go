@@ -133,12 +133,6 @@ func (p *pool) joinErrs() error {
 	return errors.Join(errs...)
 }
 
-// once is the single-phase sequence: one dispatch.
-func (p *pool) once(j job) error {
-	p.dispatch(&j)
-	return p.joinErrs()
-}
-
 // twoPhase is the col and block phase sequence: a multiply phase (the
 // job with y cleared), a barrier, then — only if every multiply
 // succeeded — a reduce phase writing y.
@@ -198,8 +192,8 @@ func (p *pool) RunCtx(ctx context.Context, y, x []float64) error {
 
 // RunBatch computes Y = A*X over row-major n×k panels (X[j*k+c] is
 // element j of right-hand side c) using all workers. When the scheme
-// has a fused batch path (row and steal over chunks that all have a
-// batch kernel) the matrix stream is traversed — and, for the
+// has a fused batch path (row, over units that all have a batch
+// kernel) the matrix stream is traversed — and, for the
 // compressed formats, decoded — once for all k vectors; otherwise the
 // executor gathers each panel column into scratch vectors and runs the
 // scalar phases k times (correct, but without the amortization).
@@ -361,16 +355,13 @@ func (p *pool) columns(ctx context.Context, j job) error {
 // report hands the collector the finished run. Workers are quiescent
 // after the last dispatch, so copying the stats buffer is race-free.
 func (p *pool) report(k int, wall time.Duration, err error) {
-	steals := 0
 	for i := range p.stats {
 		p.stats[i].Busy = p.slots[i].busy
-		steals += p.stats[i].Steals
 	}
 	p.collector.RunDone(&obs.RunStat{
 		Partition: p.partition,
 		Vectors:   k,
 		Wall:      wall,
-		Steals:    steals,
 		Err:       errString(err),
 		Chunks:    append([]obs.ChunkStat(nil), p.stats...),
 	})

@@ -113,7 +113,6 @@ type MatrixMetrics struct {
 type TuneDecision struct {
 	Format     string `json:"format"`
 	Partition  string `json:"partition,omitempty"`
-	Steal      bool   `json:"steal,omitempty"`
 	PredBytes  int64  `json:"pred_bytes"`
 	Candidates int    `json:"candidates"`
 	PriorsUsed bool   `json:"priors_used,omitempty"`
@@ -193,7 +192,6 @@ func (s *Server) Snapshot() MetricsSnapshot {
 			mm.Tune = &TuneDecision{
 				Format:     t.Chosen.Name(),
 				Partition:  t.Chosen.Partition,
-				Steal:      t.Chosen.Steal,
 				PredBytes:  t.ChosenPredBytes,
 				Candidates: len(t.Candidates),
 				PriorsUsed: t.PriorsUsed,

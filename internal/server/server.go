@@ -521,7 +521,6 @@ func (s *Server) ingest(key string, body pieces, formatName string, explicit boo
 	execOpts := parallel.ExecOptions{Threads: s.cfg.Threads, Collector: rec}
 	if tune != nil {
 		execOpts.Partition = tune.Chosen.Partition
-		execOpts.Steal = tune.Chosen.Steal
 	}
 	runner, err := parallel.New(f, execOpts)
 	if err != nil {

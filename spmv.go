@@ -315,7 +315,8 @@ func SafeSpMVBatch(f Format, y, x []float64, k int) error {
 
 // Parallel runtime.
 type (
-	// Executor is the row-partitioned multithreaded SpMV driver.
+	// Executor is the row-partitioned multithreaded SpMV driver: its
+	// workers claim fixed row units from one counter (self-scheduling).
 	Executor = parallel.Executor
 	// ColExecutor is the column-partitioned driver (private y vectors
 	// plus parallel reduction).
@@ -326,10 +327,6 @@ type (
 	// mid-row, so one pathologically long row no longer serializes a
 	// run (Partition: "nnz"; CSR only).
 	NNZExecutor = parallel.NNZExecutor
-	// StealExecutor is the work-stealing row driver: rows are
-	// over-decomposed and idle workers steal queued chunks
-	// (ExecOptions.Steal).
-	StealExecutor = parallel.StealExecutor
 	// SymExecutor parallelizes the symmetric (scatter) kernel with
 	// private vectors and a deterministic tree reduction.
 	SymExecutor = parallel.SymExecutor
@@ -342,13 +339,14 @@ type (
 
 // NewExecutorOpts starts an executor over f under one options struct:
 // Threads (<= 0 means GOMAXPROCS), an optional telemetry Collector,
-// the Partition strategy ("" for the executor f supports — row chunks,
-// or the column/symmetric reduction for CSC and sym-csr — "row", "col"
-// for formats that support column splitting, or "nnz" for CSR's
-// nonzero-split chunks that keep threads balanced on skewed matrices),
-// and Steal, which over-decomposes the row partition into a
-// work-stealing chunk queue. An unknown partition, or Steal combined
-// with a non-row partition, is an ErrUsage.
+// and the Partition strategy ("" for the executor f supports — row
+// units, or the column/symmetric reduction for CSC and sym-csr —
+// "row", "col" for formats that support column splitting, or "nnz" for
+// CSR's nonzero-split chunks). The row executor self-schedules fixed
+// row units, so it stays balanced on skewed matrices too. The
+// deprecated Steal field selects the row executor. An unknown
+// partition, or Steal combined with a non-row partition, is an
+// ErrUsage.
 func NewExecutorOpts(f Format, o ExecOptions) (Runner, error) {
 	return parallel.New(f, o)
 }

@@ -30,8 +30,10 @@ go test -race ./...
 echo "== race"
 # Second pass over the concurrency-heavy packages: the executors' one
 # shared worker pool (start channels, barrier, run lock, Close and the
-# telemetry of failed runs, driven on all six executors by the
-# closeHarness and failed-run tests) and the telemetry layer
+# telemetry of failed runs, driven on all five executors, the row
+# executor also cut into many small units, by the closeHarness and
+# failed-run tests; the row units' claim counter under the executor
+# lattice and schedule-permutation tests) and the telemetry layer
 # (collectors report from worker goroutines while readers snapshot
 # concurrently). -count=2 defeats
 # the test cache and catches ordering-dependent races. internal/sym
@@ -49,6 +51,13 @@ echo "== BenchmarkUnitShapes smoke"
 # panel kernels.
 # One iteration each so it cannot rot; measure with -benchtime=10x -count=5.
 go test -run '^$' -bench '^BenchmarkUnitShapes$' -benchtime=1x ./internal/csrdu/
+
+echo "== BenchmarkRowSchedule smoke"
+# The row executor's unit budget: one CSR multiply on the benchmark's
+# four matrix shapes, scaled down, at unitNNZ and at a quarter and four
+# times that; reports ms/op. One iteration each so it cannot rot;
+# measure with -benchtime=20x -count=5.
+go test -run '^$' -bench '^BenchmarkRowSchedule$' -benchtime=1x ./internal/parallel/
 
 echo "== BenchmarkFinalize smoke"
 # COO.Finalize on four orders of arrival (7-point stencil rows with the
