@@ -1,7 +1,7 @@
 // Command mtxinfo analyzes Matrix Market files through the lens of the
 // paper: working-set size and class (M_S/M_L), total-to-unique values
-// ratio and CSR-VI applicability, per-format sizes and compression
-// ratios, and the CSR-DU unit mix.
+// ratio, CSR-VI applicability and the value codec the encoder chooses,
+// per-format sizes and compression ratios, and the CSR-DU unit mix.
 //
 // Usage:
 //
@@ -41,6 +41,7 @@ import (
 	"spmv/internal/autotune"
 	"spmv/internal/bench"
 	"spmv/internal/csrdu"
+	"spmv/internal/csrvi"
 	"spmv/internal/matgen"
 	"spmv/internal/memsim"
 	"spmv/internal/obs"
@@ -172,11 +173,18 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 	}
 	ws := spmv.WorkingSet(c)
 	ttu := matgen.TTU(c)
+	vi, err := spmv.NewCSRVI(c)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("%s\n", path)
 	fmt.Printf("  shape        %d x %d, %d non-zeros\n", c.Rows(), c.Cols(), c.Len())
 	fmt.Printf("  working set  %.2f MB  (class M_%s; paper admits ws >= 3MB)\n",
 		float64(ws)/(1<<20), bench.Classify(ws))
-	fmt.Printf("  ttu          %.2f  (CSR-VI applicable: %v, threshold > 5)\n", ttu, ttu > 5)
+	// The codec is the encoder's byte rule: plain where no dictionary is
+	// smaller than the values, and then csr-vi has CSR's size.
+	fmt.Printf("  ttu          %.2f  (CSR-VI applicable: %v, threshold > 5; value codec %s)\n",
+		ttu, ttu > 5, csrvi.CodecName(vi.IndexWidth()))
 
 	a := spmv.Analyze(c)
 	fmt.Printf("  structure    bandwidth %d, %d diagonals, symmetric %v, row nnz avg %.1f max %d\n",

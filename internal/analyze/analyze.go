@@ -14,6 +14,7 @@ import (
 
 	"spmv/internal/core"
 	"spmv/internal/csrdu"
+	"spmv/internal/csrvi"
 )
 
 // Analysis summarizes the format-relevant structure of a matrix.
@@ -182,7 +183,7 @@ func (a Analysis) Recommend() []Recommendation {
 
 	// CSR-VI: only when the paper's ttu criterion holds.
 	if a.TTU > 5 {
-		w := valIndexWidth(a.Unique)
+		w := csrvi.Width(a.Unique)
 		viBytes := float64(core.CSRBytes(a.Rows, a.NNZ, core.IdxSize, 0)) +
 			float64(a.NNZ)*float64(w) + 8*float64(a.Unique)
 		add("csr-vi", viBytes, fmt.Sprintf("ttu %.0f > 5: %d unique values need %d-byte indices", a.TTU, a.Unique, w))
@@ -205,17 +206,6 @@ func (a Analysis) Recommend() []Recommendation {
 
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Ratio < recs[j].Ratio })
 	return recs
-}
-
-func valIndexWidth(unique int) int {
-	switch {
-	case unique <= 1<<8:
-		return 1
-	case unique <= 1<<16:
-		return 2
-	default:
-		return 4
-	}
 }
 
 func minInt(a, b int) int {

@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"spmv/internal/core"
+	"spmv/internal/csrvi"
 	"spmv/internal/ell"
 	"spmv/internal/formats"
 )
@@ -51,7 +52,9 @@ type Candidate struct {
 // Candidates returns the default candidate list for a matrix with the
 // given features, in a fixed deterministic order. Formats with hard
 // applicability constraints are included but marked infeasible so the
-// report shows why they were not considered. Scheduler hints are
+// report shows why they were not considered. csr-du-vi is left out
+// where no value dictionary pays: the encoder would build csr-du's
+// bytes, and csr-du is already a candidate. Scheduler hints are
 // derived from the row-distribution features: heavy skew routes csr,
 // the one format with non-zero-split chunks, to nnz partitioning; every
 // other format keeps its own executor.
@@ -75,6 +78,9 @@ func Candidates(ft Features) []Candidate {
 	}
 	out := make([]Candidate, 0, len(specs))
 	for _, s := range specs {
+		if s.Format == "csr-du-vi" && !csrvi.Pays(ft.Unique, ft.NNZ) {
+			continue
+		}
 		c := Candidate{Spec: s}
 		c.PredBytes, c.Exact, c.Feasible, c.Reason = PredictBytes(ft, s)
 		c.Score = float64(c.PredBytes)
@@ -87,20 +93,16 @@ func Candidates(ft Features) []Candidate {
 // the given spec: the format's storage bytes (exact closed forms where
 // the registry formats define them, the simulated control stream for
 // the CSR-DU family, a conservative estimate for dcsr) plus the
-// §II-B vector traffic. The second result reports whether the formula
-// is exact; the last two report feasibility.
+// §II-B vector traffic. The value-indexed formats are priced by the
+// encoder's rule (csrvi.Pays): a dictionary where it pays, the plain
+// value stream otherwise. The second result reports whether the
+// formula is exact; the last two report feasibility.
 func PredictBytes(ft Features, s formats.Spec) (bytes int64, exact, feasible bool, reason string) {
 	rows, cols, nnz := int64(ft.Rows), int64(ft.Cols), int64(ft.NNZ)
 	vec := core.VectorBytes(ft.Rows, ft.Cols, core.ValSize)
-	viW := func(unique int) int64 {
-		switch {
-		case unique <= 1<<8:
-			return 1
-		case unique <= 1<<16:
-			return 2
-		default:
-			return 4
-		}
+	values := nnz * core.ValSize
+	if csrvi.Pays(ft.Unique, ft.NNZ) {
+		values = nnz*int64(csrvi.Width(ft.Unique)) + int64(ft.Unique)*core.ValSize
 	}
 	exact, feasible = true, true
 	switch s.Name() {
@@ -119,11 +121,9 @@ func PredictBytes(ft Features, s formats.Spec) (bytes int64, exact, feasible boo
 	case "csr-du":
 		bytes = ft.DUCtlBytes + nnz*core.ValSize
 	case "csr-vi":
-		w := viW(ft.Unique)
-		bytes = (rows+1)*core.IdxSize + nnz*core.IdxSize + nnz*w + int64(ft.Unique)*core.ValSize
+		bytes = (rows+1)*core.IdxSize + nnz*core.IdxSize + values
 	case "csr-du-vi":
-		w := viW(ft.Unique)
-		bytes = ft.DUCtlBytes + nnz*w + int64(ft.Unique)*core.ValSize
+		bytes = ft.DUCtlBytes + values
 	case "dcsr":
 		// The dcsr command stream interleaves row jumps with the same
 		// delta classes; its size tracks the DU control stream closely.

@@ -10,6 +10,7 @@ import (
 	"spmv/internal/matgen"
 	"spmv/internal/obs"
 	"spmv/internal/parallel"
+	"spmv/internal/testmat"
 )
 
 // exactFormats are the registry formats PredictBytes claims exact
@@ -53,6 +54,43 @@ func TestPredictBytesExact(t *testing.T) {
 				t.Errorf("%s/%s: predicted %d bytes/SpMV, actual %d", name, fname, pred, got)
 			}
 		}
+	}
+}
+
+// TestPredictBytesFollowsValueCodec pins the predicted storage bytes of
+// the value-indexed formats to the built matrices' SizeBytes on the
+// encoder test matrices, where some take the dictionary codec and some
+// the plain one, and checks that Candidates offers csr-du-vi exactly
+// where it would build a dictionary.
+func TestPredictBytesFollowsValueCodec(t *testing.T) {
+	codecs := map[bool]int{}
+	for _, tc := range testmat.EncoderCases() {
+		ft := Extract(tc.COO)
+		vec := core.VectorBytes(ft.Rows, ft.Cols, core.ValSize)
+		var dict bool
+		for _, name := range []string{"csr-vi", "csr-du-vi"} {
+			pred, exact, _, _ := PredictBytes(ft, formats.Spec{Format: name})
+			f, err := formats.Build(name, tc.COO)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.Name, name, err)
+			}
+			if !exact || pred-vec != f.SizeBytes() {
+				t.Errorf("%s/%s: predicted %d storage bytes (exact %v), built %d",
+					tc.Name, name, pred-vec, exact, f.SizeBytes())
+			}
+			dict = f.Name() == "csr-du-vi"
+		}
+		codecs[dict]++
+		offered := false
+		for _, c := range Candidates(ft) {
+			offered = offered || c.Spec.Format == "csr-du-vi"
+		}
+		if offered != dict {
+			t.Errorf("%s: csr-du-vi offered %v, builds a dictionary %v", tc.Name, offered, dict)
+		}
+	}
+	if codecs[true] == 0 || codecs[false] == 0 {
+		t.Errorf("codecs built %v, want both the dictionary and the plain codec", codecs)
 	}
 }
 

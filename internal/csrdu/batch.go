@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"spmv/internal/core"
+	"spmv/internal/csrvi"
 	"spmv/internal/varint"
 )
 
@@ -69,7 +70,7 @@ func (c *chunk) SpMVBatch(y, x []float64, k int) {
 // least one unit. k = 1 is the scalar kernel, whose operation order is
 // the bitwise-k=1 contract of the panels. Returns the number of units a
 // panel kernel decoded.
-func multiply[V Value](c *chunk, values []V, y, x []float64, k int) int {
+func multiply[V csrvi.Value](c *chunk, values []V, y, x []float64, k int) int {
 	a := runArgs[V]{ctl: c.m.Ctl[:c.ctlHi], values: values[:c.valHi], unique: c.m.Unique, x: x, y: y}
 	switch k {
 	case 1:
@@ -163,7 +164,7 @@ func SkipRows(y []float64, k, yi int, ctl []byte, pos int) (row, next int) {
 // spmvBatch4 is the k=4 kernel: the four row accumulators stay in
 // registers across a unit's FMA loop and are stored once per row.
 // Returns the number of units decoded.
-func spmvBatch4[V Value](c *chunk, a *runArgs[V]) int {
+func spmvBatch4[V csrvi.Value](c *chunk, a *runArgs[V]) int {
 	const k = 4
 	ctl, values, unique, x := a.streams()
 	y := a.y
@@ -193,7 +194,7 @@ func spmvBatch4[V Value](c *chunk, a *runArgs[V]) int {
 			vi += size
 			cols = cols[:len(vals)]
 			for p, iv := range vals {
-				v := load(iv, unique)
+				v := csrvi.Load(iv, unique)
 				xr := x[int(cols[p])*k:]
 				xr = xr[:k]
 				s0 += v * xr[0]
@@ -243,7 +244,7 @@ func spmvBatch4[V Value](c *chunk, a *runArgs[V]) int {
 // jumps (SkipRows) itself and hands each run of u8, u16 and u32 units,
 // with the row's sums in s, to spmvRunPanel8. Returns the number of
 // units decoded.
-func spmvPanel8[V Value](c *chunk, a *runArgs[V]) int {
+func spmvPanel8[V csrvi.Value](c *chunk, a *runArgs[V]) int {
 	const k = 8
 	ctl, values, unique, x := a.streams()
 	y := a.y
@@ -277,7 +278,7 @@ func spmvPanel8[V Value](c *chunk, a *runArgs[V]) int {
 			vi += size
 			cols = cols[:len(vals)]
 			for p, iv := range vals {
-				v := load(iv, unique)
+				v := csrvi.Load(iv, unique)
 				xr := x[int(cols[p])*k:]
 				xr = xr[:k]
 				for c := range s {
@@ -322,7 +323,7 @@ func spmvPanel8[V Value](c *chunk, a *runArgs[V]) int {
 // which needs more registers than SSE has.
 //
 //go:noinline
-func spmvRunPanel8[V Value](k *runArgs[V], pos, vi, xi, size int, flags byte, s *[8]float64) (int, int, int, int) {
+func spmvRunPanel8[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, flags byte, s *[8]float64) (int, int, int, int) {
 	ctl, values, unique, x := k.streams()
 	s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
 	units := 0
@@ -332,7 +333,7 @@ func spmvRunPanel8[V Value](k *runArgs[V], pos, vi, xi, size int, flags byte, s 
 		j, pos = decodeUjmp(ctl, pos)
 		xi += j
 		end := vi + size
-		w, xr := load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
+		w, xr := csrvi.Load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
 		switch flags & TypeMask {
 		case ClassU8:
 			for {
@@ -343,7 +344,7 @@ func spmvRunPanel8[V Value](k *runArgs[V], pos, vi, xi, size int, flags byte, s 
 				}
 				xi += int(ctl[pos])
 				pos++
-				w, xr = load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
+				w, xr = csrvi.Load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
 			}
 		case ClassU16:
 			for {
@@ -354,7 +355,7 @@ func spmvRunPanel8[V Value](k *runArgs[V], pos, vi, xi, size int, flags byte, s 
 				}
 				xi += int(binary.LittleEndian.Uint16(ctl[pos : pos+2 : pos+2]))
 				pos += 2
-				w, xr = load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
+				w, xr = csrvi.Load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
 			}
 		default: // ClassU32
 			for {
@@ -365,7 +366,7 @@ func spmvRunPanel8[V Value](k *runArgs[V], pos, vi, xi, size int, flags byte, s 
 				}
 				xi += int(binary.LittleEndian.Uint32(ctl[pos : pos+4 : pos+4]))
 				pos += 4
-				w, xr = load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
+				w, xr = csrvi.Load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
 			}
 		}
 
@@ -404,7 +405,7 @@ func spmvRunPanel8[V Value](k *runArgs[V], pos, vi, xi, size int, flags byte, s 
 // column. Longer rows loop over buf.
 //
 //go:noinline
-func spmvRunRepPanel8[V Value](a *runArgs[V], pos, vi, size int, flags byte, buf *[MaxUnit]int32, s *[8]float64) (int, int) {
+func spmvRunRepPanel8[V csrvi.Value](a *runArgs[V], pos, vi, size int, flags byte, buf *[MaxUnit]int32, s *[8]float64) (int, int) {
 	ctl, values, unique, x := a.streams()
 	xi, off, pos := repOffsets(ctl, pos, flags, buf[:size])
 	rows := int(ctl[pos])
@@ -419,49 +420,49 @@ func spmvRunRepPanel8[V Value](a *runArgs[V], pos, vi, size int, flags byte, buf
 		v := vals[t*size : t*size+size]
 		v = v[:len(off)]
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		w, xr := load(v[0], unique), xw[8*t:8*t+8:8*t+8]
+		w, xr := csrvi.Load(v[0], unique), xw[8*t:8*t+8:8*t+8]
 		s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
 		s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
 		if len(v) > 8 {
 			for j := 1; j < len(v); j++ {
 				p := 8 * (t + int(off[j]))
-				w, xr = load(v[j], unique), xw[p:p+8:p+8]
+				w, xr = csrvi.Load(v[j], unique), xw[p:p+8:p+8]
 				s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
 				s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
 			}
 		} else if len(v) > 1 {
 			p := 8 * (t + int(buf[1]))
-			w, xr = load(v[1], unique), xw[p:p+8:p+8]
+			w, xr = csrvi.Load(v[1], unique), xw[p:p+8:p+8]
 			s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
 			s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
 			if len(v) > 2 {
 				p := 8 * (t + int(buf[2]))
-				w, xr = load(v[2], unique), xw[p:p+8:p+8]
+				w, xr = csrvi.Load(v[2], unique), xw[p:p+8:p+8]
 				s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
 				s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
 				if len(v) > 3 {
 					p := 8 * (t + int(buf[3]))
-					w, xr = load(v[3], unique), xw[p:p+8:p+8]
+					w, xr = csrvi.Load(v[3], unique), xw[p:p+8:p+8]
 					s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
 					s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
 					if len(v) > 4 {
 						p := 8 * (t + int(buf[4]))
-						w, xr = load(v[4], unique), xw[p:p+8:p+8]
+						w, xr = csrvi.Load(v[4], unique), xw[p:p+8:p+8]
 						s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
 						s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
 						if len(v) > 5 {
 							p := 8 * (t + int(buf[5]))
-							w, xr = load(v[5], unique), xw[p:p+8:p+8]
+							w, xr = csrvi.Load(v[5], unique), xw[p:p+8:p+8]
 							s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
 							s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
 							if len(v) > 6 {
 								p := 8 * (t + int(buf[6]))
-								w, xr = load(v[6], unique), xw[p:p+8:p+8]
+								w, xr = csrvi.Load(v[6], unique), xw[p:p+8:p+8]
 								s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
 								s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
 								if len(v) > 7 {
 									p := 8 * (t + int(buf[7]))
-									w, xr = load(v[7], unique), xw[p:p+8:p+8]
+									w, xr = csrvi.Load(v[7], unique), xw[p:p+8:p+8]
 									s0, s1, s2, s3 = s0+w*xr[0], s1+w*xr[1], s2+w*xr[2], s3+w*xr[3]
 									s4, s5, s6, s7 = s4+w*xr[4], s5+w*xr[5], s6+w*xr[6], s7+w*xr[7]
 								}
@@ -488,7 +489,7 @@ const StackPanel = 16
 // spmvBatchK is the generic-width kernel: one accumulator row of k
 // sums, copied into the output panel on each row change. Returns the
 // number of units decoded.
-func spmvBatchK[V Value](c *chunk, a *runArgs[V], k int) int {
+func spmvBatchK[V csrvi.Value](c *chunk, a *runArgs[V], k int) int {
 	ctl, values, unique, x := a.streams()
 	y := a.y
 	pos, vi := c.ctlLo, c.valLo
@@ -530,7 +531,7 @@ func spmvBatchK[V Value](c *chunk, a *runArgs[V], k int) int {
 				a := acc[c0 : c0+4 : c0+4]
 				s0, s1, s2, s3 := a[0], a[1], a[2], a[3]
 				for p, iv := range vals {
-					v := load(iv, unique)
+					v := csrvi.Load(iv, unique)
 					xr := x[int(cols[p])*k+c0:]
 					xr = xr[:4]
 					s0 += v * xr[0]
@@ -543,7 +544,7 @@ func spmvBatchK[V Value](c *chunk, a *runArgs[V], k int) int {
 			for ; c0 < k; c0++ {
 				s := acc[c0]
 				for p, v := range vals {
-					s += load(v, unique) * x[int(cols[p])*k+c0]
+					s += csrvi.Load(v, unique) * x[int(cols[p])*k+c0]
 				}
 				acc[c0] = s
 			}

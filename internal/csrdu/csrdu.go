@@ -43,7 +43,7 @@
 //
 // Two decoders of the grammar sit under the multiplication kernels,
 // and every kernel is generic over the value stream's element type
-// (Value), so one source serves both codecs. The scalar kernel
+// (csrvi.Value), so one source serves both codecs. The scalar kernel
 // (spmvScalar, decode.go) decodes in line — a dispatcher hands each
 // run of same-class units to that class's loop, which keeps its state
 // in registers, reads an unrolled ujmp varint and loads deltas in
@@ -181,14 +181,17 @@ func FromCOOOpts(c *core.COO, opts Options) (*Matrix, error) {
 // FromCOOVI encodes a triplet matrix into CSR-DU with the dictionary
 // codec (CSR-DU-VI): the ctl stream FromCOOOpts writes, with the values
 // indexed through csrvi.IndexValues, the table CSR-VI builds from the
-// same finalized order.
+// same finalized order. Where no dictionary pays, the matrix keeps the
+// plain codec: it is the csr-du matrix FromCOOOpts built, and its Name
+// says so.
 func FromCOOVI(c *core.COO, opts Options) (*Matrix, error) {
 	m, err := FromCOOOpts(c, opts)
 	if err != nil {
 		return nil, err
 	}
-	m.Unique, m.VI8, m.VI16, m.VI32 = csrvi.IndexValues(m.Values)
-	m.Values = nil
+	if unique, vi8, vi16, vi32, ok := csrvi.IndexValues(m.Values); ok {
+		m.Unique, m.VI8, m.VI16, m.VI32, m.Values = unique, vi8, vi16, vi32, nil
+	}
 	return m, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"spmv/internal/core"
+	"spmv/internal/csrvi"
 	"spmv/internal/varint"
 )
 
@@ -29,27 +30,6 @@ func (c *chunk) NNZ() int             { return c.valHi - c.valLo }
 // vector case of SpMVBatch, which picks the value codec's instantiation
 // of spmvScalar.
 func (c *chunk) SpMV(y, x []float64) { c.SpMVBatch(y, x, 1) }
-
-// Value is the element type of a value stream: float64 under the plain
-// codec, the val_ind width under the dictionary codec. Every kernel is
-// instantiated once per Value.
-type Value interface {
-	float64 | uint8 | uint16 | uint32
-}
-
-// load returns the value v codes for: v itself under the plain codec,
-// unique[v] under the dictionary codec. V(1)/V(2) is 0.5 for float64
-// and 0 for the index types, a constant in each instantiation, so the
-// test folds and the plain instantiation of a kernel compiles to the
-// loop it would be without the dictionary. (A method on a value-source
-// type costs an indirect call per non-zero; a type switch keeps both
-// branches.)
-func load[V Value](v V, unique []float64) float64 {
-	if V(1)/V(2) != 0 {
-		return float64(v)
-	}
-	return unique[int(v)]
-}
 
 // spmvScalar is the one-vector kernel. The paper's premise is that the
 // decode is cheap next to the bytes it saves; what keeps it cheap here:
@@ -91,7 +71,7 @@ func load[V Value](v V, unique []float64) float64 {
 // construction): unit sizes are positive, every offset the headers
 // imply lies inside ctl and values, and every val_ind entry inside
 // Unique. The chunk must hold at least one unit.
-func spmvScalar[V Value](c *chunk, k *runArgs[V]) {
+func spmvScalar[V csrvi.Value](c *chunk, k *runArgs[V]) {
 	ctl, values, unique, x := k.streams()
 	y := k.y
 	pos, vi := c.ctlLo, c.valLo
@@ -117,10 +97,10 @@ func spmvScalar[V Value](c *chunk, k *runArgs[V]) {
 			j, pos = varint.DecodeAt(ctl, pos)
 			d, pos = varint.DecodeAt(ctl, pos)
 			xi += int(j)
-			sum += load(values[vi], unique) * x[xi]
+			sum += csrvi.Load(values[vi], unique) * x[xi]
 			for _, v := range values[vi+1 : vi+size] {
 				xi += int(d)
-				sum += load(v, unique) * x[xi]
+				sum += csrvi.Load(v, unique) * x[xi]
 			}
 			vi += size
 		case cls == ClassU8:
@@ -133,12 +113,12 @@ func spmvScalar[V Value](c *chunk, k *runArgs[V]) {
 			var j uint64
 			j, pos = varint.DecodeAt(ctl, pos)
 			xi += int(j)
-			sum += load(values[vi], unique) * x[xi]
+			sum += csrvi.Load(values[vi], unique) * x[xi]
 			b := ctl[pos : pos+8*(size-1)]
 			pos += len(b)
 			for i, v := range values[vi+1 : vi+size] {
 				xi += int(binary.LittleEndian.Uint64(b[8*i:]))
-				sum += load(v, unique) * x[xi]
+				sum += csrvi.Load(v, unique) * x[xi]
 			}
 			vi += size
 		}
@@ -186,7 +166,7 @@ func spmvScalar[V Value](c *chunk, k *runArgs[V]) {
 // runArgs are the streams a kernel reads, the y it writes and the row
 // yi it is on, passed by reference so that entering a run loop moves
 // only the scalar state that changes per non-zero.
-type runArgs[V Value] struct {
+type runArgs[V csrvi.Value] struct {
 	ctl    []byte
 	values []V
 	unique []float64
@@ -198,7 +178,7 @@ type runArgs[V Value] struct {
 // capacities cut to their lengths. Every kernel calls it first, and so
 // it must stay a generic call: the compiler checks the kernel's type
 // dictionary for nil at the first one, and that check dominates, and
-// drops, the ones each inlined load would repeat in the loops, which
+// drops, the ones each inlined csrvi.Load would repeat in the loops, which
 // would otherwise keep the dictionary in a register.
 func (k *runArgs[V]) streams() (ctl []byte, values []V, unique, x []float64) {
 	return k.ctl[:len(k.ctl):len(k.ctl)], k.values[:len(k.values):len(k.values)], k.unique, k.x
@@ -207,26 +187,26 @@ func (k *runArgs[V]) streams() (ctl []byte, values []V, unique, x []float64) {
 // spmvRunU8 consumes a run of u8 units.
 //
 //go:noinline
-func spmvRunU8[V Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int, int, int, float64) {
+func spmvRunU8[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int, int, int, float64) {
 	ctl, values, unique, x := k.streams()
 	for {
 		var j int
 		j, pos = decodeUjmp(ctl, pos)
 		xi += j
-		sum += load(values[vi], unique) * x[xi]
+		sum += csrvi.Load(values[vi], unique) * x[xi]
 		vi++
 		n := size - 1
 		for ; n >= 4; n -= 4 {
 			w := binary.LittleEndian.Uint32(ctl[pos : pos+4 : pos+4])
 			v := values[vi : vi+4 : vi+4]
 			xi += int(w & 0xff)
-			sum += load(v[0], unique) * x[xi]
+			sum += csrvi.Load(v[0], unique) * x[xi]
 			xi += int(w >> 8 & 0xff)
-			sum += load(v[1], unique) * x[xi]
+			sum += csrvi.Load(v[1], unique) * x[xi]
 			xi += int(w >> 16 & 0xff)
-			sum += load(v[2], unique) * x[xi]
+			sum += csrvi.Load(v[2], unique) * x[xi]
 			xi += int(w >> 24)
-			sum += load(v[3], unique) * x[xi]
+			sum += csrvi.Load(v[3], unique) * x[xi]
 			pos += 4
 			vi += 4
 		}
@@ -234,15 +214,15 @@ func spmvRunU8[V Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int,
 			w := binary.LittleEndian.Uint16(ctl[pos : pos+2 : pos+2])
 			v := values[vi : vi+2 : vi+2]
 			xi += int(w & 0xff)
-			sum += load(v[0], unique) * x[xi]
+			sum += csrvi.Load(v[0], unique) * x[xi]
 			xi += int(w >> 8)
-			sum += load(v[1], unique) * x[xi]
+			sum += csrvi.Load(v[1], unique) * x[xi]
 			pos += 2
 			vi += 2
 		}
 		if n&1 != 0 {
 			xi += int(ctl[pos])
-			sum += load(values[vi], unique) * x[xi]
+			sum += csrvi.Load(values[vi], unique) * x[xi]
 			pos++
 			vi++
 		}
@@ -267,26 +247,26 @@ func spmvRunU8[V Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int,
 // spmvRunU16 consumes a run of u16 units.
 //
 //go:noinline
-func spmvRunU16[V Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int, int, int, float64) {
+func spmvRunU16[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int, int, int, float64) {
 	ctl, values, unique, x := k.streams()
 	for {
 		var j int
 		j, pos = decodeUjmp(ctl, pos)
 		xi += j
-		sum += load(values[vi], unique) * x[xi]
+		sum += csrvi.Load(values[vi], unique) * x[xi]
 		vi++
 		n := size - 1
 		for ; n >= 4; n -= 4 {
 			w := binary.LittleEndian.Uint64(ctl[pos : pos+8 : pos+8])
 			v := values[vi : vi+4 : vi+4]
 			xi += int(w & 0xffff)
-			sum += load(v[0], unique) * x[xi]
+			sum += csrvi.Load(v[0], unique) * x[xi]
 			xi += int(w >> 16 & 0xffff)
-			sum += load(v[1], unique) * x[xi]
+			sum += csrvi.Load(v[1], unique) * x[xi]
 			xi += int(w >> 32 & 0xffff)
-			sum += load(v[2], unique) * x[xi]
+			sum += csrvi.Load(v[2], unique) * x[xi]
 			xi += int(w >> 48)
-			sum += load(v[3], unique) * x[xi]
+			sum += csrvi.Load(v[3], unique) * x[xi]
 			pos += 8
 			vi += 4
 		}
@@ -294,15 +274,15 @@ func spmvRunU16[V Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int
 			w := binary.LittleEndian.Uint32(ctl[pos : pos+4 : pos+4])
 			v := values[vi : vi+2 : vi+2]
 			xi += int(w & 0xffff)
-			sum += load(v[0], unique) * x[xi]
+			sum += csrvi.Load(v[0], unique) * x[xi]
 			xi += int(w >> 16)
-			sum += load(v[1], unique) * x[xi]
+			sum += csrvi.Load(v[1], unique) * x[xi]
 			pos += 4
 			vi += 2
 		}
 		if n&1 != 0 {
 			xi += int(binary.LittleEndian.Uint16(ctl[pos : pos+2 : pos+2]))
-			sum += load(values[vi], unique) * x[xi]
+			sum += csrvi.Load(values[vi], unique) * x[xi]
 			pos += 2
 			vi++
 		}
@@ -327,28 +307,28 @@ func spmvRunU16[V Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int
 // spmvRunU32 consumes a run of u32 units.
 //
 //go:noinline
-func spmvRunU32[V Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int, int, int, float64) {
+func spmvRunU32[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int, int, int, float64) {
 	ctl, values, unique, x := k.streams()
 	for {
 		var j int
 		j, pos = decodeUjmp(ctl, pos)
 		xi += j
-		sum += load(values[vi], unique) * x[xi]
+		sum += csrvi.Load(values[vi], unique) * x[xi]
 		vi++
 		n := size - 1
 		for ; n >= 2; n -= 2 {
 			w := binary.LittleEndian.Uint64(ctl[pos : pos+8 : pos+8])
 			v := values[vi : vi+2 : vi+2]
 			xi += int(w & 0xffffffff)
-			sum += load(v[0], unique) * x[xi]
+			sum += csrvi.Load(v[0], unique) * x[xi]
 			xi += int(w >> 32)
-			sum += load(v[1], unique) * x[xi]
+			sum += csrvi.Load(v[1], unique) * x[xi]
 			pos += 8
 			vi += 2
 		}
 		if n != 0 {
 			xi += int(binary.LittleEndian.Uint32(ctl[pos : pos+4 : pos+4]))
-			sum += load(values[vi], unique) * x[xi]
+			sum += csrvi.Load(values[vi], unique) * x[xi]
 			pos += 4
 			vi++
 		}
@@ -392,7 +372,7 @@ func spmvRunU32[V Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int
 // four rows of a run, loop over buf one row at a time.
 //
 //go:noinline
-func spmvRunRep[V Value](k *runArgs[V], pos, vi, size int, flags byte, buf *[MaxUnit]int32) (int, int, float64) {
+func spmvRunRep[V csrvi.Value](k *runArgs[V], pos, vi, size int, flags byte, buf *[MaxUnit]int32) (int, int, float64) {
 	ctl, values, unique, x := k.streams()
 	xi, off, pos := repOffsets(ctl, pos, flags, buf[:size])
 	rows := int(ctl[pos])
@@ -413,52 +393,52 @@ func spmvRunRep[V Value](k *runArgs[V], pos, vi, size int, flags byte, buf *[Max
 			vb, vc, vd = vb[:len(va)], vc[:len(va)], vd[:len(va)]
 			xr := xw[t:]
 			a, b, c, d := 0.0, 0.0, 0.0, 0.0
-			a += load(va[0], unique) * xr[0]
-			b += load(vb[0], unique) * xr[1]
-			c += load(vc[0], unique) * xr[2]
-			d += load(vd[0], unique) * xr[3]
+			a += csrvi.Load(va[0], unique) * xr[0]
+			b += csrvi.Load(vb[0], unique) * xr[1]
+			c += csrvi.Load(vc[0], unique) * xr[2]
+			d += csrvi.Load(vd[0], unique) * xr[3]
 			if len(va) > 1 {
 				o := int(buf[1])
-				a += load(va[1], unique) * xr[o]
-				b += load(vb[1], unique) * xr[o+1]
-				c += load(vc[1], unique) * xr[o+2]
-				d += load(vd[1], unique) * xr[o+3]
+				a += csrvi.Load(va[1], unique) * xr[o]
+				b += csrvi.Load(vb[1], unique) * xr[o+1]
+				c += csrvi.Load(vc[1], unique) * xr[o+2]
+				d += csrvi.Load(vd[1], unique) * xr[o+3]
 				if len(va) > 2 {
 					o := int(buf[2])
-					a += load(va[2], unique) * xr[o]
-					b += load(vb[2], unique) * xr[o+1]
-					c += load(vc[2], unique) * xr[o+2]
-					d += load(vd[2], unique) * xr[o+3]
+					a += csrvi.Load(va[2], unique) * xr[o]
+					b += csrvi.Load(vb[2], unique) * xr[o+1]
+					c += csrvi.Load(vc[2], unique) * xr[o+2]
+					d += csrvi.Load(vd[2], unique) * xr[o+3]
 					if len(va) > 3 {
 						o := int(buf[3])
-						a += load(va[3], unique) * xr[o]
-						b += load(vb[3], unique) * xr[o+1]
-						c += load(vc[3], unique) * xr[o+2]
-						d += load(vd[3], unique) * xr[o+3]
+						a += csrvi.Load(va[3], unique) * xr[o]
+						b += csrvi.Load(vb[3], unique) * xr[o+1]
+						c += csrvi.Load(vc[3], unique) * xr[o+2]
+						d += csrvi.Load(vd[3], unique) * xr[o+3]
 						if len(va) > 4 {
 							o := int(buf[4])
-							a += load(va[4], unique) * xr[o]
-							b += load(vb[4], unique) * xr[o+1]
-							c += load(vc[4], unique) * xr[o+2]
-							d += load(vd[4], unique) * xr[o+3]
+							a += csrvi.Load(va[4], unique) * xr[o]
+							b += csrvi.Load(vb[4], unique) * xr[o+1]
+							c += csrvi.Load(vc[4], unique) * xr[o+2]
+							d += csrvi.Load(vd[4], unique) * xr[o+3]
 							if len(va) > 5 {
 								o := int(buf[5])
-								a += load(va[5], unique) * xr[o]
-								b += load(vb[5], unique) * xr[o+1]
-								c += load(vc[5], unique) * xr[o+2]
-								d += load(vd[5], unique) * xr[o+3]
+								a += csrvi.Load(va[5], unique) * xr[o]
+								b += csrvi.Load(vb[5], unique) * xr[o+1]
+								c += csrvi.Load(vc[5], unique) * xr[o+2]
+								d += csrvi.Load(vd[5], unique) * xr[o+3]
 								if len(va) > 6 {
 									o := int(buf[6])
-									a += load(va[6], unique) * xr[o]
-									b += load(vb[6], unique) * xr[o+1]
-									c += load(vc[6], unique) * xr[o+2]
-									d += load(vd[6], unique) * xr[o+3]
+									a += csrvi.Load(va[6], unique) * xr[o]
+									b += csrvi.Load(vb[6], unique) * xr[o+1]
+									c += csrvi.Load(vc[6], unique) * xr[o+2]
+									d += csrvi.Load(vd[6], unique) * xr[o+3]
 									if len(va) > 7 {
 										o := int(buf[7])
-										a += load(va[7], unique) * xr[o]
-										b += load(vb[7], unique) * xr[o+1]
-										c += load(vc[7], unique) * xr[o+2]
-										d += load(vd[7], unique) * xr[o+3]
+										a += csrvi.Load(va[7], unique) * xr[o]
+										b += csrvi.Load(vb[7], unique) * xr[o+1]
+										c += csrvi.Load(vc[7], unique) * xr[o+2]
+										d += csrvi.Load(vd[7], unique) * xr[o+3]
 									}
 								}
 							}
@@ -474,7 +454,7 @@ func spmvRunRep[V Value](k *runArgs[V], pos, vi, size int, flags byte, buf *[Max
 		v = v[:len(off)]
 		sum := 0.0
 		for j, o := range off {
-			sum += load(v[j], unique) * xw[t+int(o)]
+			sum += csrvi.Load(v[j], unique) * xw[t+int(o)]
 		}
 		if t == rows {
 			return pos, vi, sum

@@ -40,34 +40,37 @@ func (m *Matrix) spmvBatchRange(y, x []float64, lo, hi, k int) {
 	case k <= 0:
 		panic(core.Usagef("csrvi: batch with non-positive vector count %d", k))
 	}
-	// One monomorphic instantiation per index width, as in spmvRange.
+	// One monomorphic instantiation per value codec, as in spmvRange.
 	var loads int
 	switch {
 	case m.VI8 != nil:
 		loads = spmvBatchVI(y, x, m.RowPtr, m.ColInd, m.VI8, m.Unique, lo, hi, k)
 	case m.VI16 != nil:
 		loads = spmvBatchVI(y, x, m.RowPtr, m.ColInd, m.VI16, m.Unique, lo, hi, k)
-	default:
+	case m.VI32 != nil:
 		loads = spmvBatchVI(y, x, m.RowPtr, m.ColInd, m.VI32, m.Unique, lo, hi, k)
+	default:
+		loads = spmvBatchVI(y, x, m.RowPtr, m.ColInd, m.Unique, nil, lo, hi, k)
 	}
 	if batchDecodeHook != nil {
 		batchDecodeHook(loads)
 	}
 }
 
-// spmvBatchVI is the fused batch kernel over one val_ind width. It
-// returns the number of val_ind loads performed (exactly the chunk's
-// nnz: each load's resolved value feeds all k columns).
-func spmvBatchVI[T uint8 | uint16 | uint32](y, x []float64, rowPtr, colInd []int32, valInd []T, unique []float64, lo, hi, k int) int {
+// spmvBatchVI is the fused batch kernel over one value codec. It
+// returns the number of value-stream loads performed (exactly the
+// chunk's nnz: each load's resolved value feeds all k columns).
+func spmvBatchVI[V Value](y, x []float64, rowPtr, colInd []int32, vals []V, unique []float64, lo, hi, k int) int {
+	vals = window(vals, 0, len(vals))
 	loads := 0
 	if k == 4 {
 		for i := lo; i < hi; i++ {
-			vi := valInd[rowPtr[i]:rowPtr[i+1]]
+			vi := vals[rowPtr[i]:rowPtr[i+1]]
 			cols := colInd[rowPtr[i]:rowPtr[i+1]]
 			cols = cols[:len(vi)]
 			var s0, s1, s2, s3 float64
 			for p, id := range vi {
-				v := unique[id]
+				v := Load(id, unique)
 				xr := x[int(cols[p])*4:]
 				xr = xr[:4]
 				s0 += v * xr[0]
@@ -83,7 +86,7 @@ func spmvBatchVI[T uint8 | uint16 | uint32](y, x []float64, rowPtr, colInd []int
 		return loads
 	}
 	for i := lo; i < hi; i++ {
-		vi := valInd[rowPtr[i]:rowPtr[i+1]]
+		vi := vals[rowPtr[i]:rowPtr[i+1]]
 		cols := colInd[rowPtr[i]:rowPtr[i+1]]
 		cols = cols[:len(vi)]
 		yr := y[i*k:]
@@ -92,7 +95,7 @@ func spmvBatchVI[T uint8 | uint16 | uint32](y, x []float64, rowPtr, colInd []int
 			yr[c] = 0
 		}
 		for p, id := range vi {
-			v := unique[id]
+			v := Load(id, unique)
 			xr := x[int(cols[p])*k:]
 			xr = xr[:len(yr)]
 			for c, xv := range xr {

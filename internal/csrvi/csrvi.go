@@ -9,14 +9,21 @@
 // to 1-2 bytes per non-zero — and values are 2/3 of the CSR working set.
 //
 // The scheme only pays off when the total-to-unique ratio (ttu) is
-// high; the paper uses the empirical criterion ttu > 5 (§VI-E). TTU and
-// Applicable expose that test. Construction is one O(nnz) pass through
-// an open-addressing hash table (IndexValues), as in the paper.
+// high. The paper reports its results on the matrices with ttu > 5
+// (§VI-E); TTU and Applicable expose that test. The encoder's rule is
+// bytes instead (Pays): it builds the dictionary only where the val_ind
+// stream plus the table is smaller than the 8-byte values it replaces.
+// Elsewhere — all-distinct values — the matrix keeps the plain codec:
+// Unique holds every value in stream order, there is no val_ind, and
+// the matrix costs CSR's bytes and runs CSR's walk. Construction is one
+// O(nnz) pass through an open-addressing hash table (IndexValues), as
+// in the paper, that stops at break-even.
 package csrvi
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"spmv/internal/core"
 	"spmv/internal/partition"
@@ -29,7 +36,9 @@ type Matrix struct {
 	RowPtr     []int32
 	ColInd     []int32
 	Unique     []float64
-	// Exactly one of VI8/VI16/VI32 is non-nil, chosen by len(Unique).
+	// Under the dictionary codec exactly one of VI8/VI16/VI32 is
+	// non-nil, chosen by len(Unique). Under the plain codec all three
+	// are nil and Unique holds one value per non-zero, in stream order.
 	VI8  []uint8
 	VI16 []uint16
 	VI32 []uint32
@@ -47,6 +56,8 @@ var (
 // place if needed. Unique values are numbered in order of first
 // appearance. Distinctness is on the bit pattern of the float64, so
 // +0 and -0 are distinct (they multiply identically, so this is safe).
+// Where no dictionary pays (IndexValues), the matrix takes the plain
+// codec.
 func FromCOO(c *core.COO) (*Matrix, error) {
 	c.Finalize()
 	if c.Len() > math.MaxInt32 {
@@ -65,11 +76,16 @@ func FromCOO(c *core.COO) (*Matrix, error) {
 	for i := 0; i < c.Rows(); i++ {
 		m.RowPtr[i+1] += m.RowPtr[i]
 	}
-	m.Unique, m.VI8, m.VI16, m.VI32 = IndexValues(c.V)
+	var ok bool
+	if m.Unique, m.VI8, m.VI16, m.VI32, ok = IndexValues(c.V); !ok {
+		m.Unique = slices.Clone(c.V)
+	}
 	return m, nil
 }
 
-// TTU returns the total-to-unique values ratio of the encoded matrix.
+// TTU returns the total-to-unique values ratio of the stored value
+// table: 1 under the plain codec, which stores every value (a matrix
+// takes it only where its true ratio is at most 2).
 func (m *Matrix) TTU() float64 {
 	if len(m.Unique) == 0 {
 		return 0
@@ -84,21 +100,23 @@ const MinTTU = 5.0
 // the paper's ttu > 5 criterion.
 func (m *Matrix) Applicable() bool { return m.TTU() > MinTTU }
 
-// IndexWidth returns the val_ind element width in bytes (1, 2 or 4).
+// IndexWidth returns the val_ind element width in bytes (1, 2 or 4)
+// under the dictionary codec, and 0 under the plain codec.
 func (m *Matrix) IndexWidth() int {
 	switch {
 	case m.VI8 != nil:
 		return 1
 	case m.VI16 != nil:
 		return 2
-	default:
+	case m.VI32 != nil:
 		return 4
 	}
+	return 0
 }
 
 // ValIndBytes returns the size of the val_ind stream: one IndexWidth
-// entry per non-zero. This is the stream that replaces the 8-byte
-// values of CSR — the quantity §V shrinks.
+// entry per non-zero, none under the plain codec. This is the stream
+// that replaces the 8-byte values of CSR — the quantity §V shrinks.
 func (m *Matrix) ValIndBytes() int64 {
 	return int64(m.NNZ()) * int64(m.IndexWidth())
 }
@@ -127,16 +145,39 @@ func (m *Matrix) SizeBytes() int64 {
 // access is replaced by vals_unique[val_ind[j]].
 func (m *Matrix) SpMV(y, x []float64) { m.spmvRange(y, x, 0, m.rows) }
 
+// Value is the element type of a value stream: the float64 values
+// themselves under the plain codec, their val_ind indices under the
+// dictionary codec.
+type Value interface {
+	float64 | uint8 | uint16 | uint32
+}
+
+// Load returns the value v codes for: v itself under the plain codec,
+// unique[v] under the dictionary codec. V(1)/V(2) is 0.5 for float64
+// and 0 for the index types, a constant in each instantiation, so the
+// test folds and the plain instantiation of a kernel compiles to the
+// loop it would be without the dictionary. (A method on a value-source
+// type costs an indirect call per non-zero; a type switch keeps both
+// branches.) The csr-vi and csr-du kernels all read values through it.
+func Load[V Value](v V, unique []float64) float64 {
+	if V(1)/V(2) != 0 {
+		return float64(v)
+	}
+	return unique[int(v)]
+}
+
 // spmvRange dispatches once per call to the walk for the matrix's
-// val_ind width.
+// value codec.
 func (m *Matrix) spmvRange(y, x []float64, lo, hi int) {
 	switch {
 	case m.VI8 != nil:
 		spmvVI(y, x, m.RowPtr, m.ColInd, m.VI8, m.Unique, lo, hi)
 	case m.VI16 != nil:
 		spmvVI(y, x, m.RowPtr, m.ColInd, m.VI16, m.Unique, lo, hi)
-	default:
+	case m.VI32 != nil:
 		spmvVI(y, x, m.RowPtr, m.ColInd, m.VI32, m.Unique, lo, hi)
+	default:
+		spmvVI(y, x, m.RowPtr, m.ColInd, m.Unique, nil, lo, hi)
 	}
 }
 
@@ -146,35 +187,42 @@ func (m *Matrix) spmvRange(y, x []float64, lo, hi int) {
 var errRowPtr = core.Corruptf("csrvi: row pointer decreases or runs past the non-zeros")
 
 // spmvVI multiplies rows [lo, hi) with one non-zero cursor for the
-// whole range, as csr's row walk does: the range's val_ind and column
+// whole range, as csr's row walk does: the range's value and column
 // streams are sliced once and k advances to each row's end, so the
-// per-nnz bounds checks are only the two data-dependent lookups,
-// unique[id] and x[col]. Each row is summed left to right from +0 and
-// stored once, so only y[lo:hi] is written.
-func spmvVI[I uint8 | uint16 | uint32](y, x []float64, rowPtr, colInd []int32, valInd []I, unique []float64, lo, hi int) {
+// per-nnz bounds checks are only the data-dependent lookups, unique[id]
+// (dictionary codec only) and x[col]. Each row is summed left to right
+// from +0 and stored once, so only y[lo:hi] is written.
+func spmvVI[V Value](y, x []float64, rowPtr, colInd []int32, vals []V, unique []float64, lo, hi int) {
 	ends := rowPtr[lo+1 : hi+1]
 	base, top := int(rowPtr[lo]), int(rowPtr[hi])
-	if base < 0 || top < base || top > len(valInd) || top > len(colInd) {
+	if base < 0 || top < base || top > len(vals) || top > len(colInd) {
 		panic(errRowPtr)
 	}
-	ids := valInd[base:top]
+	vs := window(vals, base, top)
 	cols := colInd[base:top]
-	cols = cols[:len(ids)]
+	cols = cols[:len(vs)]
 	y = y[lo:hi]
 	y = y[:len(ends)]
 	k := uint(0)
 	for i, e := range ends {
 		end := uint(int(e) - base)
-		if end < k || end > uint(len(ids)) {
+		if end < k || end > uint(len(vs)) {
 			panic(errRowPtr)
 		}
 		sum := 0.0
 		for ; k < end; k++ {
-			sum += unique[ids[k]] * x[cols[k]]
+			sum += Load(vs[k], unique) * x[cols[k]]
 		}
 		y[i] = sum
 	}
 }
+
+// window returns s[lo:hi]. It must stay a generic call, made before a
+// kernel's loops: the compiler checks the kernel's type dictionary for
+// nil there, and that check dominates, and drops, the one each inlined
+// Load would repeat in the loops, which would otherwise keep the
+// dictionary in a register.
+func window[V Value](s []V, lo, hi int) []V { return s[lo:hi] }
 
 // Value returns the k-th stored value (resolving the indirection).
 func (m *Matrix) Value(k int) float64 {
@@ -183,9 +231,10 @@ func (m *Matrix) Value(k int) float64 {
 		return m.Unique[m.VI8[k]]
 	case m.VI16 != nil:
 		return m.Unique[m.VI16[k]]
-	default:
+	case m.VI32 != nil:
 		return m.Unique[m.VI32[k]]
 	}
+	return m.Unique[k]
 }
 
 // ForEach calls fn for every non-zero in row-major order.

@@ -63,38 +63,34 @@ func TestFig4Example(t *testing.T) {
 	}
 }
 
-func TestIndexWidthSelection(t *testing.T) {
-	build := func(unique int) *Matrix {
-		c := core.NewCOO(1, unique+10)
-		for j := 0; j < unique; j++ {
-			c.Add(0, j, float64(j+1))
-		}
-		c.Finalize()
-		m, err := FromCOO(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	if w := build(256).IndexWidth(); w != 1 {
-		t.Errorf("256 unique -> width %d, want 1", w)
-	}
-	if w := build(257).IndexWidth(); w != 2 {
-		t.Errorf("257 unique -> width %d, want 2", w)
-	}
-	// 2^16 boundary: synthesize >65536 unique values cheaply.
-	c := core.NewCOO(70, 1000)
-	v := 0.5
-	for i := 0; i < 70; i++ {
+// cycled returns a rows x 1000 matrix, every entry present, whose
+// values cycle through unique distinct values in stream order.
+func cycled(rows, unique int) *core.COO {
+	c := core.NewCOO(rows, 1000)
+	for i := 0; i < rows; i++ {
 		for j := 0; j < 1000; j++ {
-			v += 1.0
-			c.Add(i, j, v)
+			c.Add(i, j, float64((i*1000+j)%unique)+0.5)
 		}
 	}
 	c.Finalize()
-	m, _ := FromCOO(c)
-	if m.IndexWidth() != 4 {
-		t.Errorf("70000 unique -> width %d, want 4", m.IndexWidth())
+	return c
+}
+
+func TestIndexWidthSelection(t *testing.T) {
+	for _, tc := range []struct{ rows, unique, width int }{
+		{1, 256, 1},
+		{1, 257, 2},
+		{200, 65536, 2},
+		{200, 65537, 4},
+	} {
+		m, err := FromCOO(cycled(tc.rows, tc.unique))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := m.IndexWidth(); w != tc.width || len(m.Unique) != tc.unique {
+			t.Errorf("%d unique over %d non-zeros -> width %d with %d unique, want %d",
+				tc.unique, m.NNZ(), w, len(m.Unique), tc.width)
+		}
 	}
 }
 
@@ -118,26 +114,32 @@ func TestSizeBytesFormulaAndReduction(t *testing.T) {
 	}
 }
 
+// All-distinct values: no dictionary pays, so the matrix keeps the
+// plain codec at CSR's size.
 func TestNotApplicableOnRandomValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := matgen.RandomUniform(rng, 300, 300, 6, matgen.Values{})
 	m, _ := FromCOO(c)
+	ref, _ := csr.FromCOO(c)
 	if m.Applicable() {
 		t.Errorf("all-distinct values reported applicable (ttu=%v)", m.TTU())
 	}
-	if m.TTU() > 1.001 {
-		t.Errorf("TTU = %v, want ~1", m.TTU())
+	if m.TTU() != 1 || m.IndexWidth() != 0 || m.SizeBytes() != ref.SizeBytes() {
+		t.Errorf("TTU %v, width %d, %d bytes; want the plain codec: 1, 0, CSR's %d",
+			m.TTU(), m.IndexWidth(), m.SizeBytes(), ref.SizeBytes())
 	}
 }
 
 func TestSignedZerosDistinct(t *testing.T) {
-	c := core.NewCOO(1, 2)
-	c.Add(0, 0, math.Copysign(0, -1))
-	c.Add(0, 1, 0)
+	c := core.NewCOO(1, 4)
+	for j := 0; j < 4; j++ {
+		c.Add(0, j, math.Copysign(0, float64(j%2)-0.5))
+	}
 	c.Finalize()
 	m, _ := FromCOO(c)
-	if len(m.Unique) != 2 {
-		t.Errorf("expected +0 and -0 distinct, got %d unique", len(m.Unique))
+	if len(m.Unique) != 2 || m.IndexWidth() != 1 {
+		t.Errorf("expected +0 and -0 distinct in a dictionary, got %d unique at width %d",
+			len(m.Unique), m.IndexWidth())
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"sort"
+	"strconv"
 )
 
 // sampleSize is the number of leading values whose distinct count sizes
@@ -19,31 +21,74 @@ const sampleSize = 16 << 10
 // addresses len(unique): exactly one of vi8/vi16/vi32 is non-nil.
 // Distinctness is on the bit pattern, so +0 and -0 are distinct, and so
 // are NaNs with different payloads.
-func IndexValues(vals []float64) (unique []float64, vi8 []uint8, vi16 []uint16, vi32 []uint32) {
-	ids := make([]uint32, len(vals))
-	s := min(len(vals), sampleSize)
-	t := &valueTable{seed: rand.Uint64()}
-	t.reserve(s)
-	t.number(vals[:s], ids[:s])
-	if s < len(vals) {
-		est := len(t.unique) * (len(vals) / s)
+//
+// A dictionary is built only where it is smaller than the plain value
+// stream it replaces (Pays). Numbering stops at the first distinct value
+// past break-even; ok is then false, every other result is nil, and the
+// caller keeps the plain stream.
+func IndexValues(vals []float64) (unique []float64, vi8 []uint8, vi16 []uint16, vi32 []uint32, ok bool) {
+	nnz := len(vals)
+	// Pays is monotone in the unique count, so most is the count past
+	// which no dictionary over vals can pay.
+	most := sort.Search(nnz+1, func(u int) bool { return !Pays(u, nnz) }) - 1
+	if most < 1 {
+		return nil, nil, nil, nil, false
+	}
+	ids := make([]uint32, nnz)
+	s := min(nnz, sampleSize)
+	t := &valueTable{seed: rand.Uint64(), most: most}
+	t.reserve(min(s, most+1))
+	if !t.number(vals[:s], ids[:s]) {
+		return nil, nil, nil, nil, false
+	}
+	if s < nnz {
+		est := min(len(t.unique)*(nnz/s), most+1)
 		t.unique = slices.Grow(t.unique, est-len(t.unique))
 		t.reserve(est)
-		t.number(vals[s:], ids[s:])
+		if !t.number(vals[s:], ids[s:]) {
+			return nil, nil, nil, nil, false
+		}
 		if cap(t.unique) > 2*len(t.unique) {
 			// The sample overestimated: do not let the matrix keep the
 			// spare capacity.
 			t.unique = slices.Clone(t.unique)
 		}
 	}
-	width := 4
-	if uv := len(t.unique); uv <= 1<<8 {
-		width = 1
-	} else if uv <= 1<<16 {
-		width = 2
+	vi8, vi16, vi32 = Narrow(ids, Width(len(t.unique)))
+	return t.unique, vi8, vi16, vi32, true
+}
+
+// Width returns the val_ind width in bytes, 1, 2 or 4, of a dictionary
+// of unique values: the narrowest that addresses them all.
+func Width(unique int) int {
+	switch {
+	case unique <= 1<<8:
+		return 1
+	case unique <= 1<<16:
+		return 2
 	}
-	vi8, vi16, vi32 = Narrow(ids, width)
-	return t.unique, vi8, vi16, vi32
+	return 4
+}
+
+// Pays reports whether a dictionary of unique values over nnz non-zeros
+// is smaller than their plain float64 stream: one Width(unique)-byte
+// index a non-zero plus the table, against 8 bytes a non-zero,
+//
+//	Width(unique)*nnz + 8*unique < 8*nnz.
+//
+// This byte rule, not the paper's ttu > 5, decides the codec: at equal
+// bytes the plain stream wins, since it spares the indirection.
+func Pays(unique, nnz int) bool {
+	return int64(Width(unique))*int64(nnz)+8*int64(unique) < 8*int64(nnz)
+}
+
+// CodecName names the value codec of a val_ind width as the tools
+// report it: "plain" for 0, otherwise "dictionary u8", "u16" or "u32".
+func CodecName(width int) string {
+	if width == 0 {
+		return "plain"
+	}
+	return "dictionary u" + strconv.Itoa(8*width)
 }
 
 // Narrow stores value ids as a val_ind stream of width 1, 2 or 4 bytes;
@@ -75,6 +120,7 @@ type valueTable struct {
 	slots  []uint32 // id+1 of a value; 0 marks an empty slot
 	shift  uint     // 64 - log2(len(slots)): home keeps the top bits
 	seed   uint64   // drawn per table; see home
+	most   int      // the unique count past which number gives up
 	unique []float64
 }
 
@@ -95,8 +141,9 @@ func (t *valueTable) home(b uint64) uint64 {
 }
 
 // number writes into ids[k] the id of vals[k], appending each pattern
-// not yet in the table to unique.
-func (t *valueTable) number(vals []float64, ids []uint32) {
+// not yet in the table to unique. It returns false, with ids only
+// partly written, as soon as unique would pass t.most values.
+func (t *valueTable) number(vals []float64, ids []uint32) bool {
 	ids = ids[:len(vals)]
 	slots, mask := t.slots, uint64(len(t.slots)-1)
 	for k, v := range vals {
@@ -109,8 +156,11 @@ func (t *valueTable) number(vals []float64, ids []uint32) {
 				}
 				continue
 			}
+			n := len(t.unique) + 1
+			if n > t.most {
+				return false
+			}
 			t.unique = append(t.unique, v)
-			n := len(t.unique)
 			slots[h] = uint32(n)
 			ids[k] = uint32(n - 1)
 			if 2*n > len(slots) {
@@ -120,6 +170,7 @@ func (t *valueTable) number(vals []float64, ids []uint32) {
 			break
 		}
 	}
+	return true
 }
 
 // reserve grows the table, if needed, to hold n >= len(unique) values

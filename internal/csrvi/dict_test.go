@@ -39,11 +39,11 @@ func TestIndexValuesMatchesMap(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	nan1 := math.Float64frombits(0x7ff8000000000001)
 	nan2 := math.Float64frombits(0x7ff8000000000002)
-	// A 16 Ki sample holding 2 values, then 200 000 more: the table is
-	// presized for ~40 keys and must grow many times.
+	// A 16 Ki sample holding 2 values, then 70 000 more, each three
+	// times: the table is presized for ~40 keys and must grow many times.
 	late := cycle(sampleSize, 2)
-	for k := 0; k < 200000; k++ {
-		late = append(late, float64(k)*1.25)
+	for k := 0; k < 210000; k++ {
+		late = append(late, float64(k%70000)*1.25)
 	}
 	// 16 Ki distinct values, then one value 200 000 times: the table is
 	// presized for ~200 000 keys and holds 16 Ki + 1.
@@ -56,26 +56,39 @@ func TestIndexValuesMatchesMap(t *testing.T) {
 	for k := range random {
 		random[k] = rng.NormFloat64()
 	}
+	// width 0: no dictionary pays, so IndexValues builds none.
 	cases := []struct {
 		name  string
 		vals  []float64
 		width int
 	}{
-		{"empty", nil, 1},
+		{"empty", nil, 0},
+		{"single", []float64{2.5}, 0},
 		{"first appearance", []float64{3, 1, 3, 2, 1, 7}, 1},
 		{"signed zeros", []float64{0, negZero, 0, negZero}, 1},
 		{"nan payloads", []float64{nan1, nan2, nan1, math.NaN(), nan2}, 1},
 		{"unique 1", cycle(1000, 1), 1},
 		{"unique 256", cycle(3000, 256), 1},
 		{"unique 257", cycle(3000, 257), 2},
-		{"unique 65536", cycle(70000, 65536), 2},
-		{"unique 65537", cycle(70000, 65537), 4},
+		{"unique 65536", cycle(150000, 65536), 2},
+		{"unique 65537", cycle(150000, 65537), 4},
+		{"unique 65537 too few", cycle(70000, 65537), 0},
 		{"sample underestimates", late, 4},
 		{"sample overestimates", early, 2},
-		{"random", random, 4},
+		{"random", random, 0},
 	}
 	for _, tc := range cases {
-		unique, vi8, vi16, vi32 := IndexValues(tc.vals)
+		unique, vi8, vi16, vi32, ok := IndexValues(tc.vals)
+		if tc.width == 0 {
+			if ok || unique != nil || vi8 != nil || vi16 != nil || vi32 != nil {
+				t.Errorf("%s: built a dictionary of %d values where none pays", tc.name, len(unique))
+			}
+			continue
+		}
+		if !ok {
+			t.Errorf("%s: built no dictionary", tc.name)
+			continue
+		}
 		wantUnique, wantIDs := mapIndex(tc.vals)
 		if !slices.EqualFunc(unique, wantUnique, func(a, b float64) bool {
 			return math.Float64bits(a) == math.Float64bits(b)
@@ -138,8 +151,10 @@ func floodKeys(n int) []float64 {
 }
 
 func TestValueTableResistsChosenCollisions(t *testing.T) {
-	vals := floodKeys(100000)
-	unique, _, _, vi32 := IndexValues(vals)
+	// Each key three times, so that a dictionary pays.
+	keys := floodKeys(100000)
+	vals := slices.Concat(keys, keys, keys)
+	unique, _, _, vi32, _ := IndexValues(vals)
 	wantUnique, wantIDs := mapIndex(vals)
 	if !slices.Equal(unique, wantUnique) || !slices.Equal(vi32, wantIDs) {
 		t.Fatal("IndexValues differs from the map on the flood keys")
@@ -148,9 +163,9 @@ func TestValueTableResistsChosenCollisions(t *testing.T) {
 	// holds, how far each sits past its home slot: what a lookup of
 	// every key probes beyond the first slot. Keys sharing one home
 	// would sum to about n*n/2.
-	tab := &valueTable{seed: rand.Uint64()}
+	tab := &valueTable{seed: rand.Uint64(), most: len(keys)}
 	tab.reserve(sampleSize)
-	tab.number(vals, make([]uint32, len(vals)))
+	tab.number(keys, make([]uint32, len(keys)))
 	mask := uint64(len(tab.slots) - 1)
 	var displaced uint64
 	for h, id := range tab.slots {
@@ -158,7 +173,7 @@ func TestValueTableResistsChosenCollisions(t *testing.T) {
 			displaced += (uint64(h) - tab.home(math.Float64bits(tab.unique[id-1]))) & mask
 		}
 	}
-	if avg := float64(displaced) / float64(len(vals)); avg > 4 {
+	if avg := float64(displaced) / float64(len(keys)); avg > 4 {
 		t.Errorf("chosen keys sit %.1f slots past home on average, want at most 4", avg)
 	}
 }

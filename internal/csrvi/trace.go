@@ -3,8 +3,12 @@ package csrvi
 import "spmv/internal/core"
 
 // Compute-cost model: CSR-VI adds one indirection (load of val_ind,
-// index into vals_unique) to the CSR iteration.
-const viCompPerNNZ = 4
+// index into vals_unique) to the CSR iteration; the plain codec runs
+// the CSR iteration itself.
+const (
+	viCompPerNNZ    = 4
+	plainCompPerNNZ = 3
+)
 
 // Place implements core.Placer.
 func (m *Matrix) Place(a *core.Arena) {
@@ -16,16 +20,22 @@ func (m *Matrix) Place(a *core.Arena) {
 
 // TraceSpMV implements core.Tracer. The val_ind array is streamed; the
 // vals_unique table is a gather — for applicable matrices it is tiny
-// and lives in L1, which is exactly why the scheme wins.
+// and lives in L1, which is exactly why the scheme wins. Under the
+// plain codec the values are streamed, as in CSR.
 func (c *chunk) TraceSpMV(xBase, yBase uint64, emit core.EmitFunc) {
 	m := c.m
 	if m.rowPtrBase == 0 {
 		panic(core.Usagef("csrvi: TraceSpMV before Place"))
 	}
 	w := int64(m.IndexWidth())
+	comp := uint16(viCompPerNNZ)
+	if w == 0 {
+		comp = plainCompPerNNZ
+	}
 	rp := core.NewStreamCursor(m.rowPtrBase)
 	ci := core.NewStreamCursor(m.colIndBase)
 	vi := core.NewStreamCursor(m.viBase)
+	vs := core.NewStreamCursor(m.uniqBase)
 	yw := core.NewStreamCursor(yBase)
 	uniqueIdx := func(j int32) uint64 {
 		switch {
@@ -41,9 +51,13 @@ func (c *chunk) TraceSpMV(xBase, yBase uint64, emit core.EmitFunc) {
 		rp.Touch(emit, int64(i)*4, 8, false, 2)
 		for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
 			ci.Touch(emit, int64(j)*4, 4, false, 0)
-			vi.Touch(emit, int64(j)*w, int(w), false, 0)
-			emit(core.Access{Addr: m.uniqBase + uniqueIdx(j)*8, Size: 8})
-			emit(core.Access{Addr: xBase + uint64(m.ColInd[j])*8, Size: 8, Comp: viCompPerNNZ})
+			if w == 0 {
+				vs.Touch(emit, int64(j)*8, 8, false, 0)
+			} else {
+				vi.Touch(emit, int64(j)*w, int(w), false, 0)
+				emit(core.Access{Addr: m.uniqBase + uniqueIdx(j)*8, Size: 8})
+			}
+			emit(core.Access{Addr: xBase + uint64(m.ColInd[j])*8, Size: 8, Comp: comp})
 		}
 		yw.Touch(emit, int64(i)*8, 8, true, 0)
 	}

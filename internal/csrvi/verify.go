@@ -3,9 +3,10 @@ package csrvi
 import "spmv/internal/core"
 
 // Verify implements core.Verifier: standard CSR structure checks on
-// RowPtr/ColInd plus the value-indirection invariants — exactly one
-// val_ind array present, one entry per non-zero, and every entry
-// inside vals_unique. O(nnz).
+// RowPtr/ColInd plus the value-codec invariants — under the dictionary
+// codec exactly one val_ind array present, one entry per non-zero, and
+// every entry inside vals_unique; under the plain codec (no val_ind)
+// one stored value per non-zero. O(nnz).
 func (m *Matrix) Verify() error {
 	if m.rows < 0 || m.cols < 0 {
 		return core.Shapef("csrvi: negative dimensions %dx%d", m.rows, m.cols)
@@ -25,8 +26,11 @@ func (m *Matrix) Verify() error {
 			narrays++
 		}
 	}
-	if narrays != 1 && !(narrays == 0 && len(m.ColInd) == 0) {
-		return core.Corruptf("csrvi: %d val_ind arrays present, want exactly one", narrays)
+	if narrays > 1 {
+		return core.Corruptf("csrvi: %d val_ind arrays present, want at most one", narrays)
+	}
+	if narrays == 0 && len(m.Unique) != len(m.ColInd) {
+		return core.Shapef("csrvi: plain codec stores %d values for %d non-zeros", len(m.Unique), len(m.ColInd))
 	}
 	uv := len(m.Unique)
 	switch {

@@ -2,6 +2,7 @@ package csrvi
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"spmv/internal/core"
@@ -47,6 +48,19 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 		m.VI32 = make([]uint32, m.NNZ())
 		if err := m.Verify(); !errors.Is(err, core.ErrCorrupt) {
 			t.Fatalf("got %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("plain codec short of values", func(t *testing.T) {
+		m, err := FromCOO(matgen.RandomUniform(rand.New(rand.NewSource(3)), 40, 40, 4, matgen.Values{}))
+		if err != nil {
+			t.Fatalf("FromCOO: %v", err)
+		}
+		if m.IndexWidth() != 0 {
+			t.Fatalf("all-distinct values built a %d-byte val_ind", m.IndexWidth())
+		}
+		m.Unique = m.Unique[:m.NNZ()-1]
+		if err := m.Verify(); !errors.Is(err, core.ErrShape) {
+			t.Fatalf("got %v, want ErrShape", err)
 		}
 	})
 	t.Run("column out of range", func(t *testing.T) {

@@ -26,7 +26,11 @@
 // inconsistencies against core.ErrShape.
 //
 // Supported formats: csr, csr16, csr-du (incl. RLE streams), csr-vi,
-// csr-du-vi, dcsr.
+// csr-du-vi, dcsr. The csr-vi and csr-du-vi layouts end in a
+// width/val_ind/unique section triple. A width of 0 is the plain value
+// codec, which csr-vi takes where no dictionary pays: an empty val_ind
+// and nnz values, in stream order, in the unique section. Under the
+// csr-du-vi tag such a triple loads as the csr-du matrix it is.
 package matfile
 
 import (
@@ -276,7 +280,7 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		if err != nil {
 			return nil, err
 		}
-		width, vi, uniq, err := readVISections(sr, maxSection, withCRC)
+		width, vi, uniq, err := readVISections(sr, maxSection, withCRC, nnz)
 		if err != nil {
 			return nil, err
 		}
@@ -286,15 +290,13 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		if err != nil {
 			return nil, err
 		}
-		width, vi, uniq, err := readVISections(sr, maxSection, withCRC)
+		width, vi, uniq, err := readVISections(sr, maxSection, withCRC, nnz)
 		if err != nil {
 			return nil, err
 		}
-		if width != 1 && width != 2 && width != 4 {
-			return nil, core.Corruptf("matfile: invalid val_ind width %d", width)
-		}
-		if int64(len(vi)) != nnz*int64(width) {
-			return nil, core.Shapef("matfile: val_ind size %d inconsistent with header nnz %d", len(vi), nnz)
+		if width == 0 {
+			// The plain codec: the csr-du matrix it is.
+			return csrdu.FromRaw(ctl, uniq, int(rows), int(cols), false)
 		}
 		return csrdu.FromRawVI(ctl, width, vi, uniq, int(rows), int(cols))
 	default:
@@ -303,8 +305,11 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 }
 
 // readVISections reads the width/val_ind/unique section triple shared
-// by the csr-vi and csr-du-vi layouts.
-func readVISections(sr *sectionReader, maxSection int64, withCRC bool) (width int, vi []byte, uniq []float64, err error) {
+// by the csr-vi and csr-du-vi layouts and checks it against the
+// header's nnz. Width 1, 2 or 4 is the dictionary codec: one val_ind
+// entry per non-zero. Width 0 is the plain codec: an empty val_ind and
+// a unique section of exactly nnz values, in stream order.
+func readVISections(sr *sectionReader, maxSection int64, withCRC bool, nnz int64) (width int, vi []byte, uniq []float64, err error) {
 	wb, err := sr.section(maxSection, withCRC)
 	if err != nil {
 		return 0, nil, nil, err
@@ -312,15 +317,26 @@ func readVISections(sr *sectionReader, maxSection int64, withCRC bool) (width in
 	if len(wb) != 1 {
 		return 0, nil, nil, core.Shapef("matfile: width section is %d bytes, want 1", len(wb))
 	}
+	width = int(wb[0])
+	if width != 0 && width != 1 && width != 2 && width != 4 {
+		return 0, nil, nil, core.Corruptf("matfile: invalid val_ind width %d", width)
+	}
 	vi, err = sr.section(maxSection, withCRC)
 	if err != nil {
 		return 0, nil, nil, err
+	}
+	if int64(len(vi)) != nnz*int64(width) {
+		return 0, nil, nil, core.Shapef("matfile: val_ind size %d inconsistent with header nnz %d", len(vi), nnz)
 	}
 	uq, err := sr.section(maxSection, withCRC)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	return int(wb[0]), vi, bytesFloat(uq), nil
+	uniq = bytesFloat(uq)
+	if width == 0 && int64(len(uniq)) != nnz {
+		return 0, nil, nil, core.Shapef("matfile: plain codec stores %d values for header nnz %d", len(uniq), nnz)
+	}
+	return width, vi, uniq, nil
 }
 
 func writeSections(w *bufio.Writer, sections ...[]byte) error {
@@ -375,25 +391,19 @@ func rebuildVI(rowPtr, colInd []int32, width int, vi []byte, uniq []float64, row
 	if int64(len(rowPtr)) != rows+1 || int64(len(colInd)) != nnz {
 		return nil, core.Shapef("matfile: section sizes inconsistent with header")
 	}
-	if width != 1 && width != 2 && width != 4 {
-		return nil, core.Corruptf("matfile: invalid val_ind width %d", width)
-	}
-	if int64(len(vi)) != nnz*int64(width) {
-		return nil, core.Shapef("matfile: val_ind size %d inconsistent with header nnz %d", len(vi), nnz)
-	}
 	if err := validRowPtr(rowPtr, nnz); err != nil {
 		return nil, err
 	}
 	c := core.NewCOO(int(rows), int(cols))
 	for i := int64(0); i < rows; i++ {
 		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			var idx int
+			idx := int(k)
 			switch width {
 			case 1:
 				idx = int(vi[k])
 			case 2:
 				idx = int(binary.LittleEndian.Uint16(vi[int(k)*2:]))
-			default:
+			case 4:
 				idx = int(binary.LittleEndian.Uint32(vi[int(k)*4:]))
 			}
 			if idx >= len(uniq) {

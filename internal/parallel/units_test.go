@@ -78,11 +78,14 @@ func checkPanel(t *testing.T, what string, want []float64, mul func(y []float64)
 // the corpus plus a skewed matrix, and holds y bitwise to the serial
 // row-order reference: once with the executor New builds and once cut
 // into units of 8 non-zeros, so that the small matrices also run as
-// many units claimed by several workers.
+// many units claimed by several workers. csr-vi and csr-du-vi must run
+// under both value codecs: the corpus holds matrices whose values a
+// dictionary indexes and matrices whose values it cannot pay for.
 func TestExecutorLattice(t *testing.T) {
 	for _, name := range formats.Names() {
 		t.Run(name, func(t *testing.T) {
 			built := 0
+			widths := map[int]bool{} // val_ind widths built; 0 is the plain codec
 			for _, tc := range latticeCases() {
 				f, err := formats.Build(name, tc.COO)
 				if err != nil {
@@ -92,6 +95,9 @@ func TestExecutorLattice(t *testing.T) {
 					t.Skipf("%s does not split by rows", name)
 				}
 				built++
+				if vi, ok := f.(interface{ IndexWidth() int }); ok {
+					widths[vi.IndexWidth()] = true
+				}
 				ref := rowReference(f, tc.COO)
 				rng := rand.New(rand.NewSource(int64(f.NNZ()) + 1))
 				for _, k := range []int{1, 3, 4, 8} {
@@ -121,6 +127,9 @@ func TestExecutorLattice(t *testing.T) {
 			}
 			if built < 10 {
 				t.Errorf("%s built %d of %d lattice matrices", name, built, len(latticeCases()))
+			}
+			if (name == "csr-vi" || name == "csr-du-vi") && (!widths[0] || len(widths) < 2) {
+				t.Errorf("%s built val_ind widths %v, want the plain codec and a dictionary", name, widths)
 			}
 		})
 	}

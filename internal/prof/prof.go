@@ -43,9 +43,16 @@ type Stream struct {
 // VIProfile is the value-indirection structure of CSR-VI and
 // CSR-DU-VI (§V).
 type VIProfile struct {
-	// UniqueValues is the size of the vals_unique table.
+	// Codec is the value codec the encoder chose: "plain" where no
+	// dictionary is smaller than the values themselves (the matrix then
+	// has its unindexed format's size), otherwise "dictionary u8",
+	// "u16" or "u32".
+	Codec string `json:"codec"`
+	// UniqueValues is the size of the vals_unique table (every value,
+	// under the plain codec).
 	UniqueValues int `json:"unique_values"`
-	// IndexWidth is the val_ind element width in bytes (1, 2 or 4).
+	// IndexWidth is the val_ind element width in bytes: 1, 2 or 4, and
+	// 0 under the plain codec.
 	IndexWidth int `json:"index_width_bytes"`
 	// TTU is the total-to-unique ratio; Applicable is the paper's
 	// ttu > 5 criterion (§VI-E).
@@ -139,6 +146,7 @@ func New(f core.Format) *FormatProfile {
 			{Name: "vals_unique", Bytes: int64(len(m.Unique)) * core.ValSize},
 		}
 		p.VI = &VIProfile{
+			Codec:        csrvi.CodecName(m.IndexWidth()),
 			UniqueValues: len(m.Unique),
 			IndexWidth:   m.IndexWidth(),
 			TTU:          m.TTU(),
@@ -148,10 +156,16 @@ func New(f core.Format) *FormatProfile {
 		p.Streams = []Stream{
 			{Name: "row_ptr", Bytes: int64(len(m.RowPtr)) * core.IdxSize},
 			{Name: "col_ind", Bytes: int64(len(m.ColInd)) * core.IdxSize},
-			{Name: "val_ind", Bytes: m.ValIndBytes()},
-			{Name: "vals_unique", Bytes: int64(len(m.Unique)) * core.ValSize},
+		}
+		if m.IndexWidth() == 0 {
+			p.Streams = append(p.Streams, Stream{Name: "values", Bytes: int64(len(m.Unique)) * core.ValSize})
+		} else {
+			p.Streams = append(p.Streams,
+				Stream{Name: "val_ind", Bytes: m.ValIndBytes()},
+				Stream{Name: "vals_unique", Bytes: int64(len(m.Unique)) * core.ValSize})
 		}
 		p.VI = &VIProfile{
+			Codec:        csrvi.CodecName(m.IndexWidth()),
 			UniqueValues: len(m.Unique),
 			IndexWidth:   m.IndexWidth(),
 			TTU:          m.TTU(),
@@ -196,8 +210,8 @@ func (p *FormatProfile) Fprint(w io.Writer) error {
 			d.RepUnits, d.RepRows, d.Rows, pct(int64(d.RepRows), int64(d.Rows)))
 	}
 	if v := p.VI; v != nil {
-		pw.f("  csr-vi: %d unique values, %d-byte val_ind, ttu %.1f, applicable %v\n",
-			v.UniqueValues, v.IndexWidth, v.TTU, v.Applicable)
+		pw.f("  csr-vi: value codec %s, %d unique values, %d-byte val_ind, ttu %.1f, applicable %v\n",
+			v.Codec, v.UniqueValues, v.IndexWidth, v.TTU, v.Applicable)
 	}
 	if a := p.Attribution; a != nil {
 		pw.f("  measured: %.4g s/iter -> %.2f GB/s over %d predicted bytes\n",

@@ -94,6 +94,10 @@ func TestProfileStructuralLegs(t *testing.T) {
 		t.Errorf("csr-vi profile VI section = %+v, want 64-ish uniques at width 1", p.VI)
 	}
 
+	if p.VI != nil && p.VI.Codec != "dictionary u8" {
+		t.Errorf("csr-vi codec %q, want dictionary u8", p.VI.Codec)
+	}
+
 	dvf, err := formats.Build("csr-du-vi", c)
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +105,44 @@ func TestProfileStructuralLegs(t *testing.T) {
 	p = New(dvf)
 	if p.DU == nil || p.VI == nil {
 		t.Error("csr-du-vi profile missing DU or VI section")
+	}
+}
+
+// TestProfileReportsPlainCodec: on all-distinct values csr-vi keeps the
+// plain codec, and its profile says so — a values stream at CSR's size,
+// codec "plain" beside TTU and Applicable in the JSON and the text.
+func TestProfileReportsPlainCodec(t *testing.T) {
+	c := matgen.Banded(rand.New(rand.NewSource(8)), 2000, 9, 6, matgen.Values{})
+	f, err := formats.Build("csr-vi", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(f)
+	if p.VI == nil || p.VI.Codec != "plain" || p.VI.IndexWidth != 0 || p.VI.Applicable {
+		t.Fatalf("VI section %+v, want the plain codec", p.VI)
+	}
+	if p.MatrixBytes != p.CSRBytes || p.CompressionRatio != 1 {
+		t.Errorf("plain csr-vi is %d bytes, ratio %v; want CSR's %d", p.MatrixBytes, p.CompressionRatio, p.CSRBytes)
+	}
+	names := ""
+	for _, s := range p.Streams {
+		names += s.Name + " "
+	}
+	if names != "row_ptr col_ind values x y " {
+		t.Errorf("streams %q, want CSR's", names)
+	}
+	var js, txt bytes.Buffer
+	if err := p.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Fprint(&txt); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(js.Bytes(), []byte(`"codec": "plain"`)) {
+		t.Errorf("JSON has no plain codec:\n%s", js.Bytes())
+	}
+	if !bytes.Contains(txt.Bytes(), []byte("value codec plain")) {
+		t.Errorf("text has no plain codec:\n%s", txt.Bytes())
 	}
 }
 

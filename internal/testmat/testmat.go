@@ -55,6 +55,21 @@ func Corpus() []Case {
 	return cases
 }
 
+// EncoderCases is the corpus plus scaled-down instances of the
+// benchmark's two generators (SkewedRows, Stencil3D), a 2-D stencil and
+// a matrix whose val_ind is 16 bits: the matrices whose encoded bytes
+// the encoders' tests pin.
+func EncoderCases() []Case {
+	cases := Corpus()
+	rng := rand.New(rand.NewSource(1))
+	return append(cases,
+		Case{Name: "bench-scatter", COO: matgen.SkewedRows(rng, 20000, 8, 0, 0.2, matgen.Values{})},
+		Case{Name: "bench-stencil3d", COO: matgen.Stencil3D(20)},
+		Case{Name: "bench-stencil2d", COO: matgen.Stencil2D(64)},
+		Case{Name: "banded-unique1000", COO: matgen.Banded(rng, 3000, 9, 8, matgen.Values{Unique: 1000})},
+	)
+}
+
 func emptyCOO(r, c int) *core.COO {
 	m := core.NewCOO(r, c)
 	m.Finalize()

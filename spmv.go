@@ -14,7 +14,8 @@
 //     of 1/2/4/8-byte widths, decoded by one branch per unit.
 //   - CSR-VI (value indirection) compresses the numerical data of
 //     matrices with few distinct values: each value becomes a 1/2/4-byte
-//     index into a unique-value table.
+//     index into a unique-value table, wherever that is smaller than
+//     the values themselves; elsewhere the values stay plain.
 //
 // Both trade CPU cycles for bandwidth — a trade that improves as more
 // cores share the memory subsystem, even where the serial kernel gets
@@ -129,7 +130,8 @@ type (
 	// CSRVI is the paper's value-indexed matrix.
 	CSRVI = csrvi.Matrix
 	// CSRDUVI combines CSR-DU index compression with CSR-VI values: a
-	// CSRDU under the dictionary value codec.
+	// CSRDU under the dictionary value codec (csr-du itself where no
+	// dictionary pays).
 	CSRDUVI = csrdu.Matrix
 	// DCSR is the Willcock & Lumsdaine comparator format.
 	DCSR = dcsr.Matrix
@@ -202,7 +204,9 @@ func NewCSRDUParallel(c *COO, o DUOptions, workers int) (*CSRDU, error) {
 }
 
 // NewCSRVI builds the CSR-VI value-indexed format. Worthwhile when the
-// matrix's total-to-unique values ratio exceeds ~5 (use TTU to check).
+// matrix's total-to-unique values ratio exceeds ~5 (use TTU to check);
+// where no dictionary is smaller than the values, the matrix keeps
+// them plain, at CSR's size (IndexWidth 0).
 //
 // Deprecated: use Build with WithFormat("csr-vi"). This constructor
 // remains fully supported and returns the concrete *CSRVI.

@@ -158,6 +158,9 @@ go run ./cmd/spmvlint ./...
 if [ "$FUZZTIME" != "0" ]; then
 	# Each decoder target asserts: if the decoder accepts the input,
 	# the matrix verifies clean and its SpMV matches the reference CSR.
+	# FuzzReadVI holds the csr-vi and csr-du-vi readers to the values
+	# their width/val_ind/unique triple codes for, under both value
+	# codecs, bitwise through every kernel.
 	# FuzzMultiplyBody holds the multiply wire codec to encoding/json:
 	# what it accepts decodes bitwise alike, and what it writes is
 	# byte-identical.
@@ -173,6 +176,7 @@ if [ "$FUZZTIME" != "0" ]; then
 		"spmv/internal/csrdu FuzzFromRaw" \
 		"spmv/internal/dcsr FuzzFromRaw" \
 		"spmv/internal/matfile FuzzRead" \
+		"spmv/internal/matfile FuzzReadVI" \
 		"spmv/internal/mmio FuzzReadStream" \
 		"spmv/internal/core FuzzFinalize" \
 		"spmv/internal/server FuzzServeUpload" \
