@@ -223,18 +223,25 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		if err != nil {
 			return nil, err
 		}
-		rowPtr, values := bytesInt32(rp), bytesFloat(vs)
+		rowPtr, err := bytesInt32(rp)
+		if err != nil {
+			return nil, err
+		}
+		values, err := bytesFloat(vs)
+		if err != nil {
+			return nil, err
+		}
 		var colInd []int32
 		if name == "csr16" {
-			if len(ci)%2 != 0 {
-				return nil, core.Shapef("matfile: csr16 column section size %d is odd", len(ci))
+			if err := wholeElements(ci, 2); err != nil {
+				return nil, err
 			}
 			colInd = make([]int32, len(ci)/2)
 			for i := range colInd {
 				colInd[i] = int32(binary.LittleEndian.Uint16(ci[i*2:]))
 			}
-		} else {
-			colInd = bytesInt32(ci)
+		} else if colInd, err = bytesInt32(ci); err != nil {
+			return nil, err
 		}
 		if int64(len(rowPtr)) != rows+1 || int64(len(colInd)) != nnz || int64(len(values)) != nnz {
 			return nil, core.Shapef("matfile: section sizes inconsistent with header")
@@ -249,7 +256,10 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		if err != nil {
 			return nil, err
 		}
-		values := bytesFloat(vals)
+		values, err := bytesFloat(vals)
+		if err != nil {
+			return nil, err
+		}
 		if int64(len(values)) != nnz {
 			return nil, core.Shapef("matfile: value count %d != header nnz %d", len(values), nnz)
 		}
@@ -266,7 +276,10 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		if err != nil {
 			return nil, err
 		}
-		values := bytesFloat(vals)
+		values, err := bytesFloat(vals)
+		if err != nil {
+			return nil, err
+		}
 		if int64(len(values)) != nnz {
 			return nil, core.Shapef("matfile: value count %d != header nnz %d", len(values), nnz)
 		}
@@ -284,7 +297,15 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		if err != nil {
 			return nil, err
 		}
-		return rebuildVI(bytesInt32(rowPtr), bytesInt32(colInd), width, vi, uniq, rows, cols, nnz)
+		rp, err := bytesInt32(rowPtr)
+		if err != nil {
+			return nil, err
+		}
+		ci, err := bytesInt32(colInd)
+		if err != nil {
+			return nil, err
+		}
+		return rebuildVI(rp, ci, width, vi, uniq, rows, cols, nnz)
 	case "csr-du-vi":
 		ctl, err := sr.section(maxSection, withCRC)
 		if err != nil {
@@ -332,7 +353,9 @@ func readVISections(sr *sectionReader, maxSection int64, withCRC bool, nnz int64
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	uniq = bytesFloat(uq)
+	if uniq, err = bytesFloat(uq); err != nil {
+		return 0, nil, nil, err
+	}
 	if width == 0 && int64(len(uniq)) != nnz {
 		return 0, nil, nil, core.Shapef("matfile: plain codec stores %d values for header nnz %d", len(uniq), nnz)
 	}
@@ -426,12 +449,24 @@ func int32Bytes(s []int32) []byte {
 	return out
 }
 
-func bytesInt32(b []byte) []int32 {
+// wholeElements refuses a section that is not a whole number of
+// size-byte elements: a ragged tail is corruption, never padding.
+func wholeElements(b []byte, size int) error {
+	if len(b)%size != 0 {
+		return core.Corruptf("matfile: section of %d bytes is not a whole number of %d-byte elements", len(b), size)
+	}
+	return nil
+}
+
+func bytesInt32(b []byte) ([]int32, error) {
+	if err := wholeElements(b, 4); err != nil {
+		return nil, err
+	}
 	out := make([]int32, len(b)/4)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
 	}
-	return out
+	return out, nil
 }
 
 func uint16Bytes(s []uint16) []byte {
@@ -450,12 +485,15 @@ func floatBytes(s []float64) []byte {
 	return out
 }
 
-func bytesFloat(b []byte) []float64 {
+func bytesFloat(b []byte) ([]float64, error) {
+	if err := wholeElements(b, 8); err != nil {
+		return nil, err
+	}
 	out := make([]float64, len(b)/8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
-	return out
+	return out, nil
 }
 
 func viBytes(vi8 []uint8, vi16 []uint16, vi32 []uint32) []byte {

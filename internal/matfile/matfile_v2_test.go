@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"spmv/internal/core"
@@ -160,6 +163,75 @@ func corruptionFixtures(t *testing.T) map[string]core.Format {
 	duvi, err := csrdu.FromCOOVI(c, csrdu.Options{})
 	add("csr-du-vi", duvi, err)
 	return out
+}
+
+// TestReadRefusesRaggedSections appends 1-7 stray bytes, under a valid
+// checksum, to every fixed-width section of every tag. Each file must
+// be refused; a section that no longer holds a whole number of its
+// int32, uint16 or float64 elements with core.ErrCorrupt. The ctl and
+// command byte streams have no element width and are left alone.
+func TestReadRefusesRaggedSections(t *testing.T) {
+	// Per section: the element width the reader converts it at (a
+	// ragged tail is ErrCorrupt), -1 for a section whose length the
+	// header fixes (the width byte, val_ind), 0 for a byte stream.
+	layouts := map[string][]int{
+		"csr":        {4, 4, 8},
+		"csr16":      {4, 2, 8},
+		"csr-du":     {0, 8},
+		"csr-du-rle": {0, 8},
+		"dcsr":       {0, 8},
+		"csr-vi":     {4, 4, -1, -1, 8},
+		"csr-du-vi":  {0, -1, -1, 8},
+	}
+	files := map[string][]byte{}
+	for name, f := range corruptionFixtures(t) {
+		var buf bytes.Buffer
+		if err := Write(&buf, f); err != nil {
+			t.Fatalf("%s: Write: %v", name, err)
+		}
+		files[name] = buf.Bytes()
+	}
+	// The plain value codec of both value-coded tags: width 0, an empty
+	// val_ind and nnz values.
+	distinct := viShapes()[0]
+	files["csr-vi/plain"] = viFile(distinct, false, 0, nil, floatBytes(distinct.V))
+	files["csr-du-vi/plain"] = viFile(distinct, true, 0, nil, floatBytes(distinct.V))
+	for name, raw := range files {
+		if _, err := Read(bytes.NewReader(raw)); err != nil {
+			t.Fatalf("%s: the unmodified file is refused: %v", name, err)
+		}
+		tag, _, _ := strings.Cut(name, "/")
+		// The sections start after magic, version, the length-prefixed
+		// name, three dimensions and the header checksum.
+		off := 4 + 1 + 1 + len(tag) + 24 + 4
+		for sec, size := range layouts[tag] {
+			n := int(binary.LittleEndian.Uint64(raw[off:]))
+			body := raw[off+8 : off+8+n]
+			next := off + 8 + n + 4
+			for stray := 1; stray <= 7 && size != 0; stray++ {
+				t.Run(fmt.Sprintf("%s/section%d/+%d", name, sec, stray), func(t *testing.T) {
+					grown := append(append([]byte(nil), body...), make([]byte, stray)...)
+					var mut bytes.Buffer
+					mut.Write(raw[:off])
+					_ = binary.Write(&mut, binary.LittleEndian, int64(len(grown))) // a bytes.Buffer write cannot fail
+					mut.Write(grown)
+					_ = binary.Write(&mut, binary.LittleEndian, crc32.ChecksumIEEE(grown))
+					mut.Write(raw[next:])
+					_, err := Read(bytes.NewReader(mut.Bytes()))
+					if err == nil {
+						t.Fatal("Read accepted the grown section")
+					}
+					if size > 0 && stray%size != 0 && !errors.Is(err, core.ErrCorrupt) {
+						t.Fatalf("got %v, want core.ErrCorrupt", err)
+					}
+				})
+			}
+			off = next
+		}
+		if off != len(raw) {
+			t.Fatalf("%s: the layout covers %d of %d bytes", name, off, len(raw))
+		}
+	}
 }
 
 // TestSingleByteCorruption is the robustness contract of the container:

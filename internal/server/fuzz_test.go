@@ -110,7 +110,8 @@ func FuzzServeUpload(f *testing.F) {
 //
 // The checked-in corpus seeds the float64 edge cases: -0, the smallest
 // subnormal, 1e-7 (encoding/json's e-07 -> e-7 trim), 1e21 (its
-// switch to exponent form) and MaxFloat64.
+// switch to exponent form), MaxFloat64, and halfway points between
+// doubles on both sides of the parser's 19-digit fast path.
 func FuzzMultiplyBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// An accepted body holds exactly one element per comma, plus

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 	"sync"
-
-	"spmv/internal/core"
 )
 
 // The multiply wire codec (DESIGN.md §20). A request body is parsed
@@ -84,16 +81,14 @@ func parseX(b []byte, n int) ([]float64, bodyError) {
 		i++
 	} else {
 		for {
-			j := scanNumber(b, i)
+			// Bitwise the float64 json.Unmarshal would produce.
+			v, j, err := parseNumber(b, i)
 			if j < 0 {
 				return nil, bodyError{off: i, what: "a number"}
 			}
 			if k == n {
 				return nil, bodyError{off: -1, what: "more", cols: n}
 			}
-			// The same conversion encoding/json makes, so x is bitwise
-			// what json.Unmarshal would produce.
-			v, err := strconv.ParseFloat(string(b[i:j]), 64)
 			if err != nil {
 				return nil, bodyError{off: i, what: "a number in float64 range"}
 			}
@@ -131,51 +126,6 @@ func skipWS(b []byte, i int) int {
 	return i
 }
 
-// scanNumber returns the end of the RFC 8259 number starting at b[i],
-// or -1 when none starts there:
-//
-//	-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
-func scanNumber(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
-	default:
-		return -1
-	}
-	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return -1
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := skipDigits(b, i)
-		if j == i {
-			return -1
-		}
-		i = j
-	}
-	return i
-}
-
-// skipDigits returns the index of the first non-digit at or after i.
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
 // appendY appends y's response body, `{"y":[...]}` and a newline, to
 // dst. JSON has no form for NaN or ±Inf: on the first non-finite
 // element appendY stops and returns its row; otherwise the row is -1.
@@ -191,24 +141,4 @@ func appendY(dst []byte, y []float64) ([]byte, int) {
 		dst = appendFloat(dst, v)
 	}
 	return append(dst, "]}\n"...), -1
-}
-
-// appendFloat appends a finite v in encoding/json's float64 form: the
-// shortest 'f' representation, or 'e' when |v| < 1e-6 or |v| >= 1e21,
-// with a two-digit negative exponent trimmed to one digit (e-07 ->
-// e-7).
-func appendFloat(dst []byte, v float64) []byte {
-	abs := math.Abs(v)
-	format := byte('f')
-	if !core.IsZero(abs) && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, v, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
 }

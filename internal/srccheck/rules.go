@@ -180,7 +180,10 @@ func IsRequestPathFunc(name string) bool {
 		"get", "recordWidth",
 		"requestDeadline", "clientID", "acquireClient", "releaseClient",
 		"statusFor", "httpError", "writeVector",
-		"readBody", "parseX", "skipWS", "scanNumber", "skipDigits", "appendY", "appendFloat",
+		"readBody", "parseX", "skipWS", "appendY",
+		"parseNumber", "scanDigits", "divPow10",
+		"appendFloat", "appendShortest", "put8", "rop",
+		"flog10pow2", "flog10ThreeQuartersPow2", "flog2pow10",
 		"Run", "RunCtx", "RunBatch", "RunBatchCtx",
 		"dispatch", "worker", "drain", "ready", "multiply", "once", "twoPhase":
 		return true

@@ -224,7 +224,9 @@ func TestParseAllowlistErrors(t *testing.T) {
 // hot, so the kernel purity rules do not apply to it.
 func TestIsRequestPathFunc(t *testing.T) {
 	path := []string{"(*Server).handleMultiply", "(*Server).writeVector",
-		"readBody", "parseX", "skipWS", "scanNumber", "skipDigits", "appendY", "appendFloat",
+		"readBody", "parseX", "skipWS", "appendY", "parseNumber", "scanDigits", "divPow10",
+		"appendFloat", "appendShortest", "put8", "rop",
+		"flog10pow2", "flog10ThreeQuartersPow2", "flog2pow10",
 		"(*coalescer).enqueue", "(*Executor).RunCtx", "SpMV",
 		"(*pool).ready", "(*pool).multiply", "(*pool).once", "(*pool).twoPhase",
 		"(*pool).dispatch", "(*pool).worker", "zeroRows"}
@@ -239,7 +241,8 @@ func TestIsRequestPathFunc(t *testing.T) {
 			t.Errorf("IsRequestPathFunc(%q) = true, want false", name)
 		}
 	}
-	for _, name := range []string{"readBody", "parseX", "appendY", "appendFloat"} {
+	for _, name := range []string{"readBody", "parseX", "appendY", "parseNumber", "scanDigits",
+		"divPow10", "appendFloat", "appendShortest", "put8", "rop"} {
 		if IsHotFunc(name) {
 			t.Errorf("IsHotFunc(%q) = true, want false: the codec is request-path, not kernel", name)
 		}

@@ -137,6 +137,12 @@ echo "== BenchmarkMultiplyWire smoke"
 # ns/op and allocs/op; measure with -benchtime=2000x -count=5.
 go test -run '^$' -bench '^BenchmarkMultiplyWire$' -benchtime=1x ./internal/server/
 
+echo "== BenchmarkWireCodec smoke"
+# The codec's float64 conversions alone: parse and format 4096
+# NormFloat64 values (the benchmark's x); reports ns/value. Measure
+# with -benchtime=2000x -count=5.
+go test -run '^$' -bench '^BenchmarkWireCodec$' -benchtime=1x ./internal/server/
+
 echo "== server soak (race)"
 # The fault-injection soak under the race detector: sustained
 # overload with injected kernel panics, corrupt uploads and client
@@ -164,6 +170,9 @@ if [ "$FUZZTIME" != "0" ]; then
 	# FuzzMultiplyBody holds the multiply wire codec to encoding/json:
 	# what it accepts decodes bitwise alike, and what it writes is
 	# byte-identical.
+	# FuzzWireFloat holds the codec's number parser to the RFC 8259
+	# grammar plus strconv.ParseFloat (same end, same bits) and its
+	# number formatter to encoding/json's bytes.
 	# FuzzReadStream holds the Matrix Market reader to the
 	# field-splitting parser it replaced: what it accepts, the old
 	# parser accepts with the same entries, bit for bit.
@@ -180,7 +189,8 @@ if [ "$FUZZTIME" != "0" ]; then
 		"spmv/internal/mmio FuzzReadStream" \
 		"spmv/internal/core FuzzFinalize" \
 		"spmv/internal/server FuzzServeUpload" \
-		"spmv/internal/server FuzzMultiplyBody"; do
+		"spmv/internal/server FuzzMultiplyBody" \
+		"spmv/internal/server FuzzWireFloat"; do
 		pkg=${target% *}
 		fn=${target#* }
 		echo "== go test -fuzz=$fn -fuzztime=$FUZZTIME $pkg"
