@@ -75,7 +75,7 @@ func BenchmarkAblationSpMM(b *testing.B) {
 				if k == 1 {
 					m.SpMV(y, x)
 				} else {
-					m.SpMM(y, x, k)
+					m.SpMVBatch(y, x, k)
 				}
 			}
 		})

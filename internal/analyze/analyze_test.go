@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"spmv/internal/core"
+	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrvi"
 	"spmv/internal/matgen"
 )
 
@@ -133,7 +133,7 @@ func TestPredictionsMatchRealEncoders(t *testing.T) {
 				m, _ := csrdu.FromCOO(c)
 				real = float64(m.SizeBytes())
 			case "csr-vi":
-				m, _ := csrvi.FromCOO(c)
+				m, _ := csr.FromCOOVI(c)
 				real = float64(m.SizeBytes())
 			default:
 				continue

@@ -2,10 +2,9 @@ package csr
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"spmv/internal/core"
-	"spmv/internal/partition"
 )
 
 // Matrix16 is CSR with 16-bit column indices: the simple index-reduction
@@ -35,28 +34,27 @@ const MaxCols16 = 1 << 16
 // returns an error if the matrix has too many columns for 16-bit
 // indices or too many non-zeros for 32-bit row pointers.
 func From16(c *core.COO) (*Matrix16, error) {
-	c.Finalize()
 	if c.Cols() > MaxCols16 {
 		return nil, fmt.Errorf("csr: %d columns exceed 16-bit index range", c.Cols())
 	}
-	if c.Len() > math.MaxInt32 {
-		return nil, fmt.Errorf("csr: %d non-zeros exceed 32-bit index range", c.Len())
+	s, err := structure(c, "csr16")
+	if err != nil {
+		return nil, err
 	}
-	m := &Matrix16{
-		rows:   c.Rows(),
-		cols:   c.Cols(),
-		RowPtr: make([]int32, c.Rows()+1),
-		ColInd: make([]uint16, c.Len()),
-		Values: make([]float64, c.Len()),
-	}
-	for k := 0; k < c.Len(); k++ {
-		i, j, v := c.At(k)
-		m.RowPtr[i+1]++
+	m := &Matrix16{rows: s.rows, cols: s.cols, RowPtr: s.RowPtr, ColInd: make([]uint16, len(s.ColInd)), Values: slices.Clone(c.V)}
+	for k, j := range s.ColInd {
 		m.ColInd[k] = uint16(j)
-		m.Values[k] = v
 	}
-	for i := 0; i < c.Rows(); i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
+	return m, nil
+}
+
+// FromRaw16 adopts stored row_ptr, col_ind and value streams as a
+// csr16 matrix, without reordering anything, and returns it once
+// Verify passes.
+func FromRaw16(rowPtr []int32, colInd []uint16, values []float64, rows, cols int) (*Matrix16, error) {
+	m := &Matrix16{rows: rows, cols: cols, RowPtr: rowPtr, ColInd: colInd, Values: values}
+	if err := m.Verify(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -80,25 +78,17 @@ func (m *Matrix16) SizeBytes() int64 {
 
 // SpMV computes y = A*x.
 func (m *Matrix16) SpMV(y, x []float64) {
-	spmvRange(y, x, m.RowPtr, m.ColInd, m.Values, 0, m.rows, false)
+	spmvRange(y, x, m.RowPtr, m.ColInd, m.Values, nil, 0, m.rows, false)
 }
 
 // SpMVAdd computes y += A*x.
 func (m *Matrix16) SpMVAdd(y, x []float64) {
-	spmvRange(y, x, m.RowPtr, m.ColInd, m.Values, 0, m.rows, true)
+	spmvRange(y, x, m.RowPtr, m.ColInd, m.Values, nil, 0, m.rows, true)
 }
 
 // Split implements core.Splitter with nnz-balanced row partitioning.
 func (m *Matrix16) Split(n int) []core.Chunk {
-	bounds := partition.SplitRowsByNNZ(m.RowPtr, n)
-	var chunks []core.Chunk
-	for i := 0; i+1 < len(bounds); i++ {
-		if bounds[i] == bounds[i+1] {
-			continue
-		}
-		chunks = append(chunks, &chunk16{m: m, lo: bounds[i], hi: bounds[i+1]})
-	}
-	return chunks
+	return splitRows(m.RowPtr, n, func(lo, hi int) core.Chunk { return &chunk16{m: m, lo: lo, hi: hi} })
 }
 
 // Place implements core.Placer.
@@ -118,7 +108,7 @@ var _ core.Tracer = (*chunk16)(nil)
 func (c *chunk16) RowRange() (int, int) { return c.lo, c.hi }
 func (c *chunk16) NNZ() int             { return int(c.m.RowPtr[c.hi] - c.m.RowPtr[c.lo]) }
 func (c *chunk16) SpMV(y, x []float64) {
-	spmvRange(y, x, c.m.RowPtr, c.m.ColInd, c.m.Values, c.lo, c.hi, false)
+	spmvRange(y, x, c.m.RowPtr, c.m.ColInd, c.m.Values, nil, c.lo, c.hi, false)
 }
 
 // TraceSpMV implements core.Tracer.

@@ -81,7 +81,7 @@ func TestCSR32RoundsValues(t *testing.T) {
 	c.Add(0, 0, 1+1e-12) // not representable in float32
 	c.Finalize()
 	m, _ := From32(c)
-	if m.Values[0] != 1.0 {
-		t.Errorf("value = %v, want rounded to 1", m.Values[0])
+	if m.Values32[0] != 1.0 {
+		t.Errorf("value = %v, want rounded to 1", m.Values32[0])
 	}
 }

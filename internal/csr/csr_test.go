@@ -136,19 +136,6 @@ func TestChunkSpMVDoesNotTouchOtherRows(t *testing.T) {
 	}
 }
 
-func TestRowNNZ(t *testing.T) {
-	c := core.NewCOO(3, 3)
-	c.Add(0, 0, 1)
-	c.Add(0, 2, 1)
-	c.Add(2, 1, 1)
-	m, _ := FromCOO(c)
-	for i, want := range []int{2, 0, 1} {
-		if got := m.RowNNZ(i); got != want {
-			t.Errorf("RowNNZ(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestTraceStreamsAreCoalesced(t *testing.T) {
 	c := matgen.Stencil2D(12)
 	m, _ := FromCOO(c)

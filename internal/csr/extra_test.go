@@ -49,7 +49,7 @@ func TestSpMMInPackage(t *testing.T) {
 	k := 4
 	x := testmat.RandVec(rng, m.Cols()*k)
 	y := make([]float64, m.Rows()*k)
-	m.SpMM(y, x, k)
+	m.SpMVBatch(y, x, k)
 	for col := 0; col < k; col++ {
 		xc := make([]float64, m.Cols())
 		for j := range xc {
@@ -61,22 +61,6 @@ func TestSpMMInPackage(t *testing.T) {
 			if diff := y[i*k+col] - want[i]; diff > 1e-12 || diff < -1e-12 {
 				t.Fatalf("col %d row %d: %v vs %v", col, i, y[i*k+col], want[i])
 			}
-		}
-	}
-}
-
-func TestSpMVTInPackage(t *testing.T) {
-	c := core.NewCOO(2, 3)
-	c.Add(0, 0, 1)
-	c.Add(0, 2, 2)
-	c.Add(1, 1, 3)
-	m, _ := FromCOO(c)
-	y := make([]float64, 3)
-	m.SpMVT(y, []float64{2, 5})
-	want := []float64{2, 15, 4}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Errorf("SpMVT = %v, want %v", y, want)
 		}
 	}
 }

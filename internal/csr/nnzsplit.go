@@ -101,35 +101,19 @@ func (c *nnzChunk) RowRange() (int, int) {
 }
 
 // SpMVPartial implements core.NNZChunk. Fully-owned rows run the same
-// BCE-friendly range kernel as row partitioning; the at-most-two
-// boundary pieces accumulate into the chunk's private partial slots.
+// row walk as row partitioning; the at-most-two boundary pieces run it
+// too, as one-row ranges over their share of the row, into the chunk's
+// private partial slots.
 func (c *nnzChunk) SpMVPartial(y, x, partial []float64) {
 	partial[0] = 0
 	partial[1] = 0
 	m := c.m
 	if c.head >= 0 {
-		end := int(m.RowPtr[c.head+1])
-		if end > c.khi {
-			end = c.khi
-		}
-		partial[0] = dotRange(x, m.ColInd, m.Values, c.klo, end)
+		end := min(m.RowPtr[c.head+1], int32(c.khi))
+		m.spmv(partial[:1], x, []int32{int32(c.klo), end}, 0, 1, 1, false)
 	}
-	spmvRange(y, x, m.RowPtr, m.ColInd, m.Values, c.fullLo, c.fullHi, false)
+	m.spmv(y, x, m.RowPtr, c.fullLo, c.fullHi, 1, false)
 	if c.tail >= 0 && c.tail != c.head {
-		partial[1] = dotRange(x, m.ColInd, m.Values, int(m.RowPtr[c.tail]), c.khi)
+		m.spmv(partial[1:2], x, []int32{m.RowPtr[c.tail], int32(c.khi)}, 0, 1, 1, false)
 	}
-}
-
-// dotRange computes the partial row sum over stored non-zeros [lo, hi):
-// the privatized piece of a split row. Both streams are subsliced once,
-// so the per-nnz bounds checks fold into the x gather.
-func dotRange(x []float64, colInd []int32, values []float64, lo, hi int) float64 {
-	vals := values[lo:hi]
-	cols := colInd[lo:hi]
-	cols = cols[:len(vals)]
-	sum := 0.0
-	for k, v := range vals {
-		sum += v * x[cols[k]]
-	}
-	return sum
 }

@@ -7,7 +7,6 @@ import (
 
 	"spmv/internal/core"
 	"spmv/internal/csr"
-	"spmv/internal/csrvi"
 	"spmv/internal/matgen"
 	"spmv/internal/parallel"
 )
@@ -25,7 +24,7 @@ func TestBadRowPointerTrapsAsCorrupt(t *testing.T) {
 		{"csr", func() (core.Format, []int32) { m, _ := csr.FromCOO(c); return m, m.RowPtr }},
 		{"csr16", func() (core.Format, []int32) { m, _ := csr.From16(c); return m, m.RowPtr }},
 		{"csr32", func() (core.Format, []int32) { m, _ := csr.From32(c); return m, m.RowPtr }},
-		{"csr-vi", func() (core.Format, []int32) { m, _ := csrvi.FromCOO(c); return m, m.RowPtr }},
+		{"csr-vi", func() (core.Format, []int32) { m, _ := csr.FromCOOVI(c); return m, m.RowPtr }},
 	}
 	mutations := []struct {
 		name   string

@@ -6,7 +6,6 @@ import (
 
 	"spmv/internal/core"
 	"spmv/internal/csr"
-	"spmv/internal/csrvi"
 )
 
 // unitShape describes a matrix whose every row encodes to exactly one
@@ -104,7 +103,7 @@ func BenchmarkUnitShapes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		vi, err := csrvi.FromCOO(c)
+		vi, err := csr.FromCOOVI(c)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func TestCodecNeverCostsMoreBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vi, err := csrvi.FromCOO(tc.COO.Clone())
+		vi, err := csr.FromCOOVI(tc.COO.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestCodecAtBreakEven(t *testing.T) {
 			if got := csrvi.Pays(tc.unique, tc.nnz); got != (tc.width != 0) {
 				t.Fatalf("Pays = %v", got)
 			}
-			vi, err := csrvi.FromCOO(c.Clone())
+			vi, err := csr.FromCOOVI(c.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}

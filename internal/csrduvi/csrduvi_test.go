@@ -10,8 +10,8 @@ import (
 	"testing"
 
 	"spmv/internal/core"
+	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrvi"
 	"spmv/internal/matgen"
 	"spmv/internal/testmat"
 )
@@ -38,7 +38,7 @@ func TestSmallerThanBothParentsOnStencil(t *testing.T) {
 		t.Fatal(err)
 	}
 	du, _ := csrdu.FromCOO(c)
-	vi, _ := csrvi.FromCOO(c)
+	vi, _ := csr.FromCOOVI(c)
 	if duvi.SizeBytes() >= du.SizeBytes() {
 		t.Errorf("duvi %d >= du %d", duvi.SizeBytes(), du.SizeBytes())
 	}

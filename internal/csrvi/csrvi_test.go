@@ -1,4 +1,4 @@
-package csrvi
+package csrvi_test
 
 import (
 	"math"
@@ -12,7 +12,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	testmat.CheckFormat(t, func(c *core.COO) (core.Format, error) { return FromCOO(c) })
+	testmat.CheckFormat(t, func(c *core.COO) (core.Format, error) { return csr.FromCOOVI(c) })
 }
 
 // TestFig4Example checks the value-indexing structure against the
@@ -36,7 +36,7 @@ func TestFig4Example(t *testing.T) {
 			}
 		}
 	}
-	m, err := FromCOO(c)
+	m, err := csr.FromCOOVI(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestIndexWidthSelection(t *testing.T) {
 		{200, 65536, 2},
 		{200, 65537, 4},
 	} {
-		m, err := FromCOO(cycled(tc.rows, tc.unique))
+		m, err := csr.FromCOOVI(cycled(tc.rows, tc.unique))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestIndexWidthSelection(t *testing.T) {
 func TestSizeBytesFormulaAndReduction(t *testing.T) {
 	// Stencil matrix: 2 unique values, ttu huge -> big reduction.
 	c := matgen.Stencil2D(40)
-	m, _ := FromCOO(c)
+	m, _ := csr.FromCOOVI(c)
 	ref, _ := csr.FromCOO(c)
 	want := int64(m.Rows()+1)*4 + int64(m.NNZ())*4 + int64(m.NNZ())*1 + int64(len(m.Unique))*8
 	if m.SizeBytes() != want {
@@ -119,7 +119,7 @@ func TestSizeBytesFormulaAndReduction(t *testing.T) {
 func TestNotApplicableOnRandomValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := matgen.RandomUniform(rng, 300, 300, 6, matgen.Values{})
-	m, _ := FromCOO(c)
+	m, _ := csr.FromCOOVI(c)
 	ref, _ := csr.FromCOO(c)
 	if m.Applicable() {
 		t.Errorf("all-distinct values reported applicable (ttu=%v)", m.TTU())
@@ -136,7 +136,7 @@ func TestSignedZerosDistinct(t *testing.T) {
 		c.Add(0, j, math.Copysign(0, float64(j%2)-0.5))
 	}
 	c.Finalize()
-	m, _ := FromCOO(c)
+	m, _ := csr.FromCOOVI(c)
 	if len(m.Unique) != 2 || m.IndexWidth() != 1 {
 		t.Errorf("expected +0 and -0 distinct in a dictionary, got %d unique at width %d",
 			len(m.Unique), m.IndexWidth())
@@ -146,7 +146,7 @@ func TestSignedZerosDistinct(t *testing.T) {
 func TestTTUEmptyMatrix(t *testing.T) {
 	c := core.NewCOO(3, 3)
 	c.Finalize()
-	m, _ := FromCOO(c)
+	m, _ := csr.FromCOOVI(c)
 	if m.TTU() != 0 || m.Applicable() {
 		t.Errorf("empty matrix: TTU=%v Applicable=%v", m.TTU(), m.Applicable())
 	}
@@ -156,7 +156,7 @@ func TestSpMVAllWidthsMatchCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, unique := range []int{3, 200, 300, 70000} {
 		c := matgen.RandomUniform(rng, 200, 500, 9, matgen.Values{Unique: unique})
-		m, _ := FromCOO(c)
+		m, _ := csr.FromCOOVI(c)
 		ref, _ := csr.FromCOO(c)
 		x := testmat.RandVec(rng, 500)
 		y1 := make([]float64, 200)
@@ -169,15 +169,21 @@ func TestSpMVAllWidthsMatchCSR(t *testing.T) {
 
 func TestTraceEmitsUniqueGathers(t *testing.T) {
 	c := matgen.Stencil2D(10)
-	m, _ := FromCOO(c)
+	m, _ := csr.FromCOOVI(c)
 	a := core.NewArena()
 	m.Place(a)
 	xBase := a.Alloc(int64(m.Cols()) * 8)
 	yBase := a.Alloc(int64(m.Rows()) * 8)
+	// Place lays out row_ptr, col_ind, val_ind and then the table.
+	layout := core.NewArena()
+	layout.Alloc(int64(len(m.RowPtr)) * 4)
+	layout.Alloc(int64(len(m.ColInd)) * 4)
+	layout.Alloc(m.ValIndBytes())
+	uniqBase := layout.Alloc(int64(len(m.Unique)) * 8)
 	var uniqueHits int
 	for _, ch := range m.Split(2) {
 		ch.(core.Tracer).TraceSpMV(xBase, yBase, func(acc core.Access) {
-			if acc.Addr >= m.uniqBase && acc.Addr < m.uniqBase+uint64(len(m.Unique))*8 {
+			if acc.Addr >= uniqBase && acc.Addr < uniqBase+uint64(len(m.Unique))*8 {
 				uniqueHits++
 			}
 		})
@@ -188,7 +194,7 @@ func TestTraceEmitsUniqueGathers(t *testing.T) {
 }
 
 func BenchmarkSpMVStencilVI(b *testing.B) {
-	m, _ := FromCOO(matgen.Stencil2D(128))
+	m, _ := csr.FromCOOVI(matgen.Stencil2D(128))
 	x := make([]float64, m.Cols())
 	y := make([]float64, m.Rows())
 	for i := range x {

@@ -1,9 +1,10 @@
-package csrvi
+package csrvi_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"spmv/internal/csr"
 	"spmv/internal/matgen"
 	"spmv/internal/testmat"
 )
@@ -26,7 +27,7 @@ func TestKernelsBitwiseOnCorpus(t *testing.T) {
 	widths := map[int]bool{}
 	for _, tc := range cases {
 		t.Run(tc.Name, func(t *testing.T) {
-			m, err := FromCOO(tc.COO)
+			m, err := csr.FromCOOVI(tc.COO)
 			if err != nil {
 				t.Fatal(err)
 			}

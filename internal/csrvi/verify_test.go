@@ -1,4 +1,4 @@
-package csrvi
+package csrvi_test
 
 import (
 	"errors"
@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"spmv/internal/core"
+	"spmv/internal/csr"
 	"spmv/internal/matgen"
 )
 
 func TestVerifyClean(t *testing.T) {
-	m, err := FromCOO(matgen.Stencil2D(5))
+	m, err := csr.FromCOOVI(matgen.Stencil2D(5))
 	if err != nil {
 		t.Fatalf("FromCOO: %v", err)
 	}
@@ -20,9 +21,9 @@ func TestVerifyClean(t *testing.T) {
 }
 
 func TestVerifyDetectsCorruption(t *testing.T) {
-	build := func(t *testing.T) *Matrix {
+	build := func(t *testing.T) *csr.Matrix {
 		t.Helper()
-		m, err := FromCOO(matgen.Stencil2D(5))
+		m, err := csr.FromCOOVI(matgen.Stencil2D(5))
 		if err != nil {
 			t.Fatalf("FromCOO: %v", err)
 		}
@@ -51,7 +52,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("plain codec short of values", func(t *testing.T) {
-		m, err := FromCOO(matgen.RandomUniform(rand.New(rand.NewSource(3)), 40, 40, 4, matgen.Values{}))
+		m, err := csr.FromCOOVI(matgen.RandomUniform(rand.New(rand.NewSource(3)), 40, 40, 4, matgen.Values{}))
 		if err != nil {
 			t.Fatalf("FromCOO: %v", err)
 		}

@@ -11,7 +11,6 @@ import (
 	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrvi"
 	"spmv/internal/dcsr"
 	"spmv/internal/ell"
 	"spmv/internal/sym"
@@ -81,7 +80,7 @@ func BuildOpts(name string, c *core.COO, du csrdu.Options) (core.Format, error) 
 	case "csr-du":
 		return csrdu.FromCOOOpts(c, du)
 	case "csr-vi":
-		return csrvi.FromCOO(c)
+		return csr.FromCOOVI(c)
 	case "csr-du-vi":
 		return csrdu.FromCOOVI(c, du)
 	case "dcsr":

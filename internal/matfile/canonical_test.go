@@ -1,0 +1,186 @@
+package matfile
+
+import (
+	"bytes"
+	"sort"
+	"strings"
+	"testing"
+
+	"spmv/internal/core"
+	"spmv/internal/csr"
+	"spmv/internal/csrvi"
+	"spmv/internal/testmat"
+)
+
+// A csr-vi file whose u8 dictionary does not pay — every value
+// distinct, as writers made them before the encoder kept such values
+// plain — loads with the dictionary it stores and writes back the same
+// bytes. Rebuilding the matrix from triplets would re-encode it to the
+// plain codec.
+func TestLoadKeepsStoredDictionary(t *testing.T) {
+	c := viShapes()[0] // distinct values
+	nnz := c.Len()
+	if nnz > 256 || csrvi.Pays(nnz, nnz) {
+		t.Fatalf("fixture: %d distinct values must fit u8 ids and not pay", nnz)
+	}
+	ids := make([]byte, nnz)
+	for k := range ids {
+		ids[k] = byte(k)
+	}
+	b := viFile(c, false, 1, ids, floatBytes(c.V))
+	g, err := Read(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := g.(interface{ IndexWidth() int }).IndexWidth(); w != 1 {
+		t.Errorf("loaded val_ind width %d, want the stored 1", w)
+	}
+	var out bytes.Buffer
+	if err := Write(&out, g); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), b) {
+		t.Errorf("Write(Read(b)) is %d bytes unlike the %d read", out.Len(), len(b))
+	}
+}
+
+// batch16 drives a csr16 matrix, which has no panel kernel, through
+// CheckBitwise: a panel runs the row walk once per column, on the whole
+// matrix and on each chunk.
+type batch16 struct{ *csr.Matrix16 }
+
+func (m batch16) SpMVBatch(y, x []float64, k int) { core.BatchFallback(m.Matrix16, y, x, k) }
+
+func (m batch16) Split(n int) []core.Chunk {
+	var out []core.Chunk
+	for _, ch := range m.Matrix16.Split(n) {
+		out = append(out, chunk16{ch, m.Cols()})
+	}
+	return out
+}
+
+type chunk16 struct {
+	core.Chunk
+	cols int
+}
+
+func (c chunk16) SpMVBatch(y, x []float64, k int) {
+	lo, hi := c.RowRange()
+	xc, yc := make([]float64, c.cols), make([]float64, hi)
+	for col := 0; col < k; col++ {
+		for j := range xc {
+			xc[j] = x[j*k+col]
+		}
+		c.SpMV(yc, xc)
+		for i := lo; i < hi; i++ {
+			y[i*k+col] = yc[i]
+		}
+	}
+}
+
+// canonicalSeeds returns one v2 file of each CSR tag and value codec:
+// csr, csr16, csr-vi plain and csr-vi at val_ind widths 1, 2 and 4,
+// with their sections.
+func canonicalSeeds(t testing.TB) map[string][][]byte {
+	shapes := viShapes()
+	distinct, repeated := shapes[0], shapes[1]
+	m, err := csr.FromCOO(distinct.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m16, err := csr.From16(distinct.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vi, err := csr.FromCOOVI(repeated.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint32, vi.NNZ())
+	for k := range ids {
+		ids[k] = uint32(vi.VI8[k])
+	}
+	seeds := map[string][][]byte{
+		"csr":      {int32Bytes(m.RowPtr), int32Bytes(m.ColInd), floatBytes(m.Values)},
+		"csr16":    {int32Bytes(m16.RowPtr), uint16Bytes(m16.ColInd), floatBytes(m16.Values)},
+		"csr-vi/0": {int32Bytes(m.RowPtr), int32Bytes(m.ColInd), {0}, {}, floatBytes(m.Values)},
+	}
+	for _, w := range []int{1, 2, 4} {
+		vi8, vi16, vi32 := csrvi.Narrow(ids, w)
+		seeds["csr-vi/"+string(rune('0'+w))] = [][]byte{int32Bytes(vi.RowPtr), int32Bytes(vi.ColInd),
+			{byte(w)}, viBytes(vi8, vi16, vi32), floatBytes(vi.Unique)}
+	}
+	return seeds
+}
+
+// FuzzCanonical holds the readers of the CSR tags (csr, csr16, csr-vi)
+// to two promises about every version-2 file Read accepts: the loaded
+// matrix writes back byte for byte, and it multiplies — scalar and
+// panel, whole and chunk by chunk — bitwise like testmat.Reference over
+// the non-zeros in the order the file stores them. A seed file of each
+// tag and codec with one stray byte appended to one section must be
+// refused.
+func FuzzCanonical(f *testing.F) {
+	shapes := viShapes()
+	seeds := canonicalSeeds(f)
+	keys := make([]string, 0, len(seeds))
+	for key := range seeds {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		sections := seeds[key]
+		name, c := key, shapes[0]
+		if strings.HasPrefix(key, "csr-vi") {
+			name = "csr-vi"
+			if key != "csr-vi/0" {
+				c = shapes[1]
+			}
+		}
+		f.Add(containerFile(name, c.Rows(), c.Cols(), c.Len(), sections...))
+		for i := range sections {
+			stray := append([][]byte(nil), sections...)
+			stray[i] = append(append([]byte(nil), stray[i]...), 0)
+			b := containerFile(name, c.Rows(), c.Cols(), c.Len(), stray...)
+			if _, err := Read(bytes.NewReader(b)); err == nil {
+				f.Fatalf("%s: a stray byte in section %d was accepted", key, i)
+			}
+			f.Add(b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 || data[4] != 2 {
+			return
+		}
+		g, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		switch g.Name() {
+		case "csr", "csr16", "csr-vi":
+		default:
+			return
+		}
+		var out bytes.Buffer
+		if err := Write(&out, g); err != nil {
+			t.Fatalf("Write of a loaded %s: %v", g.Name(), err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("%s: Write(Read(b)) differs from b", g.Name())
+		}
+		switch m := g.(type) {
+		case *csr.Matrix:
+			testmat.CheckBitwise(t, m, 4, testmat.Reference(m), 1, 3, 4, 8)
+		case *csr.Matrix16:
+			cols := make([]int32, len(m.ColInd))
+			for k, j := range m.ColInd {
+				cols[k] = int32(j)
+			}
+			ref, err := csr.FromRaw("csr", m.RowPtr, cols, 0, nil, m.Values, m.Rows(), m.Cols())
+			if err != nil {
+				t.Fatal(err)
+			}
+			testmat.CheckBitwise(t, batch16{m}, 4, testmat.Reference(ref), 1, 3, 4, 8)
+		}
+	})
+}

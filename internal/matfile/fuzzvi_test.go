@@ -51,10 +51,16 @@ func viFile(c *core.COO, duvi bool, width byte, vi, unique []byte) []byte {
 		}
 		structure = [][]byte{int32Bytes(m.RowPtr), int32Bytes(m.ColInd)}
 	}
+	return containerFile(name, c.Rows(), c.Cols(), c.Len(), append(structure, []byte{width}, vi, unique)...)
+}
+
+// containerFile is the v2 container of a matrix named name with the
+// given header dimensions and sections, checksums and all.
+func containerFile(name string, rows, cols, nnz int, sections ...[]byte) []byte {
 	var hdr bytes.Buffer
 	hdr.WriteByte(byte(len(name)))
 	hdr.WriteString(name)
-	for _, v := range []int64{int64(c.Rows()), int64(c.Cols()), int64(c.Len())} {
+	for _, v := range []int64{int64(rows), int64(cols), int64(nnz)} {
 		_ = binary.Write(&hdr, binary.LittleEndian, v) // a bytes.Buffer write cannot fail
 	}
 	var out bytes.Buffer
@@ -63,7 +69,7 @@ func viFile(c *core.COO, duvi bool, width byte, vi, unique []byte) []byte {
 	out.Write(hdr.Bytes())
 	_ = binary.Write(&out, binary.LittleEndian, crc32.ChecksumIEEE(hdr.Bytes()))
 	bw := bufio.NewWriter(&out)
-	if err := writeSections(bw, append(structure, []byte{width}, vi, unique)...); err != nil {
+	if err := writeSections(bw, sections...); err != nil {
 		panic(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -87,7 +93,7 @@ func FuzzReadVI(f *testing.F) {
 	distinct, repeated := shapes[0], shapes[1]
 	for _, duvi := range []bool{false, true} {
 		f.Add(duvi, uint8(0), uint8(0), []byte{}, floatBytes(distinct.V))
-		m, err := csrvi.FromCOO(repeated.Clone())
+		m, err := csr.FromCOOVI(repeated.Clone())
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"spmv/internal/core"
+	"spmv/internal/csr"
 	"spmv/internal/csrdu"
 	"spmv/internal/csrvi"
 	"spmv/internal/mmio"
@@ -89,7 +90,7 @@ func encodedDigest(t *testing.T, c *core.COO) string {
 			t.Fatal(err)
 		}
 	}
-	vi, err := csrvi.FromCOO(c.Clone())
+	vi, err := csr.FromCOOVI(c.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,6 @@ import (
 	"spmv/internal/core"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrvi"
 	"spmv/internal/dcsr"
 )
 
@@ -85,7 +84,15 @@ func Write(w io.Writer, f core.Format) error {
 	var err error
 	switch m := f.(type) {
 	case *csr.Matrix:
-		err = writeSections(bw, int32Bytes(m.RowPtr), int32Bytes(m.ColInd), floatBytes(m.Values))
+		switch name {
+		case "csr":
+			err = writeSections(bw, int32Bytes(m.RowPtr), int32Bytes(m.ColInd), floatBytes(m.Values))
+		case "csr-vi":
+			err = writeSections(bw, int32Bytes(m.RowPtr), int32Bytes(m.ColInd),
+				[]byte{byte(m.IndexWidth())}, viBytes(m.VI8, m.VI16, m.VI32), floatBytes(m.Unique))
+		default:
+			return fmt.Errorf("matfile: unsupported format %q", name)
+		}
 	case *csr.Matrix16:
 		err = writeSections(bw, int32Bytes(m.RowPtr), uint16Bytes(m.ColInd), floatBytes(m.Values))
 	case *csrdu.Matrix:
@@ -97,9 +104,6 @@ func Write(w io.Writer, f core.Format) error {
 		}
 	case *dcsr.Matrix:
 		err = writeSections(bw, m.Cmds, floatBytes(m.Values))
-	case *csrvi.Matrix:
-		err = writeSections(bw, int32Bytes(m.RowPtr), int32Bytes(m.ColInd),
-			[]byte{byte(m.IndexWidth())}, viBytes(m.VI8, m.VI16, m.VI32), floatBytes(m.Unique))
 	default:
 		return fmt.Errorf("matfile: unsupported format %q", name)
 	}
@@ -191,10 +195,10 @@ func readAll(r io.Reader, total int64) (core.Format, error) {
 	// 8 bytes per nnz); cap allocations so corrupt lengths fail cleanly
 	// instead of exhausting memory.
 	maxSection := (nnz+rows+cols+2)*8 + 1024
-	// The container stores raw streams; rebuilding through triplets or a
-	// validating FromRaw revalidates all invariants at O(nnz) cost, which
-	// the encoders' construction already pays. That keeps the reader
-	// immune to malformed ctl/command streams.
+	// The container stores raw streams, and each format adopts them as
+	// stored through a validating FromRaw that checks all invariants at
+	// O(nnz) cost, which the encoders' construction already pays. That
+	// keeps the reader immune to malformed index, ctl and command streams.
 	f, err := readBody(sr, name, rows, cols, nnz, maxSection, withCRC)
 	if err != nil {
 		return nil, err
@@ -210,7 +214,7 @@ func readAll(r io.Reader, total int64) (core.Format, error) {
 
 func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64, withCRC bool) (core.Format, error) {
 	switch name {
-	case "csr", "csr16":
+	case "csr", "csr16", "csr-vi":
 		rp, err := sr.section(maxSection, withCRC)
 		if err != nil {
 			return nil, err
@@ -219,7 +223,16 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		if err != nil {
 			return nil, err
 		}
-		vs, err := sr.section(maxSection, withCRC)
+		// csr and csr16 store one values section; csr-vi the
+		// width/val_ind/unique triple.
+		var width int
+		var vi []byte
+		var values []float64
+		if name == "csr-vi" {
+			width, vi, values, err = readVISections(sr, maxSection, withCRC, nnz)
+		} else {
+			values, err = readValues(sr, maxSection, withCRC, nnz)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -227,41 +240,36 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		if err != nil {
 			return nil, err
 		}
-		values, err := bytesFloat(vs)
+		colBytes := int64(4)
+		if name == "csr16" {
+			colBytes = 2
+		}
+		if err := wholeElements(ci, int(colBytes)); err != nil {
+			return nil, err
+		}
+		if int64(len(rowPtr)) != rows+1 || int64(len(ci)) != colBytes*nnz {
+			return nil, core.Shapef("matfile: section sizes inconsistent with header")
+		}
+		if name == "csr16" {
+			colInd := make([]uint16, nnz)
+			for i := range colInd {
+				colInd[i] = binary.LittleEndian.Uint16(ci[i*2:])
+			}
+			return csr.FromRaw16(rowPtr, colInd, values, int(rows), int(cols))
+		}
+		colInd, err := bytesInt32(ci)
 		if err != nil {
 			return nil, err
 		}
-		var colInd []int32
-		if name == "csr16" {
-			if err := wholeElements(ci, 2); err != nil {
-				return nil, err
-			}
-			colInd = make([]int32, len(ci)/2)
-			for i := range colInd {
-				colInd[i] = int32(binary.LittleEndian.Uint16(ci[i*2:]))
-			}
-		} else if colInd, err = bytesInt32(ci); err != nil {
-			return nil, err
-		}
-		if int64(len(rowPtr)) != rows+1 || int64(len(colInd)) != nnz || int64(len(values)) != nnz {
-			return nil, core.Shapef("matfile: section sizes inconsistent with header")
-		}
-		return rebuildCSR(colInd, rowPtr, values, rows, cols, name == "csr16")
+		return csr.FromRaw(name, rowPtr, colInd, width, vi, values, int(rows), int(cols))
 	case "csr-du", "csr-du-rle":
 		ctl, err := sr.section(maxSection, withCRC)
 		if err != nil {
 			return nil, err
 		}
-		vals, err := sr.section(maxSection, withCRC)
+		values, err := readValues(sr, maxSection, withCRC, nnz)
 		if err != nil {
 			return nil, err
-		}
-		values, err := bytesFloat(vals)
-		if err != nil {
-			return nil, err
-		}
-		if int64(len(values)) != nnz {
-			return nil, core.Shapef("matfile: value count %d != header nnz %d", len(values), nnz)
 		}
 		// The tag, not the stream, says whether the encoder ran with RLE:
 		// a csr-du-rle matrix whose rows are all shorter than RLEMin
@@ -272,40 +280,11 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		if err != nil {
 			return nil, err
 		}
-		vals, err := sr.section(maxSection, withCRC)
+		values, err := readValues(sr, maxSection, withCRC, nnz)
 		if err != nil {
 			return nil, err
-		}
-		values, err := bytesFloat(vals)
-		if err != nil {
-			return nil, err
-		}
-		if int64(len(values)) != nnz {
-			return nil, core.Shapef("matfile: value count %d != header nnz %d", len(values), nnz)
 		}
 		return dcsr.FromRaw(cmds, values, int(rows), int(cols))
-	case "csr-vi":
-		rowPtr, err := sr.section(maxSection, withCRC)
-		if err != nil {
-			return nil, err
-		}
-		colInd, err := sr.section(maxSection, withCRC)
-		if err != nil {
-			return nil, err
-		}
-		width, vi, uniq, err := readVISections(sr, maxSection, withCRC, nnz)
-		if err != nil {
-			return nil, err
-		}
-		rp, err := bytesInt32(rowPtr)
-		if err != nil {
-			return nil, err
-		}
-		ci, err := bytesInt32(colInd)
-		if err != nil {
-			return nil, err
-		}
-		return rebuildVI(rp, ci, width, vi, uniq, rows, cols, nnz)
 	case "csr-du-vi":
 		ctl, err := sr.section(maxSection, withCRC)
 		if err != nil {
@@ -323,6 +302,19 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 	default:
 		return nil, fmt.Errorf("matfile: unsupported format %q", name)
 	}
+}
+
+// readValues reads a float64 value section of exactly nnz values.
+func readValues(sr *sectionReader, maxSection int64, withCRC bool, nnz int64) ([]float64, error) {
+	vs, err := sr.section(maxSection, withCRC)
+	if err != nil {
+		return nil, err
+	}
+	values, err := bytesFloat(vs)
+	if err == nil && int64(len(values)) != nnz {
+		err = core.Shapef("matfile: value count %d != header nnz %d", len(values), nnz)
+	}
+	return values, err
 }
 
 // readVISections reads the width/val_ind/unique section triple shared
@@ -375,70 +367,6 @@ func writeSections(w *bufio.Writer, sections ...[]byte) error {
 		}
 	}
 	return nil
-}
-
-// validRowPtr checks that a row pointer is monotone and spans exactly
-// [0, nnz] — a corrupt one would send the rebuild loops out of bounds.
-func validRowPtr(rowPtr []int32, nnz int64) error {
-	if len(rowPtr) == 0 || rowPtr[0] != 0 || int64(rowPtr[len(rowPtr)-1]) != nnz {
-		return core.Corruptf("matfile: row pointer does not span nnz")
-	}
-	for i := 1; i < len(rowPtr); i++ {
-		if rowPtr[i] < rowPtr[i-1] {
-			return core.Corruptf("matfile: row pointer not monotone at %d", i)
-		}
-	}
-	return nil
-}
-
-func rebuildCSR(colInd, rowPtr []int32, values []float64, rows, cols int64, wide16 bool) (core.Format, error) {
-	if err := validRowPtr(rowPtr, int64(len(values))); err != nil {
-		return nil, err
-	}
-	c := core.NewCOO(int(rows), int(cols))
-	for i := int64(0); i < rows; i++ {
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			if colInd[k] < 0 || int64(colInd[k]) >= cols {
-				return nil, core.Corruptf("matfile: column %d out of range", colInd[k])
-			}
-			c.Add(int(i), int(colInd[k]), values[k])
-		}
-	}
-	if wide16 {
-		return csr.From16(c)
-	}
-	return csr.FromCOO(c)
-}
-
-func rebuildVI(rowPtr, colInd []int32, width int, vi []byte, uniq []float64, rows, cols, nnz int64) (core.Format, error) {
-	if int64(len(rowPtr)) != rows+1 || int64(len(colInd)) != nnz {
-		return nil, core.Shapef("matfile: section sizes inconsistent with header")
-	}
-	if err := validRowPtr(rowPtr, nnz); err != nil {
-		return nil, err
-	}
-	c := core.NewCOO(int(rows), int(cols))
-	for i := int64(0); i < rows; i++ {
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			idx := int(k)
-			switch width {
-			case 1:
-				idx = int(vi[k])
-			case 2:
-				idx = int(binary.LittleEndian.Uint16(vi[int(k)*2:]))
-			case 4:
-				idx = int(binary.LittleEndian.Uint32(vi[int(k)*4:]))
-			}
-			if idx >= len(uniq) {
-				return nil, core.Corruptf("matfile: value index %d out of range", idx)
-			}
-			if colInd[k] < 0 || int64(colInd[k]) >= cols {
-				return nil, core.Corruptf("matfile: column %d out of range", colInd[k])
-			}
-			c.Add(int(i), int(colInd[k]), uniq[idx])
-		}
-	}
-	return csrvi.FromCOO(c)
 }
 
 func int32Bytes(s []int32) []byte {

@@ -8,7 +8,6 @@ import (
 	"spmv/internal/core"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrvi"
 	"spmv/internal/matgen"
 	"spmv/internal/testmat"
 )
@@ -108,10 +107,10 @@ func TestRoundTripCSRVI(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, unique := range []int{5, 300} {
 		c := matgen.RandomUniform(rng, 120, 400, 6, matgen.Values{Unique: unique})
-		m, _ := csrvi.FromCOO(c)
+		m, _ := csr.FromCOOVI(c)
 		back := roundTrip(t, m)
 		checkEqual(t, m, back, c.Cols())
-		vi := back.(*csrvi.Matrix)
+		vi := back.(*csr.Matrix)
 		if vi.IndexWidth() != m.IndexWidth() {
 			t.Errorf("width %d -> %d", m.IndexWidth(), vi.IndexWidth())
 		}

@@ -13,7 +13,6 @@ import (
 	"spmv/internal/core"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrvi"
 	"spmv/internal/dcsr"
 	"spmv/internal/matgen"
 )
@@ -158,7 +157,7 @@ func corruptionFixtures(t *testing.T) map[string]core.Format {
 	add(rle.Name(), rle, err)
 	dc, err := dcsr.FromCOO(c)
 	add("dcsr", dc, err)
-	vi, err := csrvi.FromCOO(c)
+	vi, err := csr.FromCOOVI(c)
 	add("csr-vi", vi, err)
 	duvi, err := csrdu.FromCOOVI(c, csrdu.Options{})
 	add("csr-du-vi", duvi, err)
@@ -293,7 +292,7 @@ func FuzzRead(f *testing.F) {
 		func() (core.Format, error) { return csr.FromCOO(c) },
 		func() (core.Format, error) { return csrdu.FromCOO(c) },
 		func() (core.Format, error) { return dcsr.FromCOO(c) },
-		func() (core.Format, error) { return csrvi.FromCOO(c) },
+		func() (core.Format, error) { return csr.FromCOOVI(c) },
 		func() (core.Format, error) { return csrdu.FromCOOVI(c, csrdu.Options{}) },
 	} {
 		m, err := build()

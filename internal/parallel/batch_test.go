@@ -10,7 +10,6 @@ import (
 	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrvi"
 	"spmv/internal/ell"
 	"spmv/internal/matgen"
 	"spmv/internal/obs"
@@ -47,7 +46,7 @@ func TestRunBatchMatchesReference(t *testing.T) {
 	builders := map[string]func() (core.Format, error){
 		"csr":       func() (core.Format, error) { return csr.FromCOO(c) },
 		"csr-du":    func() (core.Format, error) { return csrdu.FromCOO(c) },
-		"csr-vi":    func() (core.Format, error) { return csrvi.FromCOO(c) },
+		"csr-vi":    func() (core.Format, error) { return csr.FromCOOVI(c) },
 		"csr-du-vi": func() (core.Format, error) { return csrdu.FromCOOVI(c, csrdu.Options{}) },
 		"ell":       func() (core.Format, error) { return ell.FromCOO(c) }, // fallback path
 	}

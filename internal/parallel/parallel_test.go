@@ -9,7 +9,6 @@ import (
 	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrvi"
 	"spmv/internal/matgen"
 	"spmv/internal/testmat"
 )
@@ -30,7 +29,7 @@ func TestExecutorMatchesSerialAllFormats(t *testing.T) {
 	builders := map[string]func() (core.Format, error){
 		"csr":    func() (core.Format, error) { return csr.FromCOO(c) },
 		"csr-du": func() (core.Format, error) { return csrdu.FromCOO(c) },
-		"csr-vi": func() (core.Format, error) { return csrvi.FromCOO(c) },
+		"csr-vi": func() (core.Format, error) { return csr.FromCOOVI(c) },
 	}
 	for name, build := range builders {
 		f, err := build()

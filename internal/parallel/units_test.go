@@ -21,26 +21,11 @@ import (
 // still holding it after a run was never written.
 var sentinelY = math.Float64frombits(0x7ff8_dead_beef_0002)
 
-// csr32Rows lists a csr32 matrix's non-zeros with their stored float32
-// values, the summation input of its kernel.
-type csr32Rows struct{ *csr.Matrix32 }
-
-func (m csr32Rows) ForEach(fn func(i, j int, v float64)) {
-	for i := 0; i < m.Rows(); i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			fn(i, int(m.ColInd[p]), float64(m.Values[p]))
-		}
-	}
-}
-
 // rowReference is the bitwise reference for f built from c: each row
 // summed left to right from +0 over the values f stores.
 func rowReference(f core.Format, c *core.COO) func(x []float64, k int) []float64 {
-	switch m := f.(type) {
-	case testmat.RowMajor:
+	if m, ok := f.(testmat.RowMajor); ok {
 		return testmat.Reference(m)
-	case *csr.Matrix32:
-		return testmat.Reference(csr32Rows{m})
 	}
 	// csr16 and ell store the float64 values of c in row order.
 	return testmat.Reference(mustFormat(csr.FromCOO(c)).(*csr.Matrix))

@@ -116,10 +116,13 @@ func New(f core.Format) *FormatProfile {
 	}
 	switch m := f.(type) {
 	case *csr.Matrix:
-		p.Streams = []Stream{
+		structure := int64(len(m.RowPtr)+len(m.ColInd)) * core.IdxSize
+		p.Streams = append([]Stream{
 			{Name: "row_ptr", Bytes: int64(len(m.RowPtr)) * core.IdxSize},
 			{Name: "col_ind", Bytes: int64(len(m.ColInd)) * core.IdxSize},
-			{Name: "values", Bytes: int64(len(m.Values)) * core.ValSize},
+		}, valueStreams(m.IndexWidth(), m.ValIndBytes(), m.SizeBytes()-structure-m.ValIndBytes())...)
+		if m.Name() == "csr-vi" {
+			p.VI = viProfile(m, len(m.Unique))
 		}
 	case *csr.Matrix16:
 		p.Streams = []Stream{
@@ -127,55 +130,43 @@ func New(f core.Format) *FormatProfile {
 			{Name: "col_ind", Bytes: int64(len(m.ColInd)) * 2},
 			{Name: "values", Bytes: int64(len(m.Values)) * core.ValSize},
 		}
-	case *csr.Matrix32:
-		p.Streams = []Stream{
-			{Name: "row_ptr", Bytes: int64(len(m.RowPtr)) * core.IdxSize},
-			{Name: "col_ind", Bytes: int64(len(m.ColInd)) * core.IdxSize},
-			{Name: "values", Bytes: int64(len(m.Values)) * 4},
-		}
 	case *csrdu.Matrix:
 		p.DU = m.Profile(DefaultRegions)
-		ctl := Stream{Name: "ctl", Bytes: int64(len(m.Ctl))}
-		if m.IndexWidth() == 0 {
-			p.Streams = []Stream{ctl, {Name: "values", Bytes: int64(len(m.Values)) * core.ValSize}}
-			break
-		}
-		p.Streams = []Stream{
-			ctl,
-			{Name: "val_ind", Bytes: m.ValIndBytes()},
-			{Name: "vals_unique", Bytes: int64(len(m.Unique)) * core.ValSize},
-		}
-		p.VI = &VIProfile{
-			Codec:        csrvi.CodecName(m.IndexWidth()),
-			UniqueValues: len(m.Unique),
-			IndexWidth:   m.IndexWidth(),
-			TTU:          m.TTU(),
-			Applicable:   m.TTU() > csrvi.MinTTU,
-		}
-	case *csrvi.Matrix:
-		p.Streams = []Stream{
-			{Name: "row_ptr", Bytes: int64(len(m.RowPtr)) * core.IdxSize},
-			{Name: "col_ind", Bytes: int64(len(m.ColInd)) * core.IdxSize},
-		}
-		if m.IndexWidth() == 0 {
-			p.Streams = append(p.Streams, Stream{Name: "values", Bytes: int64(len(m.Unique)) * core.ValSize})
-		} else {
-			p.Streams = append(p.Streams,
-				Stream{Name: "val_ind", Bytes: m.ValIndBytes()},
-				Stream{Name: "vals_unique", Bytes: int64(len(m.Unique)) * core.ValSize})
-		}
-		p.VI = &VIProfile{
-			Codec:        csrvi.CodecName(m.IndexWidth()),
-			UniqueValues: len(m.Unique),
-			IndexWidth:   m.IndexWidth(),
-			TTU:          m.TTU(),
-			Applicable:   m.Applicable(),
+		p.Streams = append([]Stream{{Name: "ctl", Bytes: int64(len(m.Ctl))}},
+			valueStreams(m.IndexWidth(), m.ValIndBytes(), int64(len(m.Values)+len(m.Unique))*core.ValSize)...)
+		if m.IndexWidth() != 0 {
+			p.VI = viProfile(m, len(m.Unique))
 		}
 	default:
 		p.Streams = []Stream{{Name: "matrix", Bytes: f.SizeBytes()}}
 	}
 	p.Streams = append(p.Streams, xy...)
 	return p
+}
+
+// valueStreams splits the value bytes of a format by its value codec:
+// one values stream under a plain codec (width 0), the val_ind stream
+// and the vals_unique table under the dictionary codec.
+func valueStreams(width int, valInd, floats int64) []Stream {
+	if width == 0 {
+		return []Stream{{Name: "values", Bytes: floats}}
+	}
+	return []Stream{{Name: "val_ind", Bytes: valInd}, {Name: "vals_unique", Bytes: floats}}
+}
+
+// viProfile is the value-codec profile of a csr-vi or csr-du-vi matrix
+// holding unique table values.
+func viProfile(m interface {
+	IndexWidth() int
+	TTU() float64
+}, unique int) *VIProfile {
+	return &VIProfile{
+		Codec:        csrvi.CodecName(m.IndexWidth()),
+		UniqueValues: unique,
+		IndexWidth:   m.IndexWidth(),
+		TTU:          m.TTU(),
+		Applicable:   m.TTU() > csrvi.MinTTU,
+	}
 }
 
 // WriteJSON emits the profile as indented JSON.

@@ -8,7 +8,6 @@ import (
 	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrvi"
 	"spmv/internal/matgen"
 	"spmv/internal/memsim"
 )
@@ -60,7 +59,7 @@ func TestCompressedFormatsMoveFewerBytes(t *testing.T) {
 	}
 	base := lines(mustF(csr.FromCOO(c)))
 	du := lines(mustF(csrdu.FromCOO(c)))
-	vi := lines(mustF(csrvi.FromCOO(c)))
+	vi := lines(mustF(csr.FromCOOVI(c)))
 	if du >= base {
 		t.Errorf("csr-du moved %d lines vs csr %d", du, base)
 	}

@@ -81,19 +81,6 @@ func TestBiCGSTABBadArgs(t *testing.T) {
 	}
 }
 
-func TestSpMVTMatchesTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	c := matgen.RandomUniform(rng, 40, 70, 5, matgen.Values{})
-	m, _ := csr.FromCOO(c)
-	mt, _ := csr.FromCOO(c.Transpose())
-	x := testmat.RandVec(rng, 40)
-	y1 := make([]float64, 70)
-	y2 := make([]float64, 70)
-	m.SpMVT(y1, x)
-	mt.SpMV(y2, x)
-	testmat.AssertClose(t, "SpMVT", y1, y2, 1e-12)
-}
-
 func TestSpMMMatchesRepeatedSpMV(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	c := matgen.FEMLike(rng, 120, 5, matgen.Values{})
@@ -101,7 +88,7 @@ func TestSpMMMatchesRepeatedSpMV(t *testing.T) {
 	for _, k := range []int{1, 3, 4, 7} {
 		x := testmat.RandVec(rng, m.Cols()*k)
 		y := make([]float64, m.Rows()*k)
-		m.SpMM(y, x, k)
+		m.SpMVBatch(y, x, k)
 		// Compare column c against a plain SpMV.
 		for col := 0; col < k; col++ {
 			xc := make([]float64, m.Cols())
@@ -124,8 +111,8 @@ func TestSpMMPanicsOnBadK(t *testing.T) {
 	m, _ := csr.FromCOO(c)
 	defer func() {
 		if recover() == nil {
-			t.Error("SpMM(k=0) did not panic")
+			t.Error("SpMVBatch(k=0) did not panic")
 		}
 	}()
-	m.SpMM(nil, nil, 0)
+	m.SpMVBatch(nil, nil, 0)
 }

@@ -8,7 +8,6 @@ import (
 	"spmv/internal/core"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrvi"
 	"spmv/internal/matgen"
 	"spmv/internal/parallel"
 	"spmv/internal/testmat"
@@ -262,7 +261,7 @@ func TestCGSameAnswerAcrossFormats(t *testing.T) {
 	}
 	x1 := solve(mustF(csr.FromCOO(c)))
 	x2 := solve(mustF(csrdu.FromCOO(c)))
-	x3 := solve(mustF(csrvi.FromCOO(c)))
+	x3 := solve(mustF(csr.FromCOOVI(c)))
 	testmat.AssertClose(t, "du vs csr", x2, x1, 1e-8)
 	testmat.AssertClose(t, "vi vs csr", x3, x1, 1e-8)
 }

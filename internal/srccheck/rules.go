@@ -143,7 +143,7 @@ func IsHotFunc(name string) bool {
 		name = name[i+1:]
 	}
 	switch name {
-	case "SpMV", "SpMVAdd", "SpMVT", "SpMM", "SpMVBatch", "SpMVPartial",
+	case "SpMV", "SpMVAdd", "SpMVBatch", "SpMVPartial",
 		"Mul", "MulAdd", "MulTrans",
 		"Dot", "Axpy", "DotBlocks", "AxpyDotBlocks", "axpyDot", "AxpyXpby", "Hadamard",
 		"DecodeAt", "DecodeUnit", "SkipRows", "dotRange",

@@ -17,6 +17,12 @@
 //     index into a unique-value table, wherever that is smaller than
 //     the values themselves; elsewhere the values stay plain.
 //
+// Each keeps its base format's kernel and changes one stream: CSR-VI
+// is CSR's row walk reading vals_unique[val_ind[j]] where CSR reads
+// values[j]. CSR, CSR32 and CSRVI are therefore one type under three
+// value codecs (float64, float32, CSR-VI), as CSRDU and CSRDUVI are
+// one type under two; Name reports which codec a matrix was built with.
+//
 // Both trade CPU cycles for bandwidth — a trade that improves as more
 // cores share the memory subsystem, even where the serial kernel gets
 // slower.
@@ -83,7 +89,6 @@ import (
 	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/csrvi"
 	"spmv/internal/dcsr"
 	"spmv/internal/ell"
 	"spmv/internal/formats"
@@ -127,8 +132,10 @@ type (
 	CSRDU = csrdu.Matrix
 	// DUOptions controls the CSR-DU encoder (RLE units, unit splitting).
 	DUOptions = csrdu.Options
-	// CSRVI is the paper's value-indexed matrix.
-	CSRVI = csrvi.Matrix
+	// CSRVI is the paper's value-indexed matrix: a CSR under the
+	// csr-vi value codec (dictionary where it pays, plain values
+	// elsewhere).
+	CSRVI = csr.Matrix
 	// CSRDUVI combines CSR-DU index compression with CSR-VI values: a
 	// CSRDU under the dictionary value codec (csr-du itself where no
 	// dictionary pays).
@@ -137,9 +144,10 @@ type (
 	DCSR = dcsr.Matrix
 	// CSC is the column-oriented format for column partitioning.
 	CSC = csc.Matrix
-	// CSR32 stores single-precision values (half the value stream);
-	// pair with Refine for double-precision solutions.
-	CSR32 = csr.Matrix32
+	// CSR32 stores single-precision values (half the value stream): a
+	// CSR under the float32 value codec. Pair with Refine for
+	// double-precision solutions.
+	CSR32 = csr.Matrix
 	// ELL is the ELLPACK-ITPACK padded format.
 	ELL = ell.Matrix
 	// SymCSR stores one triangle of a symmetric matrix.

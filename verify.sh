@@ -167,6 +167,9 @@ if [ "$FUZZTIME" != "0" ]; then
 	# FuzzReadVI holds the csr-vi and csr-du-vi readers to the values
 	# their width/val_ind/unique triple codes for, under both value
 	# codecs, bitwise through every kernel.
+	# FuzzCanonical holds the csr, csr16 and csr-vi readers to loading
+	# what was stored: an accepted file writes back to its own bytes
+	# and multiplies bitwise like a reference over its stored order.
 	# FuzzMultiplyBody holds the multiply wire codec to encoding/json:
 	# what it accepts decodes bitwise alike, and what it writes is
 	# byte-identical.
@@ -186,6 +189,7 @@ if [ "$FUZZTIME" != "0" ]; then
 		"spmv/internal/dcsr FuzzFromRaw" \
 		"spmv/internal/matfile FuzzRead" \
 		"spmv/internal/matfile FuzzReadVI" \
+		"spmv/internal/matfile FuzzCanonical" \
 		"spmv/internal/mmio FuzzReadStream" \
 		"spmv/internal/core FuzzFinalize" \
 		"spmv/internal/server FuzzServeUpload" \
