@@ -3,12 +3,13 @@ package spmv_test
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"spmv"
 	"spmv/internal/matgen"
+	"spmv/internal/testmat"
 )
 
 // TestConstructorsDelegateToBuild pins the constructor consolidation:
@@ -69,8 +70,8 @@ func TestConstructorsDelegateToBuild(t *testing.T) {
 	}
 }
 
-// autoShapes are the ISSUE acceptance shapes, generated through the
-// same matgen entry points as the internal table test.
+// autoShapes are matrices of distinct structure, generated through the
+// matgen entry points; symmetric is the one sym-csr can take.
 func autoShapes() map[string]*spmv.COO {
 	return map[string]*spmv.COO{
 		"dense-blocks": matgen.BlockDiag(rand.New(rand.NewSource(21)), 96, 4, matgen.Values{}),
@@ -79,13 +80,13 @@ func autoShapes() map[string]*spmv.COO {
 			matgen.RandomUniform(rand.New(rand.NewSource(23)), 1200, 1200, 9, matgen.Values{}),
 			rand.New(rand.NewSource(24)), 30),
 		"wide-random": matgen.RandomUniform(rand.New(rand.NewSource(25)), 1500, 1<<17, 8, matgen.Values{}),
+		"symmetric":   matgen.Symmetrize(matgen.RandomUniform(rand.New(rand.NewSource(26)), 800, 800, 9, matgen.Values{})),
 	}
 }
 
 // TestWithAutoFormatPublic is the acceptance criterion through the
-// public API: for each shape, Build(WithAutoFormat) must verify, match
-// the COO reference product, report its decision, and predict within 5%
-// of the true registry minimum bytes-per-SpMV.
+// public API: for each shape, Build(WithAutoFormat) must verify, report
+// the format it built with what it measured, and multiply like CSR.
 func TestWithAutoFormatPublic(t *testing.T) {
 	for name, c := range autoShapes() {
 		var rep spmv.TuneReport
@@ -96,12 +97,13 @@ func TestWithAutoFormatPublic(t *testing.T) {
 		if err := spmv.Verify(m); err != nil {
 			t.Fatalf("%s: Verify: %v", name, err)
 		}
-		if rep.Chosen.Format == "" && rep.Chosen.Name() != "csr" {
-			t.Errorf("%s: report carries no chosen spec", name)
+		ch := rep.Choice()
+		t.Logf("%s: chose %s at %.3f of csr", name, ch.Spec.Name(), ch.Ratio)
+		if ch.Spec.Name() != m.Name() || ch.Reason != "" || ch.Bytes != m.SizeBytes() || ch.NsPerNNZ <= 0 || ch.Samples == 0 {
+			t.Errorf("%s: built %s, report's choice %+v", name, m.Name(), ch)
 		}
-		if len(rep.Candidates) == 0 || rep.ChosenPredBytes <= 0 {
-			t.Errorf("%s: report incomplete: %d candidates, %d pred bytes",
-				name, len(rep.Candidates), rep.ChosenPredBytes)
+		if len(rep.Candidates) < 4 || rep.Candidates[0].Spec.Name() != "csr" {
+			t.Errorf("%s: candidates %+v", name, rep.Candidates)
 		}
 
 		// The report is a serializable decision trace.
@@ -113,71 +115,50 @@ func TestWithAutoFormatPublic(t *testing.T) {
 		if err := json.Unmarshal(blob, &back); err != nil {
 			t.Fatalf("%s: unmarshal report: %v", name, err)
 		}
-		if back.Chosen.Name() != rep.Chosen.Name() {
+		if back.Chosen.Name() != rep.Chosen.Name() || len(back.Candidates) != len(rep.Candidates) {
 			t.Errorf("%s: report did not round-trip JSON", name)
 		}
 
-		// Product correctness against the triplet reference.
-		x := make([]float64, c.Cols())
-		for i := range x {
-			x[i] = float64(i%11) - 5
-		}
-		got := make([]float64, c.Rows())
-		m.SpMV(got, x)
-		want := make([]float64, c.Rows())
-		c.SpMV(want, x)
-		for i := range want {
-			d := got[i] - want[i]
-			if d < 0 {
-				d = -d
-			}
-			lim := want[i]
-			if lim < 0 {
-				lim = -lim
-			}
-			if d > 1e-9*(1+lim) {
-				t.Fatalf("%s: row %d = %v, want %v", name, i, got[i], want[i])
-			}
-		}
-
-		// 5% acceptance vs the true registry minimum.
-		var trueMin int64 = -1
-		for _, fname := range spmv.FormatNames() {
-			if fname == "csr32" && !rep.Features.Lossless32 {
-				continue
-			}
-			f, err := spmv.Build(c, spmv.WithFormat(fname))
+		checkLikeCSR(t, name, m, c)
+		if name == "symmetric" { // the sym-csr bound, whatever the tuner chose
+			sym, err := spmv.Build(c, spmv.WithFormat("sym-csr"))
 			if err != nil {
-				continue
+				t.Fatal(err)
 			}
-			if b := spmv.BytesPerSpMV(f); trueMin < 0 || b < trueMin {
-				trueMin = b
-			}
-		}
-		if float64(rep.ChosenPredBytes) > 1.05*float64(trueMin) {
-			t.Errorf("%s: chose %q at %d predicted bytes/SpMV; true minimum %d (>5%% off)",
-				name, rep.Chosen.Name(), rep.ChosenPredBytes, trueMin)
+			checkLikeCSR(t, name, sym, c)
 		}
 	}
 }
 
-// TestWithAutoBudgetPublic smokes the probe-refined path end to end
-// through the public API.
-func TestWithAutoBudgetPublic(t *testing.T) {
-	c := matgen.RandomUniform(rand.New(rand.NewSource(33)), 500, 500, 8, matgen.Values{})
-	var rep spmv.TuneReport
-	m, err := spmv.Build(c, spmv.WithAutoBudget(200*time.Millisecond), spmv.WithTuneReport(&rep))
+// checkLikeCSR checks m*x against testmat.Reference of c's CSR: bitwise
+// for the row formats, which sum each row in CSR's order, and within
+// n*eps*(|A||x|)_i for sym-csr, which does not.
+func checkLikeCSR(t *testing.T, name string, m spmv.Format, c *spmv.COO) {
+	t.Helper()
+	ref, err := spmv.Build(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Probed {
-		t.Error("WithAutoBudget did not run the probe stage")
+	rm := ref.(testmat.RowMajor)
+	x := testmat.RandVec(rand.New(rand.NewSource(5)), c.Cols())
+	want := testmat.Reference(rm)(x, 1)
+	got := make([]float64, c.Rows())
+	m.SpMV(got, x)
+	if m.Name() != "sym-csr" {
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: %s row %d = %v, want %v bitwise", name, m.Name(), i, got[i], want[i])
+			}
+		}
+		return
 	}
-	if err := spmv.Verify(m); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	if rep.VsCSR != nil && rep.VsCSR.Significant && rep.VsCSR.Delta > 0 {
-		t.Errorf("probe-refined choice significantly slower than csr: %+v", rep.VsCSR)
+	absAx := make([]float64, c.Rows())
+	rm.ForEach(func(i, j int, v float64) { absAx[i] += math.Abs(v * x[j]) })
+	eps := math.Nextafter(1, 2) - 1
+	for i := range want {
+		if d := math.Abs(got[i] - want[i]); d > float64(c.Cols())*eps*absAx[i] {
+			t.Fatalf("%s: sym-csr row %d = %v, want %v (|A||x| = %v)", name, i, got[i], want[i], absAx[i])
+		}
 	}
 }
 

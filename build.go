@@ -1,8 +1,6 @@
 package spmv
 
 import (
-	"time"
-
 	"spmv/internal/autotune"
 	"spmv/internal/core"
 	"spmv/internal/formats"
@@ -18,7 +16,6 @@ type buildConfig struct {
 	du       DUOptions
 	workers  int
 	auto     bool
-	budget   time.Duration
 	report   *TuneReport
 }
 
@@ -26,18 +23,13 @@ type buildConfig struct {
 // WithTuneReport fills in: the full serializable decision trace of an
 // autotuned Build.
 type (
-	// TuneReport is the decision trace of one tuning run: extracted
-	// features, every candidate with its predicted traffic and score
-	// (ranked best-first), the chosen combo, and probe timings when a
-	// budget allowed measurement.
+	// TuneReport is the decision trace of one tuning run: every
+	// candidate with its size and measured time, and the chosen spec.
 	TuneReport = autotune.Report
-	// TuneCandidate is one ranked (format, options, scheduler) combo.
+	// TuneCandidate is one timed format of the tuner's short list.
 	TuneCandidate = autotune.Candidate
-	// TuneFeatures is the structural feature vector driving selection.
-	TuneFeatures = autotune.Features
 	// FormatSpec names a format with its encoder options and scheduler
-	// hints — the unit of candidate ranking. Pass Chosen.Partition to
-	// ExecOptions to run the matrix as tuned.
+	// hints.
 	FormatSpec = formats.Spec
 )
 
@@ -66,25 +58,13 @@ func WithWorkers(n int) BuildOption {
 	return func(c *buildConfig) { c.workers = n }
 }
 
-// WithAutoFormat lets the autotuner choose the format: structural
-// features are extracted from the triplets, every registry candidate
-// is ranked by predicted bytes-per-SpMV under the traffic model
-// (blended with statistically significant measured priors from the
-// host's benchmark archive when one is configured), and the winner is
-// built. The analytic decision is deterministic; add WithAutoBudget to
-// let measurement refine it. Retrieve the full decision trace with
-// WithTuneReport.
+// WithAutoFormat lets the autotuner choose the format: it builds csr,
+// csr-vi, csr-du, csr-du-vi where a value dictionary pays and sym-csr
+// where the matrix is symmetric, times each against CSR on GOMAXPROCS
+// threads, and returns the fastest (within 5%, the smallest). Retrieve
+// what it measured with WithTuneReport.
 func WithAutoFormat() BuildOption {
 	return func(c *buildConfig) { c.auto = true }
-}
-
-// WithAutoBudget enables autotuning (implies WithAutoFormat) with a
-// measured-probe refinement stage: the top-ranked candidates are
-// short-benched within roughly d of wall time and the fastest measured
-// combo wins. A plain-CSR baseline is always probed alongside, so the
-// refined choice is never a combo that measured slower than CSR.
-func WithAutoBudget(d time.Duration) BuildOption {
-	return func(c *buildConfig) { c.auto = true; c.budget = d }
 }
 
 // WithTuneReport enables autotuning (implies WithAutoFormat) and
@@ -103,13 +83,10 @@ func WithTuneReport(r *TuneReport) BuildOption {
 //		spmv.WithWorkers(8))
 //
 // With no options it builds baseline CSR. With WithAutoFormat the
-// autotuner picks the format (and scheduler hints, reported via
-// WithTuneReport):
+// autotuner picks the format, and WithTuneReport says why:
 //
 //	var rep spmv.TuneReport
 //	m, err := spmv.Build(c, spmv.WithAutoFormat(), spmv.WithTuneReport(&rep))
-//	e, err := spmv.NewExecutorOpts(m, spmv.ExecOptions{
-//		Partition: rep.Chosen.Partition})
 //
 // Every NewXxx constructor remains supported and returns its concrete
 // type; Build returns the Format interface, which is what the
@@ -123,14 +100,14 @@ func Build(c *COO, opts ...BuildOption) (Format, error) {
 		if cfg.explicit {
 			return nil, core.Usagef("spmv: WithFormat(%q) and WithAutoFormat are mutually exclusive", cfg.name)
 		}
-		rep, err := autotune.Tune(c, autotune.Options{Budget: cfg.budget})
+		f, rep, err := autotune.Tune(c, autotune.Options{})
 		if err != nil {
 			return nil, err
 		}
 		if cfg.report != nil {
 			*cfg.report = *rep
 		}
-		return autotune.Build(c, rep.Chosen)
+		return f, nil
 	}
 	if cfg.workers != 0 {
 		cfg.du.Workers = cfg.workers

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	mtxinfo [-verify] [-profile FORMAT] [-features]
+//	mtxinfo [-verify] [-profile FORMAT]
 //	        [-roofline FORMAT] [-roofdir benchdata]
 //	        file.mtx [file2.mtx ...]
 //
@@ -21,24 +21,14 @@
 // gets the named format's full structural profile: the per-stream byte
 // split of the traffic model, the CSR-DU ctl-unit histograms and the
 // CSR-VI dictionary statistics where applicable.
-//
-// With -features the human-readable report is replaced by the
-// autotuner's structural feature vector, one JSON object per input file
-// on stdout ({"path": ..., "features": {...}}): row distribution and
-// skew, column-delta widths, unique values and float32 losslessness,
-// bandwidth before/after RCM, symmetry, diagonal and block structure,
-// and the simulated CSR-DU control-stream sizes — the exact inputs the
-// format autotuner ranks candidates from.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"spmv"
-	"spmv/internal/autotune"
 	"spmv/internal/bench"
 	"spmv/internal/csrdu"
 	"spmv/internal/csrvi"
@@ -52,11 +42,10 @@ import (
 func main() {
 	verify := flag.Bool("verify", false, "structurally verify every format built from the matrix; any failure exits non-zero")
 	profileFmt := flag.String("profile", "", "print the named format's structural profile (e.g. csr-du)")
-	features := flag.Bool("features", false, "emit the autotuner's structural feature vector as JSON instead of the report")
 	roofFmt := flag.String("roofline", "", "predict the named format's bandwidth floor against the host roofline (e.g. -roofline csr-du)")
 	roofDir := flag.String("roofdir", "benchdata", "directory holding the per-host ROOF_<host>.json probe archives")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mtxinfo [-verify] [-profile FORMAT] [-features] [-roofline FORMAT] [-roofdir DIR] file.mtx [file2.mtx ...]")
+		fmt.Fprintln(os.Stderr, "usage: mtxinfo [-verify] [-profile FORMAT] [-roofline FORMAT] [-roofdir DIR] file.mtx [file2.mtx ...]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -77,13 +66,7 @@ func main() {
 	}
 	status := 0
 	for _, path := range flag.Args() {
-		var err error
-		if *features {
-			err = reportFeatures(path)
-		} else {
-			err = report(path, *verify, *profileFmt, *roofFmt, roofModel)
-		}
-		if err != nil {
+		if err := report(path, *verify, *profileFmt, *roofFmt, roofModel); err != nil {
 			fmt.Fprintf(os.Stderr, "mtxinfo: %s: %v\n", path, err)
 			status = 1
 		}
@@ -131,30 +114,6 @@ func reportRoofline(c *spmv.COO, formatName string, m *roofline.Model) error {
 	fmt.Printf("    predicted %%roof at CSR-floor speed: %.1f%% (traffic ratio vs CSR)\n",
 		100*float64(fb)/float64(bb))
 	return nil
-}
-
-// reportFeatures emits one JSON document with the matrix's autotuner
-// feature vector.
-func reportFeatures(path string) (err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	c, err := spmv.ReadMatrixMarket(f)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Path     string            `json:"path"`
-		Features autotune.Features `json:"features"`
-	}{Path: path, Features: autotune.Extract(c)})
 }
 
 func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roofline.Model) (err error) {

@@ -10,7 +10,7 @@
 //	          [-metrics] [-debug localhost:6060]
 //	          [-rhs 1,2,4,8] [-rhsmatrix banded-l-q128]
 //	          [-profile] [-matrix banded-l-q128] [-format csr-du]
-//	          [-auto] [-autobudget 2s]
+//	          [-auto]
 //	          [-trace out.trace] [-timeline out.json]
 //	          [-archive FILE|DIR] [-compare OLD.json]
 //	          [-samples 5] [-slowdown 0.10]
@@ -18,15 +18,10 @@
 //	          [-roofprobe] [-probe-ms 0] [-roofline] [-roofdir benchdata]
 //
 // With -auto the experiments are replaced by the autotuner: each suite
-// matrix named by -matrix (comma-separated) is feature-extracted, every
-// registry (format, scheduler) candidate is ranked by predicted
-// bytes-per-SpMV, the winner is built and verified, and the full
-// TuneReport decision traces are emitted as one JSON array on stdout.
-// With -autobudget the top-ranked candidates are additionally
-// short-benched within the given wall-clock budget and the fastest
-// measured combo wins. With -archive the probe timings are recorded
-// into the benchmark archive and prior runs' measurements bias future
-// rankings (Welch-significant cells only).
+// matrix named by -matrix (comma-separated) is tuned at the largest
+// -threads count (the paper's formats timed against CSR), the winner is
+// verified, and the TuneReport decision traces are emitted as one JSON
+// array on stdout.
 //
 // With -roofprobe the experiments are replaced by the STREAM-style
 // measured-bandwidth probe: copy/scale/triad at 1..max(-threads)
@@ -156,7 +151,6 @@ func main() {
 	slowdown := flag.Float64("slowdown", 0.10, "fractional slowdown -compare treats as a regression")
 	partitionFlag := flag.String("partition", "", "execution scheme: row (default), col, or nnz (non-zero-split boundaries; CSR only, other formats fall back to row)")
 	auto := flag.Bool("auto", false, "autotune the -matrix suite matrices (comma-separated) and emit the TuneReport decision traces as JSON")
-	autoBudget := flag.Duration("autobudget", 0, "with -auto, wall-clock budget for measured probe refinement (0 = analytic only)")
 	roofProbe := flag.Bool("roofprobe", false, "measure the host's STREAM bandwidth and write ROOF_<host>.json into -roofdir instead of running experiments")
 	probeMS := flag.Int("probe-ms", 0, "with -roofprobe, wall-clock budget for the probe in milliseconds (0 = unbudgeted ~32 MiB arrays)")
 	roofFlag := flag.Bool("roofline", false, "print the roofline table (measured GB/s vs host ceiling per cell) instead of the paper tables")
@@ -327,12 +321,6 @@ func main() {
 
 	if *auto {
 		th := cfg.Threads[len(cfg.Threads)-1]
-		archPath := *archivePath
-		if archPath != "" {
-			if st, err := os.Stat(archPath); err == nil && st.IsDir() {
-				archPath = archive.DefaultPath(archPath, archiveMeta().Host)
-			}
-		}
 		type autoCell struct {
 			Matrix string           `json:"matrix"`
 			Report *autotune.Report `json:"report"`
@@ -345,21 +333,14 @@ func main() {
 			c := spec.Gen(cfg.Scale)
 			note("# auto: tuning %s (%d x %d, %d nnz) at %d threads\n",
 				name, c.Rows(), c.Cols(), c.Len(), th)
-			rep, err := autotune.Tune(c, autotune.Options{
-				Threads: th, Budget: *autoBudget,
-				ArchivePath: archPath, MatrixName: name,
-			})
-			die(err)
-			f, err := autotune.Build(c, rep.Chosen)
+			f, rep, err := autotune.Tune(c, autotune.Options{Threads: th})
 			die(err)
 			if err := core.Verify(f); err != nil {
 				die(fmt.Errorf("auto: %s: chosen %s failed verify: %w", name, rep.Chosen.Name(), err))
 			}
-			if rep.ArchiveNote != "" {
-				note("# auto: %s: archive: %s\n", name, rep.ArchiveNote)
-			}
-			note("# auto: %s -> %s (%d predicted bytes/SpMV, probed=%v)\n",
-				name, rep.Chosen.Name(), rep.ChosenPredBytes, rep.Probed)
+			ch := rep.Choice()
+			note("# auto: %s -> %s (%d bytes, %.3f ns/nnz, %.3f of csr)\n",
+				name, ch.Spec.Name(), ch.Bytes, ch.NsPerNNZ, ch.Ratio)
 			cells = append(cells, autoCell{Matrix: name, Report: rep})
 		}
 		enc := json.NewEncoder(os.Stdout)

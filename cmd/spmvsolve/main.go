@@ -1,7 +1,8 @@
-// Command spmvsolve solves A x = b for a Matrix Market matrix: it
-// analyzes the matrix, picks (or takes) a storage format, optionally
-// builds an ILU(0) preconditioner, runs the requested Krylov method on
-// the requested number of threads, and reports convergence and timing.
+// Command spmvsolve solves A x = b for a Matrix Market matrix: it takes
+// a storage format or lets the autotuner time the paper's formats and
+// pick one, optionally builds an ILU(0) preconditioner, runs the
+// requested Krylov method on the requested number of threads, and
+// reports convergence and timing.
 //
 // Usage:
 //
@@ -23,7 +24,7 @@ import (
 
 func main() {
 	method := flag.String("method", "cg", "cg|pcg|gmres|bicgstab")
-	format := flag.String("format", "auto", "storage format or 'auto' (advisor)")
+	format := flag.String("format", "auto", "storage format or 'auto' (the autotuner times the paper's formats and picks)")
 	threads := flag.Int("threads", 1, "worker goroutines for SpMV")
 	tol := flag.Float64("tol", 1e-8, "relative residual tolerance")
 	maxIter := flag.Int("maxiter", 100000, "matrix-vector product budget")
@@ -66,14 +67,19 @@ func run(path, method, format string, threads int, tol float64, maxIter, restart
 	fmt.Printf("matrix: %dx%d, %d nnz, ws %.1f MB\n", n, n, c.Len(),
 		float64(spmv.WorkingSet(c))/(1<<20))
 
+	var m spmv.Format
+	var rep spmv.TuneReport
 	if format == "auto" {
-		recs := spmv.Analyze(c).Recommend()
-		format = recs[0].Format
-		fmt.Printf("advisor: %s (%s)\n", format, recs[0].Reason)
+		m, err = spmv.Build(c, spmv.WithAutoFormat(), spmv.WithTuneReport(&rep))
+	} else {
+		m, err = spmv.Build(c, spmv.WithFormat(format))
 	}
-	m, err := spmv.BuildFormat(format, c)
 	if err != nil {
 		return fmt.Errorf("building %s: %w", format, err)
+	}
+	if format == "auto" {
+		ch := rep.Choice()
+		fmt.Printf("autotuner: %s, %.3f of csr's time\n", ch.Spec.Name(), ch.Ratio)
 	}
 	// O(nnz) structural check — negligible next to the solve, and a
 	// corrupt stream aborts here instead of mid-iteration.
@@ -85,7 +91,7 @@ func run(path, method, format string, threads int, tol float64, maxIter, restart
 	var op spmv.Operator
 	var rec *spmv.Recorder
 	if threads > 1 {
-		e, err := spmv.NewExecutor(m, threads)
+		e, err := spmv.NewExecutorOpts(m, spmv.ExecOptions{Threads: threads})
 		if err != nil {
 			return err
 		}

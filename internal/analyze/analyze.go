@@ -2,9 +2,8 @@
 // paper's compression schemes — column-delta distribution (what CSR-DU
 // can do), total-to-unique values ratio (what CSR-VI can do), diagonal
 // and blocking structure, row-length skew — and recommends storage
-// formats with predicted sizes. It is the "which format should I use"
-// front door of the library, in the spirit of autotuners like OSKI but
-// analytic rather than empirical.
+// formats with predicted sizes. It is the descriptive side of format
+// choice; the measured choice is internal/autotune's.
 package analyze
 
 import (

@@ -161,48 +161,3 @@ func TestSymmetryDetection(t *testing.T) {
 		t.Error("rectangular detected symmetric")
 	}
 }
-
-func TestPickFastestReturnsMeasurements(t *testing.T) {
-	c := matgen.Stencil2D(24)
-	best, timings, err := PickFastest(c, []string{"csr", "csr-du", "csr-vi"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best == "" {
-		t.Fatal("no winner")
-	}
-	if len(timings) != 3 {
-		t.Fatalf("timings = %d", len(timings))
-	}
-	for _, tm := range timings {
-		if tm.Err == nil && (tm.PerSpMV <= 0 || tm.Size <= 0) {
-			t.Errorf("%s: empty measurement %+v", tm.Format, tm)
-		}
-	}
-}
-
-func TestPickFastestDefaultsToRecommendations(t *testing.T) {
-	c := matgen.Stencil2D(16)
-	best, timings, err := PickFastest(c, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best == "" || len(timings) == 0 {
-		t.Fatalf("best=%q timings=%d", best, len(timings))
-	}
-}
-
-func TestPickFastestSkipsRefusingFormats(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	skew := matgen.PowerLaw(rng, 1500, 4, 1.2, matgen.Values{})
-	best, timings, err := PickFastest(skew, []string{"ell", "csr"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != "csr" {
-		t.Errorf("best = %q, want csr (ell must refuse)", best)
-	}
-	if timings[0].Err == nil {
-		t.Error("ell should have errored on skewed matrix")
-	}
-}

@@ -1,179 +1,265 @@
+// Package autotune chooses a matrix's storage format by timing the
+// paper's short list against CSR on the host that will run it
+// (DESIGN.md §15). Every "auto" in the module — spmv.Build with
+// WithAutoFormat, spmvd's format=auto, spmvbench -auto and spmvsolve
+// -format auto — calls Tune.
 package autotune
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"spmv/internal/core"
 	"spmv/internal/formats"
-	"spmv/internal/prof/archive"
-	"spmv/internal/roofline"
+	"spmv/internal/parallel"
 )
 
-// Options configure Tune. The zero value runs the deterministic
-// analytic ranking only.
+// Options configure Tune.
 type Options struct {
-	// Threads is the executor thread count the tuning targets (probe
-	// runs and archive-prior matching use it); 0 means GOMAXPROCS.
+	// Threads is the executor thread count the candidates are timed
+	// at; 0 means GOMAXPROCS.
 	Threads int
-	// Budget bounds the measured-probe refinement stage; 0 skips
-	// probing and the ranking stays purely analytic (and bit-stable).
-	Budget time.Duration
-	// TopK is how many leading candidates the probe stage measures
-	// (plain CSR is always probed as the baseline); 0 means 3.
-	TopK int
-	// ArchivePath, when set, names the BENCH_<host>.json file used two
-	// ways: significant measured priors from it re-weight the analytic
-	// ranking, and probe results are recorded back into it.
-	ArchivePath string
-	// MatrixName keys probe records in the archive; empty derives a
-	// name from the matrix dimensions.
-	MatrixName string
-	// Candidates overrides the default candidate list (rarely needed
-	// outside tests).
-	Candidates []Candidate
-	// Roofline, when non-nil, is the host bandwidth model used as a
-	// prior: every candidate's score is divided by the ceiling
-	// bytes/second at Threads, restating it as predicted seconds
-	// (Candidate.PredSecs) directly comparable with probe timings. A
-	// constant divisor per run, so the analytic ranking is unchanged.
-	Roofline *roofline.Model
 }
 
-func (o Options) withDefaults() Options {
-	if o.Threads <= 0 {
-		o.Threads = runtime.GOMAXPROCS(0)
-	}
-	if o.TopK <= 0 {
-		o.TopK = 3
-	}
-	return o
+// Candidate is one format of the short list with what Tune measured.
+type Candidate struct {
+	Spec formats.Spec `json:"spec"`
+	// Bytes is the built matrix's SizeBytes.
+	Bytes int64 `json:"bytes"`
+	// NsPerNNZ is the median time of one multiply, per non-zero.
+	NsPerNNZ float64 `json:"ns_per_nnz"`
+	// Ratio is the median, over the rounds, of the candidate's time
+	// over CSR's time in the same round; 1 for CSR itself.
+	Ratio float64 `json:"ratio"`
+	// Samples is the number of timed samples behind NsPerNNZ.
+	Samples int `json:"samples"`
+	// Reason says why the candidate was not timed: its build or a
+	// multiply failed, or csr-du-vi was skipped. Such a candidate is
+	// never chosen.
+	Reason string `json:"reason,omitempty"`
 }
 
-// Report is the serializable decision trace of one tuning run: the
-// extracted features, every candidate with its prediction and score
-// (ranked, best first), the chosen combo, and — when the probe stage
-// ran — the measured timings and the Welch comparison of the winner
-// against plain CSR.
+// Report is the decision trace of one Tune.
 type Report struct {
-	Features Features `json:"features"`
-	// Candidates are ranked best-first: feasible before infeasible,
-	// then ascending score (probe timings override the analytic order
-	// for probed candidates).
+	// Chosen is the winning spec. Its Partition is always "": each
+	// candidate is timed on the executor parallel.New picks for it.
+	Chosen formats.Spec `json:"chosen"`
+	// Candidates are in the order they were built, CSR first.
 	Candidates []Candidate `json:"candidates"`
-	// Chosen is the winning spec; ChosenPredBytes its analytic
-	// bytes-per-SpMV prediction.
-	Chosen          formats.Spec `json:"chosen"`
-	ChosenPredBytes int64        `json:"chosen_pred_bytes"`
-	// PriorsUsed reports whether any significant archive prior
-	// re-weighted the ranking.
-	PriorsUsed bool `json:"priors_used,omitempty"`
-	// Probed reports whether the measurement stage ran; ProbeIters is
-	// the per-sample iteration count it used.
-	Probed     bool `json:"probed,omitempty"`
-	ProbeIters int  `json:"probe_iters,omitempty"`
-	// VsCSR is the statistical comparison of the chosen combo's probe
-	// timing against the plain-CSR probe (probe runs only).
-	VsCSR *archive.Result `json:"vs_csr,omitempty"`
-	// ArchiveNote records a non-fatal problem loading or writing the
-	// benchmark archive ("" when clean).
-	ArchiveNote string `json:"archive_note,omitempty"`
-	// CeilingGBps and RooflineSource record the bandwidth prior the
-	// scores were normalized by (0 / "" without Options.Roofline).
-	CeilingGBps    float64 `json:"ceiling_gbps,omitempty"`
-	RooflineSource string  `json:"roofline_source,omitempty"`
 }
 
-// Tune extracts features, ranks candidates, and (within Options.Budget)
-// probes the leaders. The returned report always has at least one
-// feasible candidate — plain CSR ranks even when nothing else does.
-func Tune(c *core.COO, opts Options) (*Report, error) {
-	opts = opts.withDefaults()
-	ft := Extract(c)
-	return tuneFeatures(c, ft, opts)
-}
-
-// tuneFeatures is Tune past feature extraction, shared with callers
-// that already hold the features.
-func tuneFeatures(c *core.COO, ft Features, opts Options) (*Report, error) {
-	rep := &Report{Features: ft}
-	cands := opts.Candidates
-	if cands == nil {
-		cands = Candidates(ft)
+// Choice returns the chosen candidate's entry.
+func (r *Report) Choice() Candidate {
+	for _, c := range r.Candidates {
+		if c.Reason == "" && c.Spec.Name() == r.Chosen.Name() {
+			return c
+		}
 	}
-	rep.Candidates = make([]Candidate, len(cands))
-	copy(rep.Candidates, cands)
+	return Candidate{Spec: r.Chosen}
+}
 
-	if opts.ArchivePath != "" {
-		if f, err := archive.Load(opts.ArchivePath); err == nil {
-			priors := loadPriors(f.Records, opts.Threads)
-			applyPriors(rep.Candidates, priors)
-			for _, cand := range rep.Candidates {
-				if cand.PriorSignificant {
-					rep.PriorsUsed = true
-					break
-				}
+const (
+	// rounds is the number of CSR-then-candidate sample pairs each
+	// candidate is timed in. Odd, so the median is one round's ratio.
+	rounds = 5
+	// tie is the relative ratio difference within which the candidate
+	// with fewer bytes wins: closer than this, host drift decides the
+	// order of two timings, and the smaller matrix leaves more cache
+	// for everything else.
+	tie = 0.05
+)
+
+// The clock and the builder. Tests replace them to time fake formats
+// deterministically.
+var (
+	now   = time.Now
+	build = formats.BuildSpec
+)
+
+// Tune builds csr, csr-vi and csr-du, csr-du-vi where the built csr-vi
+// took the dictionary codec (csrvi.Pays), and sym-csr where the matrix
+// is symmetric, and times each against CSR in alternating rounds. The
+// lowest median ratio to CSR wins; within 5% the smaller matrix does.
+// Tune returns the winner built, with the report of what it measured.
+//
+// At most three matrices are alive at once: CSR, the best so far and
+// the one being timed. A loser is released as soon as it loses.
+func Tune(c *core.COO, opts Options) (core.Format, *Report, error) {
+	c.Finalize()
+	threads := opts.Threads
+	if threads <= 0 {
+		threads = runtime.GOMAXPROCS(0)
+	}
+	t := &tuner{threads: threads, iters: proberIters(c.Len()), nnz: max(c.Len(), 1),
+		x: make([]float64, c.Cols()), y: make([]float64, c.Rows())}
+	for i := range t.x {
+		t.x[i] = 1
+	}
+	base, err := t.open(c, formats.Spec{Format: "csr"})
+	if err != nil {
+		return nil, nil, fmt.Errorf("autotune: csr baseline: %w", err)
+	}
+	defer base.release()
+	rep := &Report{Candidates: []Candidate{base.cand}}
+	best, viDict := base, false
+	for _, s := range []formats.Spec{{Format: "csr-vi"}, {Format: "csr-du"}, {Format: "csr-du-vi"}, {Format: "sym-csr"}} {
+		if s.Format == "csr-du-vi" && !viDict {
+			rep.Candidates = append(rep.Candidates, Candidate{Spec: s,
+				Reason: "skipped: no value dictionary pays (csr-vi took the plain codec)"})
+			continue
+		}
+		cur, err := t.open(c, s)
+		if err == nil && s.Format == "csr-vi" {
+			w, ok := cur.f.(interface{ IndexWidth() int })
+			viDict = ok && w.IndexWidth() > 0
+		}
+		if err == nil {
+			err = t.time(base, cur)
+		}
+		if err != nil {
+			cur.release()
+			rep.Candidates = append(rep.Candidates, Candidate{Spec: s, Reason: err.Error()})
+			continue
+		}
+		rep.Candidates = append(rep.Candidates, cur.cand)
+		if better(cur.cand, best.cand) {
+			if best != base {
+				best.release()
 			}
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			rep.ArchiveNote = err.Error()
+			best = cur
+		} else {
+			cur.release()
 		}
 	}
-
-	if c := opts.Roofline.CeilingGBps(opts.Threads); c > 0 {
-		rep.CeilingGBps = c
-		rep.RooflineSource = opts.Roofline.Source
-		for i := range rep.Candidates {
-			cand := &rep.Candidates[i]
-			cand.PredSecs = float64(cand.PredBytes) / (c * 1e9)
-			cand.Score /= c * 1e9
-		}
+	rep.Candidates[0] = base.summary(t)
+	rep.Chosen = best.cand.Spec
+	f := best.f
+	if best != base {
+		best.release()
 	}
-
-	rank(rep.Candidates)
-
-	if opts.Budget > 0 {
-		if err := probe(c, rep, opts); err != nil {
-			return nil, fmt.Errorf("autotune: probe: %w", err)
-		}
-	}
-
-	for _, cand := range rep.Candidates {
-		if cand.Feasible {
-			rep.Chosen = cand.Spec
-			rep.ChosenPredBytes = cand.PredBytes
-			return rep, nil
-		}
-	}
-	return nil, fmt.Errorf("autotune: no feasible candidate for %dx%d nnz=%d",
-		ft.Rows, ft.Cols, ft.NNZ)
-}
-
-// rank orders candidates best-first: feasible before infeasible,
-// probed (by measured time) before unprobed within the feasible set
-// when probes ran, ascending score otherwise. The sort is stable over
-// the fixed candidate order, so the analytic ranking is bit-stable
-// across runs.
-func rank(cands []Candidate) {
-	sort.SliceStable(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.Feasible != b.Feasible {
-			return a.Feasible
-		}
-		if a.Probed != b.Probed {
-			return a.Probed
-		}
-		if a.Probed && b.Probed {
-			return a.ProbeSecs < b.ProbeSecs
-		}
-		return a.Score < b.Score
-	})
+	return f, rep, nil
 }
 
 // Build constructs the spec's format.
 func Build(c *core.COO, s formats.Spec) (core.Format, error) {
 	return formats.BuildSpec(c, s)
+}
+
+// tuner holds what every timed candidate shares: the thread count, the
+// per-sample iteration count and the multiply's vectors.
+type tuner struct {
+	threads, iters, nnz int
+	x, y                []float64
+}
+
+// entrant is a built candidate with its executor and timings. nil
+// fields mean it was released.
+type entrant struct {
+	f    core.Format
+	run  parallel.Runner
+	ns   []float64 // per-sample time of one multiply, in ns
+	cand Candidate
+}
+
+// open builds s, starts its executor and runs one untimed multiply that
+// faults the pages in and spins the workers up.
+func (t *tuner) open(c *core.COO, s formats.Spec) (*entrant, error) {
+	f, err := build(c, s)
+	if err != nil {
+		return nil, err
+	}
+	run, err := parallel.New(f, parallel.ExecOptions{Threads: t.threads})
+	if err != nil {
+		return nil, err
+	}
+	e := &entrant{f: f, run: run, cand: Candidate{Spec: s, Bytes: f.SizeBytes(), Ratio: 1}}
+	if err := run.RunIters(1, t.y, t.x); err != nil {
+		e.release()
+		return nil, err
+	}
+	return e, nil
+}
+
+// release closes e's executor and drops its matrix. Safe on nil and
+// more than once.
+func (e *entrant) release() {
+	if e == nil || e.run == nil {
+		return
+	}
+	e.run.Close()
+	e.f, e.run = nil, nil
+}
+
+// sample times t.iters multiplies of e and records the time of one.
+func (t *tuner) sample(e *entrant) (float64, error) {
+	t0 := now()
+	if err := e.run.RunIters(t.iters, t.y, t.x); err != nil {
+		return 0, err
+	}
+	ns := max(float64(now().Sub(t0)), 1) / float64(t.iters)
+	e.ns = append(e.ns, ns)
+	return ns, nil
+}
+
+// time times cur in rounds that each sample base and then cur, so host
+// drift lands on both sides of every ratio, and fills in cur's ratio.
+func (t *tuner) time(base, cur *entrant) error {
+	ratios := make([]float64, 0, rounds)
+	for range rounds {
+		b, err := t.sample(base)
+		if err != nil {
+			return fmt.Errorf("csr baseline: %w", err)
+		}
+		a, err := t.sample(cur)
+		if err != nil {
+			return err
+		}
+		ratios = append(ratios, a/b)
+	}
+	cur.cand = cur.summary(t)
+	cur.cand.Ratio = median(ratios)
+	return nil
+}
+
+// summary is e's candidate entry with its samples folded in.
+func (e *entrant) summary(t *tuner) Candidate {
+	c := e.cand
+	c.Samples = len(e.ns)
+	if c.Samples > 0 {
+		c.NsPerNNZ = median(e.ns) / float64(t.nnz)
+	}
+	return c
+}
+
+// better reports whether a beats b: the lower ratio to CSR, unless the
+// two are within tie of each other, where the smaller matrix wins.
+func better(a, b Candidate) bool {
+	if max(a.Ratio, b.Ratio) <= (1+tie)*min(a.Ratio, b.Ratio) {
+		return a.Bytes < b.Bytes
+	}
+	return a.Ratio < b.Ratio
+}
+
+// median returns the median of v, which must not be empty; v is left
+// as it was.
+func median(v []float64) float64 {
+	s := slices.Clone(v)
+	slices.Sort(s)
+	if n := len(s); n%2 == 0 {
+		return (s[n/2-1] + s[n/2]) / 2
+	}
+	return s[len(s)/2]
+}
+
+// proberIters sizes the per-sample iteration count so one sample does
+// a few million non-zero multiplies: enough to swamp dispatch
+// overhead, few enough that a large matrix takes one multiply a
+// sample.
+func proberIters(nnz int) int {
+	if nnz <= 0 {
+		return 1
+	}
+	return min(max(4_000_000/nnz, 1), 50)
 }

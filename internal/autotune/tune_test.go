@@ -1,176 +1,303 @@
 package autotune
 
 import (
-	"fmt"
+	"errors"
 	"math/rand"
-	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"spmv/internal/core"
 	"spmv/internal/formats"
 	"spmv/internal/matgen"
-	"spmv/internal/prof/archive"
-	"spmv/internal/roofline"
 )
 
-// rec builds a synthetic archive cell with enough samples and spread
-// for the Welch path.
-func rec(matrix, format string, threads int, mean, stddev float64, gbps float64) archive.Record {
-	return archive.Record{
-		Name: archive.CellName(matrix, format, threads), Matrix: matrix,
-		Format: format, Threads: threads, Iters: 10, Samples: 5,
-		MeanSecs: mean, StddevSecs: stddev, BytesPerIter: 1 << 20, GBps: gbps,
-	}
+// fakeClock is a clock that only the fake formats' multiplies move.
+type fakeClock struct{ ns atomic.Int64 }
+
+func (c *fakeClock) now() time.Time { return time.Unix(0, c.ns.Load()) }
+
+// fake is a format whose multiply costs a fixed time on the fake clock
+// and computes nothing. It is one chunk, so one multiply adds its cost
+// once at any thread count.
+type fake struct {
+	core.Format // the real csr matrix, for the shape
+	name        string
+	bytes, cost int64
+	width       int
+	clk         *fakeClock
 }
 
-func TestPriorsBlendScores(t *testing.T) {
-	// csr-du measured 2x the bandwidth of csr on this host, clearly
-	// outside noise; csr-vi measured indistinguishable from csr.
-	recs := []archive.Record{
-		rec("m1", "csr", 2, 1.0e-3, 1e-5, 10),
-		rec("m1", "csr-du", 2, 0.5e-3, 1e-5, 20),
-		rec("m1", "csr-vi", 2, 1.0e-3, 1e-4, 10.01),
-	}
-	priors := loadPriors(recs, 2)
-	if p, ok := priors["csr-du"]; !ok || !p.Significant {
-		t.Fatalf("csr-du prior not significant: %+v", priors)
-	}
-	if p, ok := priors["csr-vi"]; ok && p.Significant {
-		t.Fatalf("csr-vi prior should not be significant: %+v", p)
-	}
+func (f *fake) Name() string           { return f.name }
+func (f *fake) SizeBytes() int64       { return f.bytes }
+func (f *fake) IndexWidth() int        { return f.width }
+func (f *fake) Split(int) []core.Chunk { return []core.Chunk{fakeChunk{f}} }
 
-	cands := []Candidate{
-		{Spec: formats.Spec{Format: "csr-du"}, PredBytes: 1000, Feasible: true, Score: 1000},
-		{Spec: formats.Spec{Format: "csr-vi"}, PredBytes: 900, Feasible: true, Score: 900},
-	}
-	applyPriors(cands, priors)
-	if !cands[0].PriorSignificant || cands[0].Score >= 1000 {
-		t.Errorf("significant 2x prior should halve csr-du's score: %+v", cands[0])
-	}
-	if cands[1].PriorSignificant || cands[1].Score != 900 {
-		t.Errorf("insignificant prior must leave csr-vi untouched: %+v", cands[1])
-	}
-	// The blend flips the order: measured bandwidth outweighs the 10%
-	// analytic size edge.
-	rank(cands)
-	if cands[0].Spec.Name() != "csr-du" {
-		t.Errorf("prior-blended ranking should prefer csr-du, got %q", cands[0].Spec.Name())
-	}
+type fakeChunk struct{ f *fake }
+
+func (c fakeChunk) RowRange() (int, int) { return 0, c.f.Rows() }
+func (c fakeChunk) NNZ() int             { return c.f.NNZ() }
+func (c fakeChunk) SpMV(_, _ []float64)  { c.f.clk.ns.Add(c.f.cost) }
+
+// fakeSpec is what the fake builder makes of one format name: a
+// multiply cost in ns, a size, a val_ind width, or a build error.
+// real runs the real build first and fails where it fails.
+type fakeSpec struct {
+	cost, bytes int64
+	width       int
+	err         error
+	real        bool
 }
 
-func TestPriorsMissingArchiveIsClean(t *testing.T) {
-	c := matgen.Stencil2D(16)
-	rep, err := Tune(c, Options{Threads: 1, ArchivePath: filepath.Join(t.TempDir(), "BENCH_none.json")})
-	if err != nil {
-		t.Fatalf("%v", err)
+// fakes swaps in the fake clock and a builder serving specs, and
+// returns the names built, in order, and the count of fakes alive
+// (built and not yet collected).
+func fakes(t *testing.T, specs map[string]fakeSpec) (built *[]string, live *atomic.Int64) {
+	t.Helper()
+	clk := &fakeClock{}
+	built, live = new([]string), new(atomic.Int64)
+	oldNow, oldBuild := now, build
+	t.Cleanup(func() { now, build = oldNow, oldBuild })
+	now = clk.now
+	build = func(c *core.COO, s formats.Spec) (core.Format, error) {
+		*built = append(*built, s.Name())
+		fs, ok := specs[s.Name()]
+		if !ok {
+			t.Fatalf("unexpected build of %s", s.Name())
+		}
+		if fs.err != nil {
+			return nil, fs.err
+		}
+		if fs.real {
+			if _, err := formats.BuildSpec(c, s); err != nil {
+				return nil, err
+			}
+		}
+		shape, err := formats.Build("csr", c)
+		if err != nil {
+			return nil, err
+		}
+		f := &fake{Format: shape, name: s.Name(), bytes: fs.bytes, cost: fs.cost, width: fs.width, clk: clk}
+		live.Add(1)
+		runtime.SetFinalizer(f, func(*fake) { live.Add(-1) })
+		return f, nil
 	}
-	if rep.ArchiveNote != "" || rep.PriorsUsed {
-		t.Errorf("missing archive should be silent: note=%q priors=%v", rep.ArchiveNote, rep.PriorsUsed)
-	}
+	return built, live
 }
 
-// TestProbeRefinement runs the measured stage end to end: the report
-// carries probe timings, the winner is never Welch-significantly
-// slower than the plain-CSR baseline, and the results land in the
-// archive for the next run to use as priors.
-func TestProbeRefinement(t *testing.T) {
-	c := matgen.RandomUniform(rand.New(rand.NewSource(31)), 600, 600, 8, matgen.Values{})
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	rep, err := Tune(c, Options{
-		Threads: 2, Budget: 300 * time.Millisecond, TopK: 2,
-		ArchivePath: path, MatrixName: "probe-test",
+func stencil() *core.COO { return matgen.Stencil2D(12) }
+
+func candidate(t *testing.T, rep *Report, name string) Candidate {
+	t.Helper()
+	for _, c := range rep.Candidates {
+		if c.Spec.Name() == name {
+			return c
+		}
+	}
+	t.Fatalf("no candidate %s in %+v", name, rep.Candidates)
+	return Candidate{}
+}
+
+func TestTuneChoosesLowestRatio(t *testing.T) {
+	c := stencil()
+	fakes(t, map[string]fakeSpec{
+		"csr":       {cost: 100, bytes: 1000},
+		"csr-vi":    {cost: 90, bytes: 800, width: 1},
+		"csr-du":    {cost: 60, bytes: 700},
+		"csr-du-vi": {cost: 70, bytes: 400},
+		"sym-csr":   {cost: 80, bytes: 500},
 	})
+	f, rep, err := Tune(c, Options{Threads: 2})
 	if err != nil {
-		t.Fatalf("%v", err)
+		t.Fatal(err)
 	}
-	if !rep.Probed || rep.ProbeIters < 1 {
-		t.Fatalf("probe stage did not run: %+v", rep)
+	if f.Name() != "csr-du" || rep.Chosen.Name() != "csr-du" || rep.Chosen.Partition != "" {
+		t.Fatalf("built %s, chose %+v; want csr-du", f.Name(), rep.Chosen)
 	}
-	if !rep.Candidates[0].Probed {
-		t.Errorf("winner was not probed")
-	}
-	if rep.VsCSR != nil && rep.VsCSR.Significant && rep.VsCSR.Delta > 0 {
-		t.Errorf("probe-refined winner is Welch-significantly slower than csr: %+v", rep.VsCSR)
-	}
-	if rep.ArchiveNote != "" {
-		t.Fatalf("archive write failed: %s", rep.ArchiveNote)
-	}
-	f, err := archive.Load(path)
-	if err != nil {
-		t.Fatalf("recorded archive: %v", err)
-	}
-	foundCSR := false
-	for _, r := range f.Records {
-		if r.Matrix != "probe-test" || r.Samples < 2 || r.MeanSecs <= 0 {
-			t.Errorf("malformed probe record: %+v", r)
-		}
-		if r.Format == "csr" {
-			foundCSR = true
+	want := map[string]float64{"csr": 1, "csr-vi": 0.9, "csr-du": 0.6, "csr-du-vi": 0.7, "sym-csr": 0.8}
+	var names []string
+	for _, cand := range rep.Candidates {
+		names = append(names, cand.Spec.Name())
+		if cand.Ratio != want[cand.Spec.Name()] || cand.Reason != "" {
+			t.Errorf("%s: ratio %v reason %q, want %v", cand.Spec.Name(), cand.Ratio, cand.Reason, want[cand.Spec.Name()])
 		}
 	}
-	if len(f.Records) < 2 || !foundCSR {
-		t.Errorf("expected >= 2 probe records including the csr baseline, got %+v", f.Records)
+	if got := strings.Join(names, " "); got != "csr csr-vi csr-du csr-du-vi sym-csr" {
+		t.Errorf("candidate order %q", got)
+	}
+	du := candidate(t, rep, "csr-du")
+	if du.Samples != rounds || du.Bytes != 700 || du.NsPerNNZ != 60/float64(c.Len()) {
+		t.Errorf("csr-du entry %+v", du)
+	}
+	if ch := rep.Choice(); ch.Spec.Name() != "csr-du" || ch.Bytes != 700 {
+		t.Errorf("Choice() = %+v", ch)
 	}
 }
 
-// TestSymmetricMatrixPicksSymCSR pins the symmetry feature's payoff:
-// on a numerically symmetric matrix with incompressible values, the
-// halved off-diagonal storage wins.
+func TestTuneTieGoesToFewerBytes(t *testing.T) {
+	for _, tc := range []struct {
+		duBytes int64
+		want    string
+	}{{900, "csr-du"}, {1100, "csr-vi"}} {
+		// csr-du is 2.5% faster than csr-vi: a tie, which bytes decide.
+		fakes(t, map[string]fakeSpec{
+			"csr":     {cost: 100, bytes: 2000},
+			"csr-vi":  {cost: 80, bytes: 1000},
+			"csr-du":  {cost: 78, bytes: tc.duBytes},
+			"sym-csr": {err: errors.New("not symmetric")},
+		})
+		f, rep, err := Tune(stencil(), Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Name() != tc.want || rep.Chosen.Name() != tc.want {
+			t.Errorf("csr-du at %d bytes: chose %s, want %s", tc.duBytes, rep.Chosen.Name(), tc.want)
+		}
+	}
+}
+
+func TestTuneReportsFailedBuild(t *testing.T) {
+	built, _ := fakes(t, map[string]fakeSpec{
+		"csr":     {cost: 100, bytes: 1000},
+		"csr-vi":  {cost: 95, bytes: 900},
+		"csr-du":  {err: errors.New("encoder refused")},
+		"sym-csr": {cost: 10, bytes: 100, real: true},
+	})
+	c := matgen.Banded(rand.New(rand.NewSource(1)), 50, 3, 4, matgen.Values{}) // not symmetric
+	_, rep, err := Tune(c, Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Chosen.Name() != "csr-vi" {
+		t.Errorf("chose %s, want csr-vi", rep.Chosen.Name())
+	}
+	if du := candidate(t, rep, "csr-du"); du.Reason != "encoder refused" || du.Samples != 0 {
+		t.Errorf("failed csr-du entry %+v", du)
+	}
+	if sym := candidate(t, rep, "sym-csr"); !strings.Contains(sym.Reason, "symmetric") || sym.Samples != 0 {
+		t.Errorf("sym-csr on an asymmetric matrix: %+v", sym)
+	}
+	if got := strings.Join(*built, " "); got != "csr csr-vi csr-du sym-csr" {
+		t.Errorf("built %q", got)
+	}
+}
+
+// TestSymmetricMatrixPicksSymCSR: sym-csr is built where sym.FromCOO
+// takes the matrix and wins where it times fastest.
 func TestSymmetricMatrixPicksSymCSR(t *testing.T) {
-	c := matgen.Symmetrize(matgen.RandomUniform(rand.New(rand.NewSource(51)), 800, 800, 9, matgen.Values{}))
-	rep, err := Tune(c, Options{Threads: 2})
+	fakes(t, map[string]fakeSpec{
+		"csr":     {cost: 100, bytes: 1000},
+		"csr-vi":  {cost: 95, bytes: 900},
+		"csr-du":  {cost: 90, bytes: 800},
+		"sym-csr": {cost: 50, bytes: 600, real: true},
+	})
+	f, rep, err := Tune(stencil(), Options{Threads: 2})
 	if err != nil {
-		t.Fatalf("%v", err)
+		t.Fatal(err)
 	}
-	if rep.Chosen.Name() != "sym-csr" {
-		best := rep.Candidates[0]
-		t.Errorf("symmetric matrix chose %q (pred %d); sym-csr should win", best.Spec.Name(), best.PredBytes)
+	if f.Name() != "sym-csr" || candidate(t, rep, "sym-csr").Ratio != 0.5 {
+		t.Errorf("chose %s: %+v", f.Name(), rep.Candidates)
 	}
 }
 
-// specKey renders a Spec as a comparable ranking identity.
-func specKey(s formats.Spec) string {
-	return fmt.Sprintf("%s/%s/steal=%v", s.Name(), s.Partition, s.Steal)
+func TestTuneSkipsCSRDUVIWhenPlain(t *testing.T) {
+	for _, width := range []int{0, 2} {
+		specs := map[string]fakeSpec{
+			"csr":     {cost: 100, bytes: 1000},
+			"csr-vi":  {cost: 100, bytes: 1000, width: width},
+			"csr-du":  {cost: 100, bytes: 1000},
+			"sym-csr": {cost: 100, bytes: 1000},
+		}
+		if width > 0 {
+			specs["csr-du-vi"] = fakeSpec{cost: 100, bytes: 1000}
+		}
+		built, _ := fakes(t, specs)
+		_, rep, err := Tune(stencil(), Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vi := candidate(t, rep, "csr-du-vi")
+		if width == 0 && (vi.Samples != 0 || !strings.HasPrefix(vi.Reason, "skipped")) {
+			t.Errorf("plain csr-vi: csr-du-vi entry %+v, built %v", vi, *built)
+		}
+		if width > 0 && (vi.Samples != rounds || vi.Reason != "") {
+			t.Errorf("dictionary csr-vi: csr-du-vi entry %+v", vi)
+		}
+	}
 }
 
-// TestRooflinePriorKeepsRankingMonotonic pins that a roofline model
-// restates scores as predicted seconds without changing the analytic
-// ranking: same ordering, Score == PredSecs (prior-free), and the
-// report carries the ceiling it normalized by.
-func TestRooflinePriorKeepsRankingMonotonic(t *testing.T) {
-	c := matgen.RandomUniform(rand.New(rand.NewSource(7)), 600, 600, 8, matgen.Values{})
-	plain, err := Tune(c, Options{Threads: 2})
+// TestCandidatesAlwaysRankCSR: CSR is the first entry at ratio 1 with
+// every baseline sample, and wins when nothing beats it by 5%.
+func TestCandidatesAlwaysRankCSR(t *testing.T) {
+	fakes(t, map[string]fakeSpec{
+		"csr":     {cost: 100, bytes: 1000},
+		"csr-vi":  {cost: 120, bytes: 900},
+		"csr-du":  {cost: 97, bytes: 1200},
+		"sym-csr": {err: errors.New("not symmetric")},
+	})
+	c := stencil()
+	f, rep, err := Tune(c, Options{})
 	if err != nil {
-		t.Fatalf("plain: %v", err)
+		t.Fatal(err)
 	}
-	m := &roofline.Model{Source: roofline.SourceProbe, Host: "t", Ceilings: map[int]float64{2: 10}}
-	roofed, err := Tune(c, Options{Threads: 2, Roofline: m})
-	if err != nil {
-		t.Fatalf("roofed: %v", err)
+	base := rep.Candidates[0]
+	if f.Name() != "csr" || rep.Chosen.Name() != "csr" {
+		t.Errorf("chose %s, want csr", rep.Chosen.Name())
 	}
-	if roofed.CeilingGBps != 10 || roofed.RooflineSource != roofline.SourceProbe {
-		t.Fatalf("report ceiling %v source %q", roofed.CeilingGBps, roofed.RooflineSource)
+	if base.Spec.Name() != "csr" || base.Ratio != 1 || base.Samples != 2*rounds || base.NsPerNNZ != 100/float64(c.Len()) {
+		t.Errorf("csr entry %+v", base)
 	}
-	if specKey(roofed.Chosen) != specKey(plain.Chosen) {
-		t.Fatalf("roofline prior changed the winner: %q vs %q", specKey(roofed.Chosen), specKey(plain.Chosen))
-	}
-	if len(roofed.Candidates) != len(plain.Candidates) {
-		t.Fatalf("candidate counts differ")
-	}
-	for i := range roofed.Candidates {
-		rc, pc := roofed.Candidates[i], plain.Candidates[i]
-		if specKey(rc.Spec) != specKey(pc.Spec) {
-			t.Fatalf("rank %d differs: %q vs %q", i, specKey(rc.Spec), specKey(pc.Spec))
+}
+
+// TestTuneKeepsAtMostThreeAlive checks, at every build, that no more
+// than two earlier matrices are still reachable: CSR and the best so
+// far. Each new candidate beats the last in one run (the old best is
+// released) and loses to it in the other (the candidate is).
+func TestTuneKeepsAtMostThreeAlive(t *testing.T) {
+	for _, costs := range [][4]int64{{90, 80, 70, 60}, {60, 70, 80, 90}} {
+		specs := map[string]fakeSpec{
+			"csr":       {cost: 100, bytes: 1000},
+			"csr-vi":    {cost: costs[0], bytes: 1000, width: 1},
+			"csr-du":    {cost: costs[1], bytes: 1000},
+			"csr-du-vi": {cost: costs[2], bytes: 1000},
+			"sym-csr":   {cost: costs[3], bytes: 1000},
 		}
-		if !rc.Feasible {
-			continue
+		built, live := fakes(t, specs)
+		inner := build
+		build = func(c *core.COO, s formats.Spec) (core.Format, error) {
+			if n := collect(live, 2); n > 2 {
+				t.Errorf("costs %v: building %s with %d matrices alive", costs, s.Name(), n)
+			}
+			return inner(c, s)
 		}
-		wantSecs := float64(rc.PredBytes) / 1e10
-		if diff := rc.PredSecs - wantSecs; diff > 1e-15 || diff < -1e-15 {
-			t.Errorf("%s: PredSecs %v, want %v", specKey(rc.Spec), rc.PredSecs, wantSecs)
+		if _, _, err := Tune(stencil(), Options{Threads: 2}); err != nil {
+			t.Fatal(err)
 		}
-		if diff := rc.Score - wantSecs; diff > 1e-15 || diff < -1e-15 {
-			t.Errorf("%s: Score %v not restated as seconds %v", specKey(rc.Spec), rc.Score, wantSecs)
+		if len(*built) != 5 {
+			t.Errorf("built %v", *built)
+		}
+	}
+}
+
+// collect runs the collector until at most want fakes are alive or a
+// second has passed, and returns the count alive. Released executors'
+// workers exit asynchronously, so a released matrix can stay reachable
+// for a moment after Close.
+func collect(live *atomic.Int64, want int64) int64 {
+	deadline := time.Now().Add(time.Second)
+	for live.Load() > want && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	return live.Load()
+}
+
+func TestProberIters(t *testing.T) {
+	for _, tc := range [][2]int{{0, 1}, {1, 50}, {80_000, 50}, {400_000, 10}, {1 << 30, 1}} {
+		if got := proberIters(tc[0]); got != tc[1] {
+			t.Errorf("proberIters(%d) = %d, want %d", tc[0], got, tc[1])
 		}
 	}
 }

@@ -29,7 +29,6 @@
 package csr
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -147,19 +146,8 @@ func FromRaw(name string, rowPtr, colInd []int32, width int, vi []byte, values [
 	case name == "csr-vi" && width == 0:
 		m.Unique = values
 	case name == "csr-vi" && (width == 1 || width == 2 || width == 4) && len(vi)%width == 0:
-		ids := make([]uint32, len(vi)/width)
-		for k := range ids {
-			switch width {
-			case 1:
-				ids[k] = uint32(vi[k])
-			case 2:
-				ids[k] = uint32(binary.LittleEndian.Uint16(vi[2*k:]))
-			default:
-				ids[k] = binary.LittleEndian.Uint32(vi[4*k:])
-			}
-		}
 		m.Unique = values
-		m.VI8, m.VI16, m.VI32 = csrvi.Narrow(ids, width)
+		m.VI8, m.VI16, m.VI32 = csrvi.Unpack(vi, width)
 	default:
 		return nil, core.Corruptf("csr: no %s value codec of width %d over %d index bytes", name, width, len(vi))
 	}

@@ -1,8 +1,6 @@
 package csrdu
 
 import (
-	"encoding/binary"
-
 	"spmv/internal/core"
 	"spmv/internal/csrvi"
 	"spmv/internal/varint"
@@ -178,23 +176,12 @@ func FromRawVI(ctl []byte, width int, vi []byte, unique []float64, rows, cols in
 	if len(vi)%width != 0 {
 		return nil, core.Shapef("csrdu: val_ind size %d not a multiple of width %d", len(vi), width)
 	}
-	ids := make([]uint32, len(vi)/width)
-	for k := range ids {
-		switch width {
-		case 1:
-			ids[k] = uint32(vi[k])
-		case 2:
-			ids[k] = uint32(binary.LittleEndian.Uint16(vi[2*k:]))
-		default:
-			ids[k] = binary.LittleEndian.Uint32(vi[4*k:])
-		}
-	}
-	m, err := fromRaw(ctl, len(ids), rows, cols)
+	m, err := fromRaw(ctl, len(vi)/width, rows, cols)
 	if err != nil {
 		return nil, err
 	}
 	m.Unique = unique
-	m.VI8, m.VI16, m.VI32 = csrvi.Narrow(ids, width)
+	m.VI8, m.VI16, m.VI32 = csrvi.Unpack(vi, width)
 	if err := m.checkIndices(); err != nil {
 		return nil, err
 	}

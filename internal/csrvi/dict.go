@@ -1,6 +1,7 @@
 package csrvi
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -107,6 +108,28 @@ func Narrow(ids []uint32, width int) (vi8 []uint8, vi16 []uint16, vi32 []uint32)
 		}
 	default:
 		vi32 = ids
+	}
+	return vi8, vi16, vi32
+}
+
+// Unpack decodes a stored val_ind stream, one little-endian index of
+// width 1, 2 or 4 bytes a non-zero, straight into the stream of that
+// width; exactly one result is non-nil. The width must be 1, 2 or 4 and
+// divide len(b).
+func Unpack(b []byte, width int) (vi8 []uint8, vi16 []uint16, vi32 []uint32) {
+	switch width {
+	case 1:
+		vi8 = append([]uint8{}, b...)
+	case 2:
+		vi16 = make([]uint16, len(b)/2)
+		for k := range vi16 {
+			vi16[k] = binary.LittleEndian.Uint16(b[2*k:])
+		}
+	default:
+		vi32 = make([]uint32, len(b)/4)
+		for k := range vi32 {
+			vi32[k] = binary.LittleEndian.Uint32(b[4*k:])
+		}
 	}
 	return vi8, vi16, vi32
 }

@@ -18,7 +18,7 @@ import (
 
 // Spec is one complete build candidate: the format name, the encoder
 // options it takes, and the scheduler hints that should accompany the
-// built format at execution time. The autotuner ranks Specs, the bench
+// built format at execution time. The autotuner times Specs, the bench
 // harness measures them and the server records them — one struct
 // instead of three call sites re-plumbing (name, DU, partition)
 // separately. The scheduler fields are carried as plain data: this

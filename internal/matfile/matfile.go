@@ -198,16 +198,14 @@ func readAll(r io.Reader, total int64) (core.Format, error) {
 	// The container stores raw streams, and each format adopts them as
 	// stored through a validating FromRaw that checks all invariants at
 	// O(nnz) cost, which the encoders' construction already pays. That
-	// keeps the reader immune to malformed index, ctl and command streams.
+	// keeps the reader immune to malformed index, ctl and command
+	// streams, and is the only verification a matrix gets on load.
 	f, err := readBody(sr, name, rows, cols, nnz, maxSection, withCRC)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, core.Corruptf("matfile: trailing data after last section")
-	}
-	if err := core.Verify(f); err != nil {
-		return nil, fmt.Errorf("matfile: %w", err)
 	}
 	return f, nil
 }

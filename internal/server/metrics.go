@@ -108,15 +108,13 @@ type MatrixMetrics struct {
 }
 
 // TuneDecision is the compact /metrics view of an autotune report: the
-// chosen spec and the headline numbers, not the full candidate trace
-// (spmvbench -auto emits that).
+// chosen format with its size and measured time, not the full candidate
+// trace (spmvbench -auto emits that).
 type TuneDecision struct {
-	Format     string `json:"format"`
-	Partition  string `json:"partition,omitempty"`
-	PredBytes  int64  `json:"pred_bytes"`
-	Candidates int    `json:"candidates"`
-	PriorsUsed bool   `json:"priors_used,omitempty"`
-	Probed     bool   `json:"probed,omitempty"`
+	Format     string  `json:"format"`
+	Bytes      int64   `json:"bytes"`
+	NsPerNNZ   float64 `json:"ns_per_nnz"`
+	Candidates int     `json:"candidates"`
 }
 
 // MetricsSnapshot is the JSON document served on /metrics.
@@ -189,13 +187,12 @@ func (s *Server) Snapshot() MetricsSnapshot {
 			Spans:      e.spans.snapshot(),
 		}
 		if t := e.tune; t != nil {
+			ch := t.Choice()
 			mm.Tune = &TuneDecision{
-				Format:     t.Chosen.Name(),
-				Partition:  t.Chosen.Partition,
-				PredBytes:  t.ChosenPredBytes,
+				Format:     ch.Spec.Name(),
+				Bytes:      ch.Bytes,
+				NsPerNNZ:   ch.NsPerNNZ,
 				Candidates: len(t.Candidates),
-				PriorsUsed: t.PriorsUsed,
-				Probed:     t.Probed,
 			}
 		}
 		snap.Matrices[e.id] = mm

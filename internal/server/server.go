@@ -494,16 +494,10 @@ func (s *Server) ingest(key string, body pieces, formatName string, explicit boo
 			return nil, fmt.Errorf("%w (estimated %d > %d bytes)", errTooLarge, est, s.cfg.MemoryBudget)
 		}
 		if formatName == "auto" {
-			// Analytic-only tuning: deterministic, no measured probes on
-			// the ingest path. The decision trace lands on the entry and
-			// is served by /metrics.
-			rep, err := autotune.Tune(c, autotune.Options{Threads: s.cfg.Threads})
-			if err != nil {
-				return nil, badUpload(err)
-			}
-			tune = rep
-			f, err = autotune.Build(c, rep.Chosen)
-			if err != nil {
+			// The tuner times its short list at the server's thread
+			// count and returns the winner built. The decision trace
+			// lands on the entry and is served by /metrics.
+			if f, tune, err = autotune.Tune(c, autotune.Options{Threads: s.cfg.Threads}); err != nil {
 				return nil, badUpload(err)
 			}
 		} else if f, err = formats.Build(formatName, c); err != nil {
@@ -518,11 +512,7 @@ func (s *Server) ingest(key string, body pieces, formatName string, explicit boo
 		return nil, fmt.Errorf("%w (%d > %d bytes)", errTooLarge, size, s.cfg.MemoryBudget)
 	}
 	rec := obs.NewRecorder()
-	execOpts := parallel.ExecOptions{Threads: s.cfg.Threads, Collector: rec}
-	if tune != nil {
-		execOpts.Partition = tune.Chosen.Partition
-	}
-	runner, err := parallel.New(f, execOpts)
+	runner, err := parallel.New(f, parallel.ExecOptions{Threads: s.cfg.Threads, Collector: rec})
 	if err != nil {
 		return nil, err
 	}

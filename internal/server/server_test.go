@@ -168,7 +168,7 @@ func TestUploadAutoFormat(t *testing.T) {
 	if mm.Tune == nil {
 		t.Fatal("metrics carry no tune decision for a format=auto upload")
 	}
-	if mm.Tune.Format != resp.Format || mm.Tune.Candidates == 0 || mm.Tune.PredBytes <= 0 {
+	if mm.Tune.Format != resp.Format || mm.Tune.Candidates == 0 || mm.Tune.Bytes <= 0 || mm.Tune.NsPerNNZ <= 0 {
 		t.Errorf("tune decision incomplete: %+v (upload format %q)", mm.Tune, resp.Format)
 	}
 

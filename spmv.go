@@ -48,8 +48,8 @@
 //	}
 //
 // Not sure which format fits the matrix? Let the autotuner decide —
-// it ranks every registry format by predicted memory traffic and
-// reports its reasoning:
+// it times the paper's formats against CSR on this host and reports
+// what it measured:
 //
 //	var rep spmv.TuneReport
 //	m, err := spmv.Build(c, spmv.WithAutoFormat(), spmv.WithTuneReport(&rep))
@@ -612,13 +612,3 @@ func UnpermuteVec(y []float64, perm []int32) []float64 { return reorder.Unpermut
 
 // Bandwidth returns max |i-j| over the non-zeros.
 func Bandwidth(c *COO) int { return reorder.Bandwidth(c) }
-
-// PickFastest builds candidate formats (nil means the analytic
-// recommendations), times serial SpMV on each, and returns the fastest
-// with all measurements — empirical autotuning in the OSKI style.
-func PickFastest(c *COO, candidates []string, iters int) (string, []analyze.Timing, error) {
-	return analyze.PickFastest(c, candidates, iters)
-}
-
-// FormatTiming is one measured candidate of PickFastest.
-type FormatTiming = analyze.Timing
