@@ -54,8 +54,8 @@ func TestRCMPublicFlow(t *testing.T) {
 
 func TestMixedPrecisionPublicFlow(t *testing.T) {
 	c := matgen.Stencil2D(10)
-	full, _ := spmv.NewCSR(c)
-	low, err := spmv.NewCSR32(c)
+	full, _ := spmv.Build(c)
+	low, err := spmv.Build(c, spmv.WithFormat("csr32"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestBiCGSTABPublic(t *testing.T) {
 		}
 		ns.Add(i, j, v)
 	}
-	f, _ := spmv.NewCSR(ns)
+	f, _ := spmv.Build(ns)
 	op, _ := spmv.NewOperator(f)
 	b := make([]float64, op.N)
 	for i := range b {
@@ -98,7 +98,7 @@ func TestBiCGSTABPublic(t *testing.T) {
 
 func TestMatfilePublic(t *testing.T) {
 	c := matgen.Stencil2D(8)
-	m, _ := spmv.NewCSRDU(c)
+	m, _ := spmv.Build(c, spmv.WithFormat("csr-du"))
 	var buf bytes.Buffer
 	if err := spmv.WriteMatrix(&buf, m); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestMatfilePublic(t *testing.T) {
 // the bandwidth across streams.
 func TestProfilePublic(t *testing.T) {
 	c := matgen.Stencil2D(30)
-	f, err := spmv.BuildFormat("csr-du", c)
+	f, err := spmv.Build(c, spmv.WithFormat("csr-du"))
 	if err != nil {
 		t.Fatal(err)
 	}

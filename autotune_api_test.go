@@ -12,64 +12,6 @@ import (
 	"spmv/internal/testmat"
 )
 
-// TestConstructorsDelegateToBuild pins the constructor consolidation:
-// every deprecated NewXxx wrapper must produce a matrix identical (name
-// and working-set bytes) to the Build call its docs point at, and the
-// parameterized survivors must keep honoring their extra knobs.
-func TestConstructorsDelegateToBuild(t *testing.T) {
-	c, _ := laplacian2D(10)
-	viaNew := map[string]func() (spmv.Format, error){
-		"csr":       func() (spmv.Format, error) { return spmv.NewCSR(c) },
-		"csr16":     func() (spmv.Format, error) { return spmv.NewCSR16(c) },
-		"csr-du":    func() (spmv.Format, error) { return spmv.NewCSRDU(c) },
-		"csr-vi":    func() (spmv.Format, error) { return spmv.NewCSRVI(c) },
-		"csr-du-vi": func() (spmv.Format, error) { return spmv.NewCSRDUVI(c) },
-		"dcsr":      func() (spmv.Format, error) { return spmv.NewDCSR(c) },
-		"csc":       func() (spmv.Format, error) { return spmv.NewCSC(c) },
-		"csr32":     func() (spmv.Format, error) { return spmv.NewCSR32(c) },
-		"ell":       func() (spmv.Format, error) { return spmv.NewELL(c) },
-	}
-	for name, ctor := range viaNew {
-		a, err := ctor()
-		if err != nil {
-			t.Errorf("%s: constructor: %v", name, err)
-			continue
-		}
-		b, err := spmv.Build(c, spmv.WithFormat(name))
-		if err != nil {
-			t.Errorf("%s: Build: %v", name, err)
-			continue
-		}
-		if a.Name() != b.Name() || a.SizeBytes() != b.SizeBytes() {
-			t.Errorf("%s: constructor (%s, %d bytes) != Build (%s, %d bytes)",
-				name, a.Name(), a.SizeBytes(), b.Name(), b.SizeBytes())
-		}
-	}
-
-	// The options-carrying delegate: NewCSRDUOpts == Build + WithDUOptions.
-	o := spmv.DUOptions{RLE: true}
-	a, err := spmv.NewCSRDUOpts(c, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := spmv.Build(c, spmv.WithFormat("csr-du"), spmv.WithDUOptions(o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SizeBytes() != b.SizeBytes() {
-		t.Errorf("NewCSRDUOpts %d bytes != Build+WithDUOptions %d bytes", a.SizeBytes(), b.SizeBytes())
-	}
-
-	// BuildFormat delegates too.
-	f, err := spmv.BuildFormat("csr-du", c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Name() != "csr-du" {
-		t.Errorf("BuildFormat built %q", f.Name())
-	}
-}
-
 // autoShapes are matrices of distinct structure, generated through the
 // matgen entry points; symmetric is the one sym-csr can take.
 func autoShapes() map[string]*spmv.COO {

@@ -1,6 +1,6 @@
 // Ablation benchmarks for the systems beyond the paper's headline
-// formats: classic-format comparators (§III-A), reordering synergy,
-// symmetric storage, multi-vector SpMM and mixed precision.
+// formats: reordering synergy, symmetric storage, multi-vector SpMM and
+// mixed precision.
 package spmv_test
 
 import (
@@ -10,16 +10,6 @@ import (
 	"spmv"
 	"spmv/internal/matgen"
 )
-
-// BenchmarkAblationClassicFormats compares ELLPACK with CSR on the
-// banded stencil it was designed for, plus CSR on power-law rows.
-func BenchmarkAblationClassicFormats(b *testing.B) {
-	benchSetup()
-	stencil := benchMats.stencil
-	b.Run("stencil/csr", func(b *testing.B) { runFormat(b, mustFmt(spmv.NewCSR(stencil)), 1) })
-	b.Run("stencil/ell", func(b *testing.B) { runFormat(b, mustFmt(spmv.NewELL(stencil)), 1) })
-	b.Run("powerlaw/csr", func(b *testing.B) { runFormat(b, mustFmt(spmv.NewCSR(benchMats.powerlaw)), 1) })
-}
 
 // BenchmarkAblationRCM measures CSR-DU before and after reverse
 // Cuthill-McKee reordering of a scattered symmetric matrix: smaller
@@ -35,8 +25,8 @@ func BenchmarkAblationRCM(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	before := mustFmt(spmv.NewCSRDU(mess))
-	after := mustFmt(spmv.NewCSRDU(tidy))
+	before := mustFmt(spmv.Build(mess, spmv.WithFormat("csr-du")))
+	after := mustFmt(spmv.Build(tidy, spmv.WithFormat("csr-du")))
 	b.Logf("csr-du size: %.1f%% -> %.1f%% of CSR after RCM",
 		100*spmv.CompressionRatio(before), 100*spmv.CompressionRatio(after))
 	b.Run("original", func(b *testing.B) { runFormat(b, before, 1) })
@@ -51,7 +41,7 @@ func BenchmarkAblationSym(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	full := mustFmt(spmv.NewCSR(benchMats.stencil))
+	full := mustFmt(spmv.Build(benchMats.stencil))
 	b.Run("csr", func(b *testing.B) { runFormat(b, full, 1) })
 	b.Run("sym-csr", func(b *testing.B) { runFormat(b, s, 1) })
 }
@@ -61,7 +51,7 @@ func BenchmarkAblationSym(b *testing.B) {
 // drops by k.
 func BenchmarkAblationSpMM(b *testing.B) {
 	benchSetup()
-	m := mustFmt(spmv.NewCSR(benchMats.large)).(*spmv.CSR)
+	m := mustFmt(spmv.Build(benchMats.large)).(*spmv.CSR)
 	for _, k := range []int{1, 2, 4, 8} {
 		k := k
 		x := make([]float64, m.Cols()*k)
@@ -86,8 +76,8 @@ func BenchmarkAblationSpMM(b *testing.B) {
 // against csr at 8 threads on a memory-bound matrix.
 func BenchmarkAblationMixedPrecision(b *testing.B) {
 	benchSetup()
-	full := mustFmt(spmv.NewCSR(benchMats.large))
-	low := mustFmt(spmv.NewCSR32(benchMats.large))
+	full := mustFmt(spmv.Build(benchMats.large))
+	low := mustFmt(spmv.Build(benchMats.large, spmv.WithFormat("csr32")))
 	b.Run("csr-8t", func(b *testing.B) { runFormat(b, full, 8) })
 	b.Run("csr32-8t", func(b *testing.B) { runFormat(b, low, 8) })
 }
@@ -99,22 +89,22 @@ func BenchmarkEncoders(b *testing.B) {
 	c := benchMats.large
 	b.Run("csr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mustFmt(spmv.NewCSR(c))
+			mustFmt(spmv.Build(c))
 		}
 	})
 	b.Run("csr-du", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mustFmt(spmv.NewCSRDU(c))
+			mustFmt(spmv.Build(c, spmv.WithFormat("csr-du")))
 		}
 	})
 	b.Run("csr-vi", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mustFmt(spmv.NewCSRVI(c))
+			mustFmt(spmv.Build(c, spmv.WithFormat("csr-vi")))
 		}
 	})
 	b.Run("dcsr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mustFmt(spmv.NewDCSR(c))
+			mustFmt(spmv.Build(c, spmv.WithFormat("dcsr")))
 		}
 	})
 }

@@ -60,7 +60,7 @@ func runFormat(b *testing.B, f spmv.Format, threads int) {
 		}
 		return
 	}
-	e, err := spmv.NewExecutor(f, threads)
+	e, err := spmv.NewExecutorOpts(f, spmv.ExecOptions{Threads: threads})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func runFormat(b *testing.B, f spmv.Format, threads int) {
 	}
 }
 
-func mustFmt[F spmv.Format](f F, err error) spmv.Format {
+func mustFmt(f spmv.Format, err error) spmv.Format {
 	if err != nil {
 		panic(err)
 	}
@@ -83,7 +83,7 @@ func mustFmt[F spmv.Format](f F, err error) spmv.Format {
 // on a memory-bound matrix. Speedups = ns(1t)/ns(Nt).
 func BenchmarkTable2(b *testing.B) {
 	benchSetup()
-	f := mustFmt(spmv.NewCSR(benchMats.large))
+	f := mustFmt(spmv.Build(benchMats.large))
 	for _, th := range []int{1, 2, 4, 8} {
 		b.Run(bname("csr", th), func(b *testing.B) { runFormat(b, f, th) })
 	}
@@ -93,8 +93,8 @@ func BenchmarkTable2(b *testing.B) {
 // thread count (ratio at equal threads = the table's speedup).
 func BenchmarkTable3(b *testing.B) {
 	benchSetup()
-	base := mustFmt(spmv.NewCSR(benchMats.large))
-	du := mustFmt(spmv.NewCSRDU(benchMats.large))
+	base := mustFmt(spmv.Build(benchMats.large))
+	du := mustFmt(spmv.Build(benchMats.large, spmv.WithFormat("csr-du")))
 	for _, th := range []int{1, 2, 4, 8} {
 		b.Run(bname("csr", th), func(b *testing.B) { runFormat(b, base, th) })
 		b.Run(bname("csr-du", th), func(b *testing.B) { runFormat(b, du, th) })
@@ -105,8 +105,8 @@ func BenchmarkTable3(b *testing.B) {
 // thread count on a ttu>5 matrix.
 func BenchmarkTable4(b *testing.B) {
 	benchSetup()
-	base := mustFmt(spmv.NewCSR(benchMats.largeQ))
-	vi := mustFmt(spmv.NewCSRVI(benchMats.largeQ))
+	base := mustFmt(spmv.Build(benchMats.largeQ))
+	vi := mustFmt(spmv.Build(benchMats.largeQ, spmv.WithFormat("csr-vi")))
 	for _, th := range []int{1, 2, 4, 8} {
 		b.Run(bname("csr", th), func(b *testing.B) { runFormat(b, base, th) })
 		b.Run(bname("csr-vi", th), func(b *testing.B) { runFormat(b, vi, th) })
@@ -124,8 +124,8 @@ func BenchmarkFig7(b *testing.B) {
 		"powerlaw": benchMats.powerlaw,
 	}
 	for name, c := range mats {
-		base := mustFmt(spmv.NewCSR(c))
-		du := mustFmt(spmv.NewCSRDU(c))
+		base := mustFmt(spmv.Build(c))
+		du := mustFmt(spmv.Build(c, spmv.WithFormat("csr-du")))
 		b.Run(name+"/csr-8t", func(b *testing.B) { runFormat(b, base, 8) })
 		b.Run(name+"/csr-du-8t", func(b *testing.B) { runFormat(b, du, 8) })
 	}
@@ -141,8 +141,8 @@ func BenchmarkFig8(b *testing.B) {
 		"blocky":   benchMats.blocky,
 	}
 	for name, c := range mats {
-		base := mustFmt(spmv.NewCSR(c))
-		vi := mustFmt(spmv.NewCSRVI(c))
+		base := mustFmt(spmv.Build(c))
+		vi := mustFmt(spmv.Build(c, spmv.WithFormat("csr-vi")))
 		b.Run(name+"/csr-8t", func(b *testing.B) { runFormat(b, base, 8) })
 		b.Run(name+"/csr-vi-8t", func(b *testing.B) { runFormat(b, vi, 8) })
 	}
@@ -152,8 +152,8 @@ func BenchmarkFig8(b *testing.B) {
 // comparator (§III-B): similar compression, coarser decode.
 func BenchmarkAblationDCSR(b *testing.B) {
 	benchSetup()
-	du := mustFmt(spmv.NewCSRDU(benchMats.large))
-	dc := mustFmt(spmv.NewDCSR(benchMats.large))
+	du := mustFmt(spmv.Build(benchMats.large, spmv.WithFormat("csr-du")))
+	dc := mustFmt(spmv.Build(benchMats.large, spmv.WithFormat("dcsr")))
 	b.Run("csr-du-1t", func(b *testing.B) { runFormat(b, du, 1) })
 	b.Run("dcsr-1t", func(b *testing.B) { runFormat(b, dc, 1) })
 	b.Run("csr-du-8t", func(b *testing.B) { runFormat(b, du, 8) })
@@ -165,8 +165,8 @@ func BenchmarkAblationDCSR(b *testing.B) {
 func BenchmarkAblationRLE(b *testing.B) {
 	benchSetup()
 	for name, c := range map[string]*core.COO{"blocky": benchMats.blocky, "banded": benchMats.large} {
-		plain := mustFmt(spmv.NewCSRDU(c))
-		rle := mustFmt(spmv.NewCSRDUOpts(c, spmv.DUOptions{RLE: true}))
+		plain := mustFmt(spmv.Build(c, spmv.WithFormat("csr-du")))
+		rle := mustFmt(spmv.Build(c, spmv.WithFormat("csr-du"), spmv.WithDUOptions(spmv.DUOptions{RLE: true})))
 		b.Run(name+"/plain", func(b *testing.B) { runFormat(b, plain, 1) })
 		b.Run(name+"/rle", func(b *testing.B) { runFormat(b, rle, 1) })
 	}
@@ -178,10 +178,10 @@ func BenchmarkAblationDUVI(b *testing.B) {
 	benchSetup()
 	c := benchMats.largeQ
 	for name, f := range map[string]spmv.Format{
-		"csr":       mustFmt(spmv.NewCSR(c)),
-		"csr-du":    mustFmt(spmv.NewCSRDU(c)),
-		"csr-vi":    mustFmt(spmv.NewCSRVI(c)),
-		"csr-du-vi": mustFmt(spmv.NewCSRDUVI(c)),
+		"csr":       mustFmt(spmv.Build(c)),
+		"csr-du":    mustFmt(spmv.Build(c, spmv.WithFormat("csr-du"))),
+		"csr-vi":    mustFmt(spmv.Build(c, spmv.WithFormat("csr-vi"))),
+		"csr-du-vi": mustFmt(spmv.Build(c, spmv.WithFormat("csr-du-vi"))),
 	} {
 		b.Run(name+"-8t", func(b *testing.B) { runFormat(b, f, 8) })
 	}
@@ -191,54 +191,38 @@ func BenchmarkAblationDUVI(b *testing.B) {
 // (Williams et al.) against CSR-DU on a narrow matrix.
 func BenchmarkAblationCSR16(b *testing.B) {
 	c := matgen.Banded(rand.New(rand.NewSource(6)), 60000, 50, 10, matgen.Values{})
-	base := mustFmt(spmv.NewCSR(c))
-	c16 := mustFmt(spmv.NewCSR16(c))
-	du := mustFmt(spmv.NewCSRDU(c))
+	base := mustFmt(spmv.Build(c))
+	c16 := mustFmt(spmv.Build(c, spmv.WithFormat("csr16")))
+	du := mustFmt(spmv.Build(c, spmv.WithFormat("csr-du")))
 	b.Run("csr-1t", func(b *testing.B) { runFormat(b, base, 1) })
 	b.Run("csr16-1t", func(b *testing.B) { runFormat(b, c16, 1) })
 	b.Run("csr-du-1t", func(b *testing.B) { runFormat(b, du, 1) })
 }
 
-// BenchmarkAblationPartitioning compares the three partitioning schemes
-// of §II-C on the same matrix at 8 threads.
+// BenchmarkAblationPartitioning compares the row-unit and
+// nonzero-split schemes of §II-C on the same CSR matrix at 8 threads.
 func BenchmarkAblationPartitioning(b *testing.B) {
 	benchSetup()
 	c := benchMats.large
+	f := mustFmt(spmv.Build(c))
 	x := make([]float64, c.Cols())
 	y := make([]float64, c.Rows())
 	for i := range x {
 		x[i] = 1
 	}
-	b.Run("row-8t", func(b *testing.B) {
-		f := mustFmt(spmv.NewCSR(c))
-		runFormat(b, f, 8)
-	})
-	b.Run("col-8t", func(b *testing.B) {
-		f, err := spmv.NewCSC(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e, err := spmv.NewColExecutor(f, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer e.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Run(y, x)
-		}
-	})
-	b.Run("block-4x2", func(b *testing.B) {
-		e, err := spmv.NewBlockExecutor(c, 4, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer e.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Run(y, x)
-		}
-	})
+	for _, partition := range []string{"row", "nnz"} {
+		b.Run(partition+"-8t", func(b *testing.B) {
+			e, err := spmv.NewExecutorOpts(f, spmv.ExecOptions{Threads: 8, Partition: partition})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Run(y, x)
+			}
+		})
+	}
 }
 
 // BenchmarkSolverCG measures end-to-end solver throughput per format:
@@ -250,7 +234,7 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 // the executor's pool (DESIGN.md §18) shrink.
 func BenchmarkSolverCG(b *testing.B) {
 	b.Run("stencil3d-ooc", func(b *testing.B) {
-		f := mustFmt(spmv.NewCSR(matgen.Stencil3D(112)))
+		f := mustFmt(spmv.Build(matgen.Stencil3D(112)))
 		rhs := make([]float64, f.Rows())
 		for i := range rhs {
 			rhs[i] = 1 + float64(i%7)
@@ -262,7 +246,7 @@ func BenchmarkSolverCG(b *testing.B) {
 		}
 		for _, t := range threads {
 			b.Run(fmt.Sprintf("t%d", t), func(b *testing.B) {
-				e, err := spmv.NewExecutor(f, t)
+				e, err := spmv.NewExecutorOpts(f, spmv.ExecOptions{Threads: t})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -295,8 +279,8 @@ func BenchmarkSolverCG(b *testing.B) {
 	})
 	c := matgen.Stencil2D(300)
 	for name, f := range map[string]spmv.Format{
-		"csr":    mustFmt(spmv.NewCSR(c)),
-		"csr-vi": mustFmt(spmv.NewCSRVI(c)),
+		"csr":    mustFmt(spmv.Build(c)),
+		"csr-vi": mustFmt(spmv.Build(c, spmv.WithFormat("csr-vi"))),
 	} {
 		b.Run(name, func(b *testing.B) {
 			op, err := spmv.NewOperator(f)
@@ -331,10 +315,10 @@ func BenchmarkBatchRHS(b *testing.B) {
 		name string
 		f    spmv.Format
 	}{
-		{"csr", mustFmt(spmv.NewCSR(c))},
-		{"csr-du", mustFmt(spmv.NewCSRDU(c))},
-		{"csr-vi", mustFmt(spmv.NewCSRVI(c))},
-		{"csr-du-vi", mustFmt(spmv.NewCSRDUVI(c))},
+		{"csr", mustFmt(spmv.Build(c))},
+		{"csr-du", mustFmt(spmv.Build(c, spmv.WithFormat("csr-du")))},
+		{"csr-vi", mustFmt(spmv.Build(c, spmv.WithFormat("csr-vi")))},
+		{"csr-du-vi", mustFmt(spmv.Build(c, spmv.WithFormat("csr-du-vi")))},
 	} {
 		f := entry.f
 		for _, k := range []int{1, 2, 4, 8} {

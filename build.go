@@ -34,7 +34,7 @@ type (
 )
 
 // WithFormat selects the storage format by registry name ("csr",
-// "csr-du", "csr-vi", "csr-du-vi", "ell", ...); see FormatNames for the
+// "csr-du", "csr-vi", "csr-du-vi", "dcsr", ...); see FormatNames for the
 // full list. An unknown name surfaces from Build as an ErrUsage listing
 // every valid name. Mutually exclusive with WithAutoFormat.
 func WithFormat(name string) BuildOption {
@@ -76,7 +76,7 @@ func WithTuneReport(r *TuneReport) BuildOption {
 }
 
 // Build constructs a sparse matrix from triplets under functional
-// options — the one-stop replacement for the NewXxx constructor family:
+// options — the one way to build a registry format:
 //
 //	m, err := spmv.Build(c, spmv.WithFormat("csr-du"),
 //		spmv.WithDUOptions(spmv.DUOptions{RLE: true}),
@@ -88,9 +88,9 @@ func WithTuneReport(r *TuneReport) BuildOption {
 //	var rep spmv.TuneReport
 //	m, err := spmv.Build(c, spmv.WithAutoFormat(), spmv.WithTuneReport(&rep))
 //
-// Every NewXxx constructor remains supported and returns its concrete
-// type; Build returns the Format interface, which is what the
-// executors and solvers take.
+// Build returns the Format interface, which is what the executors and
+// solvers take; assert to a concrete type (*CSR, *CSRDU, ...) for its
+// fields.
 func Build(c *COO, opts ...BuildOption) (Format, error) {
 	cfg := buildConfig{name: "csr"}
 	for _, o := range opts {
@@ -113,16 +113,4 @@ func Build(c *COO, opts ...BuildOption) (Format, error) {
 		cfg.du.Workers = cfg.workers
 	}
 	return formats.BuildOpts(cfg.name, c, cfg.du)
-}
-
-// buildAs routes a concrete-typed constructor through the options
-// path: one registry build plus a type assertion back to the
-// constructor's concrete return type.
-func buildAs[T Format](c *COO, opts ...BuildOption) (T, error) {
-	var zero T
-	f, err := Build(c, opts...)
-	if err != nil {
-		return zero, err
-	}
-	return f.(T), nil
 }

@@ -12,7 +12,7 @@ import (
 
 // laplacian2D assembles the 5-point stencil on an n×n grid together
 // with its dense image. Symmetric, banded and uniform-row, so every
-// registered format (including sym-csr and ell) can represent it.
+// registered format (including sym-csr) can represent it.
 func laplacian2D(n int) (*spmv.COO, []float64) {
 	dim := n * n
 	c := spmv.NewCOO(dim, dim)

@@ -80,11 +80,11 @@ func main() {
 // memory-bound kernel would hit. The CSR baseline makes the comparison
 // the paper's: compression wins exactly its traffic ratio.
 func reportRoofline(c *spmv.COO, formatName string, m *roofline.Model) error {
-	f, err := spmv.BuildFormat(formatName, c)
+	f, err := spmv.Build(c, spmv.WithFormat(formatName))
 	if err != nil {
 		return fmt.Errorf("roofline: %w", err)
 	}
-	base, err := spmv.NewCSR(c)
+	base, err := spmv.Build(c)
 	if err != nil {
 		return fmt.Errorf("roofline: %w", err)
 	}
@@ -132,7 +132,7 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 	}
 	ws := spmv.WorkingSet(c)
 	ttu := matgen.TTU(c)
-	vi, err := spmv.NewCSRVI(c)
+	vi, err := spmv.Build(c, spmv.WithFormat("csr-vi"))
 	if err != nil {
 		return err
 	}
@@ -143,7 +143,7 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 	// The codec is the encoder's byte rule: plain where no dictionary is
 	// smaller than the values, and then csr-vi has CSR's size.
 	fmt.Printf("  ttu          %.2f  (CSR-VI applicable: %v, threshold > 5; value codec %s)\n",
-		ttu, ttu > 5, csrvi.CodecName(vi.IndexWidth()))
+		ttu, ttu > 5, csrvi.CodecName(vi.(*spmv.CSRVI).IndexWidth()))
 
 	a := spmv.Analyze(c)
 	fmt.Printf("  structure    bandwidth %d, %d diagonals, symmetric %v, row nnz avg %.1f max %d\n",
@@ -151,7 +151,7 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 	fmt.Printf("  col deltas   u8 %.0f%%  u16 %.0f%%  u32 %.0f%%  (delta==1: %.0f%%)\n",
 		100*a.DeltaFrac[0], 100*a.DeltaFrac[1], 100*a.DeltaFrac[2], 100*a.DeltaEq1)
 
-	base, err := spmv.NewCSR(c)
+	base, err := spmv.Build(c)
 	if err != nil {
 		return err
 	}
@@ -162,7 +162,7 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 	fmt.Printf("  %-10s %12s %9s%s\n", "format", "bytes", "vs CSR", hdr)
 	var badFormats []string
 	for _, name := range spmv.FormatNames() {
-		f, err := spmv.BuildFormat(name, c)
+		f, err := spmv.Build(c, spmv.WithFormat(name))
 		if err != nil {
 			fmt.Printf("  %-10s %12s (%v)\n", name, "-", err)
 			continue
@@ -183,9 +183,8 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 		return fmt.Errorf("verification failed for %v", badFormats)
 	}
 
-	du, err := spmv.NewCSRDU(c)
-	if err == nil {
-		st := du.Stats()
+	if du, err := spmv.Build(c, spmv.WithFormat("csr-du")); err == nil {
+		st := du.(*spmv.CSRDU).Stats()
 		fmt.Printf("  csr-du units %d (avg size %.1f): u8=%d u16=%d u32=%d u64=%d\n",
 			st.Units, st.AvgSize,
 			st.PerClass[csrdu.ClassU8], st.PerClass[csrdu.ClassU16],
@@ -208,7 +207,7 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 		}
 	}
 	if profileFmt != "" {
-		pf, err := spmv.BuildFormat(profileFmt, c)
+		pf, err := spmv.Build(c, spmv.WithFormat(profileFmt))
 		if err != nil {
 			return fmt.Errorf("profile: %w", err)
 		}

@@ -14,7 +14,7 @@
 //	          [-trace out.trace] [-timeline out.json]
 //	          [-archive FILE|DIR] [-compare OLD.json]
 //	          [-samples 5] [-slowdown 0.10]
-//	          [-partition row|col|nnz]
+//	          [-partition row|nnz]
 //	          [-roofprobe] [-probe-ms 0] [-roofline] [-roofdir benchdata]
 //
 // With -auto the experiments are replaced by the autotuner: each suite
@@ -149,7 +149,7 @@ func main() {
 	comparePath := flag.String("compare", "", "compare this run against a previous archive file; exit 1 on regression")
 	samples := flag.Int("samples", 0, "repeated measurements per cell (default 5 with -archive/-compare)")
 	slowdown := flag.Float64("slowdown", 0.10, "fractional slowdown -compare treats as a regression")
-	partitionFlag := flag.String("partition", "", "execution scheme: row (default), col, or nnz (non-zero-split boundaries; CSR only, other formats fall back to row)")
+	partitionFlag := flag.String("partition", "", "execution scheme: row (default) or nnz (non-zero-split boundaries; CSR only, other formats fall back to row)")
 	auto := flag.Bool("auto", false, "autotune the -matrix suite matrices (comma-separated) and emit the TuneReport decision traces as JSON")
 	roofProbe := flag.Bool("roofprobe", false, "measure the host's STREAM bandwidth and write ROOF_<host>.json into -roofdir instead of running experiments")
 	probeMS := flag.Int("probe-ms", 0, "with -roofprobe, wall-clock budget for the probe in milliseconds (0 = unbudgeted ~32 MiB arrays)")

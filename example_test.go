@@ -24,12 +24,12 @@ func tridiag(n int) *spmv.COO {
 	return c
 }
 
-func ExampleNewCSRDU() {
+func ExampleBuild() {
 	c := tridiag(1000)
-	m, _ := spmv.NewCSRDU(c)
+	f, _ := spmv.Build(c, spmv.WithFormat("csr-du"))
 	fmt.Printf("%s: %d nnz, %.0f%% of CSR\n",
-		m.Name(), m.NNZ(), 100*spmv.CompressionRatio(m))
-	st := m.Stats()
+		f.Name(), f.NNZ(), 100*spmv.CompressionRatio(f))
+	st := f.(*spmv.CSRDU).Stats()
 	fmt.Printf("units: %d, all one-byte deltas: %v\n", st.Units, st.PerClass[0] == st.Units)
 	// Every interior row repeats the row above one column right: REP
 	// units carry them with no index bytes of their own.
@@ -40,9 +40,10 @@ func ExampleNewCSRDU() {
 	// rows in 4 REP units: 998
 }
 
-func ExampleNewCSRVI() {
+func ExampleBuild_valueIndexing() {
 	c := tridiag(1000) // only two distinct values: 2 and -1
-	m, _ := spmv.NewCSRVI(c)
+	f, _ := spmv.Build(c, spmv.WithFormat("csr-vi"))
+	m := f.(*spmv.CSRVI)
 	fmt.Printf("unique values: %d (ttu %.0f), index width %d byte\n",
 		len(m.Unique), m.TTU(), m.IndexWidth())
 	fmt.Printf("applicable per the paper's ttu>5 rule: %v\n", m.Applicable())
@@ -53,7 +54,8 @@ func ExampleNewCSRVI() {
 
 func ExampleVerify() {
 	c := tridiag(1000)
-	m, _ := spmv.NewCSRDU(c)
+	f, _ := spmv.Build(c, spmv.WithFormat("csr-du"))
+	m := f.(*spmv.CSRDU)
 	fmt.Println("fresh matrix verifies:", spmv.Verify(m) == nil)
 
 	// Simulate bit rot: the encoded control stream loses its last byte,
@@ -66,10 +68,10 @@ func ExampleVerify() {
 	// truncated stream detected: true
 }
 
-func ExampleNewExecutor() {
+func ExampleNewExecutorOpts() {
 	c := tridiag(8)
-	m, _ := spmv.NewCSR(c)
-	e, _ := spmv.NewExecutor(m, 4) // row partitioning, nnz balanced
+	m, _ := spmv.Build(c)
+	e, _ := spmv.NewExecutorOpts(m, spmv.ExecOptions{Threads: 4}) // row partitioning, nnz balanced
 	defer e.Close()
 	x := []float64{1, 1, 1, 1, 1, 1, 1, 1}
 	y := make([]float64, 8)
@@ -81,7 +83,7 @@ func ExampleNewExecutor() {
 
 func ExampleCG() {
 	c := tridiag(64)
-	m, _ := spmv.NewCSRVI(c) // the solver is format-agnostic
+	m, _ := spmv.Build(c, spmv.WithFormat("csr-vi")) // the solver is format-agnostic
 	op, _ := spmv.NewOperator(m)
 	b := make([]float64, 64)
 	b[31] = 1
@@ -116,7 +118,7 @@ func ExampleReadMatrixMarket() {
 }
 
 func ExampleWriteMatrix() {
-	m, _ := spmv.NewCSRDU(tridiag(100))
+	m, _ := spmv.Build(tridiag(100), spmv.WithFormat("csr-du"))
 	var buf bytes.Buffer
 	spmv.WriteMatrix(&buf, m) // encode once...
 	back, _ := spmv.ReadMatrix(&buf)
@@ -139,7 +141,7 @@ func ExampleRCM() {
 
 func ExampleNewILU0() {
 	c := tridiag(100) // tridiagonal: ILU(0) is the exact factorization
-	m, _ := spmv.NewCSR(c)
+	m, _ := spmv.Build(c)
 	op, _ := spmv.NewOperator(m)
 	ilu, _ := spmv.NewILU0(c)
 	b := make([]float64, 100)
@@ -151,10 +153,10 @@ func ExampleNewILU0() {
 	// iterations: 1
 }
 
-func ExampleBuildFormat() {
+func ExampleWithFormat() {
 	c := tridiag(50)
 	for _, name := range []string{"csr", "csr-du", "csr-vi"} {
-		f, _ := spmv.BuildFormat(name, c)
+		f, _ := spmv.Build(c, spmv.WithFormat(name))
 		fmt.Printf("%s %d bytes\n", f.Name(), f.SizeBytes())
 	}
 	// Output:

@@ -190,12 +190,6 @@ func (a Analysis) Recommend() []Recommendation {
 			"both index and value compression apply")
 	}
 
-	// ELLPACK: only for near-uniform rows.
-	if fill := float64(a.MaxRowNNZ) * float64(a.Rows) / float64(a.NNZ); fill <= 1.5 {
-		add("ell", float64(a.MaxRowNNZ)*float64(a.Rows)*12,
-			fmt.Sprintf("uniform row lengths (fill %.2f)", fill))
-	}
-
 	// Symmetric storage halves off-diagonal data.
 	if a.Symmetric {
 		offDiag := float64(a.NNZ-minInt(a.Rows, a.NNZ)) / 2 // approximation: full diagonal

@@ -8,6 +8,7 @@ import (
 	"spmv/internal/core"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
+	"spmv/internal/formats"
 	"spmv/internal/matgen"
 )
 
@@ -103,16 +104,30 @@ func TestRecommendRandomSkipsVIAndCDS(t *testing.T) {
 	c := matgen.RandomUniform(rng, 400, 1<<20, 6, matgen.Values{})
 	recs := Analyze(c).Recommend()
 	for _, r := range recs {
-		// ELL is fine here (uniform rows); value indexing is not.
 		if r.Format == "csr-vi" {
 			t.Errorf("%s recommended for scattered unique-valued matrix", r.Format)
 		}
 	}
-	// Skewed rows must disqualify ELLPACK.
-	skew := matgen.PowerLaw(rng, 2000, 4, 1.1, matgen.Values{})
-	for _, r := range Analyze(skew).Recommend() {
-		if r.Format == "ell" {
-			t.Error("ell recommended for power-law rows")
+}
+
+// TestRecommendNamesOnlyRegistryFormats: every format the advisor
+// proposes is one the registry can build.
+func TestRecommendNamesOnlyRegistryFormats(t *testing.T) {
+	known := map[string]bool{}
+	for _, name := range formats.Names() {
+		known[name] = true
+	}
+	rng := rand.New(rand.NewSource(3))
+	for name, c := range map[string]*core.COO{
+		"stencil":  matgen.Stencil2D(30),
+		"banded-q": matgen.Banded(rng, 3000, 20, 8, matgen.Values{Unique: 32}),
+		"random":   matgen.RandomUniform(rng, 400, 1<<20, 6, matgen.Values{}),
+		"powerlaw": matgen.PowerLaw(rng, 2000, 4, 1.1, matgen.Values{}),
+	} {
+		for _, r := range Analyze(c).Recommend() {
+			if !known[r.Format] {
+				t.Errorf("%s: advisor names %q, which the registry cannot build", name, r.Format)
+			}
 		}
 	}
 }

@@ -65,8 +65,8 @@ type Config struct {
 	// measure once and record no samples. Simulation mode ignores it —
 	// the simulator is deterministic, repeats would be identical.
 	Samples int
-	// Partition selects the native execution scheme ("row", "col",
-	// "nnz"); empty means row. Formats that do not support the
+	// Partition selects the native execution scheme ("row" or "nnz");
+	// empty means row. Formats that do not support the
 	// requested scheme (nnz is CSR-only) fall back to row partitioning
 	// so mixed-format sweeps still complete.
 	Partition string

@@ -209,31 +209,6 @@ func (c *COO) Equal(other *COO) bool {
 	return true
 }
 
-// Slice returns a finalized (r1-r0)×(c1-c0) submatrix of a finalized
-// COO containing the entries with r0 <= i < r1 and c0 <= j < c1,
-// re-based to local coordinates. Used by the block-partitioned
-// executor (§II-C) to hand each thread a two-dimensional block.
-func (c *COO) Slice(r0, r1, c0, c1 int) *COO {
-	c.mustFinal("Slice")
-	if r0 < 0 || r1 > c.rows || r0 > r1 || c0 < 0 || c1 > c.cols || c0 > c1 {
-		panic(Usagef("core: COO.Slice(%d,%d,%d,%d) out of range for %dx%d", r0, r1, c0, c1, c.rows, c.cols))
-	}
-	if r0 == r1 || c0 == c1 {
-		out := NewCOO(max(r1-r0, 1), max(c1-c0, 1))
-		out.Finalize()
-		return out
-	}
-	out := NewCOO(r1-r0, c1-c0)
-	for k := range c.V {
-		i, j := int(c.I[k]), int(c.J[k])
-		if i >= r0 && i < r1 && j >= c0 && j < c1 {
-			out.Add(i-r0, j-c0, c.V[k])
-		}
-	}
-	out.Finalize()
-	return out
-}
-
 // SpMV computes y = A*x directly from the triplets (reference kernel;
 // formats have much faster ones). Requires a finalized COO only so that
 // duplicates have been folded.

@@ -59,7 +59,8 @@ type ColChunk interface {
 }
 
 // ColSplitter is implemented by formats that support nnz-balanced
-// column partitioning.
+// column partitioning: sym-csr, whose scatter chunks run on
+// parallel.SymExecutor.
 type ColSplitter interface {
 	SplitCols(n int) []ColChunk
 }

@@ -91,8 +91,7 @@ func CheckVectors(f Format, y, x []float64) error {
 }
 
 // CheckVectorDims is CheckVectors for callers that know the dimensions
-// but hold no Format (the block-partitioned executor assembles its
-// grid from raw triplets).
+// but hold no Format (the executors' shared pool).
 func CheckVectorDims(rows, cols int, y, x []float64) error {
 	if len(y) < rows {
 		return Shapef("len(y) %d < %d rows", len(y), rows)

@@ -86,6 +86,15 @@ func (m *Matrix16) SpMVAdd(y, x []float64) {
 	spmvRange(y, x, m.RowPtr, m.ColInd, m.Values, nil, 0, m.rows, true)
 }
 
+// ForEach calls fn for every stored non-zero in row-major order.
+func (m *Matrix16) ForEach(fn func(i, j int, v float64)) {
+	for i := 0; i < m.rows; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			fn(i, int(m.ColInd[k]), m.Values[k])
+		}
+	}
+}
+
 // Split implements core.Splitter with nnz-balanced row partitioning.
 func (m *Matrix16) Split(n int) []core.Chunk {
 	return splitRows(m.RowPtr, n, func(lo, hi int) core.Chunk { return &chunk16{m: m, lo: lo, hi: hi} })

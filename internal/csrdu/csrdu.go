@@ -141,6 +141,10 @@ type Matrix struct {
 	VI16       []uint16
 	VI32       []uint32
 	opts       Options
+	// plainVI marks a matrix loaded from a csr-du-vi container under the
+	// plain value codec (FromRawPlainVI): it keeps that name, so it
+	// writes back under the tag it was read from.
+	plainVI bool
 
 	// marks locate the first unit of every non-empty row; they exist
 	// only to support partitioning and are not part of the working set
@@ -404,7 +408,7 @@ func deltaClass(d uint64) int {
 
 // Name implements core.Format.
 func (m *Matrix) Name() string {
-	if m.IndexWidth() != 0 {
+	if m.IndexWidth() != 0 || m.plainVI {
 		return "csr-du-vi"
 	}
 	if m.opts.RLE {

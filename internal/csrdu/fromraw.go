@@ -165,6 +165,18 @@ func FromRaw(ctl []byte, values []float64, rows, cols int, rle bool) (*Matrix, e
 	return m, nil
 }
 
+// FromRawPlainVI is FromRaw for a csr-du-vi container under the plain
+// value codec (val_ind width 0): the values are the stream's own, and
+// the matrix is named csr-du-vi, as it was stored, rather than csr-du.
+func FromRawPlainVI(ctl []byte, values []float64, rows, cols int) (*Matrix, error) {
+	m, err := FromRaw(ctl, values, rows, cols, false)
+	if err != nil {
+		return nil, err
+	}
+	m.plainVI = true
+	return m, nil
+}
+
 // FromRawVI is FromRaw for the dictionary codec: the ctl stream, the
 // packed little-endian val_ind array with its element width, and the
 // unique table. Besides FromRaw's scan, every value index is checked

@@ -8,11 +8,9 @@ import (
 	"strings"
 
 	"spmv/internal/core"
-	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
 	"spmv/internal/dcsr"
-	"spmv/internal/ell"
 	"spmv/internal/sym"
 )
 
@@ -33,8 +31,7 @@ type Spec struct {
 	DU csrdu.Options `json:"du,omitempty"`
 	// Partition is the execution-time work split: "" for the format's
 	// own scheme (see parallel.New), "row" for row-balanced chunks,
-	// "nnz" for non-zero-balanced chunks (CSR only), "col" for column
-	// partitioning.
+	// "nnz" for non-zero-balanced chunks (CSR only).
 	Partition string `json:"partition,omitempty"`
 	// Steal maps onto parallel.ExecOptions.Steal.
 	//
@@ -85,10 +82,6 @@ func BuildOpts(name string, c *core.COO, du csrdu.Options) (core.Format, error) 
 		return csrdu.FromCOOVI(c, du)
 	case "dcsr":
 		return dcsr.FromCOO(c)
-	case "csc":
-		return csc.FromCOO(c)
-	case "ell":
-		return ell.FromCOO(c)
 	case "sym-csr":
 		return sym.FromCOO(c, 1e-12)
 	default:
@@ -102,6 +95,6 @@ func Names() []string {
 	return []string{
 		"csr", "csr16", "csr32",
 		"csr-du", "csr-vi", "csr-du-vi",
-		"dcsr", "csc", "ell", "sym-csr",
+		"dcsr", "sym-csr",
 	}
 }

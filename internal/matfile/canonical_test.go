@@ -3,12 +3,13 @@ package matfile
 import (
 	"bytes"
 	"sort"
-	"strings"
 	"testing"
 
 	"spmv/internal/core"
 	"spmv/internal/csr"
+	"spmv/internal/csrdu"
 	"spmv/internal/csrvi"
+	"spmv/internal/dcsr"
 	"spmv/internal/testmat"
 )
 
@@ -44,27 +45,33 @@ func TestLoadKeepsStoredDictionary(t *testing.T) {
 	}
 }
 
-// batch16 drives a csr16 matrix, which has no panel kernel, through
-// CheckBitwise: a panel runs the row walk once per column, on the whole
-// matrix and on each chunk.
-type batch16 struct{ *csr.Matrix16 }
+// splitFormat is a row-partitioned format without a panel kernel
+// (csr16, dcsr).
+type splitFormat interface {
+	core.Format
+	core.Splitter
+}
 
-func (m batch16) SpMVBatch(y, x []float64, k int) { core.BatchFallback(m.Matrix16, y, x, k) }
+// batchFallback drives a splitFormat through CheckBitwise: a panel runs
+// the row walk once per column, on the whole matrix and on each chunk.
+type batchFallback struct{ splitFormat }
 
-func (m batch16) Split(n int) []core.Chunk {
+func (m batchFallback) SpMVBatch(y, x []float64, k int) { core.BatchFallback(m.splitFormat, y, x, k) }
+
+func (m batchFallback) Split(n int) []core.Chunk {
 	var out []core.Chunk
-	for _, ch := range m.Matrix16.Split(n) {
-		out = append(out, chunk16{ch, m.Cols()})
+	for _, ch := range m.splitFormat.Split(n) {
+		out = append(out, chunkFallback{ch, m.Cols()})
 	}
 	return out
 }
 
-type chunk16 struct {
+type chunkFallback struct {
 	core.Chunk
 	cols int
 }
 
-func (c chunk16) SpMVBatch(y, x []float64, k int) {
+func (c chunkFallback) SpMVBatch(y, x []float64, k int) {
 	lo, hi := c.RowRange()
 	xc, yc := make([]float64, c.cols), make([]float64, hi)
 	for col := 0; col < k; col++ {
@@ -78,10 +85,18 @@ func (c chunk16) SpMVBatch(y, x []float64, k int) {
 	}
 }
 
-// canonicalSeeds returns one v2 file of each CSR tag and value codec:
-// csr, csr16, csr-vi plain and csr-vi at val_ind widths 1, 2 and 4,
-// with their sections.
-func canonicalSeeds(t testing.TB) map[string][][]byte {
+// canonicalSeed is one v2 file's tag, the shape its header describes
+// and its sections.
+type canonicalSeed struct {
+	name     string
+	c        *core.COO
+	sections [][]byte
+}
+
+// canonicalSeeds returns one v2 file of each tag and value codec the
+// writer emits: csr, csr16, csr-du, csr-du-rle and dcsr; csr-vi and
+// csr-du-vi plain and at val_ind widths 1, 2 and 4.
+func canonicalSeeds(t testing.TB) map[string]canonicalSeed {
 	shapes := viShapes()
 	distinct, repeated := shapes[0], shapes[1]
 	m, err := csr.FromCOO(distinct.Clone())
@@ -92,7 +107,24 @@ func canonicalSeeds(t testing.TB) map[string][][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	du, err := csrdu.FromCOO(distinct.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stencil2D(4)'s rows repeat one column right: RLE units.
+	rle, err := csrdu.FromCOOOpts(repeated.Clone(), csrdu.Options{RLE: true, RLEMin: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := dcsr.FromCOO(distinct.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
 	vi, err := csr.FromCOOVI(repeated.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	duvi, err := csrdu.FromCOOVI(repeated.Clone(), csrdu.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,28 +132,34 @@ func canonicalSeeds(t testing.TB) map[string][][]byte {
 	for k := range ids {
 		ids[k] = uint32(vi.VI8[k])
 	}
-	seeds := map[string][][]byte{
-		"csr":      {int32Bytes(m.RowPtr), int32Bytes(m.ColInd), floatBytes(m.Values)},
-		"csr16":    {int32Bytes(m16.RowPtr), uint16Bytes(m16.ColInd), floatBytes(m16.Values)},
-		"csr-vi/0": {int32Bytes(m.RowPtr), int32Bytes(m.ColInd), {0}, {}, floatBytes(m.Values)},
+	seeds := map[string]canonicalSeed{
+		"csr":         {"csr", distinct, [][]byte{int32Bytes(m.RowPtr), int32Bytes(m.ColInd), floatBytes(m.Values)}},
+		"csr16":       {"csr16", distinct, [][]byte{int32Bytes(m16.RowPtr), uint16Bytes(m16.ColInd), floatBytes(m16.Values)}},
+		"csr-du":      {"csr-du", distinct, [][]byte{du.Ctl, floatBytes(du.Values)}},
+		"csr-du-rle":  {"csr-du-rle", repeated, [][]byte{rle.Ctl, floatBytes(rle.Values)}},
+		"dcsr":        {"dcsr", distinct, [][]byte{dc.Cmds, floatBytes(dc.Values)}},
+		"csr-vi/0":    {"csr-vi", distinct, [][]byte{int32Bytes(m.RowPtr), int32Bytes(m.ColInd), {0}, {}, floatBytes(m.Values)}},
+		"csr-du-vi/0": {"csr-du-vi", distinct, [][]byte{du.Ctl, {0}, {}, floatBytes(du.Values)}},
 	}
 	for _, w := range []int{1, 2, 4} {
 		vi8, vi16, vi32 := csrvi.Narrow(ids, w)
-		seeds["csr-vi/"+string(rune('0'+w))] = [][]byte{int32Bytes(vi.RowPtr), int32Bytes(vi.ColInd),
-			{byte(w)}, viBytes(vi8, vi16, vi32), floatBytes(vi.Unique)}
+		tail := [][]byte{{byte(w)}, viBytes(vi8, vi16, vi32), floatBytes(vi.Unique)}
+		key := "/" + string(rune('0'+w))
+		seeds["csr-vi"+key] = canonicalSeed{"csr-vi", repeated,
+			append([][]byte{int32Bytes(vi.RowPtr), int32Bytes(vi.ColInd)}, tail...)}
+		seeds["csr-du-vi"+key] = canonicalSeed{"csr-du-vi", repeated, append([][]byte{duvi.Ctl}, tail...)}
 	}
 	return seeds
 }
 
-// FuzzCanonical holds the readers of the CSR tags (csr, csr16, csr-vi)
-// to two promises about every version-2 file Read accepts: the loaded
-// matrix writes back byte for byte, and it multiplies — scalar and
-// panel, whole and chunk by chunk — bitwise like testmat.Reference over
-// the non-zeros in the order the file stores them. A seed file of each
-// tag and codec with one stray byte appended to one section must be
-// refused.
+// FuzzCanonical holds the readers of every tag the writer emits (csr,
+// csr16, csr-vi, csr-du, csr-du-rle, csr-du-vi, dcsr) to two promises
+// about every version-2 file Read accepts: the loaded matrix writes
+// back byte for byte, and it multiplies — scalar and panel, whole and
+// chunk by chunk — bitwise like testmat.Reference over the non-zeros
+// in the order the file stores them. A seed file of each tag and codec
+// with one stray byte appended to one section must be refused.
 func FuzzCanonical(f *testing.F) {
-	shapes := viShapes()
 	seeds := canonicalSeeds(f)
 	keys := make([]string, 0, len(seeds))
 	for key := range seeds {
@@ -129,19 +167,13 @@ func FuzzCanonical(f *testing.F) {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		sections := seeds[key]
-		name, c := key, shapes[0]
-		if strings.HasPrefix(key, "csr-vi") {
-			name = "csr-vi"
-			if key != "csr-vi/0" {
-				c = shapes[1]
-			}
-		}
-		f.Add(containerFile(name, c.Rows(), c.Cols(), c.Len(), sections...))
-		for i := range sections {
-			stray := append([][]byte(nil), sections...)
+		sd := seeds[key]
+		rows, cols, nnz := sd.c.Rows(), sd.c.Cols(), sd.c.Len()
+		f.Add(containerFile(sd.name, rows, cols, nnz, sd.sections...))
+		for i := range sd.sections {
+			stray := append([][]byte(nil), sd.sections...)
 			stray[i] = append(append([]byte(nil), stray[i]...), 0)
-			b := containerFile(name, c.Rows(), c.Cols(), c.Len(), stray...)
+			b := containerFile(sd.name, rows, cols, nnz, stray...)
 			if _, err := Read(bytes.NewReader(b)); err == nil {
 				f.Fatalf("%s: a stray byte in section %d was accepted", key, i)
 			}
@@ -156,11 +188,6 @@ func FuzzCanonical(f *testing.F) {
 		if err != nil {
 			return
 		}
-		switch g.Name() {
-		case "csr", "csr16", "csr-vi":
-		default:
-			return
-		}
 		var out bytes.Buffer
 		if err := Write(&out, g); err != nil {
 			t.Fatalf("Write of a loaded %s: %v", g.Name(), err)
@@ -171,6 +198,10 @@ func FuzzCanonical(f *testing.F) {
 		switch m := g.(type) {
 		case *csr.Matrix:
 			testmat.CheckBitwise(t, m, 4, testmat.Reference(m), 1, 3, 4, 8)
+		case *csrdu.Matrix:
+			testmat.CheckBitwise(t, m, 4, testmat.Reference(m), 1, 3, 4, 8)
+		case *dcsr.Matrix:
+			testmat.CheckBitwise(t, batchFallback{m}, 4, testmat.Reference(m), 1, 3, 4, 8)
 		case *csr.Matrix16:
 			cols := make([]int32, len(m.ColInd))
 			for k, j := range m.ColInd {
@@ -180,7 +211,9 @@ func FuzzCanonical(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			testmat.CheckBitwise(t, batch16{m}, 4, testmat.Reference(ref), 1, 3, 4, 8)
+			testmat.CheckBitwise(t, batchFallback{m}, 4, testmat.Reference(ref), 1, 3, 4, 8)
+		default:
+			t.Fatalf("Read returned an unexpected %T (%s)", g, g.Name())
 		}
 	})
 }

@@ -96,10 +96,14 @@ func Write(w io.Writer, f core.Format) error {
 	case *csr.Matrix16:
 		err = writeSections(bw, int32Bytes(m.RowPtr), uint16Bytes(m.ColInd), floatBytes(m.Values))
 	case *csrdu.Matrix:
-		if m.IndexWidth() != 0 {
+		switch {
+		case m.IndexWidth() != 0:
 			err = writeSections(bw, m.Ctl,
 				[]byte{byte(m.IndexWidth())}, viBytes(m.VI8, m.VI16, m.VI32), floatBytes(m.Unique))
-		} else {
+		case name == "csr-du-vi":
+			// The plain codec under the csr-du-vi tag (FromRawPlainVI).
+			err = writeSections(bw, m.Ctl, []byte{0}, nil, floatBytes(m.Values))
+		default:
 			err = writeSections(bw, m.Ctl, floatBytes(m.Values))
 		}
 	case *dcsr.Matrix:
@@ -293,8 +297,8 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 			return nil, err
 		}
 		if width == 0 {
-			// The plain codec: the csr-du matrix it is.
-			return csrdu.FromRaw(ctl, uniq, int(rows), int(cols), false)
+			// The plain codec: a csr-du matrix that keeps its tag.
+			return csrdu.FromRawPlainVI(ctl, uniq, int(rows), int(cols))
 		}
 		return csrdu.FromRawVI(ctl, width, vi, uniq, int(rows), int(cols))
 	default:

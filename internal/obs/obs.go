@@ -26,15 +26,15 @@ import (
 )
 
 // ChunkStat is one worker's share of one Run: the slice of the matrix
-// it owned and how long its kernel (and, for the reducing executors,
+// it owned and how long its kernel (and, for the reducing executor,
 // its reduction phase) kept it busy.
 type ChunkStat struct {
 	// Worker is the worker index within the executor, [0, Threads).
 	Worker int `json:"worker"`
-	// Lo and Hi are the half-open index range the worker owned: rows
-	// for the nnz- and block-partitioned executors, columns for the
-	// column-partitioned one. Zero under the self-scheduled row
-	// executor, whose workers' rows are not contiguous.
+	// Lo and Hi are the half-open row range the worker owned under the
+	// nnz and sym executors (sym: of the stored triangle). Zero under
+	// the self-scheduled row executor, whose workers' rows are not
+	// contiguous.
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
 	// NNZ is the worker's non-zero count — its static load-balance
@@ -42,7 +42,7 @@ type ChunkStat struct {
 	NNZ int `json:"nnz"`
 	// Busy is the time the worker spent executing its jobs during the
 	// Run: the kernel for row partitioning, kernel plus reduction for
-	// the column- and block-partitioned executors.
+	// the sym executor.
 	Busy time.Duration `json:"busy_ns"`
 	// Units is the number of self-scheduled row units the worker ran;
 	// NNZ is then their non-zeros. Zero outside the row executor.
@@ -51,8 +51,7 @@ type ChunkStat struct {
 
 // RunStat is the telemetry of one Executor.Run or RunBatch call.
 type RunStat struct {
-	// Partition names the execution scheme: "row", "col", "block",
-	// "nnz" or "sym".
+	// Partition names the execution scheme: "row", "nnz" or "sym".
 	Partition string `json:"partition"`
 	// Vectors is the number of right-hand-side vectors the run computed:
 	// 1 for Run, the panel width k for RunBatch. Bandwidth accounting

@@ -7,10 +7,9 @@ import (
 	"testing"
 
 	"spmv/internal/core"
-	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
-	"spmv/internal/ell"
+	"spmv/internal/dcsr"
 	"spmv/internal/matgen"
 	"spmv/internal/obs"
 	"spmv/internal/sym"
@@ -38,7 +37,7 @@ func batchReference(c *core.COO, x []float64, k int) []float64 {
 
 // TestRunBatchMatchesReference covers both executor paths: the fused
 // dispatch (every chunk a BatchChunk: the csr/csr-du/csr-vi family)
-// and the per-column fallback (ell chunks have no batch kernel).
+// and the per-column fallback (dcsr chunks have no batch kernel).
 func TestRunBatchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	c := matgen.FEMLike(rng, 300, 6, matgen.Values{Unique: 25})
@@ -48,7 +47,7 @@ func TestRunBatchMatchesReference(t *testing.T) {
 		"csr-du":    func() (core.Format, error) { return csrdu.FromCOO(c) },
 		"csr-vi":    func() (core.Format, error) { return csr.FromCOOVI(c) },
 		"csr-du-vi": func() (core.Format, error) { return csrdu.FromCOOVI(c, csrdu.Options{}) },
-		"ell":       func() (core.Format, error) { return ell.FromCOO(c) }, // fallback path
+		"dcsr":      func() (core.Format, error) { return dcsr.FromCOO(c) }, // fallback path
 	}
 	for name, build := range builders {
 		f, err := build()
@@ -88,8 +87,8 @@ func TestRunBatchGapRowsZeroed(t *testing.T) {
 	c.Finalize()
 	const k = 4
 	for name, f := range map[string]core.Format{
-		"csr": mustFormat(csr.FromCOO(c)),
-		"ell": mustFormat(ell.FromCOO(c)),
+		"csr":  mustFormat(csr.FromCOO(c)),
+		"dcsr": mustFormat(dcsr.FromCOO(c)),
 	} {
 		e, err := NewExecutor(f, 4)
 		if err != nil {
@@ -124,8 +123,8 @@ func TestRunBatchTelemetry(t *testing.T) {
 	}
 	inputs := map[string]input{}
 	for name, f := range map[string]core.Format{
-		"csr": mustFormat(csr.FromCOO(c)),
-		"ell": mustFormat(ell.FromCOO(c)),
+		"csr":  mustFormat(csr.FromCOO(c)),
+		"dcsr": mustFormat(dcsr.FromCOO(c)),
 	} {
 		mk := func() Runner {
 			e, err := NewExecutor(f, 3)
@@ -191,39 +190,28 @@ func TestRunBatchErrors(t *testing.T) {
 	}
 }
 
-// TestColBlockRunBatch: the reducing executors run batches per column;
+// TestSymRunBatch: the tree-reducing executor runs batches per column;
 // results must still match the reference.
-func TestColBlockRunBatch(t *testing.T) {
+func TestSymRunBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	c := matgen.FEMLike(rng, 250, 5, matgen.Values{})
+	c := matgen.Symmetrize(matgen.FEMLike(rng, 250, 5, matgen.Values{}))
 	const k = 3
 	x := testmat.RandVec(rng, c.Cols()*k)
 	want := batchReference(c, x, k)
 
-	cs := mustFormat(csc.FromCOO(c))
-	ce, err := NewColExecutor(cs, 4)
+	e, err := NewSymExecutor(mustFormat(sym.FromCOO(c, 1e-12)), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ce.Close()
+	defer e.Close()
 	y := make([]float64, c.Rows()*k)
-	if err := ce.RunBatch(y, x, k); err != nil {
-		t.Fatal(err)
-	}
-	testmat.AssertClose(t, "col", y, want, 1e-10)
-
-	be, err := NewBlockExecutor(c, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer be.Close()
 	for i := range y {
 		y[i] = 7
 	}
-	if err := be.RunBatch(y, x, k); err != nil {
+	if err := e.RunBatch(y, x, k); err != nil {
 		t.Fatal(err)
 	}
-	testmat.AssertClose(t, "block", y, want, 1e-10)
+	testmat.AssertClose(t, "sym", y, want, 1e-10)
 }
 
 // TestNewExecOptions covers the options constructor: default and named
@@ -236,14 +224,9 @@ func TestNewExecOptions(t *testing.T) {
 	x := testmat.RandVec(rng, c.Cols())
 	want := reference(c, x)
 
-	fc := mustFormat(csc.FromCOO(c))
 	rec := &obs.Recorder{}
-	for _, partition := range []string{"", "row", "col"} {
-		ff := f
-		if partition == "col" {
-			ff = fc // column partitioning needs a ColSplitter format
-		}
-		r, err := New(ff, ExecOptions{Threads: 2, Collector: rec, Partition: partition})
+	for _, partition := range []string{"", "row", "nnz"} {
+		r, err := New(f, ExecOptions{Threads: 2, Collector: rec, Partition: partition})
 		if err != nil {
 			t.Fatalf("%q: %v", partition, err)
 		}
@@ -268,15 +251,17 @@ func TestNewExecOptions(t *testing.T) {
 	}
 	r.Close()
 
-	if _, err := New(f, ExecOptions{Partition: "diagonal"}); !errors.Is(err, core.ErrUsage) {
-		t.Errorf("unknown partition: %v, want ErrUsage", err)
+	for _, partition := range []string{"diagonal", "col", "block"} {
+		if _, err := New(f, ExecOptions{Partition: partition}); !errors.Is(err, core.ErrUsage) {
+			t.Errorf("unknown partition %q: %v, want ErrUsage", partition, err)
+		}
 	}
 }
 
 // TestNewStartsTheFormatsOwnExecutor pins New's default: with no
-// Partition, a row-splittable format gets the row executor, sym-csr
-// the tree-reducing SymExecutor and csc the column executor, and each
-// multiplies like the reference.
+// Partition, a row-splittable format gets the row executor and sym-csr
+// the tree-reducing SymExecutor, and each multiplies like the
+// reference.
 func TestNewStartsTheFormatsOwnExecutor(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	c := matgen.Symmetrize(matgen.Banded(rng, 150, 5, 4, matgen.Values{}))
@@ -288,7 +273,6 @@ func TestNewStartsTheFormatsOwnExecutor(t *testing.T) {
 	}{
 		{mustFormat(csr.FromCOO(c)), "*parallel.Executor"},
 		{mustFormat(sym.FromCOO(c, 1e-12)), "*parallel.SymExecutor"},
-		{mustFormat(csc.FromCOO(c)), "*parallel.ColExecutor"},
 	} {
 		r, err := New(tc.f, ExecOptions{Threads: 3})
 		if err != nil {

@@ -7,16 +7,14 @@ import (
 	"testing"
 
 	"spmv/internal/core"
-	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/matgen"
 	"spmv/internal/sym"
 )
 
 // closeHarness builds one executor of each partition scheme over the
-// same small symmetric matrix, so the lifecycle tests cover all five
-// executors: row and nnz over csr, col over csc, sym over sym-csr, and
-// block over the triplets. "row-units" is the row executor cut into
+// same small symmetric matrix, so the lifecycle tests cover all three
+// executors: row and nnz over csr, and sym over sym-csr. "row-units" is the row executor cut into
 // units of 16 non-zeros, so several workers claim many units. Keys are
 // RunStat.Partition, bar the "-units" suffix.
 func closeHarness(t *testing.T) map[string]func() Runner {
@@ -46,14 +44,8 @@ func closeHarness(t *testing.T) map[string]func() Runner {
 		"nnz": func() Runner {
 			return runner(NewNNZExecutor(format(csr.FromCOO(c)), 4))
 		},
-		"col": func() Runner {
-			return runner(NewColExecutor(format(csc.FromCOO(c)), 4))
-		},
 		"sym": func() Runner {
 			return runner(NewSymExecutor(format(sym.FromCOO(c, 1e-12)), 4))
-		},
-		"block": func() Runner {
-			return runner(NewBlockExecutor(c, 2, 2))
 		},
 	}
 }
@@ -117,7 +109,7 @@ func TestCloseVsRunRace(t *testing.T) {
 
 // TestRunCtxCanceled checks the context-aware entry points reject an
 // already-canceled context without dispatching, on the scalar and
-// batched paths of all five executors.
+// batched paths of all three executors.
 func TestRunCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -41,8 +41,6 @@ type Runner interface {
 
 var (
 	_ Runner = (*Executor)(nil)
-	_ Runner = (*ColExecutor)(nil)
-	_ Runner = (*BlockExecutor)(nil)
 	_ Runner = (*NNZExecutor)(nil)
 	_ Runner = (*SymExecutor)(nil)
 )
@@ -54,10 +52,8 @@ type ExecOptions struct {
 	// Collector, when non-nil, is attached with SetCollector.
 	Collector obs.Collector
 	// Partition selects the execution scheme: "" (the format's own
-	// scheme, see New), "row", "col", or "nnz" (non-zero-granular
-	// boundaries that split long rows; CSR only). Block partitioning
-	// needs the original triplets, not a built format — use
-	// NewBlockExecutor directly.
+	// scheme, see New), "row", or "nnz" (non-zero-granular boundaries
+	// that split long rows; CSR only).
 	Partition string
 	// Steal selects the row scheme, which already balances load by
 	// self-scheduling its units; combining it with another Partition is
@@ -69,12 +65,10 @@ type ExecOptions struct {
 }
 
 // New builds an executor for f according to opts. It is the options
-// counterpart of NewExecutor/NewColExecutor and the construction path
-// the public spmv package exposes. With no Partition and no Steal it
-// starts the executor f supports: the row executor for a
-// core.Splitter, the tree-reducing SymExecutor for sym-csr's scatter
-// kernel, and the column executor for any other core.ColSplitter
-// (csc).
+// counterpart of NewExecutor and the construction path the public spmv
+// package exposes. With no Partition and no Steal it starts the
+// executor f supports: the row executor for a core.Splitter and the
+// tree-reducing SymExecutor for sym-csr's scatter kernel.
 func New(f core.Format, opts ExecOptions) (Runner, error) {
 	threads := opts.Threads
 	if threads <= 0 {
@@ -88,23 +82,17 @@ func New(f core.Format, opts ExecOptions) (Runner, error) {
 		return nil, core.Usagef("parallel: Steal applies to the row partition, not %q", opts.Partition)
 	}
 	_, rows := f.(core.Splitter)
-	_, cols := f.(core.ColSplitter)
-	colOnly := opts.Partition == "" && !rows && cols
 	switch {
 	case opts.Steal:
 		r, err = NewExecutor(f, threads)
-	case colOnly && f.Name() == "sym-csr":
+	case opts.Partition == "" && !rows && f.Name() == "sym-csr":
 		r, err = NewSymExecutor(f, threads)
-	case colOnly:
-		r, err = NewColExecutor(f, threads)
 	case opts.Partition == "" || opts.Partition == "row":
 		r, err = NewExecutor(f, threads)
-	case opts.Partition == "col":
-		r, err = NewColExecutor(f, threads)
 	case opts.Partition == "nnz":
 		r, err = NewNNZExecutor(f, threads)
 	default:
-		return nil, core.Usagef("parallel: unknown partition %q (valid: row, col, nnz)", opts.Partition)
+		return nil, core.Usagef("parallel: unknown partition %q (valid: row, nnz)", opts.Partition)
 	}
 	if err != nil {
 		return nil, err

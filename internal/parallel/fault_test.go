@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"spmv/internal/core"
-	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/dcsr"
 	"spmv/internal/matgen"
@@ -96,13 +95,13 @@ func TestRunRejectsShortVectors(t *testing.T) {
 	}
 }
 
-func TestColExecutorRejectsShortVectors(t *testing.T) {
+func TestSymExecutorRejectsShortVectors(t *testing.T) {
 	c := matgen.Stencil2D(6)
-	m, err := csc.FromCOO(c)
+	m, err := sym.FromCOO(c, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewColExecutor(m, 2)
+	e, err := NewSymExecutor(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,30 +116,13 @@ func TestColExecutorRejectsShortVectors(t *testing.T) {
 	}
 }
 
-func TestBlockExecutorRejectsShortVectors(t *testing.T) {
-	c := matgen.Stencil2D(6)
-	e, err := NewBlockExecutor(c, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	y := make([]float64, c.Rows())
-	x := make([]float64, c.Cols())
-	if err := e.Run(y[:len(y)-1], x); !errors.Is(err, core.ErrShape) {
-		t.Fatalf("short y: got %v, want ErrShape", err)
-	}
-	if err := e.Run(y, x); err != nil {
-		t.Fatalf("full-length vectors rejected: %v", err)
-	}
-}
-
 // TestFailedRunReportsOneRunStat injects a kernel panic into each of
-// the five executors (the row executor twice: as New builds it, and cut
-// into units of 16 non-zeros) — an out-of-range index planted in the matrix each
-// one multiplies — and checks that a failed Run and a failed RunBatch
-// each reach the collector as exactly one RunStat with Err set and the
-// executor's Partition. The col, sym and block executors used to
-// return on a failed multiply phase before reporting, so their failed
+// the three executors (the row executor twice: as New builds it, and
+// cut into units of 16 non-zeros) — an out-of-range index planted in
+// the matrix each one multiplies — and checks that a failed Run and a
+// failed RunBatch each reach the collector as exactly one RunStat with
+// Err set and the executor's Partition. The sym executor used to
+// return on a failed multiply phase before reporting, so its failed
 // runs left no RunStat at all.
 func TestFailedRunReportsOneRunStat(t *testing.T) {
 	c := matgen.Stencil2D(12)
@@ -154,22 +136,10 @@ func TestFailedRunReportsOneRunStat(t *testing.T) {
 		"row":       func() (Runner, error) { return NewExecutor(csrBad(), 3) },
 		"row-units": func() (Runner, error) { return newExecutor(csrBad(), 3, 16) },
 		"nnz":       func() (Runner, error) { return NewNNZExecutor(csrBad(), 3) },
-		"col": func() (Runner, error) {
-			m := mustFormat(csc.FromCOO(c)).(*csc.Matrix)
-			m.RowInd[len(m.RowInd)/2] = bad
-			return NewColExecutor(m, 3)
-		},
 		"sym": func() (Runner, error) {
 			m := mustFormat(sym.FromCOO(c, 1e-12)).(*sym.Matrix)
 			m.ColInd[len(m.ColInd)/2] = bad
 			return NewSymExecutor(m, 3)
-		},
-		"block": func() (Runner, error) {
-			e, err := NewBlockExecutor(c, 2, 2)
-			if err == nil {
-				e.blocks[0].ColInd[0] = bad
-			}
-			return e, err
 		},
 	}
 	for name, mk := range runners {

@@ -6,15 +6,15 @@ import (
 	"testing"
 
 	"spmv/internal/core"
-	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/matgen"
 	"spmv/internal/obs"
+	"spmv/internal/sym"
 	"spmv/internal/testmat"
 )
 
-// Regression tests for the Run-after-Close bug: all three executors
-// used to die with "send on closed channel"; they must return a typed
+// Regression tests for the Run-after-Close bug: the executors used to
+// die with "send on closed channel"; they must return a typed
 // core.ErrUsage error instead, and stay (harmlessly) reusable.
 
 func TestRunAfterCloseRowExecutor(t *testing.T) {
@@ -35,27 +35,10 @@ func TestRunAfterCloseRowExecutor(t *testing.T) {
 	}
 }
 
-func TestRunAfterCloseColExecutor(t *testing.T) {
+func TestRunAfterCloseSymExecutor(t *testing.T) {
 	c := matgen.Stencil2D(8)
-	f, _ := csc.FromCOO(c)
-	e, err := NewColExecutor(f, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := make([]float64, c.Rows())
-	x := make([]float64, c.Cols())
-	e.Close()
-	if err := e.Run(y, x); !errors.Is(err, core.ErrUsage) {
-		t.Fatalf("Run after Close: err = %v, want ErrUsage", err)
-	}
-	if err := e.RunIters(2, y, x); !errors.Is(err, core.ErrUsage) {
-		t.Fatalf("RunIters after Close: err = %v, want ErrUsage", err)
-	}
-}
-
-func TestRunAfterCloseBlockExecutor(t *testing.T) {
-	c := matgen.Stencil2D(8)
-	e, err := NewBlockExecutor(c, 2, 2)
+	f, _ := sym.FromCOO(c, 1e-12)
+	e, err := NewSymExecutor(f, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +126,11 @@ func TestExecutorCollectorRow(t *testing.T) {
 	}
 }
 
-func TestExecutorCollectorCol(t *testing.T) {
+func TestExecutorCollectorSym(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	c := matgen.FEMLike(rng, 250, 5, matgen.Values{})
-	f, _ := csc.FromCOO(c)
-	e, err := NewColExecutor(f, 3)
+	c := matgen.Symmetrize(matgen.FEMLike(rng, 250, 5, matgen.Values{}))
+	f, _ := sym.FromCOO(c, 1e-12)
+	e, err := NewSymExecutor(f, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,27 +142,8 @@ func TestExecutorCollectorCol(t *testing.T) {
 	if err := e.RunIters(3, y, x); err != nil {
 		t.Fatal(err)
 	}
-	checkRunStats(t, rec.Snapshot(), 3, e.Threads(), c.Len(), "col")
-	testmat.AssertClose(t, "instrumented col run", y, reference(c, x), 1e-10)
-}
-
-func TestExecutorCollectorBlock(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	c := matgen.FEMLike(rng, 200, 5, matgen.Values{})
-	e, err := NewBlockExecutor(c, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	rec := obs.NewRecorder()
-	e.SetCollector(rec)
-	x := testmat.RandVec(rng, c.Cols())
-	y := make([]float64, c.Rows())
-	if err := e.RunIters(2, y, x); err != nil {
-		t.Fatal(err)
-	}
-	checkRunStats(t, rec.Snapshot(), 2, e.Threads(), c.Len(), "block")
-	testmat.AssertClose(t, "instrumented block run", y, reference(c, x), 1e-10)
+	checkRunStats(t, rec.Snapshot(), 3, e.Threads(), f.NNZ(), "sym")
+	testmat.AssertClose(t, "instrumented sym run", y, reference(c, x), 1e-10)
 }
 
 // TestCollectorDisabledIsDefault pins the zero-cost default: a fresh

@@ -5,7 +5,7 @@
 // worker, the analogue of a pinned thread — so that iterative workloads
 // (the paper measures 128 consecutive SpMV operations) pay goroutine
 // startup once, not per iteration. The pool (pool.go) owns the
-// lifecycle once for all five schemes: workers, run lock, Close, the
+// lifecycle once for all three schemes: workers, run lock, Close, the
 // closed/context/shape checks, telemetry and tracing, RunIters, and the
 // per-column RunBatch fallback. A scheme supplies only its construction,
 // its worker body and its phase sequence. The row scheme (Executor)
@@ -14,8 +14,9 @@
 // only the starting point and a slow stretch of rows no longer holds
 // the barrier. Row partitioning (Executor, NNZExecutor) needs no
 // reduction because units write disjoint y ranges, bar the nnz scheme's
-// split rows; the column-, symmetric- and block-partitioned executors
-// give each worker a private y and reduce, as §II-C prescribes.
+// split rows; the symmetric executor's scatter kernel writes all over
+// y, so it gives each worker a private y and reduces, as §II-C
+// prescribes for column partitioning.
 //
 // Every executor accepts an obs.Collector (SetCollector) that receives
 // one RunStat per run, failed runs included: per-worker busy time,

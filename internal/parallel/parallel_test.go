@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"spmv/internal/core"
-	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
 	"spmv/internal/matgen"
+	"spmv/internal/sym"
 	"spmv/internal/testmat"
 )
 
@@ -99,8 +99,8 @@ func TestExecutorRejectsBadArgs(t *testing.T) {
 	if _, err := NewExecutor(f, 0); err == nil {
 		t.Error("accepted 0 threads")
 	}
-	cs, _ := csc.FromCOO(c)
-	if _, err := NewExecutor(cs, 2); err == nil {
+	sf, _ := sym.FromCOO(c, 1e-12)
+	if _, err := NewExecutor(sf, 2); err == nil {
 		t.Error("accepted non-Splitter format")
 	}
 }
@@ -126,70 +126,10 @@ func TestExecutorCloseIdempotent(t *testing.T) {
 	e.Close() // must not panic
 }
 
-func TestColExecutorMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	c := matgen.FEMLike(rng, 350, 5, matgen.Values{})
-	f, _ := csc.FromCOO(c)
-	x := testmat.RandVec(rng, c.Cols())
-	want := reference(c, x)
-	for _, threads := range []int{1, 2, 4, 8} {
-		e, err := NewColExecutor(f, threads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		y := make([]float64, c.Rows())
-		for i := range y {
-			y[i] = 99 // must be overwritten by reduction
-		}
-		e.Run(y, x)
-		testmat.AssertClose(t, "col executor", y, want, 1e-10)
-		// Second run must not accumulate.
-		e.Run(y, x)
-		testmat.AssertClose(t, "col executor run 2", y, want, 1e-10)
-		e.Close()
-	}
-}
-
-func TestColExecutorRejectsRowOnlyFormat(t *testing.T) {
+func TestSymExecutorRejectsRowOnlyFormat(t *testing.T) {
 	f, _ := csr.FromCOO(matgen.Stencil2D(4))
-	if _, err := NewColExecutor(f, 2); err == nil {
+	if _, err := NewSymExecutor(f, 2); err == nil {
 		t.Error("accepted non-ColSplitter format")
-	}
-}
-
-func TestBlockExecutorMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	c := matgen.FEMLike(rng, 300, 5, matgen.Values{})
-	x := testmat.RandVec(rng, c.Cols())
-	want := reference(c, x)
-	for _, grid := range [][2]int{{1, 1}, {2, 2}, {2, 4}, {4, 2}, {3, 3}} {
-		e, err := NewBlockExecutor(c, grid[0], grid[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		y := make([]float64, c.Rows())
-		e.Run(y, x)
-		testmat.AssertClose(t, "block executor", y, want, 1e-10)
-		e.Run(y, x)
-		testmat.AssertClose(t, "block executor run 2", y, want, 1e-10)
-		e.Close()
-	}
-}
-
-func TestBlockExecutorMoreGridsThanRows(t *testing.T) {
-	c := core.NewCOO(2, 2)
-	c.Add(0, 0, 1)
-	c.Add(1, 1, 2)
-	c.Finalize()
-	e, err := NewBlockExecutor(c, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	y := make([]float64, 2)
-	e.Run(y, []float64{3, 5})
-	if y[0] != 3 || y[1] != 10 {
-		t.Errorf("y = %v, want [3 10]", y)
 	}
 }
 

@@ -133,20 +133,6 @@ func (p *pool) joinErrs() error {
 	return errors.Join(errs...)
 }
 
-// twoPhase is the col and block phase sequence: a multiply phase (the
-// job with y cleared), a barrier, then — only if every multiply
-// succeeded — a reduce phase writing y.
-func (p *pool) twoPhase(j job) error {
-	mul := j
-	mul.y = nil
-	p.dispatch(&mul)
-	if err := p.joinErrs(); err != nil {
-		return err
-	}
-	p.dispatch(&j)
-	return p.joinErrs()
-}
-
 // Threads returns the number of workers (may be less than requested
 // for small matrices).
 func (p *pool) Threads() int { return len(p.slots) }

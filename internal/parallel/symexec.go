@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spmv/internal/core"
+	"spmv/internal/obs"
 )
 
 // SymExecutor parallelizes scatter-kernel formats — built for the
@@ -22,9 +23,9 @@ import (
 // The tree is fixed by the worker count, so for a given P the
 // floating-point summation order is deterministic — runs are bitwise
 // reproducible regardless of scheduling, unlike reductions ordered by
-// arrival. The flat ColExecutor reduction sweeps all P private vectors
-// in one pass (P-1 adds deep); the tree does the same adds in log2(P)
-// passes of depth 1, trading barriers for cache-sized streams.
+// arrival. A flat reduction would sweep all P private vectors in one
+// pass (P-1 adds deep); the tree does the same adds in log2(P) passes
+// of depth 1, trading barriers for cache-sized streams.
 //
 // A failed multiply phase returns before any reduction, leaving y
 // untouched. RunBatch has no fused path: the reduction needs a pass per
@@ -58,6 +59,26 @@ func NewSymExecutor(f core.Format, nthreads int) (*SymExecutor, error) {
 		phases: e.runPhases}
 	e.start()
 	return e, nil
+}
+
+// privateVectors allocates one private full-length y per worker.
+func privateVectors(n, rows int) [][]float64 {
+	private := make([][]float64, n)
+	for i := range private {
+		private[i] = make([]float64, rows)
+	}
+	return private
+}
+
+// colLayout is the per-worker stats layout of the scatter chunks: each
+// chunk's stored-triangle row range and non-zeros.
+func colLayout(chunks []core.ColChunk) []obs.ChunkStat {
+	layout := make([]obs.ChunkStat, len(chunks))
+	for i, ch := range chunks {
+		lo, hi := ch.ColRange()
+		layout[i] = obs.ChunkStat{Worker: i, Lo: lo, Hi: hi, NNZ: ch.NNZ()}
+	}
+	return layout
 }
 
 // runPhases is the scatter phase into the private vectors (y cleared,

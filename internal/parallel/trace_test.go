@@ -7,10 +7,10 @@ import (
 	"testing"
 
 	"spmv/internal/core"
-	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/matgen"
 	"spmv/internal/obs"
+	"spmv/internal/sym"
 )
 
 func traceMatrix(t *testing.T) (*core.COO, core.Format) {
@@ -83,40 +83,29 @@ func TestTraceQuietWithoutCollector(t *testing.T) {
 	}
 }
 
-// TestTraceRegionsColAndBlock: the reducing executors emit their own
-// partition-named tasks and regions.
-func TestTraceRegionsColAndBlock(t *testing.T) {
-	c, f := traceMatrix(t)
+// TestTraceRegionsSym: the tree-reducing executor emits its own
+// partition-named task and regions.
+func TestTraceRegionsSym(t *testing.T) {
+	c, _ := traceMatrix(t)
+	f, err := sym.FromCOO(matgen.Symmetrize(c), 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewSymExecutor(f, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.SetCollector(obs.NewRecorder())
 	y := make([]float64, f.Rows())
 	x := make([]float64, f.Cols())
 
-	cs, err := csc.FromCOO(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce, err := NewColExecutor(cs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ce.Close()
-	ce.SetCollector(obs.NewRecorder())
-
-	be, err := NewBlockExecutor(c, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer be.Close()
-	be.SetCollector(obs.NewRecorder())
-
 	data := collectTrace(t, func() {
-		if err := ce.Run(y, x); err != nil {
-			t.Error(err)
-		}
-		if err := be.Run(y, x); err != nil {
+		if err := e.Run(y, x); err != nil {
 			t.Error(err)
 		}
 	})
-	for _, want := range []string{"spmv.col.run", "spmv.col.chunk0", "spmv.block.run", "spmv.block.chunk0"} {
+	for _, want := range []string{"spmv.sym.run", "spmv.sym.chunk0"} {
 		if !bytes.Contains(data, []byte(want)) {
 			t.Errorf("trace does not contain %q", want)
 		}

@@ -27,7 +27,7 @@ func rowReference(f core.Format, c *core.COO) func(x []float64, k int) []float64
 	if m, ok := f.(testmat.RowMajor); ok {
 		return testmat.Reference(m)
 	}
-	// csr16 and ell store the float64 values of c in row order.
+	// csr16 stores the float64 values of c in row order.
 	return testmat.Reference(mustFormat(csr.FromCOO(c)).(*csr.Matrix))
 }
 
@@ -74,7 +74,7 @@ func TestExecutorLattice(t *testing.T) {
 			for _, tc := range latticeCases() {
 				f, err := formats.Build(name, tc.COO)
 				if err != nil {
-					continue // ell refuses heavy padding, sym-csr non-square input
+					continue // sym-csr refuses non-square and unsymmetric input
 				}
 				if _, ok := f.(core.Splitter); !ok {
 					t.Skipf("%s does not split by rows", name)
@@ -288,8 +288,8 @@ func TestNewWithStealAndNNZOptions(t *testing.T) {
 	}
 	r.Close()
 
-	if _, err := New(f, ExecOptions{Threads: 2, Partition: "col", Steal: true}); !errors.Is(err, core.ErrUsage) {
-		t.Errorf("Steal+col = %v, want core.ErrUsage", err)
+	if _, err := New(f, ExecOptions{Threads: 2, Partition: "nnz", Steal: true}); !errors.Is(err, core.ErrUsage) {
+		t.Errorf("Steal+nnz = %v, want core.ErrUsage", err)
 	}
 	if _, err := New(f, ExecOptions{Threads: 2, Partition: "bogus"}); !errors.Is(err, core.ErrUsage) {
 		t.Errorf("unknown partition = %v, want core.ErrUsage", err)

@@ -1,8 +1,8 @@
 // Package partition implements the static load-balancing schemes of the
 // paper's §II-C: row partitioning balanced by non-zero count (the scheme
 // used for all of the paper's experiments), plus the even and
-// prefix-weight splitters that the column- and block-partitioned
-// executors build on.
+// prefix-weight splitters that the nonzero-split and symmetric chunks
+// build on.
 package partition
 
 import (
@@ -81,17 +81,6 @@ func SplitRowsByNNZ(rowPtr []int32, parts int) []int {
 	prefix := make([]int64, len(rowPtr))
 	for i, p := range rowPtr {
 		prefix[i] = int64(p) - int64(rowPtr[0])
-	}
-	return SplitPrefix(prefix, parts)
-}
-
-// SplitByCounts splits [0, len(counts)) into parts ranges of
-// approximately equal total count (e.g. per-column nnz for column
-// partitioning).
-func SplitByCounts(counts []int, parts int) []int {
-	prefix := make([]int64, len(counts)+1)
-	for i, c := range counts {
-		prefix[i+1] = prefix[i] + int64(c)
 	}
 	return SplitPrefix(prefix, parts)
 }

@@ -146,16 +146,6 @@ func TestSplitRowsByNNZ(t *testing.T) {
 	}
 }
 
-func TestSplitByCounts(t *testing.T) {
-	b := SplitByCounts([]int{10, 0, 0, 10}, 2)
-	if b[0] != 0 || b[2] != 4 {
-		t.Fatalf("bounds = %v", b)
-	}
-	if b[1] < 1 || b[1] > 3 {
-		t.Errorf("middle boundary = %d, want in [1,3]", b[1])
-	}
-}
-
 func TestEvenZeroItems(t *testing.T) {
 	// n == 0 (an empty matrix) must yield all-zero boundaries, not panic.
 	b := Even(0, 4)
@@ -207,13 +197,6 @@ func TestSplitRowsByNNZSingleRow(t *testing.T) {
 	}
 	if rowParts != 1 {
 		t.Errorf("expected exactly 1 part holding the row, bounds %v", b)
-	}
-}
-
-func TestSplitByCountsEmpty(t *testing.T) {
-	b := SplitByCounts(nil, 2)
-	if len(b) != 3 || b[0] != 0 || b[2] != 0 {
-		t.Fatalf("bounds = %v", b)
 	}
 }
 

@@ -140,7 +140,6 @@ func TestSplitterConformance(t *testing.T) {
 
 			check(t, c.name+"/Even", Even(n, parts), n, parts)
 			check(t, c.name+"/SplitPrefix", SplitPrefix(prefix, parts), n, parts)
-			check(t, c.name+"/SplitByCounts", SplitByCounts(c.counts, parts), n, parts)
 
 			rowPtr := make([]int32, n+1)
 			for i, w := range prefix {

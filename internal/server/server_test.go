@@ -541,7 +541,7 @@ func float32Exact(c *core.COO) *core.COO {
 
 // TestEveryRegistryNameServes uploads a symmetric and a skewed matrix
 // under every registry name and format=auto: each upload starts the
-// executor its format supports (sym-csr and csc have no row split) and
+// executor its format supports (sym-csr has no row split) and
 // multiplies like the triplet reference. A format that cannot
 // represent a matrix is refused as a bad upload, never a 500.
 func TestEveryRegistryNameServes(t *testing.T) {
@@ -551,14 +551,14 @@ func TestEveryRegistryNameServes(t *testing.T) {
 		refuse map[string]bool // names whose builder rejects the matrix
 	}{
 		{name: "symmetric", c: matgen.Symmetrize(matgen.FEMLike(rand.New(rand.NewSource(1)), 2000, 5, matgen.Values{}))},
-		// One row ~8x the mean: past the tuner's skew threshold, inside
-		// ELLPACK's fill bound, symmetric so sym-csr applies too.
+		// One row ~8x the mean: past the tuner's skew threshold,
+		// symmetric so sym-csr applies too.
 		{name: "skewed", c: matgen.Symmetrize(matgen.SkewedRows(rand.New(rand.NewSource(22)), 2000, 4, 17, 0.0075, matgen.Values{}))},
 		// The heavy-row pathology: 40% of the non-zeros in one row.
 		{
 			name:   "heavy-row",
 			c:      matgen.SkewedRows(rand.New(rand.NewSource(22)), 2000, 4, 17, 0.4, matgen.Values{}),
-			refuse: map[string]bool{"ell": true, "sym-csr": true},
+			refuse: map[string]bool{"sym-csr": true},
 		},
 	}
 	s := newTestServer(t, Config{})

@@ -5,11 +5,11 @@ import (
 	"testing"
 
 	"spmv/internal/core"
-	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
 	"spmv/internal/matgen"
 	"spmv/internal/memsim"
+	"spmv/internal/sym"
 )
 
 func TestCollectSplitsWork(t *testing.T) {
@@ -37,9 +37,9 @@ func TestCollectSplitsWork(t *testing.T) {
 
 func TestCollectRejectsUntraceable(t *testing.T) {
 	c := matgen.Stencil2D(8)
-	f, _ := csc.FromCOO(c)
+	f, _ := sym.FromCOO(c, 1e-12)
 	if _, err := Collect(f, 2); err == nil {
-		t.Error("CSC accepted (no Placer)")
+		t.Error("sym-csr accepted (no Placer)")
 	}
 }
 

@@ -36,7 +36,6 @@ func KernelPackages() []string {
 		"internal/csrdu",
 		"internal/csrvi",
 		"internal/dcsr",
-		"internal/ell",
 		"internal/parallel",
 		"internal/vec",
 	}

@@ -147,7 +147,7 @@ func IsHotFunc(name string) bool {
 		"Mul", "MulAdd", "MulTrans",
 		"Dot", "Axpy", "DotBlocks", "AxpyDotBlocks", "axpyDot", "AxpyXpby", "Hadamard",
 		"DecodeAt", "DecodeUnit", "SkipRows", "dotRange",
-		"runChunk", "runColJob", "runBlockJob", "runNNZChunk", "runSymJob",
+		"runChunk", "runNNZChunk", "runSymJob",
 		"zeroRows":
 		return true
 	}
@@ -185,7 +185,7 @@ func IsRequestPathFunc(name string) bool {
 		"appendFloat", "appendShortest", "put8", "rop",
 		"flog10pow2", "flog10ThreeQuartersPow2", "flog2pow10",
 		"Run", "RunCtx", "RunBatch", "RunBatchCtx",
-		"dispatch", "worker", "drain", "ready", "multiply", "once", "twoPhase":
+		"dispatch", "worker", "drain", "ready", "multiply", "once":
 		return true
 	}
 	return strings.HasPrefix(name, "handle")

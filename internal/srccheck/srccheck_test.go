@@ -228,7 +228,7 @@ func TestIsRequestPathFunc(t *testing.T) {
 		"appendFloat", "appendShortest", "put8", "rop",
 		"flog10pow2", "flog10ThreeQuartersPow2", "flog2pow10",
 		"(*coalescer).enqueue", "(*Executor).RunCtx", "SpMV",
-		"(*pool).ready", "(*pool).multiply", "(*pool).once", "(*pool).twoPhase",
+		"(*pool).ready", "(*pool).multiply", "(*pool).once",
 		"(*pool).dispatch", "(*pool).worker", "zeroRows"}
 	cold := []string{"failMultiply", "ingest", "New", "(bodyError).Error", "badUpload"}
 	for _, name := range path {
@@ -254,13 +254,13 @@ func TestIsHotFunc(t *testing.T) {
 		"spmvBatch4", "spmvBatch8", "spmvBatchK", "spmvDUVI", "spmvBatchDUVI",
 		"decodeUnit", "DecodeUnit", "csrdu.DecodeUnit", "SkipRows", "addRange",
 		"(*Matrix).SpMV", "(*chunk).SpMVBatch",
-		"runChunk", "runColJob", "runBlockJob",
+		"runChunk",
 		"SpMVPartial", "dotRange", "runNNZChunk", "runSymJob",
 		"vec.DotBlocks", "AxpyDotBlocks", "axpyDot", "AxpyXpby", "Hadamard",
-		"(*Executor).runChunk", "(*BlockExecutor).runBlockJob",
+		"(*Executor).runChunk", "(*SymExecutor).runSymJob",
 		"(*nnzChunk).SpMVPartial", "zeroRows"}
 	cold := []string{"FromCOO", "Verify", "Name", "String", "Split", "Print",
-		"worker", "colJobError", "traceTask", "Each", "runFunc", "SumBlocks"}
+		"worker", "symJobError", "traceTask", "Each", "runFunc", "SumBlocks"}
 	for _, name := range hot {
 		if !IsHotFunc(name) {
 			t.Errorf("IsHotFunc(%q) = false, want true", name)

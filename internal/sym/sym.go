@@ -5,9 +5,10 @@
 //
 // The SpMV kernel applies each stored off-diagonal element twice
 // (y[i] += v*x[j] and y[j] += v*x[i]), so the kernel scatters into y.
-// Serial execution is straightforward; the multithreaded version gives
-// each worker a private y and reduces, exactly like column partitioning
-// (the format implements core.ColSplitter for that reason).
+// Serial execution is straightforward; the multithreaded version
+// (parallel.SymExecutor) gives each worker a private y and reduces, as
+// §II-C prescribes for column partitioning (the format implements
+// core.ColSplitter for that reason).
 package sym
 
 import (
@@ -145,8 +146,8 @@ func (m *Matrix) addRange(y, x []float64, lo, hi int) {
 
 // SplitCols implements core.ColSplitter. The "column" ranges are row
 // ranges of the stored triangle; every chunk may scatter into all of y
-// (for j < lo), which is precisely the ColChunk contract, so the
-// column-partitioned executor's private-y reduction applies unchanged.
+// (for j < lo), which is precisely the ColChunk contract, so
+// parallel.SymExecutor's private-y reduction applies unchanged.
 func (m *Matrix) SplitCols(n int) []core.ColChunk {
 	prefix := make([]int64, m.n+1)
 	for i := 0; i < m.n; i++ {

@@ -102,7 +102,9 @@ func TestToleranceAllowsRounding(t *testing.T) {
 	}
 }
 
-func TestParallelViaColExecutor(t *testing.T) {
+// TestParallelViaNew runs sym-csr through parallel.New, which starts
+// the tree-reducing SymExecutor for it.
+func TestParallelViaNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := matgen.Symmetrize(matgen.FEMLike(rng, 400, 5, matgen.Values{}))
 	m, err := FromCOO(c, 1e-12)
@@ -113,7 +115,7 @@ func TestParallelViaColExecutor(t *testing.T) {
 	x := testmat.RandVec(rng, c.Cols())
 	m.SpMV(want, x)
 	for _, threads := range []int{1, 2, 4, 8} {
-		e, err := parallel.NewColExecutor(m, threads)
+		e, err := parallel.New(m, parallel.ExecOptions{Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}

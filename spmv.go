@@ -72,13 +72,14 @@
 // take down the process.
 //
 // The package also provides the comparator formats (CSR16, CSR32,
-// DCSR, CSC, ELLPACK, symmetric CSR), row/column/block-partitioned
-// parallel executors, CG/PCG/GMRES/BiCGSTAB solvers with ILU(0)
-// preconditioning and mixed-precision refinement, RCM reordering, a
-// structure analyzer with analytic and empirical format advice, Matrix
-// Market and binary container I/O, synthetic matrix generators, and a deterministic simulator of the paper's 8-core
-// Clovertown platform for reproducing its evaluation (see cmd/spmvsim
-// and EXPERIMENTS.md).
+// DCSR, symmetric CSR), row- and nonzero-partitioned parallel
+// executors plus a tree-reducing one for symmetric CSR,
+// CG/PCG/GMRES/BiCGSTAB solvers with ILU(0) preconditioning and
+// mixed-precision refinement, RCM reordering, a structure analyzer with
+// analytic and empirical format advice, Matrix Market and binary
+// container I/O, synthetic matrix generators, and a deterministic
+// simulator of the paper's 8-core Clovertown platform for reproducing
+// its evaluation (see cmd/spmvsim and EXPERIMENTS.md).
 package spmv
 
 import (
@@ -86,11 +87,9 @@ import (
 
 	"spmv/internal/analyze"
 	"spmv/internal/core"
-	"spmv/internal/csc"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
 	"spmv/internal/dcsr"
-	"spmv/internal/ell"
 	"spmv/internal/formats"
 	"spmv/internal/matfile"
 	"spmv/internal/mmio"
@@ -142,132 +141,22 @@ type (
 	CSRDUVI = csrdu.Matrix
 	// DCSR is the Willcock & Lumsdaine comparator format.
 	DCSR = dcsr.Matrix
-	// CSC is the column-oriented format for column partitioning.
-	CSC = csc.Matrix
 	// CSR32 stores single-precision values (half the value stream): a
 	// CSR under the float32 value codec. Pair with Refine for
 	// double-precision solutions.
 	CSR32 = csr.Matrix
-	// ELL is the ELLPACK-ITPACK padded format.
-	ELL = ell.Matrix
 	// SymCSR stores one triangle of a symmetric matrix.
 	SymCSR = sym.Matrix
 )
 
 // NewCOO returns an empty rows×cols triplet matrix. Assemble with Add,
-// then pass to any format constructor (which finalizes it in place).
+// then pass to Build (which finalizes it in place).
 func NewCOO(rows, cols int) *COO { return core.NewCOO(rows, cols) }
-
-// Constructors. Build is the canonical entry point; every constructor
-// below that takes no parameters beyond the triplets is a one-line
-// delegate onto it, kept (deprecated) for callers that want the
-// concrete type without a type assertion. Constructors exposing knobs
-// the format registry does not (ELLPACK fill bounds, symmetry
-// tolerances) stay first-class.
-
-// NewCSR builds the baseline CSR format (4-byte indices, 8-byte values).
-//
-// Deprecated: use Build, which names the format and carries encoder
-// options in one call. This constructor remains fully supported and
-// returns the concrete *CSR.
-func NewCSR(c *COO) (*CSR, error) { return buildAs[*CSR](c) }
-
-// NewCSR16 builds CSR with 2-byte column indices; errors if the matrix
-// has 2^16 or more columns.
-//
-// Deprecated: use Build with WithFormat("csr16"). This constructor
-// remains fully supported and returns the concrete *CSR16.
-func NewCSR16(c *COO) (*CSR16, error) { return buildAs[*CSR16](c, WithFormat("csr16")) }
-
-// NewCSRDU builds the CSR-DU index-compressed format with default
-// encoder options.
-//
-// Deprecated: use Build with WithFormat("csr-du"), adding WithDUOptions
-// or WithWorkers as needed. This constructor remains fully supported
-// and returns the concrete *CSRDU.
-func NewCSRDU(c *COO) (*CSRDU, error) { return buildAs[*CSRDU](c, WithFormat("csr-du")) }
-
-// NewCSRDUOpts builds CSR-DU with explicit encoder options (e.g. RLE
-// units for matrices with long constant-stride runs).
-//
-// Deprecated: use Build with WithFormat("csr-du") and WithDUOptions(o).
-// This constructor remains fully supported and returns the concrete
-// *CSRDU.
-func NewCSRDUOpts(c *COO, o DUOptions) (*CSRDU, error) {
-	return buildAs[*CSRDU](c, WithFormat("csr-du"), WithDUOptions(o))
-}
-
-// NewCSRDUParallel builds CSR-DU with workers concurrent encoders
-// (0 = GOMAXPROCS); the stream is byte-identical to the serial encoder.
-//
-// Deprecated: set DUOptions.Workers and call NewCSRDUOpts (or Build
-// with WithWorkers), which folds the serial/parallel split into one
-// entry point. This wrapper remains for compatibility.
-func NewCSRDUParallel(c *COO, o DUOptions, workers int) (*CSRDU, error) {
-	o.Workers = workers
-	if workers <= 0 {
-		o.Workers = -1 // GOMAXPROCS
-	}
-	return csrdu.FromCOOOpts(c, o)
-}
-
-// NewCSRVI builds the CSR-VI value-indexed format. Worthwhile when the
-// matrix's total-to-unique values ratio exceeds ~5 (use TTU to check);
-// where no dictionary is smaller than the values, the matrix keeps
-// them plain, at CSR's size (IndexWidth 0).
-//
-// Deprecated: use Build with WithFormat("csr-vi"). This constructor
-// remains fully supported and returns the concrete *CSRVI.
-func NewCSRVI(c *COO) (*CSRVI, error) { return buildAs[*CSRVI](c, WithFormat("csr-vi")) }
-
-// NewCSRDUVI builds the combined index+value compressed format.
-//
-// Deprecated: use Build with WithFormat("csr-du-vi"). This constructor
-// remains fully supported and returns the concrete *CSRDUVI.
-func NewCSRDUVI(c *COO) (*CSRDUVI, error) { return buildAs[*CSRDUVI](c, WithFormat("csr-du-vi")) }
-
-// NewDCSR builds the DCSR comparator format (byte command stream).
-//
-// Deprecated: use Build with WithFormat("dcsr"). This constructor
-// remains fully supported and returns the concrete *DCSR.
-func NewDCSR(c *COO) (*DCSR, error) { return buildAs[*DCSR](c, WithFormat("dcsr")) }
-
-// NewCSC builds the compressed sparse column format.
-//
-// Deprecated: use Build with WithFormat("csc"). This constructor
-// remains fully supported and returns the concrete *CSC.
-func NewCSC(c *COO) (*CSC, error) { return buildAs[*CSC](c, WithFormat("csc")) }
-
-// NewCSR32 builds CSR with single-precision values (values are rounded).
-//
-// Deprecated: use Build with WithFormat("csr32"). This constructor
-// remains fully supported and returns the concrete *CSR32.
-func NewCSR32(c *COO) (*CSR32, error) { return buildAs[*CSR32](c, WithFormat("csr32")) }
-
-// NewELL builds the ELLPACK-ITPACK format; errors if padding would
-// exceed ell.DefaultMaxFill times the non-zero count.
-//
-// Deprecated: use Build with WithFormat("ell"), or NewELLMaxFill for an
-// explicit padding bound. This constructor remains fully supported and
-// returns the concrete *ELL.
-func NewELL(c *COO) (*ELL, error) { return buildAs[*ELL](c, WithFormat("ell")) }
-
-// NewELLMaxFill builds ELLPACK with an explicit padding bound, which
-// the registry's "ell" entry does not expose.
-func NewELLMaxFill(c *COO, maxFill float64) (*ELL, error) { return ell.FromCOOMaxFill(c, maxFill) }
 
 // NewSymCSR builds symmetric (one-triangle) storage; the matrix must be
 // numerically symmetric within tol. The registry's "sym-csr" entry
 // fixes tol at its default; this constructor accepts any tolerance.
 func NewSymCSR(c *COO, tol float64) (*SymCSR, error) { return sym.FromCOO(c, tol) }
-
-// BuildFormat constructs any registered format by name ("csr",
-// "csr-du", "csr-vi", "csr-du-vi", "dcsr", "ell", "sym-csr", ...); see
-// FormatNames.
-//
-// Deprecated: use Build with WithFormat(name), which additionally
-// carries encoder options. This function remains fully supported.
-func BuildFormat(name string, c *COO) (Format, error) { return Build(c, WithFormat(name)) }
 
 // FormatNames lists every format Build (via WithFormat) accepts.
 func FormatNames() []string { return formats.Names() }
@@ -330,11 +219,6 @@ type (
 	// Executor is the row-partitioned multithreaded SpMV driver: its
 	// workers claim fixed row units from one counter (self-scheduling).
 	Executor = parallel.Executor
-	// ColExecutor is the column-partitioned driver (private y vectors
-	// plus parallel reduction).
-	ColExecutor = parallel.ColExecutor
-	// BlockExecutor is the 2D block-partitioned driver.
-	BlockExecutor = parallel.BlockExecutor
 	// NNZExecutor is the nonzero-split driver: chunk boundaries fall
 	// mid-row, so one pathologically long row no longer serializes a
 	// run (Partition: "nnz"; CSR only).
@@ -352,9 +236,8 @@ type (
 // NewExecutorOpts starts an executor over f under one options struct:
 // Threads (<= 0 means GOMAXPROCS), an optional telemetry Collector,
 // and the Partition strategy ("" for the executor f supports — row
-// units, or the column/symmetric reduction for CSC and sym-csr —
-// "row", "col" for formats that support column splitting, or "nnz" for
-// CSR's nonzero-split chunks). The row executor self-schedules fixed
+// units, or the symmetric tree reduction for sym-csr — "row", or "nnz"
+// for CSR's nonzero-split chunks). The row executor self-schedules fixed
 // row units, so it stays balanced on skewed matrices too. The
 // deprecated Steal field selects the row executor. An unknown
 // partition, or Steal combined with a non-row partition, is an
@@ -370,32 +253,6 @@ func NewExecutorOpts(f Format, o ExecOptions) (Runner, error) {
 // bitwise reproducible across runs.
 func NewSymExecutor(f Format, nthreads int) (*SymExecutor, error) {
 	return parallel.NewSymExecutor(f, nthreads)
-}
-
-// NewExecutor starts a row-partitioned executor with up to nthreads
-// workers over f. Close it when done.
-//
-// Deprecated: use NewExecutorOpts, which names the partition strategy
-// and attaches the collector in one call. This constructor remains
-// fully supported and returns the concrete *Executor.
-func NewExecutor(f Format, nthreads int) (*Executor, error) {
-	return parallel.NewExecutor(f, nthreads)
-}
-
-// NewColExecutor starts a column-partitioned executor (f must support
-// column splitting; see NewCSC).
-//
-// Deprecated: use NewExecutorOpts with Partition: "col". This
-// constructor remains fully supported and returns the concrete
-// *ColExecutor.
-func NewColExecutor(f Format, nthreads int) (*ColExecutor, error) {
-	return parallel.NewColExecutor(f, nthreads)
-}
-
-// NewBlockExecutor starts a gridR×gridC block-partitioned executor
-// directly from triplets.
-func NewBlockExecutor(c *COO, gridR, gridC int) (*BlockExecutor, error) {
-	return parallel.NewBlockExecutor(c, gridR, gridC)
 }
 
 // Observability. Every executor accepts a Collector via SetCollector;

@@ -30,7 +30,7 @@ go test -race ./...
 echo "== race"
 # Second pass over the concurrency-heavy packages: the executors' one
 # shared worker pool (start channels, barrier, run lock, Close and the
-# telemetry of failed runs, driven on all five executors, the row
+# telemetry of failed runs, driven on all three executors, the row
 # executor also cut into many small units, by the closeHarness and
 # failed-run tests; the row units' claim counter under the executor
 # lattice and schedule-permutation tests) and the telemetry layer
@@ -165,9 +165,10 @@ if [ "$FUZZTIME" != "0" ]; then
 	# FuzzReadVI holds the csr-vi and csr-du-vi readers to the values
 	# their width/val_ind/unique triple codes for, under both value
 	# codecs, bitwise through every kernel.
-	# FuzzCanonical holds the csr, csr16 and csr-vi readers to loading
-	# what was stored: an accepted file writes back to its own bytes
-	# and multiplies bitwise like a reference over its stored order.
+	# FuzzCanonical holds every reader (csr, csr16, csr-vi, csr-du,
+	# csr-du-rle, csr-du-vi, dcsr) to loading what was stored: an
+	# accepted file writes back to its own bytes and multiplies bitwise
+	# like a reference over its stored order.
 	# FuzzMultiplyBody holds the multiply wire codec to encoding/json:
 	# what it accepts decodes bitwise alike, and what it writes is
 	# byte-identical.
