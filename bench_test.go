@@ -187,18 +187,6 @@ func BenchmarkAblationDUVI(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCSR16 compares the simple 16-bit index reduction
-// (Williams et al.) against CSR-DU on a narrow matrix.
-func BenchmarkAblationCSR16(b *testing.B) {
-	c := matgen.Banded(rand.New(rand.NewSource(6)), 60000, 50, 10, matgen.Values{})
-	base := mustFmt(spmv.Build(c))
-	c16 := mustFmt(spmv.Build(c, spmv.WithFormat("csr16")))
-	du := mustFmt(spmv.Build(c, spmv.WithFormat("csr-du")))
-	b.Run("csr-1t", func(b *testing.B) { runFormat(b, base, 1) })
-	b.Run("csr16-1t", func(b *testing.B) { runFormat(b, c16, 1) })
-	b.Run("csr-du-1t", func(b *testing.B) { runFormat(b, du, 1) })
-}
-
 // BenchmarkAblationPartitioning compares the row-unit and
 // nonzero-split schemes of §II-C on the same CSR matrix at 8 threads.
 func BenchmarkAblationPartitioning(b *testing.B) {

@@ -1,8 +1,8 @@
 // Command mtxconvert converts between Matrix Market text files and the
 // library's binary container (encode once, load compressed), choosing
-// the storage format of the binary side by registry name: csr, csr16,
-// csr-du, csr-du-rle (csr-du with RLE units), csr-vi, csr-du-vi or
-// dcsr. A name the container cannot hold (csr32, sym-csr) is an error.
+// the storage format of the binary side by registry name: csr, csr-du,
+// csr-du-rle (csr-du with RLE units), csr-vi, csr-du-vi or dcsr. A name
+// the container cannot hold (csr32, sym-csr) is an error.
 //
 // Usage:
 //
@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	to := flag.String("to", "csr-du", "target format for binary output: csr|csr16|csr-du|csr-du-rle|csr-vi|csr-du-vi|dcsr")
+	to := flag.String("to", "csr-du", "target format for binary output: csr|csr-du|csr-du-rle|csr-vi|csr-du-vi|dcsr")
 	from := flag.Bool("from", false, "convert binary container back to Matrix Market")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: mtxconvert [-to FORMAT] in.mtx out.spmv")

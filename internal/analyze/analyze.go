@@ -168,11 +168,6 @@ func (a Analysis) Recommend() []Recommendation {
 
 	add("csr", base, "baseline")
 
-	// CSR16: halve col_ind when columns fit 16 bits.
-	if a.Cols <= 1<<16 {
-		add("csr16", base-2*float64(a.NNZ), "column count fits 16-bit indices")
-	}
-
 	// CSR-DU: ctl ≈ per-delta width + ~4 bytes/row of headers+jump,
 	// none of either for the rows a REP unit repeats.
 	duIdx := a.DeltaFrac[0]*1 + a.DeltaFrac[1]*2 + a.DeltaFrac[2]*4 + a.DeltaFrac[3]*8

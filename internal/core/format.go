@@ -45,29 +45,25 @@ type Splitter interface {
 	Split(n int) []Chunk
 }
 
-// ColChunk is a contiguous column range of a partitioned matrix
-// (column partitioning, paper §II-C). Every chunk may touch all of y,
-// so the parallel runtime gives each worker a private y and reduces —
-// the paper's prescription for avoiding cache-line ping-pong.
-type ColChunk interface {
-	// ColRange returns the half-open column interval [lo, hi).
-	ColRange() (lo, hi int)
-	// NNZ is the number of non-zeros in the chunk.
+// ScatterChunk is a contiguous range [lo, hi) of stored-triangle rows
+// of a scatter-kernel format (sym-csr). Its kernel applies each stored
+// element twice, so a chunk writes y outside its own rows too — into
+// any y[j] with j < hi — and the parallel runtime gives each worker a
+// private y and reduces, the paper's prescription (§II-C) for kernels
+// whose writes overlap.
+type ScatterChunk interface {
+	// RowRange returns the half-open stored-triangle row interval [lo, hi).
+	RowRange() (lo, hi int)
+	// NNZ is the chunk's load-balance weight.
 	NNZ() int
-	// SpMVAdd accumulates the chunk's contribution into y (y += A[:, lo:hi]*x).
+	// SpMVAdd accumulates the chunk's rows, and their scattered
+	// transposes, into y (which may be written anywhere below hi).
 	SpMVAdd(y, x []float64)
 }
 
-// ColSplitter is implemented by formats that support nnz-balanced
-// column partitioning: sym-csr, whose scatter chunks run on
-// parallel.SymExecutor.
-type ColSplitter interface {
-	SplitCols(n int) []ColChunk
-}
-
-// SpMVAdd is implemented by formats whose kernel can accumulate into y
-// (y += A*x) instead of overwriting. Column-partitioned execution needs
-// this to reduce per-thread partial vectors.
-type SpMVAdd interface {
-	SpMVAdd(y, x []float64)
+// ScatterSplitter is implemented by scatter-kernel formats that cut
+// their stored rows into nnz-balanced scatter chunks: sym-csr, whose
+// chunks run on parallel.SymExecutor.
+type ScatterSplitter interface {
+	SplitScatter(n int) []ScatterChunk
 }

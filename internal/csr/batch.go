@@ -24,13 +24,13 @@ var batchDecodeHook func(loads int)
 // SpMVBatch implements core.BatchFormat. len(x) >= Cols()*k,
 // len(y) >= Rows()*k; k = 1 is bitwise identical to SpMV.
 func (m *Matrix) SpMVBatch(y, x []float64, k int) {
-	m.spmv(y, x, m.RowPtr, 0, m.rows, k, false)
+	m.spmv(y, x, m.RowPtr, 0, m.rows, k)
 }
 
 // SpMVBatch implements core.BatchChunk: only panel rows [lo, hi) are
 // written, so disjoint chunks may run concurrently.
 func (c *chunk) SpMVBatch(y, x []float64, k int) {
-	c.m.spmv(y, x, c.m.RowPtr, c.lo, c.hi, k, false)
+	c.m.spmv(y, x, c.m.RowPtr, c.lo, c.hi, k)
 }
 
 // spmvBatchRange is the fused panel walk over one value stream, for

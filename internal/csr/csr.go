@@ -1,8 +1,6 @@
 // Package csr implements the Compressed Sparse Row storage format with
 // 32-bit indices — the baseline of the paper's evaluation (§II-B,
-// Fig 1) — under three value codecs, together with a 16-bit-index
-// variant (CSR16, the index-reduction optimization of Williams et al.
-// that the paper's §III-D mentions).
+// Fig 1) — under three value codecs.
 //
 // A Matrix stores row_ptr and col_ind once and its values in one of
 // three codecs, named by the constructor that built it:
@@ -21,11 +19,11 @@
 //     value in stream order, at CSR's bytes and with CSR's walk.
 //
 // One generic row walk, with a register accumulator (the paper's
-// optimized CSR code), serves all three codecs and CSR16: it reads each
-// value through csrvi.Load, which compiles to the plain load for a
-// float64 or float32 stream and to the table lookup for an index
-// stream. Both types partition rows by nnz for the multithreaded
-// runtime and trace their memory accesses for the machine simulator.
+// optimized CSR code), serves all three codecs: it reads each value
+// through csrvi.Load, which compiles to the plain load for a float64 or
+// float32 stream and to the table lookup for an index stream. A Matrix
+// partitions its rows by nnz for the multithreaded runtime and traces
+// its memory accesses for the machine simulator.
 package csr
 
 import (
@@ -63,7 +61,6 @@ type Matrix struct {
 var (
 	_ core.Format   = (*Matrix)(nil)
 	_ core.Splitter = (*Matrix)(nil)
-	_ core.SpMVAdd  = (*Matrix)(nil)
 	_ core.Placer   = (*Matrix)(nil)
 )
 
@@ -218,27 +215,23 @@ func (m *Matrix) Applicable() bool { return m.TTU() > csrvi.MinTTU }
 
 // SpMV computes y = A*x with the paper's optimized kernel: the row sum
 // is kept in a register and written to y[i] once per row.
-func (m *Matrix) SpMV(y, x []float64) { m.spmv(y, x, m.RowPtr, 0, m.rows, 1, false) }
-
-// SpMVAdd computes y += A*x.
-func (m *Matrix) SpMVAdd(y, x []float64) { m.spmv(y, x, m.RowPtr, 0, m.rows, 1, true) }
+func (m *Matrix) SpMV(y, x []float64) { m.spmv(y, x, m.RowPtr, 0, m.rows, 1) }
 
 // spmv runs rows [lo, hi) of rowPtr through the walk for the matrix's
 // value stream, one instantiation per codec chosen once per call: the
-// row walk for k = 1 (adding into y under add), the panel walk for a
-// k-column batch.
-func (m *Matrix) spmv(y, x []float64, rowPtr []int32, lo, hi, k int, add bool) {
+// row walk for k = 1, the panel walk for a k-column batch.
+func (m *Matrix) spmv(y, x []float64, rowPtr []int32, lo, hi, k int) {
 	switch {
 	case m.VI8 != nil:
-		spmvStream(y, x, rowPtr, m.ColInd, m.VI8, m.Unique, lo, hi, k, add)
+		spmvStream(y, x, rowPtr, m.ColInd, m.VI8, m.Unique, lo, hi, k)
 	case m.VI16 != nil:
-		spmvStream(y, x, rowPtr, m.ColInd, m.VI16, m.Unique, lo, hi, k, add)
+		spmvStream(y, x, rowPtr, m.ColInd, m.VI16, m.Unique, lo, hi, k)
 	case m.VI32 != nil:
-		spmvStream(y, x, rowPtr, m.ColInd, m.VI32, m.Unique, lo, hi, k, add)
+		spmvStream(y, x, rowPtr, m.ColInd, m.VI32, m.Unique, lo, hi, k)
 	case m.Values32 != nil:
-		spmvStream(y, x, rowPtr, m.ColInd, m.Values32, nil, lo, hi, k, add)
+		spmvStream(y, x, rowPtr, m.ColInd, m.Values32, nil, lo, hi, k)
 	default:
-		spmvStream(y, x, rowPtr, m.ColInd, m.plain(), nil, lo, hi, k, add)
+		spmvStream(y, x, rowPtr, m.ColInd, m.plain(), nil, lo, hi, k)
 	}
 }
 
@@ -253,9 +246,9 @@ func (m *Matrix) plain() []float64 {
 
 // spmvStream is the walk over one value stream; it reports a panel
 // walk's value loads to batchDecodeHook.
-func spmvStream[V csrvi.Value](y, x []float64, rowPtr, colInd []int32, values []V, unique []float64, lo, hi, k int, add bool) {
+func spmvStream[V csrvi.Value](y, x []float64, rowPtr, colInd []int32, values []V, unique []float64, lo, hi, k int) {
 	if k == 1 {
-		spmvRange(y, x, rowPtr, colInd, values, unique, lo, hi, add)
+		spmvRange(y, x, rowPtr, colInd, values, unique, lo, hi)
 		return
 	}
 	loads := spmvBatchRange(y, x, rowPtr, colInd, values, unique, lo, hi, k)
@@ -277,11 +270,11 @@ var errRowPtr = core.Corruptf("csr: row pointer decreases or runs past the non-z
 // unique[vals[k]]. Each row is summed left to right from +0 and stored
 // once, so only y[lo:hi] is written.
 //
-// The type parameters give csr16 its 16-bit columns and each value
-// codec its stream; csrvi.Load widens a float32 (a no-op for float64)
-// or looks an index up in unique. Each instantiation compiles to the
-// same loop as a hand-written one.
-func spmvRange[C int32 | uint16, V csrvi.Value](y, x []float64, rowPtr []int32, colInd []C, values []V, unique []float64, lo, hi int, add bool) {
+// The type parameter gives each value codec its stream; csrvi.Load
+// widens a float32 (a no-op for float64) or looks an index up in
+// unique. Each instantiation compiles to the same loop as a
+// hand-written one.
+func spmvRange[V csrvi.Value](y, x []float64, rowPtr, colInd []int32, values []V, unique []float64, lo, hi int) {
 	ends := rowPtr[lo+1 : hi+1]
 	base, top := int(rowPtr[lo]), int(rowPtr[hi])
 	if base < 0 || top < base || top > len(values) || top > len(colInd) {
@@ -302,11 +295,7 @@ func spmvRange[C int32 | uint16, V csrvi.Value](y, x []float64, rowPtr []int32, 
 		for ; k < end; k++ {
 			sum += csrvi.Load(vals[k], unique) * x[cols[k]]
 		}
-		if add {
-			y[i] += sum
-		} else {
-			y[i] = sum
-		}
+		y[i] = sum
 	}
 }
 
@@ -388,4 +377,4 @@ var _ core.Tracer = (*chunk)(nil)
 
 func (c *chunk) RowRange() (int, int) { return c.lo, c.hi }
 func (c *chunk) NNZ() int             { return int(c.m.RowPtr[c.hi] - c.m.RowPtr[c.lo]) }
-func (c *chunk) SpMV(y, x []float64)  { c.m.spmv(y, x, c.m.RowPtr, c.lo, c.hi, 1, false) }
+func (c *chunk) SpMV(y, x []float64)  { c.m.spmv(y, x, c.m.RowPtr, c.lo, c.hi, 1) }

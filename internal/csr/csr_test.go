@@ -13,10 +13,6 @@ func TestCSRConformance(t *testing.T) {
 	testmat.CheckFormat(t, func(c *core.COO) (core.Format, error) { return FromCOO(c) })
 }
 
-func TestCSR16Conformance(t *testing.T) {
-	testmat.CheckFormat(t, func(c *core.COO) (core.Format, error) { return From16(c) })
-}
-
 func TestFromCOOPaperExample(t *testing.T) {
 	// The 6x6 matrix of the paper's Fig 1 with its published CSR arrays.
 	vals := [][]float64{
@@ -65,32 +61,6 @@ func TestSizeBytesMatchesPaperFormula(t *testing.T) {
 	want := int64(m.NNZ())*(4+8) + int64(m.Rows()+1)*4
 	if m.SizeBytes() != want {
 		t.Errorf("SizeBytes = %d, want %d", m.SizeBytes(), want)
-	}
-}
-
-func TestCSR16SizeIsSmaller(t *testing.T) {
-	c := matgen.Stencil2D(20) // 400 cols < 2^16
-	m32, _ := FromCOO(c)
-	m16, err := From16(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m16.SizeBytes() >= m32.SizeBytes() {
-		t.Errorf("csr16 (%d bytes) not smaller than csr (%d bytes)", m16.SizeBytes(), m32.SizeBytes())
-	}
-	// Index portion exactly halves.
-	wantDelta := int64(m32.NNZ()) * 2
-	if m32.SizeBytes()-m16.SizeBytes() != wantDelta {
-		t.Errorf("size delta = %d, want %d", m32.SizeBytes()-m16.SizeBytes(), wantDelta)
-	}
-}
-
-func TestFrom16RejectsWideMatrix(t *testing.T) {
-	c := core.NewCOO(2, MaxCols16+1)
-	c.Add(0, MaxCols16, 1)
-	c.Finalize()
-	if _, err := From16(c); err == nil {
-		t.Error("From16 accepted a matrix wider than 2^16")
 	}
 }
 

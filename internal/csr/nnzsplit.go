@@ -110,10 +110,10 @@ func (c *nnzChunk) SpMVPartial(y, x, partial []float64) {
 	m := c.m
 	if c.head >= 0 {
 		end := min(m.RowPtr[c.head+1], int32(c.khi))
-		m.spmv(partial[:1], x, []int32{int32(c.klo), end}, 0, 1, 1, false)
+		m.spmv(partial[:1], x, []int32{int32(c.klo), end}, 0, 1, 1)
 	}
-	m.spmv(y, x, m.RowPtr, c.fullLo, c.fullHi, 1, false)
+	m.spmv(y, x, m.RowPtr, c.fullLo, c.fullHi, 1)
 	if c.tail >= 0 && c.tail != c.head {
-		m.spmv(partial[1:2], x, []int32{m.RowPtr[c.tail], int32(c.khi)}, 0, 1, 1, false)
+		m.spmv(partial[1:2], x, []int32{m.RowPtr[c.tail], int32(c.khi)}, 0, 1, 1)
 	}
 }

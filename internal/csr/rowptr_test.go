@@ -14,7 +14,7 @@ import (
 // A row pointer that runs backwards or past the non-zeros must stop the
 // row walk with a typed corruption trap: before the walk checked each
 // row's end, one such row panicked with a runtime bounds error, and in
-// csr16/csr32 a backwards row summed nothing and left a silent zero.
+// csr32 a backwards row summed nothing and left a silent zero.
 func TestBadRowPointerTrapsAsCorrupt(t *testing.T) {
 	c := matgen.Stencil2D(5)
 	builders := []struct {
@@ -22,7 +22,6 @@ func TestBadRowPointerTrapsAsCorrupt(t *testing.T) {
 		build func() (core.Format, []int32)
 	}{
 		{"csr", func() (core.Format, []int32) { m, _ := csr.FromCOO(c); return m, m.RowPtr }},
-		{"csr16", func() (core.Format, []int32) { m, _ := csr.From16(c); return m, m.RowPtr }},
 		{"csr32", func() (core.Format, []int32) { m, _ := csr.From32(c); return m, m.RowPtr }},
 		{"csr-vi", func() (core.Format, []int32) { m, _ := csr.FromCOOVI(c); return m, m.RowPtr }},
 	}

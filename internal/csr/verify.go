@@ -61,25 +61,3 @@ func outside[I uint8 | uint16 | uint32](ids []I, n int) error {
 	}
 	return nil
 }
-
-// Verify implements core.Verifier for the 16-bit-index variant.
-func (m *Matrix16) Verify() error {
-	if m.rows < 0 || m.cols < 0 || m.cols > MaxCols16 {
-		return core.Shapef("csr16: invalid dimensions %dx%d", m.rows, m.cols)
-	}
-	if len(m.RowPtr) != m.rows+1 {
-		return core.Shapef("csr16: row pointer length %d, want %d", len(m.RowPtr), m.rows+1)
-	}
-	if len(m.ColInd) != len(m.Values) {
-		return core.Shapef("csr16: %d column indices for %d values", len(m.ColInd), len(m.Values))
-	}
-	if err := core.CheckRowPtr(m.RowPtr, len(m.Values)); err != nil {
-		return err
-	}
-	for k, j := range m.ColInd {
-		if int(j) >= m.cols {
-			return core.Corruptf("csr16: column index %d at position %d out of range [0,%d)", j, k, m.cols)
-		}
-	}
-	return nil
-}

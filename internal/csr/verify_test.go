@@ -14,13 +14,6 @@ func TestVerifyClean(t *testing.T) {
 	if err := m.Verify(); err != nil {
 		t.Errorf("Matrix: %v", err)
 	}
-	m16, err := From16(c)
-	if err != nil {
-		t.Fatalf("From16: %v", err)
-	}
-	if err := m16.Verify(); err != nil {
-		t.Errorf("Matrix16: %v", err)
-	}
 	m32, err := From32(c)
 	if err != nil {
 		t.Fatalf("From32: %v", err)
@@ -50,13 +43,6 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 		m.RowPtr[len(m.RowPtr)-1]--
 		if err := m.Verify(); err == nil {
 			t.Fatal("shrunk row pointer span passed Verify")
-		}
-	})
-	t.Run("csr16 column out of range", func(t *testing.T) {
-		m, _ := From16(matgen.Stencil2D(5))
-		m.ColInd[0] = uint16(m.Cols())
-		if err := m.Verify(); !errors.Is(err, core.ErrCorrupt) {
-			t.Fatalf("got %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("values length mismatch", func(t *testing.T) {

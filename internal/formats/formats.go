@@ -70,8 +70,6 @@ func BuildOpts(name string, c *core.COO, du csrdu.Options) (core.Format, error) 
 	switch name {
 	case "csr":
 		return csr.FromCOO(c)
-	case "csr16":
-		return csr.From16(c)
 	case "csr32":
 		return csr.From32(c)
 	case "csr-du":
@@ -93,7 +91,7 @@ func BuildOpts(name string, c *core.COO, du csrdu.Options) (core.Format, error) 
 // Names returns every registered format name.
 func Names() []string {
 	return []string{
-		"csr", "csr16", "csr32",
+		"csr", "csr32",
 		"csr-du", "csr-vi", "csr-du-vi",
 		"dcsr", "sym-csr",
 	}

@@ -46,7 +46,7 @@ func TestLoadKeepsStoredDictionary(t *testing.T) {
 }
 
 // splitFormat is a row-partitioned format without a panel kernel
-// (csr16, dcsr).
+// (dcsr).
 type splitFormat interface {
 	core.Format
 	core.Splitter
@@ -94,16 +94,12 @@ type canonicalSeed struct {
 }
 
 // canonicalSeeds returns one v2 file of each tag and value codec the
-// writer emits: csr, csr16, csr-du, csr-du-rle and dcsr; csr-vi and
+// writer emits: csr, csr-du, csr-du-rle and dcsr; csr-vi and
 // csr-du-vi plain and at val_ind widths 1, 2 and 4.
 func canonicalSeeds(t testing.TB) map[string]canonicalSeed {
 	shapes := viShapes()
 	distinct, repeated := shapes[0], shapes[1]
 	m, err := csr.FromCOO(distinct.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m16, err := csr.From16(distinct.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +130,6 @@ func canonicalSeeds(t testing.TB) map[string]canonicalSeed {
 	}
 	seeds := map[string]canonicalSeed{
 		"csr":         {"csr", distinct, [][]byte{int32Bytes(m.RowPtr), int32Bytes(m.ColInd), floatBytes(m.Values)}},
-		"csr16":       {"csr16", distinct, [][]byte{int32Bytes(m16.RowPtr), uint16Bytes(m16.ColInd), floatBytes(m16.Values)}},
 		"csr-du":      {"csr-du", distinct, [][]byte{du.Ctl, floatBytes(du.Values)}},
 		"csr-du-rle":  {"csr-du-rle", repeated, [][]byte{rle.Ctl, floatBytes(rle.Values)}},
 		"dcsr":        {"dcsr", distinct, [][]byte{dc.Cmds, floatBytes(dc.Values)}},
@@ -153,7 +148,7 @@ func canonicalSeeds(t testing.TB) map[string]canonicalSeed {
 }
 
 // FuzzCanonical holds the readers of every tag the writer emits (csr,
-// csr16, csr-vi, csr-du, csr-du-rle, csr-du-vi, dcsr) to two promises
+// csr-vi, csr-du, csr-du-rle, csr-du-vi, dcsr) to two promises
 // about every version-2 file Read accepts: the loaded matrix writes
 // back byte for byte, and it multiplies — scalar and panel, whole and
 // chunk by chunk — bitwise like testmat.Reference over the non-zeros
@@ -202,16 +197,6 @@ func FuzzCanonical(f *testing.F) {
 			testmat.CheckBitwise(t, m, 4, testmat.Reference(m), 1, 3, 4, 8)
 		case *dcsr.Matrix:
 			testmat.CheckBitwise(t, batchFallback{m}, 4, testmat.Reference(m), 1, 3, 4, 8)
-		case *csr.Matrix16:
-			cols := make([]int32, len(m.ColInd))
-			for k, j := range m.ColInd {
-				cols[k] = int32(j)
-			}
-			ref, err := csr.FromRaw("csr", m.RowPtr, cols, 0, nil, m.Values, m.Rows(), m.Cols())
-			if err != nil {
-				t.Fatal(err)
-			}
-			testmat.CheckBitwise(t, batchFallback{m}, 4, testmat.Reference(ref), 1, 3, 4, 8)
 		default:
 			t.Fatalf("Read returned an unexpected %T (%s)", g, g.Name())
 		}

@@ -20,12 +20,13 @@
 // validation alone cannot catch a flipped value byte or a flipped
 // index delta that still lands in range.
 //
-// All load-time failures wrap the core error sentinels: corrupt bytes
-// and checksum mismatches test true against core.ErrCorrupt, short
-// reads against core.ErrTruncated, and header/section size
+// All load-time failures wrap the core error sentinels: corrupt bytes,
+// checksum mismatches, an unknown version and an unknown format tag
+// (the retired csr16 among them) test true against core.ErrCorrupt,
+// short reads against core.ErrTruncated, and header/section size
 // inconsistencies against core.ErrShape.
 //
-// Supported formats: csr, csr16, csr-du (incl. RLE streams), csr-vi,
+// Supported formats: csr, csr-du (incl. RLE streams), csr-vi,
 // csr-du-vi, dcsr. The csr-vi and csr-du-vi layouts end in a
 // width/val_ind/unique section triple. A width of 0 is the plain value
 // codec, which csr-vi takes where no dictionary pays: an empty val_ind
@@ -93,8 +94,6 @@ func Write(w io.Writer, f core.Format) error {
 		default:
 			return fmt.Errorf("matfile: unsupported format %q", name)
 		}
-	case *csr.Matrix16:
-		err = writeSections(bw, int32Bytes(m.RowPtr), uint16Bytes(m.ColInd), floatBytes(m.Values))
 	case *csrdu.Matrix:
 		switch {
 		case m.IndexWidth() != 0:
@@ -163,7 +162,7 @@ func readAll(r io.Reader, total int64) (core.Format, error) {
 		return nil, core.Truncatedf("matfile: version: %v", err)
 	}
 	if ver != 1 && ver != 2 {
-		return nil, fmt.Errorf("matfile: unsupported version %d", ver)
+		return nil, core.Corruptf("matfile: unsupported version %d", ver)
 	}
 	withCRC := ver >= 2
 	hsum := crc32.NewIEEE()
@@ -216,7 +215,7 @@ func readAll(r io.Reader, total int64) (core.Format, error) {
 
 func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64, withCRC bool) (core.Format, error) {
 	switch name {
-	case "csr", "csr16", "csr-vi":
+	case "csr", "csr-vi":
 		rp, err := sr.section(maxSection, withCRC)
 		if err != nil {
 			return nil, err
@@ -225,7 +224,7 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		if err != nil {
 			return nil, err
 		}
-		// csr and csr16 store one values section; csr-vi the
+		// csr stores one values section; csr-vi the
 		// width/val_ind/unique triple.
 		var width int
 		var vi []byte
@@ -242,26 +241,12 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		if err != nil {
 			return nil, err
 		}
-		colBytes := int64(4)
-		if name == "csr16" {
-			colBytes = 2
-		}
-		if err := wholeElements(ci, int(colBytes)); err != nil {
-			return nil, err
-		}
-		if int64(len(rowPtr)) != rows+1 || int64(len(ci)) != colBytes*nnz {
-			return nil, core.Shapef("matfile: section sizes inconsistent with header")
-		}
-		if name == "csr16" {
-			colInd := make([]uint16, nnz)
-			for i := range colInd {
-				colInd[i] = binary.LittleEndian.Uint16(ci[i*2:])
-			}
-			return csr.FromRaw16(rowPtr, colInd, values, int(rows), int(cols))
-		}
 		colInd, err := bytesInt32(ci)
 		if err != nil {
 			return nil, err
+		}
+		if int64(len(rowPtr)) != rows+1 || int64(len(colInd)) != nnz {
+			return nil, core.Shapef("matfile: section sizes inconsistent with header")
 		}
 		return csr.FromRaw(name, rowPtr, colInd, width, vi, values, int(rows), int(cols))
 	case "csr-du", "csr-du-rle":
@@ -302,7 +287,7 @@ func readBody(sr *sectionReader, name string, rows, cols, nnz, maxSection int64,
 		}
 		return csrdu.FromRawVI(ctl, width, vi, uniq, int(rows), int(cols))
 	default:
-		return nil, fmt.Errorf("matfile: unsupported format %q", name)
+		return nil, core.Corruptf("matfile: unsupported format %q", name)
 	}
 }
 

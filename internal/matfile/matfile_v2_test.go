@@ -17,18 +17,34 @@ import (
 	"spmv/internal/matgen"
 )
 
-func TestRoundTripCSR16(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := matgen.Banded(rng, 80, 6, 4, matgen.Values{})
-	m, err := csr.From16(c)
+// TestReadRefusesRetiredTagAndVersion writes by hand, each under a
+// valid header checksum, a version-2 file under the retired csr16 tag
+// (16-bit column indices, which earlier writers produced) and a
+// version-3 file. Both are refused as corrupt input, like every other
+// refusal of the reader.
+func TestReadRefusesRetiredTagAndVersion(t *testing.T) {
+	c := matgen.Stencil2D(4)
+	m, err := csr.FromCOO(c)
 	if err != nil {
-		t.Fatalf("From16: %v", err)
+		t.Fatal(err)
 	}
-	back := roundTrip(t, m)
-	if back.Name() != "csr16" {
-		t.Errorf("Name = %q", back.Name())
+	cols := make([]uint16, len(m.ColInd))
+	for k, j := range m.ColInd {
+		cols[k] = uint16(j)
 	}
-	checkEqual(t, m, back, c.Cols())
+	csr16 := containerFile("csr16", m.Rows(), m.Cols(), m.NNZ(),
+		int32Bytes(m.RowPtr), uint16Bytes(cols), floatBytes(m.Values))
+	v3 := containerFile("csr", m.Rows(), m.Cols(), m.NNZ(),
+		int32Bytes(m.RowPtr), int32Bytes(m.ColInd), floatBytes(m.Values))
+	if _, err := Read(bytes.NewReader(v3)); err != nil {
+		t.Fatalf("the version-2 csr file is refused: %v", err)
+	}
+	v3[len(magic)] = 3
+	for name, b := range map[string][]byte{"csr16": csr16, "version3": v3} {
+		if _, err := Read(bytes.NewReader(b)); !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("%s: got %v, want core.ErrCorrupt", name, err)
+		}
+	}
 }
 
 func TestRoundTripDCSR(t *testing.T) {
@@ -149,8 +165,6 @@ func corruptionFixtures(t *testing.T) map[string]core.Format {
 	}
 	m, err := csr.FromCOO(c)
 	add("csr", m, err)
-	m16, err := csr.From16(c)
-	add("csr16", m16, err)
 	du, err := csrdu.FromCOO(c)
 	add("csr-du", du, err)
 	rle, err := csrdu.FromCOOOpts(c, csrdu.Options{RLE: true})
@@ -167,7 +181,7 @@ func corruptionFixtures(t *testing.T) map[string]core.Format {
 // TestReadRefusesRaggedSections appends 1-7 stray bytes, under a valid
 // checksum, to every fixed-width section of every tag. Each file must
 // be refused; a section that no longer holds a whole number of its
-// int32, uint16 or float64 elements with core.ErrCorrupt. The ctl and
+// int32 or float64 elements with core.ErrCorrupt. The ctl and
 // command byte streams have no element width and are left alone.
 func TestReadRefusesRaggedSections(t *testing.T) {
 	// Per section: the element width the reader converts it at (a
@@ -175,7 +189,6 @@ func TestReadRefusesRaggedSections(t *testing.T) {
 	// header fixes (the width byte, val_ind), 0 for a byte stream.
 	layouts := map[string][]int{
 		"csr":        {4, 4, 8},
-		"csr16":      {4, 2, 8},
 		"csr-du":     {0, 8},
 		"csr-du-rle": {0, 8},
 		"dcsr":       {0, 8},

@@ -129,7 +129,7 @@ func TestExecutorCloseIdempotent(t *testing.T) {
 func TestSymExecutorRejectsRowOnlyFormat(t *testing.T) {
 	f, _ := csr.FromCOO(matgen.Stencil2D(4))
 	if _, err := NewSymExecutor(f, 2); err == nil {
-		t.Error("accepted non-ColSplitter format")
+		t.Error("accepted a format without scatter chunks")
 	}
 }
 

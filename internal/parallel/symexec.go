@@ -34,25 +34,25 @@ import (
 // every reduction round.
 type SymExecutor struct {
 	pool
-	chunks  []core.ColChunk
+	chunks  []core.ScatterChunk
 	private [][]float64
 }
 
 // NewSymExecutor partitions f into at most nthreads scatter chunks
-// (core.ColSplitter; sym-csr implements it with stored-triangle row
+// (core.ScatterSplitter; sym-csr implements it with stored-triangle row
 // ranges) and starts one worker per chunk.
 func NewSymExecutor(f core.Format, nthreads int) (*SymExecutor, error) {
-	s, ok := f.(core.ColSplitter)
+	s, ok := f.(core.ScatterSplitter)
 	if !ok {
 		return nil, fmt.Errorf("parallel: format %s does not support scatter partitioning", f.Name())
 	}
 	if nthreads <= 0 {
 		return nil, fmt.Errorf("parallel: invalid thread count %d", nthreads)
 	}
-	e := &SymExecutor{chunks: s.SplitCols(nthreads)}
+	e := &SymExecutor{chunks: s.SplitScatter(nthreads)}
 	e.private = privateVectors(len(e.chunks), f.Rows())
 	e.pool = pool{partition: "sym", rows: f.Rows(), cols: f.Cols(),
-		layout: colLayout(e.chunks),
+		layout: scatterLayout(e.chunks),
 		body: func(i int, j job) error {
 			return e.runSymJob(e.chunks[i], e.private[i], j)
 		},
@@ -70,12 +70,12 @@ func privateVectors(n, rows int) [][]float64 {
 	return private
 }
 
-// colLayout is the per-worker stats layout of the scatter chunks: each
+// scatterLayout is the per-worker stats layout of the scatter chunks: each
 // chunk's stored-triangle row range and non-zeros.
-func colLayout(chunks []core.ColChunk) []obs.ChunkStat {
+func scatterLayout(chunks []core.ScatterChunk) []obs.ChunkStat {
 	layout := make([]obs.ChunkStat, len(chunks))
 	for i, ch := range chunks {
-		lo, hi := ch.ColRange()
+		lo, hi := ch.RowRange()
 		layout[i] = obs.ChunkStat{Worker: i, Lo: lo, Hi: hi, NNZ: ch.NNZ()}
 	}
 	return layout
@@ -109,7 +109,7 @@ func (e *SymExecutor) runPhases(j job) error {
 // containment: the multiply phase scatters into the worker's private
 // vector; a reduction round adds this worker's row slice of every
 // active pair of private vectors (the final round writes y instead).
-func (e *SymExecutor) runSymJob(ch core.ColChunk, mine []float64, j job) (err error) {
+func (e *SymExecutor) runSymJob(ch core.ScatterChunk, mine []float64, j job) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = symJobError(ch, j, r)
@@ -149,9 +149,9 @@ func (e *SymExecutor) runSymJob(ch core.ColChunk, mine []float64, j job) (err er
 // symJobError converts a recovered phase panic into an error naming
 // the phase; kept out of runSymJob so the hot function stays free of
 // formatting calls.
-func symJobError(ch core.ColChunk, j job, r any) error {
+func symJobError(ch core.ScatterChunk, j job, r any) error {
 	if j.y == nil && j.stride == 0 {
-		lo, hi := ch.ColRange()
+		lo, hi := ch.RowRange()
 		return fmt.Errorf("parallel: sym chunk rows [%d,%d): %w", lo, hi, core.PanicError(r))
 	}
 	return fmt.Errorf("parallel: sym reduce stride %d rows [%d,%d): %w",

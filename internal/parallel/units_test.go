@@ -21,14 +21,10 @@ import (
 // still holding it after a run was never written.
 var sentinelY = math.Float64frombits(0x7ff8_dead_beef_0002)
 
-// rowReference is the bitwise reference for f built from c: each row
-// summed left to right from +0 over the values f stores.
-func rowReference(f core.Format, c *core.COO) func(x []float64, k int) []float64 {
-	if m, ok := f.(testmat.RowMajor); ok {
-		return testmat.Reference(m)
-	}
-	// csr16 stores the float64 values of c in row order.
-	return testmat.Reference(mustFormat(csr.FromCOO(c)).(*csr.Matrix))
+// rowReference is the bitwise reference for a row-split format f: each
+// row summed left to right from +0 over the values f stores.
+func rowReference(f core.Format) func(x []float64, k int) []float64 {
+	return testmat.Reference(f.(testmat.RowMajor))
 }
 
 // latticeCases is testmat's corpus plus a skewed matrix whose dense
@@ -83,7 +79,7 @@ func TestExecutorLattice(t *testing.T) {
 				if vi, ok := f.(interface{ IndexWidth() int }); ok {
 					widths[vi.IndexWidth()] = true
 				}
-				ref := rowReference(f, tc.COO)
+				ref := rowReference(f)
 				rng := rand.New(rand.NewSource(int64(f.NNZ()) + 1))
 				for _, k := range []int{1, 3, 4, 8} {
 					x := testmat.RandVec(rng, f.Cols()*k)
@@ -132,7 +128,7 @@ func TestScheduleIndependence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := rowReference(f, c)
+		want := rowReference(f)
 		for _, threads := range []int{1, 3} {
 			e, err := newExecutor(f, threads, 64)
 			if err != nil {

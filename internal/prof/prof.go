@@ -124,12 +124,6 @@ func New(f core.Format) *FormatProfile {
 		if m.Name() == "csr-vi" {
 			p.VI = viProfile(m, len(m.Unique))
 		}
-	case *csr.Matrix16:
-		p.Streams = []Stream{
-			{Name: "row_ptr", Bytes: int64(len(m.RowPtr)) * core.IdxSize},
-			{Name: "col_ind", Bytes: int64(len(m.ColInd)) * 2},
-			{Name: "values", Bytes: int64(len(m.Values)) * core.ValSize},
-		}
 	case *csrdu.Matrix:
 		p.DU = m.Profile(DefaultRegions)
 		p.Streams = append([]Stream{{Name: "ctl", Bytes: int64(len(m.Ctl))}},

@@ -16,8 +16,7 @@ import (
 
 func testCOO(t *testing.T) *core.COO {
 	t.Helper()
-	// Quantized values keep CSR-VI's val_ind narrow and the band keeps
-	// every format (incl. csr16's 2-byte columns) constructible.
+	// Quantized values keep CSR-VI's val_ind narrow.
 	return matgen.Banded(rand.New(rand.NewSource(7)), 4000, 25, 6, matgen.Values{Unique: 64})
 }
 

@@ -6,9 +6,9 @@
 // The SpMV kernel applies each stored off-diagonal element twice
 // (y[i] += v*x[j] and y[j] += v*x[i]), so the kernel scatters into y.
 // Serial execution is straightforward; the multithreaded version
-// (parallel.SymExecutor) gives each worker a private y and reduces, as
-// §II-C prescribes for column partitioning (the format implements
-// core.ColSplitter for that reason).
+// (parallel.SymExecutor) cuts the stored rows into scatter chunks
+// (core.ScatterSplitter), gives each worker a private y and reduces, as
+// §II-C prescribes for kernels whose writes overlap.
 package sym
 
 import (
@@ -30,9 +30,8 @@ type Matrix struct {
 }
 
 var (
-	_ core.Format      = (*Matrix)(nil)
-	_ core.SpMVAdd     = (*Matrix)(nil)
-	_ core.ColSplitter = (*Matrix)(nil)
+	_ core.Format          = (*Matrix)(nil)
+	_ core.ScatterSplitter = (*Matrix)(nil)
 )
 
 // FromCOO builds symmetric storage from a finalized COO, verifying that
@@ -125,9 +124,6 @@ func (m *Matrix) SpMV(y, x []float64) {
 	m.addRange(y, x, 0, m.n)
 }
 
-// SpMVAdd computes y += A*x.
-func (m *Matrix) SpMVAdd(y, x []float64) { m.addRange(y, x, 0, m.n) }
-
 // addRange applies rows [lo, hi) of the stored triangle, scattering the
 // transposed contributions into y[j] for j < lo as well.
 func (m *Matrix) addRange(y, x []float64, lo, hi int) {
@@ -144,18 +140,17 @@ func (m *Matrix) addRange(y, x []float64, lo, hi int) {
 	}
 }
 
-// SplitCols implements core.ColSplitter. The "column" ranges are row
-// ranges of the stored triangle; every chunk may scatter into all of y
-// (for j < lo), which is precisely the ColChunk contract, so
-// parallel.SymExecutor's private-y reduction applies unchanged.
-func (m *Matrix) SplitCols(n int) []core.ColChunk {
+// SplitScatter implements core.ScatterSplitter: nnz-balanced ranges of
+// stored-triangle rows, each of which scatters its transposed elements
+// into y[j] for j below its rows.
+func (m *Matrix) SplitScatter(n int) []core.ScatterChunk {
 	prefix := make([]int64, m.n+1)
 	for i := 0; i < m.n; i++ {
 		// Weight: stored elements (each does two FMAs) plus diagonal.
 		prefix[i+1] = prefix[i] + int64(m.RowPtr[i+1]-m.RowPtr[i]) + 1
 	}
 	bounds := partition.SplitPrefix(prefix, n)
-	var chunks []core.ColChunk
+	var chunks []core.ScatterChunk
 	for i := 0; i+1 < len(bounds); i++ {
 		if bounds[i] == bounds[i+1] {
 			continue
@@ -170,7 +165,7 @@ type chunk struct {
 	lo, hi int
 }
 
-func (c *chunk) ColRange() (int, int) { return c.lo, c.hi }
+func (c *chunk) RowRange() (int, int) { return c.lo, c.hi }
 func (c *chunk) NNZ() int {
 	return int(c.m.RowPtr[c.hi]-c.m.RowPtr[c.lo])*2 + (c.hi - c.lo)
 }

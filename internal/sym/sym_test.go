@@ -129,7 +129,7 @@ func TestParallelViaNew(t *testing.T) {
 func TestChunksCoverStoredWork(t *testing.T) {
 	c := matgen.Stencil2D(12)
 	m, _ := FromCOO(c, 0)
-	chunks := m.SplitCols(4)
+	chunks := m.SplitScatter(4)
 	total := 0
 	for _, ch := range chunks {
 		total += ch.NNZ()

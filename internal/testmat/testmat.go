@@ -208,17 +208,6 @@ func checkSpMV(t *testing.T, f core.Format, c *core.COO) {
 	}
 	f.SpMV(got, x)
 	AssertClose(t, "SpMV", got, want, 1e-10)
-
-	if fa, ok := f.(core.SpMVAdd); ok {
-		acc := RandVec(rng, c.Rows())
-		wantAcc := make([]float64, c.Rows())
-		copy(wantAcc, acc)
-		for i := range wantAcc {
-			wantAcc[i] += want[i]
-		}
-		fa.SpMVAdd(acc, x)
-		AssertClose(t, "SpMVAdd", acc, wantAcc, 1e-10)
-	}
 }
 
 // checkBatch verifies the batched path (core.SpMVBatch: the format's

@@ -71,15 +71,14 @@
 // naming the failing chunk's row range, so one rotten stream cannot
 // take down the process.
 //
-// The package also provides the comparator formats (CSR16, CSR32,
-// DCSR, symmetric CSR), row- and nonzero-partitioned parallel
-// executors plus a tree-reducing one for symmetric CSR,
-// CG/PCG/GMRES/BiCGSTAB solvers with ILU(0) preconditioning and
-// mixed-precision refinement, RCM reordering, a structure analyzer with
-// analytic and empirical format advice, Matrix Market and binary
-// container I/O, synthetic matrix generators, and a deterministic
-// simulator of the paper's 8-core Clovertown platform for reproducing
-// its evaluation (see cmd/spmvsim and EXPERIMENTS.md).
+// The package also provides the comparator formats (CSR32, DCSR,
+// symmetric CSR), row- and nonzero-partitioned parallel executors plus
+// a tree-reducing one for symmetric CSR, CG/PCG/GMRES/BiCGSTAB solvers
+// with ILU(0) preconditioning and mixed-precision refinement, RCM
+// reordering, a structure analyzer with analytic format advice, Matrix
+// Market and binary container I/O, synthetic matrix generators, and a
+// deterministic simulator of the paper's 8-core Clovertown platform for
+// reproducing its evaluation (see cmd/spmvsim and EXPERIMENTS.md).
 package spmv
 
 import (
@@ -125,8 +124,6 @@ type (
 type (
 	// CSR is the baseline Compressed Sparse Row matrix (32-bit indices).
 	CSR = csr.Matrix
-	// CSR16 is CSR with 16-bit column indices (cols < 65536).
-	CSR16 = csr.Matrix16
 	// CSRDU is the paper's delta-unit index-compressed matrix.
 	CSRDU = csrdu.Matrix
 	// DUOptions controls the CSR-DU encoder (RLE units, unit splitting).
@@ -244,15 +241,6 @@ type (
 // ErrUsage.
 func NewExecutorOpts(f Format, o ExecOptions) (Runner, error) {
 	return parallel.New(f, o)
-}
-
-// NewSymExecutor starts a tree-reduction executor for scatter kernels
-// (NewSymCSR matrices): workers accumulate into private vectors, then
-// merge them pairwise in log2(threads) row-sliced rounds. For a fixed
-// thread count the summation order is deterministic, so results are
-// bitwise reproducible across runs.
-func NewSymExecutor(f Format, nthreads int) (*SymExecutor, error) {
-	return parallel.NewSymExecutor(f, nthreads)
 }
 
 // Observability. Every executor accepts a Collector via SetCollector;

@@ -165,7 +165,7 @@ if [ "$FUZZTIME" != "0" ]; then
 	# FuzzReadVI holds the csr-vi and csr-du-vi readers to the values
 	# their width/val_ind/unique triple codes for, under both value
 	# codecs, bitwise through every kernel.
-	# FuzzCanonical holds every reader (csr, csr16, csr-vi, csr-du,
+	# FuzzCanonical holds every reader (csr, csr-vi, csr-du,
 	# csr-du-rle, csr-du-vi, dcsr) to loading what was stored: an
 	# accepted file writes back to its own bytes and multiplies bitwise
 	# like a reference over its stored order.
