@@ -10,21 +10,6 @@ import (
 	"spmv/internal/testmat"
 )
 
-func TestAnalyzeAndRecommendPublic(t *testing.T) {
-	c := matgen.Stencil2D(20)
-	a := spmv.Analyze(c)
-	if a.TTU <= 5 || !a.Symmetric || a.Diagonals != 5 {
-		t.Fatalf("analysis: %+v", a)
-	}
-	recs := a.Recommend()
-	if len(recs) < 4 {
-		t.Fatalf("recommendations: %v", recs)
-	}
-	if recs[0].Ratio >= 1 {
-		t.Errorf("top recommendation does not compress: %+v", recs[0])
-	}
-}
-
 func TestRCMPublicFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := matgen.Symmetrize(matgen.Banded(rng, 200, 5, 4, matgen.Values{}))

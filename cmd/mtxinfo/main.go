@@ -1,7 +1,10 @@
 // Command mtxinfo analyzes Matrix Market files through the lens of the
 // paper: working-set size and class (M_S/M_L), total-to-unique values
 // ratio, CSR-VI applicability and the value codec the encoder chooses,
-// per-format sizes and compression ratios, and the CSR-DU unit mix.
+// per-format sizes and compression ratios, the CSR-DU unit mix, and
+// what the autotuner measured on this host: per candidate its bytes,
+// ns/nnz and time ratio to CSR, the chosen format and each skip
+// reason.
 //
 // Usage:
 //
@@ -10,12 +13,12 @@
 //	        file.mtx [file2.mtx ...]
 //
 // With -roofline FORMAT each matrix gets a bandwidth-floor prediction
-// for the named format against the host's roofline model (the
-// benchdata/ROOF_<host>.json probe archive when present, the analytic
-// Clovertown peak otherwise): the §II-B predicted bytes per SpMV for
-// CSR and for FORMAT, the ceiling GB/s the prediction divides by, the
-// predicted floor seconds per iteration at that ceiling, and the
-// format's predicted traffic (and therefore time) ratio vs CSR.
+// for the named format against the host's measured roofline, the
+// -roofdir/ROOF_<host>.json probe archive (spmvbench -roofprobe writes
+// it; without it -roofline is an error): the §II-B predicted bytes per
+// SpMV for CSR and for FORMAT, the ceiling GB/s the prediction divides
+// by, the predicted floor seconds per iteration at that ceiling, and
+// the format's predicted traffic (and therefore time) ratio vs CSR.
 //
 // With -profile FORMAT (e.g. -profile csr-du) each matrix additionally
 // gets the named format's full structural profile: the per-stream byte
@@ -27,13 +30,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"spmv"
 	"spmv/internal/bench"
 	"spmv/internal/csrdu"
 	"spmv/internal/csrvi"
 	"spmv/internal/matgen"
-	"spmv/internal/memsim"
 	"spmv/internal/obs"
 	"spmv/internal/prof"
 	"spmv/internal/roofline"
@@ -57,10 +60,8 @@ func main() {
 	if *roofFmt != "" {
 		m, err := roofline.Load(*roofDir)
 		if err != nil {
-			// No probe archive for this host: the analytic Clovertown peak
-			// keeps the prediction well-defined, and the output names the
-			// source so nobody mistakes it for a measurement.
-			m = roofline.Analytic(memsim.Clovertown())
+			fmt.Fprintf(os.Stderr, "mtxinfo: -roofline needs this host's probe archive (spmvbench -roofprobe): %v\n", err)
+			os.Exit(1)
 		}
 		roofModel = m
 	}
@@ -88,20 +89,11 @@ func reportRoofline(c *spmv.COO, formatName string, m *roofline.Model) error {
 	if err != nil {
 		return fmt.Errorf("roofline: %w", err)
 	}
+	// A probe archive has a positive ceiling at every thread count it
+	// lists (roofline.FromFile).
 	th := m.MaxThreads()
 	ceil := m.CeilingGBps(th)
-	if ceil <= 0 {
-		return fmt.Errorf("roofline: model has no bandwidth ceiling")
-	}
-	src := m.Source
-	if m.Host != "" {
-		src += " @" + m.Host
-	}
-	thLabel := "any threads"
-	if th > 0 {
-		thLabel = fmt.Sprintf("t%d", th)
-	}
-	fmt.Printf("  roofline     model %s, ceiling %.3f GB/s (%s)\n", src, ceil, thLabel)
+	fmt.Printf("  roofline     model %s @%s, ceiling %.3f GB/s (t%d)\n", m.Source, m.Host, ceil, th)
 	fb := obs.BytesPerSpMV(f)
 	bb := obs.BytesPerSpMV(base)
 	floor := func(bytes int64) float64 { return float64(bytes) / (ceil * 1e9) }
@@ -145,16 +137,25 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 	fmt.Printf("  ttu          %.2f  (CSR-VI applicable: %v, threshold > 5; value codec %s)\n",
 		ttu, ttu > 5, csrvi.CodecName(vi.(*spmv.CSRVI).IndexWidth()))
 
-	a := spmv.Analyze(c)
-	fmt.Printf("  structure    bandwidth %d, %d diagonals, symmetric %v, row nnz avg %.1f max %d\n",
-		a.Bandwidth, a.Diagonals, a.Symmetric, a.AvgRowNNZ, a.MaxRowNNZ)
-	fmt.Printf("  col deltas   u8 %.0f%%  u16 %.0f%%  u32 %.0f%%  (delta==1: %.0f%%)\n",
-		100*a.DeltaFrac[0], 100*a.DeltaFrac[1], 100*a.DeltaFrac[2], 100*a.DeltaEq1)
-
-	base, err := spmv.Build(c)
-	if err != nil {
+	var tune spmv.TuneReport
+	if _, err := spmv.Build(c, spmv.WithTuneReport(&tune)); err != nil {
 		return err
 	}
+	nonEmpty, maxRow := 0, 0
+	for _, n := range c.RowCounts() {
+		if n > 0 {
+			nonEmpty++
+		}
+		maxRow = max(maxRow, n)
+	}
+	symmetric := false // whether sym-csr built
+	for _, cand := range tune.Candidates {
+		symmetric = symmetric || cand.Spec.Name() == "sym-csr" && cand.Reason == ""
+	}
+	fmt.Printf("  structure    bandwidth %d, symmetric %v, row nnz avg %.1f max %d\n",
+		spmv.Bandwidth(c), symmetric, float64(c.Len())/float64(c.Rows()), maxRow)
+
+	csrBytes := tune.Candidates[0].Bytes // the tuner builds CSR first
 	hdr := ""
 	if verify {
 		hdr = "   verify"
@@ -177,7 +178,7 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 			}
 		}
 		fmt.Printf("  %-10s %12d %8.1f%%%s\n", name, f.SizeBytes(),
-			100*float64(f.SizeBytes())/float64(base.SizeBytes()), check)
+			100*float64(f.SizeBytes())/float64(csrBytes), check)
 	}
 	if len(badFormats) > 0 {
 		return fmt.Errorf("verification failed for %v", badFormats)
@@ -189,18 +190,12 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 			st.Units, st.AvgSize,
 			st.PerClass[csrdu.ClassU8], st.PerClass[csrdu.ClassU16],
 			st.PerClass[csrdu.ClassU32], st.PerClass[csrdu.ClassU64])
-		if nonEmpty := a.Rows - a.EmptyRows; nonEmpty > 0 {
+		if nonEmpty > 0 {
 			fmt.Printf("  csr-du REP units %d cover %d rows: %.1f%% of rows on the fixed-offset path\n",
 				st.RepUnits, st.RepRows, 100*float64(st.RepRows)/float64(nonEmpty))
 		}
 	}
-	fmt.Println("  recommended formats (predicted size vs CSR):")
-	for i, r := range a.Recommend() {
-		if i == 4 {
-			break
-		}
-		fmt.Printf("    %d. %-9s %5.1f%%  %s\n", i+1, r.Format, 100*r.Ratio, r.Reason)
-	}
+	printTune(&tune, csrBytes)
 	if roofFmt != "" {
 		if err := reportRoofline(c, roofFmt, roofModel); err != nil {
 			return err
@@ -217,4 +212,20 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 		}
 	}
 	return nil
+}
+
+// printTune prints what the autotuner measured, one line per candidate
+// in the order it built them, CSR first: bytes vs CSR, the median
+// ns/nnz and the median time ratio to CSR, or why it was not timed.
+func printTune(rep *spmv.TuneReport, csrBytes int64) {
+	fmt.Printf("  tuned at %d threads (timed on this host): chose %s\n",
+		runtime.GOMAXPROCS(0), rep.Chosen.Name())
+	for _, c := range rep.Candidates {
+		if c.Reason != "" {
+			fmt.Printf("    %-10s %s\n", c.Spec.Name(), c.Reason)
+			continue
+		}
+		fmt.Printf("    %-10s %6.1f%% bytes  %7.3f ns/nnz  time %.2fx CSR\n", c.Spec.Name(),
+			100*float64(c.Bytes)/float64(csrBytes), c.NsPerNNZ, c.Ratio)
+	}
 }

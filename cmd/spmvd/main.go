@@ -11,12 +11,12 @@
 //	spmvd [-addr :8090] [-mem-budget 256] [-max-upload 64]
 //	      [-max-batch 8] [-queue 64] [-per-client 16]
 //	      [-deadline 10s] [-drain-timeout 15s]
-//	      [-threads 0] [-format csr-du] [-quiet] [-log]
+//	      [-threads 0] [-quiet] [-log]
 //	      [-roofdir benchdata] [-selfcheck]
 //
 // Endpoints:
 //
-//	POST /matrices[?format=csr-du]   upload, returns {"id": ...}
+//	POST /matrices[?format=NAME]     upload, returns {"id": ...}
 //	GET  /matrices                   list admitted matrices
 //	GET  /matrices/{id}              one matrix's metadata
 //	DELETE /matrices/{id}            evict
@@ -31,11 +31,16 @@
 // span timings) instead of plain printf lines — the machine-parseable
 // audit stream. -quiet wins over -log.
 //
+// An upload's format is a registry name (csr, csr-du, csr-vi, ...), or
+// auto, which times the tuner's short list on this host and keeps the
+// winner. A Matrix Market upload that names none is built as csr-du; a
+// matfile upload is admitted in the format it stores.
+//
 // The daemon loads the host's measured bandwidth model from
-// -roofdir/ROOF_<host>.json when present (see spmvbench -roofprobe),
-// falling back to the analytic Clovertown peak; the ceilings are
-// served as spmv_roofline_ceiling_gbps gauges on /metrics.prom so
-// dashboards can plot served bandwidth against the memory wall.
+// -roofdir/ROOF_<host>.json when present (see spmvbench -roofprobe);
+// its ceilings are served as spmv_roofline_ceiling_gbps gauges on
+// /metrics.prom so dashboards can plot served bandwidth against the
+// memory wall. Without an archive there are no ceiling gauges.
 //
 // SIGTERM or SIGINT triggers a graceful drain: the listener stops
 // accepting, in-flight and queued requests finish (bounded by
@@ -60,7 +65,6 @@ import (
 	"syscall"
 	"time"
 
-	"spmv/internal/memsim"
 	"spmv/internal/roofline"
 	"spmv/internal/server"
 )
@@ -76,7 +80,6 @@ func main() {
 		deadline     = flag.Duration("deadline", 10*time.Second, "default and maximum per-request deadline")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget on SIGTERM")
 		threads      = flag.Int("threads", 0, "executor threads per matrix (0 = GOMAXPROCS)")
-		format       = flag.String("format", "csr-du", "format built for uploads that do not specify one")
 		quiet        = flag.Bool("quiet", false, "suppress per-event logging")
 		logJSON      = flag.Bool("log", false, "emit structured JSON log records (log/slog) on stderr; failed requests carry id/matrix/status/error/span timings")
 		roofDir      = flag.String("roofdir", "benchdata", "directory holding ROOF_<host>.json bandwidth probe archives (spmvbench -roofprobe)")
@@ -92,7 +95,6 @@ func main() {
 		MaxPerClient:    *perClient,
 		DefaultDeadline: *deadline,
 		Threads:         *threads,
-		DefaultFormat:   *format,
 	}
 	switch {
 	case *quiet:
@@ -109,10 +111,6 @@ func main() {
 	}
 	if m, err := roofline.Load(*roofDir); err == nil {
 		cfg.Roofline = m
-	} else {
-		// No probe archive for this host: the analytic machine peak keeps
-		// the /metrics.prom ceiling gauges present (source="analytic").
-		cfg.Roofline = roofline.Analytic(memsim.Clovertown())
 	}
 
 	if *selfcheck {
@@ -129,8 +127,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spmvd: listen: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "spmvd: serving on %s (budget %d MiB, format %s)\n",
-		lis.Addr(), *memBudget, *format)
+	fmt.Fprintf(os.Stderr, "spmvd: serving on %s (budget %d MiB)\n", lis.Addr(), *memBudget)
 	if err := serve(cfg, lis, *drainTimeout, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "spmvd: %v\n", err)
 		os.Exit(1)

@@ -25,7 +25,8 @@ import (
 // verify.sh server smoke against it, end to end through real TCP:
 //
 //  1. /healthz answers,
-//  2. a Matrix Market upload is admitted and queryable,
+//  2. a Matrix Market upload is admitted and queryable, and one that
+//     names no format is built as csr-du,
 //  3. multiply returns the reference product,
 //  4. a corrupt upload is rejected with 400,
 //  5. overload sheds with 429 while admitted requests still finish,
@@ -80,6 +81,11 @@ func runSelfcheck(cfg server.Config, drainTimeout time.Duration) error {
 	}
 	if code, _, err := cl.get("/matrices/" + up.ID); err != nil || code != 200 {
 		return fmt.Errorf("query %s: code %d, err %v", up.ID, code, err)
+	}
+	var plain server.UploadResponse
+	code, raw, err = cl.post("/matrices", faulttest.ValidMMIO(8, 32))
+	if err != nil || code != http.StatusCreated || json.Unmarshal(raw, &plain) != nil || plain.Format != "csr-du" {
+		return fmt.Errorf("upload with no format: code %d, err %v, want a new csr-du build: %s", code, err, raw)
 	}
 
 	// 3. Multiply against the reference product.

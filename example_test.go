@@ -94,16 +94,6 @@ func ExampleCG() {
 	// converged=true residual<=1e-10=true
 }
 
-func ExampleAnalyze() {
-	a := spmv.Analyze(tridiag(500))
-	fmt.Printf("symmetric=%v diagonals=%d ttu>5=%v\n", a.Symmetric, a.Diagonals, a.TTU > 5)
-	top := a.Recommend()[0]
-	fmt.Printf("advisor: %s (predicted %.0f%% of CSR)\n", top.Format, 100*top.Ratio)
-	// Output:
-	// symmetric=true diagonals=3 ttu>5=true
-	// advisor: csr-du-vi (predicted 8% of CSR)
-}
-
 func ExampleReadMatrixMarket() {
 	mtx := `%%MatrixMarket matrix coordinate real symmetric
 3 3 3

@@ -243,7 +243,7 @@ func encodeBlock(c *core.COO, from, to, prevRow int, opts Options) *Matrix {
 		// rows after it repeat it, each shifted one column further:
 		// the greedy longest run, at most MaxRep rows.
 		r := 0
-		for r < MaxRep && k < to && RepeatsPrev(c, start+r*(end-start), k, to) {
+		for r < MaxRep && k < to && repeatsPrev(c, start+r*(end-start), k, to) {
 			k += end - start
 			r++
 		}
@@ -256,12 +256,12 @@ func encodeBlock(c *core.COO, from, to, prevRow int, opts Options) *Matrix {
 	return m
 }
 
-// RepeatsPrev reports whether the row of a finalized COO whose entries
+// repeatsPrev reports whether the row of a finalized COO whose entries
 // start at k, among entries that end at to, repeats the row before it,
 // whose entries start at p: it is the next row, holds as many entries
 // and each of its columns is one past the previous row's. The encoder
 // writes a run of such rows after a one-unit row as one REP unit.
-func RepeatsPrev(c *core.COO, p, k, to int) bool {
+func repeatsPrev(c *core.COO, p, k, to int) bool {
 	n := k - p
 	if k+n > to || c.I[k] != c.I[p]+1 || c.I[k+n-1] != c.I[k] || (k+n < to && c.I[k+n] == c.I[k]) {
 		return false

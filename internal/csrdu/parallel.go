@@ -79,7 +79,7 @@ func rowBlockBounds(c *core.COO, nworkers int) []int {
 		for {
 			for k = p; k < n && c.I[k] == c.I[p]; k++ {
 			}
-			if k == n || !RepeatsPrev(c, p, k, n) {
+			if k == n || !repeatsPrev(c, p, k, n) {
 				break
 			}
 			p = k

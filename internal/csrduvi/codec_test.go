@@ -68,7 +68,7 @@ func cycled(nnz, unique int) *core.COO {
 }
 
 // TestCodecAtBreakEven builds matrices one distinct value either side of
-// the break-even Width*nnz + 8*unique = 8*nnz at each val_ind width,
+// the break-even width*nnz + 8*unique = 8*nnz at each val_ind width,
 // and the 1-nnz matrix: each must get the cheaper codec, and at
 // break-even, where the bytes tie, the plain one, which spares the
 // indirection.

@@ -55,13 +55,13 @@ func IndexValues(vals []float64) (unique []float64, vi8 []uint8, vi16 []uint16, 
 			t.unique = slices.Clone(t.unique)
 		}
 	}
-	vi8, vi16, vi32 = Narrow(ids, Width(len(t.unique)))
+	vi8, vi16, vi32 = Narrow(ids, width(len(t.unique)))
 	return t.unique, vi8, vi16, vi32, true
 }
 
-// Width returns the val_ind width in bytes, 1, 2 or 4, of a dictionary
+// width returns the val_ind width in bytes, 1, 2 or 4, of a dictionary
 // of unique values: the narrowest that addresses them all.
-func Width(unique int) int {
+func width(unique int) int {
 	switch {
 	case unique <= 1<<8:
 		return 1
@@ -72,15 +72,15 @@ func Width(unique int) int {
 }
 
 // Pays reports whether a dictionary of unique values over nnz non-zeros
-// is smaller than their plain float64 stream: one Width(unique)-byte
+// is smaller than their plain float64 stream: one width(unique)-byte
 // index a non-zero plus the table, against 8 bytes a non-zero,
 //
-//	Width(unique)*nnz + 8*unique < 8*nnz.
+//	width(unique)*nnz + 8*unique < 8*nnz.
 //
 // This byte rule, not the paper's ttu > 5, decides the codec: at equal
 // bytes the plain stream wins, since it spares the indirection.
 func Pays(unique, nnz int) bool {
-	return int64(Width(unique))*int64(nnz)+8*int64(unique) < 8*int64(nnz)
+	return int64(width(unique))*int64(nnz)+8*int64(unique) < 8*int64(nnz)
 }
 
 // CodecName names the value codec of a val_ind width as the tools

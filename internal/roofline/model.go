@@ -182,8 +182,9 @@ func ReadFile(path string) (*File, error) {
 	return &f, nil
 }
 
-// Load builds a Model from dir's probe archive for this host.
-// Callers fall back to Analytic when it errors (no archive yet).
+// Load builds a Model from dir's probe archive for this host. With no
+// archive the error names the path it tried; Analytic is not this
+// host's ceiling, so only a caller that labels it may fall back to it.
 func Load(dir string) (*Model, error) {
 	f, err := ReadFile(DefaultPath(dir, Hostname()))
 	if err != nil {

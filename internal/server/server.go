@@ -64,6 +64,11 @@ var errTooLarge = core.Usagef("server: matrix exceeds the memory budget")
 // matfileMagic mirrors the matfile container magic for upload sniffing.
 var matfileMagic = []byte("SPMV")
 
+// textFormat is the format a Matrix Market upload that names none is
+// built in: csr-du, the paper's index-compressed format, in one build.
+// Such an upload is not tuned; format=auto asks for that.
+const textFormat = "csr-du"
+
 // Config tunes the server. The zero value is usable: every limit has a
 // production-shaped default, applied by New.
 type Config struct {
@@ -93,9 +98,6 @@ type Config struct {
 	// Threads is the executor worker count per matrix; 0 means
 	// GOMAXPROCS.
 	Threads int
-	// DefaultFormat is the format built for mmio uploads that name
-	// none. Default "csr-du" — the paper's index-compressed workhorse.
-	DefaultFormat string
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 	// Logger, when non-nil, receives structured records (log/slog): one
@@ -136,9 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
-	}
-	if c.DefaultFormat == "" {
-		c.DefaultFormat = "csr-du"
 	}
 	return c
 }
@@ -381,12 +380,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	formatName := r.URL.Query().Get("format")
 	explicit := formatName != ""
 	if !explicit {
-		formatName = s.cfg.DefaultFormat
+		formatName = textFormat
 	}
 	keyFormat := formatName
 	if !explicit && body.hasPrefix(matfileMagic) {
 		// A matfile container stores a built format already; it is
-		// admitted as-is, so the cache key ignores the default format.
+		// admitted as-is, so the cache key ignores textFormat.
 		// An explicit format request keeps its own key, so the
 		// stored-vs-requested match is validated on the build path.
 		keyFormat = "asis"
@@ -488,9 +487,14 @@ func (s *Server) ingest(key string, body pieces, formatName string, explicit boo
 		// formats.Build allocate rows-proportional memory (and clients
 		// allocate cols-length vectors) before the post-build size check
 		// could see it. Estimate the CSR footprint from the claimed dims
-		// and reject before building.
-		est := int64(c.Rows()+1)*4 + int64(c.Cols())*8 + int64(c.Len())*12
-		if est > s.cfg.MemoryBudget {
+		// and reject before building. The tuner holds up to three
+		// matrices at once (CSR, the best so far and the one it times),
+		// so format=auto is charged three.
+		mat := int64(c.Rows()+1)*4 + int64(c.Len())*12
+		if formatName == "auto" {
+			mat *= 3
+		}
+		if est := mat + int64(c.Cols())*8; est > s.cfg.MemoryBudget {
 			return nil, fmt.Errorf("%w (estimated %d > %d bytes)", errTooLarge, est, s.cfg.MemoryBudget)
 		}
 		if formatName == "auto" {

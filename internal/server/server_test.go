@@ -387,6 +387,29 @@ func TestSingleMatrixOverBudgetRejected(t *testing.T) {
 	}
 }
 
+// TestAutoUploadChargedThreeMatrices: the tuner holds up to three
+// matrices at once, so under a budget that fits any one candidate but
+// not three, format=auto is refused with 413 before it builds, while
+// each of the tuner's formats, uploaded by name, is admitted.
+func TestAutoUploadChargedThreeMatrices(t *testing.T) {
+	body := faulttest.ValidMMIO(10, 60)
+	c, err := mmio.Read(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{MemoryBudget: 2*matrixBytes(t, body) + int64(c.Cols())*8, Threads: 1})
+	w := do(s, "POST", "/matrices?format=auto", body, nil)
+	if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), "memory budget") {
+		t.Fatalf("auto upload over a three-matrix budget: status %d: %s", w.Code, w.Body.String())
+	}
+	if b := s.Metrics().Builds.Load(); b != 0 {
+		t.Fatalf("refused auto upload counted %d builds", b)
+	}
+	for _, name := range []string{"csr", "csr-vi", "csr-du", "csr-du-vi"} {
+		upload(t, s, body, name)
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	// Budget sized to hold roughly two of the three matrices.
 	size := matrixBytes(t, faulttest.ValidMMIO(10, 60))

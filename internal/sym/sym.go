@@ -35,7 +35,10 @@ var (
 )
 
 // FromCOO builds symmetric storage from a finalized COO, verifying that
-// the matrix is numerically symmetric (within tol, relative) first.
+// the matrix is numerically symmetric (within tol, relative). It stores
+// the lower triangle, then walks the upper entries (i, j) in row order,
+// which meets each stored row j in column order, so one cursor a row
+// finds every mirror (j, i) without a transposed copy of the COO.
 func FromCOO(c *core.COO, tol float64) (*Matrix, error) {
 	c.Finalize()
 	if c.Rows() != c.Cols() {
@@ -43,25 +46,6 @@ func FromCOO(c *core.COO, tol float64) (*Matrix, error) {
 	}
 	if c.Len() > math.MaxInt32 {
 		return nil, fmt.Errorf("sym: %d non-zeros exceed supported range", c.Len())
-	}
-	// Symmetry check against the transpose (both finalized => same order).
-	t := c.Transpose()
-	if t.Len() != c.Len() {
-		return nil, fmt.Errorf("sym: pattern not symmetric")
-	}
-	for k := 0; k < c.Len(); k++ {
-		i1, j1, v1 := c.At(k)
-		i2, j2, v2 := t.At(k)
-		if i1 != i2 || j1 != j2 {
-			return nil, fmt.Errorf("sym: pattern not symmetric at entry %d", k)
-		}
-		// The tolerance must be symmetric in (v1, v2): scaling by |v1|
-		// alone accepted (v1, v2) while rejecting the same matrix built
-		// with the entries swapped — whether a borderline pair passed
-		// depended on which triangle held the larger value.
-		if math.Abs(v1-v2) > tol*(1+math.Max(math.Abs(v1), math.Abs(v2))) {
-			return nil, fmt.Errorf("sym: values not symmetric at (%d,%d): %v vs %v", i1, j1, v1, v2)
-		}
 	}
 	n := c.Rows()
 	m := &Matrix{n: n, Diag: make([]float64, n), RowPtr: make([]int32, n+1), nnzFull: c.Len()}
@@ -83,6 +67,10 @@ func FromCOO(c *core.COO, tol float64) (*Matrix, error) {
 		i, j, v := c.At(k)
 		switch {
 		case i == j:
+			// A diagonal entry is its own mirror.
+			if !within(v, v, tol) {
+				return nil, fmt.Errorf("sym: values not symmetric at (%d,%d): %v vs %v", i, j, v, v)
+			}
 			m.Diag[i] = v
 		case j < i:
 			p := next[i]
@@ -91,7 +79,34 @@ func FromCOO(c *core.COO, tol float64) (*Matrix, error) {
 			m.Values[p] = v
 		}
 	}
+	copy(next, m.RowPtr[:n])
+	for k := 0; k < c.Len(); k++ {
+		i, j, v := c.At(k)
+		if j <= i {
+			continue
+		}
+		p := next[j]
+		if p == m.RowPtr[j+1] || int(m.ColInd[p]) != i {
+			return nil, fmt.Errorf("sym: pattern not symmetric at (%d,%d)", i, j)
+		}
+		if !within(v, m.Values[p], tol) {
+			return nil, fmt.Errorf("sym: values not symmetric at (%d,%d): %v vs %v", i, j, v, m.Values[p])
+		}
+		next[j]++
+	}
+	for i := 0; i < n; i++ { // every stored entry was some upper entry's mirror
+		if p := next[i]; p != m.RowPtr[i+1] {
+			return nil, fmt.Errorf("sym: pattern not symmetric at (%d,%d)", i, m.ColInd[p])
+		}
+	}
 	return m, nil
+}
+
+// within reports whether a and b agree within tol relative to the
+// larger of the two, so the verdict does not depend on which triangle
+// holds the larger value. A NaN on either side passes.
+func within(a, b, tol float64) bool {
+	return !(math.Abs(a-b) > tol*(1+math.Max(math.Abs(a), math.Abs(b))))
 }
 
 // Name implements core.Format.

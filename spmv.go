@@ -75,16 +75,15 @@
 // symmetric CSR), row- and nonzero-partitioned parallel executors plus
 // a tree-reducing one for symmetric CSR, CG/PCG/GMRES/BiCGSTAB solvers
 // with ILU(0) preconditioning and mixed-precision refinement, RCM
-// reordering, a structure analyzer with analytic format advice, Matrix
-// Market and binary container I/O, synthetic matrix generators, and a
-// deterministic simulator of the paper's 8-core Clovertown platform for
-// reproducing its evaluation (see cmd/spmvsim and EXPERIMENTS.md).
+// reordering, Matrix Market and binary container I/O, synthetic
+// matrix generators, and a deterministic simulator of the paper's
+// 8-core Clovertown platform for reproducing its evaluation (see
+// cmd/spmvsim and EXPERIMENTS.md).
 package spmv
 
 import (
 	"io"
 
-	"spmv/internal/analyze"
 	"spmv/internal/core"
 	"spmv/internal/csr"
 	"spmv/internal/csrdu"
@@ -426,18 +425,6 @@ func WorkingSet(c *COO) int64 { return core.WorkingSet(c.Rows(), c.Cols(), c.Len
 // CompressionRatio returns size(f)/size(CSR) for the same matrix;
 // below 1 means f is smaller.
 func CompressionRatio(f Format) float64 { return core.CompressionRatio(f) }
-
-// Structure analysis and format advice.
-type (
-	// Analysis summarizes a matrix's compression-relevant structure.
-	Analysis = analyze.Analysis
-	// Recommendation is one advised format with predicted size.
-	Recommendation = analyze.Recommendation
-)
-
-// Analyze inspects a matrix's structure (delta widths, ttu, diagonals,
-// symmetry, row skew); call Recommend on the result for format advice.
-func Analyze(c *COO) Analysis { return analyze.Analyze(c) }
 
 // Reordering (RCM bandwidth reduction, §III-A related work).
 
