@@ -14,7 +14,6 @@ type buildConfig struct {
 	name     string
 	explicit bool
 	du       DUOptions
-	workers  int
 	auto     bool
 	report   *TuneReport
 }
@@ -48,16 +47,6 @@ func WithDUOptions(o DUOptions) BuildOption {
 	return func(c *buildConfig) { c.du = o }
 }
 
-// WithWorkers sets the number of concurrent encoder workers for formats
-// with a parallel builder (currently the CSR-DU family), overriding
-// DUOptions.Workers whichever option comes first: 1 encodes serially,
-// n > 1 uses n workers, negative means GOMAXPROCS, and 0 keeps
-// DUOptions.Workers. The encoded stream is byte-identical to the
-// serial encoder's.
-func WithWorkers(n int) BuildOption {
-	return func(c *buildConfig) { c.workers = n }
-}
-
 // WithAutoFormat lets the autotuner choose the format: it builds csr,
 // csr-vi, csr-du, csr-du-vi where a value dictionary pays and sym-csr
 // where the matrix is symmetric, times each against CSR on GOMAXPROCS
@@ -79,8 +68,7 @@ func WithTuneReport(r *TuneReport) BuildOption {
 // options — the one way to build a registry format:
 //
 //	m, err := spmv.Build(c, spmv.WithFormat("csr-du"),
-//		spmv.WithDUOptions(spmv.DUOptions{RLE: true}),
-//		spmv.WithWorkers(8))
+//		spmv.WithDUOptions(spmv.DUOptions{RLE: true}))
 //
 // With no options it builds baseline CSR. With WithAutoFormat the
 // autotuner picks the format, and WithTuneReport says why:
@@ -108,9 +96,6 @@ func Build(c *COO, opts ...BuildOption) (Format, error) {
 			*cfg.report = *rep
 		}
 		return f, nil
-	}
-	if cfg.workers != 0 {
-		cfg.du.Workers = cfg.workers
 	}
 	return formats.BuildOpts(cfg.name, c, cfg.du)
 }

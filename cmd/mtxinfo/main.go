@@ -80,12 +80,12 @@ func main() {
 // bytes divided by ceiling bandwidth — the floor a perfectly
 // memory-bound kernel would hit. The CSR baseline makes the comparison
 // the paper's: compression wins exactly its traffic ratio.
-func reportRoofline(c *spmv.COO, formatName string, m *roofline.Model) error {
-	f, err := spmv.Build(c, spmv.WithFormat(formatName))
+func reportRoofline(build func(string) (spmv.Format, error), formatName string, m *roofline.Model) error {
+	f, err := build(formatName)
 	if err != nil {
 		return fmt.Errorf("roofline: %w", err)
 	}
-	base, err := spmv.Build(c)
+	base, err := build("csr")
 	if err != nil {
 		return fmt.Errorf("roofline: %w", err)
 	}
@@ -124,7 +124,8 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 	}
 	ws := spmv.WorkingSet(c)
 	ttu := matgen.TTU(c)
-	vi, err := spmv.Build(c, spmv.WithFormat("csr-vi"))
+	build := builder(c)
+	vi, err := build("csr-vi")
 	if err != nil {
 		return err
 	}
@@ -163,7 +164,7 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 	fmt.Printf("  %-10s %12s %9s%s\n", "format", "bytes", "vs CSR", hdr)
 	var badFormats []string
 	for _, name := range spmv.FormatNames() {
-		f, err := spmv.Build(c, spmv.WithFormat(name))
+		f, err := build(name)
 		if err != nil {
 			fmt.Printf("  %-10s %12s (%v)\n", name, "-", err)
 			continue
@@ -184,7 +185,7 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 		return fmt.Errorf("verification failed for %v", badFormats)
 	}
 
-	if du, err := spmv.Build(c, spmv.WithFormat("csr-du")); err == nil {
+	if du, err := build("csr-du"); err == nil {
 		st := du.(*spmv.CSRDU).Stats()
 		fmt.Printf("  csr-du units %d (avg size %.1f): u8=%d u16=%d u32=%d u64=%d\n",
 			st.Units, st.AvgSize,
@@ -197,12 +198,12 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 	}
 	printTune(&tune, csrBytes)
 	if roofFmt != "" {
-		if err := reportRoofline(c, roofFmt, roofModel); err != nil {
+		if err := reportRoofline(build, roofFmt, roofModel); err != nil {
 			return err
 		}
 	}
 	if profileFmt != "" {
-		pf, err := spmv.Build(c, spmv.WithFormat(profileFmt))
+		pf, err := build(profileFmt)
 		if err != nil {
 			return fmt.Errorf("profile: %w", err)
 		}
@@ -212,6 +213,25 @@ func report(path string, verify bool, profileFmt, roofFmt string, roofModel *roo
 		}
 	}
 	return nil
+}
+
+// builder returns a function that builds the named format from c once
+// and hands out that build, or its error, on every later call: the
+// report's lines share one build per format.
+func builder(c *spmv.COO) func(string) (spmv.Format, error) {
+	type result struct {
+		f   spmv.Format
+		err error
+	}
+	built := map[string]result{}
+	return func(name string) (spmv.Format, error) {
+		r, ok := built[name]
+		if !ok {
+			r.f, r.err = spmv.Build(c, spmv.WithFormat(name))
+			built[name] = r
+		}
+		return r.f, r.err
+	}
 }
 
 // printTune prints what the autotuner measured, one line per candidate

@@ -145,6 +145,9 @@ func FromRaw(name string, rowPtr, colInd []int32, width int, vi []byte, values [
 	case name == "csr-vi" && (width == 1 || width == 2 || width == 4) && len(vi)%width == 0:
 		m.Unique = values
 		m.VI8, m.VI16, m.VI32 = csrvi.Unpack(vi, width)
+		if m.VI8 != nil {
+			m.Unique = csrvi.Pad(values)
+		}
 	default:
 		return nil, core.Corruptf("csr: no %s value codec of width %d over %d index bytes", name, width, len(vi))
 	}
@@ -221,7 +224,9 @@ func (m *Matrix) SpMV(y, x []float64) { m.spmv(y, x, m.RowPtr, 0, m.rows, 1) }
 // value stream, one instantiation per codec chosen once per call: the
 // row walk for k = 1, the panel walk for a k-column batch.
 func (m *Matrix) spmv(y, x []float64, rowPtr []int32, lo, hi, k int) {
-	switch {
+	switch tab := csrvi.Table(m.Unique); {
+	case m.VI8 != nil && tab != nil && k == 1:
+		spmvRangeU8(y, x, rowPtr, m.ColInd, m.VI8, tab, lo, hi)
 	case m.VI8 != nil:
 		spmvStream(y, x, rowPtr, m.ColInd, m.VI8, m.Unique, lo, hi, k)
 	case m.VI16 != nil:
@@ -292,8 +297,50 @@ func spmvRange[V csrvi.Value](y, x []float64, rowPtr, colInd []int32, values []V
 			panic(errRowPtr)
 		}
 		sum := 0.0
+		if csrvi.Indexed[V]() {
+			for ; k < end && k+1 < end; k += 2 {
+				sum += csrvi.Load(vals[k], unique) * x[cols[k]]
+				sum += csrvi.Load(vals[k+1], unique) * x[cols[k+1]]
+			}
+		}
 		for ; k < end; k++ {
 			sum += csrvi.Load(vals[k], unique) * x[cols[k]]
+		}
+		y[i] = sum
+	}
+}
+
+// spmvRangeU8 is spmvRange for a u8 val_ind stream over a padded
+// table (csrvi.Pad): a u8 indexes the 256-entry array without a bounds
+// check, and the walk takes two non-zeros a step, so per non-zero only
+// the x[col] check is left. Each row is still summed left to right from
+// +0, so y is bitwise spmvRange's.
+func spmvRangeU8(y, x []float64, rowPtr, colInd []int32, values []uint8, tab *[csrvi.TableSize]float64, lo, hi int) {
+	ends := rowPtr[lo+1 : hi+1]
+	base, top := int(rowPtr[lo]), int(rowPtr[hi])
+	if base < 0 || top < base || top > len(values) || top > len(colInd) {
+		panic(errRowPtr)
+	}
+	vals := values[base:top]
+	cols := colInd[base:top]
+	cols = cols[:len(vals)]
+	y = y[lo:hi]
+	y = y[:len(ends)]
+	_ = tab[0]
+	k := uint(0)
+	for i, e := range ends {
+		end := uint(int(e) - base)
+		if end < k || end > uint(len(vals)) {
+			panic(errRowPtr)
+		}
+		sum := 0.0
+		for ; k < end && k+1 < end; k += 2 {
+			sum += tab[vals[k]] * x[cols[k]]
+			sum += tab[vals[k+1]] * x[cols[k+1]]
+		}
+		if k < end {
+			sum += tab[vals[k]] * x[cols[k]]
+			k++
 		}
 		y[i] = sum
 	}

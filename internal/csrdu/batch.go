@@ -72,6 +72,11 @@ func (c *chunk) SpMVBatch(y, x []float64, k int) {
 // panel kernel decoded.
 func multiply[V csrvi.Value](c *chunk, values []V, y, x []float64, k int) int {
 	a := runArgs[V]{ctl: c.m.Ctl[:c.ctlHi], values: values[:c.valHi], unique: c.m.Unique, x: x, y: y}
+	if a.tab = csrvi.Table(a.unique); a.tab == nil && V(csrvi.TableSize-1)+1 == 0 {
+		// A u8 table not built through csrvi.Pad: the kernels read a
+		// padded copy.
+		a.tab = csrvi.Table(csrvi.Pad(a.unique))
+	}
 	switch k {
 	case 1:
 		spmvScalar(c, &a)
@@ -325,6 +330,7 @@ func spmvPanel8[V csrvi.Value](c *chunk, a *runArgs[V]) int {
 //go:noinline
 func spmvRunPanel8[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, flags byte, s *[8]float64) (int, int, int, int) {
 	ctl, values, unique, x := k.streams()
+	tab := k.table()
 	s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
 	units := 0
 	for {
@@ -333,7 +339,7 @@ func spmvRunPanel8[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, flags by
 		j, pos = decodeUjmp(ctl, pos)
 		xi += j
 		end := vi + size
-		w, xr := csrvi.Load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
+		w, xr := csrvi.LoadTable(values[vi], unique, tab), x[8*xi:8*xi+8:8*xi+8]
 		switch flags & TypeMask {
 		case ClassU8:
 			for {
@@ -344,7 +350,7 @@ func spmvRunPanel8[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, flags by
 				}
 				xi += int(ctl[pos])
 				pos++
-				w, xr = csrvi.Load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
+				w, xr = csrvi.LoadTable(values[vi], unique, tab), x[8*xi:8*xi+8:8*xi+8]
 			}
 		case ClassU16:
 			for {
@@ -355,7 +361,7 @@ func spmvRunPanel8[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, flags by
 				}
 				xi += int(binary.LittleEndian.Uint16(ctl[pos : pos+2 : pos+2]))
 				pos += 2
-				w, xr = csrvi.Load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
+				w, xr = csrvi.LoadTable(values[vi], unique, tab), x[8*xi:8*xi+8:8*xi+8]
 			}
 		default: // ClassU32
 			for {
@@ -366,7 +372,7 @@ func spmvRunPanel8[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, flags by
 				}
 				xi += int(binary.LittleEndian.Uint32(ctl[pos : pos+4 : pos+4]))
 				pos += 4
-				w, xr = csrvi.Load(values[vi], unique), x[8*xi:8*xi+8:8*xi+8]
+				w, xr = csrvi.LoadTable(values[vi], unique, tab), x[8*xi:8*xi+8:8*xi+8]
 			}
 		}
 

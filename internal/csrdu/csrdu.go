@@ -109,13 +109,6 @@ type Options struct {
 	// produce fewer, wider units; smaller values produce more, tighter
 	// units.
 	MinSwitch int
-	// Workers is the number of concurrent encoder workers. 0 or 1
-	// encodes serially (the zero value keeps the historical behaviour);
-	// n > 1 uses n workers; negative means GOMAXPROCS. The parallel
-	// encoder's output is byte-identical to the serial encoder's, so
-	// Workers is purely a construction-time knob. Small matrices encode
-	// serially regardless.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -172,14 +165,13 @@ func FromCOO(c *core.COO) (*Matrix, error) { return FromCOOOpts(c, Options{}) }
 
 // FromCOOOpts encodes a triplet matrix into CSR-DU. The COO is finalized
 // in place if needed. Encoding is a single O(nnz) scan, matching the
-// paper's claim that construction has no asymptotic overhead over CSR;
-// Options.Workers spreads that scan over concurrent row-block encoders
-// with byte-identical output.
+// paper's claim that construction has no asymptotic overhead over CSR.
 func FromCOOOpts(c *core.COO, opts Options) (*Matrix, error) {
-	if opts.Workers != 0 && opts.Workers != 1 {
-		return fromCOOParallel(c, opts)
+	c.Finalize()
+	if c.Len() > math.MaxInt32 {
+		return nil, fmt.Errorf("csrdu: %d non-zeros exceed supported range", c.Len())
 	}
-	return fromCOOSerial(c, opts)
+	return encode(c, opts), nil
 }
 
 // FromCOOVI encodes a triplet matrix into CSR-DU with the dictionary
@@ -199,41 +191,30 @@ func FromCOOVI(c *core.COO, opts Options) (*Matrix, error) {
 	return m, nil
 }
 
-// fromCOOSerial is the single-threaded encoder.
-func fromCOOSerial(c *core.COO, opts Options) (*Matrix, error) {
-	c.Finalize()
-	if c.Len() > math.MaxInt32 {
-		return nil, fmt.Errorf("csrdu: %d non-zeros exceed supported range", c.Len())
-	}
-	return encodeBlock(c, 0, c.Len(), -1, opts), nil
-}
-
-// encodeBlock encodes entries [from, to) — whole rows — into a
-// standalone Matrix whose marks carry absolute row numbers. prevRow is
-// the last non-empty row before the block (-1 for the first block), so
-// the block's first row jump matches the serial encoding. The rows'
-// columns are read in place from the finalized COO, so the encoder
-// allocates the output streams and nothing per row or unit.
-func encodeBlock(c *core.COO, from, to, prevRow int, opts Options) *Matrix {
-	ctlCap := to - from + 16
-	if from < to {
-		ctlCap += int(c.I[to-1]-c.I[from]) / 4
+// encode encodes a finalized COO in one pass over its rows. The rows'
+// columns are read in place, so the encoder allocates the output
+// streams and nothing per row or unit.
+func encode(c *core.COO, opts Options) *Matrix {
+	to := c.Len()
+	ctlCap := to + 16
+	if to > 0 {
+		ctlCap += int(c.I[to-1]-c.I[0]) / 4
 	}
 	m := &Matrix{
 		rows: c.Rows(), cols: c.Cols(), opts: opts.withDefaults(),
-		Values: make([]float64, to-from),
+		Values: make([]float64, to),
 		Ctl:    make([]byte, 0, ctlCap),
 	}
-	copy(m.Values, c.V[from:to])
-	enc := encoder{m: m, prevRow: prevRow}
-	for k := from; k < to; {
+	copy(m.Values, c.V)
+	enc := encoder{m: m, prevRow: -1}
+	for k := 0; k < to; {
 		row := c.I[k]
 		end := k + 1
 		for end < to && c.I[end] == row {
 			end++
 		}
 		header := len(m.Ctl)
-		single := enc.encodeRow(int(row), k-from, c.J[k:end])
+		single := enc.encodeRow(int(row), k, c.J[k:end])
 		start := k
 		k = end
 		if !single {

@@ -161,7 +161,10 @@ func spmvScalar[V csrvi.Value](c *chunk, k *runArgs[V]) {
 // and the bases and lengths of ctl, values and x — fits the register
 // file; the runArgs pointer waits on the stack and yi behind it,
 // touched once a row. The dictionary codec's instantiations carry
-// Unique as well.
+// Unique as well; under a u8 stream spmvRunU8, spmvRunU16 and spmvRunRep
+// read it through its 256-entry table (csrvi.LoadTable), with no bounds
+// check. spmvRunU32 keeps the checked load: its 8-nnz u32 units ran no
+// faster with the table (DESIGN §19).
 
 // runArgs are the streams a kernel reads, the y it writes and the row
 // yi it is on, passed by reference so that entering a run loop moves
@@ -172,6 +175,7 @@ type runArgs[V csrvi.Value] struct {
 	unique []float64
 	x, y   []float64
 	yi     int
+	tab    *[csrvi.TableSize]float64 // unique's u8 table (csrvi.Table); set under a u8 stream
 }
 
 // streams returns the streams a kernel reads, ctl and values with their
@@ -184,29 +188,40 @@ func (k *runArgs[V]) streams() (ctl []byte, values []V, unique, x []float64) {
 	return k.ctl[:len(k.ctl):len(k.ctl)], k.values[:len(k.values):len(k.values)], k.unique, k.x
 }
 
+// table returns the u8 table of a u8 stream's kernel (csrvi.LoadTable).
+// Its nil check, made once at the loop's entry, dominates and drops the
+// ones each table load in the loop would repeat.
+func (k *runArgs[V]) table() *[csrvi.TableSize]float64 {
+	if V(csrvi.TableSize-1)+1 == 0 {
+		_ = k.tab[0]
+	}
+	return k.tab
+}
+
 // spmvRunU8 consumes a run of u8 units.
 //
 //go:noinline
 func spmvRunU8[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int, int, int, float64) {
 	ctl, values, unique, x := k.streams()
+	tab := k.table()
 	for {
 		var j int
 		j, pos = decodeUjmp(ctl, pos)
 		xi += j
-		sum += csrvi.Load(values[vi], unique) * x[xi]
+		sum += csrvi.LoadTable(values[vi], unique, tab) * x[xi]
 		vi++
 		n := size - 1
 		for ; n >= 4; n -= 4 {
 			w := binary.LittleEndian.Uint32(ctl[pos : pos+4 : pos+4])
 			v := values[vi : vi+4 : vi+4]
 			xi += int(w & 0xff)
-			sum += csrvi.Load(v[0], unique) * x[xi]
+			sum += csrvi.LoadTable(v[0], unique, tab) * x[xi]
 			xi += int(w >> 8 & 0xff)
-			sum += csrvi.Load(v[1], unique) * x[xi]
+			sum += csrvi.LoadTable(v[1], unique, tab) * x[xi]
 			xi += int(w >> 16 & 0xff)
-			sum += csrvi.Load(v[2], unique) * x[xi]
+			sum += csrvi.LoadTable(v[2], unique, tab) * x[xi]
 			xi += int(w >> 24)
-			sum += csrvi.Load(v[3], unique) * x[xi]
+			sum += csrvi.LoadTable(v[3], unique, tab) * x[xi]
 			pos += 4
 			vi += 4
 		}
@@ -214,15 +229,15 @@ func spmvRunU8[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, sum float64)
 			w := binary.LittleEndian.Uint16(ctl[pos : pos+2 : pos+2])
 			v := values[vi : vi+2 : vi+2]
 			xi += int(w & 0xff)
-			sum += csrvi.Load(v[0], unique) * x[xi]
+			sum += csrvi.LoadTable(v[0], unique, tab) * x[xi]
 			xi += int(w >> 8)
-			sum += csrvi.Load(v[1], unique) * x[xi]
+			sum += csrvi.LoadTable(v[1], unique, tab) * x[xi]
 			pos += 2
 			vi += 2
 		}
 		if n&1 != 0 {
 			xi += int(ctl[pos])
-			sum += csrvi.Load(values[vi], unique) * x[xi]
+			sum += csrvi.LoadTable(values[vi], unique, tab) * x[xi]
 			pos++
 			vi++
 		}
@@ -249,24 +264,25 @@ func spmvRunU8[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, sum float64)
 //go:noinline
 func spmvRunU16[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, sum float64) (int, int, int, float64) {
 	ctl, values, unique, x := k.streams()
+	tab := k.table()
 	for {
 		var j int
 		j, pos = decodeUjmp(ctl, pos)
 		xi += j
-		sum += csrvi.Load(values[vi], unique) * x[xi]
+		sum += csrvi.LoadTable(values[vi], unique, tab) * x[xi]
 		vi++
 		n := size - 1
 		for ; n >= 4; n -= 4 {
 			w := binary.LittleEndian.Uint64(ctl[pos : pos+8 : pos+8])
 			v := values[vi : vi+4 : vi+4]
 			xi += int(w & 0xffff)
-			sum += csrvi.Load(v[0], unique) * x[xi]
+			sum += csrvi.LoadTable(v[0], unique, tab) * x[xi]
 			xi += int(w >> 16 & 0xffff)
-			sum += csrvi.Load(v[1], unique) * x[xi]
+			sum += csrvi.LoadTable(v[1], unique, tab) * x[xi]
 			xi += int(w >> 32 & 0xffff)
-			sum += csrvi.Load(v[2], unique) * x[xi]
+			sum += csrvi.LoadTable(v[2], unique, tab) * x[xi]
 			xi += int(w >> 48)
-			sum += csrvi.Load(v[3], unique) * x[xi]
+			sum += csrvi.LoadTable(v[3], unique, tab) * x[xi]
 			pos += 8
 			vi += 4
 		}
@@ -274,15 +290,15 @@ func spmvRunU16[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, sum float64
 			w := binary.LittleEndian.Uint32(ctl[pos : pos+4 : pos+4])
 			v := values[vi : vi+2 : vi+2]
 			xi += int(w & 0xffff)
-			sum += csrvi.Load(v[0], unique) * x[xi]
+			sum += csrvi.LoadTable(v[0], unique, tab) * x[xi]
 			xi += int(w >> 16)
-			sum += csrvi.Load(v[1], unique) * x[xi]
+			sum += csrvi.LoadTable(v[1], unique, tab) * x[xi]
 			pos += 4
 			vi += 2
 		}
 		if n&1 != 0 {
 			xi += int(binary.LittleEndian.Uint16(ctl[pos : pos+2 : pos+2]))
-			sum += csrvi.Load(values[vi], unique) * x[xi]
+			sum += csrvi.LoadTable(values[vi], unique, tab) * x[xi]
 			pos += 2
 			vi++
 		}
@@ -374,6 +390,7 @@ func spmvRunU32[V csrvi.Value](k *runArgs[V], pos, vi, xi, size int, sum float64
 //go:noinline
 func spmvRunRep[V csrvi.Value](k *runArgs[V], pos, vi, size int, flags byte, buf *[MaxUnit]int32) (int, int, float64) {
 	ctl, values, unique, x := k.streams()
+	tab := k.table()
 	xi, off, pos := repOffsets(ctl, pos, flags, buf[:size])
 	rows := int(ctl[pos])
 	pos++
@@ -393,52 +410,52 @@ func spmvRunRep[V csrvi.Value](k *runArgs[V], pos, vi, size int, flags byte, buf
 			vb, vc, vd = vb[:len(va)], vc[:len(va)], vd[:len(va)]
 			xr := xw[t:]
 			a, b, c, d := 0.0, 0.0, 0.0, 0.0
-			a += csrvi.Load(va[0], unique) * xr[0]
-			b += csrvi.Load(vb[0], unique) * xr[1]
-			c += csrvi.Load(vc[0], unique) * xr[2]
-			d += csrvi.Load(vd[0], unique) * xr[3]
+			a += csrvi.LoadTable(va[0], unique, tab) * xr[0]
+			b += csrvi.LoadTable(vb[0], unique, tab) * xr[1]
+			c += csrvi.LoadTable(vc[0], unique, tab) * xr[2]
+			d += csrvi.LoadTable(vd[0], unique, tab) * xr[3]
 			if len(va) > 1 {
 				o := int(buf[1])
-				a += csrvi.Load(va[1], unique) * xr[o]
-				b += csrvi.Load(vb[1], unique) * xr[o+1]
-				c += csrvi.Load(vc[1], unique) * xr[o+2]
-				d += csrvi.Load(vd[1], unique) * xr[o+3]
+				a += csrvi.LoadTable(va[1], unique, tab) * xr[o]
+				b += csrvi.LoadTable(vb[1], unique, tab) * xr[o+1]
+				c += csrvi.LoadTable(vc[1], unique, tab) * xr[o+2]
+				d += csrvi.LoadTable(vd[1], unique, tab) * xr[o+3]
 				if len(va) > 2 {
 					o := int(buf[2])
-					a += csrvi.Load(va[2], unique) * xr[o]
-					b += csrvi.Load(vb[2], unique) * xr[o+1]
-					c += csrvi.Load(vc[2], unique) * xr[o+2]
-					d += csrvi.Load(vd[2], unique) * xr[o+3]
+					a += csrvi.LoadTable(va[2], unique, tab) * xr[o]
+					b += csrvi.LoadTable(vb[2], unique, tab) * xr[o+1]
+					c += csrvi.LoadTable(vc[2], unique, tab) * xr[o+2]
+					d += csrvi.LoadTable(vd[2], unique, tab) * xr[o+3]
 					if len(va) > 3 {
 						o := int(buf[3])
-						a += csrvi.Load(va[3], unique) * xr[o]
-						b += csrvi.Load(vb[3], unique) * xr[o+1]
-						c += csrvi.Load(vc[3], unique) * xr[o+2]
-						d += csrvi.Load(vd[3], unique) * xr[o+3]
+						a += csrvi.LoadTable(va[3], unique, tab) * xr[o]
+						b += csrvi.LoadTable(vb[3], unique, tab) * xr[o+1]
+						c += csrvi.LoadTable(vc[3], unique, tab) * xr[o+2]
+						d += csrvi.LoadTable(vd[3], unique, tab) * xr[o+3]
 						if len(va) > 4 {
 							o := int(buf[4])
-							a += csrvi.Load(va[4], unique) * xr[o]
-							b += csrvi.Load(vb[4], unique) * xr[o+1]
-							c += csrvi.Load(vc[4], unique) * xr[o+2]
-							d += csrvi.Load(vd[4], unique) * xr[o+3]
+							a += csrvi.LoadTable(va[4], unique, tab) * xr[o]
+							b += csrvi.LoadTable(vb[4], unique, tab) * xr[o+1]
+							c += csrvi.LoadTable(vc[4], unique, tab) * xr[o+2]
+							d += csrvi.LoadTable(vd[4], unique, tab) * xr[o+3]
 							if len(va) > 5 {
 								o := int(buf[5])
-								a += csrvi.Load(va[5], unique) * xr[o]
-								b += csrvi.Load(vb[5], unique) * xr[o+1]
-								c += csrvi.Load(vc[5], unique) * xr[o+2]
-								d += csrvi.Load(vd[5], unique) * xr[o+3]
+								a += csrvi.LoadTable(va[5], unique, tab) * xr[o]
+								b += csrvi.LoadTable(vb[5], unique, tab) * xr[o+1]
+								c += csrvi.LoadTable(vc[5], unique, tab) * xr[o+2]
+								d += csrvi.LoadTable(vd[5], unique, tab) * xr[o+3]
 								if len(va) > 6 {
 									o := int(buf[6])
-									a += csrvi.Load(va[6], unique) * xr[o]
-									b += csrvi.Load(vb[6], unique) * xr[o+1]
-									c += csrvi.Load(vc[6], unique) * xr[o+2]
-									d += csrvi.Load(vd[6], unique) * xr[o+3]
+									a += csrvi.LoadTable(va[6], unique, tab) * xr[o]
+									b += csrvi.LoadTable(vb[6], unique, tab) * xr[o+1]
+									c += csrvi.LoadTable(vc[6], unique, tab) * xr[o+2]
+									d += csrvi.LoadTable(vd[6], unique, tab) * xr[o+3]
 									if len(va) > 7 {
 										o := int(buf[7])
-										a += csrvi.Load(va[7], unique) * xr[o]
-										b += csrvi.Load(vb[7], unique) * xr[o+1]
-										c += csrvi.Load(vc[7], unique) * xr[o+2]
-										d += csrvi.Load(vd[7], unique) * xr[o+3]
+										a += csrvi.LoadTable(va[7], unique, tab) * xr[o]
+										b += csrvi.LoadTable(vb[7], unique, tab) * xr[o+1]
+										c += csrvi.LoadTable(vc[7], unique, tab) * xr[o+2]
+										d += csrvi.LoadTable(vd[7], unique, tab) * xr[o+3]
 									}
 								}
 							}
@@ -454,7 +471,7 @@ func spmvRunRep[V csrvi.Value](k *runArgs[V], pos, vi, size int, flags byte, buf
 		v = v[:len(off)]
 		sum := 0.0
 		for j, o := range off {
-			sum += csrvi.Load(v[j], unique) * xw[t+int(o)]
+			sum += csrvi.LoadTable(v[j], unique, tab) * xw[t+int(o)]
 		}
 		if t == rows {
 			return pos, vi, sum

@@ -194,6 +194,9 @@ func FromRawVI(ctl []byte, width int, vi []byte, unique []float64, rows, cols in
 	}
 	m.Unique = unique
 	m.VI8, m.VI16, m.VI32 = csrvi.Unpack(vi, width)
+	if m.VI8 != nil {
+		m.Unique = csrvi.Pad(unique)
+	}
 	if err := m.checkIndices(); err != nil {
 		return nil, err
 	}

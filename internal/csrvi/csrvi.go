@@ -19,8 +19,12 @@
 //
 // Kernels read every value through Load, generic over the stream's
 // element type (Value), so one kernel source serves the plain streams
-// and the dictionary.
+// and the dictionary. A width-1 dictionary's table has capacity 256
+// (Pad): its u8 indices then address it through Table with no bounds
+// check.
 package csrvi
+
+import "math"
 
 // MinTTU is the paper's empirical applicability threshold (§VI-E): a
 // matrix is worth CSR-VI where its total-to-unique ratio exceeds it.
@@ -46,4 +50,58 @@ func Load[V Value](v V, unique []float64) float64 {
 		return float64(v)
 	}
 	return unique[int(v)]
+}
+
+// Indexed reports whether V is an index stream, the dictionary codec's:
+// like Load's test, it is a constant in each instantiation.
+func Indexed[V Value]() bool { return V(1)/V(2) == 0 }
+
+// LoadTable is Load for a kernel that holds the u8 table: under a u8
+// val_ind stream it returns tab[v], which needs no bounds check, and
+// otherwise what Load returns. V(TableSize-1)+1 wraps to 0 for uint8
+// alone, so, like Load's test, the choice folds in each instantiation.
+// tab must be the table of unique (Table) under a u8 stream; other
+// streams never read it.
+func LoadTable[V Value](v V, unique []float64, tab *[TableSize]float64) float64 {
+	switch {
+	case V(1)/V(2) != 0:
+		return float64(v)
+	case V(TableSize-1)+1 == 0:
+		return tab[uint8(v)]
+	}
+	return unique[int(v)]
+}
+
+// TableSize is the capacity Pad gives a width-1 dictionary's table:
+// one entry per u8 index.
+const TableSize = 256
+
+// Pad returns a copy of unique in an array of capacity TableSize whose
+// entries past len(unique) are NaN; a table of TableSize or more values
+// is returned as it is. Every width-1 dictionary is built or adopted
+// through it, so a u8 index addresses the array (Table) whatever its
+// value: one past len(unique), which Verify refuses, reads NaN, never a
+// finite value. len(unique) — the stored table, and its bytes — is
+// unchanged.
+func Pad(unique []float64) []float64 {
+	if len(unique) >= TableSize {
+		return unique
+	}
+	t := make([]float64, TableSize)
+	copy(t, unique)
+	for i := len(unique); i < TableSize; i++ {
+		t[i] = math.NaN()
+	}
+	return t[:len(unique)]
+}
+
+// Table returns the TableSize-entry array behind unique, which a u8
+// index addresses without a bounds check, or nil where unique's
+// capacity is short of it (a table not built through Pad): the kernels
+// then take their checked path. It is the table itself, not a copy.
+func Table(unique []float64) *[TableSize]float64 {
+	if cap(unique) < TableSize {
+		return nil
+	}
+	return (*[TableSize]float64)(unique[:TableSize])
 }

@@ -19,7 +19,8 @@ const sampleSize = 16 << 10
 // that indirects its values. It numbers the distinct float64 bit
 // patterns of vals in order of first appearance and returns them as
 // unique, with one index per value in the narrowest of 1/2/4 bytes that
-// addresses len(unique): exactly one of vi8/vi16/vi32 is non-nil.
+// addresses len(unique): exactly one of vi8/vi16/vi32 is non-nil, and
+// with vi8 unique is padded to the u8 table (Pad).
 // Distinctness is on the bit pattern, so +0 and -0 are distinct, and so
 // are NaNs with different payloads.
 //
@@ -56,6 +57,9 @@ func IndexValues(vals []float64) (unique []float64, vi8 []uint8, vi16 []uint16, 
 		}
 	}
 	vi8, vi16, vi32 = Narrow(ids, width(len(t.unique)))
+	if vi8 != nil {
+		t.unique = Pad(t.unique)
+	}
 	return t.unique, vi8, vi16, vi32, true
 }
 

@@ -1,7 +1,6 @@
 package formats
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"strings"
@@ -90,15 +89,5 @@ func TestBuildOptsDUOptionsApply(t *testing.T) {
 	}
 	if _, err := BuildOpts("csr-du-rle", c, csrdu.Options{}); !errors.Is(err, core.ErrUsage) {
 		t.Errorf("removed name csr-du-rle: got %v, want ErrUsage", err)
-	}
-
-	// Workers routes through the parallel encoder with byte-identical
-	// output.
-	par, err := BuildOpts("csr-du", c, csrdu.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(par.(*csrdu.Matrix).Ctl, def.(*csrdu.Matrix).Ctl) {
-		t.Error("Workers=4 ctl stream differs from serial encoding")
 	}
 }

@@ -1,7 +1,6 @@
 package matfile
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -17,10 +16,9 @@ import (
 )
 
 // encodedDigests pins the encoders' output: for every matrix, the
-// SHA-256 of its csr-vi Unique/VI*, csr-du Ctl/Values (serial, with the
-// parallel encoder's Ctl checked equal), csr-du-rle Ctl, csr-du-vi
-// Unique/VI*, the matfile bytes of all four, and its Matrix Market
-// text. The digests were taken from the map-based value table, the
+// SHA-256 of its csr-vi Unique/VI*, csr-du Ctl/Values, csr-du-rle Ctl,
+// csr-du-vi Unique/VI*, the matfile bytes of all four, and its Matrix
+// Market text. The digests were taken from the map-based value table, the
 // per-row CSR-DU encoder and the fmt-based Matrix Market writer; an
 // encoder rewrite must reproduce every byte. long-rows-255plus was
 // re-taken when COO.Finalize began folding duplicates in insertion
@@ -103,13 +101,6 @@ func encodedDigest(t *testing.T, c *core.COO) string {
 	}
 	put(du.Ctl)
 	put(du.Values)
-	par, err := csrdu.FromCOOOpts(c.Clone(), csrdu.Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(par.Ctl, du.Ctl) {
-		t.Errorf("parallel encoder's ctl differs from the serial encoder's")
-	}
 	rle, err := csrdu.FromCOOOpts(c.Clone(), csrdu.Options{RLE: true})
 	if err != nil {
 		t.Fatal(err)
