@@ -10,7 +10,11 @@ import (
 func TestKernelsBitwiseOnCorpus(t *testing.T) {
 	for _, opts := range []Options{{}, {RLE: true}, {MinSwitch: 1}, {RLE: true, RLEMin: 3, MinSwitch: 2}} {
 		for _, tc := range testmat.Corpus() {
-			t.Run(fmt.Sprintf("%s/%+v", tc.Name, opts), func(t *testing.T) {
+			// The name spells out the options as %+v printed them when
+			// Options still had a Workers field, so subtest ids stay stable.
+			name := fmt.Sprintf("%s/{RLE:%t RLEMin:%d MinSwitch:%d Workers:0}",
+				tc.Name, opts.RLE, opts.RLEMin, opts.MinSwitch)
+			t.Run(name, func(t *testing.T) {
 				m, err := FromCOOOpts(tc.COO, opts)
 				if err != nil {
 					t.Fatal(err)

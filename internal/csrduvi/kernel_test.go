@@ -24,7 +24,11 @@ func TestKernelsBitwiseMatchCSRDU(t *testing.T) {
 		COO: matgen.RandomUniform(rand.New(rand.NewSource(5)), 300, 400, 230, matgen.Values{})})
 	for _, opts := range []csrdu.Options{{}, {RLE: true, RLEMin: 3, MinSwitch: 2}} {
 		for _, tc := range cases {
-			t.Run(fmt.Sprintf("%s/%+v", tc.Name, opts), func(t *testing.T) {
+			// The name spells out the options as %+v printed them when
+			// Options still had a Workers field, so subtest ids stay stable.
+			name := fmt.Sprintf("%s/{RLE:%t RLEMin:%d MinSwitch:%d Workers:0}",
+				tc.Name, opts.RLE, opts.RLEMin, opts.MinSwitch)
+			t.Run(name, func(t *testing.T) {
 				m, err := csrdu.FromCOOVI(tc.COO, opts)
 				if err != nil {
 					t.Fatal(err)
