@@ -82,7 +82,9 @@ var (
 // took the dictionary codec (csrvi.Pays), and sym-csr where the matrix
 // is symmetric, and times each against CSR in alternating rounds. The
 // lowest median ratio to CSR wins; within 5% the smaller matrix does.
-// Tune returns the winner built, with the report of what it measured.
+// Below the small-matrix floor (dispatchBound) the smallest matrix
+// wins outright. Tune returns the winner built, with the report of
+// what it measured.
 //
 // At most three matrices are alive at once: CSR, the best so far and
 // the one being timed. A loser is released as soon as it loses.
@@ -102,6 +104,10 @@ func Tune(c *core.COO, opts Options) (core.Format, *Report, error) {
 		return nil, nil, fmt.Errorf("autotune: csr baseline: %w", err)
 	}
 	defer base.release()
+	small, err := t.dispatchBound(base)
+	if err != nil {
+		return nil, nil, fmt.Errorf("autotune: csr baseline: %w", err)
+	}
 	rep := &Report{Candidates: []Candidate{base.cand}}
 	best, viDict := base, false
 	for _, s := range []formats.Spec{{Format: "csr-vi"}, {Format: "csr-du"}, {Format: "csr-du-vi"}, {Format: "sym-csr"}} {
@@ -124,7 +130,7 @@ func Tune(c *core.COO, opts Options) (core.Format, *Report, error) {
 			continue
 		}
 		rep.Candidates = append(rep.Candidates, cur.cand)
-		if better(cur.cand, best.cand) {
+		if better(cur.cand, best.cand, small) {
 			if best != base {
 				best.release()
 			}
@@ -203,6 +209,28 @@ func (t *tuner) sample(e *entrant) (float64, error) {
 	return ns, nil
 }
 
+// dispatchBound times CSR serially and on the executor, in alternating
+// samples, and reports whether the matrix is below the small-matrix
+// floor. On T threads a multiply costs its serial time over T plus the
+// dispatch; below the floor the dispatch costs more than each thread's
+// share, so the executor's time exceeds twice the serial time over T.
+// There every candidate's timing is mostly the same dispatch, and the
+// ratios rank host noise rather than formats.
+func (t *tuner) dispatchBound(base *entrant) (bool, error) {
+	serial := make([]float64, 0, rounds)
+	for range rounds {
+		if _, err := t.sample(base); err != nil {
+			return false, err
+		}
+		t0 := now()
+		for range t.iters {
+			base.f.SpMV(t.y, t.x)
+		}
+		serial = append(serial, max(float64(now().Sub(t0)), 1)/float64(t.iters))
+	}
+	return median(base.ns) > 2*median(serial)/float64(t.threads), nil
+}
+
 // time times cur in rounds that each sample base and then cur, so host
 // drift lands on both sides of every ratio, and fills in cur's ratio.
 func (t *tuner) time(base, cur *entrant) error {
@@ -234,9 +262,10 @@ func (e *entrant) summary(t *tuner) Candidate {
 }
 
 // better reports whether a beats b: the lower ratio to CSR, unless the
-// two are within tie of each other, where the smaller matrix wins.
-func better(a, b Candidate) bool {
-	if max(a.Ratio, b.Ratio) <= (1+tie)*min(a.Ratio, b.Ratio) {
+// two are within tie of each other or the matrix is small (below the
+// dispatch floor), where the smaller matrix wins.
+func better(a, b Candidate, small bool) bool {
+	if small || max(a.Ratio, b.Ratio) <= (1+tie)*min(a.Ratio, b.Ratio) {
 		return a.Bytes < b.Bytes
 	}
 	return a.Ratio < b.Ratio

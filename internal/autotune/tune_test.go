@@ -20,16 +20,18 @@ type fakeClock struct{ ns atomic.Int64 }
 func (c *fakeClock) now() time.Time { return time.Unix(0, c.ns.Load()) }
 
 // fake is a format whose multiply costs a fixed time on the fake clock
-// and computes nothing. It is one chunk, so one multiply adds its cost
-// once at any thread count.
+// and computes nothing. It is one chunk, so one multiply on the
+// executor adds its cost once at any thread count; a serial multiply
+// adds serial.
 type fake struct {
-	core.Format // the real csr matrix, for the shape
-	name        string
-	bytes, cost int64
-	width       int
-	clk         *fakeClock
+	core.Format         // the real csr matrix, for the shape
+	name                string
+	bytes, cost, serial int64
+	width               int
+	clk                 *fakeClock
 }
 
+func (f *fake) SpMV(_, _ []float64)    { f.clk.ns.Add(f.serial) }
 func (f *fake) Name() string           { return f.name }
 func (f *fake) SizeBytes() int64       { return f.bytes }
 func (f *fake) IndexWidth() int        { return f.width }
@@ -43,12 +45,14 @@ func (c fakeChunk) SpMV(_, _ []float64)  { c.f.clk.ns.Add(c.f.cost) }
 
 // fakeSpec is what the fake builder makes of one format name: a
 // multiply cost in ns, a size, a val_ind width, or a build error.
-// real runs the real build first and fails where it fails.
+// serial is a serial multiply's cost; 0 means 1024 times cost, a
+// matrix far above the small-matrix floor at any thread count. real
+// runs the real build first and fails where it fails.
 type fakeSpec struct {
-	cost, bytes int64
-	width       int
-	err         error
-	real        bool
+	cost, bytes, serial int64
+	width               int
+	err                 error
+	real                bool
 }
 
 // fakes swaps in the fake clock and a builder serving specs, and
@@ -79,7 +83,10 @@ func fakes(t *testing.T, specs map[string]fakeSpec) (built *[]string, live *atom
 		if err != nil {
 			return nil, err
 		}
-		f := &fake{Format: shape, name: s.Name(), bytes: fs.bytes, cost: fs.cost, width: fs.width, clk: clk}
+		if fs.serial == 0 {
+			fs.serial = 1024 * fs.cost
+		}
+		f := &fake{Format: shape, name: s.Name(), bytes: fs.bytes, cost: fs.cost, serial: fs.serial, width: fs.width, clk: clk}
 		live.Add(1)
 		runtime.SetFinalizer(f, func(*fake) { live.Add(-1) })
 		return f, nil
@@ -229,7 +236,8 @@ func TestTuneSkipsCSRDUVIWhenPlain(t *testing.T) {
 }
 
 // TestCandidatesAlwaysRankCSR: CSR is the first entry at ratio 1 with
-// every baseline sample, and wins when nothing beats it by 5%.
+// every baseline sample (the floor's and each timed candidate's
+// rounds), and wins when nothing beats it by 5%.
 func TestCandidatesAlwaysRankCSR(t *testing.T) {
 	fakes(t, map[string]fakeSpec{
 		"csr":     {cost: 100, bytes: 1000},
@@ -246,8 +254,62 @@ func TestCandidatesAlwaysRankCSR(t *testing.T) {
 	if f.Name() != "csr" || rep.Chosen.Name() != "csr" {
 		t.Errorf("chose %s, want csr", rep.Chosen.Name())
 	}
-	if base.Spec.Name() != "csr" || base.Ratio != 1 || base.Samples != 2*rounds || base.NsPerNNZ != 100/float64(c.Len()) {
+	if base.Spec.Name() != "csr" || base.Ratio != 1 || base.Samples != 3*rounds || base.NsPerNNZ != 100/float64(c.Len()) {
 		t.Errorf("csr entry %+v", base)
+	}
+}
+
+// TestSmallMatrixKeepsFewestBytes: where CSR on the executor takes
+// more than twice its serial time over the thread count, the dispatch
+// dominates every timing and the fewest bytes win, whatever the
+// ratios; a matrix above that floor is ranked by ratio.
+func TestSmallMatrixKeepsFewestBytes(t *testing.T) {
+	for _, tc := range []struct {
+		serial int64
+		want   string
+	}{{60, "csr-du"}, {99, "csr-du"}, {100, "csr-vi"}, {200, "csr-vi"}} {
+		fakes(t, map[string]fakeSpec{
+			"csr":     {cost: 100, serial: tc.serial, bytes: 1000},
+			"csr-vi":  {cost: 50, bytes: 900},
+			"csr-du":  {cost: 90, bytes: 500},
+			"sym-csr": {err: errors.New("not symmetric")},
+		})
+		f, rep, err := Tune(stencil(), Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Name() != tc.want || rep.Chosen.Name() != tc.want {
+			t.Errorf("serial csr %d ns against 100 on 2 threads: chose %s, want %s", tc.serial, rep.Chosen.Name(), tc.want)
+		}
+	}
+}
+
+// TestSmallMatrixChoiceRepeats tunes TestWithAutoFormatPublic's
+// dense-blocks shape (1536 non-zeros, below the floor on 2 threads)
+// 20 times: every run must choose the same format, the timed
+// candidate with the fewest bytes.
+func TestSmallMatrixChoiceRepeats(t *testing.T) {
+	c := matgen.BlockDiag(rand.New(rand.NewSource(21)), 96, 4, matgen.Values{})
+	var first string
+	for i := range 20 {
+		_, rep, err := Tune(c, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fewest := rep.Candidates[0]
+		for _, cand := range rep.Candidates {
+			if cand.Reason == "" && cand.Bytes < fewest.Bytes {
+				fewest = cand
+			}
+		}
+		if rep.Chosen.Name() != fewest.Spec.Name() {
+			t.Fatalf("run %d chose %s, not %s with the fewest bytes: %+v", i, rep.Chosen.Name(), fewest.Spec.Name(), rep.Candidates)
+		}
+		if i == 0 {
+			first = rep.Chosen.Name()
+		} else if rep.Chosen.Name() != first {
+			t.Fatalf("run %d chose %s, run 0 chose %s", i, rep.Chosen.Name(), first)
+		}
 	}
 }
 

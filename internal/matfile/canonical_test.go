@@ -154,6 +154,7 @@ func canonicalSeeds(t testing.TB) map[string]canonicalSeed {
 // chunk by chunk — bitwise like testmat.Reference over the non-zeros
 // in the order the file stores them. A seed file of each tag and codec
 // with one stray byte appended to one section must be refused.
+// ReadSized must agree with Read on every input (readBoth).
 func FuzzCanonical(f *testing.F) {
 	seeds := canonicalSeeds(f)
 	keys := make([]string, 0, len(seeds))
@@ -175,11 +176,18 @@ func FuzzCanonical(f *testing.F) {
 			f.Add(b)
 		}
 	}
+	m, err := csr.FromCOO(viShapes()[0].Clone())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range sizedSeeds(m) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 || data[4] != 2 {
 			return
 		}
-		g, err := Read(bytes.NewReader(data))
+		g, err := readBoth(t, data)
 		if err != nil {
 			return
 		}

@@ -297,7 +297,8 @@ func TestSingleByteCorruption(t *testing.T) {
 
 // FuzzRead feeds arbitrary bytes to the container reader: it must
 // reject or accept without panicking, and anything it accepts must
-// pass its format verifier and run SpMV in bounds.
+// pass its format verifier and run SpMV in bounds. ReadSized must agree
+// with Read on every input (readBoth).
 func FuzzRead(f *testing.F) {
 	rng := rand.New(rand.NewSource(16))
 	c := matgen.Banded(rng, 16, 3, 2, matgen.Values{Unique: 4})
@@ -319,8 +320,15 @@ func FuzzRead(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte("SPMV"))
+	m, err := csr.FromCOO(c)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range sizedSeeds(m) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := Read(bytes.NewReader(data))
+		g, err := readBoth(t, data)
 		if err != nil {
 			return
 		}

@@ -363,7 +363,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		s.failUpload(r, w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
-	body, err := readPieces(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	body, sum, err := readPieces(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
 	if err != nil {
 		s.metrics.UploadsRejected.Add(1)
 		var mbe *http.MaxBytesError
@@ -389,11 +389,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		// An explicit format request keeps its own key, so the
 		// stored-vs-requested match is validated on the build path.
 		keyFormat = "asis"
-	}
-	sum, err := body.sum()
-	if err != nil {
-		s.failUpload(r, w, http.StatusInternalServerError, err)
-		return
 	}
 	key := hex.EncodeToString(sum[:8]) + "-" + keyFormat
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync/atomic"
 )
 
 // Upload bodies are read in pieces (DESIGN.md §21): each piece is
@@ -22,23 +23,55 @@ const (
 // pieces is an upload body as read: every piece but the last is full.
 type pieces [][]byte
 
-// readPieces reads r to EOF. Read errors pass through unwrapped, so a
-// MaxBytesReader's *http.MaxBytesError reaches the caller as is.
-func readPieces(r io.Reader) (pieces, error) {
-	var body pieces
+// readPieces reads r to EOF and returns the body with its SHA-256.
+// One goroutine hashes each piece, in order, while the next is read,
+// so the digest is ready when the body ends. Read errors pass through
+// unwrapped, so a MaxBytesReader's *http.MaxBytesError reaches the
+// caller as is. The hashing goroutine has ended by the time
+// readPieces returns.
+func readPieces(r io.Reader) (pieces, [sha256.Size]byte, error) {
+	// The queue lets the reader run a few pieces ahead of the hash; the
+	// pieces are kept for the body anyway, so it costs no memory.
+	full := make(chan []byte, 8)
+	done := make(chan struct{})
+	var stop atomic.Bool
+	var sum [sha256.Size]byte
+	var hashErr error
+	go func() {
+		defer close(done)
+		h := sha256.New()
+		for p := range full {
+			// Once stop is set, the pieces still queued are not hashed.
+			if hashErr == nil && !stop.Load() {
+				_, hashErr = h.Write(p)
+			}
+		}
+		h.Sum(sum[:0])
+	}()
+	// Room for the twelve pieces that double up to maxPiece and four
+	// full ones, so the list does not regrow below 24 MB.
+	body := make(pieces, 0, 16)
 	size, total := firstPiece, 0
 	for {
 		p := make([]byte, size)
 		n, err := io.ReadFull(r, p)
-		if n > 0 {
-			body = append(body, p[:n])
-		}
 		switch {
 		case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
-			return body, nil
+			if n > 0 {
+				body = append(body, p[:n])
+				full <- p[:n]
+			}
+			close(full)
+			<-done
+			return body, sum, hashErr
 		case err != nil:
-			return nil, err
+			stop.Store(true)
+			close(full)
+			<-done
+			return nil, [sha256.Size]byte{}, err
 		}
+		body = append(body, p)
+		full <- p
 		total += n
 		size = min(total, maxPiece)
 	}
@@ -57,19 +90,6 @@ func (b pieces) size() int64 {
 // no longer than firstPiece.
 func (b pieces) hasPrefix(prefix []byte) bool {
 	return len(b) > 0 && bytes.HasPrefix(b[0], prefix)
-}
-
-// sum is the body's SHA-256.
-func (b pieces) sum() ([sha256.Size]byte, error) {
-	var sum [sha256.Size]byte
-	h := sha256.New()
-	for _, p := range b {
-		if _, err := h.Write(p); err != nil {
-			return sum, err
-		}
-	}
-	h.Sum(sum[:0])
-	return sum, nil
 }
 
 // reader reads the body from its start; each call returns a new one.

@@ -87,7 +87,7 @@ func (r hotPathRule) checkBoxing(pkg *Package, fd *ast.FuncDecl, call *ast.CallE
 	}
 	if funTV.IsType() {
 		// Conversion T(x): boxing when T is an interface and x is not.
-		if types.IsInterface(funTV.Type) && len(call.Args) == 1 && isConcrete(pkg.Info.Types[call.Args[0]].Type) {
+		if isInterface(funTV.Type) && len(call.Args) == 1 && isConcrete(pkg.Info.Types[call.Args[0]].Type) {
 			report(call.Pos(), "conversion boxes %s into %s in hot kernel %s",
 				types.TypeString(pkg.Info.Types[call.Args[0]].Type, types.RelativeTo(pkg.Types)),
 				types.TypeString(funTV.Type, types.RelativeTo(pkg.Types)), fd.Name.Name)
@@ -112,7 +112,7 @@ func (r hotPathRule) checkBoxing(pkg *Package, fd *ast.FuncDecl, call *ast.CallE
 		default:
 			continue
 		}
-		if !types.IsInterface(paramType) {
+		if !isInterface(paramType) {
 			continue
 		}
 		argType := pkg.Info.Types[arg].Type
@@ -125,7 +125,8 @@ func (r hotPathRule) checkBoxing(pkg *Package, fd *ast.FuncDecl, call *ast.CallE
 }
 
 // isConcrete reports whether t is a concrete (non-interface, non-nil)
-// type whose assignment to an interface boxes.
+// type whose assignment to an interface boxes. A type parameter counts
+// as concrete: any(v) of a V-typed v boxes.
 func isConcrete(t types.Type) bool {
 	if t == nil {
 		return false
@@ -133,5 +134,15 @@ func isConcrete(t types.Type) bool {
 	if b, ok := t.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {
 		return false
 	}
-	return !types.IsInterface(t)
+	return !isInterface(t)
+}
+
+// isInterface reports whether t is an interface type. A type parameter
+// is not one, though go/types calls it so (its underlying type is its
+// constraint): V(1) converts to the type argument, a concrete type.
+func isInterface(t types.Type) bool {
+	if _, ok := t.(*types.TypeParam); ok {
+		return false
+	}
+	return types.IsInterface(t)
 }

@@ -78,6 +78,7 @@ func TestRulesOnFixture(t *testing.T) {
 		"goroleak internal/conc/conc.go SpawnAndAbandon",
 		"hotpath internal/sample/sample.go spmvBody",
 		"hotpath internal/sample/sample.go spmvBody",
+		"hotpath internal/sample/sample.go spmvGeneric",
 		"lockbalance internal/conc/conc.go ByValue",
 		"lockbalance internal/conc/conc.go CopiesLockParam",
 		"lockbalance internal/conc/conc.go LeakOnError",

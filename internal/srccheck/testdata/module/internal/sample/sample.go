@@ -93,6 +93,16 @@ func (b *BadFormat) spmvBody(y, x []float64, sink func(any)) {
 	}
 }
 
+// spmvGeneric is a generic hot kernel: V(2) and V(1) convert to the
+// type argument, a concrete type, and must not be reported; any(v)
+// boxes and must be.
+func spmvGeneric[V float32 | float64](y []V, sink func(any)) {
+	for i := range y {
+		y[i] = y[i] * V(2) / V(1)
+	}
+	sink(any(y[0])) // want: hotpath boxing
+}
+
 // Helper is not hot: the same constructs are fine here.
 func Helper(sink func(any)) {
 	fmt.Println("cold path")
