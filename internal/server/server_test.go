@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -291,12 +292,20 @@ func TestCorruptUploadsRejected(t *testing.T) {
 	}
 }
 
+// TestAllocBombUploadRejected: the bomb claims a section of 2^49
+// bytes and is refused for a few kilobytes of allocation.
 func TestAllocBombUploadRejected(t *testing.T) {
 	s := newTestServer(t, Config{})
 	bomb := faulttest.AllocBombMatfile(faulttest.ValidMatfile(5, 30, "csr"))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	w := do(s, "POST", "/matrices", bomb, nil)
+	runtime.ReadMemStats(&after)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("alloc bomb: status %d, want 400", w.Code)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("alloc bomb: the refused upload allocated %d bytes", got)
 	}
 }
 
