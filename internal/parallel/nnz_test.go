@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"spmv/internal/core"
@@ -286,5 +287,45 @@ func BenchmarkSchedulersSkewed(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// errAfter is a context whose Err turns to context.Canceled from its
+// n+1-th call: a cancellation that lands while a run is under way.
+type errAfter struct {
+	context.Context
+	n atomic.Int32
+}
+
+func (c *errAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestNNZBatchStopsBetweenColumns: RunBatchCtx on an executor without
+// a fused batch path checks the context before each column, so a
+// cancellation during column 0 stops the batch before column 1. The
+// context passes the entry check and column 0's.
+func TestNNZBatchStopsBetweenColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	c := matgen.SkewedRows(rng, 150, 3, 75, 0.4, matgen.Values{})
+	f, err := csr.FromCOO(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewNNZExecutor(f, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const k = 3
+	ctx := &errAfter{Context: context.Background()}
+	ctx.n.Store(2)
+	y := make([]float64, c.Rows()*k)
+	err = e.RunBatchCtx(ctx, y, testmat.RandVec(rng, c.Cols()*k), k)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "column 1") {
+		t.Fatalf("RunBatchCtx = %v, want context.Canceled at column 1", err)
 	}
 }

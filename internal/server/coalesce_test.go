@@ -1,7 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -127,4 +132,195 @@ func holdUntilQueued(n int) func(*Server) func(string, int) error {
 			return nil
 		}
 	}
+}
+
+// TestCanceledBatchRunsNoKernel: a batch whose context is done by the
+// time it reaches the executor must not run the kernel. A width-1
+// batch runs under its request's context, so a deadline that expires
+// while BeforeExecute holds it leaves the matrix's run count alone; a
+// wider batch runs under the server's context, which Drain cancels
+// when its budget runs out. Either call in coalescer.execute that
+// dropped its context (Run for RunCtx, RunBatch for RunBatchCtx) would
+// run one more kernel here.
+func TestCanceledBatchRunsNoKernel(t *testing.T) {
+	// hold returns a BeforeExecute hook that reports each batch's width
+	// on entered and then waits for a value on release.
+	hold := func(t *testing.T) (hooks *Hooks, entered chan int, release chan struct{}) {
+		entered = make(chan int, 8)
+		release = make(chan struct{})
+		ended := make(chan struct{})
+		t.Cleanup(func() { close(ended) }) // runs before the server's Close
+		hooks = &Hooks{BeforeExecute: func(_ string, width int) error {
+			entered <- width
+			select {
+			case <-release:
+			case <-ended:
+			}
+			return nil
+		}}
+		return hooks, entered, release
+	}
+
+	t.Run("width1-deadline", func(t *testing.T) {
+		hooks, entered, release := hold(t)
+		s := newTestServer(t, Config{MaxBatch: 4, Hooks: hooks})
+		resp := upload(t, s, faulttest.ValidMMIO(31, 40), "csr")
+		rec := s.reg.snapshot()[0].rec
+
+		code := make(chan int, 1)
+		go func() {
+			code <- do(s, "POST", "/matrices/"+resp.ID+"/multiply", mulBody(t, resp.Cols), map[string]string{"X-Deadline-Ms": "50"}).Code
+		}()
+		if w := <-entered; w != 1 {
+			t.Fatalf("batch width %d, want 1", w)
+		}
+		runs := rec.Snapshot().Runs
+		if c := <-code; c != http.StatusGatewayTimeout {
+			t.Fatalf("status %d, want 504", c)
+		}
+		release <- struct{}{}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil { // waits for the batch to finish
+			t.Fatal(err)
+		}
+		if got := rec.Snapshot().Runs; got != runs {
+			t.Fatalf("%d kernel runs after the request's deadline, want none", got-runs)
+		}
+	})
+
+	t.Run("wide-drain-budget", func(t *testing.T) {
+		hooks, entered, release := hold(t)
+		s := newTestServer(t, Config{MaxBatch: 4, Hooks: hooks})
+		resp := upload(t, s, faulttest.ValidMMIO(32, 40), "csr")
+		e := s.reg.snapshot()[0]
+
+		body := mulBody(t, resp.Cols)
+		var wg sync.WaitGroup
+		send := func() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				do(s, "POST", "/matrices/"+resp.ID+"/multiply", body, nil)
+			}()
+		}
+		// The first request's batch holds the coalescer while three
+		// more queue behind it; they then go out as one batch.
+		send()
+		<-entered
+		for range 3 {
+			send()
+		}
+		for deadline := time.Now().Add(10 * time.Second); e.co.depth() < 3; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("queue depth %d, want 3", e.co.depth())
+			}
+		}
+		release <- struct{}{}
+		if w := <-entered; w != 3 {
+			t.Fatalf("batch width %d, want 3", w)
+		}
+		runs := e.rec.Snapshot().Runs
+
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		drained := make(chan error, 1)
+		go func() { drained <- s.Drain(ctx) }()
+		for s.baseCtx.Err() == nil { // Drain cancels it once its budget is spent
+			time.Sleep(time.Millisecond)
+		}
+		release <- struct{}{}
+		if err := <-drained; !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Drain = %v, want its budget's deadline", err)
+		}
+		wg.Wait()
+		if got := e.rec.Snapshot().Runs; got != runs {
+			t.Fatalf("%d kernel runs after Drain canceled the batch, want none", got-runs)
+		}
+	})
+}
+
+// TestStoppedCoalescerRefusesEveryEnqueue: once stopped, a coalescer
+// answers each enqueue with its stop cause and stays unlocked. The
+// server stops an entry's coalescer when it evicts or drains the
+// entry, so only a request already holding the entry gets this far.
+func TestStoppedCoalescerRefusesEveryEnqueue(t *testing.T) {
+	s := newTestServer(t, Config{})
+	resp := upload(t, s, faulttest.ValidMMIO(33, 40), "csr")
+	e, _ := s.reg.remove(resp.ID) // the server's Close leaves it alone
+	defer e.runner.Close()
+	e.co.stop(errEvicted)
+	done := make(chan error, 2)
+	go func() {
+		for range 2 {
+			done <- e.co.enqueue(&mulReq{ctx: context.Background(), x: testVec(resp.Cols), done: make(chan mulRes, 1)})
+		}
+	}()
+	for i := range 2 {
+		select {
+		case err := <-done:
+			if !errors.Is(err, errEvicted) {
+				t.Fatalf("enqueue %d after stop: %v, want %v", i, err, errEvicted)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("enqueue %d after stop blocked: the coalescer stayed locked", i)
+		}
+	}
+	if d := e.co.depth(); d != 0 {
+		t.Fatalf("depth %d after stop, want 0", d)
+	}
+}
+
+// TestClientCancelEndsQueuedRequest: a request queued behind a held
+// batch ends when its client goes away, not at its deadline; the
+// request context the handler queues must be the client's.
+func TestClientCancelEndsQueuedRequest(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	var once sync.Once
+	held := make(chan struct{})
+	s := newTestServer(t, Config{DefaultDeadline: time.Minute, Hooks: &Hooks{BeforeExecute: func(string, int) error {
+		once.Do(func() { close(held) })
+		<-release
+		return nil
+	}}})
+	resp := upload(t, s, faulttest.ValidMMIO(34, 40), "csr")
+	body := mulBody(t, resp.Cols)
+	go do(s, "POST", "/matrices/"+resp.ID+"/multiply", body, nil) // holds the coalescer
+	<-held
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest("POST", "/matrices/"+resp.ID+"/multiply", bytes.NewReader(body)).WithContext(ctx)
+	w := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.ServeHTTP(w, req)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.reg.snapshot()[0].co.depth() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second request never queued")
+		}
+	}
+	cancel()
+	select {
+	case <-done:
+		if w.Code != http.StatusGatewayTimeout {
+			t.Fatalf("status %d, want 504", w.Code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request outlived its client's cancellation")
+	}
+}
+
+// mulBody is a multiply request body for a matrix with cols columns,
+// made on the test's goroutine so the requests sent from others need
+// no t.
+func mulBody(t *testing.T, cols int) []byte {
+	t.Helper()
+	body, err := json.Marshal(MultiplyRequest{X: testVec(cols)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }

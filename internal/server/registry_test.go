@@ -62,3 +62,28 @@ func TestBuildPanicReleasesKey(t *testing.T) {
 		t.Fatal("second build blocked on the key the panicking build held")
 	}
 }
+
+// TestGetOrBuildHitReleasesLock: a cache hit in getOrBuild returns
+// with the registry unlocked. The server looks an upload up with get
+// first, so only two racing uploads of one matrix reach that branch.
+func TestGetOrBuildHitReleasesLock(t *testing.T) {
+	r := newRegistry(1 << 30)
+	build := func() (*entry, error) { return &entry{id: "k", size: 1}, nil }
+	if _, hit, err := r.getOrBuild("k", build); err != nil || hit {
+		t.Fatalf("first build: hit %v, error %v, want a miss", hit, err)
+	}
+	done := make(chan bool, 1)
+	go func() {
+		_, hit, _ := r.getOrBuild("k", build)
+		r.stats()
+		done <- hit
+	}()
+	select {
+	case hit := <-done:
+		if !hit {
+			t.Fatal("second getOrBuild missed the cached entry")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the registry stayed locked after a cache hit")
+	}
+}

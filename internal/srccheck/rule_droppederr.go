@@ -1,9 +1,7 @@
 package srccheck
 
 import (
-	"bytes"
 	"go/ast"
-	"go/format"
 	"go/token"
 	"go/types"
 )
@@ -29,13 +27,13 @@ func (r droppedErrRule) Check(m *Module, pkg *Package, report func(pos token.Pos
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch st := n.(type) {
 			case *ast.ExprStmt:
-				r.checkCall(m, pkg, st.X, "", report)
+				r.checkCall(pkg, st.X, "", report)
 			case *ast.DeferStmt:
-				r.checkCall(m, pkg, st.Call, "defer ", report)
+				r.checkCall(pkg, st.Call, "defer ", report)
 			case *ast.GoStmt:
-				r.checkCall(m, pkg, st.Call, "go ", report)
+				r.checkCall(pkg, st.Call, "go ", report)
 			case *ast.AssignStmt:
-				r.checkAssign(m, pkg, st, report)
+				r.checkAssign(pkg, st, report)
 			}
 			return true
 		})
@@ -44,7 +42,7 @@ func (r droppedErrRule) Check(m *Module, pkg *Package, report func(pos token.Pos
 
 // checkCall reports a call statement that returns an error among its
 // results.
-func (droppedErrRule) checkCall(m *Module, pkg *Package, expr ast.Expr, prefix string, report func(pos token.Pos, format string, args ...any)) {
+func (droppedErrRule) checkCall(pkg *Package, expr ast.Expr, prefix string, report func(pos token.Pos, format string, args ...any)) {
 	call, ok := expr.(*ast.CallExpr)
 	if !ok {
 		return
@@ -55,7 +53,7 @@ func (droppedErrRule) checkCall(m *Module, pkg *Package, expr ast.Expr, prefix s
 	if isExemptPrint(pkg, call) || isExemptSinkMethod(pkg, call) {
 		return
 	}
-	report(call.Pos(), "%serror result of %s dropped; handle it or propagate it", prefix, exprString(m.Fset, call.Fun))
+	report(call.Pos(), "%serror result of %s dropped; handle it or propagate it", prefix, types.ExprString(call.Fun))
 }
 
 // isExemptPrint exempts fmt's print family when the destination cannot
@@ -132,7 +130,7 @@ func isMemSink(pkg *Package, e ast.Expr) bool {
 }
 
 // checkAssign reports error values assigned to the blank identifier.
-func (droppedErrRule) checkAssign(m *Module, pkg *Package, st *ast.AssignStmt, report func(pos token.Pos, format string, args ...any)) {
+func (droppedErrRule) checkAssign(pkg *Package, st *ast.AssignStmt, report func(pos token.Pos, format string, args ...any)) {
 	if len(st.Rhs) == 1 && len(st.Lhs) > 1 {
 		// Multi-value call: x, _ := f(). Find blank slots holding errors.
 		call, ok := st.Rhs[0].(*ast.CallExpr)
@@ -145,7 +143,7 @@ func (droppedErrRule) checkAssign(m *Module, pkg *Package, st *ast.AssignStmt, r
 		}
 		for i, lhs := range st.Lhs {
 			if isBlank(lhs) && isErrorType(tuple.At(i).Type()) {
-				report(lhs.Pos(), "error result of %s assigned to _; handle it or propagate it", exprString(m.Fset, call.Fun))
+				report(lhs.Pos(), "error result of %s assigned to _; handle it or propagate it", types.ExprString(call.Fun))
 			}
 		}
 		return
@@ -155,7 +153,7 @@ func (droppedErrRule) checkAssign(m *Module, pkg *Package, st *ast.AssignStmt, r
 			continue
 		}
 		if isErrorType(pkg.Info.Types[st.Rhs[i]].Type) {
-			report(lhs.Pos(), "error value %s assigned to _; handle it or propagate it", exprString(m.Fset, st.Rhs[i]))
+			report(lhs.Pos(), "error value %s assigned to _; handle it or propagate it", types.ExprString(st.Rhs[i]))
 		}
 	}
 }
@@ -186,13 +184,4 @@ func errorResultIndex(info *types.Info, call *ast.CallExpr) int {
 func isBlank(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "_"
-}
-
-// exprString renders a short source form of an expression for messages.
-func exprString(fset *token.FileSet, e ast.Expr) string {
-	var buf bytes.Buffer
-	if err := format.Node(&buf, fset, e); err != nil {
-		return "call"
-	}
-	return buf.String()
 }

@@ -2,192 +2,124 @@ package srccheck
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
-
-	"spmv/internal/srccheck/flow"
 )
 
-// goroleakRule flags goroutines whose blocking channel operation can
-// outlive the function that spawned them. The shape it targets:
+// goroleakRule flags a goroutine literal that sends on a channel its
+// spawning function made unbuffered:
 //
 //	ch := make(chan T)        // unbuffered
-//	go func() { ch <- v }()   // blocking send
+//	go func() { ch <- v }()   // blocks until someone receives
 //	if err := ...; err != nil {
-//	    return err            // nobody will ever receive: goroutine leaks
+//	    return err            // nobody ever will: the goroutine leaks
 //	}
 //	<-ch
 //
-// The fix the server codifies is a buffer of one — the goroutine's
-// send always completes and the result is garbage-collected if the
-// spawner bailed out. The rule only fires when all three parts are
-// visible intra-procedurally: the channel is made unbuffered in the
-// spawning declaration, the spawned literal sends or receives on it
-// unconditionally (not as one arm of a multi-way select), and some
-// path from the go statement reaches the function exit without ever
-// touching the channel again (no receive, no send, no close, no
-// handing it to another function).
+// The fix the server codifies is a buffer of one: the send always
+// completes, and a result nobody reads is garbage-collected. The rule
+// asks for that buffer whether or not the spawner happens to receive
+// on every path, so it needs no control-flow analysis. Sends in a
+// select's comm clauses can be bypassed and are skipped, as are
+// channels whose make is not visible in the declaration (parameters,
+// fields) or whose capacity is not a constant.
 type goroleakRule struct{}
 
 func (goroleakRule) Name() string { return "goroleak" }
 func (goroleakRule) Doc() string {
-	return "go-spawned blocking channel op on a local unbuffered channel the spawner can abandon; buffer the channel or consume on every path"
+	return "a go-spawned literal's send on a channel the spawner made unbuffered; buffer it so an abandoned result cannot pin the goroutine"
 }
 
-func (r goroleakRule) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
-	forEachFuncBody(pkg, func(fb funcBody) {
-		r.checkBody(pkg, fb, report)
-	})
-}
-
-func (r goroleakRule) checkBody(pkg *Package, fb funcBody, report func(pos token.Pos, format string, args ...any)) {
-	var gos []*ast.GoStmt
-	walkShallow(fb.body, func(n ast.Node) {
-		if g, ok := n.(*ast.GoStmt); ok {
-			gos = append(gos, g)
-		}
-	})
-	if len(gos) == 0 {
-		return
-	}
-	var g *flow.Graph
-	for _, stmt := range gos {
-		lit, ok := stmt.Call.Fun.(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		for _, ch := range r.blockingChans(pkg, lit) {
-			capacity, capKnown := chanProvenance(pkg, fb.decl, ch)
-			if !capKnown || capacity > 0 {
-				continue // buffered, or provenance unknown: assume intentional
-			}
-			obj := identObj(pkg, ch)
-			if obj == nil {
+func (goroleakRule) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
 				continue
 			}
-			if g == nil {
-				g = flow.New(fb.body)
-			}
-			site, ok := g.FindNode(stmt)
-			if !ok {
+			unbuffered := unbufferedChans(pkg, fd.Body)
+			if len(unbuffered) == 0 {
 				continue
 			}
-			touches := func(n ast.Node) bool { return touchesChan(pkg, n, obj, stmt) }
-			if g.CanReachExitWithout(site, touches) {
-				report(stmt.Pos(),
-					"goroutine blocks on unbuffered channel %s but %s can return without consuming it (leak); use make(chan ..., 1) or drain on every path",
-					exprKey(ch), fb.name)
-				break // one report per go statement
-			}
-		}
-	}
-}
-
-// blockingChans collects channels the literal's body sends to or
-// receives from unconditionally: plain send/receive statements and
-// the single comm of a one-clause select without default. Ops inside
-// nested literals belong to yet another goroutine and are skipped; ops
-// inside a multi-way select or one with a default can be bypassed and
-// do not pin the goroutine.
-func (r goroleakRule) blockingChans(pkg *Package, lit *ast.FuncLit) []ast.Expr {
-	var chans []ast.Expr
-	var visit func(stmts []ast.Stmt)
-	var visitStmt func(s ast.Stmt)
-	visitStmt = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.SendStmt:
-			chans = append(chans, s.Chan)
-		case *ast.ExprStmt:
-			if u, ok := s.X.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				chans = append(chans, u.X)
-			}
-		case *ast.AssignStmt:
-			for _, rhs := range s.Rhs {
-				if u, ok := rhs.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-					chans = append(chans, u.X)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				g, ok := n.(*ast.GoStmt)
+				if !ok {
+					return true
 				}
-			}
-		case *ast.SelectStmt:
-			if len(s.Body.List) == 1 {
-				if comm, ok := s.Body.List[0].(*ast.CommClause); ok && comm.Comm != nil {
-					visitStmt(comm.Comm)
-				}
-			}
-		}
-	}
-	visit = func(stmts []ast.Stmt) {
-		for _, s := range stmts {
-			visitStmt(s)
-			switch s := s.(type) {
-			case *ast.BlockStmt:
-				visit(s.List)
-			case *ast.IfStmt:
-				visit(s.Body.List)
-				if b, ok := s.Else.(*ast.BlockStmt); ok {
-					visit(b.List)
-				}
-			case *ast.ForStmt:
-				visit(s.Body.List)
-			case *ast.RangeStmt:
-				if id, ok := s.X.(*ast.Ident); ok {
-					if tv, ok := pkg.Info.Types[id]; ok {
-						if isChanType(tv.Type) {
-							chans = append(chans, s.X)
+				if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
+					for _, send := range goroutineSends(lit) {
+						id, ok := send.Chan.(*ast.Ident)
+						if ok && unbuffered[pkg.Info.Uses[id]] {
+							report(send.Pos(),
+								"goroutine sends on unbuffered channel %s, which %s can abandon (leak); use make(chan ..., 1)",
+								id.Name, fd.Name.Name)
 						}
 					}
 				}
-				visit(s.Body.List)
-			}
+				return true
+			})
 		}
 	}
-	visit(lit.Body.List)
-	return chans
 }
 
-// touchesChan reports whether a spawner-side node references the
-// channel object again: a receive, send, close, assignment, return or
-// a call/goroutine that takes the channel along. Any mention counts —
-// the rule is deliberately easy to satisfy, because its job is the
-// fire-and-forget case where the channel is never looked at again.
-func touchesChan(pkg *Package, n ast.Node, obj types.Object, spawn *ast.GoStmt) bool {
-	if n == spawn {
-		return false
-	}
-	switch n := n.(type) {
-	case *ast.Ident:
-		if identUseOrDef(pkg, n) == obj {
+// unbufferedChans returns the variables body assigns a make(chan T)
+// or make(chan T, 0) to.
+func unbufferedChans(pkg *Package, body *ast.BlockStmt) map[types.Object]bool {
+	out := map[types.Object]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		assign, ok := n.(*ast.AssignStmt)
+		if !ok || len(assign.Lhs) != len(assign.Rhs) {
 			return true
 		}
-	case *ast.GoStmt, *ast.DeferStmt:
-		// A later goroutine or deferred closure that captures the channel
-		// is a consumer; nodeSatisfies skips literal bodies, so inspect
-		// the whole subtree here.
-		found := false
-		ast.Inspect(n, func(x ast.Node) bool {
-			if id, ok := x.(*ast.Ident); ok && !found {
-				if identUseOrDef(pkg, id) == obj {
-					found = true
+		for i, rhs := range assign.Rhs {
+			call, ok := rhs.(*ast.CallExpr)
+			if !ok {
+				continue
+			}
+			if _, isChan := pkg.Info.TypeOf(call).Underlying().(*types.Chan); !isChan {
+				continue
+			}
+			fn, _ := call.Fun.(*ast.Ident)
+			if b, ok := pkg.Info.Uses[fn].(*types.Builtin); !ok || b.Name() != "make" {
+				continue
+			}
+			if len(call.Args) == 2 {
+				if v := pkg.Info.Types[call.Args[1]].Value; v == nil || constant.Sign(v) != 0 {
+					continue
 				}
 			}
-			return !found
-		})
-		return found
-	}
-	return false
+			if id, ok := assign.Lhs[i].(*ast.Ident); ok {
+				if obj := pkg.Info.ObjectOf(id); obj != nil {
+					out[obj] = true
+				}
+			}
+		}
+		return true
+	})
+	return out
 }
 
-// identObj resolves an identifier expression to its object.
-func identObj(pkg *Package, e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
+// goroutineSends collects the send statements of a goroutine literal
+// outside select comm clauses and nested literals (those belong to
+// yet another goroutine).
+func goroutineSends(lit *ast.FuncLit) []*ast.SendStmt {
+	var sends []*ast.SendStmt
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return n == lit
+		case *ast.CommClause:
+			for _, s := range n.Body {
+				ast.Inspect(s, visit)
+			}
+			return false
+		case *ast.SendStmt:
+			sends = append(sends, n)
+		}
+		return true
 	}
-	return identUseOrDef(pkg, id)
-}
-
-func identUseOrDef(pkg *Package, id *ast.Ident) types.Object {
-	if o := pkg.Info.Uses[id]; o != nil {
-		return o
-	}
-	return pkg.Info.Defs[id]
+	ast.Inspect(lit, visit)
+	return sends
 }

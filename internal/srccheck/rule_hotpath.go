@@ -10,15 +10,17 @@ import (
 // points, decode loops, dense vector kernels). The paper's premise is
 // that SpMV is bandwidth-bound and the compressed kernels spend their
 // saved bandwidth on decode instructions, so the loops cannot afford
-// hidden work: no fmt/log formatting, no print builtins, and no
-// interface boxing — a concrete value passed as an interface argument
-// heap-allocates on every call. Arguments of a panic call are exempt:
-// that path executes at most once, on corrupt data.
+// hidden work: no fmt/log formatting, no print builtins, no interface
+// boxing — a concrete value passed as an interface argument
+// heap-allocates on every call — and no defer inside a loop, whose
+// records pile up per iteration and run only when the kernel returns.
+// Arguments of a panic call are exempt: that path executes at most
+// once, on corrupt data.
 type hotPathRule struct{}
 
 func (hotPathRule) Name() string { return "hotpath" }
 func (hotPathRule) Doc() string {
-	return "no fmt/log calls or interface boxing inside hot-kernel functions (SpMV, Mul, decode loops)"
+	return "no fmt/log calls, interface boxing or looped defers inside hot-kernel functions (SpMV, Mul, decode loops)"
 }
 
 // hotPathFormatPkgs are packages whose mere presence in a kernel means
@@ -38,6 +40,7 @@ func (r hotPathRule) Check(m *Module, pkg *Package, report func(pos token.Pos, f
 				continue
 			}
 			r.checkBody(pkg, fd, report)
+			r.checkDefers(fd, fd.Body, false, report)
 		}
 	}
 }
@@ -75,6 +78,29 @@ func (r hotPathRule) checkBody(pkg *Package, fd *ast.FuncDecl, report func(pos t
 		return true
 	}
 	ast.Inspect(fd.Body, walk)
+}
+
+// checkDefers reports defer statements inside a loop of n. The
+// defers of a function literal run when the literal returns, so
+// literals are skipped.
+func (r hotPathRule) checkDefers(fd *ast.FuncDecl, n ast.Node, inLoop bool, report func(pos token.Pos, format string, args ...any)) {
+	ast.Inspect(n, func(c ast.Node) bool {
+		switch c := c.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ForStmt:
+			r.checkDefers(fd, c.Body, true, report)
+			return false
+		case *ast.RangeStmt:
+			r.checkDefers(fd, c.Body, true, report)
+			return false
+		case *ast.DeferStmt:
+			if inLoop {
+				report(c.Pos(), "defer inside a loop in hot kernel %s runs only when it returns and allocates per iteration; call it directly", fd.Name.Name)
+			}
+		}
+		return true
+	})
 }
 
 // checkBoxing reports concrete values passed to interface-typed

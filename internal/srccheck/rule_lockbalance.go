@@ -4,175 +4,87 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"spmv/internal/srccheck/flow"
 )
 
-// lockbalanceRule checks that every sync.Mutex/RWMutex acquisition
-// reaches its release on all paths to the function exit, with defer
-// awareness: a deferred unlock (plain or inside a deferred closure)
-// satisfies the obligation on every path downstream of the defer
-// statement. Paths that panic or os.Exit never "return with the lock
-// held" and are vacuously balanced — a recovered panic that leaves a
-// mutex locked is real, but that is the deferred-unlock idiom's job
-// and flagging it would indict every recover-less lock in the tree.
-//
-// The rule also flags lock-bearing values copied through a by-value
-// receiver or parameter, the intra-procedural slice of vet's
-// copylocks: a copied sync.Mutex guards nothing.
+// lockbalanceRule flags a sync.Mutex or RWMutex acquisition whose
+// function never releases the same lock: no Unlock (RUnlock) on the
+// same receiver expression, plain or deferred, anywhere in the body.
+// A function that holds a lock on return deadlocks the next caller,
+// and one called once per process (a final write, a snapshot taken at
+// exit) passes every test that way. A release on only some paths is
+// not this rule's concern: the -race soaks of the server and the
+// executors reach those branches. A function literal is its own body,
+// except a deferred one, whose releases count for its encloser.
 type lockbalanceRule struct{}
 
 func (lockbalanceRule) Name() string { return "lockbalance" }
 func (lockbalanceRule) Doc() string {
-	return "every Mutex/RWMutex Lock must reach its Unlock on all paths (defer-aware); no by-value lock copies"
+	return "every Mutex/RWMutex Lock needs an Unlock of the same lock in the same function"
 }
 
-// lockPairs maps an acquisition method to its release.
-var lockPairs = map[string]string{
-	"Lock":    "Unlock",
-	"RLock":   "RUnlock",
-	"TryLock": "Unlock", // a successful TryLock holds the lock all the same
+// lockRelease maps an acquisition to its release.
+var lockRelease = map[string]string{
+	"(*sync.Mutex).Lock":    "(*sync.Mutex).Unlock",
+	"(*sync.RWMutex).Lock":  "(*sync.RWMutex).Unlock",
+	"(*sync.RWMutex).RLock": "(*sync.RWMutex).RUnlock",
 }
 
-func (r lockbalanceRule) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
-	forEachFuncBody(pkg, func(fb funcBody) {
-		r.checkBody(pkg, fb, report)
-	})
-	r.checkCopies(pkg, report)
-}
-
-// lockSite is one acquisition found in a body.
-type lockSite struct {
-	call    *ast.CallExpr
-	key     string // receiver expression text, e.g. "c.mu"
-	prim    string // Mutex or RWMutex
-	acquire string // Lock, RLock
-	release string // Unlock, RUnlock
-}
-
-func (r lockbalanceRule) checkBody(pkg *Package, fb funcBody, report func(pos token.Pos, format string, args ...any)) {
-	var sites []lockSite
-	walkShallow(fb.body, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		recv, prim, method, ok := syncCall(pkg, call)
-		if !ok || (prim != "Mutex" && prim != "RWMutex") {
-			return
-		}
-		release, isAcquire := lockPairs[method]
-		if !isAcquire {
-			return
-		}
-		sites = append(sites, lockSite{
-			call: call, key: exprKey(recv), prim: prim,
-			acquire: method, release: release,
-		})
-	})
-	if len(sites) == 0 {
-		return
-	}
-	g := flow.New(fb.body)
-	for _, site := range sites {
-		loc, ok := g.FindNode(site.call)
-		if !ok {
-			continue
-		}
-		releases := func(n ast.Node) bool { return r.releasesLock(pkg, n, site) }
-		if g.CanReachExitWithout(loc, releases) {
-			report(site.call.Pos(),
-				"%s.%s() can reach the end of %s with the %s still held (no %s on some path; defer the unlock or release before every return)",
-				site.key, site.acquire, fb.name, site.prim, site.release)
-		}
-	}
-}
-
-// releasesLock reports whether a node discharges the lock obligation:
-// a call to key.Unlock, a defer of it, or a deferred closure whose
-// body unlocks it.
-func (r lockbalanceRule) releasesLock(pkg *Package, n ast.Node, site lockSite) bool {
-	switch n := n.(type) {
-	case *ast.CallExpr:
-		recv, prim, method, ok := syncCall(pkg, n)
-		return ok && prim == site.prim && method == site.release && exprKey(recv) == site.key
-	case *ast.DeferStmt:
-		// Plain "defer mu.Unlock()" is caught by the CallExpr case via
-		// node descent; a deferred closure needs its body scanned.
-		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-			found := false
-			ast.Inspect(lit.Body, func(x ast.Node) bool {
-				if call, ok := x.(*ast.CallExpr); ok && !found {
-					if recv, prim, method, ok := syncCall(pkg, call); ok &&
-						prim == site.prim && method == site.release && exprKey(recv) == site.key {
-						found = true
-					}
-				}
-				return !found
-			})
-			return found
-		}
-	}
-	return false
-}
-
-// checkCopies flags by-value receivers and parameters whose type
-// carries a sync primitive.
-func (r lockbalanceRule) checkCopies(pkg *Package, report func(pos token.Pos, format string, args ...any)) {
+func (lockbalanceRule) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
 	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			if fd, ok := n.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkLockBody(pkg, fd.Body, report)
+			} else if lit, ok := n.(*ast.FuncLit); ok {
+				checkLockBody(pkg, lit.Body, report)
 			}
-			var fields []*ast.Field
-			if fd.Recv != nil {
-				fields = append(fields, fd.Recv.List...)
-			}
-			if fd.Type.Params != nil {
-				fields = append(fields, fd.Type.Params.List...)
-			}
-			for _, field := range fields {
-				tv, ok := pkg.Info.Types[field.Type]
-				if !ok {
-					continue
-				}
-				if _, isPtr := tv.Type.(*types.Pointer); isPtr {
-					continue
-				}
-				if containsLockType(tv.Type) {
-					report(field.Type.Pos(),
-						"%s passes lock-bearing %s by value in %s; a copied lock guards nothing — pass a pointer",
-						fieldLabel(field, fd), tv.Type.String(), fd.Name.Name)
-				}
-			}
-		}
+			return true
+		})
 	}
 }
 
-// fieldLabel names a receiver/parameter field for the copy message.
-func fieldLabel(field *ast.Field, fd *ast.FuncDecl) string {
-	if len(field.Names) > 0 {
-		return field.Names[0].Name
-	}
-	if fd.Recv != nil && len(fd.Recv.List) > 0 && fd.Recv.List[0] == field {
-		return "receiver"
-	}
-	return "parameter"
-}
-
-// walkShallow visits the nodes of a function body without descending
-// into nested function literals: their statements belong to another
-// body, which forEachFuncBody yields separately.
-func walkShallow(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
+func checkLockBody(pkg *Package, body *ast.BlockStmt, report func(pos token.Pos, format string, args ...any)) {
+	var acquired []*ast.CallExpr
+	released := map[string]bool{} // receiver text + method full name
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
 			return false
+		case *ast.DeferStmt:
+			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
+				ast.Inspect(lit.Body, visit)
+				return false
+			}
+		case *ast.CallExpr:
+			if recv, name := methodOf(pkg, n); lockRelease[name] != "" {
+				acquired = append(acquired, n)
+			} else {
+				released[recv+" "+name] = true
+			}
 		}
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
-		}
-		visit(n)
 		return true
-	})
+	}
+	ast.Inspect(body, visit)
+	for _, call := range acquired {
+		if recv, name := methodOf(pkg, call); !released[recv+" "+lockRelease[name]] {
+			report(call.Pos(), "%s.%s() is never released in this function; defer its unlock next to it",
+				recv, call.Fun.(*ast.SelectorExpr).Sel.Name)
+		}
+	}
+}
+
+// methodOf returns the receiver text and the full name of the method
+// a call such as c.mu.Lock() invokes ("c.mu", "(*sync.Mutex).Lock"),
+// or empty strings when the call is not a method or function call
+// through a selector.
+func methodOf(pkg *Package, call *ast.CallExpr) (recv, name string) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", ""
+	}
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return "", ""
+	}
+	return types.ExprString(sel.X), fn.FullName()
 }

@@ -9,10 +9,10 @@ import (
 // panicRule flags panic calls in library code (the root package and
 // internal/...). PR 1's panic-recovering executors are a safety net for
 // corrupt-data faults, not a licensed control-flow mechanism, so new
-// panics need either a typed-error argument — panic(core.Corruptf(...))
-// is the documented corrupt-stream trap, recovered into an error that
-// satisfies errors.Is(err, core.ErrCorrupt) — or an allowlist entry
-// justifying an API-misuse assertion.
+// panics need a typed-error argument: panic(core.Corruptf(...)) is the
+// documented corrupt-stream trap, recovered into an error that
+// satisfies errors.Is(err, core.ErrCorrupt), and panic(core.Usagef(...))
+// the API-misuse assertion.
 type panicRule struct{}
 
 func (panicRule) Name() string { return "panics" }

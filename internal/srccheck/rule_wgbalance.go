@@ -3,188 +3,73 @@ package srccheck
 import (
 	"go/ast"
 	"go/token"
-
-	"spmv/internal/srccheck/flow"
 )
 
-// wgbalanceRule checks sync.WaitGroup discipline across the goroutine
-// boundary, intra-procedurally:
-//
-//  1. wg.Add must not run inside the spawned goroutine — Wait can win
-//     the race against Add and return before the work is counted.
-//  2. A spawned function literal that calls wg.Done must do so on
-//     every path to its exit (defer-aware): a Done skipped on an error
-//     branch hangs Wait forever.
-//  3. A WaitGroup declared locally, Add-ed and Wait-ed on, but whose
-//     count is never dropped — no Done anywhere in the declaration and
-//     the group never escapes to a callee — deadlocks at Wait.
-//
-// Field-carried WaitGroups (e.wg) with Done in another method are a
-// cross-function protocol this rule cannot see; checks 1 and 2 still
-// apply to them, check 3 does not.
+// wgbalanceRule flags sync.WaitGroup.Add called inside a goroutine
+// literal. The spawner can reach Wait before the goroutine has run,
+// and Wait then returns with the goroutine's work still outstanding:
+// the group must be counted before the go statement. The race
+// detector sees this only when Add and Wait happen to overlap.
 type wgbalanceRule struct{}
 
 func (wgbalanceRule) Name() string { return "wgbalance" }
 func (wgbalanceRule) Doc() string {
-	return "WaitGroup Add/Done/Wait pairing: Add before spawn, Done on all goroutine paths, no Done-less local Wait"
+	return "no WaitGroup.Add inside a go-spawned literal (it races Wait); call Add before the go statement"
 }
 
-func (r wgbalanceRule) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
+func (wgbalanceRule) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
 	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			r.checkDecl(pkg, fd, report)
-		}
-	}
-}
-
-func (r wgbalanceRule) checkDecl(pkg *Package, fd *ast.FuncDecl, report func(pos token.Pos, format string, args ...any)) {
-	// Gather every WaitGroup method call in the declaration, noting
-	// whether it sits inside a go-spawned literal.
-	type wgCall struct {
-		call    *ast.CallExpr
-		key     string
-		method  string
-		spawned *ast.FuncLit // innermost go'd literal containing the call, or nil
-	}
-	var calls []wgCall
-	var spawnedLits []*ast.FuncLit
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok {
-			if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-				spawnedLits = append(spawnedLits, lit)
-			}
-		}
-		return true
-	})
-	within := func(pos token.Pos) *ast.FuncLit {
-		var innermost *ast.FuncLit
-		for _, lit := range spawnedLits {
-			if lit.Pos() <= pos && pos < lit.End() {
-				if innermost == nil || lit.Pos() > innermost.Pos() {
-					innermost = lit
-				}
-			}
-		}
-		return innermost
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		recv, prim, method, ok := syncCall(pkg, call)
-		if !ok || prim != "WaitGroup" {
-			return true
-		}
-		calls = append(calls, wgCall{call: call, key: exprKey(recv), method: method, spawned: within(call.Pos())})
-		return true
-	})
-	if len(calls) == 0 {
-		return
-	}
-
-	// Check 1: Add inside a spawned goroutine.
-	for _, c := range calls {
-		if c.method == "Add" && c.spawned != nil {
-			report(c.call.Pos(),
-				"%s.Add inside the spawned goroutine races Wait in %s; call Add before the go statement",
-				c.key, fd.Name.Name)
-		}
-	}
-
-	// Check 2: a spawned literal's Done must dominate its exit.
-	checked := map[*ast.FuncLit]map[string]bool{}
-	for _, c := range calls {
-		if c.method != "Done" || c.spawned == nil {
-			continue
-		}
-		if checked[c.spawned] == nil {
-			checked[c.spawned] = map[string]bool{}
-		}
-		if checked[c.spawned][c.key] {
-			continue
-		}
-		checked[c.spawned][c.key] = true
-		g := flow.New(c.spawned.Body)
-		entry := flow.Site{Block: g.Entry, Index: -1}
-		key := c.key
-		done := func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
+		ast.Inspect(f, func(n ast.Node) bool {
+			g, ok := n.(*ast.GoStmt)
 			if !ok {
-				return false
+				return true
 			}
-			recv, prim, method, ok := syncCall(pkg, call)
-			return ok && prim == "WaitGroup" && method == "Done" && exprKey(recv) == key
-		}
-		if g.CanReachExitWithout(entry, done) {
-			report(c.spawned.Pos(),
-				"spawned goroutine in %s can return without %s.Done (Wait hangs); use defer %s.Done() first",
-				fd.Name.Name, key, key)
-		}
-	}
-
-	// Check 3: local group with Add and Wait but no Done at all.
-	hasAdd, hasWait, hasDone := map[string]token.Pos{}, map[string]token.Pos{}, map[string]bool{}
-	for _, c := range calls {
-		switch c.method {
-		case "Add":
-			hasAdd[c.key] = c.call.Pos()
-		case "Wait":
-			hasWait[c.key] = c.call.Pos()
-		case "Done":
-			hasDone[c.key] = true
-		}
-	}
-	for key, waitPos := range hasWait {
-		if _, added := hasAdd[key]; !added || hasDone[key] {
-			continue
-		}
-		if !wgIsLocalAndCaptive(pkg, fd, key) {
-			continue // field-based or escapes to a callee that may Done it
-		}
-		report(waitPos,
-			"%s.Wait in %s can never return: Add is called but no path calls Done and the group never leaves the function",
-			key, fd.Name.Name)
-	}
-}
-
-// wgIsLocalAndCaptive reports whether key names a WaitGroup declared
-// inside fd whose every use is a method-call receiver — i.e. no &wg
-// handed to a callee, no assignment aliasing it.
-func wgIsLocalAndCaptive(pkg *Package, fd *ast.FuncDecl, key string) bool {
-	var obj = func() (o interface{ Pos() token.Pos }) {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || id.Name != key || o != nil {
-				return o == nil
+			lit, ok := g.Call.Fun.(*ast.FuncLit)
+			if !ok {
+				return true
 			}
-			if d := pkg.Info.Defs[id]; d != nil {
-				o = d
-				return false
-			}
+			ast.Inspect(lit.Body, func(n ast.Node) bool {
+				if _, ok := n.(*ast.FuncLit); ok {
+					return false // a nested go statement is checked on its own
+				}
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				recv, name := methodOf(pkg, call)
+				if name != "(*sync.WaitGroup).Add" {
+					return true
+				}
+				// A group declared inside the literal is the goroutine's
+				// own, waited on there.
+				obj := pkg.Info.ObjectOf(rootIdent(call.Fun.(*ast.SelectorExpr).X))
+				if obj == nil || obj.Pos() < lit.Pos() || obj.Pos() >= lit.End() {
+					report(call.Pos(), "%s.Add inside the spawned goroutine races Wait; call Add before the go statement", recv)
+				}
+				return true
+			})
 			return true
 		})
-		return o
-	}()
-	if obj == nil {
-		return false // not declared here (field selector keys never match an Ident def)
 	}
-	captive := true
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if !captive {
-			return false
+}
+
+// rootIdent returns the variable an operand such as wg, p.wg or
+// (*p).wg starts from, or nil.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			e = x.X
+		default:
+			return nil
 		}
-		if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			if id, ok := u.X.(*ast.Ident); ok && id.Name == key {
-				captive = false
-				return false
-			}
-		}
-		return true
-	})
-	return captive
+	}
 }

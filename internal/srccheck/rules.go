@@ -2,23 +2,19 @@ package srccheck
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// Issue is one rule finding, located and attributed to its enclosing
-// function so the allowlist can target it.
+// Issue is one rule finding.
 type Issue struct {
-	Rule string         `json:"rule"`
-	Pos  token.Position `json:"-"`
-	File string         `json:"file"` // module-relative path
-	Line int            `json:"line"`
-	Col  int            `json:"col"`
-	Func string         `json:"func,omitempty"` // enclosing function name ("" at package scope)
-	Msg  string         `json:"msg"`
+	Rule string
+	File string // module-relative path
+	Line int
+	Col  int
+	Msg  string
 }
 
 func (i Issue) String() string {
@@ -38,25 +34,21 @@ type Rule interface {
 func DefaultRules() []Rule {
 	return []Rule{
 		panicRule{},
-		verifierRule{},
 		droppedErrRule{},
 		floatEqRule{},
 		hotPathRule{},
-		lockbalanceRule{},
 		goroleakRule{},
-		ctxflowRule{},
 		wgbalanceRule{},
-		deferloopRule{},
+		lockbalanceRule{},
 	}
 }
 
-// Run executes the rules over every package of the module, resolves
-// positions and enclosing functions, and filters through the allowlist.
-// Issues come back sorted by file, line and column.
-func Run(m *Module, rules []Rule, allow *Allowlist) []Issue {
+// Run executes the rules over every package of the module and returns
+// the findings sorted by file, line and column. There is no way to
+// suppress one: a finding is fixed.
+func Run(m *Module, rules []Rule) []Issue {
 	var issues []Issue
 	for _, pkg := range m.Pkgs {
-		funcs := newFuncIndex(m.Fset, pkg)
 		for _, rule := range rules {
 			rule.Check(m, pkg, func(pos token.Pos, format string, args ...any) {
 				p := m.Fset.Position(pos)
@@ -64,18 +56,11 @@ func Run(m *Module, rules []Rule, allow *Allowlist) []Issue {
 				if err != nil {
 					rel = p.Filename
 				}
-				rel = filepath.ToSlash(rel)
-				fn := funcs.at(pos)
-				if allow != nil && allow.Match(rule.Name(), rel, fn) {
-					return
-				}
 				issues = append(issues, Issue{
 					Rule: rule.Name(),
-					Pos:  p,
-					File: rel,
+					File: filepath.ToSlash(rel),
 					Line: p.Line,
 					Col:  p.Column,
-					Func: fn,
 					Msg:  fmt.Sprintf(format, args...),
 				})
 			})
@@ -95,41 +80,6 @@ func Run(m *Module, rules []Rule, allow *Allowlist) []Issue {
 		return a.Rule < b.Rule
 	})
 	return issues
-}
-
-// funcIndex maps positions to their enclosing top-level function
-// declaration. Function literals attribute to the declaration that
-// contains them.
-type funcIndex struct {
-	spans []funcSpan
-}
-
-type funcSpan struct {
-	start, end token.Pos
-	name       string
-}
-
-func newFuncIndex(fset *token.FileSet, pkg *Package) *funcIndex {
-	idx := &funcIndex{}
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			idx.spans = append(idx.spans, funcSpan{start: fd.Pos(), end: fd.End(), name: fd.Name.Name})
-		}
-	}
-	return idx
-}
-
-func (idx *funcIndex) at(pos token.Pos) string {
-	for _, s := range idx.spans {
-		if s.start <= pos && pos < s.end {
-			return s.name
-		}
-	}
-	return ""
 }
 
 // IsHotFunc reports whether a function name belongs to the hot-kernel

@@ -1,11 +1,8 @@
 // Package srccheck is the source layer of spmvlint, the project's
 // static-analysis gate. It loads every non-test package of the module
 // with the standard library's go/parser and go/types (no external
-// tooling), then runs a suite of project-specific rules over the typed
-// ASTs: no panics in library code, registry exhaustiveness (every
-// exported Format implements core.Verifier), no dropped errors, no
-// float equality outside the quantization code, and no formatting or
-// interface-boxing calls inside the hot SpMV/decode kernels.
+// tooling), then runs the project-specific rules of DefaultRules over
+// the typed ASTs; each rule's type comment says what it enforces.
 //
 // The companion package srccheck/compile adds the second layer: a
 // bounds-check-elimination and escape-analysis regression gate over the
@@ -23,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -47,26 +43,6 @@ type Module struct {
 	Pkgs []*Package // sorted by import path
 
 	byPath map[string]*Package
-}
-
-// Lookup returns the module package with the given import path, or nil.
-func (m *Module) Lookup(path string) *Package { return m.byPath[path] }
-
-// LookupSuffix returns the unique module package whose import path ends
-// with the given suffix (e.g. "internal/core"), or nil. It lets rules
-// find well-known packages without hard-coding the module path, so the
-// same rules run against test fixture modules.
-func (m *Module) LookupSuffix(suffix string) *Package {
-	var found *Package
-	for _, p := range m.Pkgs {
-		if p.ImportPath == suffix || strings.HasSuffix(p.ImportPath, "/"+suffix) {
-			if found != nil {
-				return nil // ambiguous
-			}
-			found = p
-		}
-	}
-	return found
 }
 
 // skipDir reports whether a directory is excluded from the walk.
@@ -178,109 +154,61 @@ func (m *Module) parseAll() error {
 	return nil
 }
 
-// moduleImports returns the module-internal import paths of a package.
-func (m *Module) moduleImports(p *Package) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range p.Files {
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if (path == m.Path || strings.HasPrefix(path, m.Path+"/")) && !seen[path] {
-				seen[path] = true
-				out = append(out, path)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// typeCheckAll type-checks the module packages in dependency order.
-// Module-internal imports resolve to the packages checked here;
-// everything else (the standard library) goes through the source
-// importer, keeping the analyzer free of compiled export data.
+// typeCheckAll type-checks every module package. The importer checks
+// a module-internal import the first time a package asks for it, so
+// each package is checked after its dependencies without sorting
+// them; everything else (the standard library) goes through the
+// source importer, keeping the analyzer free of compiled export data.
 func (m *Module) typeCheckAll() error {
-	order, err := m.topoOrder()
-	if err != nil {
-		return err
-	}
 	imp := &moduleImporter{
-		mod: m,
-		std: importer.ForCompiler(m.Fset, "source", nil),
+		mod:      m,
+		std:      importer.ForCompiler(m.Fset, "source", nil),
+		checking: map[*Package]bool{},
 	}
-	for _, p := range order {
-		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Implicits:  map[ast.Node]types.Object{},
+	for _, p := range m.Pkgs {
+		if _, err := imp.check(p); err != nil {
+			return err
 		}
-		cfg := types.Config{Importer: imp}
-		tpkg, err := cfg.Check(p.ImportPath, m.Fset, p.Files, info)
-		if err != nil {
-			return fmt.Errorf("srccheck: type-checking %s: %w", p.ImportPath, err)
-		}
-		p.Types = tpkg
-		p.Info = info
 	}
 	return nil
 }
 
-// topoOrder sorts the module packages so that every package follows its
-// module-internal dependencies.
-func (m *Module) topoOrder() ([]*Package, error) {
-	const (
-		unvisited = 0
-		visiting  = 1
-		done      = 2
-	)
-	state := map[string]int{}
-	var order []*Package
-	var visit func(p *Package) error
-	visit = func(p *Package) error {
-		switch state[p.ImportPath] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("srccheck: import cycle through %s", p.ImportPath)
-		}
-		state[p.ImportPath] = visiting
-		for _, dep := range m.moduleImports(p) {
-			if dp := m.byPath[dep]; dp != nil && dp != p {
-				if err := visit(dp); err != nil {
-					return err
-				}
-			}
-		}
-		state[p.ImportPath] = done
-		order = append(order, p)
-		return nil
-	}
-	for _, p := range m.Pkgs {
-		if err := visit(p); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
-}
-
-// moduleImporter resolves module-internal paths from the packages being
-// checked and defers to the source importer for the rest.
+// moduleImporter resolves module-internal paths by checking the
+// module's own packages and defers to the source importer for the rest.
 type moduleImporter struct {
-	mod *Module
-	std types.Importer
+	mod      *Module
+	std      types.Importer
+	checking map[*Package]bool
 }
 
 func (i *moduleImporter) Import(path string) (*types.Package, error) {
 	if p := i.mod.byPath[path]; p != nil {
-		if p.Types == nil {
-			return nil, fmt.Errorf("srccheck: %s imported before it was checked", path)
-		}
-		return p.Types, nil
+		return i.check(p)
 	}
 	return i.std.Import(path)
+}
+
+// check type-checks p once, its module-internal imports first.
+func (i *moduleImporter) check(p *Package) (*types.Package, error) {
+	if p.Types != nil {
+		return p.Types, nil
+	}
+	if i.checking[p] {
+		return nil, fmt.Errorf("srccheck: import cycle through %s", p.ImportPath)
+	}
+	i.checking[p] = true
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Implicits:  map[ast.Node]types.Object{},
+	}
+	cfg := types.Config{Importer: i}
+	tpkg, err := cfg.Check(p.ImportPath, i.mod.Fset, p.Files, info)
+	if err != nil {
+		return nil, fmt.Errorf("srccheck: type-checking %s: %w", p.ImportPath, err)
+	}
+	p.Types, p.Info = tpkg, info
+	return tpkg, nil
 }

@@ -1,26 +1,11 @@
-// Package core mirrors the real module's core interfaces so the rule
-// fixtures can exercise the verifier rule's method-set analysis.
+// Package core mirrors the real module's typed-error helper, the
+// panic the panics rule accepts in library code.
 package core
 
 import (
 	"errors"
 	"fmt"
 )
-
-// Format mirrors spmv/internal/core.Format.
-type Format interface {
-	Name() string
-	Rows() int
-	Cols() int
-	NNZ() int
-	SizeBytes() int64
-	SpMV(y, x []float64)
-}
-
-// Verifier mirrors spmv/internal/core.Verifier.
-type Verifier interface {
-	Verify() error
-}
 
 // ErrCorrupt mirrors the real sentinel.
 var ErrCorrupt = errors.New("corrupt")

@@ -8,34 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 
 	"fixture/internal/core"
 )
-
-// BadFormat implements core.Format but not core.Verifier: the
-// verifier rule must fire on it.
-type BadFormat struct{ n int }
-
-func (b *BadFormat) Name() string        { return "bad" }
-func (b *BadFormat) Rows() int           { return b.n }
-func (b *BadFormat) Cols() int           { return b.n }
-func (b *BadFormat) NNZ() int            { return 0 }
-func (b *BadFormat) SizeBytes() int64    { return 0 }
-func (b *BadFormat) SpMV(y, x []float64) {}
-
-// GoodFormat implements both interfaces: no finding.
-type GoodFormat struct{ n int }
-
-func (g *GoodFormat) Name() string        { return "good" }
-func (g *GoodFormat) Rows() int           { return g.n }
-func (g *GoodFormat) Cols() int           { return g.n }
-func (g *GoodFormat) NNZ() int            { return 0 }
-func (g *GoodFormat) SizeBytes() int64    { return 0 }
-func (g *GoodFormat) SpMV(y, x []float64) {}
-func (g *GoodFormat) Verify() error       { return nil }
-
-// NotAFormat implements neither: no finding.
-type NotAFormat struct{}
 
 // BadPanic panics with a bare string: the panics rule must fire.
 func BadPanic() {
@@ -83,13 +59,23 @@ func FloatCompares(a, b float64, i, j int) bool {
 	return i == j // ints are fine
 }
 
-// SpMV is a hot-kernel function by name: the formatted call and the
-// interface boxing must be reported; the typed panic must not.
-func (b *BadFormat) spmvBody(y, x []float64, sink func(any)) {
+// spmvBody is a hot-kernel function by name: the formatted call, the
+// interface boxing and the defer inside the loop must be reported;
+// the typed panic, the defer outside the loop and the defer inside a
+// literal's body must not.
+func spmvBody(y, x []float64, sink func(any), release func()) {
+	defer release()
 	fmt.Println("formatting in a kernel") // want: hotpath fmt call
 	sink(42)                              // want: hotpath boxing
 	if len(y) != len(x) {
 		panic(core.Corruptf("sample: shape")) // exempt: cold trap
+	}
+	for i := range y {
+		defer release() // want: hotpath looped defer
+		func() {
+			defer release()
+			y[i] = x[i]
+		}()
 	}
 }
 
@@ -104,7 +90,107 @@ func spmvGeneric[V float32 | float64](y []V, sink func(any)) {
 }
 
 // Helper is not hot: the same constructs are fine here.
-func Helper(sink func(any)) {
+func Helper(sink func(any), release func()) {
 	fmt.Println("cold path")
 	sink(42)
+	for range 2 {
+		defer release()
+	}
+}
+
+// SpawnAndAbandon sends from a goroutine on a channel it made
+// unbuffered and can return without receiving: goroleak must fire.
+func SpawnAndAbandon(fail bool) error {
+	ch := make(chan error)
+	go func() { ch <- mayFail() }() // want: goroleak
+	if fail {
+		return errors.New("sample: abandoned")
+	}
+	return <-ch
+}
+
+// SpawnBuffered is the fixed shape, and the rest are not sends on an
+// unbuffered channel the spawner made: no findings.
+func SpawnBuffered(stop chan struct{}, out chan error) error {
+	ch := make(chan error, 1)
+	go func() { ch <- mayFail() }()
+	done := make(chan struct{})
+	go func() {
+		<-done // a receive: closing done releases it
+		out <- nil
+		select {
+		case ch <- nil: // one arm of a select can be bypassed
+		case <-stop:
+		}
+	}()
+	close(done)
+	return <-ch
+}
+
+// AddsInsideGoroutine counts the group inside the goroutine: Wait can
+// return before it runs, and wgbalance must fire.
+func AddsInsideGoroutine(work func()) {
+	var wg sync.WaitGroup
+	go func() {
+		wg.Add(1) // want: wgbalance
+		defer wg.Done()
+		work()
+	}()
+	wg.Wait()
+}
+
+// AddsBeforeSpawn counts each goroutine before its go statement, also
+// from inside a goroutine for a nested one: no findings.
+func AddsBeforeSpawn(work func()) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var inner sync.WaitGroup
+		inner.Add(1)
+		go func() {
+			defer inner.Done()
+			work()
+		}()
+		inner.Wait()
+	}()
+	wg.Wait()
+}
+
+// guarded holds a lock its methods take.
+type guarded struct {
+	mu sync.Mutex
+	n  int
+}
+
+// Stuck takes the lock and never releases it: lockbalance must fire.
+func (g *guarded) Stuck() int {
+	g.mu.Lock() // want: lockbalance
+	return g.n
+}
+
+// Released, Branches and Closure release the lock they take, by
+// defer, on each branch, or in a deferred literal: no findings.
+func (g *guarded) Released() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.n
+}
+
+func (g *guarded) Branches(add bool) {
+	g.mu.Lock()
+	if add {
+		g.n++
+		g.mu.Unlock()
+		return
+	}
+	g.mu.Unlock()
+}
+
+func (g *guarded) Closure() {
+	g.mu.Lock()
+	defer func() {
+		g.n++
+		g.mu.Unlock()
+	}()
 }

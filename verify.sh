@@ -149,14 +149,13 @@ echo "== server soak (race)"
 go test -race -run "^TestSoakFaultInjection$" ./internal/server/
 
 echo "== spmvlint"
-# Layer 1: the ten-rule source suite — syntactic/type rules (panics,
-# verifier, droppederr, floateq, hotpath) plus the CFG-based
-# concurrency rules (lockbalance, goroleak, ctxflow, wgbalance,
-# deferloop). Layer 2: compile gate diffing -m=1 -d=ssa/check_bce
+# Layer 1: the seven source rules over the typed AST (panics,
+# droppederr, floateq, hotpath, goroleak, wgbalance, lockbalance); a
+# finding cannot be suppressed. Layer 2: compile gate diffing -m=1 -d=ssa/check_bce
 # diagnostics against the checked-in baselines — a new bounds check or
 # heap allocation in a hot kernel fails here. Layer 3: alloc gate —
 # any new request-path heap allocation in internal/server or
-# internal/parallel fails. Stale allowlist entries also fail.
+# internal/parallel fails.
 go run ./cmd/spmvlint ./...
 
 if [ "$FUZZTIME" != "0" ]; then
